@@ -27,6 +27,7 @@ from .errors import DataError
 from .mse_weights import (
     LinearQFactory,
     QuadraticForm,
+    WeightSolution,
     aic_weights,
     build_q_logistic,
     equal_weights,
@@ -57,6 +58,10 @@ class Functional:
             if self.x_star is None:
                 raise DataError(f"{self.kind} functional needs an x_star vector")
             arr = np.array(self.x_star, dtype=float)
+            if arr.ndim != 1:
+                raise DataError(f"x_star must be a 1-d vector, got shape {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise DataError("x_star must be finite")
             arr.flags.writeable = False
             object.__setattr__(self, "x_star", arr)
 
@@ -92,12 +97,17 @@ class Functional:
 
 @dataclass(frozen=True)
 class AveragedEstimate:
-    """Weighted combination of per-model estimates, with its ingredients."""
+    """Weighted combination of per-model estimates, with its ingredients.
+
+    ``q_hat`` and ``solution`` (the solver's diagnostics) are set by the
+    ``optimal`` scheme only.
+    """
 
     value: float
     weights: np.ndarray
     per_model: np.ndarray
     q_hat: QuadraticForm | None = None
+    solution: WeightSolution | None = None
 
     def __post_init__(self):
         for name in ("weights", "per_model"):
@@ -177,12 +187,13 @@ class LinearAveragingPredictor:
 
     def predict(self, x_star: np.ndarray, scheme: str = "optimal") -> AveragedEstimate:
         _check_scheme(scheme)
-        x_star = np.asarray(x_star, dtype=float)
+        # raises DataError on a wrong shape or a non-finite x*, whatever the scheme
         per_model = self.factory.per_model_values(x_star)
-        q_hat = None
+        q_hat = solution = None
         if scheme == "optimal":
             q_hat = self.factory.q_form(x_star)
-            weights = solve_simplex_qp(q_hat).weights
+            solution = solve_simplex_qp(q_hat)
+            weights = solution.weights
         elif scheme == "aic":
             weights = self._aic_weights()
         else:
@@ -192,6 +203,7 @@ class LinearAveragingPredictor:
             weights=weights,
             per_model=per_model,
             q_hat=q_hat,
+            solution=solution,
         )
 
 
@@ -237,10 +249,11 @@ def fit_and_average_logistic(
     per_model = np.array(
         [float(expit(subset_point(x_star, m) @ f.beta)) for m, f in zip(models, fits)]
     )
-    q_hat = None
+    q_hat = solution = None
     if scheme == "optimal":
         q_hat = build_q_logistic(X, y, list(models), x_star)
-        weights = solve_simplex_qp(q_hat).weights
+        solution = solve_simplex_qp(q_hat)
+        weights = solution.weights
     elif scheme == "aic":
         weights = aic_weights(fits)
     else:
@@ -250,6 +263,7 @@ def fit_and_average_logistic(
         weights=weights,
         per_model=per_model,
         q_hat=q_hat,
+        solution=solution,
     )
 
 

@@ -92,6 +92,14 @@ def _q_payload(q_hat) -> dict:
     return {"bias": q_hat.bias.tolist(), "q_matrix": q_hat.matrix.tolist()}
 
 
+def _solution_payload(solution) -> dict:
+    return {
+        "objective": solution.objective,
+        "kkt_residual": solution.kkt_residual,
+        "iterations": solution.iterations,
+    }
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -119,14 +127,10 @@ def _cmd_weights(args) -> None:
             "per_model": estimate.per_model.tolist(),
             "models": [list(m.included) for m in models],
         }
-        if estimate.q_hat is not None:
-            Q = estimate.q_hat.matrix
-            w = estimate.weights
-            grad = 2.0 * (Q @ w)
-            payload["objective"] = float(w @ Q @ w)
-            payload["kkt_residual"] = float(np.max(w * (grad - np.min(grad))))
-            if args.dump_q:
-                payload.update(_q_payload(estimate.q_hat))
+        if estimate.solution is not None:
+            payload.update(_solution_payload(estimate.solution))
+        if args.dump_q and estimate.q_hat is not None:
+            payload.update(_q_payload(estimate.q_hat))
         _emit(args, json.dumps(payload, indent=2) + "\n")
     else:
         if args.dump_q:
@@ -159,6 +163,8 @@ def _cmd_predict(args) -> None:
             "estimate": estimate.value,
             "weights": estimate.weights.tolist(),
         }
+        if estimate.solution is not None:
+            payload.update(_solution_payload(estimate.solution))
         if args.dump_q and estimate.q_hat is not None:
             payload.update(_q_payload(estimate.q_hat))
         _emit(args, json.dumps(payload, indent=2) + "\n")

@@ -33,6 +33,7 @@ SCORE_TOL = 1e-8
 MAX_ITER = 100
 BETA_BOUND = 30.0  # separation guard: |beta|_inf above this means a diverging fit
 _MAX_HALVINGS = 40
+RANK_DEFICIENT_MESSAGE = f"design is numerically rank deficient (condition number > {COND_LIMIT:g})"
 
 
 @dataclass(frozen=True)
@@ -91,13 +92,15 @@ def qr_factor(X: np.ndarray, model: CandidateModel | None = None):
     if n < d:
         raise SingularDesignError(f"need n >= d, got n={n}, d={d}", model=model)
     Q, R = np.linalg.qr(X)
-    s = np.linalg.svd(R, compute_uv=False)
-    if s[-1] <= 0 or s[0] / s[-1] > COND_LIMIT:
-        raise SingularDesignError(
-            f"design is numerically rank deficient (condition number > {COND_LIMIT:g})",
-            model=model,
-        )
+    if ill_conditioned(R):
+        raise SingularDesignError(RANK_DEFICIENT_MESSAGE, model=model)
     return Q, R
+
+
+def ill_conditioned(R: np.ndarray) -> np.ndarray:
+    """Condition guard on R factors stacked along the leading axes (True = reject)."""
+    s = np.linalg.svd(R, compute_uv=False)
+    return (s[..., -1] <= 0) | (s[..., 0] > COND_LIMIT * s[..., -1])
 
 
 def gram_solve(R: np.ndarray, v: np.ndarray) -> np.ndarray:

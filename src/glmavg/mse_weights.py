@@ -11,9 +11,12 @@ to the full-model plug-in, and column k of the Gram factor ``A`` is
 chosen so that ``A'A`` reproduces the estimated covariance of the
 per-model functional estimates:
 
-* linear family:  b_k = x_k*' beta_k - x*' beta_full and
-  a_k = sigma_full X_k (X_k'X_k)^{-1} x_k*, so entry (j, k) of A'A is
-  the estimated covariance of the two models' point predictions.
+* linear family:  b_k = x_k*' beta_k - x*' beta_full, and entry (j, k)
+  of A'A is the estimated covariance of the two models' point
+  predictions, sigma_full^2 x*' G_j X'X G_k x*, with G_k the inverse
+  Gram (X_k'X_k)^{-1} zero-padded to p x p.  Since X = Q R_full and
+  Q'Q = I, the factor is taken as a_k = sigma_full R_full G_k x*, so A
+  has p rows (one per column of the full design), not n.
 * logistic family: b_k = p_k* - p_full at x*, with p_k* the pseudo-fit
   of model k against the full-model fitted probabilities, and
   a_k = W_full^{1/2} X_k M_k^{-1} x_k* p_k*(1-p_k*) with
@@ -21,7 +24,8 @@ per-model functional estimates:
 
 The factored construction keeps Qhat symmetric positive semidefinite by
 construction; tests cross-check it entrywise against the literal
-double-sum expressions.
+double-sum expressions.  The logistic factor has n rows, one per
+observation.
 
 Optimal weights minimise w'Qhat w over the probability simplex.  The
 program is convex, so an accelerated projected-gradient method (step
@@ -37,15 +41,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_lapack_funcs
 from scipy.special import expit
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, SingularDesignError
 from .glm_fit import (
+    RANK_DEFICIENT_MESSAGE,
     FitResult,
     _gaussian_profile_loglik,
-    full_linear_fit,
     gram_solve,
+    ill_conditioned,
     logistic_mle,
     logistic_pseudo_fit,
     qr_factor,
@@ -59,7 +64,11 @@ _SUPPORT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """Estimated-MSE quadratic form: bias vector b, Gram factor A, matrix b b' + A'A."""
+    """Estimated-MSE quadratic form: bias vector b, Gram factor A, matrix b b' + A'A.
+
+    A is (rows, K): p rows (the full design's column count) for linear
+    targets, n rows (one per observation) for logistic targets.
+    """
 
     bias: np.ndarray
     gram_factor: np.ndarray
@@ -70,7 +79,7 @@ class QuadraticForm:
         bias = np.asarray(bias, dtype=float)
         gram_factor = np.asarray(gram_factor, dtype=float)
         if bias.ndim != 1 or gram_factor.ndim != 2 or gram_factor.shape[1] != bias.shape[0]:
-            raise DataError("bias must be (K,) and gram_factor (n, K)")
+            raise DataError("bias must be (K,) and gram_factor (rows, K)")
         if bias.shape[0] == 0:
             raise DataError("a quadratic form needs at least one model")
         matrix = np.outer(bias, bias) + gram_factor.T @ gram_factor
@@ -104,64 +113,122 @@ class WeightSolution:
 # ---------------------------------------------------------------------------
 
 
-class LinearQFactory:
-    """Per-model factorisations of one (X, y), reusable across many x*.
+def _checked_point(x_star: np.ndarray, p: int) -> np.ndarray:
+    """x* as a float vector of length p with finite entries, else DataError."""
+    x_star = np.asarray(x_star, dtype=float)
+    if x_star.shape != (p,):
+        raise DataError(f"x_star must be a vector of length {p}, got shape {x_star.shape}")
+    if not np.all(np.isfinite(x_star)):
+        raise DataError("x_star must be finite")
+    return x_star
 
-    Fitting all candidate models costs one QR per model; everything a
-    functional needs afterwards (bias entries, Gram-factor columns,
-    per-model point estimates) is a pair of triangular solves per model.
-    Cross-validation and prediction-band code predicts at many points
-    from the same training data, so the split matters there.
+
+class LinearQFactory:
+    """Every candidate's fit on one (X, y), reusable across many x*.
+
+    The fit does all the factoring.  Candidate designs of equal dimension
+    are stacked, with the full design in its own dimension's group unless
+    it is a candidate already, and each stack gets one ``np.linalg.qr``,
+    one SVD for the condition guard and one ``np.linalg.inv`` of its R
+    factors.  The factory keeps the padded coefficients B (K x p), the
+    padded inverse Grams G (K x p x p) and R_full, so each x* costs a few
+    matmuls: the per-model values are B x*, and since X = Q_full R_full,
+    the Gram factor is the p x K matrix sigma R_full (G x*)'.
+
+    A rank-deficient design raises ``SingularDesignError`` naming the
+    first failing candidate in list order, or no model when the only
+    failing design is the full one and it is not a candidate.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, models: Sequence[CandidateModel]):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
-        full = full_linear_fit(X, y)
+        if X.ndim != 2:
+            raise DataError("design matrix must be 2-d")
+        n, p = X.shape
+        if y.ndim != 1 or y.shape[0] != n:
+            raise DataError("y must be a vector with one entry per design row")
+        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+            raise DataError("design and response must be finite")
         self.models = list(models)
-        self.n = X.shape[0]
-        self.beta_full = full.beta_full
-        self.sigma2 = full.sigma2
-        self._parts = []
-        for model in self.models:
-            X_k = subset_columns(X, model)
-            # same solve path as ols_fit, so single-model averaging
-            # reproduces the plain fit bit-for-bit
-            Q, R = qr_factor(X_k, model=model)
-            beta_k = solve_triangular(R, Q.T @ y, lower=False)
-            rss = float(np.sum((y - X_k @ beta_k) ** 2))
-            self._parts.append((model, X_k, R, beta_k, rss))
+        self.n = n
+        K = len(self.models)
+        column_sets = [model.column_indices() for model in self.models]
+        for cols in column_sets:
+            if cols[-1] >= p:
+                raise DataError(f"design has {p} columns, model needs column {cols[-1]}")
+        full_cols = list(range(p))
+        if full_cols in column_sets:
+            full = column_sets.index(full_cols)
+        else:
+            full = len(column_sets)
+            column_sets.append(full_cols)
+
+        groups: dict[int, list[int]] = {}
+        for k, cols in enumerate(column_sets):
+            groups.setdefault(len(cols), []).append(k)
+        rss = np.empty(len(column_sets))
+        B = np.zeros((len(column_sets), p))
+        G = np.zeros((len(column_sets), p, p))
+        failures = []
+        trtrs = get_lapack_funcs("trtrs", (X,))
+        for d, members in groups.items():
+            if n < d:
+                failures += [(k, f"need n >= d, got n={n}, d={d}") for k in members]
+                continue
+            idx = np.array(members)
+            cols = np.array([column_sets[k] for k in members])
+            # Each design in the stack has subset_columns' memory layout, and
+            # LAPACK factors and solves each matrix of a stack on its own, so
+            # beta and RSS are ols_fit's to the last bit.
+            X_stack = X[:, cols].transpose(1, 0, 2)
+            Q, R = np.linalg.qr(X_stack)
+            failures += [(members[j], RANK_DEFICIENT_MESSAGE) for j in np.flatnonzero(ill_conditioned(R))]
+            if failures:
+                continue  # the fit is lost; keep checking so the error names the first failure
+            Qty = Q.transpose(0, 2, 1) @ y
+            beta = np.empty_like(Qty)
+            # The LAPACK call solve_triangular(R[j], Qty[j]) makes for a
+            # C-ordered R (for d = 1 either of its calls is one division),
+            # without its per-call input checks: X and y were checked
+            # finite above, and the guard rules out a singular R.
+            for j in range(len(members)):
+                beta[j], _ = trtrs(R[j].T, Qty[j], lower=1, trans=1)
+            rss[idx] = np.sum((y - (X_stack @ beta[:, :, None])[:, :, 0]) ** 2, axis=1)
+            B[idx[:, None], cols] = beta
+            R_inv = np.linalg.inv(R)
+            G[idx[:, None, None], cols[:, :, None], cols[:, None, :]] = R_inv @ R_inv.transpose(0, 2, 1)
+            if full in members:
+                R_full = R[members.index(full)]
+        if failures:
+            k, message = min(failures)
+            raise SingularDesignError(message, model=self.models[k] if k < K else None)
+
+        self.beta_full = B[full]
+        self.sigma2 = float(rss[full] / n)
+        self._rss = rss[:K]
+        self._B = B[:K]
+        self._G = G[:K].reshape(K * p, p)
+        self._sigma_R_full = np.sqrt(self.sigma2) * R_full
 
     def model_betas(self) -> list[np.ndarray]:
-        return [beta_k for (_, _, _, beta_k, _) in self._parts]
+        return [beta[model.column_indices()] for beta, model in zip(self._B, self.models)]
 
     def logliks(self) -> np.ndarray:
-        return np.array([_gaussian_profile_loglik(rss, self.n) for (*_, rss) in self._parts])
+        return np.array([_gaussian_profile_loglik(rss, self.n) for rss in self._rss])
 
     def dims(self) -> np.ndarray:
-        return np.array([X_k.shape[1] for (_, X_k, _, _, _) in self._parts])
+        return np.array([model.dim for model in self.models])
 
     def per_model_values(self, x_star: np.ndarray) -> np.ndarray:
         """x_k*' beta_k for every candidate (the per-model functional estimates)."""
-        x_star = np.asarray(x_star, dtype=float)
-        return np.array(
-            [float(subset_point(x_star, model) @ beta_k) for (model, _, _, beta_k, _) in self._parts]
-        )
+        return self._B @ _checked_point(x_star, self._B.shape[1])
 
     def q_form(self, x_star: np.ndarray) -> QuadraticForm:
-        x_star = np.asarray(x_star, dtype=float)
-        if x_star.shape[0] != self.beta_full.shape[0]:
-            raise DataError("x_star length must match the design's column count")
-        mu_full = float(x_star @ self.beta_full)
-        sigma = np.sqrt(self.sigma2)
-        K = len(self._parts)
-        bias = np.empty(K)
-        A = np.empty((self.n, K))
-        for k, (model, X_k, R, beta_k, _) in enumerate(self._parts):
-            x_k = subset_point(x_star, model)
-            bias[k] = float(x_k @ beta_k) - mu_full
-            A[:, k] = sigma * (X_k @ gram_solve(R, x_k))
-        return QuadraticForm.from_parts(bias, A)
+        x_star = _checked_point(x_star, self._B.shape[1])
+        bias = self._B @ x_star - x_star @ self.beta_full
+        G_x = (self._G @ x_star).reshape(bias.shape[0], -1)
+        return QuadraticForm.from_parts(bias, self._sigma_R_full @ G_x.T)
 
 
 def build_q_linear(
@@ -172,9 +239,7 @@ def build_q_linear(
 ) -> QuadraticForm:
     """Estimated-MSE form for a linear functional x*'beta under OLS fits."""
     X = np.asarray(X, dtype=float)
-    x_star = np.asarray(x_star, dtype=float)
-    if x_star.shape[0] != X.shape[1]:
-        raise DataError("x_star length must match the design's column count")
+    x_star = _checked_point(x_star, X.shape[1])
     return LinearQFactory(X, y, models).q_form(x_star)
 
 
@@ -193,9 +258,7 @@ def build_q_logistic(
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    x_star = np.asarray(x_star, dtype=float)
-    if x_star.shape[0] != X.shape[1]:
-        raise DataError("x_star length must match the design's column count")
+    x_star = _checked_point(x_star, X.shape[1])
 
     full_fit = logistic_mle(X, y)
     p_full = expit(X @ full_fit.beta)

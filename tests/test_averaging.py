@@ -51,6 +51,16 @@ class TestFunctional:
         with pytest.raises(DataError):
             Functional(kind="linear_point")
 
+    @pytest.mark.parametrize("make", [Functional.linear_point, Functional.logistic_point])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x_star_rejected(self, make, bad):
+        with pytest.raises(DataError):
+            make(np.array([1.0, bad, 0.0]))
+
+    def test_x_star_must_be_a_vector(self):
+        with pytest.raises(DataError):
+            Functional.linear_point(np.ones((3, 1)))
+
 
 class TestAverageEstimate:
     def test_vertex_weight_selects_entry(self):
@@ -166,6 +176,29 @@ class TestFitAndAverageLinear:
             )
             assert predictor.predict(x_star, "optimal").value == one_shot.value
 
+    @pytest.mark.parametrize("scheme", ["optimal", "aic", "equal"])
+    @pytest.mark.parametrize(
+        "x_star",
+        [np.ones(5), np.ones(3), np.ones((4, 1)), np.array([1.0, np.nan, 0.0, 0.0])],
+    )
+    def test_predict_validates_x_star_for_every_scheme(self, scheme, x_star):
+        X, y, _ = _linear_data(seed=16)
+        predictor = LinearAveragingPredictor(X, y, enumerate_all_subsets(1, 3))
+        with pytest.raises(DataError):
+            predictor.predict(x_star, scheme)
+
+    def test_solution_kept_for_optimal_only(self):
+        X, y, _ = _linear_data(seed=17)
+        predictor = LinearAveragingPredictor(X, y, enumerate_all_subsets(1, 3))
+        x_star = np.array([1.0, 0.3, -0.2, 0.9])
+        est = predictor.predict(x_star, "optimal")
+        assert est.solution is not None
+        np.testing.assert_array_equal(est.solution.weights, est.weights)
+        Q = est.q_hat.matrix
+        assert est.solution.objective == pytest.approx(float(est.weights @ Q @ est.weights), rel=1e-12)
+        for scheme in ("aic", "equal"):
+            assert predictor.predict(x_star, scheme).solution is None
+
 
 class TestFitAndAverageLogistic:
     def test_single_full_model_reduces_to_mle(self):
@@ -179,6 +212,7 @@ class TestFitAndAverageLogistic:
         )
         direct = float(expit(x_star @ logistic_mle(X, y).beta))
         assert est.value == pytest.approx(direct, abs=1e-12)
+        assert est.solution is not None and est.solution.iterations == 0
 
     def test_symmetric_truth_near_half(self):
         rng = np.random.default_rng(11)

@@ -61,6 +61,12 @@ class TestWeightsCommand:
         assert len(payload["weights"]) == 4
         assert len(payload["q_matrix"]) == 4
         assert payload["objective"] >= 0.0
+        # the solver's own diagnostics, consistent with the dumped Q
+        w, Q = np.array(payload["weights"]), np.array(payload["q_matrix"])
+        assert payload["objective"] == pytest.approx(float(w @ Q @ w), rel=1e-12)
+        grad = 2.0 * (Q @ w)
+        assert 0.0 <= payload["kkt_residual"] <= 1e-12 * max(1.0, float(np.max(np.abs(grad))))
+        assert isinstance(payload["iterations"], int)
 
     def test_dump_q_requires_json(self, linear_csv):
         rc = main([
@@ -104,6 +110,18 @@ class TestPredictCommand:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert 0.5 < payload["estimate"] < 3.5
+        assert payload["objective"] >= 0.0
+        assert payload["kkt_residual"] >= 0.0
+        assert payload["iterations"] >= 1
+
+    def test_baseline_scheme_has_no_solver_fields(self, linear_csv, capsys):
+        rc = main([
+            "predict", "--data", str(linear_csv), "--response", "y",
+            "--x-star", "1,1,0", "--format", "json", "--scheme", "aic",
+        ])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert not {"objective", "kkt_residual", "iterations"} & set(payload)
 
     def test_logistic(self, logistic_csv, capsys):
         rc = main([
@@ -113,6 +131,27 @@ class TestPredictCommand:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert 0.0 < payload["estimate"] < 1.0
+        assert {"objective", "kkt_residual", "iterations"} <= set(payload)
+
+    @pytest.mark.parametrize("command", ["predict", "weights"])
+    @pytest.mark.parametrize("scheme", ["optimal", "aic", "equal"])
+    @pytest.mark.parametrize("x_star", ["1,nan,2", "1,inf,0"])
+    def test_non_finite_x_star_is_a_data_error(self, linear_csv, command, scheme, x_star, capsys):
+        rc = main([
+            command, "--data", str(linear_csv), "--response", "y",
+            "--x-star", x_star, "--scheme", scheme,
+        ])
+        assert rc == 2
+        assert "x_star must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme", ["optimal", "aic"])
+    def test_non_finite_x_star_logistic(self, logistic_csv, scheme, capsys):
+        rc = main([
+            "predict", "--data", str(logistic_csv), "--response", "y",
+            "--family", "logistic", "--x-star", "1,nan", "--scheme", scheme,
+        ])
+        assert rc == 2
+        assert "x_star must be finite" in capsys.readouterr().err
 
     def test_dump_q_attaches_matrix(self, linear_csv, capsys):
         rc = main([

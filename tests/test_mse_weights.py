@@ -16,21 +16,26 @@ from glmavg import (
     CandidateModel,
     DataError,
     FitResult,
+    LinearQFactory,
     NonConvergenceError,
     NumericalError,
     QuadraticForm,
+    SingularDesignError,
     aic_weights,
     augment,
     build_q_linear,
     build_q_logistic,
+    enumerate_all_subsets,
     equal_weights,
     full_linear_fit,
     logistic_mle,
     logistic_pseudo_fit,
+    ols_fit,
     project_simplex,
     solve_simplex_qp,
     subset_columns,
     subset_point,
+    synthetic_prostate,
 )
 
 def _linear_instance(seed, n=100, q=3):
@@ -86,6 +91,62 @@ class TestBuildQLinear:
         X, y, _ = _linear_instance(4)
         with pytest.raises(DataError):
             build_q_linear(X, y, [CandidateModel((), 1)], np.ones(2))
+
+
+class TestLinearQFactory:
+    def test_fits_equal_ols_bitwise_on_all_prostate_candidates(self):
+        # the batched QR must give each candidate exactly ols_fit's numbers;
+        # the bitwise vertex and single-model tests rely on it
+        ds = synthetic_prostate()
+        models = enumerate_all_subsets(1, 8)
+        factory = LinearQFactory(ds.design, ds.response, models)
+        betas, logliks = factory.model_betas(), factory.logliks()
+        assert len(betas) == len(models) == 256
+        for model, beta, loglik in zip(models, betas, logliks):
+            fit = ols_fit(subset_columns(ds.design, model), ds.response)
+            assert np.array_equal(beta, fit.beta)
+            assert loglik == fit.loglik
+
+    def test_guard_names_the_failing_candidate_inside_its_group(self):
+        # column 3 duplicates column 1, so candidate (0, 2) has columns
+        # [0, 1, 3] and is rank deficient; it is the second of the three
+        # two-optional candidates and comes before the (also singular) full model
+        X, y, _ = _linear_instance(7, n=50, q=2)
+        X = np.column_stack([X, X[:, 1]])
+        models = list(enumerate_all_subsets(1, 3))
+        assert [m.included for m in models if m.dim == 3] == [(0, 1), (0, 2), (1, 2)]
+        with pytest.raises(SingularDesignError) as excinfo:
+            LinearQFactory(X, y, models)
+        assert excinfo.value.model == CandidateModel((0, 2), 1)
+
+    def test_guard_on_full_design_alone_names_no_model(self):
+        X, y, _ = _linear_instance(8, n=50, q=2)
+        X = np.column_stack([X, X[:, 1]])
+        models = [CandidateModel((), 1), CandidateModel((0,), 1), CandidateModel((1, 2), 1)]
+        with pytest.raises(SingularDesignError) as excinfo:
+            LinearQFactory(X, y, models)
+        assert excinfo.value.model is None
+
+    def test_all_subsets_gram_factor_is_p_by_k_and_matches_double_sum(self):
+        X, y, x_star = _linear_instance(9, n=40, q=8)
+        models = list(enumerate_all_subsets(1, 8))
+        qf = LinearQFactory(X, y, models).q_form(x_star)
+        assert qf.gram_factor.shape == (X.shape[1], len(models)) == (9, 256)
+        np.testing.assert_allclose(qf.matrix, q_linear_double_sum(X, y, models, x_star), atol=1e-10)
+
+    @pytest.mark.parametrize("x_star", [np.ones(5), np.ones((4, 1)), np.array([1.0, np.nan, 0.0, 0.0])])
+    def test_bad_x_star_rejected_by_every_entry_point(self, x_star):
+        X, y, _ = _linear_instance(10)
+        models = [CandidateModel((), 1), CandidateModel((0, 1, 2), 1)]
+        factory = LinearQFactory(X, y, models)
+        with pytest.raises(DataError):
+            factory.per_model_values(x_star)
+        with pytest.raises(DataError):
+            factory.q_form(x_star)
+        with pytest.raises(DataError):
+            build_q_linear(X, y, models, x_star)
+        with pytest.raises(DataError):
+            build_q_logistic(X, (y > np.median(y)).astype(float), models, x_star)
 
 
 class TestBuildQLogistic:
