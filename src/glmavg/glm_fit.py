@@ -83,11 +83,18 @@ class ProbVector:
 # ---------------------------------------------------------------------------
 
 
+def require_finite(name: str, *arrays: np.ndarray) -> None:
+    """Raise ``DataError`` unless every entry of every array is finite."""
+    if not all(np.all(np.isfinite(arr)) for arr in arrays):
+        raise DataError(f"{name} must be finite")
+
+
 def qr_factor(X: np.ndarray, model: CandidateModel | None = None):
     """Reduced QR of a design matrix with a condition-number guard."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DataError("design matrix must be 2-d")
+    require_finite("design matrix", X)
     n, d = X.shape
     if n < d:
         raise SingularDesignError(f"need n >= d, got n={n}, d={d}", model=model)
@@ -139,6 +146,7 @@ def ols_fit(
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.shape[0] != X_k.shape[0]:
         raise DataError("y must be a vector with one entry per design row")
+    require_finite("response", y)
     Q, R = qr_factor(X_k, model=model)
     beta = solve_triangular(R, Q.T @ y, lower=False)
     rss = float(np.sum((y - X_k @ beta) ** 2))
@@ -160,6 +168,7 @@ def full_linear_fit(X: np.ndarray, y: np.ndarray) -> LinearFullFit:
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.shape[0] != X.shape[0]:
         raise DataError("y must be a vector with one entry per design row")
+    require_finite("response", y)
     Q, R = qr_factor(X)
     beta = solve_triangular(R, Q.T @ y, lower=False)
     fitted = X @ beta
@@ -177,6 +186,7 @@ def pseudo_true_linear(X_k: np.ndarray, X: np.ndarray, beta: np.ndarray) -> np.n
     beta = np.asarray(beta, dtype=float)
     if beta.shape[0] != X.shape[1]:
         raise DataError("beta length must match the full design's column count")
+    require_finite("full design and coefficients", X, beta)
     Q, R = qr_factor(np.asarray(X_k, dtype=float))
     return solve_triangular(R, Q.T @ (X @ beta), lower=False)
 
@@ -228,6 +238,7 @@ def logistic_mle(
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.shape[0] != X_k.shape[0]:
         raise DataError("y must be a vector with one entry per design row")
+    require_finite("design matrix", X_k)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise DataError("logistic responses must be coded 0/1")
     if np.all(y == y[0]):
@@ -303,6 +314,7 @@ def logistic_pseudo_fit(
     halving the step whenever the score-residual norm fails to improve.
     """
     X_k = np.asarray(X_k, dtype=float)
+    require_finite("design matrix", X_k)
     if not isinstance(p_target, ProbVector):
         p_target = ProbVector(np.asarray(p_target, dtype=float))
     target = p_target.probs

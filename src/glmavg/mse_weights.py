@@ -27,17 +27,22 @@ construction; tests cross-check it entrywise against the literal
 double-sum expressions.  The logistic factor has n rows, one per
 observation.
 
-Optimal weights minimise w'Qhat w over the probability simplex.  The
-program is convex, so an accelerated projected-gradient method (step
-1/L, L from power iteration, gradient-based adaptive restart) converges
-to the global minimum; an active-set refinement solves the equality-
-constrained KKT system on the identified support and is accepted only
-after explicit KKT verification.
+Optimal weights minimise w'Qhat w over the probability simplex.  Since
+Qhat = M'M with M = [b'; A], that is the search for the point of
+conv{columns of M} nearest the origin, which Wolfe's algorithm ("Finding
+the nearest point in a polytope", Math. Programming 11, 1976) solves
+exactly in finitely many steps from b and A alone.  Every weight vector
+returned is certified: its KKT residual, recomputed from M, is at most
+2e-12 max_k Q_kk, and otherwise ``NumericalError`` is raised.  The
+weights need not be unique, since faces of the hull can be affinely
+dependent; M w is, and with it the objective and, for linear targets,
+the averaged estimate x*'beta_full + (M w)_0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -54,12 +59,14 @@ from .glm_fit import (
     logistic_mle,
     logistic_pseudo_fit,
     qr_factor,
+    require_finite,
 )
 from .model_space import CandidateModel, subset_columns, subset_point
 
-SOLVER_MAX_ITER = 10_000
-SOLVER_GRAD_TOL = 1e-10
-_SUPPORT_TOL = 1e-10
+SOLVER_MAX_ITER = 10_000  # major cycles of the weight solver
+_GAP_TOL = 1e-12  # stop at a Frank-Wolfe gap <= _GAP_TOL * max_k Q_kk
+_KKT_TOL = 2e-12  # certify a KKT residual <= _KKT_TOL * max_k Q_kk
+_DROP_TOL = 1e-10  # a corral weight at or below this leaves the corral
 
 
 @dataclass(frozen=True)
@@ -67,12 +74,13 @@ class QuadraticForm:
     """Estimated-MSE quadratic form: bias vector b, Gram factor A, matrix b b' + A'A.
 
     A is (rows, K): p rows (the full design's column count) for linear
-    targets, n rows (one per observation) for logistic targets.
+    targets, n rows (one per observation) for logistic targets.  The
+    solver reads only b and A; the dense K x K ``matrix`` is built from
+    them on first access and kept.
     """
 
     bias: np.ndarray
     gram_factor: np.ndarray
-    matrix: np.ndarray
 
     @classmethod
     def from_parts(cls, bias: np.ndarray, gram_factor: np.ndarray) -> "QuadraticForm":
@@ -82,11 +90,16 @@ class QuadraticForm:
             raise DataError("bias must be (K,) and gram_factor (rows, K)")
         if bias.shape[0] == 0:
             raise DataError("a quadratic form needs at least one model")
-        matrix = np.outer(bias, bias) + gram_factor.T @ gram_factor
-        matrix = 0.5 * (matrix + matrix.T)
-        for arr in (bias, gram_factor, matrix):
+        for arr in (bias, gram_factor):
             arr.flags.writeable = False
-        return cls(bias=bias, gram_factor=gram_factor, matrix=matrix)
+        return cls(bias=bias, gram_factor=gram_factor)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        matrix = np.outer(self.bias, self.bias) + self.gram_factor.T @ self.gram_factor
+        matrix = 0.5 * (matrix + matrix.T)
+        matrix.flags.writeable = False
+        return matrix
 
     @property
     def n_models(self) -> int:
@@ -118,8 +131,7 @@ def _checked_point(x_star: np.ndarray, p: int) -> np.ndarray:
     x_star = np.asarray(x_star, dtype=float)
     if x_star.shape != (p,):
         raise DataError(f"x_star must be a vector of length {p}, got shape {x_star.shape}")
-    if not np.all(np.isfinite(x_star)):
-        raise DataError("x_star must be finite")
+    require_finite("x_star", x_star)
     return x_star
 
 
@@ -148,8 +160,7 @@ class LinearQFactory:
         n, p = X.shape
         if y.ndim != 1 or y.shape[0] != n:
             raise DataError("y must be a vector with one entry per design row")
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-            raise DataError("design and response must be finite")
+        require_finite("design and response", X, y)
         self.models = list(models)
         self.n = n
         K = len(self.models)
@@ -332,208 +343,106 @@ def aic_weights(fits: Sequence[FitResult]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _power_lambda_max(matvec, K: int, iters: int = 60) -> float:
-    v = np.arange(1.0, K + 1.0)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        u = matvec(v)
-        norm = np.linalg.norm(u)
-        if norm == 0.0:
-            return 0.0
-        lam = float(v @ u)
-        v = u / norm
-    return max(lam, float(v @ matvec(v)))
+def _points(q: QuadraticForm | np.ndarray) -> np.ndarray:
+    """The K points whose convex hull the solver searches: rows of P with P P' = Q.
 
-
-def _kkt_residual(w: np.ndarray, grad: np.ndarray) -> float:
-    # 0 iff support sits on the minimal gradient face (complementarity).
-    return float(np.max(w * (grad - np.min(grad))))
-
-
-def _solve_face_kkt(support: np.ndarray, submatrix):
-    """Equality-constrained minimiser on one face: gradient constant on the support."""
-    m = support.size
-    system = np.empty((m + 1, m + 1))
-    system[:m, :m] = 2.0 * submatrix(support)
-    system[:m, m] = -1.0
-    system[m, :m] = 1.0
-    system[m, m] = 0.0
-    rhs = np.zeros(m + 1)
-    rhs[m] = 1.0
-    try:
-        sol = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    return sol[:m]
-
-
-def _verify_kkt(candidate, support, matvec):
-    """Accept a face solution only if the full simplex KKT conditions hold."""
-    grad = 2.0 * matvec(candidate)
-    level = float(candidate @ grad)
-    scale = max(1.0, float(np.max(np.abs(grad))))
-    if np.max(np.abs(grad[support] - level)) > 1e-8 * scale:
-        return False
-    return bool(np.min(grad) >= level - 1e-10 * scale)
-
-
-def _polish_active_set(w, matvec, submatrix, K):
-    """Solve the KKT system on w's support; return the point only if KKT-verified."""
-    support = np.flatnonzero(w > _SUPPORT_TOL)
-    if support.size == 0:
-        return None
-    w_support = _solve_face_kkt(support, submatrix)
-    if w_support is None or np.min(w_support) < -1e-9:
-        return None
-    candidate = np.zeros(K)
-    candidate[support] = np.maximum(w_support, 0.0)
-    candidate /= candidate.sum()
-    if _verify_kkt(candidate, support, matvec):
-        return candidate
-    return None
-
-
-def _active_set_solve(matvec, submatrix, diag_vec, K):
-    """Pivoting fast path: grow/shrink a support until the exact KKT point appears.
-
-    Every candidate it returns has been verified against the full KKT
-    conditions, so a wrong pivot sequence can only cost time, never
-    correctness; cycling or a singular face system bails out to the
-    accelerated projected-gradient path.
+    For a ``QuadraticForm`` P = [b, A'], the transpose of M = [b'; A].  A
+    raw matrix is symmetrised and factored by ``eigh`` as Q = V diag(lam) V';
+    P = V diag(sqrt(lam - min(0, lam_min))), so roundoff that pushed an
+    eigenvalue below zero becomes the uniform lift ``-lam_min I``, which
+    changes every simplex objective by the same constant and keeps the
+    minimiser.
     """
-    support = [int(np.argmin(diag_vec))]
-    max_pivots = min(4 * K + 16, 512)
-    for pivot in range(max_pivots):
-        idx = np.array(sorted(support))
-        w_support = _solve_face_kkt(idx, submatrix)
-        if w_support is None:
-            return None, pivot
-        if np.min(w_support) < -1e-12:
-            if len(support) == 1:
-                return None, pivot
-            support.remove(int(idx[int(np.argmin(w_support))]))
-            continue
-        candidate = np.zeros(K)
-        candidate[idx] = np.maximum(w_support, 0.0)
-        candidate /= candidate.sum()
-        grad = 2.0 * matvec(candidate)
-        level = float(candidate @ grad)
-        scale = max(1.0, float(np.max(np.abs(grad))))
-        if np.max(np.abs(grad[idx] - level)) > 1e-8 * scale:
-            return None, pivot
-        slack = grad - (level - 1e-10 * scale)
-        slack[idx] = np.inf
-        worst = int(np.argmin(slack))
-        if slack[worst] >= 0.0:
-            return candidate, pivot + 1
-        support.append(worst)
-    return None, max_pivots
+    if isinstance(q, QuadraticForm):
+        if not (np.all(np.isfinite(q.bias)) and np.all(np.isfinite(q.gram_factor))):
+            raise NumericalError("non-finite entries in the quadratic form")
+        return np.column_stack([q.bias, q.gram_factor.T])
+    Q = np.asarray(q, dtype=float)
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or Q.shape[0] == 0:
+        raise DataError("Q must be a non-empty square matrix")
+    if not np.all(np.isfinite(Q)):
+        raise NumericalError("non-finite entries in the quadratic form")
+    lam, V = np.linalg.eigh(0.5 * (Q + Q.T))
+    return V * np.sqrt(lam - min(0.0, lam[0]))
+
+
+def _nearest_point(P: np.ndarray, sq_norms: np.ndarray, max_iter: int):
+    """Wolfe's algorithm: simplex weights of the point of conv{rows of P} nearest 0.
+
+    The corral is an affinely independent set of points and x the point
+    of their hull that the weights give.  Each major cycle stops if the
+    Frank-Wolfe gap x'x - min_j x'p_j is at most ``_GAP_TOL`` times the
+    largest Q_kk, and otherwise adds the minimising point to the corral.
+    Each minor cycle moves to the affine minimiser of the corral; when
+    that lies outside the simplex, it moves toward it only as far as the
+    simplex allows (the ratio test) and drops the points whose weight
+    falls to ``_DROP_TOL`` or below.  Returns the weights and the number
+    of major cycles.
+    """
+    scale = float(sq_norms.max())
+    posv = get_lapack_funcs("posv", (P,))
+    corral = np.array([sq_norms.argmin()])
+    w = np.ones(1)
+    for cycle in range(1, max_iter + 1):
+        x = w @ P[corral]
+        g = P @ x
+        j = g.argmin()
+        if x @ x - g[j] <= _GAP_TOL * scale:
+            weights = np.zeros(P.shape[0])
+            weights[corral] = w
+            return weights, cycle
+        corral = np.append(corral, j)
+        w = np.append(w, 0.0)
+        while True:
+            # On sum(u) = 1, u'(S S' + c 11')u = u'S S'u + c for any c > 0, so
+            # the affine minimiser is proportional to (S S' + c 11')^{-1} 1;
+            # c = the corral's largest Q_kk keeps the system on its points' scale.
+            S = P[corral]
+            c = sq_norms[corral].max()
+            _, u, info = posv(S @ S.T + c, np.ones(corral.size), overwrite_a=1, overwrite_b=1)
+            if info != 0:
+                raise NumericalError(f"weight solve failed: singular corral system (LAPACK info {info})")
+            u /= u.sum()
+            if u.min() > 0.0:
+                w = u
+                break
+            down = (u <= 0.0) & (w > u)
+            theta = np.min(w[down] / (w[down] - u[down]), initial=1.0)
+            w += theta * (u - w)
+            keep = w > _DROP_TOL
+            corral = corral[keep]
+            w = w[keep] / w[keep].sum()
+    raise NumericalError(f"weight solve did not converge in {max_iter} major cycles")
 
 
 def solve_simplex_qp(
     q: QuadraticForm | np.ndarray,
     *,
     max_iter: int = SOLVER_MAX_ITER,
-    grad_tol: float = SOLVER_GRAD_TOL,
 ) -> WeightSolution:
-    """Minimise w'Qw over the probability simplex.
+    """Minimise w'Qw over the probability simplex, with a certified answer.
 
-    Accepts either a ``QuadraticForm`` (whose factored structure makes
-    gradients O(K(n+1)) instead of O(K^2) and is PSD by construction)
-    or a raw symmetric matrix, which is symmetrised and, if roundoff
-    pushed an eigenvalue below zero, lifted by ``max(0, -lambda_min) I``
-    (a uniform diagonal shift changes every simplex objective by the
-    same constant, so the minimiser is preserved).
+    Q = M'M, so the minimiser gives the point of conv{columns of M}
+    nearest the origin, which Wolfe's algorithm finds exactly in finitely
+    many steps.  A ``QuadraticForm`` supplies M = [b'; A] directly and
+    its dense matrix is never built; a raw symmetric matrix is factored
+    once (see ``_points``).  The KKT residual max_k w_k (g_k - min g),
+    g = 2 Q w, is recomputed from the factor at the end.  The minimiser
+    need not be unique; the objective and Q w are.
+
+    Raises ``NumericalError`` for non-finite input, a singular corral
+    system, ``max_iter`` major cycles without convergence, or a KKT
+    residual above ``_KKT_TOL`` times the largest Q_kk.
     """
-    if isinstance(q, QuadraticForm):
-        b, A = q.bias, q.gram_factor
-        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(A))):
-            raise NumericalError("non-finite entries in the quadratic form")
-        K = q.n_models
-        diag_vec = b * b + np.sum(A * A, axis=0)
-
-        def matvec(w):
-            return b * (b @ w) + A.T @ (A @ w)
-
-        def submatrix(idx):
-            cols = A[:, idx]
-            return np.outer(b[idx], b[idx]) + cols.T @ cols
-
-    else:
-        Q = np.asarray(q, dtype=float)
-        if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or Q.shape[0] == 0:
-            raise DataError("Q must be a non-empty square matrix")
-        if not np.all(np.isfinite(Q)):
-            raise NumericalError("non-finite entries in the quadratic form")
-        Q = 0.5 * (Q + Q.T)
-        lam_min = float(np.linalg.eigvalsh(Q)[0])
-        if lam_min < 0.0:
-            Q = Q + (-lam_min) * np.eye(Q.shape[0])
-        K = Q.shape[0]
-        diag_vec = np.diag(Q).copy()
-
-        def matvec(w):
-            return Q @ w
-
-        def submatrix(idx):
-            return Q[np.ix_(idx, idx)]
-
-    if K == 1:
-        w = np.ones(1)
-        return WeightSolution(w, float(matvec(w)[0]), 0, 0.0)
-
-    fast, pivots = _active_set_solve(matvec, submatrix, diag_vec, K)
-    if fast is not None:
-        grad = 2.0 * matvec(fast)
-        return WeightSolution(
-            weights=fast,
-            objective=float(fast @ matvec(fast)),
-            iterations=pivots,
-            kkt_residual=_kkt_residual(fast, grad),
-        )
-
-    lam_max = _power_lambda_max(matvec, K)
-    L = 2.0 * lam_max * 1.01 + 1e-30
-
-    w = np.full(K, 1.0 / K)
-    z = w.copy()
-    t = 1.0
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        grad_z = 2.0 * matvec(z)
-        w_new = project_simplex(z - grad_z / L)
-        if (z - w_new) @ (w_new - w) > 0.0:
-            # adaptive restart: momentum is pointing uphill
-            t = 1.0
-            z = w_new
-        else:
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            z = w_new + ((t - 1.0) / t_new) * (w_new - w)
-            t = t_new
-        w = w_new
-
-        if iterations % 10 == 0 or iterations == max_iter:
-            grad_w = 2.0 * matvec(w)
-            mapping = (w - project_simplex(w - grad_w / L)) * L
-            if np.linalg.norm(mapping) <= grad_tol:
-                break
-            if iterations % 50 == 0:
-                polished = _polish_active_set(w, matvec, submatrix, K)
-                if polished is not None:
-                    w = polished
-                    break
-
-    polished = _polish_active_set(w, matvec, submatrix, K)
-    if polished is not None and float(polished @ matvec(polished)) <= float(w @ matvec(w)):
-        w = polished
-
-    w = np.maximum(w, 0.0)
-    w /= w.sum()
-    grad = 2.0 * matvec(w)
-    return WeightSolution(
-        weights=w,
-        objective=float(w @ matvec(w)),
-        iterations=iterations,
-        kkt_residual=_kkt_residual(w, grad),
-    )
+    P = _points(q)
+    sq_norms = np.einsum("ij,ij->i", P, P)
+    if P.shape[0] == 1:
+        return WeightSolution(np.ones(1), float(sq_norms[0]), 0, 0.0)
+    w, cycles = _nearest_point(P, sq_norms, max_iter)
+    x = w @ P
+    grad = 2.0 * (P @ x)
+    residual = float(np.max(w * (grad - np.min(grad))))
+    bound = _KKT_TOL * float(np.max(sq_norms))
+    if residual > bound:
+        raise NumericalError(f"weight solve not certified: KKT residual {residual:.3g} > {bound:.3g}")
+    return WeightSolution(weights=w, objective=float(x @ x), iterations=cycles, kkt_residual=residual)

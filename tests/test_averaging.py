@@ -118,6 +118,19 @@ class TestFitAndAverageLinear:
         sub_fit = ols_fit(X[:, [0, 2]], y)
         assert est.value == float(np.array([1.0, 0.25]) @ sub_fit.beta)
 
+    def test_vertex_consistency_general_point(self):
+        # at a general x* a single-model set reproduces the plain estimate to rounding
+        X, y, _ = _linear_data(seed=3)
+        rng = np.random.default_rng(30)
+        for model in enumerate_all_subsets(1, 3):
+            x_star = rng.standard_normal(4)
+            est = fit_and_average_linear(
+                X, y, ModelSet([model], 3), Functional.linear_point(x_star), "equal"
+            )
+            cols = model.column_indices()
+            direct = float(x_star[cols] @ ols_fit(X[:, cols], y).beta)
+            assert abs(est.value - direct) <= 4 * np.spacing(abs(direct))
+
     def test_optimal_objective_dominates_baselines(self):
         X, y, _ = _linear_data(seed=4)
         models = nested_sequence(1, 3)

@@ -17,6 +17,7 @@ from glmavg import (
     ols_fit,
     pseudo_true_linear,
 )
+from glmavg.glm_fit import qr_factor
 
 
 class TestOlsFit:
@@ -275,3 +276,42 @@ class TestProbVector:
         pv = ProbVector(np.array([0.25, 0.75]))
         with pytest.raises(ValueError):
             pv.probs[0] = 0.5
+
+
+def _inputs():
+    rng = np.random.default_rng(40)
+    X = np.column_stack([np.ones(30), rng.standard_normal((30, 2))])
+    return {
+        "X": X,
+        "X_k": X[:, :2].copy(),
+        "y": rng.standard_normal(30),
+        "y01": np.tile([0.0, 1.0, 1.0], 10),
+        "p": rng.uniform(0.2, 0.8, size=30),
+        "beta": rng.standard_normal(3),
+    }
+
+
+FIT_CALLS = [
+    ("qr_factor", lambda a: qr_factor(a["X"]), "X"),
+    ("ols_fit", lambda a: ols_fit(a["X"], a["y"]), "X"),
+    ("ols_fit", lambda a: ols_fit(a["X"], a["y"]), "y"),
+    ("full_linear_fit", lambda a: full_linear_fit(a["X"], a["y"]), "X"),
+    ("full_linear_fit", lambda a: full_linear_fit(a["X"], a["y"]), "y"),
+    ("pseudo_true_linear", lambda a: pseudo_true_linear(a["X_k"], a["X"], a["beta"]), "X_k"),
+    ("pseudo_true_linear", lambda a: pseudo_true_linear(a["X_k"], a["X"], a["beta"]), "X"),
+    ("pseudo_true_linear", lambda a: pseudo_true_linear(a["X_k"], a["X"], a["beta"]), "beta"),
+    ("logistic_mle", lambda a: logistic_mle(a["X"], a["y01"]), "X"),
+    ("logistic_pseudo_fit", lambda a: logistic_pseudo_fit(a["X"], a["p"]), "X"),
+]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "call, field", [(c, f) for _, c, f in FIT_CALLS], ids=[f"{n}-{f}" for n, _, f in FIT_CALLS]
+)
+def test_non_finite_input_is_a_data_error(call, field, bad):
+    args = _inputs()
+    call(args)  # the finite inputs fit
+    args[field][1] = bad
+    with pytest.raises(DataError, match="must be finite"):
+        call(args)

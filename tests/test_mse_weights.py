@@ -25,6 +25,7 @@ from glmavg import (
     augment,
     build_q_linear,
     build_q_logistic,
+    derive_seed,
     enumerate_all_subsets,
     equal_weights,
     full_linear_fit,
@@ -33,6 +34,7 @@ from glmavg import (
     ols_fit,
     project_simplex,
     solve_simplex_qp,
+    split,
     subset_columns,
     subset_point,
     synthetic_prostate,
@@ -244,6 +246,14 @@ class TestProjectSimplex:
 # weight solver
 # ---------------------------------------------------------------------------
 
+# (split, test row) pairs of the prostate pipeline, split r drawn with seed
+# derive_seed(0, "prostate-split", r): 23 of its 3,000 solves.
+HARD_PROSTATE_ROWS = {
+    3: (15, 17), 12: (1,), 14: (14,), 16: (6,), 20: (13,), 26: (29,), 27: (23,),
+    37: (26,), 46: (19,), 48: (14,), 49: (4,), 55: (27,), 58: (3,), 66: (22,),
+    67: (3,), 78: (29,), 83: (20,), 87: (10, 28), 90: (0,), 96: (28,), 97: (7,),
+}
+
 
 class TestSolveSimplexQp:
     def test_single_model(self):
@@ -319,6 +329,26 @@ class TestSolveSimplexQp:
         sol = solve_simplex_qp(random_psd(rng, 4))
         assert sol.kkt_residual <= 1e-8
 
+    def test_iteration_cap_raises(self):
+        Q = np.diag([1.0, 2.0])  # the start vertex is not optimal: two major cycles
+        assert solve_simplex_qp(Q, max_iter=2).iterations == 2
+        with pytest.raises(NumericalError, match="did not converge"):
+            solve_simplex_qp(Q, max_iter=1)
+
+    @pytest.mark.parametrize("split_index, rows", sorted(HARD_PROSTATE_ROWS.items()))
+    def test_hard_prostate_rows_certified(self, split_index, rows):
+        # Rows on which an earlier active-set solver cycled and whose
+        # projected-gradient fallback returned uncertified weights.
+        train, test = split(synthetic_prostate(), 67, seed=derive_seed(0, "prostate-split", split_index))
+        factory = LinearQFactory(train.design, train.response, enumerate_all_subsets(1, 8))
+        for row in rows:
+            q = factory.q_form(test.design[row])
+            sol = solve_simplex_qp(q)
+            grad = 2.0 * (q.matrix @ sol.weights)
+            residual = float(np.max(sol.weights * (grad - np.min(grad))))
+            assert residual <= 1e-12 * max(1.0, float(np.max(np.abs(grad))))
+            assert sol.objective == pytest.approx(float(sol.weights @ q.matrix @ sol.weights), rel=1e-12)
+
     @given(st.integers(0, 2**31 - 1), st.integers(2, 8))
     @settings(max_examples=60, deadline=None)
     def test_solution_dominates_sampled_points(self, seed, K):
@@ -391,19 +421,8 @@ class TestEqualWeights:
             equal_weights(0)
 
 
-class TestProjectedGradientFallback:
-    """Exercise the accelerated projected-gradient path directly.
-
-    The KKT-verified active-set fast path answers most instances, so
-    these tests disable it and check the APG iteration alone reaches
-    the same optima.
-    """
-
-    @pytest.fixture(autouse=True)
-    def _disable_fast_path(self, monkeypatch):
-        import glmavg.mse_weights as mw
-
-        monkeypatch.setattr(mw, "_active_set_solve", lambda *args, **kwargs: (None, 0))
+class TestNearestPointOracles:
+    """The nearest-point solver against closed forms, a grid and the dense path."""
 
     def test_diagonal_closed_form(self):
         sol = solve_simplex_qp(np.diag([1.0, 2.0]))
@@ -432,26 +451,6 @@ class TestProjectedGradientFallback:
         # same optimum as the dense path on the same matrix
         dense = solve_simplex_qp(qf.matrix)
         assert sol.objective == pytest.approx(dense.objective, abs=1e-7)
-
-
-class TestLambdaMaxEstimate:
-    def test_close_to_dense_eigenvalue_from_below(self):
-        from glmavg.mse_weights import _power_lambda_max
-
-        rng = np.random.default_rng(22)
-        for _ in range(10):
-            Q = random_psd(rng, int(rng.integers(2, 10)))
-            lam = _power_lambda_max(lambda w: Q @ w, Q.shape[0])
-            top = float(np.linalg.eigvalsh(Q)[-1])
-            # Rayleigh quotients never exceed the top eigenvalue; the
-            # solver's 1% step-size safety factor absorbs the slack
-            assert lam <= top * (1.0 + 1e-12)
-            assert lam >= top * 0.999
-
-    def test_zero_matrix(self):
-        from glmavg.mse_weights import _power_lambda_max
-
-        assert _power_lambda_max(lambda w: np.zeros_like(w), 4) == 0.0
 
 
 class TestQuadraticForm:
