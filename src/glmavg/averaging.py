@@ -17,7 +17,6 @@ the reported estimator.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,8 +287,9 @@ def prediction_band(
     and adds one Gaussian draw with standard deviation ``sigma``; the
     band is the empirical (1 +/- level)/2 quantile pair of those draws
     and the point estimate is the mean of the replication means.
-    Replication r uses the stream derived from (seed, r), so the result
-    is identical for any ``workers`` count or execution order.
+    Replication r uses the stream derived from (seed, r).  Replications
+    run serially in index order; ``workers`` is accepted for
+    compatibility and does not change the schedule or the result.
     """
     X_pool = np.asarray(X_pool, dtype=float)
     y_pool = np.asarray(y_pool, dtype=float)
@@ -303,19 +303,15 @@ def prediction_band(
 
     functional = Functional.linear_point(test_point)
 
-    def one_replication(rep: int) -> tuple[float, float]:
+    means = np.empty(n_reps)
+    draws = np.empty(n_reps)
+    for rep in range(n_reps):
         rng = substream(seed, "band", rep)
         idx = rng.choice(X_pool.shape[0], size=n_sub, replace=False)
-        est = fit_and_average_linear(X_pool[idx], y_pool[idx], models, functional, scheme)
-        return est.value, est.value + rng.normal(0.0, sigma)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_replication, range(n_reps)))
-    else:
-        results = [one_replication(rep) for rep in range(n_reps)]
-    means = np.array([m for m, _ in results])
-    draws = np.array([d for _, d in results])
+        means[rep] = fit_and_average_linear(
+            X_pool[idx], y_pool[idx], models, functional, scheme
+        ).value
+        draws[rep] = means[rep] + rng.normal(0.0, sigma)
     alpha = (1.0 - level) / 2.0
     lower, upper = np.quantile(draws, [alpha, 1.0 - alpha])
     return PredictionBand(

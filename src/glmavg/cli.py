@@ -29,7 +29,7 @@ from .averaging import (
     fit_and_average_logistic,
     prediction_band,
 )
-from .crossval import DEFAULT_METHODS, best_subset_cv, cv_compare
+from .crossval import DEFAULT_METHODS, cv_compare
 from .dataio import load_csv
 from .errors import DataError, GlmavgError, NumericalError
 from .glm_fit import full_linear_fit
@@ -88,53 +88,51 @@ def _dataset_and_x_star(args):
     return dataset, x_star
 
 
-def _q_payload(q_hat) -> dict:
-    return {"bias": q_hat.bias.tolist(), "q_matrix": q_hat.matrix.tolist()}
-
-
-def _solution_payload(solution) -> dict:
-    return {
-        "objective": solution.objective,
-        "kkt_residual": solution.kkt_residual,
-        "iterations": solution.iterations,
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
 
-def _cmd_weights(args) -> None:
+def _cmd_point(args) -> None:
+    """``weights`` and ``predict``: one averaged estimate at x*, shaped per command."""
     dataset, x_star = _dataset_and_x_star(args)
     models = _load_models(args, dataset.d - 1)
-    functional = (
-        Functional.logistic_point(x_star)
-        if args.family == "logistic"
-        else Functional.linear_point(x_star)
-    )
-    average = (
-        fit_and_average_logistic if args.family == "logistic" else fit_and_average_linear
-    )
+    if args.family == "logistic":
+        functional, average = Functional.logistic_point(x_star), fit_and_average_logistic
+    else:
+        functional, average = Functional.linear_point(x_star), fit_and_average_linear
     estimate = average(dataset.design, dataset.response, models, functional, args.scheme)
 
     if args.format == "json":
-        payload = {
-            "scheme": args.scheme,
-            "family": args.family,
-            "estimate": estimate.value,
-            "weights": estimate.weights.tolist(),
-            "per_model": estimate.per_model.tolist(),
-            "models": [list(m.included) for m in models],
-        }
+        if args.command == "weights":
+            payload = {
+                "scheme": args.scheme,
+                "family": args.family,
+                "estimate": estimate.value,
+                "weights": estimate.weights.tolist(),
+                "per_model": estimate.per_model.tolist(),
+                "models": [list(m.included) for m in models],
+            }
+        else:
+            payload = {
+                "family": args.family,
+                "scheme": args.scheme,
+                "estimate": estimate.value,
+                "weights": estimate.weights.tolist(),
+            }
         if estimate.solution is not None:
-            payload.update(_solution_payload(estimate.solution))
+            payload.update(
+                objective=estimate.solution.objective,
+                kkt_residual=estimate.solution.kkt_residual,
+                iterations=estimate.solution.iterations,
+            )
         if args.dump_q and estimate.q_hat is not None:
-            payload.update(_q_payload(estimate.q_hat))
+            q_hat = estimate.q_hat
+            payload.update(bias=q_hat.bias.tolist(), q_matrix=q_hat.matrix.tolist())
         _emit(args, json.dumps(payload, indent=2) + "\n")
-    else:
-        if args.dump_q:
-            raise DataError("--dump-q needs --format json")
+    elif args.dump_q:
+        raise DataError("--dump-q needs --format json")
+    elif args.command == "weights":
         lines = ["model,included,weight,per_model_value"]
         for k, model in enumerate(models):
             included = " ".join(str(i) for i in model.included)
@@ -142,41 +140,13 @@ def _cmd_weights(args) -> None:
                 f"{k},{included},{float(estimate.weights[k])!r},{float(estimate.per_model[k])!r}"
             )
         _emit(args, "\n".join(lines) + "\n")
-
-
-def _cmd_predict(args) -> None:
-    dataset, x_star = _dataset_and_x_star(args)
-    models = _load_models(args, dataset.d - 1)
-    functional = (
-        Functional.logistic_point(x_star)
-        if args.family == "logistic"
-        else Functional.linear_point(x_star)
-    )
-    average = (
-        fit_and_average_logistic if args.family == "logistic" else fit_and_average_linear
-    )
-    estimate = average(dataset.design, dataset.response, models, functional, args.scheme)
-    if args.format == "json":
-        payload = {
-            "family": args.family,
-            "scheme": args.scheme,
-            "estimate": estimate.value,
-            "weights": estimate.weights.tolist(),
-        }
-        if estimate.solution is not None:
-            payload.update(_solution_payload(estimate.solution))
-        if args.dump_q and estimate.q_hat is not None:
-            payload.update(_q_payload(estimate.q_hat))
-        _emit(args, json.dumps(payload, indent=2) + "\n")
     else:
-        if args.dump_q:
-            raise DataError("--dump-q needs --format json")
         _emit(args, f"family,scheme,estimate\n{args.family},{args.scheme},{estimate.value!r}\n")
 
 
 def _cmd_study1(args) -> None:
     report = run_study1(
-        n_grid=[int(v) for v in _parse_floats(args.n_grid, "--n-grid")],
+        n_grid=list(_parse_floats(args.n_grid, "--n-grid")),
         cases=args.cases.split(","),
         n_reps=args.reps if args.reps is not None else 1000,
         seed=args.seed,
@@ -202,37 +172,21 @@ def _cmd_study2(args) -> None:
 
 def _cmd_cv(args) -> None:
     dataset = load_csv(args.data, args.response, family="linear")
-    models = None
-    if args.models:
-        with open(args.models) as handle:
-            models = ModelSet.from_jsonl(handle.read())
-    methods = tuple(args.methods.split(","))
-    if set(methods) == {"best_subset"}:
-        error = best_subset_cv(
-            dataset,
-            n_repeats=args.reps if args.reps is not None else 5,
-            seed=args.seed,
-            n_train=args.n_train,
-            select_by=args.select_by,
-        )
-        report_dict = {"mean_errors": {"best_subset": error}}
-    else:
-        report = cv_compare(
-            dataset,
-            methods=methods,
-            n_repeats=args.reps if args.reps is not None else 5,
-            seed=args.seed,
-            n_train=args.n_train,
-            models=models,
-            select_by=args.select_by,
-            workers=args.workers,
-        )
-        report_dict = report.to_dict()
+    report = cv_compare(
+        dataset,
+        methods=tuple(args.methods.split(",")),
+        n_repeats=args.reps if args.reps is not None else 5,
+        seed=args.seed,
+        n_train=args.n_train,
+        models=_load_models(args, dataset.d - 1) if args.models else None,
+        select_by=args.select_by,
+        workers=args.workers,
+    )
     if args.format == "json":
-        _emit(args, json.dumps(report_dict, indent=2) + "\n")
+        _emit(args, json.dumps(report.to_dict(), indent=2) + "\n")
     else:
         lines = ["method,mean_error"]
-        for method, err in report_dict["mean_errors"].items():
+        for method, err in report.mean_errors.items():
             lines.append(f"{method},{err!r}")
         _emit(args, "\n".join(lines) + "\n")
 
@@ -296,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dump-q", action="store_true", help="include the Q matrix in JSON output"
     )
     common.add_argument("--workers", type=int, default=1,
-                        help="parallel workers (studies, cv repeats, band replications)")
+                        help="accepted for compatibility; replications always run serially")
 
     data_args = argparse.ArgumentParser(add_help=False)
     data_args.add_argument("--data", required=True, help="input CSV with a header row")
@@ -320,11 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weights", parents=[common, data_args, point_args],
                        help="per-model weights for one target covariate")
-    p.set_defaults(handler=_cmd_weights)
+    p.set_defaults(handler=_cmd_point)
 
     p = sub.add_parser("predict", parents=[common, data_args, point_args],
                        help="averaged estimate at one target covariate")
-    p.set_defaults(handler=_cmd_predict)
+    p.set_defaults(handler=_cmd_point)
 
     p = sub.add_parser("study1", parents=[common], help="bias/variance study vs the oracle")
     p.add_argument("--cases", default="A,B")

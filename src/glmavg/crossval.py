@@ -13,7 +13,6 @@ refit on the whole training split and scored once on the test split.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,16 +112,20 @@ def best_subset_cv(
     n_train: int | None = None,
     select_by: str = "cv",
 ) -> float:
-    """Mean test MSE of best-subset selection over repeated holdout splits."""
-    if n_train is None:
-        n_train = _default_n_train(dataset.n)
-    errors = []
-    for repeat in range(n_repeats):
-        train, test = split(dataset, n_train, derive_seed(seed, "cv-split", repeat))
-        model = select_best_subset(train, select_by=select_by, seed=seed, repeat=repeat)
-        fit = ols_fit(subset_columns(train.design, model), train.response, model=model)
-        errors.append(_test_mse(fit.beta, model, test))
-    return float(np.mean(errors))
+    """Mean test MSE of best-subset selection over repeated holdout splits.
+
+    The ``best_subset`` entry of :func:`cv_compare` run on that method
+    alone, so both report the same number for the same arguments.
+    """
+    report = cv_compare(
+        dataset,
+        methods=("best_subset",),
+        n_repeats=n_repeats,
+        seed=seed,
+        n_train=n_train,
+        select_by=select_by,
+    )
+    return report.mean_errors["best_subset"]
 
 
 def cv_compare(
@@ -141,8 +144,9 @@ def cv_compare(
     Averaging methods predict each test row with x* set to that row's
     covariates (weights re-solved per row for the optimal scheme; AIC
     weights depend on the training fit only).  Each repeat's split and
-    fold seeds derive from (seed, repeat), so the report is identical
-    for any ``workers`` count.
+    fold seeds derive from (seed, repeat).  Repeats run serially in
+    index order; ``workers`` is accepted for compatibility and does not
+    change the schedule or the report.
     """
     if dataset.family != "linear":
         raise DataError("cv_compare supports the linear family only")
@@ -153,13 +157,19 @@ def cv_compare(
         n_train = _default_n_train(dataset.n)
     if models is None and {"avg_optimal", "avg_aic"} & set(methods):
         models = enumerate_all_subsets(1, dataset.d - 1)
+    if models is not None and models.p_fixed + models.q != dataset.d:
+        raise DataError(
+            f"model set is over {models.p_fixed + models.q} coefficients, "
+            f"data has {dataset.d}"
+        )
 
-    def one_repeat(repeat: int) -> list[float]:
+    per_repeat = []
+    errors: dict[str, list[float]] = {m: [] for m in methods}
+    for repeat in range(n_repeats):
         train, test = split(dataset, n_train, derive_seed(seed, "cv-split", repeat))
         predictor = None
         if {"avg_optimal", "avg_aic"} & set(methods):
             predictor = LinearAveragingPredictor(train.design, train.response, models)
-        repeat_errors = []
         for method in methods:
             if method == "full_model":
                 fit = ols_fit(train.design, train.response)
@@ -174,19 +184,6 @@ def cv_compare(
                     [predictor.predict(test.design[i], scheme).value for i in range(test.n)]
                 )
                 err = float(np.mean((test.response - preds) ** 2))
-            repeat_errors.append(err)
-        return repeat_errors
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_repeat, range(n_repeats)))
-    else:
-        results = [one_repeat(repeat) for repeat in range(n_repeats)]
-
-    per_repeat = []
-    errors: dict[str, list[float]] = {m: [] for m in methods}
-    for repeat, repeat_errors in enumerate(results):
-        for method, err in zip(methods, repeat_errors):
             errors[method].append(err)
             per_repeat.append({"repeat": repeat, "method": method, "error": err})
 

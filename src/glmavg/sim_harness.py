@@ -11,8 +11,10 @@ Two stock experiments are provided:
   grid, with the candidate sets growing from the intercept upward.
 
 Every replication draws from a stream keyed by (seed, study, cell,
-replication), so reports are byte-identical across runs and worker
-counts; aggregation touches per-replication arrays in index order only.
+replication), and replications run serially in index order, so reports
+are byte-identical across runs.  The ``workers`` keyword of the runners
+is accepted and changes nothing: replications always run in the calling
+thread.
 Design matrices are redrawn each replication by default
 (``fixed_design=True`` shares one design per cell instead); the target
 covariate x* is drawn once per study (Study I) or fixed to the stock
@@ -22,7 +24,6 @@ values (Study II) so the estimand is a constant.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,9 +209,9 @@ def simulate_cell(
 ) -> dict[str, np.ndarray]:
     """All replication estimates for one cell, keyed by scheme (plus "oracle").
 
-    The output is a deterministic function of (config, tags): worker
-    count only affects scheduling, never the streams or the order the
-    estimates are stored in.
+    The output is a deterministic function of (config, tags).
+    Replications run serially in index order; ``workers`` is accepted
+    for compatibility and does not change the schedule or the result.
     """
     X_fixed = None
     if fixed_design:
@@ -219,18 +220,21 @@ def simulate_cell(
             [np.ones(config.n), rng.standard_normal((config.n, config.beta_true.shape[0] - 1))]
         )
 
-    def run(rep):
-        return _one_replication(config, rep, tags, oracle_support, X_fixed)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(config.n_reps)))
-    else:
-        results = [run(rep) for rep in range(config.n_reps)]
-
-    matrix = np.asarray(results, dtype=float)
+    matrix = np.asarray(
+        [
+            _one_replication(config, rep, tags, oracle_support, X_fixed)
+            for rep in range(config.n_reps)
+        ],
+        dtype=float,
+    )
     names = list(config.schemes) + (["oracle"] if oracle_support is not None else [])
     return {name: matrix[:, j] for j, name in enumerate(names)}
+
+
+def _check_cases(cases, model_sets: dict[str, ModelSet]) -> None:
+    unknown = [case for case in cases if case not in model_sets]
+    if unknown:
+        raise DataError(f"unknown cases {unknown}; expected a subset of {sorted(model_sets)}")
 
 
 def _summary_row(estimates: np.ndarray, truth: float, **labels) -> dict:
@@ -281,6 +285,10 @@ def run_study1(
     )
     oracle_support = CandidateModel(STUDY1_ORACLE_SUPPORT, STUDY1_P_FIXED)
     model_sets = study1_model_sets()
+    _check_cases(cases, model_sets)
+    for n in n_grid:
+        if not float(n).is_integer():
+            raise DataError(f"sample size n must be an integer, got {float(n)!r}")
 
     report = StudyReport()
     for case in cases:
@@ -349,6 +357,7 @@ def run_study2(
     else:
         raise DataError(f"unknown family {family!r}")
     model_sets = study2_model_sets()
+    _check_cases(cases, model_sets)
     # every coefficient of the generating vector is nonzero, so the
     # oracle support is the full 4-coefficient model in both cases
     oracle_support = CandidateModel((0, 1, 2), 1) if include_oracle else None

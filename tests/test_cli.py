@@ -181,7 +181,66 @@ class TestPredictCommand:
         assert rc == 3
 
 
+class TestPointOutputShapes:
+    """Exact output layout of ``weights`` and ``predict``, which share one handler."""
+
+    SOLVER_KEYS = ["objective", "kkt_residual", "iterations"]
+
+    @staticmethod
+    def _args(command, family, linear_csv, logistic_csv, scheme, *extra):
+        if family == "logistic":
+            data, x_star = logistic_csv, "1,0.3"
+        else:
+            data, x_star = linear_csv, "1,0.5,-0.5"
+        return [
+            command, "--data", str(data), "--response", "y", "--family", family,
+            "--x-star", x_star, "--scheme", scheme, *extra,
+        ]
+
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    @pytest.mark.parametrize("scheme", ["optimal", "aic"])
+    def test_predict_csv_row(self, linear_csv, logistic_csv, family, scheme, capsys):
+        args = self._args("predict", family, linear_csv, logistic_csv, scheme)
+        assert main(args + ["--format", "json"]) == 0
+        estimate = json.loads(capsys.readouterr().out)["estimate"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert out == f"family,scheme,estimate\n{family},{scheme},{estimate!r}\n"
+
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    @pytest.mark.parametrize("scheme", ["optimal", "aic"])
+    @pytest.mark.parametrize("dump_q", [False, True])
+    @pytest.mark.parametrize("command", ["weights", "predict"])
+    def test_json_key_order(
+        self, linear_csv, logistic_csv, command, family, scheme, dump_q, capsys
+    ):
+        extra = ["--format", "json"] + (["--dump-q"] if dump_q else [])
+        args = self._args(command, family, linear_csv, logistic_csv, scheme, *extra)
+        assert main(args) == 0
+        payload = json.loads(capsys.readouterr().out)
+        if command == "weights":
+            expected = ["scheme", "family", "estimate", "weights", "per_model", "models"]
+        else:
+            expected = ["family", "scheme", "estimate", "weights"]
+        if scheme == "optimal":
+            expected += self.SOLVER_KEYS + (["bias", "q_matrix"] if dump_q else [])
+        assert list(payload) == expected
+
+
 class TestStudyCommands:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["study1", "--cases", "C", "--n-grid", "60"], "unknown cases ['C']"),
+            (["study2", "--cases", "A,C", "--beta3", "0.1"], "unknown cases ['C']"),
+            (["study1", "--cases", "A", "--n-grid", "100.7"], "must be an integer, got 100.7"),
+        ],
+        ids=["study1-case", "study2-case", "study1-n"],
+    )
+    def test_bad_study_arguments_are_data_errors(self, args, message, capsys):
+        assert main(args + ["--reps", "2"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_study2_csv_to_file(self, tmp_path):
         out = tmp_path / "study2.csv"
         rc = main([
@@ -228,6 +287,18 @@ class TestCvCommand:
         out = capsys.readouterr().out
         assert out.startswith("method,mean_error")
         assert "avg_optimal" in out and "full_model" in out
+
+    def test_model_file_dimension_mismatch(self, tmp_path, capsys):
+        data_path = tmp_path / "prostate.csv"
+        save_csv(synthetic_prostate(), data_path)
+        models_path = tmp_path / "models.jsonl"
+        models_path.write_text(nested_sequence(1, 3).to_jsonl())  # 4 coefs, data has 9
+        rc = main([
+            "cv", "--data", str(data_path), "--response", "lpsa", "--reps", "1",
+            "--models", str(models_path),
+        ])
+        assert rc == 2
+        assert "model set is over 4 coefficients, data has 9" in capsys.readouterr().err
 
     def test_best_subset_only(self, linear_csv, capsys):
         rc = main([

@@ -44,6 +44,11 @@ class TestSelectBestSubset:
 
 
 class TestBestSubsetCv:
+    def test_equals_cv_compare_entry(self):
+        ds = _dataset(seed=4)
+        report = cv_compare(ds, methods=("full_model", "best_subset"), n_repeats=3, seed=2)
+        assert best_subset_cv(ds, n_repeats=3, seed=2) == report.mean_errors["best_subset"]
+
     def test_single_predictor_runs(self):
         ds = _dataset(seed=3, q=1, beta=[1.0, 2.0], sigma=0.5)
         err = best_subset_cv(ds, n_repeats=2, seed=0)
@@ -113,6 +118,12 @@ class TestCvCompare:
     def test_rejects_unknown_method(self):
         with pytest.raises(DataError):
             cv_compare(_dataset(), methods=("ridge",), n_repeats=1)
+
+    @pytest.mark.parametrize("methods", [("avg_optimal",), ("best_subset",)])
+    def test_rejects_model_set_of_another_dimension(self, methods):
+        models = ModelSet([CandidateModel((0, 1, 2), 1)], q=3)  # 4 coefficients
+        with pytest.raises(DataError, match="over 4 coefficients, data has 9"):
+            cv_compare(synthetic_prostate(), methods=methods, n_repeats=1, models=models)
 
     def test_deterministic(self):
         ds = _dataset(seed=9)
