@@ -12,6 +12,7 @@ from .averaging import (
     AveragedEstimate,
     Functional,
     LinearAveragingPredictor,
+    LogisticAveragingPredictor,
     PredictionBand,
     average_estimate,
     fit_and_average_linear,
@@ -52,6 +53,7 @@ from .model_space import (
 )
 from .mse_weights import (
     LinearQFactory,
+    LogisticQFactory,
     QuadraticForm,
     WeightSolution,
     aic_weights,
@@ -90,6 +92,8 @@ __all__ = [
     "LinearAveragingPredictor",
     "LinearFullFit",
     "LinearQFactory",
+    "LogisticAveragingPredictor",
+    "LogisticQFactory",
     "ModelSet",
     "NonConvergenceError",
     "NumericalError",

@@ -20,11 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DataError
+
+# build_q_logistic and logistic_mle are no longer called here; they stay
+# importable from this module, where perfbench/tracer.py looks them up.
 from .mse_weights import (
     LinearQFactory,
+    LogisticQFactory,
     QuadraticForm,
     WeightSolution,
     aic_weights,
@@ -33,7 +36,7 @@ from .mse_weights import (
     solve_simplex_qp,
 )
 from .glm_fit import FitResult, logistic_mle
-from .model_space import ModelSet, augment, subset_columns, subset_point
+from .model_space import ModelSet, augment
 from .rng import substream
 
 SCHEMES = ("optimal", "aic", "equal")
@@ -151,33 +154,19 @@ def _check_scheme(scheme: str):
         raise DataError(f"unknown weighting scheme {scheme!r}; expected one of {SCHEMES}")
 
 
-class LinearAveragingPredictor:
-    """Averaging predictor bound to one training set.
+class _AveragingPredictor:
+    """Averaging predictor bound to one training set and one Q-hat factory.
 
     Fits every candidate once; each subsequent ``predict`` call costs
-    only the weight computation for its x*.  ``fit_and_average_linear``
-    is the one-shot convenience wrapper around this class.
+    only the per-model values and the weights for its x*.  Subclasses
+    set ``models`` and ``factory`` and say where the AIC fits come from.
     """
 
-    def __init__(self, X: np.ndarray, y: np.ndarray, models: ModelSet):
-        self.models = models
-        self.factory = LinearQFactory(X, y, list(models))
-        self._aic = None
+    models: ModelSet
+    _aic = None
 
     def fit_results(self) -> list[FitResult]:
-        betas = self.factory.model_betas()
-        logliks = self.factory.logliks()
-        out = []
-        for model, beta, ll in zip(self.models, betas, logliks):
-            out.append(
-                FitResult(
-                    beta=beta,
-                    augmented=augment(beta, model, self.models.q),
-                    loglik=float(ll),
-                    dim=beta.shape[0],
-                )
-            )
-        return out
+        raise NotImplementedError
 
     def _aic_weights(self) -> np.ndarray:
         if self._aic is None:
@@ -206,6 +195,57 @@ class LinearAveragingPredictor:
         )
 
 
+class LinearAveragingPredictor(_AveragingPredictor):
+    """OLS fits of every candidate on one training set, through ``LinearQFactory``.
+
+    ``fit_and_average_linear`` is the one-shot convenience wrapper.
+    """
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, models: ModelSet):
+        self.models = models
+        self.factory = LinearQFactory(X, y, list(models))
+
+    def fit_results(self) -> list[FitResult]:
+        betas = self.factory.model_betas()
+        logliks = self.factory.logliks()
+        out = []
+        for model, beta, ll in zip(self.models, betas, logliks):
+            out.append(
+                FitResult(
+                    beta=beta,
+                    augmented=augment(beta, model, self.models.q),
+                    loglik=float(ll),
+                    dim=beta.shape[0],
+                )
+            )
+        return out
+
+
+class LogisticAveragingPredictor(_AveragingPredictor):
+    """Logistic MLEs of every candidate on one training set, through ``LogisticQFactory``.
+
+    Every scheme and every x* share the candidate fits; the pseudo-fits
+    behind the ``optimal`` scheme's Q-hat run on its first call only.
+    ``fit_and_average_logistic`` is the one-shot convenience wrapper.
+    """
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, models: ModelSet):
+        self.models = models
+        self.factory = LogisticQFactory(X, y, list(models))
+
+    def fit_results(self) -> list[FitResult]:
+        return self.factory.fits
+
+
+def _resolved_point(X: np.ndarray, models: ModelSet, functional: Functional):
+    """X as a float array checked against the model space, and the functional's x*."""
+    X = np.asarray(X, dtype=float)
+    total = models.p_fixed + models.q
+    if X.shape[1] != total:
+        raise DataError(f"design has {X.shape[1]} columns, model space needs {total}")
+    return X, functional.resolve(total)
+
+
 def fit_and_average_linear(
     X: np.ndarray,
     y: np.ndarray,
@@ -216,11 +256,7 @@ def fit_and_average_linear(
     """Fit all candidates by OLS and combine x*'beta estimates under ``scheme``."""
     if functional.kind not in ("linear_point", "coordinate"):
         raise DataError("linear averaging needs a linear_point or coordinate functional")
-    X = np.asarray(X, dtype=float)
-    total = models.p_fixed + models.q
-    if X.shape[1] != total:
-        raise DataError(f"design has {X.shape[1]} columns, model space needs {total}")
-    x_star = functional.resolve(total)
+    X, x_star = _resolved_point(X, models, functional)
     return LinearAveragingPredictor(X, y, models).predict(x_star, scheme)
 
 
@@ -234,36 +270,9 @@ def fit_and_average_logistic(
     """Fit all candidates by logistic MLE and combine probability estimates at x*."""
     if functional.kind != "logistic_point":
         raise DataError("logistic averaging needs a logistic_point functional")
-    _check_scheme(scheme)
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    total = models.p_fixed + models.q
-    if X.shape[1] != total:
-        raise DataError(f"design has {X.shape[1]} columns, model space needs {total}")
-    x_star = functional.resolve(total)
-
-    fits = [
-        logistic_mle(subset_columns(X, m), y, model=m, q=models.q) for m in models
-    ]
-    per_model = np.array(
-        [float(expit(subset_point(x_star, m) @ f.beta)) for m, f in zip(models, fits)]
-    )
-    q_hat = solution = None
-    if scheme == "optimal":
-        q_hat = build_q_logistic(X, y, list(models), x_star)
-        solution = solve_simplex_qp(q_hat)
-        weights = solution.weights
-    elif scheme == "aic":
-        weights = aic_weights(fits)
-    else:
-        weights = equal_weights(len(models))
-    return AveragedEstimate(
-        value=average_estimate(weights, per_model),
-        weights=weights,
-        per_model=per_model,
-        q_hat=q_hat,
-        solution=solution,
-    )
+    _check_scheme(scheme)  # before any fit, which could fail first
+    X, x_star = _resolved_point(X, models, functional)
+    return LogisticAveragingPredictor(X, y, models).predict(x_star, scheme)
 
 
 def prediction_band(

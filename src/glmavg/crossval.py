@@ -150,6 +150,8 @@ def cv_compare(
     """
     if dataset.family != "linear":
         raise DataError("cv_compare supports the linear family only")
+    if n_repeats < 1:
+        raise DataError("n_repeats must be at least 1")
     unknown = set(methods) - set(DEFAULT_METHODS)
     if unknown:
         raise DataError(f"unknown methods {sorted(unknown)}; expected subset of {DEFAULT_METHODS}")

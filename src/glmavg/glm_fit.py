@@ -110,12 +110,6 @@ def ill_conditioned(R: np.ndarray) -> np.ndarray:
     return (s[..., -1] <= 0) | (s[..., 0] > COND_LIMIT * s[..., -1])
 
 
-def gram_solve(R: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Solve (X'X) z = v given the R factor of X (X'X = R'R)."""
-    z = solve_triangular(R, v, trans="T", lower=False)
-    return solve_triangular(R, z, lower=False)
-
-
 def _gaussian_profile_loglik(rss: float, n: int) -> float:
     # Profile log-likelihood at sigma2 = RSS/n; +inf for an exact fit.
     if rss <= 0.0:

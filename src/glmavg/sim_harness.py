@@ -32,9 +32,10 @@ from scipy.special import expit
 from .averaging import (
     Functional,
     LinearAveragingPredictor,
-    fit_and_average_logistic,
+    LogisticAveragingPredictor,
+    fit_and_average_logistic,  # no longer called here; perfbench/tracer.py looks it up here
 )
-from .errors import DataError
+from .errors import DataError, GlmavgError
 from .glm_fit import logistic_mle, ols_fit
 from .model_space import CandidateModel, ModelSet, nested_sequence, subset_columns, subset_point
 from .rng import substream
@@ -182,18 +183,11 @@ def _one_replication(config: StudyConfig, rep: int, tags, oracle_support, X_fixe
     else:
         y = (rng.random(n) < expit(eta)).astype(float)
 
-    values = []
     if config.family == "linear":
         predictor = LinearAveragingPredictor(X, y, config.candidate_set)
-        for scheme in config.schemes:
-            values.append(predictor.predict(config.x_star, scheme).value)
     else:
-        for scheme in config.schemes:
-            values.append(
-                fit_and_average_logistic(
-                    X, y, config.candidate_set, config.functional, scheme
-                ).value
-            )
+        predictor = LogisticAveragingPredictor(X, y, config.candidate_set)
+    values = [predictor.predict(config.x_star, scheme).value for scheme in config.schemes]
     if oracle_support is not None:
         values.append(oracle_estimate(X, y, oracle_support, config.functional))
     return values
@@ -212,6 +206,10 @@ def simulate_cell(
     The output is a deterministic function of (config, tags).
     Replications run serially in index order; ``workers`` is accepted
     for compatibility and does not change the schedule or the result.
+    A ``GlmavgError`` raised in a replication is re-raised with that
+    replication's key, the tags and the rep index, appended to its
+    message, e.g. ``('study2', 'logistic', 'A', '0.05', rep 17)``; its
+    class and attributes are kept.
     """
     X_fixed = None
     if fixed_design:
@@ -220,13 +218,15 @@ def simulate_cell(
             [np.ones(config.n), rng.standard_normal((config.n, config.beta_true.shape[0] - 1))]
         )
 
-    matrix = np.asarray(
-        [
-            _one_replication(config, rep, tags, oracle_support, X_fixed)
-            for rep in range(config.n_reps)
-        ],
-        dtype=float,
-    )
+    rows = []
+    for rep in range(config.n_reps):
+        try:
+            rows.append(_one_replication(config, rep, tags, oracle_support, X_fixed))
+        except GlmavgError as exc:
+            key = ", ".join([*map(repr, tags), f"rep {rep}"])
+            exc.args = (f"{exc} in replication ({key})",)
+            raise
+    matrix = np.asarray(rows, dtype=float)
     names = list(config.schemes) + (["oracle"] if oracle_support is not None else [])
     return {name: matrix[:, j] for j, name in enumerate(names)}
 

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import glmavg.mse_weights as mse_weights
 from glmavg import (
     CandidateModel,
     DataError,
     Functional,
     LinearAveragingPredictor,
+    LogisticAveragingPredictor,
     ModelSet,
     average_estimate,
     enumerate_all_subsets,
@@ -258,6 +260,75 @@ class TestFitAndAverageLogistic:
         )
         assert np.all(est.weights >= 0.0)
         assert np.sum(est.weights) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestLogisticAveragingPredictor:
+    """One fit per candidate, shared by every scheme and every x*."""
+
+    @staticmethod
+    def _data(seed=15, n=150):
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+        y = (rng.random(n) < expit(X @ np.array([0.2, 0.7, -0.4]))).astype(float)
+        return X, y
+
+    @staticmethod
+    def _count_fits(monkeypatch):
+        calls = {"mle": 0, "pseudo": 0}
+
+        def counted(key, fit):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fit(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(mse_weights, "logistic_mle", counted("mle", mse_weights.logistic_mle))
+        monkeypatch.setattr(
+            mse_weights, "logistic_pseudo_fit", counted("pseudo", mse_weights.logistic_pseudo_fit)
+        )
+        return calls
+
+    @pytest.mark.parametrize("with_full", [True, False])
+    def test_each_candidate_is_fit_once(self, monkeypatch, with_full):
+        X, y = self._data()
+        models = enumerate_all_subsets(1, 2)  # the last subset is the full design
+        if not with_full:
+            models = ModelSet(list(models)[:-1], 2)
+        K = len(models)
+        calls = self._count_fits(monkeypatch)
+        predictor = LogisticAveragingPredictor(X, y, models)
+        points = [np.array([1.0, 0.3, -0.2]), np.array([1.0, -1.1, 0.5]), np.array([1.0, 0.0, 2.0])]
+        predictor.predict(points[0], "optimal")
+        after_first = dict(calls)
+        assert after_first == {"mle": K if with_full else K + 1, "pseudo": K - 1 if with_full else K}
+        for x_star in points:
+            for scheme in ("optimal", "aic", "equal"):
+                predictor.predict(x_star, scheme)
+        assert calls == after_first
+
+    def test_aic_and_equal_need_no_pseudo_fit(self, monkeypatch):
+        X, y = self._data()
+        models = enumerate_all_subsets(1, 2)
+        calls = self._count_fits(monkeypatch)
+        predictor = LogisticAveragingPredictor(X, y, models)
+        for x_star in (np.array([1.0, 0.3, -0.2]), np.array([1.0, -1.1, 0.5])):
+            for scheme in ("aic", "equal"):
+                predictor.predict(x_star, scheme)
+        assert calls == {"mle": len(models), "pseudo": 0}
+
+    @pytest.mark.parametrize("scheme", ["optimal", "aic", "equal"])
+    def test_matches_one_shot(self, scheme):
+        X, y = self._data(seed=16)
+        models = enumerate_all_subsets(1, 2)
+        predictor = LogisticAveragingPredictor(X, y, models)
+        for x_star in (np.array([1.0, 0.4, 0.1]), np.array([1.0, -0.8, 1.3])):
+            shared = predictor.predict(x_star, scheme)
+            one_shot = fit_and_average_logistic(
+                X, y, models, Functional.logistic_point(x_star), scheme
+            )
+            assert shared.value == one_shot.value
+            np.testing.assert_array_equal(shared.weights, one_shot.weights)
 
 
 class TestPredictionBand:

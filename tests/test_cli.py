@@ -299,6 +299,16 @@ class TestCvCommand:
         assert rc == 2
         assert "model set is over 4 coefficients, data has 9" in capsys.readouterr().err
 
+    def test_zero_reps_is_data_error(self, linear_csv, capsys):
+        rc = main([
+            "cv", "--data", str(linear_csv), "--response", "y",
+            "--reps", "0", "--methods", "full_model",
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n_repeats must be at least 1" in captured.err
+
     def test_best_subset_only(self, linear_csv, capsys):
         rc = main([
             "cv", "--data", str(linear_csv), "--response", "y",

@@ -119,6 +119,11 @@ class TestCvCompare:
         with pytest.raises(DataError):
             cv_compare(_dataset(), methods=("ridge",), n_repeats=1)
 
+    @pytest.mark.parametrize("n_repeats", [0, -1])
+    def test_rejects_fewer_than_one_repeat(self, n_repeats):
+        with pytest.raises(DataError, match="n_repeats must be at least 1"):
+            cv_compare(_dataset(), methods=("full_model",), n_repeats=n_repeats)
+
     @pytest.mark.parametrize("methods", [("avg_optimal",), ("best_subset",)])
     def test_rejects_model_set_of_another_dimension(self, methods):
         models = ModelSet([CandidateModel((0, 1, 2), 1)], q=3)  # 4 coefficients

@@ -17,6 +17,7 @@ from glmavg import (
     DataError,
     FitResult,
     LinearQFactory,
+    LogisticQFactory,
     NonConvergenceError,
     NumericalError,
     QuadraticForm,
@@ -149,6 +150,56 @@ class TestLinearQFactory:
             build_q_linear(X, y, models, x_star)
         with pytest.raises(DataError):
             build_q_logistic(X, (y > np.median(y)).astype(float), models, x_star)
+
+
+class TestLogisticQFactory:
+    @pytest.mark.parametrize("with_full", [True, False])
+    def test_matches_double_sum_at_every_point(self, with_full):
+        X, y, _ = TestBuildQLogistic._instance(21)
+        models = list(enumerate_all_subsets(1, 3))
+        if not with_full:
+            models = models[:-1]  # the last subset is the full design
+        assert (models[-1].dim == 4) is with_full
+        factory = LogisticQFactory(X, y, models)
+        rng = np.random.default_rng(22)
+        for _ in range(5):
+            x_star = np.concatenate([[1.0], rng.standard_normal(3)])
+            qf = factory.q_form(x_star)
+            assert qf.gram_factor.shape == (X.shape[1], len(models))
+            oracle = q_logistic_double_sum(X, y, models, x_star)
+            np.testing.assert_allclose(qf.matrix, oracle, rtol=0, atol=1e-10)
+
+    def test_per_model_values_are_each_mle_at_the_point(self):
+        X, y, x_star = TestBuildQLogistic._instance(23)
+        models = list(enumerate_all_subsets(1, 3))
+        got = LogisticQFactory(X, y, models).per_model_values(x_star)
+        expected = [
+            expit(subset_point(x_star, m) @ logistic_mle(subset_columns(X, m), y).beta)
+            for m in models
+        ]
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+
+    def test_separating_candidate_is_named(self):
+        # y is the sign of the third optional column: every candidate that
+        # includes it separates, and (2,) is the first of them in list order
+        rng = np.random.default_rng(24)
+        X = np.column_stack([np.ones(60), rng.standard_normal((60, 3))])
+        y = (X[:, 3] > 0).astype(float)
+        models = list(enumerate_all_subsets(1, 3))
+        with pytest.raises(NonConvergenceError) as excinfo:
+            LogisticQFactory(X, y, models)
+        assert excinfo.value.model == CandidateModel((2,), 1)
+
+    @pytest.mark.parametrize(
+        "x_star", [np.ones(5), np.array([1.0, np.nan, 0.0, 0.0]), np.array([1.0, 0.0, np.inf, 0.0])]
+    )
+    def test_bad_x_star_rejected(self, x_star):
+        X, y, _ = TestBuildQLogistic._instance(25)
+        factory = LogisticQFactory(X, y, list(enumerate_all_subsets(1, 3)))
+        with pytest.raises(DataError):
+            factory.per_model_values(x_star)
+        with pytest.raises(DataError):
+            factory.q_form(x_star)
 
 
 class TestBuildQLogistic:

@@ -7,6 +7,7 @@ from glmavg import (
     DataError,
     Functional,
     ModelSet,
+    NonConvergenceError,
     StudyConfig,
     error_metric,
     nested_sequence,
@@ -17,6 +18,7 @@ from glmavg import (
 )
 from glmavg.sim_harness import (
     REPORT_COLUMNS,
+    _one_replication,
     STUDY1_BETA,
     STUDY2_BETA3_GRID,
     STUDY2_X_STAR_LINEAR,
@@ -180,6 +182,35 @@ class TestSimulateCell:
         threaded = simulate_cell(config, tags=("t",), workers=3)
         for key in serial:
             np.testing.assert_array_equal(serial[key], threaded[key])
+
+    def test_failing_replication_names_its_key(self):
+        # at n = 8 the logistic fits separate in some replications
+        config = StudyConfig(
+            family="logistic",
+            n=8,
+            beta_true=np.array([0.3, 0.1, 0.3, 0.05]),
+            candidate_set=study2_model_sets()["A"],
+            x_star=np.asarray(STUDY2_X_STAR_LOGISTIC),
+            n_reps=30,
+            seed=2,
+            schemes=("optimal", "aic"),
+        )
+        tags = ("study2", "logistic", "A", "0.05")
+        for rep in range(config.n_reps):
+            try:
+                _one_replication(config, rep, tags, None, None)
+            except NonConvergenceError as exc:
+                first, direct = rep, exc
+                break
+        else:
+            pytest.fail("no replication separated")
+        assert first > 0 and direct.model is not None
+        with pytest.raises(NonConvergenceError) as excinfo:
+            simulate_cell(config, tags=tags)
+        raised = excinfo.value
+        assert str(raised) == f"{direct} in replication ('study2', 'logistic', 'A', '0.05', rep {first})"
+        assert raised.model == direct.model
+        assert raised.iterations == direct.iterations
 
     def test_fixed_design_shares_design_across_reps(self):
         config = self._config(n_reps=4)
