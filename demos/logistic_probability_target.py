@@ -7,7 +7,6 @@ probabilities) against the full-model probability at the target point.
 """
 
 import numpy as np
-from scipy.special import expit
 
 from glmavg import (
     Functional,
@@ -17,6 +16,7 @@ from glmavg import (
     logistic_pseudo_fit,
     study2_model_sets,
 )
+from glmavg.glm_fit import expit
 from glmavg.model_space import subset_columns
 
 rng = np.random.default_rng(7)

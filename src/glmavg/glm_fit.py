@@ -2,11 +2,13 @@
 
 Linear solves go through a rank-revealing QR factorisation (never an
 explicit inverse); a condition number above ``COND_LIMIT`` raises
-``SingularDesignError``.  Logistic fits use damped Newton iterations:
-full steps with step halving whenever the candidate step fails to
-improve the merit quantity (log-likelihood for the MLE, score-residual
-norm for the pseudo-fit), stopping when the score's infinity norm
-drops below ``SCORE_TOL``.
+``SingularDesignError``.  The triangular system R beta = Q'y goes to
+``np.linalg.solve``: its partial-pivoting LU leaves an upper-triangular
+R unpivoted and unchanged, so the solve is back substitution on R.
+Logistic fits use damped Newton iterations: full steps with step
+halving whenever the candidate step fails to improve the merit quantity
+(log-likelihood for the MLE, score-residual norm for the pseudo-fit),
+stopping when the score's infinity norm drops below ``SCORE_TOL``.
 
 Two distinct logistic solves exist on purpose:
 
@@ -22,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import expit
 
 from .errors import DataError, NonConvergenceError, SingularDesignError
 from .model_space import AugmentedVector, CandidateModel, augment
@@ -79,8 +79,20 @@ class ProbVector:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra helpers
+# numerical helpers
 # ---------------------------------------------------------------------------
+
+
+def expit(x):
+    """Logistic sigmoid 1 / (1 + e^-x), elementwise, without overflow.
+
+    Clamping x at -708 keeps e^-x finite, so no overflow, invalid or
+    divide warning is raised; below the clamp the result is
+    e^-708 ~ 3.3e-308 instead of a smaller subnormal or zero.  Above it
+    the result is within 4 ulp of ``scipy.special.expit`` (the tests
+    check this on a grid over [-800, 800]).  A 0-d input gives a float.
+    """
+    return 1.0 / (1.0 + np.exp(-np.maximum(x, -708.0)))
 
 
 def require_finite(name: str, *arrays: np.ndarray) -> None:
@@ -142,7 +154,7 @@ def ols_fit(
         raise DataError("y must be a vector with one entry per design row")
     require_finite("response", y)
     Q, R = qr_factor(X_k, model=model)
-    beta = solve_triangular(R, Q.T @ y, lower=False)
+    beta = np.linalg.solve(R, Q.T @ y)
     rss = float(np.sum((y - X_k @ beta) ** 2))
     if model is not None and q is not None:
         padded = augment(beta, model, q, fill)
@@ -164,7 +176,7 @@ def full_linear_fit(X: np.ndarray, y: np.ndarray) -> LinearFullFit:
         raise DataError("y must be a vector with one entry per design row")
     require_finite("response", y)
     Q, R = qr_factor(X)
-    beta = solve_triangular(R, Q.T @ y, lower=False)
+    beta = np.linalg.solve(R, Q.T @ y)
     fitted = X @ beta
     sigma2 = float(np.mean((y - fitted) ** 2))
     return LinearFullFit(beta_full=beta, sigma2=sigma2, fitted=fitted)
@@ -182,7 +194,7 @@ def pseudo_true_linear(X_k: np.ndarray, X: np.ndarray, beta: np.ndarray) -> np.n
         raise DataError("beta length must match the full design's column count")
     require_finite("full design and coefficients", X, beta)
     Q, R = qr_factor(np.asarray(X_k, dtype=float))
-    return solve_triangular(R, Q.T @ (X @ beta), lower=False)
+    return np.linalg.solve(R, Q.T @ (X @ beta))
 
 
 # ---------------------------------------------------------------------------

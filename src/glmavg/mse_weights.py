@@ -45,23 +45,19 @@ the averaged estimate x*'beta_full + (M w)_0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-# scipy.special is imported before scipy.linalg on purpose: a cold
-# `import glmavg.cli`, which every CLI call pays, measured about 25 ms
-# (5%) faster in this order (Python 3.11, numpy 2.4, scipy 1.17).
-from scipy.special import expit
-from scipy.linalg import get_lapack_funcs
-
 from .errors import DataError, NumericalError, SingularDesignError
 from .glm_fit import (
     RANK_DEFICIENT_MESSAGE,
     FitResult,
     _gaussian_profile_loglik,
+    expit,
     ill_conditioned,
     logistic_mle,
     logistic_pseudo_fit,
@@ -74,6 +70,7 @@ SOLVER_MAX_ITER = 10_000  # major cycles of the weight solver
 _GAP_TOL = 1e-12  # stop at a Frank-Wolfe gap <= _GAP_TOL * max_k Q_kk
 _KKT_TOL = 2e-12  # certify a KKT residual <= _KKT_TOL * max_k Q_kk
 _DROP_TOL = 1e-10  # a corral weight at or below this leaves the corral
+_ZERO = np.zeros(1)  # the weight of a point entering the corral
 
 
 @dataclass(frozen=True)
@@ -148,11 +145,13 @@ class LinearQFactory:
     The fit does all the factoring.  Candidate designs of equal dimension
     are stacked, with the full design in its own dimension's group unless
     it is a candidate already, and each stack gets one ``np.linalg.qr``,
-    one SVD for the condition guard and one ``np.linalg.inv`` of its R
-    factors.  The factory keeps the padded coefficients B (K x p), the
-    padded inverse Grams G (K x p x p) and R_full, so each x* costs a few
-    matmuls: the per-model values are B x*, and since X = Q_full R_full,
-    the Gram factor is the p x K matrix sigma R_full (G x*)'.
+    one SVD for the condition guard, one ``np.linalg.solve`` for the
+    coefficients (the routine ``ols_fit`` uses) and one ``np.linalg.inv``
+    of its R factors.  The factory keeps the padded coefficients B
+    (K x p), the padded inverse Grams G (K x p x p) and R_full, so each x*
+    costs a few matmuls: the per-model values are B x*, and since
+    X = Q_full R_full, the Gram factor is the p x K matrix
+    sigma R_full (G x*)'.
 
     A rank-deficient design raises ``SingularDesignError`` naming the
     first failing candidate in list order, or no model when the only
@@ -189,7 +188,6 @@ class LinearQFactory:
         B = np.zeros((len(column_sets), p))
         G = np.zeros((len(column_sets), p, p))
         failures = []
-        trtrs = get_lapack_funcs("trtrs", (X,))
         for d, members in groups.items():
             if n < d:
                 failures += [(k, f"need n >= d, got n={n}, d={d}") for k in members]
@@ -197,21 +195,14 @@ class LinearQFactory:
             idx = np.array(members)
             cols = np.array([column_sets[k] for k in members])
             # Each design in the stack has subset_columns' memory layout, and
-            # LAPACK factors and solves each matrix of a stack on its own, so
+            # numpy factors and solves each matrix of a stack on its own, so
             # beta and RSS are ols_fit's to the last bit.
             X_stack = X[:, cols].transpose(1, 0, 2)
             Q, R = np.linalg.qr(X_stack)
             failures += [(members[j], RANK_DEFICIENT_MESSAGE) for j in np.flatnonzero(ill_conditioned(R))]
             if failures:
                 continue  # the fit is lost; keep checking so the error names the first failure
-            Qty = Q.transpose(0, 2, 1) @ y
-            beta = np.empty_like(Qty)
-            # The LAPACK call solve_triangular(R[j], Qty[j]) makes for a
-            # C-ordered R (for d = 1 either of its calls is one division),
-            # without its per-call input checks: X and y were checked
-            # finite above, and the guard rules out a singular R.
-            for j in range(len(members)):
-                beta[j], _ = trtrs(R[j].T, Qty[j], lower=1, trans=1)
+            beta = np.linalg.solve(R, (Q.transpose(0, 2, 1) @ y)[:, :, None])[:, :, 0]
             rss[idx] = np.sum((y - (X_stack @ beta[:, :, None])[:, :, 0]) ** 2, axis=1)
             B[idx[:, None], cols] = beta
             R_inv = np.linalg.inv(R)
@@ -275,10 +266,11 @@ class LogisticQFactory:
     solve is skipped.  The ``aic`` and ``equal`` schemes never need the
     plug-in, so they pay for no pseudo-fit.
 
-    Each x* then costs a few matmuls and K pairs of triangular solves:
-    the per-model values are expit(B x*) with B the padded MLEs, and
-    column k of the p x K Gram factor is R_w S_k M_k^{-1} x_k*
-    p_k*(1-p_k*), with M_k = R_k'R_k.
+    The plug-in keeps the padded inverse Grams G_k = R_k^{-1} R_k^{-T}
+    (K x p x p), as ``LinearQFactory`` does, so each x* then costs a few
+    matmuls: the per-model values are expit(B x*) with B the padded MLEs,
+    and column k of the p x K Gram factor is R_w S_k M_k^{-1} x_k*
+    p_k*(1-p_k*) = R_w (G x*)_k p_k*(1-p_k*), with M_k = R_k'R_k.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, models: Sequence[CandidateModel]):
@@ -312,18 +304,18 @@ class LogisticQFactory:
         return expit(self._B @ _checked_point(x_star, self._B.shape[1]))
 
     def _fit_plug_in(self):
-        """Padded pseudo-fit coefficients (full MLE last), the R_k, R_w, and ``trtrs``."""
+        """Padded pseudo-fit coefficients (full MLE last), padded inverse Grams, and R_w."""
         X = self._X
-        K = len(self.models)
+        K, p = self._B.shape
         if self._full is None:
             beta_full = logistic_mle(X, self._y).beta
         else:
             beta_full = self.fits[self._full].beta
         p_full = expit(X @ beta_full)
         sqrt_w_full = np.sqrt(p_full * (1.0 - p_full))
-        B = np.zeros((K + 1, X.shape[1]))
+        B = np.zeros((K + 1, p))
         B[K] = beta_full
-        R = []
+        G = np.zeros((K, p, p))
         for k, (model, cols, X_k) in enumerate(zip(self.models, self._cols, self._designs)):
             if k == self._full:
                 beta_k, sqrt_w_k = beta_full, sqrt_w_full
@@ -333,31 +325,24 @@ class LogisticQFactory:
                 sqrt_w_k = np.sqrt(p_k * (1.0 - p_k))
             _, R_k = qr_factor(sqrt_w_k[:, None] * X_k, model=model)
             B[k, cols] = beta_k
-            R.append(R_k)
+            R_inv = np.linalg.inv(R_k)
+            G[k][np.ix_(cols, cols)] = R_inv @ R_inv.T
+            if k == self._full:
+                R_w = R_k
         if self._full is None:
             _, R_w = qr_factor(sqrt_w_full[:, None] * X)
-        else:
-            R_w = R[self._full]
-        return B, R, R_w, get_lapack_funcs("trtrs", (R_w,))
+        return B, G.reshape(K * p, p), R_w
 
     def q_form(self, x_star: np.ndarray) -> QuadraticForm:
         x_star = _checked_point(x_star, self._B.shape[1])
         if self._plug_in is None:
             self._plug_in = self._fit_plug_in()
-        B, R, R_w, trtrs = self._plug_in
+        B, G, R_w = self._plug_in
         K = len(self.models)
         probs = expit(B @ x_star)
         p_star = probs[:K]
         slopes = p_star * (1.0 - p_star)
-        V = np.zeros((x_star.shape[0], K))
-        for k, (cols, R_k) in enumerate(zip(self._cols, R)):
-            # v = (R_k'R_k)^{-1} x_k* by two LAPACK solves on R_k' (lower,
-            # Fortran-ordered as a view of the C-ordered R_k), without
-            # solve_triangular's per-call input checks: x* was checked
-            # finite above, and qr_factor's guard rules out a singular R_k.
-            z, _ = trtrs(R_k.T, x_star[cols], lower=1)
-            v, _ = trtrs(R_k.T, z, lower=1, trans=1)
-            V[cols, k] = v * slopes[k]
+        V = (G @ x_star).reshape(K, -1).T * slopes
         return QuadraticForm.from_parts(p_star - probs[K], R_w @ V)
 
 
@@ -462,42 +447,64 @@ def _nearest_point(P: np.ndarray, sq_norms: np.ndarray, max_iter: int):
     Each minor cycle moves to the affine minimiser of the corral; when
     that lies outside the simplex, it moves toward it only as far as the
     simplex allows (the ratio test) and drops the points whose weight
-    falls to ``_DROP_TOL`` or below.  Returns the weights and the number
-    of major cycles.
+    falls to ``_DROP_TOL`` or below.  In exact arithmetic every major
+    cycle lowers x'x; when roundoff in a nearly singular corral system
+    stops that, the loop stops too and leaves the verdict to the caller's
+    KKT certificate instead of cycling.  Returns the weights and the
+    number of major cycles.
     """
-    scale = float(sq_norms.max())
-    posv = get_lapack_funcs("posv", (P,))
-    corral = np.array([sq_norms.argmin()])
+    stop = _GAP_TOL * float(sq_norms.max())
+    norms = sq_norms.tolist()
+    ones = np.ones(P.shape[0])
+    corral = [int(sq_norms.argmin())]
+    c = norms[corral[0]]
     w = np.ones(1)
+    S = P.take(corral, axis=0)
+    last = math.inf
     for cycle in range(1, max_iter + 1):
-        x = w @ P[corral]
+        x = w @ S
         g = P @ x
-        j = g.argmin()
-        if x @ x - g[j] <= _GAP_TOL * scale:
+        j = int(g.argmin())
+        xx = float(x @ x)
+        if xx - float(g[j]) <= stop or xx >= last:
             weights = np.zeros(P.shape[0])
             weights[corral] = w
             return weights, cycle
-        corral = np.append(corral, j)
-        w = np.append(w, 0.0)
+        last = xx
+        corral.append(j)
+        c = max(c, norms[j])
+        w = np.concatenate((w, _ZERO))
         while True:
             # On sum(u) = 1, u'(S S' + c 11')u = u'S S'u + c for any c > 0, so
             # the affine minimiser is proportional to (S S' + c 11')^{-1} 1;
             # c = the corral's largest Q_kk keeps the system on its points' scale.
-            S = P[corral]
-            c = sq_norms[corral].max()
-            _, u, info = posv(S @ S.T + c, np.ones(corral.size), overwrite_a=1, overwrite_b=1)
-            if info != 0:
-                raise NumericalError(f"weight solve failed: singular corral system (LAPACK info {info})")
-            u /= u.sum()
+            # The system is positive definite, so 1'u > 0 unless the solve broke down.
+            S = P.take(corral, axis=0)
+            A = S @ S.T
+            A += c
+            try:
+                u = np.linalg.solve(A, ones[: len(corral)])
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError("weight solve failed: singular corral system") from exc
+            total = float(u.sum())
+            if not 0.0 < total < math.inf:
+                raise NumericalError(f"weight solve failed: corral system gave 1'u = {total:.3g}")
+            u /= total
             if u.min() > 0.0:
                 w = u
                 break
-            down = (u <= 0.0) & (w > u)
-            theta = np.min(w[down] / (w[down] - u[down]), initial=1.0)
+            # Ratio test on Python floats: an affinely independent corral has
+            # at most one point more than P has columns.
+            theta = min(
+                (wk / (wk - uk) for wk, uk in zip(w.tolist(), u.tolist()) if uk <= 0.0 and wk > uk),
+                default=1.0,
+            )
             w += theta * (u - w)
             keep = w > _DROP_TOL
-            corral = corral[keep]
-            w = w[keep] / w[keep].sum()
+            corral = [k for k, kept in zip(corral, keep.tolist()) if kept]
+            w = w[keep]
+            w /= w.sum()
+            c = max(norms[k] for k in corral)
     raise NumericalError(f"weight solve did not converge in {max_iter} major cycles")
 
 

@@ -27,7 +27,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .averaging import (
     Functional,
@@ -36,7 +35,7 @@ from .averaging import (
     fit_and_average_logistic,  # no longer called here; perfbench/tracer.py looks it up here
 )
 from .errors import DataError, GlmavgError
-from .glm_fit import logistic_mle, ols_fit
+from .glm_fit import expit, logistic_mle, ols_fit
 from .model_space import CandidateModel, ModelSet, nested_sequence, subset_columns, subset_point
 from .rng import substream
 
@@ -188,7 +187,11 @@ def _one_replication(config: StudyConfig, rep: int, tags, oracle_support, X_fixe
     else:
         predictor = LogisticAveragingPredictor(X, y, config.candidate_set)
     values = [predictor.predict(config.x_star, scheme).value for scheme in config.schemes]
-    if oracle_support is not None:
+    if oracle_support in config.candidate_set.models:
+        # the oracle is a candidate, so the predictor has fit it already
+        k = config.candidate_set.models.index(oracle_support)
+        values.append(float(predictor.factory.per_model_values(config.x_star)[k]))
+    elif oracle_support is not None:
         values.append(oracle_estimate(X, y, oracle_support, config.functional))
     return values
 

@@ -1,10 +1,28 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from glmavg import nested_sequence, save_csv, synthetic_prostate
 from glmavg.cli import main
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def test_cli_import_loads_no_scipy():
+    # Every CLI call pays for its imports; the package needs numpy only.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = "import sys, glmavg.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ from glmavg import (
     ols_fit,
     pseudo_true_linear,
 )
+from glmavg.glm_fit import expit as glmavg_expit
 from glmavg.glm_fit import qr_factor
 
 
@@ -148,6 +149,30 @@ class TestPseudoTrueLinear:
             ols_fit(X_k, y).beta,
             atol=1e-10,
         )
+
+
+class TestExpit:
+    """glmavg's numpy sigmoid against scipy.special.expit, kept as an independent oracle."""
+
+    def test_matches_scipy_on_a_wide_grid(self):
+        edges = np.array([708.0, 709.0, 745.0])
+        x = np.concatenate([np.linspace(-800.0, 800.0, 1_600_001), edges, -edges])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = glmavg_expit(x)
+        want = expit(x)
+        assert np.max(np.abs(got - want)) <= np.finfo(float).eps
+        # Below the clamp at -708 the result is e^-708 ~ 3.3e-308, not a
+        # subnormal or zero, so only the absolute bound holds there.
+        unclamped = x >= -708.0
+        ulps = np.abs(got[unclamped].view(np.int64) - want[unclamped].view(np.int64))
+        assert ulps.max() <= 4
+
+    @pytest.mark.parametrize("x", [0.0, -3.0, np.float64(2.5), np.array(-800.0), np.array(40.0)])
+    def test_zero_d_input_gives_a_float(self, x):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = glmavg_expit(x)
+        assert isinstance(got, float)
+        assert got == pytest.approx(float(expit(x)), rel=0, abs=np.finfo(float).eps)
 
 
 class TestLogisticProb:

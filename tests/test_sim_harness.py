@@ -183,6 +183,38 @@ class TestSimulateCell:
         for key in serial:
             np.testing.assert_array_equal(serial[key], threaded[key])
 
+    @pytest.mark.parametrize("family, refit", [("linear", "ols_fit"), ("logistic", "logistic_mle")])
+    def test_oracle_candidate_is_not_refit(self, monkeypatch, family, refit):
+        # Case A holds the oracle (full) model, case B does not.  Both cells
+        # draw the same data, so the oracle column must agree, and only
+        # case B may refit the oracle.
+        import glmavg.sim_harness as sim_harness
+
+        calls = []
+        original = getattr(sim_harness, refit)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sim_harness, refit, counted)
+        oracle = CandidateModel((0, 1, 2), 1)
+        out = {}
+        for case in ("A", "B"):
+            config = StudyConfig(
+                family=family,
+                n=80,
+                beta_true=np.array([0.3, 0.1, 0.3, 0.1]),
+                candidate_set=study2_model_sets()[case],
+                x_star=np.asarray(STUDY2_X_STAR_LINEAR),
+                n_reps=6,
+                seed=5,
+            )
+            calls.clear()
+            out[case] = simulate_cell(config, oracle_support=oracle, tags=("t",))["oracle"]
+            assert len(calls) == (0 if case == "A" else config.n_reps)
+        np.testing.assert_allclose(out["A"], out["B"], rtol=1e-12, atol=0)
+
     def test_failing_replication_names_its_key(self):
         # at n = 8 the logistic fits separate in some replications
         config = StudyConfig(
