@@ -10,7 +10,6 @@ import numpy as np
 from glmavg import (
     CandidateModel,
     ModelSet,
-    augment,
     enumerate_all_subsets,
     nested_sequence,
     subset_columns,
@@ -36,11 +35,13 @@ print("columns used by", model.included, ":\n", subset_columns(X, model))
 
 # Sub-model coefficients are padded back to full length with zeros so
 # every model lives in one coordinate system; subsetting recovers them.
+# LinearQFactory and LogisticQFactory keep every candidate's fit this way.
 beta_k = np.array([2.0, 3.0, -1.0])
-padded = augment(beta_k, model, q=4)
+padded = np.zeros(X.shape[1])
+padded[model.column_indices()] = beta_k
 print("\nfitted sub-model coefficients:", beta_k)
-print("zero-padded to full length:   ", padded.values)
-print("round trip:                   ", subset_point(padded.values, model))
+print("zero-padded to full length:   ", padded)
+print("round trip:                   ", subset_point(padded, model))
 
 # Model sets serialize one JSON object per line.
 wire = ladder.to_jsonl()

@@ -36,16 +36,13 @@ from .glm_fit import (
     ProbVector,
     full_linear_fit,
     logistic_mle,
-    logistic_prob,
     logistic_pseudo_fit,
     ols_fit,
     pseudo_true_linear,
 )
 from .model_space import (
-    AugmentedVector,
     CandidateModel,
     ModelSet,
-    augment,
     enumerate_all_subsets,
     nested_sequence,
     subset_columns,
@@ -79,7 +76,6 @@ from .sim_harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentedVector",
     "AveragedEstimate",
     "CandidateModel",
     "CapacityError",
@@ -105,7 +101,6 @@ __all__ = [
     "StudyReport",
     "WeightSolution",
     "aic_weights",
-    "augment",
     "average_estimate",
     "best_subset_cv",
     "build_q_linear",
@@ -120,7 +115,6 @@ __all__ = [
     "full_linear_fit",
     "load_csv",
     "logistic_mle",
-    "logistic_prob",
     "logistic_pseudo_fit",
     "nested_sequence",
     "ols_fit",

@@ -1,9 +1,10 @@
 """The model-averaging estimator itself, and subsample prediction bands.
 
 An averaged estimate is a convex combination of per-model functional
-estimates: each candidate is fit to the data, the functional is
-evaluated on its padded coefficient vector, and the weights come from
-one of three schemes:
+estimates: each candidate is fit to the data once, through
+``LinearQFactory`` or ``LogisticQFactory``, the functional is evaluated
+on its zero-padded coefficient vector, and the weights come from one of
+three schemes:
 
 * ``optimal`` — minimise the estimated asymptotic MSE over the simplex,
 * ``aic``     — smoothed-AIC weights from the per-model likelihoods,
@@ -17,6 +18,7 @@ the reported estimator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +37,8 @@ from .mse_weights import (
     equal_weights,
     solve_simplex_qp,
 )
-from .glm_fit import FitResult, logistic_mle
-from .model_space import ModelSet, augment
+from .glm_fit import logistic_mle
+from .model_space import ModelSet
 from .rng import substream
 
 SCHEMES = ("optimal", "aic", "equal")
@@ -157,20 +159,22 @@ def _check_scheme(scheme: str):
 class _AveragingPredictor:
     """Averaging predictor bound to one training set and one Q-hat factory.
 
-    Fits every candidate once; each subsequent ``predict`` call costs
-    only the per-model values and the weights for its x*.  Subclasses
-    set ``models`` and ``factory`` and say where the AIC fits come from.
+    Fits every candidate once, through the subclass's factory; each
+    subsequent ``predict`` call costs only the per-model values and the
+    weights for its x*.  The AIC weights read the factory's
+    log-likelihoods and dimensions and are computed once.
     """
 
-    models: ModelSet
-    _aic = None
+    _factory_class: type
 
-    def fit_results(self) -> list[FitResult]:
-        raise NotImplementedError
+    def __init__(self, X: np.ndarray, y: np.ndarray, models: ModelSet):
+        self.models = models
+        self.factory = self._factory_class(X, y, list(models))
+        self._aic = None
 
     def _aic_weights(self) -> np.ndarray:
         if self._aic is None:
-            self._aic = aic_weights(self.fit_results())
+            self._aic = aic_weights(self.factory.logliks(), self.factory.dims())
         return self._aic
 
     def predict(self, x_star: np.ndarray, scheme: str = "optimal") -> AveragedEstimate:
@@ -201,24 +205,7 @@ class LinearAveragingPredictor(_AveragingPredictor):
     ``fit_and_average_linear`` is the one-shot convenience wrapper.
     """
 
-    def __init__(self, X: np.ndarray, y: np.ndarray, models: ModelSet):
-        self.models = models
-        self.factory = LinearQFactory(X, y, list(models))
-
-    def fit_results(self) -> list[FitResult]:
-        betas = self.factory.model_betas()
-        logliks = self.factory.logliks()
-        out = []
-        for model, beta, ll in zip(self.models, betas, logliks):
-            out.append(
-                FitResult(
-                    beta=beta,
-                    augmented=augment(beta, model, self.models.q),
-                    loglik=float(ll),
-                    dim=beta.shape[0],
-                )
-            )
-        return out
+    _factory_class = LinearQFactory
 
 
 class LogisticAveragingPredictor(_AveragingPredictor):
@@ -229,12 +216,7 @@ class LogisticAveragingPredictor(_AveragingPredictor):
     ``fit_and_average_logistic`` is the one-shot convenience wrapper.
     """
 
-    def __init__(self, X: np.ndarray, y: np.ndarray, models: ModelSet):
-        self.models = models
-        self.factory = LogisticQFactory(X, y, list(models))
-
-    def fit_results(self) -> list[FitResult]:
-        return self.factory.fits
+    _factory_class = LogisticQFactory
 
 
 def _resolved_point(X: np.ndarray, models: ModelSet, functional: Functional):
@@ -309,6 +291,10 @@ def prediction_band(
         raise DataError(f"n_sub={n_sub} exceeds the pool size {X_pool.shape[0]}")
     if n_reps < 1:
         raise DataError("n_reps must be at least 1")
+    if n_sub < 1:
+        raise DataError(f"n_sub must be at least 1, got {n_sub}")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise DataError(f"sigma must be finite and non-negative, got {sigma!r}")
 
     functional = Functional.linear_point(test_point)
 

@@ -29,7 +29,7 @@ from .averaging import (
     fit_and_average_logistic,
     prediction_band,
 )
-from .crossval import DEFAULT_METHODS, cv_compare
+from .crossval import DEFAULT_METHODS, SELECTION_RULES, cv_compare
 from .dataio import load_csv
 from .errors import DataError, GlmavgError, NumericalError
 from .glm_fit import full_linear_fit
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="repeated train/test method comparison")
     p.add_argument("--methods", default=",".join(DEFAULT_METHODS))
     p.add_argument("--n-train", type=int, default=None)
-    p.add_argument("--select-by", choices=("cv", "aic"), default="cv")
+    p.add_argument("--select-by", choices=SELECTION_RULES, default="cv")
     p.set_defaults(handler=_cmd_cv)
 
     p = sub.add_parser("band", parents=[common, data_args],

@@ -9,6 +9,8 @@ the test rows, and errors are averaged over repeats.
 predictors; the subset is chosen inside the training split only —
 either by 5-fold cross-validation (default) or by training AIC — then
 refit on the whole training split and scored once on the test split.
+Selection fits all 2^q candidates at once through ``LinearQFactory``:
+one factory per inner fold (or one on the training split for AIC).
 """
 
 from __future__ import annotations
@@ -19,12 +21,14 @@ import numpy as np
 
 from .averaging import LinearAveragingPredictor
 from .dataio import Dataset, split
-from .errors import CapacityError, DataError
+from .errors import DataError
 from .glm_fit import ols_fit
 from .model_space import ModelSet, enumerate_all_subsets, subset_columns
+from .mse_weights import LinearQFactory, aic_values
 from .rng import derive_seed, substream
 
 DEFAULT_METHODS = ("avg_optimal", "avg_aic", "best_subset", "full_model")
+SELECTION_RULES = ("cv", "aic")
 _TRAIN_FRACTION = 67 / 97  # the stock prostate protocol's 67/30 split, kept proportional
 
 
@@ -65,6 +69,11 @@ def _cv_folds(n: int, n_folds: int, seed: int, repeat: int):
     return np.array_split(perm, n_folds)
 
 
+def _check_select_by(select_by: str) -> None:
+    if select_by not in SELECTION_RULES:
+        raise DataError(f"unknown selection rule {select_by!r}; expected one of {SELECTION_RULES}")
+
+
 def select_best_subset(
     train: Dataset,
     *,
@@ -77,30 +86,25 @@ def select_best_subset(
 
     Returns the winning CandidateModel.  Ties break toward the earlier
     model in enumeration order, which is also the smaller index set.
+    Each inner fold fits every candidate in one ``LinearQFactory`` and
+    scores them all with one product of the held-out design and the
+    padded coefficients.  More than ``MAX_ENUMERABLE_Q`` optional
+    predictors raise ``CapacityError``.
     """
-    q = train.d - 1
-    if q > 20:
-        raise CapacityError(f"all-subsets search over {q} optional predictors is too large")
-    candidates = enumerate_all_subsets(1, q)
-
+    _check_select_by(select_by)
+    candidates = enumerate_all_subsets(1, train.d - 1)
     if select_by == "aic":
-        aics = []
-        for model in candidates:
-            fit = ols_fit(subset_columns(train.design, model), train.response, model=model)
-            aics.append(-2.0 * fit.loglik + 2.0 * fit.dim)
-        return candidates[int(np.argmin(aics))]
-    if select_by != "cv":
-        raise DataError(f"unknown selection rule {select_by!r}; expected 'cv' or 'aic'")
+        factory = LinearQFactory(train.design, train.response, candidates)
+        return candidates[int(np.argmin(aic_values(factory.logliks(), factory.dims())))]
 
-    folds = _cv_folds(train.n, n_folds, seed, repeat)
     scores = np.zeros(len(candidates))
-    for fold in folds:
+    for fold in _cv_folds(train.n, n_folds, seed, repeat):
         mask = np.ones(train.n, dtype=bool)
         mask[fold] = False
         inner_train, held = train.take(np.flatnonzero(mask)), train.take(fold)
-        for j, model in enumerate(candidates):
-            fit = ols_fit(subset_columns(inner_train.design, model), inner_train.response, model=model)
-            scores[j] += _test_mse(fit.beta, model, held) * fold.size
+        factory = LinearQFactory(inner_train.design, inner_train.response, candidates)
+        residuals = held.response[:, None] - held.design @ factory.padded_betas().T
+        scores += np.mean(residuals**2, axis=0) * fold.size
     return candidates[int(np.argmin(scores))]
 
 
@@ -155,6 +159,7 @@ def cv_compare(
     unknown = set(methods) - set(DEFAULT_METHODS)
     if unknown:
         raise DataError(f"unknown methods {sorted(unknown)}; expected subset of {DEFAULT_METHODS}")
+    _check_select_by(select_by)
     if n_train is None:
         n_train = _default_n_train(dataset.n)
     if models is None and {"avg_optimal", "avg_aic"} & set(methods):

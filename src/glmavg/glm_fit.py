@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NonConvergenceError, SingularDesignError
-from .model_space import AugmentedVector, CandidateModel, augment
+from .model_space import CandidateModel
 
 COND_LIMIT = 1e10
 SCORE_TOL = 1e-8
@@ -38,10 +38,14 @@ RANK_DEFICIENT_MESSAGE = f"design is numerically rank deficient (condition numbe
 
 @dataclass(frozen=True)
 class FitResult:
-    """One model's fit: coefficients, their full-length padded version, likelihood."""
+    """One model's fit on its own columns: coefficients, log-likelihood, dimension.
+
+    ``beta`` has one entry per column of the model's design.  The
+    zero-padded, full-length coefficients of a whole candidate set live in
+    ``LinearQFactory`` and ``LogisticQFactory``.
+    """
 
     beta: np.ndarray
-    augmented: AugmentedVector
     loglik: float
     dim: int
     converged: bool = True
@@ -139,14 +143,13 @@ def ols_fit(
     y: np.ndarray,
     *,
     model: CandidateModel | None = None,
-    q: int | None = None,
-    fill: float = 0.0,
 ) -> FitResult:
     """Least-squares fit of one candidate model's design.
 
-    When ``model`` and ``q`` are given, the result carries the
-    zero-padded (fill-padded) full-length coefficient vector; otherwise
-    the design is treated as already full.
+    ``X_k`` holds the model's own columns (``subset_columns``), and the
+    result's ``beta`` is in that order.  ``model`` only names the
+    candidate in a ``SingularDesignError``.  The log-likelihood is the
+    Gaussian profile one at sigma^2 = RSS/n (+inf for an exact fit).
     """
     X_k = np.asarray(X_k, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -156,13 +159,8 @@ def ols_fit(
     Q, R = qr_factor(X_k, model=model)
     beta = np.linalg.solve(R, Q.T @ y)
     rss = float(np.sum((y - X_k @ beta) ** 2))
-    if model is not None and q is not None:
-        padded = augment(beta, model, q, fill)
-    else:
-        padded = AugmentedVector(values=beta, fill=fill)
     return FitResult(
         beta=beta,
-        augmented=padded,
         loglik=_gaussian_profile_loglik(rss, X_k.shape[0]),
         dim=X_k.shape[1],
     )
@@ -202,15 +200,6 @@ def pseudo_true_linear(X_k: np.ndarray, X: np.ndarray, beta: np.ndarray) -> np.n
 # ---------------------------------------------------------------------------
 
 
-def logistic_prob(x: np.ndarray, beta: np.ndarray) -> float:
-    """exp(x'b) / (1 + exp(x'b)), stable for any finite linear predictor."""
-    x = np.asarray(x, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if x.shape != beta.shape:
-        raise DataError(f"length mismatch: x has {x.shape}, beta has {beta.shape}")
-    return float(expit(x @ beta))
-
-
 def _bernoulli_loglik(eta: np.ndarray, y: np.ndarray) -> float:
     # sum_i [ y_i eta_i - log(1 + e^eta_i) ], with soft y allowed.
     return float(y @ eta - np.sum(np.logaddexp(0.0, eta)))
@@ -231,7 +220,6 @@ def logistic_mle(
     y: np.ndarray,
     *,
     model: CandidateModel | None = None,
-    q: int | None = None,
     max_iter: int = MAX_ITER,
     tol: float = SCORE_TOL,
 ) -> FitResult:
@@ -289,13 +277,8 @@ def logistic_mle(
                 iterations=iterations,
             )
 
-    if model is not None and q is not None:
-        padded = augment(beta, model, q, 0.0)
-    else:
-        padded = AugmentedVector(values=beta, fill=0.0)
     return FitResult(
         beta=beta,
-        augmented=padded,
         loglik=ll,
         dim=X_k.shape[1],
         converged=True,
@@ -308,7 +291,6 @@ def logistic_pseudo_fit(
     p_target: ProbVector | np.ndarray,
     *,
     model: CandidateModel | None = None,
-    q: int | None = None,
     max_iter: int = MAX_ITER,
     tol: float = SCORE_TOL,
 ) -> FitResult:
@@ -361,13 +343,8 @@ def logistic_pseudo_fit(
                 iterations=iterations,
             )
 
-    if model is not None and q is not None:
-        padded = augment(beta, model, q, 0.0)
-    else:
-        padded = AugmentedVector(values=beta, fill=0.0)
     return FitResult(
         beta=beta,
-        augmented=padded,
         loglik=_bernoulli_loglik(eta, target),
         dim=X_k.shape[1],
         converged=True,

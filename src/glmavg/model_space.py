@@ -5,11 +5,12 @@ subset of the ``q`` optional ones.  Full-length design matrices and
 covariate vectors are laid out as ``[fixed columns | optional columns]``,
 so optional index ``j`` lives at column ``p_fixed + j``.
 
-Sub-model coefficient vectors are brought back to the common
-(p_fixed + q)-dimensional coordinate system by padding the missing
-optional coordinates with a fixed fill value (zero for all regression
-targets used here), which makes every model commensurable under a
-single linear functional.
+Every model is commensurable under a single linear functional in the
+common (p_fixed + q)-dimensional coordinates: x*'beta_k over the model's
+own columns equals x*' times beta_k zero-padded to full length.  The
+candidate factories in ``mse_weights`` keep each candidate's
+coefficients in that padded form; this module only does the column
+bookkeeping (``column_indices``, ``subset_columns``, ``subset_point``).
 """
 
 from __future__ import annotations
@@ -131,19 +132,6 @@ class ModelSet:
         return cls(models, q)
 
 
-@dataclass(frozen=True)
-class AugmentedVector:
-    """Sub-model coefficients padded to full length, missing coordinates = ``fill``."""
-
-    values: np.ndarray
-    fill: float = 0.0
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-
 def enumerate_all_subsets(p_fixed: int, q: int) -> ModelSet:
     """All 2**q candidate models, in binary-counting order (bit j <-> optional index j)."""
     if q < 0:
@@ -193,22 +181,3 @@ def subset_point(x_star: np.ndarray, model: CandidateModel) -> np.ndarray:
     if cols and cols[-1] >= x_star.shape[0]:
         raise DataError(f"x_star has length {x_star.shape[0]}, model needs index {cols[-1]}")
     return x_star[cols]
-
-
-def augment(beta_k: np.ndarray, model: CandidateModel, q: int, fill: float = 0.0) -> AugmentedVector:
-    """Pad a sub-model coefficient vector to length p_fixed + q.
-
-    Model coordinates are copied in order; optional coordinates the
-    model excludes are set to ``fill``.  Round-trips with
-    ``subset_point``: subsetting the padded vector recovers ``beta_k``
-    exactly.
-    """
-    beta_k = np.asarray(beta_k, dtype=float)
-    if beta_k.ndim != 1 or beta_k.shape[0] != model.dim:
-        raise DataError(
-            f"beta_k has length {beta_k.shape[0] if beta_k.ndim == 1 else beta_k.shape}, "
-            f"model dimension is {model.dim}"
-        )
-    full = np.full(model.p_fixed + q, float(fill))
-    full[model.column_indices()] = beta_k
-    return AugmentedVector(values=full, fill=float(fill))

@@ -55,7 +55,6 @@ import numpy as np
 from .errors import DataError, NumericalError, SingularDesignError
 from .glm_fit import (
     RANK_DEFICIENT_MESSAGE,
-    FitResult,
     _gaussian_profile_loglik,
     expit,
     ill_conditioned,
@@ -217,13 +216,19 @@ class LinearQFactory:
         self.sigma2 = float(rss[full] / n)
         self._rss = rss[:K]
         self._B = B[:K]
+        self._B.flags.writeable = False
         self._G = G[:K].reshape(K * p, p)
         self._sigma_R_full = np.sqrt(self.sigma2) * R_full
+
+    def padded_betas(self) -> np.ndarray:
+        """Read-only K x p coefficients, zero where a candidate leaves a column out."""
+        return self._B
 
     def model_betas(self) -> list[np.ndarray]:
         return [beta[model.column_indices()] for beta, model in zip(self._B, self.models)]
 
     def logliks(self) -> np.ndarray:
+        """Gaussian profile log-likelihoods, as ``ols_fit`` gives them (+inf for an exact fit)."""
         return np.array([_gaussian_profile_loglik(rss, self.n) for rss in self._rss])
 
     def dims(self) -> np.ndarray:
@@ -298,6 +303,13 @@ class LogisticQFactory:
         full_cols = list(range(p))
         self._full = self._cols.index(full_cols) if full_cols in self._cols else None
         self._plug_in = None
+
+    def logliks(self) -> np.ndarray:
+        """Bernoulli log-likelihoods at each candidate's MLE."""
+        return np.array([fit.loglik for fit in self.fits])
+
+    def dims(self) -> np.ndarray:
+        return np.array([model.dim for model in self.models])
 
     def per_model_values(self, x_star: np.ndarray) -> np.ndarray:
         """p(x_k*' beta_k) for every candidate's MLE (the per-model functional estimates)."""
@@ -388,15 +400,26 @@ def equal_weights(K: int) -> np.ndarray:
     return np.full(K, 1.0 / K)
 
 
-def aic_weights(fits: Sequence[FitResult]) -> np.ndarray:
+def aic_values(logliks, dims) -> np.ndarray:
+    """AIC_k = -2 loglik_k + 2 dim_k for every candidate."""
+    logliks = np.asarray(logliks, dtype=float)
+    dims = np.asarray(dims, dtype=float)
+    if logliks.ndim != 1 or logliks.shape != dims.shape or logliks.size == 0:
+        raise DataError("logliks and dims must be non-empty vectors of the same length")
+    return -2.0 * logliks + 2.0 * dims
+
+
+def aic_weights(logliks, dims) -> np.ndarray:
     """Smoothed-AIC weights: w_k proportional to exp(-AIC_k / 2).
 
-    AIC_k = -2 loglik + 2 dim, rescaled against the minimum so the
-    weights are invariant under a common shift.  Infinitely good fits
-    (exact linear interpolation gives loglik = +inf) share the weight
-    equally among themselves.
+    ``logliks`` and ``dims`` are the candidates' maximised
+    log-likelihoods and coefficient counts, as a factory's ``logliks()``
+    and ``dims()`` give them.  The AICs are rescaled against the minimum
+    so the weights are invariant under a common shift.  Infinitely good
+    fits (exact linear interpolation gives loglik = +inf) share the
+    weight equally among themselves.
     """
-    aic = np.array([-2.0 * f.loglik + 2.0 * f.dim for f in fits])
+    aic = aic_values(logliks, dims)
     if np.any(np.isnan(aic)):
         raise DataError("log-likelihoods must not be NaN")
     best = np.min(aic)

@@ -5,7 +5,7 @@ Two stock experiments are provided:
 * ``run_study1`` — bias/variance movement of the optimally-weighted
   averaging estimator against the oracle fit over a sample-size grid,
   on a 5 fixed + 5 optional coefficient design with a nested candidate
-  ladder (optionally augmented with the oracle model itself).
+  ladder (optionally extended with the oracle model itself).
 * ``run_study2`` — optimal vs smoothed-AIC weights (plus the oracle)
   for linear and logistic targets as the weakest coefficient sweeps a
   grid, with the candidate sets growing from the intercept upward.
@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .averaging import (
+    SCHEMES,
     Functional,
     LinearAveragingPredictor,
     LogisticAveragingPredictor,
@@ -95,6 +96,9 @@ class StudyConfig:
             raise DataError(f"n={self.n} too small for a {largest}-parameter candidate")
         if self.n_reps < 1:
             raise DataError("n_reps must be at least 1")
+        unknown = [scheme for scheme in self.schemes if scheme not in SCHEMES]
+        if unknown:
+            raise DataError(f"unknown weighting schemes {unknown}; expected a subset of {SCHEMES}")
         beta.flags.writeable = False
         x.flags.writeable = False
         object.__setattr__(self, "beta_true", beta)

@@ -12,11 +12,14 @@ import numpy as np
 from scipy.special import expit
 
 from glmavg import (
+    enumerate_all_subsets,
     full_linear_fit,
     logistic_mle,
     logistic_pseudo_fit,
+    ols_fit,
     subset_columns,
     subset_point,
+    substream,
 )
 
 
@@ -134,3 +137,41 @@ def random_psd(rng, K, n=None):
     b = rng.standard_normal(K)
     A = rng.standard_normal((n, K))
     return np.outer(b, b) + A.T @ A
+
+
+def aic_weights_reference(fits):
+    """Smoothed-AIC weights from a list of per-model fits (loglik, dim), one at a time."""
+    aic = np.array([-2.0 * f.loglik + 2.0 * f.dim for f in fits])
+    best = np.min(aic)
+    if best == -np.inf:
+        mask = np.isneginf(aic)
+        return mask.astype(float) / mask.sum()
+    w = np.exp(-0.5 * (aic - best))
+    return w / w.sum()
+
+
+def select_best_subset_reference(train, select_by="cv", n_folds=5, seed=0, repeat=0):
+    """All-subsets selection by one ``ols_fit`` per candidate (and per inner fold).
+
+    The folds are ``select_best_subset``'s: the permutation of the
+    (seed, "folds", repeat) stream, split into ``n_folds`` near-equal parts.
+    Ties break toward the earlier model.
+    """
+    candidates = enumerate_all_subsets(1, train.d - 1)
+    if select_by == "aic":
+        aics = []
+        for model in candidates:
+            fit = ols_fit(subset_columns(train.design, model), train.response, model=model)
+            aics.append(-2.0 * fit.loglik + 2.0 * fit.dim)
+        return candidates[int(np.argmin(aics))]
+    perm = substream(seed, "folds", repeat).permutation(train.n)
+    scores = np.zeros(len(candidates))
+    for fold in np.array_split(perm, n_folds):
+        mask = np.ones(train.n, dtype=bool)
+        mask[fold] = False
+        inner, held = train.take(np.flatnonzero(mask)), train.take(fold)
+        for j, model in enumerate(candidates):
+            fit = ols_fit(subset_columns(inner.design, model), inner.response, model=model)
+            pred = subset_columns(held.design, model) @ fit.beta
+            scores[j] += float(np.mean((held.response - pred) ** 2)) * fold.size
+    return candidates[int(np.argmin(scores))]

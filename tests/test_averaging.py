@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from oracles import aic_weights_reference
+
 import glmavg.mse_weights as mse_weights
 from glmavg import (
     CandidateModel,
@@ -19,7 +21,9 @@ from glmavg import (
     ols_fit,
     prediction_band,
     solve_simplex_qp,
+    subset_columns,
     substream,
+    synthetic_prostate,
 )
 
 
@@ -331,6 +335,25 @@ class TestLogisticAveragingPredictor:
             np.testing.assert_array_equal(shared.weights, one_shot.weights)
 
 
+class TestAicWeightsFromFactories:
+    """The predictors' AIC weights are the per-model fits' AIC weights, bit for bit."""
+
+    def test_linear_prostate_candidates(self):
+        ds = synthetic_prostate()
+        models = enumerate_all_subsets(1, 8)
+        predictor = LinearAveragingPredictor(ds.design, ds.response, models)
+        fits = [ols_fit(subset_columns(ds.design, m), ds.response, model=m) for m in models]
+        got = predictor.predict(ds.design[0], "aic").weights
+        np.testing.assert_array_equal(got, aic_weights_reference(fits))
+
+    def test_logistic_candidates(self):
+        X, y = TestLogisticAveragingPredictor._data(seed=18)
+        models = enumerate_all_subsets(1, 2)
+        fits = [logistic_mle(subset_columns(X, m), y, model=m) for m in models]
+        got = LogisticAveragingPredictor(X, y, models).predict(X[0], "aic").weights
+        np.testing.assert_array_equal(got, aic_weights_reference(fits))
+
+
 class TestPredictionBand:
     def _pool(self, seed=14, n=120):
         rng = np.random.default_rng(seed)
@@ -384,6 +407,24 @@ class TestPredictionBand:
             prediction_band(
                 X, y, np.array([1.0, 0.0, 0.0]), nested_sequence(1, 2),
                 n_sub=50, n_reps=5, sigma=1.0, level=0.9, seed=0,
+            )
+
+    @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf, -np.inf])
+    def test_bad_sigma(self, sigma):
+        X, y = self._pool()
+        with pytest.raises(DataError, match="sigma"):
+            prediction_band(
+                X, y, np.array([1.0, 0.0, 0.0]), nested_sequence(1, 2),
+                n_sub=20, n_reps=5, sigma=sigma, level=0.9, seed=0,
+            )
+
+    @pytest.mark.parametrize("n_sub", [0, -3])
+    def test_bad_n_sub(self, n_sub):
+        X, y = self._pool()
+        with pytest.raises(DataError, match="n_sub"):
+            prediction_band(
+                X, y, np.array([1.0, 0.0, 0.0]), nested_sequence(1, 2),
+                n_sub=n_sub, n_reps=5, sigma=1.0, level=0.9, seed=0,
             )
 
     def test_bad_level(self):

@@ -251,8 +251,12 @@ class TestStudyCommands:
             (["study1", "--cases", "C", "--n-grid", "60"], "unknown cases ['C']"),
             (["study2", "--cases", "A,C", "--beta3", "0.1"], "unknown cases ['C']"),
             (["study1", "--cases", "A", "--n-grid", "100.7"], "must be an integer, got 100.7"),
+            (
+                ["study2", "--schemes", "optimal,bogus", "--beta3", "0.1"],
+                "unknown weighting schemes ['bogus']; expected",
+            ),
         ],
-        ids=["study1-case", "study2-case", "study1-n"],
+        ids=["study1-case", "study2-case", "study1-n", "study2-scheme"],
     )
     def test_bad_study_arguments_are_data_errors(self, args, message, capsys):
         assert main(args + ["--reps", "2"]) == 2
@@ -384,3 +388,25 @@ class TestBandCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["sigma"] == 0.5
         assert len(payload["rows"]) == 1
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--sigma", "-1"], "sigma must be finite and non-negative"),
+            (["--sigma", "nan"], "sigma must be finite and non-negative"),
+            (["--n-sub", "0"], "n_sub must be at least 1"),
+        ],
+        ids=["negative-sigma", "nan-sigma", "zero-n-sub"],
+    )
+    def test_bad_band_arguments_are_data_errors(self, linear_csv, tmp_path, flags, message, capsys):
+        test_path = tmp_path / "test.csv"
+        lines = linear_csv.read_text().strip().split("\n")
+        test_path.write_text("\n".join(lines[:2]) + "\n")
+        rc = main([
+            "band", "--data", str(linear_csv), "--response", "y",
+            "--test-data", str(test_path), "--reps", "3", *flags,
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err

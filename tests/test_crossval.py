@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
+from oracles import select_best_subset_reference
+
+import glmavg.crossval as crossval
 from glmavg import (
     CandidateModel,
+    CapacityError,
     DataError,
     Dataset,
     ModelSet,
     best_subset_cv,
     cv_compare,
+    derive_seed,
     select_best_subset,
+    split,
     synthetic_prostate,
 )
 
@@ -41,6 +47,22 @@ class TestSelectBestSubset:
     def test_unknown_rule(self):
         with pytest.raises(DataError):
             select_best_subset(_dataset(), select_by="bic")
+
+
+    @pytest.mark.parametrize("select_by", ["cv", "aic"])
+    def test_matches_per_candidate_fits_on_prostate_splits(self, select_by):
+        # the factory scores differ from one ols_fit per candidate in the
+        # last bits at most; the chosen subset must not change
+        ds = synthetic_prostate()
+        for repeat in range(8):
+            train, _ = split(ds, 67, derive_seed(0, "cv-split", repeat))
+            got = select_best_subset(train, select_by=select_by, seed=0, repeat=repeat)
+            expected = select_best_subset_reference(train, select_by, seed=0, repeat=repeat)
+            assert got == expected, repeat
+
+    def test_too_many_optional_predictors(self):
+        with pytest.raises(CapacityError):
+            select_best_subset(_dataset(n=40, q=21))
 
 
 class TestBestSubsetCv:
@@ -118,6 +140,15 @@ class TestCvCompare:
     def test_rejects_unknown_method(self):
         with pytest.raises(DataError):
             cv_compare(_dataset(), methods=("ridge",), n_repeats=1)
+
+    @pytest.mark.parametrize("methods", [("full_model",), ("avg_aic", "best_subset")])
+    def test_rejects_unknown_selection_rule_before_any_split(self, monkeypatch, methods):
+        def no_split(*args, **kwargs):
+            raise AssertionError("a split was drawn")
+
+        monkeypatch.setattr(crossval, "split", no_split)
+        with pytest.raises(DataError, match="unknown selection rule 'bic'"):
+            cv_compare(_dataset(), methods=methods, n_repeats=2, select_by="bic")
 
     @pytest.mark.parametrize("n_repeats", [0, -1])
     def test_rejects_fewer_than_one_repeat(self, n_repeats):

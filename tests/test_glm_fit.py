@@ -12,7 +12,6 @@ from glmavg import (
     SingularDesignError,
     full_linear_fit,
     logistic_mle,
-    logistic_prob,
     logistic_pseudo_fit,
     ols_fit,
     pseudo_true_linear,
@@ -58,15 +57,6 @@ class TestOlsFit:
     def test_more_columns_than_rows(self):
         with pytest.raises(SingularDesignError):
             ols_fit(np.ones((2, 3)), np.zeros(2))
-
-    def test_augmented_consistent(self):
-        rng = np.random.default_rng(3)
-        X = rng.standard_normal((20, 3))
-        model = CandidateModel((1,), 2)
-        fit = ols_fit(X, rng.standard_normal(20), model=model, q=2)
-        np.testing.assert_array_equal(fit.augmented.values[[0, 1, 3]], fit.beta)
-        assert fit.augmented.values[2] == 0.0
-        assert fit.dim == 3
 
     def test_gaussian_profile_loglik(self):
         rng = np.random.default_rng(4)
@@ -173,37 +163,6 @@ class TestExpit:
             got = glmavg_expit(x)
         assert isinstance(got, float)
         assert got == pytest.approx(float(expit(x)), rel=0, abs=np.finfo(float).eps)
-
-
-class TestLogisticProb:
-    def test_zero_beta_gives_half(self):
-        assert logistic_prob(np.ones(3), np.zeros(3)) == 0.5
-
-    @pytest.mark.parametrize(
-        "beta3, expected",
-        [(0.001, 0.452), (0.5, 0.329)],
-    )
-    def test_reference_values(self, beta3, expected):
-        x = np.array([1.0, -1.86, -1.019, -1.045])
-        beta = np.array([0.3, 0.1, 0.3, beta3])
-        assert logistic_prob(x, beta) == pytest.approx(expected, abs=5e-4)
-
-    def test_stable_at_extreme_linear_predictors(self):
-        with np.errstate(over="raise"):
-            hi = logistic_prob(np.array([1.0]), np.array([700.0]))
-            lo = logistic_prob(np.array([1.0]), np.array([-700.0]))
-        assert hi == pytest.approx(1.0)
-        assert lo == pytest.approx(0.0, abs=1e-300)
-
-    def test_symmetry_about_zero(self):
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal(4)
-        beta = rng.standard_normal(4)
-        assert logistic_prob(x, beta) + logistic_prob(-x, beta) == pytest.approx(1.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DataError):
-            logistic_prob(np.ones(2), np.ones(3))
 
 
 class TestLogisticMle:

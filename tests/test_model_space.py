@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from glmavg import (
-    AugmentedVector,
     CandidateModel,
     CapacityError,
     DataError,
     ModelSet,
-    augment,
     enumerate_all_subsets,
     nested_sequence,
     subset_columns,
@@ -137,76 +133,3 @@ class TestSubsetting:
         np.testing.assert_array_equal(
             subset_point(x, CandidateModel((0, 1), 1)), x
         )
-
-
-class TestAugment:
-    def test_pads_with_fill(self):
-        out = augment(np.array([2.0, 3.0]), CandidateModel((0,), 1), q=2)
-        np.testing.assert_array_equal(out.values, [2.0, 3.0, 0.0])
-
-    def test_full_model_unchanged(self):
-        beta = np.array([1.0, 2.0, 3.0])
-        out = augment(beta, CandidateModel((0, 1), 1), q=2)
-        np.testing.assert_array_equal(out.values, beta)
-
-    def test_fixed_only(self):
-        out = augment(np.array([4.0]), CandidateModel((), 1), q=3)
-        np.testing.assert_array_equal(out.values, [4.0, 0.0, 0.0, 0.0])
-
-    def test_nonzero_fill(self):
-        out = augment(np.array([1.0]), CandidateModel((), 1), q=2, fill=-7.5)
-        np.testing.assert_array_equal(out.values, [1.0, -7.5, -7.5])
-        assert out.fill == -7.5
-
-    def test_length_mismatch(self):
-        with pytest.raises(DataError):
-            augment(np.array([1.0, 2.0]), CandidateModel((), 1), q=2)
-
-    def test_values_frozen(self):
-        out = augment(np.array([1.0]), CandidateModel((), 1), q=1)
-        with pytest.raises(ValueError):
-            out.values[0] = 2.0
-
-
-@st.composite
-def model_and_q(draw):
-    q = draw(st.integers(min_value=0, max_value=8))
-    p_fixed = draw(st.integers(min_value=0, max_value=4))
-    included = tuple(
-        sorted(draw(st.sets(st.integers(min_value=0, max_value=q - 1), max_size=q)))
-        if q > 0
-        else []
-    )
-    if p_fixed + len(included) == 0:
-        p_fixed = 1
-    return CandidateModel(included, p_fixed), q
-
-
-@given(model_and_q(), st.floats(-5, 5))
-@settings(max_examples=200, deadline=None)
-def test_augment_subset_round_trip(model_q, fill):
-    model, q = model_q
-    beta = np.linspace(1.0, 2.0, model.dim)
-    padded = augment(beta, model, q, fill=fill)
-    np.testing.assert_array_equal(subset_point(padded.values, model), beta)
-    # absent coordinates carry exactly the fill value
-    mask = np.ones(model.p_fixed + q, dtype=bool)
-    mask[model.column_indices()] = False
-    assert np.all(padded.values[mask] == fill)
-
-
-@given(model_and_q())
-@settings(max_examples=100, deadline=None)
-def test_functional_equivalence_of_augmentation(model_q):
-    """x*'(zero-padded beta) equals (subsetted x*)'beta exactly."""
-    model, q = model_q
-    rng = np.random.default_rng(model.dim + q)
-    beta = rng.standard_normal(model.dim)
-    x_star = rng.standard_normal(model.p_fixed + q)
-    padded = augment(beta, model, q, fill=0.0)
-    assert x_star @ padded.values == subset_point(x_star, model) @ beta
-
-
-def test_augmented_vector_validates_shape():
-    v = AugmentedVector(values=np.array([1.0, 0.0]), fill=0.0)
-    assert v.values.flags.writeable is False

@@ -15,7 +15,6 @@ from oracles import (
 from glmavg import (
     CandidateModel,
     DataError,
-    FitResult,
     LinearQFactory,
     LogisticQFactory,
     NonConvergenceError,
@@ -23,7 +22,6 @@ from glmavg import (
     QuadraticForm,
     SingularDesignError,
     aic_weights,
-    augment,
     build_q_linear,
     build_q_logistic,
     derive_seed,
@@ -110,6 +108,19 @@ class TestLinearQFactory:
             assert np.array_equal(beta, fit.beta)
             assert loglik == fit.loglik
 
+    def test_padded_betas_place_each_fit_in_its_columns(self):
+        ds = synthetic_prostate()
+        models = enumerate_all_subsets(1, 8)
+        factory = LinearQFactory(ds.design, ds.response, models)
+        padded = factory.padded_betas()
+        assert padded.shape == (256, 9)
+        assert not padded.flags.writeable
+        for model, row, beta in zip(models, padded, factory.model_betas()):
+            cols = model.column_indices()
+            assert np.array_equal(row[cols], beta)
+            assert np.all(np.delete(row, cols) == 0.0)
+        np.testing.assert_array_equal(factory.dims(), [m.dim for m in models])
+
     def test_guard_names_the_failing_candidate_inside_its_group(self):
         # column 3 duplicates column 1, so candidate (0, 2) has columns
         # [0, 1, 3] and is rank deficient; it is the second of the three
@@ -178,6 +189,14 @@ class TestLogisticQFactory:
             for m in models
         ]
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+
+    def test_logliks_and_dims_match_each_mle(self):
+        X, y, _ = TestBuildQLogistic._instance(23)
+        models = list(enumerate_all_subsets(1, 3))
+        factory = LogisticQFactory(X, y, models)
+        fits = [logistic_mle(subset_columns(X, m), y, model=m) for m in models]
+        np.testing.assert_array_equal(factory.logliks(), [fit.loglik for fit in fits])
+        np.testing.assert_array_equal(factory.dims(), [fit.dim for fit in fits])
 
     def test_separating_candidate_is_named(self):
         # y is the sign of the third optional column: every candidate that
@@ -416,45 +435,38 @@ class TestSolveSimplexQp:
 # ---------------------------------------------------------------------------
 
 
-def _fit_with(loglik, dim):
-    beta = np.zeros(dim)
-    return FitResult(
-        beta=beta,
-        augmented=augment(beta, CandidateModel(tuple(range(dim - 1)), 1), dim - 1),
-        loglik=loglik,
-        dim=dim,
-    )
-
-
 class TestAicWeights:
     def test_equal_aics_give_equal_weights(self):
-        fits = [_fit_with(-10.0, 2), _fit_with(-10.0, 2), _fit_with(-10.0, 2)]
-        np.testing.assert_allclose(aic_weights(fits), np.full(3, 1 / 3))
+        np.testing.assert_allclose(aic_weights([-10.0, -10.0, -10.0], [2, 2, 2]), np.full(3, 1 / 3))
 
     def test_shift_invariance(self):
-        fits_a = [_fit_with(-10.0, 2), _fit_with(-12.0, 3)]
         # adding a constant c to every loglik shifts every AIC by -2c
-        fits_b = [_fit_with(-10.0 + 5.0, 2), _fit_with(-12.0 + 5.0, 3)]
-        np.testing.assert_array_equal(aic_weights(fits_a), aic_weights(fits_b))
+        np.testing.assert_array_equal(
+            aic_weights([-10.0, -12.0], [2, 3]),
+            aic_weights([-10.0 + 5.0, -12.0 + 5.0], [2, 3]),
+        )
 
     def test_two_models_delta_two(self):
         # AIC difference of exactly 2: dims differ by 1 at equal loglik
-        fits = [_fit_with(-10.0, 2), _fit_with(-10.0, 3)]
-        w = aic_weights(fits)
+        w = aic_weights([-10.0, -10.0], [2, 3])
         expected = 1.0 / (1.0 + np.exp(-1.0))
         np.testing.assert_allclose(w, [expected, 1.0 - expected], atol=1e-4)
 
     def test_infinite_loglik_shares_weight_among_best(self):
-        fits = [_fit_with(np.inf, 2), _fit_with(-5.0, 2), _fit_with(np.inf, 3)]
-        np.testing.assert_allclose(aic_weights(fits), [0.5, 0.0, 0.5])
+        np.testing.assert_allclose(aic_weights([np.inf, -5.0, np.inf], [2, 2, 3]), [0.5, 0.0, 0.5])
 
     def test_all_infinitely_bad_fits_rejected(self):
         with pytest.raises(DataError):
-            aic_weights([_fit_with(-np.inf, 2), _fit_with(-np.inf, 3)])
+            aic_weights([-np.inf, -np.inf], [2, 3])
 
     def test_nan_rejected(self):
         with pytest.raises(DataError):
-            aic_weights([_fit_with(np.nan, 2)])
+            aic_weights([np.nan], [2])
+
+    @pytest.mark.parametrize("logliks, dims", [([-1.0, -2.0], [2]), ([], []), ([[-1.0]], [[2]])])
+    def test_mismatched_or_empty_inputs_rejected(self, logliks, dims):
+        with pytest.raises(DataError):
+            aic_weights(logliks, dims)
 
 
 class TestEqualWeights:

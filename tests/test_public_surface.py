@@ -1,0 +1,44 @@
+"""The package's exported names, and README's entry-point table, stay in step."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+import glmavg
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+REMOVED = ("AugmentedVector", "augment", "logistic_prob")
+
+
+def _entry_point_names():
+    text = README.read_text()
+    start = text.index("Key entry points:")
+    rows = []
+    for line in text[start:].splitlines()[1:]:
+        if line.startswith("|"):
+            rows.append(line)
+        elif rows:
+            break  # the first non-table line after the table ends it
+    first_cells = [row.split("|")[1] for row in rows[2:]]  # skip the header and rule rows
+    return [name for cell in first_cells for name in re.findall(r"`([^`]+)`", cell)]
+
+
+def test_every_exported_name_resolves():
+    assert len(glmavg.__all__) == len(set(glmavg.__all__))
+    for name in glmavg.__all__:
+        assert getattr(glmavg, name) is not None, name
+
+
+def test_readme_entry_points_are_exported():
+    names = _entry_point_names()
+    assert len(names) > 20
+    missing = [name for name in names if name not in glmavg.__all__]
+    assert missing == []
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_names_stay_removed(name):
+    assert name not in glmavg.__all__
+    assert not hasattr(glmavg, name)
+    assert f"`{name}`" not in README.read_text()

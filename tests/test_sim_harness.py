@@ -112,6 +112,31 @@ class TestStudyConfig:
                 seed=0,
             )
 
+    def test_rejects_unknown_scheme(self):
+        with pytest.raises(DataError, match=r"unknown weighting schemes \['bogus'\]"):
+            StudyConfig(
+                family="logistic",
+                n=50,
+                beta_true=np.ones(4),
+                candidate_set=nested_sequence(1, 3),
+                x_star=np.ones(4),
+                n_reps=5,
+                seed=0,
+                schemes=("optimal", "bogus"),
+            )
+
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    def test_unknown_scheme_fails_before_any_fit(self, monkeypatch, family):
+        import glmavg.sim_harness as sim_harness
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(sim_harness, "_one_replication", no_fit)
+        with pytest.raises(DataError, match="bogus") as excinfo:
+            run_study2(family=family, schemes=("optimal", "bogus"), n_reps=2)
+        assert "rep" not in str(excinfo.value)
+
     def test_truth_linear_and_logistic(self):
         common = dict(
             n=50,
