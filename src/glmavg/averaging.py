@@ -206,6 +206,7 @@ class LinearAveragingPredictor(_AveragingPredictor):
     """
 
     _factory_class = LinearQFactory
+    _kinds = ("linear_point", "coordinate")
 
 
 class LogisticAveragingPredictor(_AveragingPredictor):
@@ -217,15 +218,24 @@ class LogisticAveragingPredictor(_AveragingPredictor):
     """
 
     _factory_class = LogisticQFactory
+    _kinds = ("logistic_point",)
 
 
-def _resolved_point(X: np.ndarray, models: ModelSet, functional: Functional):
-    """X as a float array checked against the model space, and the functional's x*."""
+# the predictor of each family, for the one-shot wrappers and the study harness
+_PREDICTORS = {"linear": LinearAveragingPredictor, "logistic": LogisticAveragingPredictor}
+
+
+def _fit_and_average(family, X, y, models, functional, scheme) -> AveragedEstimate:
+    """Check the functional and the scheme before any fit, then fit and predict once."""
+    predictor_class = _PREDICTORS[family]
+    if functional.kind not in predictor_class._kinds:
+        raise DataError(f"{family} averaging needs a {' or '.join(predictor_class._kinds)} functional")
+    _check_scheme(scheme)
     X = np.asarray(X, dtype=float)
     total = models.p_fixed + models.q
     if X.shape[1] != total:
         raise DataError(f"design has {X.shape[1]} columns, model space needs {total}")
-    return X, functional.resolve(total)
+    return predictor_class(X, y, models).predict(functional.resolve(total), scheme)
 
 
 def fit_and_average_linear(
@@ -236,10 +246,7 @@ def fit_and_average_linear(
     scheme: str = "optimal",
 ) -> AveragedEstimate:
     """Fit all candidates by OLS and combine x*'beta estimates under ``scheme``."""
-    if functional.kind not in ("linear_point", "coordinate"):
-        raise DataError("linear averaging needs a linear_point or coordinate functional")
-    X, x_star = _resolved_point(X, models, functional)
-    return LinearAveragingPredictor(X, y, models).predict(x_star, scheme)
+    return _fit_and_average("linear", X, y, models, functional, scheme)
 
 
 def fit_and_average_logistic(
@@ -250,11 +257,7 @@ def fit_and_average_logistic(
     scheme: str = "optimal",
 ) -> AveragedEstimate:
     """Fit all candidates by logistic MLE and combine probability estimates at x*."""
-    if functional.kind != "logistic_point":
-        raise DataError("logistic averaging needs a logistic_point functional")
-    _check_scheme(scheme)  # before any fit, which could fail first
-    X, x_star = _resolved_point(X, models, functional)
-    return LogisticAveragingPredictor(X, y, models).predict(x_star, scheme)
+    return _fit_and_average("logistic", X, y, models, functional, scheme)
 
 
 def prediction_band(
@@ -293,6 +296,9 @@ def prediction_band(
         raise DataError("n_reps must be at least 1")
     if n_sub < 1:
         raise DataError(f"n_sub must be at least 1, got {n_sub}")
+    if n_sub < X_pool.shape[1]:  # every draw fits the full model
+        raise DataError(f"n_sub={n_sub} is below the design's {X_pool.shape[1]} columns")
+    _check_scheme(scheme)
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise DataError(f"sigma must be finite and non-negative, got {sigma!r}")
 

@@ -126,11 +126,10 @@ def ill_conditioned(R: np.ndarray) -> np.ndarray:
     return (s[..., -1] <= 0) | (s[..., 0] > COND_LIMIT * s[..., -1])
 
 
-def _gaussian_profile_loglik(rss: float, n: int) -> float:
-    # Profile log-likelihood at sigma2 = RSS/n; +inf for an exact fit.
-    if rss <= 0.0:
-        return np.inf
-    return -0.5 * n * (np.log(2.0 * np.pi * rss / n) + 1.0)
+def _gaussian_profile_loglik(rss, n: int):
+    # Profile log-likelihood at sigma2 = RSS/n, elementwise; +inf for an exact fit (RSS = 0).
+    with np.errstate(divide="ignore"):
+        return -0.5 * n * (np.log(2.0 * np.pi * np.asarray(rss, dtype=float) / n) + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +169,7 @@ def full_linear_fit(X: np.ndarray, y: np.ndarray) -> LinearFullFit:
     """OLS on the full design; residual variance uses divisor n, not n-d."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.shape[0] != X.shape[0]:
-        raise DataError("y must be a vector with one entry per design row")
-    require_finite("response", y)
-    Q, R = qr_factor(X)
-    beta = np.linalg.solve(R, Q.T @ y)
+    beta = ols_fit(X, y).beta
     fitted = X @ beta
     sigma2 = float(np.mean((y - fitted) ** 2))
     return LinearFullFit(beta_full=beta, sigma2=sigma2, fitted=fitted)

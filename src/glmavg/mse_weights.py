@@ -26,6 +26,11 @@ per-model functional estimates:
   p_k*(1-p_k*), with S_k the p x d_k column selector of model k, so A
   has p rows here too.
 
+Both are one assembly (``_CandidateFactory.q_form``) with link h and
+slope h': the identity and 1 for linear targets, expit and p(1-p) for
+logistic ones.  Both factories defer the plug-in fit, and with it every
+matrix inverse, to the first ``q_form``.
+
 The factored construction keeps Qhat symmetric positive semidefinite by
 construction; tests cross-check it entrywise against the literal
 double-sum expressions.  For both families A has p rows, one per column
@@ -87,8 +92,8 @@ class QuadraticForm:
 
     @classmethod
     def from_parts(cls, bias: np.ndarray, gram_factor: np.ndarray) -> "QuadraticForm":
-        bias = np.asarray(bias, dtype=float)
-        gram_factor = np.asarray(gram_factor, dtype=float)
+        bias = np.array(bias, dtype=float)  # copies, so the caller's arrays stay writeable
+        gram_factor = np.array(gram_factor, dtype=float)
         if bias.ndim != 1 or gram_factor.ndim != 2 or gram_factor.shape[1] != bias.shape[0]:
             raise DataError("bias must be (K,) and gram_factor (rows, K)")
         if bias.shape[0] == 0:
@@ -138,23 +143,19 @@ def _checked_point(x_star: np.ndarray, p: int) -> np.ndarray:
     return x_star
 
 
-class LinearQFactory:
+class _CandidateFactory:
     """Every candidate's fit on one (X, y), reusable across many x*.
 
-    The fit does all the factoring.  Candidate designs of equal dimension
-    are stacked, with the full design in its own dimension's group unless
-    it is a candidate already, and each stack gets one ``np.linalg.qr``,
-    one SVD for the condition guard, one ``np.linalg.solve`` for the
-    coefficients (the routine ``ols_fit`` uses) and one ``np.linalg.inv``
-    of its R factors.  The factory keeps the padded coefficients B
-    (K x p), the padded inverse Grams G (K x p x p) and R_full, so each x*
-    costs a few matmuls: the per-model values are B x*, and since
-    X = Q_full R_full, the Gram factor is the p x K matrix
-    sigma R_full (G x*)'.
-
-    A rank-deficient design raises ``SingularDesignError`` naming the
-    first failing candidate in list order, or no model when the only
-    failing design is the full one and it is not a candidate.
+    A subclass fits (``_fit``: the padded coefficients B, K x p, and the
+    log-likelihoods) and sets the link h and its slope h'; the per-model
+    values at x* are h(B x*).  The first ``q_form`` runs ``_fit_plug_in``:
+    B_pl (K x p, each candidate's padded plug-in coefficients), the full
+    model's coefficients beta_full, the padded inverse Grams G (K p x p)
+    and a p x p factor R.  With v = h(B_pl x*), the bias is
+    v - h(x*'beta_full) and the Gram factor is R (G x*)' diag(h'(v)).  The
+    full model's value is its own dot product, not a row of the matmul,
+    which BLAS may round differently.  Selection and the ``aic`` and
+    ``equal`` schemes never call ``q_form``, so they never pay for it.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, models: Sequence[CandidateModel]):
@@ -167,25 +168,78 @@ class LinearQFactory:
             raise DataError("y must be a vector with one entry per design row")
         require_finite("design and response", X, y)
         self.models = list(models)
-        self.n = n
-        K = len(self.models)
-        column_sets = [model.column_indices() for model in self.models]
-        for cols in column_sets:
+        self._cols = [model.column_indices() for model in self.models]
+        for cols in self._cols:
             if cols[-1] >= p:
                 raise DataError(f"design has {p} columns, model needs column {cols[-1]}")
         full_cols = list(range(p))
-        if full_cols in column_sets:
-            full = column_sets.index(full_cols)
-        else:
-            full = len(column_sets)
-            column_sets.append(full_cols)
+        self._full = self._cols.index(full_cols) if full_cols in self._cols else None
+        self._X = X
+        self._y = y
+        self._B, self._logliks = self._fit()
+        self._B.flags.writeable = False
+        self._logliks.flags.writeable = False
+        self._plug_in = None
 
+    def padded_betas(self) -> np.ndarray:
+        """Read-only K x p coefficients, zero where a candidate leaves a column out."""
+        return self._B
+
+    def logliks(self) -> np.ndarray:
+        """Read-only maximised log-likelihoods, one per candidate."""
+        return self._logliks
+
+    def dims(self) -> np.ndarray:
+        return np.array([model.dim for model in self.models])
+
+    def per_model_values(self, x_star: np.ndarray) -> np.ndarray:
+        """h(x_k*' beta_k) for every candidate (the per-model functional estimates)."""
+        return self._link(self._B @ _checked_point(x_star, self._B.shape[1]))
+
+    def q_form(self, x_star: np.ndarray) -> QuadraticForm:
+        x_star = _checked_point(x_star, self._B.shape[1])
+        if self._plug_in is None:
+            self._plug_in = self._fit_plug_in()
+        B_pl, beta_full, G, R = self._plug_in
+        values = self._link(B_pl @ x_star)
+        G_x = (G @ x_star).reshape(values.shape[0], -1)
+        bias = values - self._link(x_star @ beta_full)
+        return QuadraticForm.from_parts(bias, R @ (G_x.T * self._slope(values)))
+
+
+class LinearQFactory(_CandidateFactory):
+    """Every candidate's OLS fit on one (X, y), reusable across many x*.
+
+    The fit stacks the candidate designs of equal dimension, with the
+    full design in its own dimension's group unless it is a candidate
+    already, and gives each stack one ``np.linalg.qr``, one SVD for the
+    condition guard and one ``np.linalg.solve`` for the coefficients (the
+    routine ``ols_fit`` uses), so each beta and RSS is ``ols_fit``'s to
+    the last bit.  The R factors are kept; the first ``q_form`` inverts
+    them, one ``np.linalg.inv`` per stack, into the padded inverse Grams
+    G_k = (X_k'X_k)^{-1}.  The link is the identity, the plug-in is the
+    full OLS fit, and since X = Q_full R_full, R = sigma_full R_full.
+
+    A rank-deficient design raises ``SingularDesignError`` naming the
+    first failing candidate in list order, or no model when the only
+    failing design is the full one and it is not a candidate.
+    """
+
+    _link = staticmethod(lambda eta: eta)
+    _slope = staticmethod(lambda mu: 1.0)
+
+    def _fit(self):
+        X, y = self._X, self._y
+        n, p = X.shape
+        K = len(self.models)
+        column_sets = self._cols if self._full is not None else self._cols + [list(range(p))]
+        full = K if self._full is None else self._full
         groups: dict[int, list[int]] = {}
         for k, cols in enumerate(column_sets):
             groups.setdefault(len(cols), []).append(k)
         rss = np.empty(len(column_sets))
         B = np.zeros((len(column_sets), p))
-        G = np.zeros((len(column_sets), p, p))
+        self._factors = []
         failures = []
         for d, members in groups.items():
             if n < d:
@@ -204,45 +258,27 @@ class LinearQFactory:
             beta = np.linalg.solve(R, (Q.transpose(0, 2, 1) @ y)[:, :, None])[:, :, 0]
             rss[idx] = np.sum((y - (X_stack @ beta[:, :, None])[:, :, 0]) ** 2, axis=1)
             B[idx[:, None], cols] = beta
-            R_inv = np.linalg.inv(R)
-            G[idx[:, None, None], cols[:, :, None], cols[:, None, :]] = R_inv @ R_inv.transpose(0, 2, 1)
+            self._factors.append((idx, cols, R))
             if full in members:
-                R_full = R[members.index(full)]
+                self._R_full = R[members.index(full)]
         if failures:
             k, message = min(failures)
             raise SingularDesignError(message, model=self.models[k] if k < K else None)
-
         self.beta_full = B[full]
         self.sigma2 = float(rss[full] / n)
-        self._rss = rss[:K]
-        self._B = B[:K]
-        self._B.flags.writeable = False
-        self._G = G[:K].reshape(K * p, p)
-        self._sigma_R_full = np.sqrt(self.sigma2) * R_full
+        return B[:K], _gaussian_profile_loglik(rss[:K], n)
 
-    def padded_betas(self) -> np.ndarray:
-        """Read-only K x p coefficients, zero where a candidate leaves a column out."""
-        return self._B
+    def _fit_plug_in(self):
+        """B and beta_full, the inverse Grams from the kept R factors, and sigma_full R_full."""
+        K, p = self._B.shape
+        G = np.zeros((K + 1, p, p))  # row K: the full design when it is not a candidate
+        for idx, cols, R in self._factors:
+            R_inv = np.linalg.inv(R)
+            G[idx[:, None, None], cols[:, :, None], cols[:, None, :]] = R_inv @ R_inv.transpose(0, 2, 1)
+        return self._B, self.beta_full, G[:K].reshape(K * p, p), np.sqrt(self.sigma2) * self._R_full
 
     def model_betas(self) -> list[np.ndarray]:
         return [beta[model.column_indices()] for beta, model in zip(self._B, self.models)]
-
-    def logliks(self) -> np.ndarray:
-        """Gaussian profile log-likelihoods, as ``ols_fit`` gives them (+inf for an exact fit)."""
-        return np.array([_gaussian_profile_loglik(rss, self.n) for rss in self._rss])
-
-    def dims(self) -> np.ndarray:
-        return np.array([model.dim for model in self.models])
-
-    def per_model_values(self, x_star: np.ndarray) -> np.ndarray:
-        """x_k*' beta_k for every candidate (the per-model functional estimates)."""
-        return self._B @ _checked_point(x_star, self._B.shape[1])
-
-    def q_form(self, x_star: np.ndarray) -> QuadraticForm:
-        x_star = _checked_point(x_star, self._B.shape[1])
-        bias = self._B @ x_star - x_star @ self.beta_full
-        G_x = (self._G @ x_star).reshape(bias.shape[0], -1)
-        return QuadraticForm.from_parts(bias, self._sigma_R_full @ G_x.T)
 
 
 def build_q_linear(
@@ -257,66 +293,37 @@ def build_q_linear(
     return LinearQFactory(X, y, models).q_form(x_star)
 
 
-class LogisticQFactory:
+class LogisticQFactory(_CandidateFactory):
     """Every candidate's logistic fit on one (X, y), reusable across many x*.
 
     The fit runs each candidate's MLE once, in list order, so a failure
-    names the first failing candidate.  The first ``q_form`` fits the
-    truth plug-in once: the full-model MLE (the candidate's own fit when
-    the full design is a candidate, else one more fit, which names no
-    model when it fails), each candidate's pseudo-fit against the full
-    model's fitted probabilities p_full, with the R factor R_k of its
-    weighted design sqrt(p_k(1-p_k)) X_k, and the R factor R_w of
-    W_full^{1/2} X.  The full model's pseudo-fit is its own MLE, so that
-    solve is skipped.  The ``aic`` and ``equal`` schemes never need the
-    plug-in, so they pay for no pseudo-fit.
-
-    The plug-in keeps the padded inverse Grams G_k = R_k^{-1} R_k^{-T}
-    (K x p x p), as ``LinearQFactory`` does, so each x* then costs a few
-    matmuls: the per-model values are expit(B x*) with B the padded MLEs,
-    and column k of the p x K Gram factor is R_w S_k M_k^{-1} x_k*
-    p_k*(1-p_k*) = R_w (G x*)_k p_k*(1-p_k*), with M_k = R_k'R_k.
+    names the first failing candidate; ``fits`` keeps the results.  The
+    link is ``expit``.  The first ``q_form`` fits the truth plug-in once:
+    the full-model MLE (the candidate's own fit when the full design is a
+    candidate, else one more fit, which names no model when it fails),
+    each candidate's pseudo-fit against the full model's fitted
+    probabilities p_full, with the R factor R_k of its weighted design
+    sqrt(p_k(1-p_k)) X_k, and R = R_w, the R factor of W_full^{1/2} X.
+    The full model's pseudo-fit is its own MLE, so that solve is skipped.
+    Column k of the Gram factor is then R_w S_k M_k^{-1} x_k* p_k*(1-p_k*)
+    = R_w (G x*)_k p_k*(1-p_k*), with M_k = R_k'R_k.
     """
 
-    def __init__(self, X: np.ndarray, y: np.ndarray, models: Sequence[CandidateModel]):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if X.ndim != 2:
-            raise DataError("design matrix must be 2-d")
-        n, p = X.shape
-        if y.ndim != 1 or y.shape[0] != n:
-            raise DataError("y must be a vector with one entry per design row")
-        self.models = list(models)
-        self._X = X
-        self._y = y
-        self._cols = [model.column_indices() for model in self.models]
-        for cols in self._cols:
-            if cols[-1] >= p:
-                raise DataError(f"design has {p} columns, model needs column {cols[-1]}")
-        self._designs = [X[:, cols] for cols in self._cols]
+    _link = staticmethod(expit)
+    _slope = staticmethod(lambda p: p * (1.0 - p))
+
+    def _fit(self):
+        self._designs = [self._X[:, cols] for cols in self._cols]
         self.fits = [
-            logistic_mle(X_k, y, model=model) for X_k, model in zip(self._designs, self.models)
+            logistic_mle(X_k, self._y, model=model) for X_k, model in zip(self._designs, self.models)
         ]
-        self._B = np.zeros((len(self.models), p))
+        B = np.zeros((len(self.models), self._X.shape[1]))
         for k, (cols, fit) in enumerate(zip(self._cols, self.fits)):
-            self._B[k, cols] = fit.beta
-        full_cols = list(range(p))
-        self._full = self._cols.index(full_cols) if full_cols in self._cols else None
-        self._plug_in = None
-
-    def logliks(self) -> np.ndarray:
-        """Bernoulli log-likelihoods at each candidate's MLE."""
-        return np.array([fit.loglik for fit in self.fits])
-
-    def dims(self) -> np.ndarray:
-        return np.array([model.dim for model in self.models])
-
-    def per_model_values(self, x_star: np.ndarray) -> np.ndarray:
-        """p(x_k*' beta_k) for every candidate's MLE (the per-model functional estimates)."""
-        return expit(self._B @ _checked_point(x_star, self._B.shape[1]))
+            B[k, cols] = fit.beta
+        return B, np.array([fit.loglik for fit in self.fits])
 
     def _fit_plug_in(self):
-        """Padded pseudo-fit coefficients (full MLE last), padded inverse Grams, and R_w."""
+        """Padded pseudo-fit coefficients, the full MLE, padded inverse Grams, and R_w."""
         X = self._X
         K, p = self._B.shape
         if self._full is None:
@@ -325,8 +332,7 @@ class LogisticQFactory:
             beta_full = self.fits[self._full].beta
         p_full = expit(X @ beta_full)
         sqrt_w_full = np.sqrt(p_full * (1.0 - p_full))
-        B = np.zeros((K + 1, p))
-        B[K] = beta_full
+        B = np.zeros((K, p))
         G = np.zeros((K, p, p))
         for k, (model, cols, X_k) in enumerate(zip(self.models, self._cols, self._designs)):
             if k == self._full:
@@ -343,19 +349,7 @@ class LogisticQFactory:
                 R_w = R_k
         if self._full is None:
             _, R_w = qr_factor(sqrt_w_full[:, None] * X)
-        return B, G.reshape(K * p, p), R_w
-
-    def q_form(self, x_star: np.ndarray) -> QuadraticForm:
-        x_star = _checked_point(x_star, self._B.shape[1])
-        if self._plug_in is None:
-            self._plug_in = self._fit_plug_in()
-        B, G, R_w = self._plug_in
-        K = len(self.models)
-        probs = expit(B @ x_star)
-        p_star = probs[:K]
-        slopes = p_star * (1.0 - p_star)
-        V = (G @ x_star).reshape(K, -1).T * slopes
-        return QuadraticForm.from_parts(p_star - probs[K], R_w @ V)
+        return B, beta_full, G.reshape(K * p, p), R_w
 
 
 def build_q_logistic(

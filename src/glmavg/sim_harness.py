@@ -29,10 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .averaging import (
+    _PREDICTORS,
     SCHEMES,
     Functional,
-    LinearAveragingPredictor,
-    LogisticAveragingPredictor,
     fit_and_average_logistic,  # no longer called here; perfbench/tracer.py looks it up here
 )
 from .errors import DataError, GlmavgError
@@ -186,10 +185,7 @@ def _one_replication(config: StudyConfig, rep: int, tags, oracle_support, X_fixe
     else:
         y = (rng.random(n) < expit(eta)).astype(float)
 
-    if config.family == "linear":
-        predictor = LinearAveragingPredictor(X, y, config.candidate_set)
-    else:
-        predictor = LogisticAveragingPredictor(X, y, config.candidate_set)
+    predictor = _PREDICTORS[config.family](X, y, config.candidate_set)
     values = [predictor.predict(config.x_star, scheme).value for scheme in config.schemes]
     if oracle_support in config.candidate_set.models:
         # the oracle is a candidate, so the predictor has fit it already

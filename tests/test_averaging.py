@@ -4,6 +4,7 @@ from scipy.special import expit
 
 from oracles import aic_weights_reference
 
+import glmavg.averaging as averaging
 import glmavg.mse_weights as mse_weights
 from glmavg import (
     CandidateModel,
@@ -427,6 +428,21 @@ class TestPredictionBand:
                 n_sub=n_sub, n_reps=5, sigma=1.0, level=0.9, seed=0,
             )
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [({"n_sub": 2}, "n_sub"), ({"scheme": "bogus"}, "scheme")],
+        ids=["n_sub-below-columns", "unknown-scheme"],
+    )
+    def test_bad_arguments_rejected_before_any_draw(self, monkeypatch, bad, message):
+        def no_draw(*args):
+            raise AssertionError("a subsample was drawn before the arguments were checked")
+
+        monkeypatch.setattr(averaging, "substream", no_draw)
+        X, y = self._pool()
+        kwargs = dict(n_sub=20, n_reps=5, sigma=1.0, level=0.9, seed=0) | bad
+        with pytest.raises(DataError, match=message):
+            prediction_band(X, y, np.array([1.0, 0.0, 0.0]), nested_sequence(1, 2), **kwargs)
+
     def test_bad_level(self):
         X, y = self._pool()
         with pytest.raises(DataError):
@@ -434,6 +450,20 @@ class TestPredictionBand:
                 X, y, np.array([1.0, 0.0, 0.0]), nested_sequence(1, 2),
                 n_sub=20, n_reps=5, sigma=1.0, level=1.5, seed=0,
             )
+
+
+@pytest.mark.parametrize(
+    "fit, functional",
+    [(fit_and_average_linear, Functional.linear_point), (fit_and_average_logistic, Functional.logistic_point)],
+    ids=["linear", "logistic"],
+)
+def test_unknown_scheme_is_rejected_before_any_fit(fit, functional):
+    # column 2 duplicates column 1, so the full model's fit would raise first
+    X, y, _ = _linear_data(seed=19, q=2)
+    X[:, 2] = X[:, 1]
+    y = (y > np.median(y)).astype(float)
+    with pytest.raises(DataError, match="scheme"):
+        fit(X, y, nested_sequence(1, 2), functional(np.array([1.0, 0.2, -0.3])), "bogus")
 
 
 def test_estimate_serializes():

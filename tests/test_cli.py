@@ -395,8 +395,9 @@ class TestBandCommand:
             (["--sigma", "-1"], "sigma must be finite and non-negative"),
             (["--sigma", "nan"], "sigma must be finite and non-negative"),
             (["--n-sub", "0"], "n_sub must be at least 1"),
+            (["--n-sub", "2"], "n_sub=2 is below the design's 3 columns"),
         ],
-        ids=["negative-sigma", "nan-sigma", "zero-n-sub"],
+        ids=["negative-sigma", "nan-sigma", "zero-n-sub", "n-sub-below-columns"],
     )
     def test_bad_band_arguments_are_data_errors(self, linear_csv, tmp_path, flags, message, capsys):
         test_path = tmp_path / "test.csv"

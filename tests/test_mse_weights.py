@@ -12,9 +12,11 @@ from oracles import (
     random_psd,
 )
 
+import glmavg.mse_weights as mse_weights
 from glmavg import (
     CandidateModel,
     DataError,
+    LinearAveragingPredictor,
     LinearQFactory,
     LogisticQFactory,
     NonConvergenceError,
@@ -32,6 +34,7 @@ from glmavg import (
     logistic_pseudo_fit,
     ols_fit,
     project_simplex,
+    select_best_subset,
     solve_simplex_qp,
     split,
     subset_columns,
@@ -140,6 +143,25 @@ class TestLinearQFactory:
         with pytest.raises(SingularDesignError) as excinfo:
             LinearQFactory(X, y, models)
         assert excinfo.value.model is None
+
+    def test_inverse_grams_wait_for_the_first_q_form(self, monkeypatch):
+        # selection and the aic/equal schemes read only the candidate fits
+        class Inverted(Exception):
+            pass
+
+        def no_inverse(*args, **kwargs):
+            raise Inverted
+
+        monkeypatch.setattr(mse_weights.np.linalg, "inv", no_inverse)
+        ds = synthetic_prostate()
+        train, test = split(ds, 67, seed=derive_seed(0, "prostate-split", 0))
+        for rule in ("cv", "aic"):
+            select_best_subset(train, select_by=rule)
+        predictor = LinearAveragingPredictor(train.design, train.response, enumerate_all_subsets(1, 8))
+        for scheme in ("aic", "equal"):
+            predictor.predict(test.design[0], scheme)
+        with pytest.raises(Inverted):
+            predictor.factory.q_form(test.design[0])
 
     def test_all_subsets_gram_factor_is_p_by_k_and_matches_double_sum(self):
         X, y, x_star = _linear_instance(9, n=40, q=8)
@@ -556,6 +578,12 @@ class TestQuadraticForm:
     def test_from_parts_shape_validation(self):
         with pytest.raises(DataError):
             QuadraticForm.from_parts(np.ones(3), np.ones((5, 2)))
+
+    def test_from_parts_copies_the_callers_arrays(self):
+        b, A = np.ones(3), np.ones((2, 3))
+        qf = QuadraticForm.from_parts(b, A)
+        assert b.flags.writeable and A.flags.writeable
+        assert not qf.bias.flags.writeable and not qf.gram_factor.flags.writeable
 
     def test_matrix_reproduces_parts(self):
         rng = np.random.default_rng(13)
