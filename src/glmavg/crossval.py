@@ -9,8 +9,11 @@ the test rows, and errors are averaged over repeats.
 predictors; the subset is chosen inside the training split only —
 either by 5-fold cross-validation (default) or by training AIC — then
 refit on the whole training split and scored once on the test split.
-Selection fits all 2^q candidates at once through ``LinearQFactory``:
-one factory per inner fold (or one on the training split for AIC).
+Each repeat fits the training split once, in one ``LinearQFactory``
+(the split factory), and every method reads from it: the full model's
+coefficients, the AIC rule's log-likelihoods, the chosen subset's
+coefficients and the averaging predictor's candidates.  Inner CV folds
+fit all 2^q candidates in one factory per fold.
 """
 
 from __future__ import annotations
@@ -22,12 +25,12 @@ import numpy as np
 from .averaging import LinearAveragingPredictor
 from .dataio import Dataset, split
 from .errors import DataError
-from .glm_fit import ols_fit
-from .model_space import ModelSet, enumerate_all_subsets, subset_columns
+from .model_space import ModelSet, enumerate_all_subsets
 from .mse_weights import LinearQFactory, aic_values
 from .rng import derive_seed, substream
 
 DEFAULT_METHODS = ("avg_optimal", "avg_aic", "best_subset", "full_model")
+_SCHEMES = {"avg_optimal": "optimal", "avg_aic": "aic"}  # averaging method -> weighting scheme
 SELECTION_RULES = ("cv", "aic")
 _TRAIN_FRACTION = 67 / 97  # the stock prostate protocol's 67/30 split, kept proportional
 
@@ -54,24 +57,28 @@ class CvReport:
         }
 
 
-def _default_n_train(n: int) -> int:
-    n_train = int(round(n * _TRAIN_FRACTION))
-    return min(max(n_train, 1), n - 1)
-
-
-def _test_mse(beta: np.ndarray, model, test: Dataset) -> float:
-    X_test = subset_columns(test.design, model)
-    return float(np.mean((test.response - X_test @ beta) ** 2))
-
-
-def _cv_folds(n: int, n_folds: int, seed: int, repeat: int):
-    perm = substream(seed, "folds", repeat).permutation(n)
-    return np.array_split(perm, n_folds)
-
-
 def _check_select_by(select_by: str) -> None:
     if select_by not in SELECTION_RULES:
         raise DataError(f"unknown selection rule {select_by!r}; expected one of {SELECTION_RULES}")
+
+
+def _select(train: Dataset, candidates, select_by: str, factory, seed, repeat, n_folds=5) -> int:
+    """Index of the candidate that the rule picks on ``train``; ties go to the earlier one.
+
+    The AIC rule reads ``factory``, which the caller fits on ``train``
+    over ``candidates``.  The CV rule ignores it: it fits one factory
+    per inner fold and scores every candidate at once with one product
+    of the held-out design and the padded coefficients.
+    """
+    if select_by == "aic":
+        return int(np.argmin(aic_values(factory.logliks(), factory.dims())))
+    scores = np.zeros(len(candidates))
+    for fold in np.array_split(substream(seed, "folds", repeat).permutation(train.n), n_folds):
+        inner_train, held_out = train.take(np.setdiff1d(np.arange(train.n), fold)), train.take(fold)
+        fold_fit = LinearQFactory(inner_train.design, inner_train.response, candidates)
+        residuals = held_out.response[:, None] - held_out.design @ fold_fit.padded_betas().T
+        scores += np.mean(residuals**2, axis=0) * fold.size
+    return int(np.argmin(scores))
 
 
 def select_best_subset(
@@ -86,26 +93,16 @@ def select_best_subset(
 
     Returns the winning CandidateModel.  Ties break toward the earlier
     model in enumeration order, which is also the smaller index set.
-    Each inner fold fits every candidate in one ``LinearQFactory`` and
-    scores them all with one product of the held-out design and the
-    padded coefficients.  More than ``MAX_ENUMERABLE_Q`` optional
+    The CV rule fits every candidate in one ``LinearQFactory`` per inner
+    fold; the AIC rule fits them in one factory on ``train``.
+    ``cv_compare`` applies the same rules and reads the AIC rule's fits
+    from its split factory.  More than ``MAX_ENUMERABLE_Q`` optional
     predictors raise ``CapacityError``.
     """
     _check_select_by(select_by)
     candidates = enumerate_all_subsets(1, train.d - 1)
-    if select_by == "aic":
-        factory = LinearQFactory(train.design, train.response, candidates)
-        return candidates[int(np.argmin(aic_values(factory.logliks(), factory.dims())))]
-
-    scores = np.zeros(len(candidates))
-    for fold in _cv_folds(train.n, n_folds, seed, repeat):
-        mask = np.ones(train.n, dtype=bool)
-        mask[fold] = False
-        inner_train, held = train.take(np.flatnonzero(mask)), train.take(fold)
-        factory = LinearQFactory(inner_train.design, inner_train.response, candidates)
-        residuals = held.response[:, None] - held.design @ factory.padded_betas().T
-        scores += np.mean(residuals**2, axis=0) * fold.size
-    return candidates[int(np.argmin(scores))]
+    factory = LinearQFactory(train.design, train.response, candidates) if select_by == "aic" else None
+    return candidates[_select(train, candidates, select_by, factory, seed, repeat, n_folds)]
 
 
 def best_subset_cv(
@@ -147,10 +144,21 @@ def cv_compare(
 
     Averaging methods predict each test row with x* set to that row's
     covariates (weights re-solved per row for the optimal scheme; AIC
-    weights depend on the training fit only).  Each repeat's split and
-    fold seeds derive from (seed, repeat).  Repeats run serially in
-    index order; ``workers`` is accepted for compatibility and does not
-    change the schedule or the report.
+    weights depend on the training fit only).  Each repeat fits one
+    split factory on its training rows, and every method's test
+    predictions come from it.  It holds ``models`` (default: all
+    subsets) when an averaging method is requested; otherwise all
+    subsets when ``best_subset`` selects by AIC; otherwise the CV rule's
+    chosen subset, or no candidate for ``full_model`` alone.  It always
+    fits the full design.  Only the inner CV folds and a ``best_subset``
+    that needs subsets a custom ``models`` set lacks fit outside it.
+
+    Each repeat's split and fold seeds derive from (seed, repeat).
+    Repeats run serially in index order; ``workers`` is accepted for
+    compatibility and does not change the schedule or the report.
+    A method named twice, or a training split too small for the full
+    design (or, under the CV rule, for its inner folds), raises
+    ``DataError`` before any split.
     """
     if dataset.family != "linear":
         raise DataError("cv_compare supports the linear family only")
@@ -159,10 +167,18 @@ def cv_compare(
     unknown = set(methods) - set(DEFAULT_METHODS)
     if unknown:
         raise DataError(f"unknown methods {sorted(unknown)}; expected subset of {DEFAULT_METHODS}")
+    if len(set(methods)) < len(methods):
+        raise DataError(f"methods {list(methods)} name a method more than once")
     _check_select_by(select_by)
     if n_train is None:
-        n_train = _default_n_train(dataset.n)
-    if models is None and {"avg_optimal", "avg_aic"} & set(methods):
+        n_train = min(max(int(round(dataset.n * _TRAIN_FRACTION)), 1), dataset.n - 1)
+    cv_best = "best_subset" in methods and select_by == "cv"
+    fit_rows = n_train - (n_train + 4) // 5 if cv_best else n_train  # less the largest of 5 inner folds
+    if fit_rows < dataset.d:
+        raise DataError(f"n_train={n_train} leaves {fit_rows} rows to fit the design's {dataset.d} columns")
+    averaging = [m for m in methods if m in _SCHEMES]
+    subsets = enumerate_all_subsets(1, dataset.d - 1) if "best_subset" in methods else []
+    if models is None and averaging:
         models = enumerate_all_subsets(1, dataset.d - 1)
     if models is not None and models.p_fixed + models.q != dataset.d:
         raise DataError(
@@ -171,31 +187,31 @@ def cv_compare(
         )
 
     per_repeat = []
-    errors: dict[str, list[float]] = {m: [] for m in methods}
     for repeat in range(n_repeats):
         train, test = split(dataset, n_train, derive_seed(seed, "cv-split", repeat))
-        predictor = None
-        if {"avg_optimal", "avg_aic"} & set(methods):
-            predictor = LinearAveragingPredictor(train.design, train.response, models)
+        chosen = subsets[_select(train, subsets, "cv", None, seed, repeat)] if cv_best else None
+        needed = [chosen] if cv_best else list(subsets)  # the candidates best_subset reads
+        held = list(models) if averaging else needed  # the split factory holds only what is read
+        predictor = LinearAveragingPredictor(train.design, train.response, held)
+        preds = {"full_model": test.design @ predictor.factory.beta_full}
+        if "best_subset" in methods:
+            source = predictor.factory
+            if held != needed and chosen not in held:  # a custom ``models`` set lacks them
+                source = LinearQFactory(train.design, train.response, needed)
+            if not cv_best:
+                chosen = subsets[_select(train, subsets, "aic", source, seed, repeat)]
+            cols = chosen.column_indices()
+            beta = source.padded_betas()[source.models.index(chosen)]
+            preds["best_subset"] = test.design[:, cols] @ beta[cols]
+        for method in averaging:
+            preds[method] = np.array([predictor.predict(x, _SCHEMES[method]).value for x in test.design])
         for method in methods:
-            if method == "full_model":
-                fit = ols_fit(train.design, train.response)
-                err = float(np.mean((test.response - test.design @ fit.beta) ** 2))
-            elif method == "best_subset":
-                model = select_best_subset(train, select_by=select_by, seed=seed, repeat=repeat)
-                fit = ols_fit(subset_columns(train.design, model), train.response, model=model)
-                err = _test_mse(fit.beta, model, test)
-            else:
-                scheme = "optimal" if method == "avg_optimal" else "aic"
-                preds = np.array(
-                    [predictor.predict(test.design[i], scheme).value for i in range(test.n)]
-                )
-                err = float(np.mean((test.response - preds) ** 2))
-            errors[method].append(err)
+            err = float(np.mean((test.response - preds[method]) ** 2))
             per_repeat.append({"repeat": repeat, "method": method, "error": err})
 
+    mean_errors = {m: float(np.mean([r["error"] for r in per_repeat if r["method"] == m])) for m in methods}
     return CvReport(
-        mean_errors={m: float(np.mean(errors[m])) for m in methods},
+        mean_errors=mean_errors,
         per_repeat=per_repeat,
         n_train=n_train,
         n_test=dataset.n - n_train,

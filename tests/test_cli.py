@@ -11,6 +11,8 @@ from glmavg import nested_sequence, save_csv, synthetic_prostate
 from glmavg.cli import main
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+# `glmavg cv` argument lists (paths relative to the repo root) mapped to their exact stdout
+CV_GOLDEN = json.loads((SRC.parent / "tests" / "data" / "cv_golden.json").read_text())
 
 
 def test_cli_import_loads_no_scipy():
@@ -348,6 +350,32 @@ class TestCvCommand:
         ])
         assert rc == 0
         assert "best_subset" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args", sorted(CV_GOLDEN))
+    def test_output_matches_golden_text(self, args, monkeypatch, capsys):
+        monkeypatch.chdir(SRC.parent)
+        assert main(args.split()) == 0
+        assert capsys.readouterr().out == CV_GOLDEN[args]
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--n-train", "8"], "n_train=8 leaves 6 rows to fit the design's 9 columns"),
+            (["--n-train", "5", "--methods", "full_model"], "n_train=5 leaves 5 rows"),
+            (["--n-train", "11", "--methods", "best_subset"], "n_train=11 leaves 8 rows"),
+            (["--methods", "full_model,full_model"], "name a method more than once"),
+        ],
+        ids=["n-train-8", "n-train-5", "inner-fold-8", "repeated-method"],
+    )
+    def test_bad_split_or_methods_are_data_errors(self, extra, message, monkeypatch, capsys):
+        monkeypatch.chdir(SRC.parent)
+        rc = main([
+            "cv", "--data", "data/prostate_synth.csv", "--response", "lpsa", "--reps", "2", *extra,
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 class TestBandCommand:

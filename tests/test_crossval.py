@@ -4,6 +4,7 @@ import pytest
 from oracles import select_best_subset_reference
 
 import glmavg.crossval as crossval
+import glmavg.glm_fit as glm_fit
 from glmavg import (
     CandidateModel,
     CapacityError,
@@ -141,6 +142,40 @@ class TestCvCompare:
         with pytest.raises(DataError):
             cv_compare(_dataset(), methods=("ridge",), n_repeats=1)
 
+    def test_rejects_repeated_method(self):
+        with pytest.raises(DataError, match="name a method more than once"):
+            cv_compare(_dataset(), methods=("full_model", "full_model"), n_repeats=1)
+
+    @pytest.mark.parametrize(
+        "n_train, methods, select_by, message",
+        [
+            (8, crossval.DEFAULT_METHODS, "cv", "n_train=8 leaves 6 rows to fit the design's 9 columns"),
+            (5, ("full_model",), "aic", "n_train=5 leaves 5 rows to fit the design's 9 columns"),
+            (11, ("best_subset",), "cv", "n_train=11 leaves 8 rows to fit the design's 9 columns"),
+            (10, ("full_model", "best_subset"), "cv", "n_train=10 leaves 8 rows"),
+        ],
+    )
+    def test_rejects_training_split_too_small_before_any_split(
+        self, monkeypatch, n_train, methods, select_by, message
+    ):
+        # every method fits the full design on the split, and the CV rule on each inner fold
+        def no_split(*args, **kwargs):
+            raise AssertionError("a split was drawn")
+
+        monkeypatch.setattr(crossval, "split", no_split)
+        with pytest.raises(DataError, match=message):
+            cv_compare(synthetic_prostate(), methods=methods, n_train=n_train, select_by=select_by)
+
+    @pytest.mark.parametrize(
+        "n_train, methods, select_by",
+        [(9, ("full_model",), "cv"), (11, ("best_subset",), "aic"), (12, ("best_subset",), "cv")],
+    )
+    def test_smallest_legal_training_split_runs(self, n_train, methods, select_by):
+        report = cv_compare(
+            synthetic_prostate(), methods=methods, n_repeats=1, n_train=n_train, select_by=select_by
+        )
+        assert np.isfinite(list(report.mean_errors.values())).all()
+
     @pytest.mark.parametrize("methods", [("full_model",), ("avg_aic", "best_subset")])
     def test_rejects_unknown_selection_rule_before_any_split(self, monkeypatch, methods):
         def no_split(*args, **kwargs):
@@ -174,6 +209,45 @@ class TestCvCompare:
         threaded = cv_compare(ds, **kwargs, workers=3)
         assert serial.mean_errors == threaded.mean_errors
         assert serial.per_repeat == threaded.per_repeat
+
+
+class TestSplitFactory:
+    """Each repeat fits its training rows once; only inner CV folds fit apart from it."""
+
+    N_TRAIN = 67  # the default split of the 97 prostate rows
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        # (rows, K) of every LinearQFactory built, as crossval sees the class
+        record = []
+        init = crossval.LinearQFactory.__init__
+
+        def recording_init(factory, X, y, models):
+            models = list(models)
+            record.append((np.shape(X)[0], len(models)))
+            init(factory, X, y, models)
+
+        def no_ols_fit(*args, **kwargs):
+            raise AssertionError("ols_fit was called")
+
+        monkeypatch.setattr(crossval.LinearQFactory, "__init__", recording_init)
+        monkeypatch.setattr(glm_fit, "ols_fit", no_ols_fit)
+        monkeypatch.setattr(crossval, "ols_fit", no_ols_fit, raising=False)
+        return record
+
+    def test_aic_rule_fits_each_split_once(self, builds):
+        cv_compare(synthetic_prostate(), n_repeats=2, select_by="aic")
+        assert builds == [(self.N_TRAIN, 256)] * 2
+
+    def test_cv_rule_adds_only_the_inner_folds(self, builds):
+        cv_compare(synthetic_prostate(), n_repeats=2, select_by="cv")
+        # the 67 rows fall into folds of 14, 14, 13, 13 and 13
+        folds = [(53, 256)] * 2 + [(54, 256)] * 3
+        assert builds == (folds + [(self.N_TRAIN, 256)]) * 2
+
+    def test_best_subset_alone_fits_only_the_chosen_subset_on_the_split(self, builds):
+        cv_compare(synthetic_prostate(), methods=("best_subset",), n_repeats=2, select_by="cv")
+        assert [b for b in builds if b[0] == self.N_TRAIN] == [(self.N_TRAIN, 1)] * 2
 
 
 @pytest.mark.slow
