@@ -141,12 +141,14 @@ class PredictionBand:
 
 
 def average_estimate(weights: np.ndarray, per_model: np.ndarray) -> float:
-    """Dot product of simplex weights with per-model estimates."""
+    """Dot product of simplex weights with finite per-model estimates."""
     weights = np.asarray(weights, dtype=float)
     per_model = np.asarray(per_model, dtype=float)
     if weights.shape != per_model.shape:
         raise DataError("weights and per-model values must have the same length")
-    if np.any(weights < -1e-9) or abs(weights.sum() - 1.0) > 1e-9:
+    if not (np.isfinite(weights).all() and np.isfinite(per_model).all()):
+        raise DataError("weights and per-model values must be finite")
+    if abs(weights.sum() - 1.0) > 1e-9 or weights.min() < -1e-9:
         raise DataError("weights must lie on the probability simplex")
     return float(weights @ per_model)
 

@@ -40,7 +40,11 @@ Optimal weights minimise w'Qhat w over the probability simplex.  Since
 Qhat = M'M with M = [b'; A], that is the search for the point of
 conv{columns of M} nearest the origin, which Wolfe's algorithm ("Finding
 the nearest point in a polytope", Math. Programming 11, 1976) solves
-exactly in finitely many steps from b and A alone.  Every weight vector
+exactly in finitely many steps from b and A alone.  Its corral systems,
+at most p + 2 square and about ten per prostate prediction, go to LAPACK
+``gesv`` through numpy's own gufunc (``glm_fit.lapack_solve``): the same
+bits as ``np.linalg.solve`` without its per-call wrapper, which cost
+about 6 of 8 us per call and a third of the solve.  Every weight vector
 returned is certified: its KKT residual, recomputed from M, is at most
 2e-12 max_k Q_kk, and otherwise ``NumericalError`` is raised.  The
 weights need not be unique, since faces of the hull can be affinely
@@ -63,6 +67,7 @@ from .glm_fit import (
     _gaussian_profile_loglik,
     expit,
     ill_conditioned,
+    lapack_solve,
     logistic_mle,
     logistic_pseudo_fit,
     qr_factor,
@@ -442,13 +447,14 @@ def _points(q: QuadraticForm | np.ndarray) -> np.ndarray:
     minimiser.
     """
     if isinstance(q, QuadraticForm):
-        if not (np.all(np.isfinite(q.bias)) and np.all(np.isfinite(q.gram_factor))):
+        P = np.column_stack([q.bias, q.gram_factor.T])
+        if not np.isfinite(P).all():
             raise NumericalError("non-finite entries in the quadratic form")
-        return np.column_stack([q.bias, q.gram_factor.T])
+        return P
     Q = np.asarray(q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or Q.shape[0] == 0:
         raise DataError("Q must be a non-empty square matrix")
-    if not np.all(np.isfinite(Q)):
+    if not np.isfinite(Q).all():
         raise NumericalError("non-finite entries in the quadratic form")
     lam, V = np.linalg.eigh(0.5 * (Q + Q.T))
     return V * np.sqrt(lam - min(0.0, lam[0]))
@@ -469,59 +475,70 @@ def _nearest_point(P: np.ndarray, sq_norms: np.ndarray, max_iter: int):
     stops that, the loop stops too and leaves the verdict to the caller's
     KKT certificate instead of cycling.  Returns the weights and the
     number of major cycles.
+
+    The corral's points S are kept as a C-contiguous array: a point that
+    enters is appended and the points that leave are masked out, so S S'
+    takes the same BLAS path on every cycle.  The corral system, at most
+    p + 2 square, goes straight to LAPACK ``gesv`` through
+    ``lapack_solve``, the gufunc behind ``np.linalg.solve``: the bits are
+    the same, and the wrapper's checks and ``errstate`` block, about 6 of
+    its 8 us on 8 x 8 and a third of a prostate row's solve at about 10
+    corral solves per row, are skipped.  One ``errstate`` covers the
+    whole loop, and a singular system, which comes back as NaNs, raises
+    ``NumericalError``.
     """
     stop = _GAP_TOL * float(sq_norms.max())
-    norms = sq_norms.tolist()
     ones = np.ones(P.shape[0])
     corral = [int(sq_norms.argmin())]
-    c = norms[corral[0]]
+    c = float(sq_norms[corral[0]])
     w = np.ones(1)
-    S = P.take(corral, axis=0)
+    S = P[corral]
     last = math.inf
-    for cycle in range(1, max_iter + 1):
-        x = w @ S
-        g = P @ x
-        j = int(g.argmin())
-        xx = float(x @ x)
-        if xx - float(g[j]) <= stop or xx >= last:
-            weights = np.zeros(P.shape[0])
-            weights[corral] = w
-            return weights, cycle
-        last = xx
-        corral.append(j)
-        c = max(c, norms[j])
-        w = np.concatenate((w, _ZERO))
-        while True:
-            # On sum(u) = 1, u'(S S' + c 11')u = u'S S'u + c for any c > 0, so
-            # the affine minimiser is proportional to (S S' + c 11')^{-1} 1;
-            # c = the corral's largest Q_kk keeps the system on its points' scale.
-            # The system is positive definite, so 1'u > 0 unless the solve broke down.
-            S = P.take(corral, axis=0)
-            A = S @ S.T
-            A += c
-            try:
-                u = np.linalg.solve(A, ones[: len(corral)])
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError("weight solve failed: singular corral system") from exc
-            total = float(u.sum())
-            if not 0.0 < total < math.inf:
-                raise NumericalError(f"weight solve failed: corral system gave 1'u = {total:.3g}")
-            u /= total
-            if u.min() > 0.0:
-                w = u
-                break
-            # Ratio test on Python floats: an affinely independent corral has
-            # at most one point more than P has columns.
-            theta = min(
-                (wk / (wk - uk) for wk, uk in zip(w.tolist(), u.tolist()) if uk <= 0.0 and wk > uk),
-                default=1.0,
-            )
-            w += theta * (u - w)
-            keep = w > _DROP_TOL
-            corral = [k for k, kept in zip(corral, keep.tolist()) if kept]
-            w = w[keep]
-            w /= w.sum()
-            c = max(norms[k] for k in corral)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for cycle in range(1, max_iter + 1):
+            x = w @ S
+            g = P @ x
+            j = int(g.argmin())
+            xx = float(x @ x)
+            if xx - float(g[j]) <= stop or xx >= last:
+                weights = np.zeros(P.shape[0])
+                weights[corral] = w
+                return weights, cycle
+            last = xx
+            corral.append(j)
+            S = np.concatenate((S, P[j : j + 1]))
+            c = max(c, float(sq_norms[j]))
+            w = np.concatenate((w, _ZERO))
+            while True:
+                # On sum(u) = 1, u'(S S' + c 11')u = u'S S'u + c for any c > 0, so
+                # the affine minimiser is proportional to (S S' + c 11')^{-1} 1;
+                # c = the corral's largest Q_kk keeps the system on its points' scale.
+                # The system is positive definite, so 1'u > 0 unless the solve broke down.
+                A = S @ S.T
+                A += c
+                u = lapack_solve(A, ones[: len(corral)])
+                total = float(u.sum())
+                if not 0.0 < total < math.inf:
+                    if total != total:  # a singular system gives all-NaN u
+                        raise NumericalError("weight solve failed: singular corral system")
+                    raise NumericalError(f"weight solve failed: corral system gave 1'u = {total:.3g}")
+                u /= total
+                if u.min() > 0.0:
+                    w = u
+                    break
+                # Ratio test on Python floats: an affinely independent corral has
+                # at most one point more than P has columns.
+                theta = min(
+                    (wk / (wk - uk) for wk, uk in zip(w.tolist(), u.tolist()) if uk <= 0.0 and wk > uk),
+                    default=1.0,
+                )
+                w += theta * (u - w)
+                keep = w > _DROP_TOL
+                corral = [k for k, kept in zip(corral, keep.tolist()) if kept]
+                S = S[keep]
+                w = w[keep]
+                w /= w.sum()
+                c = float(sq_norms[corral].max())
     raise NumericalError(f"weight solve did not converge in {max_iter} major cycles")
 
 
@@ -551,8 +568,8 @@ def solve_simplex_qp(
     w, cycles = _nearest_point(P, sq_norms, max_iter)
     x = w @ P
     grad = 2.0 * (P @ x)
-    residual = float(np.max(w * (grad - np.min(grad))))
-    bound = _KKT_TOL * float(np.max(sq_norms))
+    residual = float((w * (grad - grad.min())).max())
+    bound = _KKT_TOL * float(sq_norms.max())
     if residual > bound:
         raise NumericalError(f"weight solve not certified: KKT residual {residual:.3g} > {bound:.3g}")
     return WeightSolution(weights=w, objective=float(x @ x), iterations=cycles, kkt_residual=residual)

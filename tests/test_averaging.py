@@ -92,6 +92,17 @@ class TestAverageEstimate:
         with pytest.raises(DataError):
             average_estimate(np.array([1.5, -0.5]), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize(
+        "weights, per_model",
+        [([np.nan, 1.0], [1.0, 2.0]), ([0.5, 0.5], [np.inf, 2.0]), ([1.0, 0.0], [np.nan, 2.0])],
+        ids=["nan-weight", "inf-value", "nan-value"],
+    )
+    def test_non_finite_rejected(self, weights, per_model):
+        # NaN passes both simplex comparisons, and a non-finite value would
+        # come back as the estimate.
+        with pytest.raises(DataError, match="must be finite"):
+            average_estimate(np.array(weights), np.array(per_model))
+
 
 class TestFitAndAverageLinear:
     def test_noiseless_recovery_under_every_scheme(self):

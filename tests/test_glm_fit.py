@@ -17,7 +17,7 @@ from glmavg import (
     pseudo_true_linear,
 )
 from glmavg.glm_fit import expit as glmavg_expit
-from glmavg.glm_fit import qr_factor
+from glmavg.glm_fit import lapack_solve, qr_factor
 
 
 class TestOlsFit:
@@ -247,6 +247,39 @@ class TestLogisticPseudoFit:
     def test_rejects_out_of_range_target(self):
         with pytest.raises(DataError):
             logistic_pseudo_fit(np.ones((3, 1)), np.array([0.2, 1.0, 0.4]))
+
+
+@pytest.mark.filterwarnings("error")
+class TestLapackSolve:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_equals_numpy_solve_bitwise(self, n):
+        # The helper calls numpy's private gufunc; this pins that it is still
+        # the routine behind np.linalg.solve.
+        rng = np.random.default_rng(700 + n)
+        for _ in range(20):
+            M = rng.standard_normal((n, n))
+            A = M @ M.T + n * np.eye(n)
+            b = rng.standard_normal(n)
+            assert lapack_solve(A, b).tobytes() == np.linalg.solve(A, b).tobytes()
+
+    def test_singular_system_gives_nan_without_a_warning(self):
+        with np.errstate(invalid="ignore"):
+            x = lapack_solve(np.ones((3, 3)), np.ones(3))
+        assert np.isnan(x).all()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "fit, target",
+    [(logistic_mle, np.array([0.0, 1.0, 1.0, 1.0, 1.0, 0.0])), (logistic_pseudo_fit, np.full(6, 0.7))],
+    ids=["mle", "pseudo"],
+)
+def test_duplicate_columns_give_singular_hessian(fit, target):
+    # Two equal columns make X'WX exactly singular at the first Newton step.
+    model = CandidateModel((0,), 1)
+    with pytest.raises(SingularDesignError, match="singular Hessian") as info:
+        fit(np.ones((6, 2)), target, model=model)
+    assert info.value.model == model
 
 
 class TestProbVector:

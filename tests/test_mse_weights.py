@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -347,6 +350,18 @@ HARD_PROSTATE_ROWS = {
 }
 
 
+# Real rows whose weights no solve has certified so far: (seed, split, row),
+# split r drawn with seed derive_seed(seed, "prostate-split", r).
+UNCERTIFIED_PROSTATE_ROWS = [(315, 20, 6), (1030, 14, 12)]
+
+# The solver's exact output on prostate seed 0, splits 0-9 x 30 rows, and
+# which of the 750 collinear forms raise; written from the solver before
+# its corral system went through ``lapack_solve``.
+SOLVER_GOLDEN = json.loads(
+    (pathlib.Path(__file__).resolve().parent / "data" / "solver_golden.json").read_text()
+)
+
+
 class TestSolveSimplexQp:
     def test_single_model(self):
         sol = solve_simplex_qp(np.array([[3.0]]))
@@ -440,6 +455,34 @@ class TestSolveSimplexQp:
             residual = float(np.max(sol.weights * (grad - np.min(grad))))
             assert residual <= 1e-12 * max(1.0, float(np.max(np.abs(grad))))
             assert sol.objective == pytest.approx(float(sol.weights @ q.matrix @ sol.weights), rel=1e-12)
+
+    @pytest.mark.parametrize("seed, split_index, row", UNCERTIFIED_PROSTATE_ROWS)
+    def test_real_rows_certify_or_raise(self, seed, split_index, row):
+        # Both rows raised "not certified" when added; a better solve may
+        # certify them, under the bench's relative test, but never return
+        # uncertified weights.
+        train, test = split(synthetic_prostate(), 67, seed=derive_seed(seed, "prostate-split", split_index))
+        q = LinearQFactory(train.design, train.response, enumerate_all_subsets(1, 8)).q_form(test.design[row])
+        try:
+            sol = solve_simplex_qp(q)
+        except NumericalError as exc:
+            print(f"[INFO] seed {seed}, split {split_index}, row {row} raised: {exc}")
+            return
+        grad = 2.0 * (q.matrix @ sol.weights)
+        residual = float(np.max(sol.weights * (grad - np.min(grad))))
+        assert residual <= 1e-12 * max(1.0, float(np.max(np.abs(grad))))
+
+    @pytest.mark.filterwarnings("error")
+    def test_exactly_singular_corral_raises(self):
+        # Three points within 1e-9 of a line: the third to enter makes the
+        # corral system exactly singular in floating point.
+        points = np.array([
+            [1.0727936432643008, 0.34665979847341305],
+            [0.11000714679883557, -1.8567487022480091],
+            [0.33211868726535404, -1.3484299228557228],
+        ])
+        with pytest.raises(NumericalError, match="singular corral system"):
+            solve_simplex_qp(QuadraticForm.from_parts(points[:, 0], points[:, 1:].T))
 
     @given(st.integers(0, 2**31 - 1), st.integers(2, 8))
     @settings(max_examples=60, deadline=None)
@@ -572,6 +615,39 @@ class TestSolverFailurePaths:
             assert sol.objective == pytest.approx(float(w @ q.matrix @ w), rel=1e-9, abs=1e-15)
         assert raised < 750  # the family is not all failures
         print(f"[INFO] collinear family: {raised} of 750 forms raised NumericalError")
+
+
+class TestSolverGolden:
+    """The solver's output replayed bit for bit against ``solver_golden.json``."""
+
+    def test_prostate_rows_match_bitwise(self):
+        golden = SOLVER_GOLDEN["prostate"]
+        models = enumerate_all_subsets(1, 8)
+        factories = {}
+        for case in golden["rows"]:
+            r = case["split"]
+            if r not in factories:
+                seed = derive_seed(golden["seed"], "prostate-split", r)
+                train, test = split(synthetic_prostate(), golden["n_train"], seed=seed)
+                factories[r] = (LinearQFactory(train.design, train.response, models), test)
+            factory, test = factories[r]
+            sol = solve_simplex_qp(factory.q_form(test.design[case["row"]]))
+            support = np.flatnonzero(sol.weights)
+            assert support.tolist() == case["support"], case
+            assert [float(v).hex() for v in sol.weights[support]] == case["weights"], case
+            assert sol.iterations == case["iterations"], case
+            assert sol.objective.hex() == case["objective"], case
+            assert sol.kkt_residual.hex() == case["kkt_residual"], case
+
+    def test_collinear_raise_pattern(self):
+        raised = []
+        for q in _collinear_forms():
+            try:
+                solve_simplex_qp(q)
+                raised.append("0")
+            except NumericalError:
+                raised.append("1")
+        assert "".join(raised) == SOLVER_GOLDEN["collinear_raises"]
 
 
 class TestQuadraticForm:
