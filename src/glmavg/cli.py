@@ -250,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--dump-q", action="store_true", help="include the Q matrix in JSON output"
     )
     common.add_argument("--workers", type=int, default=1,
-                        help="accepted for compatibility; replications always run serially")
+                        help="worker processes for the replications (at least 1; output is "
+                             "identical for every count; serial on one CPU or off Linux)")
 
     data_args = argparse.ArgumentParser(add_help=False)
     data_args.add_argument("--data", required=True, help="input CSV with a header row")

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._forked import run_replications
 from .averaging import LinearAveragingPredictor
 from .dataio import Dataset, split
 from .errors import DataError
@@ -153,12 +154,14 @@ def cv_compare(
     fits the full design.  Only the inner CV folds and a ``best_subset``
     that needs subsets a custom ``models`` set lacks fit outside it.
 
-    Each repeat's split and fold seeds derive from (seed, repeat).
-    Repeats run serially in index order; ``workers`` is accepted for
-    compatibility and does not change the schedule or the report.
-    A method named twice, or a training split too small for the full
-    design (or, under the CV rule, for its inner folds), raises
-    ``DataError`` before any split.
+    Each repeat's split and fold seeds derive from (seed, repeat), so
+    the report is bit for bit the same for every ``workers``: up to
+    ``workers`` processes run contiguous blocks of repeats (serially when
+    ``workers`` is 1, on one usable CPU, off Linux, or while another
+    Python thread is alive), and the log is joined in repeat order.
+    A method named twice, a training split too small for the full
+    design (or, under the CV rule, for its inner folds), or ``workers``
+    below 1 raises ``DataError`` before any split.
     """
     if dataset.family != "linear":
         raise DataError("cv_compare supports the linear family only")
@@ -186,8 +189,7 @@ def cv_compare(
             f"data has {dataset.d}"
         )
 
-    per_repeat = []
-    for repeat in range(n_repeats):
+    def run_repeat(repeat):
         train, test = split(dataset, n_train, derive_seed(seed, "cv-split", repeat))
         chosen = subsets[_select(train, subsets, "cv", None, seed, repeat)] if cv_best else None
         needed = [chosen] if cv_best else list(subsets)  # the candidates best_subset reads
@@ -205,10 +207,12 @@ def cv_compare(
             preds["best_subset"] = test.design[:, cols] @ beta[cols]
         for method in averaging:
             preds[method] = np.array([predictor.predict(x, _SCHEMES[method]).value for x in test.design])
-        for method in methods:
-            err = float(np.mean((test.response - preds[method]) ** 2))
-            per_repeat.append({"repeat": repeat, "method": method, "error": err})
+        return [
+            {"repeat": repeat, "method": m, "error": float(np.mean((test.response - preds[m]) ** 2))}
+            for m in methods
+        ]
 
+    per_repeat = [row for rows in run_replications(run_repeat, n_repeats, workers) for row in rows]
     mean_errors = {m: float(np.mean([r["error"] for r in per_repeat if r["method"] == m])) for m in methods}
     return CvReport(
         mean_errors=mean_errors,

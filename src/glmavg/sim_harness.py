@@ -11,10 +11,12 @@ Two stock experiments are provided:
   grid, with the candidate sets growing from the intercept upward.
 
 Every replication draws from a stream keyed by (seed, study, cell,
-replication), and replications run serially in index order, so reports
-are byte-identical across runs.  The ``workers`` keyword of the runners
-is accepted and changes nothing: replications always run in the calling
-thread.
+replication), so reports are byte-identical across runs and across
+worker counts.  With ``workers`` > 1 a cell's replications are split
+into contiguous blocks, the first run in the calling process and the
+others in forked worker processes (see ``glmavg._forked``); they run
+serially when ``workers`` is 1, when the process may use one CPU only,
+off Linux, or while another Python thread is alive.
 Design matrices are redrawn each replication by default
 (``fixed_design=True`` shares one design per cell instead); the target
 covariate x* is drawn once per study (Study I) or fixed to the stock
@@ -34,6 +36,7 @@ from .averaging import (
     Functional,
     fit_and_average_logistic,  # no longer called here; perfbench/tracer.py looks it up here
 )
+from ._forked import run_replications
 from .errors import DataError, GlmavgError
 from .glm_fit import expit, logistic_mle, ols_fit
 from .model_space import CandidateModel, ModelSet, nested_sequence, subset_columns, subset_point
@@ -206,13 +209,16 @@ def simulate_cell(
 ) -> dict[str, np.ndarray]:
     """All replication estimates for one cell, keyed by scheme (plus "oracle").
 
-    The output is a deterministic function of (config, tags).
-    Replications run serially in index order; ``workers`` is accepted
-    for compatibility and does not change the schedule or the result.
-    A ``GlmavgError`` raised in a replication is re-raised with that
-    replication's key, the tags and the rep index, appended to its
-    message, e.g. ``('study2', 'logistic', 'A', '0.05', rep 17)``; its
-    class and attributes are kept.
+    The output is a deterministic function of (config, tags), bit for
+    bit the same for every ``workers``: up to ``workers`` processes run
+    contiguous blocks of replications (serially when ``workers`` is 1,
+    on one usable CPU, off Linux, or while another Python thread is
+    alive), and the rows are joined in index order.  ``workers`` below 1
+    raises ``DataError`` before any replication.  A ``GlmavgError``
+    raised in a replication is re-raised with that replication's key,
+    the tags and the rep index, appended to its message, e.g.
+    ``('study2', 'logistic', 'A', '0.05', rep 17)``; its class and
+    attributes are kept, and the earliest failing replication wins.
     """
     X_fixed = None
     if fixed_design:
@@ -221,15 +227,15 @@ def simulate_cell(
             [np.ones(config.n), rng.standard_normal((config.n, config.beta_true.shape[0] - 1))]
         )
 
-    rows = []
-    for rep in range(config.n_reps):
+    def replicate(rep):
         try:
-            rows.append(_one_replication(config, rep, tags, oracle_support, X_fixed))
+            return _one_replication(config, rep, tags, oracle_support, X_fixed)
         except GlmavgError as exc:
             key = ", ".join([*map(repr, tags), f"rep {rep}"])
             exc.args = (f"{exc} in replication ({key})",)
             raise
-    matrix = np.asarray(rows, dtype=float)
+
+    matrix = np.asarray(run_replications(replicate, config.n_reps, workers), dtype=float)
     names = list(config.schemes) + (["oracle"] if oracle_support is not None else [])
     return {name: matrix[:, j] for j, name in enumerate(names)}
 
@@ -281,7 +287,12 @@ def run_study1(
     workers: int = 1,
     fixed_design: bool = False,
 ) -> StudyReport:
-    """Bias/variance comparison of optimal-weight averaging vs the oracle fit."""
+    """Bias/variance comparison of optimal-weight averaging vs the oracle fit.
+
+    ``workers`` splits each cell's replications as ``simulate_cell``
+    does; the report is byte-identical for every value, and a value
+    below 1 raises ``DataError`` before any replication runs.
+    """
     beta = np.asarray(STUDY1_BETA)
     x_star = np.concatenate(
         [[1.0], substream(seed, "study1", "x_star").standard_normal(len(beta) - 1)]
@@ -352,7 +363,12 @@ def run_study2(
     workers: int = 1,
     fixed_design: bool = False,
 ) -> StudyReport:
-    """Optimal vs AIC weighting (and the oracle) as the weakest coefficient varies."""
+    """Optimal vs AIC weighting (and the oracle) as the weakest coefficient varies.
+
+    ``workers`` splits each cell's replications as ``simulate_cell``
+    does; the report is byte-identical for every value, and a value
+    below 1 raises ``DataError`` before any replication runs.
+    """
     if family == "linear":
         x_star = np.asarray(STUDY2_X_STAR_LINEAR)
     elif family == "logistic":

@@ -441,8 +441,8 @@ class TestPredictionBand:
 
     @pytest.mark.parametrize(
         "bad, message",
-        [({"n_sub": 2}, "n_sub"), ({"scheme": "bogus"}, "scheme")],
-        ids=["n_sub-below-columns", "unknown-scheme"],
+        [({"n_sub": 2}, "n_sub"), ({"scheme": "bogus"}, "scheme"), ({"workers": 0}, "workers")],
+        ids=["n_sub-below-columns", "unknown-scheme", "zero-workers"],
     )
     def test_bad_arguments_rejected_before_any_draw(self, monkeypatch, bad, message):
         def no_draw(*args):
@@ -453,6 +453,18 @@ class TestPredictionBand:
         kwargs = dict(n_sub=20, n_reps=5, sigma=1.0, level=0.9, seed=0) | bad
         with pytest.raises(DataError, match=message):
             prediction_band(X, y, np.array([1.0, 0.0, 0.0]), nested_sequence(1, 2), **kwargs)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 16, 50, 201])
+    @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99])
+    def test_sorted_quantile_equals_np_quantile(self, size, level):
+        rng = np.random.default_rng(size)
+        for _ in range(20):
+            draws = rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3)
+            alpha = (1.0 - level) / 2.0
+            expected = np.quantile(draws, [alpha, 1.0 - alpha])
+            ordered = np.sort(draws)
+            got = [averaging._sorted_quantile(ordered, alpha), averaging._sorted_quantile(ordered, 1.0 - alpha)]
+            assert got == expected.tolist()
 
     def test_bad_level(self):
         X, y = self._pool()

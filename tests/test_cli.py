@@ -15,16 +15,36 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 CV_GOLDEN = json.loads((SRC.parent / "tests" / "data" / "cv_golden.json").read_text())
 
 
-def test_cli_import_loads_no_scipy():
+IMPORT_GUARD = """
+import sys
+import glmavg.cli
+
+def loaded(*names):
+    return sorted(m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in names))
+
+print(loaded("scipy", "multiprocessing", "concurrent.futures"))
+code = glmavg.cli.main(["band", "--data", sys.argv[1], "--response", "lpsa", "--test-data",
+                        sys.argv[2], "--reps", "5", "--out", sys.argv[3]])
+print(code, loaded("numpy.ma"))
+"""
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
     # Every CLI call pays for its imports; the package needs numpy only.
+    # multiprocessing and concurrent.futures would cost a cold call about
+    # 20 ms, and np.quantile's numpy.ma over 10 ms of every band run.
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    prostate = synthetic_prostate()
+    save_csv(prostate.take(range(67)), train)
+    save_csv(prostate.take([70, 80]), test)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    code = "import sys, glmavg.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", IMPORT_GUARD, str(train), str(test), str(tmp_path / "band.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "0 []"]
 
 
 @pytest.fixture
@@ -257,8 +277,10 @@ class TestStudyCommands:
                 ["study2", "--schemes", "optimal,bogus", "--beta3", "0.1"],
                 "unknown weighting schemes ['bogus']; expected",
             ),
+            (["study1", "--n-grid", "60", "--workers", "0"], "workers must be at least 1, got 0"),
+            (["study2", "--beta3", "0.1", "--workers", "0"], "workers must be at least 1, got 0"),
         ],
-        ids=["study1-case", "study2-case", "study1-n", "study2-scheme"],
+        ids=["study1-case", "study2-case", "study1-n", "study2-scheme", "study1-workers", "study2-workers"],
     )
     def test_bad_study_arguments_are_data_errors(self, args, message, capsys):
         assert main(args + ["--reps", "2"]) == 2
@@ -364,8 +386,9 @@ class TestCvCommand:
             (["--n-train", "5", "--methods", "full_model"], "n_train=5 leaves 5 rows"),
             (["--n-train", "11", "--methods", "best_subset"], "n_train=11 leaves 8 rows"),
             (["--methods", "full_model,full_model"], "name a method more than once"),
+            (["--workers", "0"], "workers must be at least 1, got 0"),
         ],
-        ids=["n-train-8", "n-train-5", "inner-fold-8", "repeated-method"],
+        ids=["n-train-8", "n-train-5", "inner-fold-8", "repeated-method", "zero-workers"],
     )
     def test_bad_split_or_methods_are_data_errors(self, extra, message, monkeypatch, capsys):
         monkeypatch.chdir(SRC.parent)
@@ -424,8 +447,9 @@ class TestBandCommand:
             (["--sigma", "nan"], "sigma must be finite and non-negative"),
             (["--n-sub", "0"], "n_sub must be at least 1"),
             (["--n-sub", "2"], "n_sub=2 is below the design's 3 columns"),
+            (["--workers", "0"], "workers must be at least 1, got 0"),
         ],
-        ids=["negative-sigma", "nan-sigma", "zero-n-sub", "n-sub-below-columns"],
+        ids=["negative-sigma", "nan-sigma", "zero-n-sub", "n-sub-below-columns", "zero-workers"],
     )
     def test_bad_band_arguments_are_data_errors(self, linear_csv, tmp_path, flags, message, capsys):
         test_path = tmp_path / "test.csv"

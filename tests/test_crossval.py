@@ -185,6 +185,15 @@ class TestCvCompare:
         with pytest.raises(DataError, match="unknown selection rule 'bic'"):
             cv_compare(_dataset(), methods=methods, n_repeats=2, select_by="bic")
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_rejects_fewer_than_one_worker_before_any_split(self, monkeypatch, workers):
+        def no_split(*args, **kwargs):
+            raise AssertionError("a split was drawn")
+
+        monkeypatch.setattr(crossval, "split", no_split)
+        with pytest.raises(DataError, match=f"workers must be at least 1, got {workers}"):
+            cv_compare(_dataset(), methods=("full_model",), n_repeats=2, workers=workers)
+
     @pytest.mark.parametrize("n_repeats", [0, -1])
     def test_rejects_fewer_than_one_repeat(self, n_repeats):
         with pytest.raises(DataError, match="n_repeats must be at least 1"):

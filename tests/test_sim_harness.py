@@ -137,6 +137,37 @@ class TestStudyConfig:
             run_study2(family=family, schemes=("optimal", "bogus"), n_reps=2)
         assert "rep" not in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda workers: run_study1(n_grid=(60,), cases=("A",), n_reps=2, workers=workers),
+            lambda workers: run_study2("logistic", beta3_grid=(0.1,), n_reps=2, workers=workers),
+            lambda workers: simulate_cell(
+                StudyConfig(
+                    family="linear",
+                    n=50,
+                    beta_true=np.ones(4),
+                    candidate_set=nested_sequence(1, 3),
+                    x_star=np.ones(4),
+                    n_reps=5,
+                    seed=0,
+                ),
+                workers=workers,
+            ),
+        ],
+        ids=["run_study1", "run_study2", "simulate_cell"],
+    )
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_fails_before_any_replication(self, monkeypatch, run, workers):
+        import glmavg.sim_harness as sim_harness
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(sim_harness, "_one_replication", no_fit)
+        with pytest.raises(DataError, match=f"workers must be at least 1, got {workers}"):
+            run(workers)
+
     def test_truth_linear_and_logistic(self):
         common = dict(
             n=50,
