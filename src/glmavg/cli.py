@@ -241,17 +241,17 @@ def _cmd_band(args) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base random seed")
-    common.add_argument("--reps", type=int, default=None, help="replication / repeat count")
-    common.add_argument("--out", default=None, help="output path (default: stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument(
-        "--dump-q", action="store_true", help="include the Q matrix in JSON output"
-    )
-    common.add_argument("--workers", type=int, default=1,
-                        help="worker processes for the replications (at least 1; output is "
-                             "identical for every count; serial on one CPU or off Linux)")
+    # each subcommand takes only the flag groups it reads
+    output_args = argparse.ArgumentParser(add_help=False)
+    output_args.add_argument("--out", default=None, help="output path (default: stdout)")
+    output_args.add_argument("--format", choices=("csv", "json"), default="csv")
+
+    run_args = argparse.ArgumentParser(add_help=False)
+    run_args.add_argument("--seed", type=int, default=0, help="base random seed")
+    run_args.add_argument("--reps", type=int, default=None, help="replication / repeat count")
+    run_args.add_argument("--workers", type=int, default=1,
+                          help="worker processes for the replications (at least 1; output is "
+                               "identical for every count; serial on one CPU or off Linux)")
 
     data_args = argparse.ArgumentParser(add_help=False)
     data_args.add_argument("--data", required=True, help="input CSV with a header row")
@@ -272,22 +272,27 @@ def build_parser() -> argparse.ArgumentParser:
         "--x-star", required=True, help="comma-separated covariate vector incl. intercept 1"
     )
     point_args.add_argument("--scheme", choices=("optimal", "aic", "equal"), default="optimal")
+    point_args.add_argument(
+        "--dump-q", action="store_true", help="include the Q matrix in JSON output"
+    )
 
-    p = sub.add_parser("weights", parents=[common, data_args, point_args],
+    p = sub.add_parser("weights", parents=[output_args, data_args, point_args],
                        help="per-model weights for one target covariate")
     p.set_defaults(handler=_cmd_point)
 
-    p = sub.add_parser("predict", parents=[common, data_args, point_args],
+    p = sub.add_parser("predict", parents=[output_args, data_args, point_args],
                        help="averaged estimate at one target covariate")
     p.set_defaults(handler=_cmd_point)
 
-    p = sub.add_parser("study1", parents=[common], help="bias/variance study vs the oracle")
+    p = sub.add_parser("study1", parents=[output_args, run_args],
+                       help="bias/variance study vs the oracle")
     p.add_argument("--cases", default="A,B")
     p.add_argument("--n-grid", default=",".join(str(n) for n in range(100, 1001, 100)))
     p.add_argument("--fixed-design", action="store_true")
     p.set_defaults(handler=_cmd_study1)
 
-    p = sub.add_parser("study2", parents=[common], help="optimal vs AIC weighting study")
+    p = sub.add_parser("study2", parents=[output_args, run_args],
+                       help="optimal vs AIC weighting study")
     p.add_argument("--family", choices=("linear", "logistic"), default="linear")
     p.add_argument("--cases", default="A,B")
     p.add_argument("--beta3", default=",".join(repr(b) for b in STUDY2_BETA3_GRID))
@@ -295,14 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed-design", action="store_true")
     p.set_defaults(handler=_cmd_study2)
 
-    p = sub.add_parser("cv", parents=[common, data_args],
+    p = sub.add_parser("cv", parents=[output_args, run_args, data_args],
                        help="repeated train/test method comparison")
     p.add_argument("--methods", default=",".join(DEFAULT_METHODS))
     p.add_argument("--n-train", type=int, default=None)
     p.add_argument("--select-by", choices=SELECTION_RULES, default="cv")
     p.set_defaults(handler=_cmd_cv)
 
-    p = sub.add_parser("band", parents=[common, data_args],
+    p = sub.add_parser("band", parents=[output_args, run_args, data_args],
                        help="prediction bands for each test row")
     p.add_argument("--test-data", required=True, help="test CSV with the same columns")
     p.add_argument("--n-sub", type=int, default=50)

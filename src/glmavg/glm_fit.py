@@ -5,18 +5,20 @@ explicit inverse); a condition number above ``COND_LIMIT`` raises
 ``SingularDesignError``.  The triangular system R beta = Q'y goes to
 ``np.linalg.solve``: its partial-pivoting LU leaves an upper-triangular
 R unpivoted and unchanged, so the solve is back substitution on R.
-Logistic fits use damped Newton iterations: full steps with step
-halving whenever the candidate step fails to improve the merit quantity
-(log-likelihood for the MLE, score-residual norm for the pseudo-fit),
-stopping when the score's infinity norm drops below ``SCORE_TOL``.
+Both logistic fits solve the score equation X_k'(t - p(X_k beta)) = 0
+with one damped Newton loop (``_damped_newton``): full steps from
+beta = 0, halving the step whenever the candidate fails to lower the
+fit's merit, and stopping when the score's infinity norm drops below
+``SCORE_TOL``.  The two public solves differ only in the target t and
+the merit:
 
-Two distinct logistic solves exist on purpose:
-
-* ``logistic_mle`` fits 0/1 data by maximum likelihood,
+* ``logistic_mle`` fits 0/1 data by maximum likelihood (t = y, merit
+  -loglik),
 * ``logistic_pseudo_fit`` solves the score equation against a vector of
   *target probabilities* (the full-model fitted probabilities, when
   estimating the averaged estimator's mean squared error), i.e. the
-  population projection of one model onto another.
+  population projection of one model onto another (merit: the score's
+  infinity norm).
 """
 
 from __future__ import annotations
@@ -227,6 +229,57 @@ def _newton_direction(X, weights, score, model):
     return direction
 
 
+def _damped_newton(X, target, merit, *, model, max_iter, tol, label, separation=""):
+    """Solve the score equation X'(target - p(X beta)) = 0 from beta = 0.
+
+    ``merit(eta, size)``, with ``size`` the score's infinity norm, is
+    the value each step must not raise beyond roundoff
+    (``1e-12 * (1 + |value|)``); the step is halved until it does, at
+    most ``_MAX_HALVINGS`` times.  Returns beta, X beta, the merit there
+    and the iteration count.  ``label`` and ``separation`` word the
+    ``NonConvergenceError`` raised at the iteration cap or past
+    ``BETA_BOUND``.
+    """
+    beta = np.zeros(X.shape[1])
+    eta = X @ beta
+    p = expit(eta)
+    score = X.T @ (target - p)
+    size = np.max(np.abs(score))
+    value = merit(eta, size)
+    iterations = 0
+    while not size <= tol:  # a NaN score runs on into an error
+        if iterations >= max_iter:
+            raise NonConvergenceError(
+                f"{label} did not converge in {max_iter} iterations",
+                model=model,
+                iterations=iterations,
+            )
+        direction = _newton_direction(X, p * (1.0 - p), score, model)
+        step = 1.0
+        slack = 1e-12 * (1.0 + abs(value))  # roundoff-level non-improvement still accepts
+        for _ in range(_MAX_HALVINGS):
+            candidate = beta + step * direction
+            eta_cand = X @ candidate
+            p_cand = expit(eta_cand)
+            score_cand = X.T @ (target - p_cand)
+            size_cand = np.max(np.abs(score_cand))
+            value_cand = merit(eta_cand, size_cand)
+            if value_cand <= value + slack:
+                break
+            step *= 0.5
+        beta, eta, p, score = candidate, eta_cand, p_cand, score_cand
+        size, value = size_cand, value_cand
+        iterations += 1
+        if np.max(np.abs(beta)) > BETA_BOUND:
+            raise NonConvergenceError(
+                f"{label} diverged{separation}: "
+                f"|beta|_inf > {BETA_BOUND:g} after {iterations} iterations",
+                model=model,
+                iterations=iterations,
+            )
+    return beta, eta, value, iterations
+
+
 def logistic_mle(
     X_k: np.ndarray,
     y: np.ndarray,
@@ -235,7 +288,7 @@ def logistic_mle(
     max_iter: int = MAX_ITER,
     tol: float = SCORE_TOL,
 ) -> FitResult:
-    """Logistic maximum likelihood via damped Newton iterations.
+    """Logistic maximum likelihood via damped Newton iterations on -loglik.
 
     Raises ``NonConvergenceError`` when the iteration cap is hit or a
     coefficient runs past the separation guard.
@@ -253,49 +306,17 @@ def logistic_mle(
             "degenerate response (all outcomes identical): the MLE does not exist",
             model=model,
         )
-
-    beta = np.zeros(X_k.shape[1])
-    eta = X_k @ beta
-    ll = _bernoulli_loglik(eta, y)
-    iterations = 0
-    while True:
-        p = expit(eta)
-        score = X_k.T @ (y - p)
-        if np.max(np.abs(score)) <= tol:
-            break
-        if iterations >= max_iter:
-            raise NonConvergenceError(
-                f"logistic fit did not converge in {max_iter} iterations",
-                model=model,
-                iterations=iterations,
-            )
-        direction = _newton_direction(X_k, p * (1.0 - p), score, model)
-        step = 1.0
-        slack = 1e-12 * (1.0 + abs(ll))  # roundoff-level non-improvement still accepts
-        for _ in range(_MAX_HALVINGS):
-            candidate = beta + step * direction
-            eta_cand = X_k @ candidate
-            ll_cand = _bernoulli_loglik(eta_cand, y)
-            if ll_cand >= ll - slack:
-                break
-            step *= 0.5
-        beta, eta, ll = candidate, eta_cand, ll_cand
-        iterations += 1
-        if np.max(np.abs(beta)) > BETA_BOUND:
-            raise NonConvergenceError(
-                "logistic fit diverged (possible separation): "
-                f"|beta|_inf > {BETA_BOUND:g} after {iterations} iterations",
-                model=model,
-                iterations=iterations,
-            )
-
-    return FitResult(
-        beta=beta,
-        loglik=ll,
-        dim=X_k.shape[1],
-        converged=True,
-        iterations=iterations,
+    beta, _, neg_ll, iterations = _damped_newton(
+        X_k,
+        y,
+        lambda eta, size: -_bernoulli_loglik(eta, y),
+        model=model,
+        max_iter=max_iter,
+        tol=tol,
+        label="logistic fit",
+        separation=" (possible separation)",
     )
+    return FitResult(beta=beta, loglik=-neg_ll, dim=X_k.shape[1], iterations=iterations)
 
 
 def logistic_pseudo_fit(
@@ -320,45 +341,18 @@ def logistic_pseudo_fit(
     target = p_target.probs
     if target.shape[0] != X_k.shape[0]:
         raise DataError("p_target must have one entry per design row")
-
-    beta = np.zeros(X_k.shape[1])
-    eta = X_k @ beta
-    score = X_k.T @ (target - expit(eta))
-    score_norm = np.max(np.abs(score))
-    iterations = 0
-    while score_norm > tol:
-        if iterations >= max_iter:
-            raise NonConvergenceError(
-                f"logistic pseudo-fit did not converge in {max_iter} iterations",
-                model=model,
-                iterations=iterations,
-            )
-        p = expit(eta)
-        direction = _newton_direction(X_k, p * (1.0 - p), score, model)
-        step = 1.0
-        slack = 1e-12 * (1.0 + score_norm)
-        for _ in range(_MAX_HALVINGS):
-            candidate = beta + step * direction
-            eta_cand = X_k @ candidate
-            score_cand = X_k.T @ (target - expit(eta_cand))
-            norm_cand = np.max(np.abs(score_cand))
-            if norm_cand <= score_norm + slack:
-                break
-            step *= 0.5
-        beta, eta, score, score_norm = candidate, eta_cand, score_cand, norm_cand
-        iterations += 1
-        if np.max(np.abs(beta)) > BETA_BOUND:
-            raise NonConvergenceError(
-                "logistic pseudo-fit diverged: "
-                f"|beta|_inf > {BETA_BOUND:g} after {iterations} iterations",
-                model=model,
-                iterations=iterations,
-            )
-
+    beta, eta, _, iterations = _damped_newton(
+        X_k,
+        target,
+        lambda eta, size: size,
+        model=model,
+        max_iter=max_iter,
+        tol=tol,
+        label="logistic pseudo-fit",
+    )
     return FitResult(
         beta=beta,
         loglik=_bernoulli_loglik(eta, target),
         dim=X_k.shape[1],
-        converged=True,
         iterations=iterations,
     )

@@ -10,8 +10,11 @@ Two stock experiments are provided:
   for linear and logistic targets as the weakest coefficient sweeps a
   grid, with the candidate sets growing from the intercept upward.
 
-Every replication draws from a stream keyed by (seed, study, cell,
-replication), so reports are byte-identical across runs and across
+Both studies build and check every cell's ``StudyConfig`` first, so a
+bad cell raises before the first replication; one private runner then
+simulates the cells in order and writes one summary row per estimate
+column.  Every replication draws from a stream keyed by (seed, study,
+cell, replication), so reports are byte-identical across runs and across
 worker counts.  With ``workers`` > 1 a cell's replications are split
 into contiguous blocks, the first run in the calling process and the
 others in forked worker processes (see ``glmavg._forked``); they run
@@ -38,7 +41,7 @@ from .averaging import (
 )
 from ._forked import run_replications
 from .errors import DataError, GlmavgError
-from .glm_fit import expit, logistic_mle, ols_fit
+from .glm_fit import expit, logistic_mle, ols_fit, require_finite
 from .model_space import CandidateModel, ModelSet, nested_sequence, subset_columns, subset_point
 from .rng import substream
 
@@ -93,6 +96,7 @@ class StudyConfig:
         total = self.candidate_set.p_fixed + self.candidate_set.q
         if beta.shape != (total,) or x.shape != (total,):
             raise DataError("beta_true and x_star must have length p_fixed + q")
+        require_finite("beta_true and x_star", beta, x)
         largest = max(m.dim for m in self.candidate_set)
         if self.n < largest + 1:
             raise DataError(f"n={self.n} too small for a {largest}-parameter candidate")
@@ -236,14 +240,39 @@ def simulate_cell(
             raise
 
     matrix = np.asarray(run_replications(replicate, config.n_reps, workers), dtype=float)
-    names = list(config.schemes) + (["oracle"] if oracle_support is not None else [])
-    return {name: matrix[:, j] for j, name in enumerate(names)}
+    return {name: matrix[:, j] for j, name in enumerate(_columns(config, oracle_support))}
+
+
+def _columns(config: StudyConfig, oracle_support) -> list[str]:
+    # one estimate column per scheme, then the oracle's
+    return list(config.schemes) + (["oracle"] if oracle_support is not None else [])
 
 
 def _check_cases(cases, model_sets: dict[str, ModelSet]) -> None:
     unknown = [case for case in cases if case not in model_sets]
     if unknown:
         raise DataError(f"unknown cases {unknown}; expected a subset of {sorted(model_sets)}")
+
+
+def _run_cells(cells, *, oracle_support, fixed_design: bool, workers: int) -> StudyReport:
+    """Simulate each (config, tags, labels) cell and summarise its estimate columns.
+
+    Each row starts with the cell's ``labels`` (case, family, beta3, n in
+    that order), then its ``scheme``; the cells come checked, so a bad
+    cell raises before the first replication.
+    """
+    report = StudyReport()
+    for config, tags, labels in cells:
+        estimates = simulate_cell(
+            config,
+            oracle_support=oracle_support,
+            fixed_design=fixed_design,
+            workers=workers,
+            tags=tags,
+        )
+        for name in _columns(config, oracle_support):
+            report.rows.append(_summary_row(estimates[name], config.truth, **labels, scheme=name))
+    return report
 
 
 def _summary_row(estimates: np.ndarray, truth: float, **labels) -> dict:
@@ -289,6 +318,7 @@ def run_study1(
 ) -> StudyReport:
     """Bias/variance comparison of optimal-weight averaging vs the oracle fit.
 
+    Every cell is checked before the first replication runs.
     ``workers`` splits each cell's replications as ``simulate_cell``
     does; the report is byte-identical for every value, and a value
     below 1 raises ``DataError`` before any replication runs.
@@ -304,10 +334,9 @@ def run_study1(
         if not float(n).is_integer():
             raise DataError(f"sample size n must be an integer, got {float(n)!r}")
 
-    report = StudyReport()
-    for case in cases:
-        for n in n_grid:
-            config = StudyConfig(
+    cells = [
+        (
+            StudyConfig(
                 family="linear",
                 n=int(n),
                 beta_true=beta,
@@ -316,27 +345,16 @@ def run_study1(
                 n_reps=n_reps,
                 seed=seed,
                 schemes=("optimal",),
-            )
-            estimates = simulate_cell(
-                config,
-                oracle_support=oracle_support,
-                fixed_design=fixed_design,
-                workers=workers,
-                tags=("study1", case, int(n)),
-            )
-            for scheme in ("optimal", "oracle"):
-                report.rows.append(
-                    _summary_row(
-                        estimates[scheme],
-                        config.truth,
-                        case=case,
-                        family="linear",
-                        beta3=None,
-                        n=int(n),
-                        scheme=scheme,
-                    )
-                )
-    return report
+            ),
+            ("study1", case, int(n)),
+            dict(case=case, family="linear", beta3=None, n=int(n)),
+        )
+        for case in cases
+        for n in n_grid
+    ]
+    return _run_cells(
+        cells, oracle_support=oracle_support, fixed_design=fixed_design, workers=workers
+    )
 
 
 def study2_model_sets() -> dict[str, ModelSet]:
@@ -365,6 +383,7 @@ def run_study2(
 ) -> StudyReport:
     """Optimal vs AIC weighting (and the oracle) as the weakest coefficient varies.
 
+    Every cell is checked before the first replication runs.
     ``workers`` splits each cell's replications as ``simulate_cell``
     does; the report is byte-identical for every value, and a value
     below 1 raises ``DataError`` before any replication runs.
@@ -381,38 +400,24 @@ def run_study2(
     # oracle support is the full 4-coefficient model in both cases
     oracle_support = CandidateModel((0, 1, 2), 1) if include_oracle else None
 
-    report = StudyReport()
-    for case in cases:
-        for beta3 in beta3_grid:
-            beta = np.asarray(STUDY2_BETA_BASE + (float(beta3),))
-            config = StudyConfig(
+    cells = [
+        (
+            StudyConfig(
                 family=family,
                 n=n,
-                beta_true=beta,
+                beta_true=np.asarray(STUDY2_BETA_BASE + (float(beta3),)),
                 candidate_set=model_sets[case],
                 x_star=x_star,
                 n_reps=n_reps,
                 seed=seed,
                 schemes=tuple(schemes),
-            )
-            estimates = simulate_cell(
-                config,
-                oracle_support=oracle_support,
-                fixed_design=fixed_design,
-                workers=workers,
-                tags=("study2", family, case, repr(float(beta3))),
-            )
-            names = list(schemes) + (["oracle"] if include_oracle else [])
-            for name in names:
-                report.rows.append(
-                    _summary_row(
-                        estimates[name],
-                        config.truth,
-                        case=case,
-                        family=family,
-                        beta3=float(beta3),
-                        n=n,
-                        scheme=name,
-                    )
-                )
-    return report
+            ),
+            ("study2", family, case, repr(float(beta3))),
+            dict(case=case, family=family, beta3=float(beta3), n=n),
+        )
+        for case in cases
+        for beta3 in beta3_grid
+    ]
+    return _run_cells(
+        cells, oracle_support=oracle_support, fixed_design=fixed_design, workers=workers
+    )

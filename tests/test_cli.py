@@ -15,6 +15,14 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 CV_GOLDEN = json.loads((SRC.parent / "tests" / "data" / "cv_golden.json").read_text())
 
 
+def _exit_code(argv):
+    """``main``'s exit code, counting argparse's usage errors (which raise SystemExit)."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 IMPORT_GUARD = """
 import sys
 import glmavg.cli
@@ -184,6 +192,20 @@ class TestPredictCommand:
         assert rc == 2
         assert "x_star must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["predict", "weights"])
+    @pytest.mark.parametrize(
+        "flag", [["--seed", "1"], ["--reps", "3"], ["--workers", "0"]], ids=["seed", "reps", "workers"]
+    )
+    def test_run_flags_are_usage_errors(self, linear_csv, command, flag, capsys):
+        # a point estimate draws nothing, so it takes no seed, count or workers
+        rc = _exit_code([
+            command, "--data", str(linear_csv), "--response", "y", "--x-star", "1,0,0", *flag,
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
     @pytest.mark.parametrize("scheme", ["optimal", "aic"])
     def test_non_finite_x_star_logistic(self, logistic_csv, scheme, capsys):
         rc = main([
@@ -279,12 +301,31 @@ class TestStudyCommands:
             ),
             (["study1", "--n-grid", "60", "--workers", "0"], "workers must be at least 1, got 0"),
             (["study2", "--beta3", "0.1", "--workers", "0"], "workers must be at least 1, got 0"),
+            (["study2", "--beta3", "inf"], "beta_true and x_star must be finite"),
+            (["study2", "--beta3", "0.1,nan"], "beta_true and x_star must be finite"),
+            (
+                ["study2", "--family", "logistic", "--beta3", "inf"],
+                "beta_true and x_star must be finite",
+            ),
+            (
+                ["study2", "--family", "logistic", "--beta3", "nan"],
+                "beta_true and x_star must be finite",
+            ),
+            (["study1", "--n-grid", "60", "--dump-q"], "unrecognized arguments: --dump-q"),
+            (["study2", "--beta3", "0.1", "--dump-q"], "unrecognized arguments: --dump-q"),
         ],
-        ids=["study1-case", "study2-case", "study1-n", "study2-scheme", "study1-workers", "study2-workers"],
+        ids=[
+            "study1-case", "study2-case", "study1-n", "study2-scheme", "study1-workers",
+            "study2-workers", "study2-inf-beta3", "study2-nan-beta3", "study2-logistic-inf-beta3",
+            "study2-logistic-nan-beta3", "study1-dump-q", "study2-dump-q",
+        ],
     )
     def test_bad_study_arguments_are_data_errors(self, args, message, capsys):
-        assert main(args + ["--reps", "2"]) == 2
-        assert message in capsys.readouterr().err
+        assert _exit_code(args + ["--reps", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "rep " not in captured.err
 
     def test_study2_csv_to_file(self, tmp_path):
         out = tmp_path / "study2.csv"
@@ -387,12 +428,13 @@ class TestCvCommand:
             (["--n-train", "11", "--methods", "best_subset"], "n_train=11 leaves 8 rows"),
             (["--methods", "full_model,full_model"], "name a method more than once"),
             (["--workers", "0"], "workers must be at least 1, got 0"),
+            (["--dump-q"], "unrecognized arguments: --dump-q"),
         ],
-        ids=["n-train-8", "n-train-5", "inner-fold-8", "repeated-method", "zero-workers"],
+        ids=["n-train-8", "n-train-5", "inner-fold-8", "repeated-method", "zero-workers", "dump-q"],
     )
     def test_bad_split_or_methods_are_data_errors(self, extra, message, monkeypatch, capsys):
         monkeypatch.chdir(SRC.parent)
-        rc = main([
+        rc = _exit_code([
             "cv", "--data", "data/prostate_synth.csv", "--response", "lpsa", "--reps", "2", *extra,
         ])
         assert rc == 2
@@ -448,14 +490,18 @@ class TestBandCommand:
             (["--n-sub", "0"], "n_sub must be at least 1"),
             (["--n-sub", "2"], "n_sub=2 is below the design's 3 columns"),
             (["--workers", "0"], "workers must be at least 1, got 0"),
+            (["--dump-q"], "unrecognized arguments: --dump-q"),
         ],
-        ids=["negative-sigma", "nan-sigma", "zero-n-sub", "n-sub-below-columns", "zero-workers"],
+        ids=[
+            "negative-sigma", "nan-sigma", "zero-n-sub", "n-sub-below-columns", "zero-workers",
+            "dump-q",
+        ],
     )
     def test_bad_band_arguments_are_data_errors(self, linear_csv, tmp_path, flags, message, capsys):
         test_path = tmp_path / "test.csv"
         lines = linear_csv.read_text().strip().split("\n")
         test_path.write_text("\n".join(lines[:2]) + "\n")
-        rc = main([
+        rc = _exit_code([
             "band", "--data", str(linear_csv), "--response", "y",
             "--test-data", str(test_path), "--reps", "3", *flags,
         ])

@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -247,6 +250,105 @@ class TestLogisticPseudoFit:
     def test_rejects_out_of_range_target(self):
         with pytest.raises(DataError):
             logistic_pseudo_fit(np.ones((3, 1)), np.array([0.2, 1.0, 0.4]))
+
+
+@pytest.mark.parametrize(
+    "fit, target, label",
+    [
+        (logistic_mle, np.tile([0.0, 1.0, 1.0], 20), "logistic fit"),
+        (logistic_pseudo_fit, np.tile([0.2, 0.6, 0.9], 20), "logistic pseudo-fit"),
+    ],
+    ids=["mle", "pseudo"],
+)
+def test_iteration_cap_raises_with_its_count(fit, target, label):
+    X = np.column_stack([np.ones(60), np.linspace(-1.0, 1.0, 60)])
+    assert fit(X, target).iterations > 2
+    model = CandidateModel((0,), 1)
+    with pytest.raises(NonConvergenceError) as info:
+        fit(X, target, model=model, max_iter=2)
+    assert str(info.value) == f"{label} did not converge in 2 iterations"
+    assert info.value.iterations == 2
+    assert info.value.model == model
+
+
+@pytest.mark.parametrize(
+    "fit, target, message",
+    [
+        (
+            logistic_mle,
+            (np.linspace(-2, 2, 20) > 0).astype(float),
+            "logistic fit diverged (possible separation): |beta|_inf > 30 after 8 iterations",
+        ),
+        (
+            logistic_pseudo_fit,
+            np.where(np.linspace(-2, 2, 20) > 0, 1.0 - 1e-15, 1e-15),
+            "logistic pseudo-fit diverged: |beta|_inf > 30 after 8 iterations",
+        ),
+    ],
+    ids=["mle", "pseudo"],
+)
+def test_divergence_guard_raises(fit, target, message):
+    # perfectly separated targets: the coefficients grow past BETA_BOUND
+    X = np.column_stack([np.ones(20), np.linspace(-2, 2, 20)])
+    with pytest.raises(NonConvergenceError) as info:
+        fit(X, target)
+    assert str(info.value) == message
+    assert info.value.iterations == int(message.rsplit(" ", 2)[1])
+
+
+LOGISTIC_GOLDEN = json.loads(
+    (pathlib.Path(__file__).resolve().parent / "data" / "logistic_golden.json").read_text()
+)
+
+
+def _golden_problem(seed, hard):
+    """The design, 0/1 response and target probabilities of one ``logistic_golden`` entry.
+
+    ``hard`` problems have Cauchy covariates and large coefficients, so
+    that some fits halve the Newton step, hit the iteration cap or run
+    past the divergence guard.
+    """
+    rng = np.random.default_rng([2018, seed])
+    n = int(rng.integers(20, 201))
+    d = int(rng.integers(1, 6))
+    columns = rng.standard_t(1.0, (n, d - 1)) if hard else rng.standard_normal((n, d - 1))
+    X = np.column_stack([np.ones(n), columns])
+    scale = rng.uniform(3.0, 8.0) if hard else rng.uniform(0.5, 3.0)
+    eta = X @ (scale * rng.standard_normal(d))
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-np.clip(eta, -30.0, 30.0)))).astype(float)
+    eta_t = np.clip(eta + rng.standard_normal(n), -30.0, 30.0)
+    floor = 1e-8 if hard else 1e-3
+    target = np.clip(1.0 / (1.0 + np.exp(-eta_t)), floor, 1.0 - floor)
+    return X, y, target
+
+
+@pytest.mark.parametrize("kind", ["mle", "pseudo"])
+def test_fits_replay_logistic_golden(kind):
+    """Both logistic solves replayed bit for bit against ``logistic_golden.json``.
+
+    The file was written by the two hand-written Newton loops that came
+    before the shared ``_damped_newton``: 200 ordinary problems, plus
+    hard ones whose line search halved the step (``halvings`` > 0) or
+    that raised.  Each entry holds ``beta`` (``float.hex``), ``loglik``
+    and ``iterations``, or the error's class, message and iterations.
+    """
+    fit = logistic_mle if kind == "mle" else logistic_pseudo_fit
+    rows = LOGISTIC_GOLDEN[kind]
+    assert sum(row.get("halvings", 0) > 0 for row in rows) >= 10
+    for row in rows:
+        X, y, target = _golden_problem(row["seed"], row["hard"])
+        where = (kind, row["seed"], row["hard"])
+        if "error" in row:
+            with pytest.raises(NonConvergenceError) as info:
+                fit(X, y if kind == "mle" else target)
+            assert type(info.value).__name__ == row["error"], where
+            assert str(info.value) == row["message"], where
+            assert info.value.iterations == row["iterations"], where
+            continue
+        result = fit(X, y if kind == "mle" else target)
+        assert [float(b).hex() for b in result.beta] == row["beta"], where
+        assert float(result.loglik).hex() == row["loglik"], where
+        assert result.iterations == row["iterations"], where
 
 
 @pytest.mark.filterwarnings("error")

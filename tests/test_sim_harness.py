@@ -125,6 +125,48 @@ class TestStudyConfig:
                 schemes=("optimal", "bogus"),
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["beta_true", "x_star"])
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    def test_rejects_non_finite_coefficients_and_target(self, family, field, bad):
+        values = dict(beta_true=np.ones(4), x_star=np.ones(4))
+        values[field][2] = bad
+        with pytest.raises(DataError, match="beta_true and x_star must be finite"):
+            StudyConfig(
+                family=family,
+                n=50,
+                candidate_set=nested_sequence(1, 3),
+                n_reps=5,
+                seed=0,
+                **values,
+            )
+
+    @pytest.mark.parametrize(
+        "run, message",
+        [
+            (
+                lambda: run_study1(n_grid=(1000, 3), cases=("A",), n_reps=200),
+                "n=3 too small",
+            ),
+            (
+                lambda: run_study2("logistic", beta3_grid=(0.1, float("nan")), n_reps=200),
+                "beta_true and x_star must be finite",
+            ),
+        ],
+        ids=["run_study1-small-n", "run_study2-nan-beta3"],
+    )
+    def test_every_cell_is_checked_before_any_replication(self, monkeypatch, run, message):
+        # the first cell is valid; the bad second one must fail before it runs
+        import glmavg.sim_harness as sim_harness
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(sim_harness, "_one_replication", no_fit)
+        with pytest.raises(DataError, match=message) as excinfo:
+            run()
+        assert "rep" not in str(excinfo.value)
+
     @pytest.mark.parametrize("family", ["linear", "logistic"])
     def test_unknown_scheme_fails_before_any_fit(self, monkeypatch, family):
         import glmavg.sim_harness as sim_harness
