@@ -9,7 +9,7 @@ import numpy as np
 
 from glmavg import (
     Functional,
-    build_q_linear,
+    LinearQFactory,
     enumerate_all_subsets,
     fit_and_average_linear,
     solve_simplex_qp,
@@ -28,7 +28,7 @@ models = enumerate_all_subsets(p_fixed=1, q=3)
 # The estimated MSE of the averaged estimator is the quadratic form
 #   Qhat(w) = (bias' w)^2 + |A w|^2
 # whose diagonal already tells the per-model bias/variance story.
-q_hat = build_q_linear(X, y, models, x_star)
+q_hat = LinearQFactory(X, y, models).q_form(x_star)
 variance_part = np.sum(q_hat.gram_factor**2, axis=0)
 print(f"truth x*'beta = {truth:+.4f}\n")
 print("model   included      est.bias   est.var    Qhat diag")

@@ -19,7 +19,7 @@ from .averaging import (
     fit_and_average_logistic,
     prediction_band,
 )
-from .crossval import CvReport, best_subset_cv, cv_compare, select_best_subset
+from .crossval import CvReport, cv_compare, select_best_subset
 from .dataio import Dataset, load_csv, save_csv, split
 from .datasets import synthetic_prostate
 from .errors import (
@@ -38,7 +38,6 @@ from .glm_fit import (
     logistic_mle,
     logistic_pseudo_fit,
     ols_fit,
-    pseudo_true_linear,
 )
 from .model_space import (
     CandidateModel,
@@ -54,17 +53,14 @@ from .mse_weights import (
     QuadraticForm,
     WeightSolution,
     aic_weights,
-    build_q_linear,
     build_q_logistic,
     equal_weights,
-    project_simplex,
     solve_simplex_qp,
 )
 from .rng import derive_seed, substream
 from .sim_harness import (
     StudyConfig,
     StudyReport,
-    error_metric,
     oracle_estimate,
     run_study1,
     run_study2,
@@ -102,14 +98,11 @@ __all__ = [
     "WeightSolution",
     "aic_weights",
     "average_estimate",
-    "best_subset_cv",
-    "build_q_linear",
     "build_q_logistic",
     "cv_compare",
     "derive_seed",
     "enumerate_all_subsets",
     "equal_weights",
-    "error_metric",
     "fit_and_average_linear",
     "fit_and_average_logistic",
     "full_linear_fit",
@@ -120,8 +113,6 @@ __all__ = [
     "ols_fit",
     "oracle_estimate",
     "prediction_band",
-    "project_simplex",
-    "pseudo_true_linear",
     "run_study1",
     "run_study2",
     "save_csv",

@@ -47,28 +47,26 @@ SCHEMES = ("optimal", "aic", "equal")
 
 @dataclass(frozen=True)
 class Functional:
-    """Target of estimation: a linear point value, a logistic probability, or one coordinate."""
+    """Target of estimation at x*: the linear x*'beta or the probability expit(x*'beta).
+
+    One coefficient of beta is the linear point at a unit x*.
+    """
 
     kind: str
     x_star: np.ndarray | None = None
-    index: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("linear_point", "logistic_point", "coordinate"):
+        if self.kind not in ("linear_point", "logistic_point"):
             raise DataError(f"unknown functional kind {self.kind!r}")
-        if self.kind == "coordinate":
-            if self.index is None or self.index < 0:
-                raise DataError("coordinate functional needs a non-negative index")
-        else:
-            if self.x_star is None:
-                raise DataError(f"{self.kind} functional needs an x_star vector")
-            arr = np.array(self.x_star, dtype=float)
-            if arr.ndim != 1:
-                raise DataError(f"x_star must be a 1-d vector, got shape {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise DataError("x_star must be finite")
-            arr.flags.writeable = False
-            object.__setattr__(self, "x_star", arr)
+        if self.x_star is None:
+            raise DataError(f"{self.kind} functional needs an x_star vector")
+        arr = np.array(self.x_star, dtype=float)
+        if arr.ndim != 1:
+            raise DataError(f"x_star must be a 1-d vector, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise DataError("x_star must be finite")
+        arr.flags.writeable = False
+        object.__setattr__(self, "x_star", arr)
 
     @classmethod
     def linear_point(cls, x_star) -> "Functional":
@@ -78,21 +76,8 @@ class Functional:
     def logistic_point(cls, x_star) -> "Functional":
         return cls(kind="logistic_point", x_star=np.asarray(x_star, dtype=float))
 
-    @classmethod
-    def coordinate(cls, index: int) -> "Functional":
-        return cls(kind="coordinate", index=int(index))
-
     def resolve(self, total_dim: int) -> np.ndarray:
-        """The x* vector of length ``total_dim`` this functional evaluates against.
-
-        A coordinate functional is the linear functional with a unit x*.
-        """
-        if self.kind == "coordinate":
-            if self.index >= total_dim:
-                raise DataError(f"coordinate index {self.index} out of range for dimension {total_dim}")
-            e = np.zeros(total_dim)
-            e[self.index] = 1.0
-            return e
+        """The x* vector of length ``total_dim`` this functional evaluates against."""
         if self.x_star.shape[0] != total_dim:
             raise DataError(
                 f"x_star has length {self.x_star.shape[0]}, model space needs {total_dim}"
@@ -123,13 +108,6 @@ class AveragedEstimate:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "weights": self.weights.tolist(),
-            "per_model": self.per_model.tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class PredictionBand:
@@ -139,9 +117,6 @@ class PredictionBand:
     lower: float
     upper: float
     level: float
-
-    def to_dict(self) -> dict:
-        return {"point": self.point, "lower": self.lower, "upper": self.upper, "level": self.level}
 
 
 def average_estimate(weights: np.ndarray, per_model: np.ndarray) -> float:
@@ -160,6 +135,14 @@ def average_estimate(weights: np.ndarray, per_model: np.ndarray) -> float:
 def _check_scheme(scheme: str):
     if scheme not in SCHEMES:
         raise DataError(f"unknown weighting scheme {scheme!r}; expected one of {SCHEMES}")
+
+
+def _checked_width(X: np.ndarray, models: ModelSet) -> int:
+    """p_fixed + q of ``models``; ``DataError`` unless the design ``X`` has that many columns."""
+    total = models.p_fixed + models.q
+    if X.shape[1] != total:
+        raise DataError(f"design has {X.shape[1]} columns, model space needs {total}")
+    return total
 
 
 class _AveragingPredictor:
@@ -212,7 +195,7 @@ class LinearAveragingPredictor(_AveragingPredictor):
     """
 
     _factory_class = LinearQFactory
-    _kinds = ("linear_point", "coordinate")
+    _kind = "linear_point"
 
 
 class LogisticAveragingPredictor(_AveragingPredictor):
@@ -224,7 +207,7 @@ class LogisticAveragingPredictor(_AveragingPredictor):
     """
 
     _factory_class = LogisticQFactory
-    _kinds = ("logistic_point",)
+    _kind = "logistic_point"
 
 
 # the predictor of each family, for the one-shot wrappers and the study harness
@@ -234,14 +217,11 @@ _PREDICTORS = {"linear": LinearAveragingPredictor, "logistic": LogisticAveraging
 def _fit_and_average(family, X, y, models, functional, scheme) -> AveragedEstimate:
     """Check the functional and the scheme before any fit, then fit and predict once."""
     predictor_class = _PREDICTORS[family]
-    if functional.kind not in predictor_class._kinds:
-        raise DataError(f"{family} averaging needs a {' or '.join(predictor_class._kinds)} functional")
+    if functional.kind != predictor_class._kind:
+        raise DataError(f"{family} averaging needs a {predictor_class._kind} functional")
     _check_scheme(scheme)
     X = np.asarray(X, dtype=float)
-    total = models.p_fixed + models.q
-    if X.shape[1] != total:
-        raise DataError(f"design has {X.shape[1]} columns, model space needs {total}")
-    return predictor_class(X, y, models).predict(functional.resolve(total), scheme)
+    return predictor_class(X, y, models).predict(functional.resolve(_checked_width(X, models)), scheme)
 
 
 def fit_and_average_linear(
@@ -296,7 +276,6 @@ def prediction_band(
     """
     X_pool = np.asarray(X_pool, dtype=float)
     y_pool = np.asarray(y_pool, dtype=float)
-    test_point = np.asarray(test_point, dtype=float)
     if not 0.0 < level < 1.0:
         raise DataError("level must be strictly between 0 and 1")
     if n_sub > X_pool.shape[0]:
@@ -310,13 +289,12 @@ def prediction_band(
     _check_scheme(scheme)
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise DataError(f"sigma must be finite and non-negative, got {sigma!r}")
-
-    functional = Functional.linear_point(test_point)
+    x_star = Functional.linear_point(test_point).resolve(_checked_width(X_pool, models))
 
     def replicate(rep):
         rng = substream(seed, "band", rep)
         idx = rng.choice(X_pool.shape[0], size=n_sub, replace=False)
-        mean = fit_and_average_linear(X_pool[idx], y_pool[idx], models, functional, scheme).value
+        mean = LinearAveragingPredictor(X_pool[idx], y_pool[idx], models).predict(x_star, scheme).value
         return mean, mean + rng.normal(0.0, sigma)
 
     means, draws = np.array(run_replications(replicate, n_reps, workers)).T.copy()

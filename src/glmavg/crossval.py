@@ -13,7 +13,9 @@ Each repeat fits the training split once, in one ``LinearQFactory``
 (the split factory), and every method reads from it: the full model's
 coefficients, the AIC rule's log-likelihoods, the chosen subset's
 coefficients and the averaging predictor's candidates.  Inner CV folds
-fit all 2^q candidates in one factory per fold.
+fit all 2^q candidates in one factory per fold.  Best-subset selection
+alone is ``cv_compare(dataset, methods=("best_subset",))``; its
+``mean_errors["best_subset"]`` is the mean test MSE.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ DEFAULT_METHODS = ("avg_optimal", "avg_aic", "best_subset", "full_model")
 _SCHEMES = {"avg_optimal": "optimal", "avg_aic": "aic"}  # averaging method -> weighting scheme
 SELECTION_RULES = ("cv", "aic")
 _TRAIN_FRACTION = 67 / 97  # the stock prostate protocol's 67/30 split, kept proportional
+_N_FOLDS = 5  # inner folds of the CV selection rule
 
 
 @dataclass
@@ -63,7 +66,7 @@ def _check_select_by(select_by: str) -> None:
         raise DataError(f"unknown selection rule {select_by!r}; expected one of {SELECTION_RULES}")
 
 
-def _select(train: Dataset, candidates, select_by: str, factory, seed, repeat, n_folds=5) -> int:
+def _select(train: Dataset, candidates, select_by: str, factory, seed, repeat) -> int:
     """Index of the candidate that the rule picks on ``train``; ties go to the earlier one.
 
     The AIC rule reads ``factory``, which the caller fits on ``train``
@@ -74,7 +77,7 @@ def _select(train: Dataset, candidates, select_by: str, factory, seed, repeat, n
     if select_by == "aic":
         return int(np.argmin(aic_values(factory.logliks(), factory.dims())))
     scores = np.zeros(len(candidates))
-    for fold in np.array_split(substream(seed, "folds", repeat).permutation(train.n), n_folds):
+    for fold in np.array_split(substream(seed, "folds", repeat).permutation(train.n), _N_FOLDS):
         inner_train, held_out = train.take(np.setdiff1d(np.arange(train.n), fold)), train.take(fold)
         fold_fit = LinearQFactory(inner_train.design, inner_train.response, candidates)
         residuals = held_out.response[:, None] - held_out.design @ fold_fit.padded_betas().T
@@ -86,11 +89,10 @@ def select_best_subset(
     train: Dataset,
     *,
     select_by: str = "cv",
-    n_folds: int = 5,
     seed: int = 0,
     repeat: int = 0,
 ):
-    """Pick the optional-predictor subset by inner CV (or training AIC).
+    """Pick the optional-predictor subset by inner 5-fold CV (or training AIC).
 
     Returns the winning CandidateModel.  Ties break toward the earlier
     model in enumeration order, which is also the smaller index set.
@@ -103,31 +105,7 @@ def select_best_subset(
     _check_select_by(select_by)
     candidates = enumerate_all_subsets(1, train.d - 1)
     factory = LinearQFactory(train.design, train.response, candidates) if select_by == "aic" else None
-    return candidates[_select(train, candidates, select_by, factory, seed, repeat, n_folds)]
-
-
-def best_subset_cv(
-    dataset: Dataset,
-    n_repeats: int = 5,
-    seed: int = 0,
-    *,
-    n_train: int | None = None,
-    select_by: str = "cv",
-) -> float:
-    """Mean test MSE of best-subset selection over repeated holdout splits.
-
-    The ``best_subset`` entry of :func:`cv_compare` run on that method
-    alone, so both report the same number for the same arguments.
-    """
-    report = cv_compare(
-        dataset,
-        methods=("best_subset",),
-        n_repeats=n_repeats,
-        seed=seed,
-        n_train=n_train,
-        select_by=select_by,
-    )
-    return report.mean_errors["best_subset"]
+    return candidates[_select(train, candidates, select_by, factory, seed, repeat)]
 
 
 def cv_compare(
@@ -159,14 +137,16 @@ def cv_compare(
     ``workers`` processes run contiguous blocks of repeats (serially when
     ``workers`` is 1, on one usable CPU, off Linux, or while another
     Python thread is alive), and the log is joined in repeat order.
-    A method named twice, a training split too small for the full
-    design (or, under the CV rule, for its inner folds), or ``workers``
-    below 1 raises ``DataError`` before any split.
+    An empty ``methods``, a method named twice, a training split too
+    small for the full design (or, under the CV rule, for its inner
+    folds), or ``workers`` below 1 raises ``DataError`` before any split.
     """
     if dataset.family != "linear":
         raise DataError("cv_compare supports the linear family only")
     if n_repeats < 1:
         raise DataError("n_repeats must be at least 1")
+    if len(methods) == 0:
+        raise DataError("methods must name at least one method")
     unknown = set(methods) - set(DEFAULT_METHODS)
     if unknown:
         raise DataError(f"unknown methods {sorted(unknown)}; expected subset of {DEFAULT_METHODS}")
@@ -176,7 +156,8 @@ def cv_compare(
     if n_train is None:
         n_train = min(max(int(round(dataset.n * _TRAIN_FRACTION)), 1), dataset.n - 1)
     cv_best = "best_subset" in methods and select_by == "cv"
-    fit_rows = n_train - (n_train + 4) // 5 if cv_best else n_train  # less the largest of 5 inner folds
+    # the CV rule fits on n_train less its largest inner fold
+    fit_rows = n_train - (n_train + _N_FOLDS - 1) // _N_FOLDS if cv_best else n_train
     if fit_rows < dataset.d:
         raise DataError(f"n_train={n_train} leaves {fit_rows} rows to fit the design's {dataset.d} columns")
     averaging = [m for m in methods if m in _SCHEMES]

@@ -195,21 +195,6 @@ def full_linear_fit(X: np.ndarray, y: np.ndarray) -> LinearFullFit:
     return LinearFullFit(beta_full=beta, sigma2=sigma2, fitted=fitted)
 
 
-def pseudo_true_linear(X_k: np.ndarray, X: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Population least-squares projection of the full-model mean onto model k.
-
-    Returns (X_k'X_k)^{-1} X_k' X beta — the coefficient vector at which
-    model k's expected score vanishes when the full-design mean is X beta.
-    """
-    X = np.asarray(X, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape[0] != X.shape[1]:
-        raise DataError("beta length must match the full design's column count")
-    require_finite("full design and coefficients", X, beta)
-    Q, R = qr_factor(np.asarray(X_k, dtype=float))
-    return np.linalg.solve(R, Q.T @ (X @ beta))
-
-
 # ---------------------------------------------------------------------------
 # logistic family
 # ---------------------------------------------------------------------------
@@ -229,7 +214,7 @@ def _newton_direction(X, weights, score, model):
     return direction
 
 
-def _damped_newton(X, target, merit, *, model, max_iter, tol, label, separation=""):
+def _damped_newton(X, target, merit, *, model, max_iter, label, separation=""):
     """Solve the score equation X'(target - p(X beta)) = 0 from beta = 0.
 
     ``merit(eta, size)``, with ``size`` the score's infinity norm, is
@@ -247,7 +232,7 @@ def _damped_newton(X, target, merit, *, model, max_iter, tol, label, separation=
     size = np.max(np.abs(score))
     value = merit(eta, size)
     iterations = 0
-    while not size <= tol:  # a NaN score runs on into an error
+    while not size <= SCORE_TOL:  # a NaN score runs on into an error
         if iterations >= max_iter:
             raise NonConvergenceError(
                 f"{label} did not converge in {max_iter} iterations",
@@ -286,7 +271,6 @@ def logistic_mle(
     *,
     model: CandidateModel | None = None,
     max_iter: int = MAX_ITER,
-    tol: float = SCORE_TOL,
 ) -> FitResult:
     """Logistic maximum likelihood via damped Newton iterations on -loglik.
 
@@ -312,7 +296,6 @@ def logistic_mle(
         lambda eta, size: -_bernoulli_loglik(eta, y),
         model=model,
         max_iter=max_iter,
-        tol=tol,
         label="logistic fit",
         separation=" (possible separation)",
     )
@@ -325,7 +308,6 @@ def logistic_pseudo_fit(
     *,
     model: CandidateModel | None = None,
     max_iter: int = MAX_ITER,
-    tol: float = SCORE_TOL,
 ) -> FitResult:
     """Solve X_k'(p_target - p(X_k beta)) = 0 by iterative re-weighted least squares.
 
@@ -347,7 +329,6 @@ def logistic_pseudo_fit(
         lambda eta, size: size,
         model=model,
         max_iter=max_iter,
-        tol=tol,
         label="logistic pseudo-fit",
     )
     return FitResult(

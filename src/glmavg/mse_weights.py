@@ -114,10 +114,6 @@ class QuadraticForm:
         matrix.flags.writeable = False
         return matrix
 
-    @property
-    def n_models(self) -> int:
-        return self.bias.shape[0]
-
 
 @dataclass(frozen=True)
 class WeightSolution:
@@ -286,18 +282,6 @@ class LinearQFactory(_CandidateFactory):
         return [beta[model.column_indices()] for beta, model in zip(self._B, self.models)]
 
 
-def build_q_linear(
-    X: np.ndarray,
-    y: np.ndarray,
-    models: Sequence[CandidateModel],
-    x_star: np.ndarray,
-) -> QuadraticForm:
-    """Estimated-MSE form for a linear functional x*'beta under OLS fits."""
-    X = np.asarray(X, dtype=float)
-    x_star = _checked_point(x_star, X.shape[1])
-    return LinearQFactory(X, y, models).q_form(x_star)
-
-
 class LogisticQFactory(_CandidateFactory):
     """Every candidate's logistic fit on one (X, y), reusable across many x*.
 
@@ -376,20 +360,8 @@ def build_q_logistic(
 
 
 # ---------------------------------------------------------------------------
-# simplex machinery
+# baseline weighting schemes
 # ---------------------------------------------------------------------------
-
-
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {w : w >= 0, sum w = 1} by sort and threshold."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.shape[0] < 1:
-        raise DataError("need a 1-d vector with at least one entry")
-    s = np.sort(v)[::-1]
-    cumulative = np.cumsum(s) - 1.0
-    rho = np.flatnonzero(s * np.arange(1, v.shape[0] + 1) > cumulative)[-1]
-    tau = cumulative[rho] / (rho + 1.0)
-    return np.maximum(v - tau, 0.0)
 
 
 def equal_weights(K: int) -> np.ndarray:

@@ -29,6 +29,7 @@ values (Study II) so the estimand is a constant.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,6 +106,8 @@ class StudyConfig:
         unknown = [scheme for scheme in self.schemes if scheme not in SCHEMES]
         if unknown:
             raise DataError(f"unknown weighting schemes {unknown}; expected a subset of {SCHEMES}")
+        if len(set(self.schemes)) < len(self.schemes):
+            raise DataError(f"weighting schemes {list(self.schemes)} name a scheme more than once")
         beta.flags.writeable = False
         x.flags.writeable = False
         object.__setattr__(self, "beta_true", beta)
@@ -163,14 +166,6 @@ def oracle_estimate(
         return float(expit(x_o @ fit.beta))
     fit = ols_fit(X_o, y, model=true_support)
     return float(x_o @ fit.beta)
-
-
-def error_metric(estimates, truth: float) -> float:
-    """Root mean squared deviation of the estimates from the truth."""
-    estimates = np.asarray(estimates, dtype=float)
-    if estimates.size == 0:
-        raise DataError("error metric needs at least one estimate")
-    return float(np.sqrt(np.mean(np.abs(estimates - truth) ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +243,19 @@ def _columns(config: StudyConfig, oracle_support) -> list[str]:
     return list(config.schemes) + (["oracle"] if oracle_support is not None else [])
 
 
+def _check_grid(name: str, values) -> None:
+    """DataError unless a study grid has at least one value and no value twice."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise DataError(f"{name} names {value} more than once")
+        seen.add(value)
+    if not seen:
+        raise DataError(f"{name} is empty")
+
+
 def _check_cases(cases, model_sets: dict[str, ModelSet]) -> None:
+    _check_grid("cases", cases)
     unknown = [case for case in cases if case not in model_sets]
     if unknown:
         raise DataError(f"unknown cases {unknown}; expected a subset of {sorted(model_sets)}")
@@ -284,7 +291,7 @@ def _summary_row(estimates: np.ndarray, truth: float, **labels) -> dict:
     row.update(
         truth=truth,
         mean_estimate=mean,
-        error=error_metric(estimates, truth),
+        error=math.sqrt(mse),
         bias2=bias2,
         variance=variance,
         mse=mse,
@@ -318,7 +325,9 @@ def run_study1(
 ) -> StudyReport:
     """Bias/variance comparison of optimal-weight averaging vs the oracle fit.
 
-    Every cell is checked before the first replication runs.
+    Every cell is checked before the first replication runs; an empty
+    ``cases`` or ``n_grid``, or one naming a value twice, raises
+    ``DataError``.
     ``workers`` splits each cell's replications as ``simulate_cell``
     does; the report is byte-identical for every value, and a value
     below 1 raises ``DataError`` before any replication runs.
@@ -330,6 +339,7 @@ def run_study1(
     oracle_support = CandidateModel(STUDY1_ORACLE_SUPPORT, STUDY1_P_FIXED)
     model_sets = study1_model_sets()
     _check_cases(cases, model_sets)
+    _check_grid("n_grid", n_grid)
     for n in n_grid:
         if not float(n).is_integer():
             raise DataError(f"sample size n must be an integer, got {float(n)!r}")
@@ -383,7 +393,9 @@ def run_study2(
 ) -> StudyReport:
     """Optimal vs AIC weighting (and the oracle) as the weakest coefficient varies.
 
-    Every cell is checked before the first replication runs.
+    Every cell is checked before the first replication runs; an empty
+    ``cases`` or ``beta3_grid``, or one naming a value twice, and
+    repeated ``schemes`` raise ``DataError``.
     ``workers`` splits each cell's replications as ``simulate_cell``
     does; the report is byte-identical for every value, and a value
     below 1 raises ``DataError`` before any replication runs.
@@ -396,6 +408,7 @@ def run_study2(
         raise DataError(f"unknown family {family!r}")
     model_sets = study2_model_sets()
     _check_cases(cases, model_sets)
+    _check_grid("beta3_grid", beta3_grid)
     # every coefficient of the generating vector is nonzero, so the
     # oracle support is the full 4-coefficient model in both cases
     oracle_support = CandidateModel((0, 1, 2), 1) if include_oracle else None

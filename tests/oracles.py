@@ -6,8 +6,6 @@ enumeration, exhaustive grids, plain full-step Newton), so agreement is
 evidence of correctness rather than self-confirmation.
 """
 
-import itertools
-
 import numpy as np
 from scipy.special import expit
 
@@ -83,24 +81,13 @@ def q_logistic_double_sum(X, y, models, x_star):
     return Q
 
 
-def project_simplex_kkt_oracle(v):
-    """Simplex projection by brute force over support sets (exact KKT enumeration)."""
-    K = len(v)
-    best = None
-    for size in range(1, K + 1):
-        for support in itertools.combinations(range(K), size):
-            tau = (sum(v[list(support)]) - 1.0) / size
-            w = np.zeros(K)
-            w[list(support)] = v[list(support)] - tau
-            if np.min(w[list(support)]) < -1e-12:
-                continue
-            if any(v[i] - tau > 1e-12 for i in range(K) if i not in support):
-                continue
-            candidate = np.maximum(w, 0.0)
-            dist = np.sum((candidate - v) ** 2)
-            if best is None or dist < best[0]:
-                best = (dist, candidate)
-    return best[1]
+def pseudo_true_linear(X_k, X, beta):
+    """Population least-squares projection of the full-model mean X beta onto model k.
+
+    (X_k'X_k)^{-1} X_k' X beta by the normal equations: the coefficients
+    at which model k's expected score vanishes.
+    """
+    return np.linalg.solve(X_k.T @ X_k, X_k.T @ (X @ beta))
 
 
 def grid_min_objective(Q, step=1e-3):

@@ -14,7 +14,7 @@ no more; each test's docstring carries the measured evidence:
   and no ordering is asserted there.
 * criterion 7 (variance): for nested least squares the oracle vertex is
   the variance floor of every unbiased convex combination.  The test
-  checks that covariance identity through ``build_q_linear`` and
+  checks that covariance identity through ``LinearQFactory.q_form`` and
   reports the Monte Carlo variance ratio, whose direction the method
   does not fix.
 * criterion 8 (win rate): over 100 prostate splits, averaging beats the
@@ -32,6 +32,7 @@ from scipy.special import expit
 
 from oracles import (
     grid_min_objective,
+    pseudo_true_linear,
     q_linear_double_sum,
     q_logistic_double_sum,
     random_psd,
@@ -104,7 +105,7 @@ def test_criterion_2_gram_vs_double_sum():
         x_star = np.concatenate([[1.0], rng.standard_normal(q)])
 
         y = X @ rng.uniform(-1, 1, q + 1) + rng.standard_normal(n)
-        qf = g.build_q_linear(X, y, models, x_star)
+        qf = g.LinearQFactory(X, y, models).q_form(x_star)
         worst_lin = max(worst_lin, np.max(np.abs(qf.matrix - q_linear_double_sum(X, y, models, x_star))))
 
         y_bin = (rng.random(n) < expit(X @ rng.uniform(-0.8, 0.8, q + 1))).astype(float)
@@ -165,7 +166,7 @@ def test_criterion_4_plug_in_identity():
         model = g.CandidateModel(tuple(sorted(rng.choice(d - 1, size=2, replace=False))), 1)
         X_k = g.subset_columns(X, model)
         full = g.full_linear_fit(X, y)
-        dev = np.max(np.abs(g.pseudo_true_linear(X_k, X, full.beta_full) - g.ols_fit(X_k, y).beta))
+        dev = np.max(np.abs(pseudo_true_linear(X_k, X, full.beta_full) - g.ols_fit(X_k, y).beta))
         worst = max(worst, dev)
     assert report("criterion 4: plug-in identity (20 instances)", worst <= 1e-10, f"max dev {worst:.2e}")
 
@@ -291,7 +292,7 @@ def test_criterion_7_study1_variance(study1_report):
     Var(sum_k w_k (mu_k - mu_oracle)) over those candidates, and no
     unbiased convex combination undercuts the oracle's variance.  The
     identity holds for any full-rank design, target and response; it is
-    checked through ``build_q_linear`` on the Study I case-A candidates,
+    checked through ``LinearQFactory.q_form`` on the Study I case-A candidates,
     together with the simplex minimiser of the unbiased block of A'A,
     which is the oracle vertex.
 
@@ -318,7 +319,7 @@ def test_criterion_7_study1_variance(study1_report):
         X = np.column_stack([np.ones(n), rng.standard_normal((n, d - 1))])
         y = rng.standard_normal(n)
         x_star = np.concatenate([[1.0], rng.standard_normal(d - 1)])
-        A = g.build_q_linear(X, y, models, x_star).gram_factor
+        A = g.LinearQFactory(X, y, models).q_form(x_star).gram_factor
         cov = A.T @ A
         worst = max(abs(cov[o, k] - cov[o, o]) for k in unbiased) / cov[o, o]
         ok &= report(

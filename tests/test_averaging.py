@@ -41,15 +41,6 @@ class TestFunctional:
         with pytest.raises(DataError):
             Functional(kind="weird")
 
-    def test_coordinate_resolves_to_unit_vector(self):
-        np.testing.assert_array_equal(
-            Functional.coordinate(2).resolve(4), [0.0, 0.0, 1.0, 0.0]
-        )
-
-    def test_coordinate_out_of_range(self):
-        with pytest.raises(DataError):
-            Functional.coordinate(5).resolve(3)
-
     def test_point_length_checked(self):
         with pytest.raises(DataError):
             Functional.linear_point(np.ones(3)).resolve(4)
@@ -161,15 +152,6 @@ class TestFitAndAverageLinear:
         obj = lambda w: float(w @ Q @ w)
         assert obj(opt.weights) <= obj(aic.weights) + 1e-9
         assert obj(opt.weights) <= obj(eq.weights) + 1e-9
-
-    def test_coordinate_equals_unit_point(self):
-        X, y, _ = _linear_data(seed=5)
-        models = nested_sequence(1, 3)
-        a = fit_and_average_linear(X, y, models, Functional.coordinate(1), "equal")
-        e1 = np.zeros(4)
-        e1[1] = 1.0
-        b = fit_and_average_linear(X, y, models, Functional.linear_point(e1), "equal")
-        assert a.value == b.value
 
     def test_affine_equivariance_full_model(self):
         X, y, _ = _linear_data(seed=6)
@@ -441,8 +423,14 @@ class TestPredictionBand:
 
     @pytest.mark.parametrize(
         "bad, message",
-        [({"n_sub": 2}, "n_sub"), ({"scheme": "bogus"}, "scheme"), ({"workers": 0}, "workers")],
-        ids=["n_sub-below-columns", "unknown-scheme", "zero-workers"],
+        [
+            ({"n_sub": 2}, "n_sub"),
+            ({"scheme": "bogus"}, "scheme"),
+            ({"workers": 0}, "workers"),
+            ({"test_point": np.array([1.0, 0.0])}, "x_star has length 2, model space needs 3"),
+            ({"models": nested_sequence(1, 1)}, "design has 3 columns, model space needs 2"),
+        ],
+        ids=["n_sub-below-columns", "unknown-scheme", "zero-workers", "short-test-point", "narrow-models"],
     )
     def test_bad_arguments_rejected_before_any_draw(self, monkeypatch, bad, message):
         def no_draw(*args):
@@ -450,9 +438,17 @@ class TestPredictionBand:
 
         monkeypatch.setattr(averaging, "substream", no_draw)
         X, y = self._pool()
-        kwargs = dict(n_sub=20, n_reps=5, sigma=1.0, level=0.9, seed=0) | bad
+        kwargs = dict(
+            test_point=np.array([1.0, 0.0, 0.0]),
+            models=nested_sequence(1, 2),
+            n_sub=20,
+            n_reps=5,
+            sigma=1.0,
+            level=0.9,
+            seed=0,
+        ) | bad
         with pytest.raises(DataError, match=message):
-            prediction_band(X, y, np.array([1.0, 0.0, 0.0]), nested_sequence(1, 2), **kwargs)
+            prediction_band(X, y, **kwargs)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 5, 16, 50, 201])
     @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99])
@@ -487,14 +483,3 @@ def test_unknown_scheme_is_rejected_before_any_fit(fit, functional):
     y = (y > np.median(y)).astype(float)
     with pytest.raises(DataError, match="scheme"):
         fit(X, y, nested_sequence(1, 2), functional(np.array([1.0, 0.2, -0.3])), "bogus")
-
-
-def test_estimate_serializes():
-    X, y, _ = _linear_data(seed=15)
-    est = fit_and_average_linear(
-        X, y, nested_sequence(1, 3),
-        Functional.linear_point(np.array([1.0, 0.0, 0.0, 0.0])), "equal",
-    )
-    d = est.to_dict()
-    assert set(d) == {"value", "weights", "per_model"}
-    assert d["value"] == est.value

@@ -313,11 +313,23 @@ class TestStudyCommands:
             ),
             (["study1", "--n-grid", "60", "--dump-q"], "unrecognized arguments: --dump-q"),
             (["study2", "--beta3", "0.1", "--dump-q"], "unrecognized arguments: --dump-q"),
+            (["study1", "--n-grid", ""], "n_grid is empty"),
+            (["study2", "--beta3", ""], "beta3_grid is empty"),
+            (["study1", "--n-grid", "60,60"], "n_grid names 60.0 more than once"),
+            (["study2", "--beta3", "0.1,0.1"], "beta3_grid names 0.1 more than once"),
+            (["study1", "--cases", "A,A", "--n-grid", "60"], "cases names A more than once"),
+            (["study2", "--cases", "A,A", "--beta3", "0.1"], "cases names A more than once"),
+            (
+                ["study2", "--schemes", "aic,aic", "--beta3", "0.1"],
+                "weighting schemes ['aic', 'aic'] name a scheme more than once",
+            ),
         ],
         ids=[
             "study1-case", "study2-case", "study1-n", "study2-scheme", "study1-workers",
             "study2-workers", "study2-inf-beta3", "study2-nan-beta3", "study2-logistic-inf-beta3",
-            "study2-logistic-nan-beta3", "study1-dump-q", "study2-dump-q",
+            "study2-logistic-nan-beta3", "study1-dump-q", "study2-dump-q", "study1-empty-n-grid",
+            "study2-empty-beta3", "study1-repeated-n", "study2-repeated-beta3", "study1-repeated-case",
+            "study2-repeated-case", "study2-repeated-scheme",
         ],
     )
     def test_bad_study_arguments_are_data_errors(self, args, message, capsys):
@@ -427,10 +439,14 @@ class TestCvCommand:
             (["--n-train", "5", "--methods", "full_model"], "n_train=5 leaves 5 rows"),
             (["--n-train", "11", "--methods", "best_subset"], "n_train=11 leaves 8 rows"),
             (["--methods", "full_model,full_model"], "name a method more than once"),
+            (["--methods", ""], "unknown methods ['']"),
             (["--workers", "0"], "workers must be at least 1, got 0"),
             (["--dump-q"], "unrecognized arguments: --dump-q"),
         ],
-        ids=["n-train-8", "n-train-5", "inner-fold-8", "repeated-method", "zero-workers", "dump-q"],
+        ids=[
+            "n-train-8", "n-train-5", "inner-fold-8", "repeated-method", "empty-methods", "zero-workers",
+            "dump-q",
+        ],
     )
     def test_bad_split_or_methods_are_data_errors(self, extra, message, monkeypatch, capsys):
         monkeypatch.chdir(SRC.parent)

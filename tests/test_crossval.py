@@ -11,7 +11,6 @@ from glmavg import (
     DataError,
     Dataset,
     ModelSet,
-    best_subset_cv,
     cv_compare,
     derive_seed,
     select_best_subset,
@@ -70,16 +69,17 @@ class TestBestSubsetCv:
     def test_equals_cv_compare_entry(self):
         ds = _dataset(seed=4)
         report = cv_compare(ds, methods=("full_model", "best_subset"), n_repeats=3, seed=2)
-        assert best_subset_cv(ds, n_repeats=3, seed=2) == report.mean_errors["best_subset"]
+        alone = cv_compare(ds, methods=("best_subset",), n_repeats=3, seed=2)
+        assert alone.mean_errors["best_subset"] == report.mean_errors["best_subset"]
 
     def test_single_predictor_runs(self):
         ds = _dataset(seed=3, q=1, beta=[1.0, 2.0], sigma=0.5)
-        err = best_subset_cv(ds, n_repeats=2, seed=0)
+        err = cv_compare(ds, methods=("best_subset",), n_repeats=2, seed=0).mean_errors["best_subset"]
         assert err >= 0.0
 
     def test_noiseless_error_near_zero(self):
         ds = _dataset(seed=4, n=80, q=3, beta=[1.0, 2.0, 0.0, 1.0], sigma=0.0)
-        err = best_subset_cv(ds, n_repeats=2, seed=0)
+        err = cv_compare(ds, methods=("best_subset",), n_repeats=2, seed=0).mean_errors["best_subset"]
         assert err == pytest.approx(0.0, abs=1e-16)
 
 
@@ -145,6 +145,14 @@ class TestCvCompare:
     def test_rejects_repeated_method(self):
         with pytest.raises(DataError, match="name a method more than once"):
             cv_compare(_dataset(), methods=("full_model", "full_model"), n_repeats=1)
+
+    def test_rejects_empty_methods_before_any_split(self, monkeypatch):
+        def no_split(*args, **kwargs):
+            raise AssertionError("a split was drawn")
+
+        monkeypatch.setattr(crossval, "split", no_split)
+        with pytest.raises(DataError, match="methods must name at least one method"):
+            cv_compare(_dataset(), methods=(), n_repeats=2)
 
     @pytest.mark.parametrize(
         "n_train, methods, select_by, message",
@@ -270,5 +278,6 @@ def test_prostate_pipeline_smoke():
 @pytest.mark.slow
 def test_prostate_best_subset_error_in_plausible_band():
     # default five-repeat pipeline on the bundled stand-in
-    err = best_subset_cv(synthetic_prostate(), n_repeats=5, seed=0)
+    report = cv_compare(synthetic_prostate(), methods=("best_subset",), n_repeats=5, seed=0)
+    err = report.mean_errors["best_subset"]
     assert 0.4 <= err <= 1.0

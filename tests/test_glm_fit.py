@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from oracles import newton_logistic_oracle
+from oracles import newton_logistic_oracle, pseudo_true_linear
 
 from glmavg import (
     CandidateModel,
@@ -17,7 +17,6 @@ from glmavg import (
     logistic_mle,
     logistic_pseudo_fit,
     ols_fit,
-    pseudo_true_linear,
 )
 from glmavg.glm_fit import expit as glmavg_expit
 from glmavg.glm_fit import lapack_solve, qr_factor
@@ -402,11 +401,9 @@ def _inputs():
     X = np.column_stack([np.ones(30), rng.standard_normal((30, 2))])
     return {
         "X": X,
-        "X_k": X[:, :2].copy(),
         "y": rng.standard_normal(30),
         "y01": np.tile([0.0, 1.0, 1.0], 10),
         "p": rng.uniform(0.2, 0.8, size=30),
-        "beta": rng.standard_normal(3),
     }
 
 
@@ -416,9 +413,6 @@ FIT_CALLS = [
     ("ols_fit", lambda a: ols_fit(a["X"], a["y"]), "y"),
     ("full_linear_fit", lambda a: full_linear_fit(a["X"], a["y"]), "X"),
     ("full_linear_fit", lambda a: full_linear_fit(a["X"], a["y"]), "y"),
-    ("pseudo_true_linear", lambda a: pseudo_true_linear(a["X_k"], a["X"], a["beta"]), "X_k"),
-    ("pseudo_true_linear", lambda a: pseudo_true_linear(a["X_k"], a["X"], a["beta"]), "X"),
-    ("pseudo_true_linear", lambda a: pseudo_true_linear(a["X_k"], a["X"], a["beta"]), "beta"),
     ("logistic_mle", lambda a: logistic_mle(a["X"], a["y01"]), "X"),
     ("logistic_pseudo_fit", lambda a: logistic_pseudo_fit(a["X"], a["p"]), "X"),
 ]

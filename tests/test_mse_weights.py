@@ -9,7 +9,6 @@ from scipy.special import expit
 
 from oracles import (
     grid_min_objective,
-    project_simplex_kkt_oracle,
     q_linear_double_sum,
     q_logistic_double_sum,
     random_psd,
@@ -27,7 +26,6 @@ from glmavg import (
     QuadraticForm,
     SingularDesignError,
     aic_weights,
-    build_q_linear,
     build_q_logistic,
     derive_seed,
     enumerate_all_subsets,
@@ -36,7 +34,6 @@ from glmavg import (
     logistic_mle,
     logistic_pseudo_fit,
     ols_fit,
-    project_simplex,
     select_best_subset,
     solve_simplex_qp,
     split,
@@ -62,7 +59,7 @@ class TestBuildQLinear:
     def test_full_model_only(self):
         X, y, x_star = _linear_instance(0)
         full_model = CandidateModel((0, 1, 2), 1)
-        qf = build_q_linear(X, y, [full_model], x_star)
+        qf = LinearQFactory(X, y, [full_model]).q_form(x_star)
         full = full_linear_fit(X, y)
         assert qf.bias[0] == pytest.approx(0.0, abs=1e-12)
         expected_var = full.sigma2 * (x_star @ np.linalg.inv(X.T @ X) @ x_star)
@@ -71,7 +68,7 @@ class TestBuildQLinear:
     def test_duplicated_model_gives_equal_entries(self):
         X, y, x_star = _linear_instance(1)
         m = CandidateModel((0,), 1)
-        qf = build_q_linear(X, y, [m, m], x_star)
+        qf = LinearQFactory(X, y, [m, m]).q_form(x_star)
         assert qf.matrix.shape == (2, 2)
         assert np.ptp(qf.matrix) == pytest.approx(0.0, abs=1e-14)
 
@@ -82,14 +79,14 @@ class TestBuildQLinear:
             CandidateModel((0, 1), 1),
             CandidateModel((0, 1, 2), 1),
         ]
-        qf = build_q_linear(X, y, models, x_star)
+        qf = LinearQFactory(X, y, models).q_form(x_star)
         oracle = q_linear_double_sum(X, y, models, x_star)
         np.testing.assert_allclose(qf.matrix, oracle, atol=1e-10)
 
     def test_matrix_symmetric_psd(self):
         X, y, x_star = _linear_instance(3)
         models = [CandidateModel((j,), 1) for j in range(3)]
-        qf = build_q_linear(X, y, models, x_star)
+        qf = LinearQFactory(X, y, models).q_form(x_star)
         np.testing.assert_allclose(qf.matrix, qf.matrix.T, atol=1e-12)
         eigs = np.linalg.eigvalsh(qf.matrix)
         assert eigs[0] >= -1e-10 * np.trace(qf.matrix)
@@ -97,7 +94,7 @@ class TestBuildQLinear:
     def test_x_star_length_checked(self):
         X, y, _ = _linear_instance(4)
         with pytest.raises(DataError):
-            build_q_linear(X, y, [CandidateModel((), 1)], np.ones(2))
+            LinearQFactory(X, y, [CandidateModel((), 1)]).q_form(np.ones(2))
 
 
 class TestLinearQFactory:
@@ -183,7 +180,7 @@ class TestLinearQFactory:
         with pytest.raises(DataError):
             factory.q_form(x_star)
         with pytest.raises(DataError):
-            build_q_linear(X, y, models, x_star)
+            LinearQFactory(X, y, models).q_form(x_star)
         with pytest.raises(DataError):
             build_q_logistic(X, (y > np.median(y)).astype(float), models, x_star)
 
@@ -296,48 +293,6 @@ class TestBuildQLogistic:
 
 
 # ---------------------------------------------------------------------------
-# simplex projection
-# ---------------------------------------------------------------------------
-
-
-class TestProjectSimplex:
-    def test_feasible_point_unchanged(self):
-        np.testing.assert_allclose(project_simplex(np.array([0.2, 0.8])), [0.2, 0.8])
-
-    def test_single_mass(self):
-        np.testing.assert_allclose(project_simplex(np.array([2.0, 0.0])), [1.0, 0.0])
-
-    def test_corner_case(self):
-        np.testing.assert_allclose(
-            project_simplex(np.array([0.5, 0.5, 2.0])), [0.0, 0.0, 1.0], atol=1e-12
-        )
-
-    def test_against_kkt_enumeration_oracle(self):
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            v = rng.uniform(-2, 2, size=rng.integers(1, 7))
-            np.testing.assert_allclose(
-                project_simplex(v), project_simplex_kkt_oracle(v), atol=1e-10
-            )
-
-    @given(st.lists(st.floats(-10, 10), min_size=1, max_size=12))
-    @settings(max_examples=200, deadline=None)
-    def test_output_is_on_simplex(self, values):
-        w = project_simplex(np.array(values))
-        assert np.all(w >= 0.0)
-        assert np.sum(w) == pytest.approx(1.0, abs=1e-9)
-
-    @given(st.lists(st.floats(-10, 10), min_size=2, max_size=8), st.integers(0, 2**31 - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_projection_is_nearest_feasible_point(self, values, seed):
-        v = np.array(values)
-        w = project_simplex(v)
-        rng = np.random.default_rng(seed)
-        other = rng.dirichlet(np.ones(len(v)))
-        assert np.sum((w - v) ** 2) <= np.sum((other - v) ** 2) + 1e-9
-
-
-# ---------------------------------------------------------------------------
 # weight solver
 # ---------------------------------------------------------------------------
 
@@ -409,7 +364,7 @@ class TestSolveSimplexQp:
     def test_accepts_quadratic_form(self):
         X, y, x_star = _linear_instance(10)
         models = [CandidateModel((), 1), CandidateModel((0, 1, 2), 1)]
-        qf = build_q_linear(X, y, models, x_star)
+        qf = LinearQFactory(X, y, models).q_form(x_star)
         sol_form = solve_simplex_qp(qf)
         sol_dense = solve_simplex_qp(qf.matrix)
         assert sol_form.objective == pytest.approx(sol_dense.objective, abs=1e-10)
@@ -572,7 +527,7 @@ class TestNearestPointOracles:
     def test_quadratic_form_input(self):
         X, y, x_star = _linear_instance(21)
         models = [CandidateModel((), 1), CandidateModel((0, 1), 1), CandidateModel((0, 1, 2), 1)]
-        qf = build_q_linear(X, y, models, x_star)
+        qf = LinearQFactory(X, y, models).q_form(x_star)
         sol = solve_simplex_qp(qf)
         assert np.all(sol.weights >= 0.0)
         assert np.sum(sol.weights) == pytest.approx(1.0, abs=1e-12)

@@ -8,7 +8,16 @@ import pytest
 import glmavg
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-REMOVED = ("AugmentedVector", "augment", "logistic_prob")
+REMOVED = (
+    "AugmentedVector",
+    "augment",
+    "logistic_prob",
+    "project_simplex",
+    "build_q_linear",
+    "best_subset_cv",
+    "pseudo_true_linear",
+    "error_metric",
+)
 
 
 def _entry_point_names():

@@ -9,7 +9,6 @@ from glmavg import (
     ModelSet,
     NonConvergenceError,
     StudyConfig,
-    error_metric,
     nested_sequence,
     oracle_estimate,
     run_study1,
@@ -70,21 +69,6 @@ class TestOracleEstimate:
             X, y, CandidateModel((0, 1), 1), Functional.logistic_point(np.array([1.0, 0.0, 0.0]))
         )
         assert 0.0 < got < 1.0
-
-
-class TestErrorMetric:
-    def test_exact_estimates(self):
-        assert error_metric([2.0, 2.0, 2.0], 2.0) == 0.0
-
-    def test_single_unit_deviation(self):
-        assert error_metric([3.0], 2.0) == 1.0
-
-    def test_symmetric_pair(self):
-        assert error_metric([0.0, 2.0], 1.0) == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(DataError):
-            error_metric([], 1.0)
 
 
 class TestStudyConfig:
@@ -152,11 +136,29 @@ class TestStudyConfig:
                 lambda: run_study2("logistic", beta3_grid=(0.1, float("nan")), n_reps=200),
                 "beta_true and x_star must be finite",
             ),
+            (lambda: run_study1(n_grid=(), n_reps=200), "n_grid is empty"),
+            (lambda: run_study1(n_grid=(60, 60), n_reps=200), "n_grid names 60 more than once"),
+            (lambda: run_study1(cases=("A", "A"), n_reps=200), "cases names A more than once"),
+            (lambda: run_study2(cases=(), n_reps=200), "cases is empty"),
+            (lambda: run_study2(beta3_grid=(), n_reps=200), "beta3_grid is empty"),
+            (
+                lambda: run_study2(beta3_grid=(0.1, 0.1), n_reps=200),
+                "beta3_grid names 0.1 more than once",
+            ),
+            (
+                lambda: run_study2(schemes=("aic", "aic"), n_reps=200),
+                r"weighting schemes \['aic', 'aic'\] name a scheme more than once",
+            ),
         ],
-        ids=["run_study1-small-n", "run_study2-nan-beta3"],
+        ids=[
+            "run_study1-small-n", "run_study2-nan-beta3", "run_study1-empty-n-grid",
+            "run_study1-repeated-n", "run_study1-repeated-case", "run_study2-empty-cases",
+            "run_study2-empty-beta3-grid", "run_study2-repeated-beta3", "run_study2-repeated-scheme",
+        ],
     )
     def test_every_cell_is_checked_before_any_replication(self, monkeypatch, run, message):
-        # the first cell is valid; the bad second one must fail before it runs
+        # an empty or repeated grid entry, or a bad cell after a valid one,
+        # must fail before the first replication runs
         import glmavg.sim_harness as sim_harness
 
         def no_fit(*args, **kwargs):
