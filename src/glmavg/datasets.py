@@ -57,9 +57,14 @@ _INTERCEPT = 2.465
 _NOISE_SD = 0.70
 
 
-def synthetic_prostate(n: int = 97, seed: int = 20260808) -> Dataset:
-    """Simulated dataset with the prostate study's schema and moment structure."""
-    rng = substream(seed, "prostate")
+def synthetic_prostate() -> Dataset:
+    """The 97 simulated rows with the prostate study's schema and moment structure.
+
+    They are drawn from one fixed stream, so every call returns the
+    same rows.
+    """
+    n = 97
+    rng = substream(20260808, "prostate")
     # correlated latents; tiny eigenvalue clip guards the Cholesky
     eigvals, eigvecs = np.linalg.eigh(_CORR)
     root = eigvecs @ np.diag(np.sqrt(np.maximum(eigvals, 1e-10))) @ eigvecs.T

@@ -214,7 +214,7 @@ def _newton_direction(X, weights, score, model):
     return direction
 
 
-def _damped_newton(X, target, merit, *, model, max_iter, label, separation=""):
+def _damped_newton(X, target, merit, *, model, label, separation=""):
     """Solve the score equation X'(target - p(X beta)) = 0 from beta = 0.
 
     ``merit(eta, size)``, with ``size`` the score's infinity norm, is
@@ -222,7 +222,7 @@ def _damped_newton(X, target, merit, *, model, max_iter, label, separation=""):
     (``1e-12 * (1 + |value|)``); the step is halved until it does, at
     most ``_MAX_HALVINGS`` times.  Returns beta, X beta, the merit there
     and the iteration count.  ``label`` and ``separation`` word the
-    ``NonConvergenceError`` raised at the iteration cap or past
+    ``NonConvergenceError`` raised after ``MAX_ITER`` iterations or past
     ``BETA_BOUND``.
     """
     beta = np.zeros(X.shape[1])
@@ -233,9 +233,9 @@ def _damped_newton(X, target, merit, *, model, max_iter, label, separation=""):
     value = merit(eta, size)
     iterations = 0
     while not size <= SCORE_TOL:  # a NaN score runs on into an error
-        if iterations >= max_iter:
+        if iterations >= MAX_ITER:
             raise NonConvergenceError(
-                f"{label} did not converge in {max_iter} iterations",
+                f"{label} did not converge in {MAX_ITER} iterations",
                 model=model,
                 iterations=iterations,
             )
@@ -270,12 +270,11 @@ def logistic_mle(
     y: np.ndarray,
     *,
     model: CandidateModel | None = None,
-    max_iter: int = MAX_ITER,
 ) -> FitResult:
     """Logistic maximum likelihood via damped Newton iterations on -loglik.
 
-    Raises ``NonConvergenceError`` when the iteration cap is hit or a
-    coefficient runs past the separation guard.
+    Raises ``NonConvergenceError`` when ``MAX_ITER`` iterations do not
+    converge or a coefficient runs past the separation guard.
     """
     X_k = np.asarray(X_k, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -295,7 +294,6 @@ def logistic_mle(
         y,
         lambda eta, size: -_bernoulli_loglik(eta, y),
         model=model,
-        max_iter=max_iter,
         label="logistic fit",
         separation=" (possible separation)",
     )
@@ -307,7 +305,6 @@ def logistic_pseudo_fit(
     p_target: ProbVector | np.ndarray,
     *,
     model: CandidateModel | None = None,
-    max_iter: int = MAX_ITER,
 ) -> FitResult:
     """Solve X_k'(p_target - p(X_k beta)) = 0 by iterative re-weighted least squares.
 
@@ -328,7 +325,6 @@ def logistic_pseudo_fit(
         target,
         lambda eta, size: size,
         model=model,
-        max_iter=max_iter,
         label="logistic pseudo-fit",
     )
     return FitResult(

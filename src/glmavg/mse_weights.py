@@ -40,7 +40,9 @@ Optimal weights minimise w'Qhat w over the probability simplex.  Since
 Qhat = M'M with M = [b'; A], that is the search for the point of
 conv{columns of M} nearest the origin, which Wolfe's algorithm ("Finding
 the nearest point in a polytope", Math. Programming 11, 1976) solves
-exactly in finitely many steps from b and A alone.  Its corral systems,
+exactly in finitely many steps from b and A alone, so the solver takes
+only a ``QuadraticForm`` and never a dense K x K matrix; ``matrix`` is
+built only for display and checks.  Its corral systems,
 at most p + 2 square and about ten per prostate prediction, go to LAPACK
 ``gesv`` through numpy's own gufunc (``glm_fit.lapack_solve``): the same
 bits as ``np.linalg.solve`` without its per-call wrapper, which cost
@@ -408,31 +410,7 @@ def aic_weights(logliks, dims) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _points(q: QuadraticForm | np.ndarray) -> np.ndarray:
-    """The K points whose convex hull the solver searches: rows of P with P P' = Q.
-
-    For a ``QuadraticForm`` P = [b, A'], the transpose of M = [b'; A].  A
-    raw matrix is symmetrised and factored by ``eigh`` as Q = V diag(lam) V';
-    P = V diag(sqrt(lam - min(0, lam_min))), so roundoff that pushed an
-    eigenvalue below zero becomes the uniform lift ``-lam_min I``, which
-    changes every simplex objective by the same constant and keeps the
-    minimiser.
-    """
-    if isinstance(q, QuadraticForm):
-        P = np.column_stack([q.bias, q.gram_factor.T])
-        if not np.isfinite(P).all():
-            raise NumericalError("non-finite entries in the quadratic form")
-        return P
-    Q = np.asarray(q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or Q.shape[0] == 0:
-        raise DataError("Q must be a non-empty square matrix")
-    if not np.isfinite(Q).all():
-        raise NumericalError("non-finite entries in the quadratic form")
-    lam, V = np.linalg.eigh(0.5 * (Q + Q.T))
-    return V * np.sqrt(lam - min(0.0, lam[0]))
-
-
-def _nearest_point(P: np.ndarray, sq_norms: np.ndarray, max_iter: int):
+def _nearest_point(P: np.ndarray, sq_norms: np.ndarray):
     """Wolfe's algorithm: simplex weights of the point of conv{rows of P} nearest 0.
 
     The corral is an affinely independent set of points and x the point
@@ -467,7 +445,7 @@ def _nearest_point(P: np.ndarray, sq_norms: np.ndarray, max_iter: int):
     S = P[corral]
     last = math.inf
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for cycle in range(1, max_iter + 1):
+        for cycle in range(1, SOLVER_MAX_ITER + 1):
             x = w @ S
             g = P @ x
             j = int(g.argmin())
@@ -511,33 +489,36 @@ def _nearest_point(P: np.ndarray, sq_norms: np.ndarray, max_iter: int):
                 w = w[keep]
                 w /= w.sum()
                 c = float(sq_norms[corral].max())
-    raise NumericalError(f"weight solve did not converge in {max_iter} major cycles")
+    raise NumericalError(f"weight solve did not converge in {SOLVER_MAX_ITER} major cycles")
 
 
-def solve_simplex_qp(
-    q: QuadraticForm | np.ndarray,
-    *,
-    max_iter: int = SOLVER_MAX_ITER,
-) -> WeightSolution:
+def solve_simplex_qp(q: QuadraticForm) -> WeightSolution:
     """Minimise w'Qw over the probability simplex, with a certified answer.
 
-    Q = M'M, so the minimiser gives the point of conv{columns of M}
-    nearest the origin, which Wolfe's algorithm finds exactly in finitely
-    many steps.  A ``QuadraticForm`` supplies M = [b'; A] directly and
-    its dense matrix is never built; a raw symmetric matrix is factored
-    once (see ``_points``).  The KKT residual max_k w_k (g_k - min g),
-    g = 2 Q w, is recomputed from the factor at the end.  The minimiser
-    need not be unique; the objective and Q w are.
+    Q = M'M with M = [b'; A], so the minimiser gives the point of
+    conv{columns of M} nearest the origin, which Wolfe's algorithm finds
+    exactly in finitely many steps from the form's b and A; its dense
+    matrix is never built.  Anything but a ``QuadraticForm`` raises
+    ``DataError``: build one with ``QuadraticForm.from_parts``.  The KKT
+    residual max_k w_k (g_k - min g), g = 2 Q w, is recomputed from M at
+    the end.  The minimiser need not be unique; the objective and Q w are.
 
     Raises ``NumericalError`` for non-finite input, a singular corral
-    system, ``max_iter`` major cycles without convergence, or a KKT
-    residual above ``_KKT_TOL`` times the largest Q_kk.
+    system, ``SOLVER_MAX_ITER`` major cycles without convergence, or a
+    KKT residual above ``_KKT_TOL`` times the largest Q_kk.
     """
-    P = _points(q)
+    if not isinstance(q, QuadraticForm):
+        raise DataError(
+            f"solve_simplex_qp takes a QuadraticForm, not {type(q).__name__}; "
+            "build one from b and A with QuadraticForm.from_parts"
+        )
+    P = np.column_stack([q.bias, q.gram_factor.T])  # row k is column k of M
+    if not np.isfinite(P).all():
+        raise NumericalError("non-finite entries in the quadratic form")
     sq_norms = np.einsum("ij,ij->i", P, P)
     if P.shape[0] == 1:
         return WeightSolution(np.ones(1), float(sq_norms[0]), 0, 0.0)
-    w, cycles = _nearest_point(P, sq_norms, max_iter)
+    w, cycles = _nearest_point(P, sq_norms)
     x = w @ P
     grad = 2.0 * (P @ x)
     residual = float((w * (grad - grad.min())).max())

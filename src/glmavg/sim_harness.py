@@ -66,12 +66,11 @@ STUDY1_Q = 5
 #: optional indices of the nonzero optional coefficients in STUDY1_BETA
 STUDY1_ORACLE_SUPPORT = (1, 3)
 
-STUDY2_X_STAR_LINEAR = (1.0, -1.855445, -1.018565, -1.045111)
-# the logistic study evaluates the same covariate draw as the linear one
-# (its commonly-quoted 3-decimal form rounds this vector); using the
-# full-precision values keeps every stock probability truth within 5e-4
-# of the reference column, which the rounded form misses at beta3=0.1
-STUDY2_X_STAR_LOGISTIC = STUDY2_X_STAR_LINEAR
+# both families evaluate this covariate draw (its commonly-quoted
+# 3-decimal form rounds this vector); using the full-precision values
+# keeps every stock probability truth within 5e-4 of the reference
+# column, which the rounded form misses at beta3=0.1
+STUDY2_X_STAR = (1.0, -1.855445, -1.018565, -1.045111)
 STUDY2_BETA_BASE = (0.3, 0.1, 0.3)
 STUDY2_BETA3_GRID = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5)
 
@@ -103,6 +102,8 @@ class StudyConfig:
             raise DataError(f"n={self.n} too small for a {largest}-parameter candidate")
         if self.n_reps < 1:
             raise DataError("n_reps must be at least 1")
+        if not self.schemes:
+            raise DataError("schemes is empty; a cell needs at least one weighting scheme")
         unknown = [scheme for scheme in self.schemes if scheme not in SCHEMES]
         if unknown:
             raise DataError(f"unknown weighting schemes {unknown}; expected a subset of {SCHEMES}")
@@ -384,49 +385,44 @@ def run_study2(
     cases=("A", "B"),
     schemes=("optimal", "aic"),
     *,
-    include_oracle: bool = True,
     n_reps: int = 500,
-    n: int = 100,
     seed: int = 0,
     workers: int = 1,
     fixed_design: bool = False,
 ) -> StudyReport:
-    """Optimal vs AIC weighting (and the oracle) as the weakest coefficient varies.
+    """Optimal vs AIC weighting, and the oracle, as the weakest coefficient varies.
 
-    Every cell is checked before the first replication runs; an empty
-    ``cases`` or ``beta3_grid``, or one naming a value twice, and
-    repeated ``schemes`` raise ``DataError``.
+    Every cell has n = 100 observations at x* = ``STUDY2_X_STAR`` and
+    reports one row per scheme, then one for the oracle (the full
+    4-coefficient model, fit on the same draws).  Every cell is checked
+    before the first replication runs; an unknown ``family``, an empty
+    ``cases`` or ``beta3_grid``, or one naming a value twice, and empty
+    or repeated ``schemes`` raise ``DataError``.
     ``workers`` splits each cell's replications as ``simulate_cell``
     does; the report is byte-identical for every value, and a value
     below 1 raises ``DataError`` before any replication runs.
     """
-    if family == "linear":
-        x_star = np.asarray(STUDY2_X_STAR_LINEAR)
-    elif family == "logistic":
-        x_star = np.asarray(STUDY2_X_STAR_LOGISTIC)
-    else:
-        raise DataError(f"unknown family {family!r}")
     model_sets = study2_model_sets()
     _check_cases(cases, model_sets)
     _check_grid("beta3_grid", beta3_grid)
     # every coefficient of the generating vector is nonzero, so the
     # oracle support is the full 4-coefficient model in both cases
-    oracle_support = CandidateModel((0, 1, 2), 1) if include_oracle else None
+    oracle_support = CandidateModel((0, 1, 2), 1)
 
     cells = [
         (
             StudyConfig(
                 family=family,
-                n=n,
+                n=100,
                 beta_true=np.asarray(STUDY2_BETA_BASE + (float(beta3),)),
                 candidate_set=model_sets[case],
-                x_star=x_star,
+                x_star=STUDY2_X_STAR,
                 n_reps=n_reps,
                 seed=seed,
                 schemes=tuple(schemes),
             ),
             ("study2", family, case, repr(float(beta3))),
-            dict(case=case, family=family, beta3=float(beta3), n=n),
+            dict(case=case, family=family, beta3=float(beta3), n=100),
         )
         for case in cases
         for beta3 in beta3_grid

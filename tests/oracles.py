@@ -10,6 +10,7 @@ import numpy as np
 from scipy.special import expit
 
 from glmavg import (
+    QuadraticForm,
     enumerate_all_subsets,
     full_linear_fit,
     logistic_mle,
@@ -118,12 +119,11 @@ def newton_logistic_oracle(X, y, tol=1e-12, iters=500):
     return beta
 
 
-def random_psd(rng, K, n=None):
-    """Random PSD matrix with the bias-outer-product + Gram structure."""
-    n = n if n is not None else K + 3
+def random_psd(rng, K):
+    """Random quadratic form b b' + A'A from a normal bias b and (K + 3) x K Gram factor A."""
     b = rng.standard_normal(K)
-    A = rng.standard_normal((n, K))
-    return np.outer(b, b) + A.T @ A
+    A = rng.standard_normal((K + 3, K))
+    return QuadraticForm.from_parts(b, A)
 
 
 def aic_weights_reference(fits):

@@ -44,8 +44,7 @@ from glmavg.sim_harness import (
     STUDY1_ORACLE_SUPPORT,
     STUDY1_P_FIXED,
     STUDY2_BETA_BASE,
-    STUDY2_X_STAR_LINEAR,
-    STUDY2_X_STAR_LOGISTIC,
+    STUDY2_X_STAR,
     study1_model_sets,
 )
 
@@ -74,8 +73,8 @@ def test_criterion_1_truth_reproduction():
     ok = True
     for beta3, mu, p in zip(grid, mu_ref, p_ref):
         beta = np.asarray(STUDY2_BETA_BASE + (beta3,))
-        mu_hat = float(np.asarray(STUDY2_X_STAR_LINEAR) @ beta)
-        p_hat = float(expit(np.asarray(STUDY2_X_STAR_LOGISTIC) @ beta))
+        mu_hat = float(np.asarray(STUDY2_X_STAR) @ beta)
+        p_hat = float(expit(np.asarray(STUDY2_X_STAR) @ beta))
         ok &= report(
             f"criterion 1: truth at beta3={beta3}",
             abs(mu_hat - mu) <= 5e-4 and abs(p_hat - p) <= 5e-4,
@@ -126,9 +125,9 @@ def test_criterion_3_solver_optimality():
     worst_gap = -np.inf
     for trial in range(50):
         K = 2 + trial % 2
-        Q = random_psd(rng, K)
-        sol = g.solve_simplex_qp(Q)
-        worst_gap = max(worst_gap, sol.objective - grid_min_objective(Q))
+        q = random_psd(rng, K)
+        sol = g.solve_simplex_qp(q)
+        worst_gap = max(worst_gap, sol.objective - grid_min_objective(q.matrix))
     ok = report(
         "criterion 3: K<=3 grid-search optimality (50 instances)",
         worst_gap <= 1e-6,
@@ -138,8 +137,9 @@ def test_criterion_3_solver_optimality():
     worst_dom = -np.inf
     for trial in range(50):
         K = int(rng.integers(2, 20))
-        Q = random_psd(rng, K)
-        sol = g.solve_simplex_qp(Q)
+        q = random_psd(rng, K)
+        sol = g.solve_simplex_qp(q)
+        Q = q.matrix
         eq = g.equal_weights(K)
         gap = sol.objective - min(float(np.min(np.diag(Q))), float(eq @ Q @ eq))
         worst_dom = max(worst_dom, gap)
@@ -207,8 +207,7 @@ def test_criterion_5_irls_contracts():
 def test_criterion_6_study2_linear_case_b():
     grid = (0.001, 0.005, 0.01, 0.05, 0.1)
     rep = g.run_study2(
-        "linear", beta3_grid=grid, cases=("B",), n_reps=500, seed=SEED,
-        include_oracle=False, workers=2,
+        "linear", beta3_grid=grid, cases=("B",), n_reps=500, seed=SEED, workers=2,
     )
     ok = True
     for beta3 in grid:
@@ -255,8 +254,7 @@ def test_criterion_6_study2_logistic():
     ok = True
     for case in ("A", "B"):
         rep = g.run_study2(
-            "logistic", beta3_grid=grid, cases=(case,), n_reps=500,
-            seed=SEED, include_oracle=False, workers=2,
+            "logistic", beta3_grid=grid, cases=(case,), n_reps=500, seed=SEED, workers=2,
         )
         for beta3 in grid:
             opt = rep.select(beta3=beta3, scheme="optimal")[0]["error"]
@@ -327,7 +325,8 @@ def test_criterion_7_study1_variance(study1_report):
             worst <= 1e-10,
             f"max relative dev {worst:.2e}",
         )
-        w = g.solve_simplex_qp(cov[np.ix_(unbiased, unbiased)]).weights
+        block = g.QuadraticForm.from_parts(np.zeros(len(unbiased)), A[:, unbiased])
+        w = g.solve_simplex_qp(block).weights
         ok &= report(
             f"criterion 7: oracle vertex minimises the unbiased variance block at n={n}",
             abs(w[unbiased.index(o)] - 1.0) <= 1e-9,

@@ -11,7 +11,7 @@ import pytest
 import glmavg.sim_harness as sim_harness
 from glmavg import CandidateModel, NonConvergenceError, StudyConfig, simulate_cell
 from glmavg._forked import run_replications
-from glmavg.sim_harness import STUDY2_X_STAR_LINEAR, study2_model_sets
+from glmavg.sim_harness import STUDY2_X_STAR, study2_model_sets
 
 two_cpus = pytest.mark.skipif(
     len(os.sched_getaffinity(0)) < 2, reason="the runner forks only with two usable CPUs"
@@ -43,7 +43,7 @@ def _config(family="linear", n_reps=40):
         n=60,
         beta_true=np.array([0.3, 0.1, 0.3, 0.1]),
         candidate_set=study2_model_sets()["B"],
-        x_star=np.asarray(STUDY2_X_STAR_LINEAR),
+        x_star=np.asarray(STUDY2_X_STAR),
         n_reps=n_reps,
         seed=4,
         schemes=("optimal", "aic"),

@@ -7,6 +7,7 @@ from scipy.special import expit
 
 from oracles import newton_logistic_oracle, pseudo_true_linear
 
+import glmavg.glm_fit as glm_fit
 from glmavg import (
     CandidateModel,
     DataError,
@@ -259,12 +260,13 @@ class TestLogisticPseudoFit:
     ],
     ids=["mle", "pseudo"],
 )
-def test_iteration_cap_raises_with_its_count(fit, target, label):
+def test_iteration_cap_raises_with_its_count(monkeypatch, fit, target, label):
     X = np.column_stack([np.ones(60), np.linspace(-1.0, 1.0, 60)])
     assert fit(X, target).iterations > 2
     model = CandidateModel((0,), 1)
+    monkeypatch.setattr(glm_fit, "MAX_ITER", 2)
     with pytest.raises(NonConvergenceError) as info:
-        fit(X, target, model=model, max_iter=2)
+        fit(X, target, model=model)
     assert str(info.value) == f"{label} did not converge in 2 iterations"
     assert info.value.iterations == 2
     assert info.value.model == model

@@ -317,19 +317,23 @@ SOLVER_GOLDEN = json.loads(
 )
 
 
+# Q = diag(1, 2): b = 0 and A'A = diag(1, 1 + 1), exactly.
+DIAGONAL_1_2 = QuadraticForm.from_parts(np.zeros(2), [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+
+
 class TestSolveSimplexQp:
     def test_single_model(self):
-        sol = solve_simplex_qp(np.array([[3.0]]))
+        sol = solve_simplex_qp(QuadraticForm.from_parts([1.0], [[1.0], [1.0]]))  # Q = [[3]]
         np.testing.assert_allclose(sol.weights, [1.0])
         assert sol.objective == pytest.approx(3.0)
 
     def test_diagonal_closed_form(self):
-        sol = solve_simplex_qp(np.diag([1.0, 2.0]))
+        sol = solve_simplex_qp(DIAGONAL_1_2)
         np.testing.assert_allclose(sol.weights, [2.0 / 3.0, 1.0 / 3.0], atol=1e-8)
         assert sol.objective == pytest.approx(2.0 / 3.0, abs=1e-9)
 
     def test_rank_one_constant_objective(self):
-        sol = solve_simplex_qp(np.ones((4, 4)))
+        sol = solve_simplex_qp(QuadraticForm.from_parts(np.ones(4), np.zeros((1, 4))))  # Q = 11'
         assert sol.objective == pytest.approx(1.0, abs=1e-12)
         assert np.all(sol.weights >= 0.0)
         assert np.sum(sol.weights) == pytest.approx(1.0, abs=1e-12)
@@ -338,16 +342,17 @@ class TestSolveSimplexQp:
         rng = np.random.default_rng(7)
         for trial in range(20):
             K = int(rng.integers(2, 4))
-            Q = random_psd(rng, K)
-            sol = solve_simplex_qp(Q)
-            assert sol.objective <= grid_min_objective(Q) + 1e-6
+            q = random_psd(rng, K)
+            sol = solve_simplex_qp(q)
+            assert sol.objective <= grid_min_objective(q.matrix) + 1e-6
 
     def test_dominates_vertices_and_equal_weights(self):
         rng = np.random.default_rng(8)
         for trial in range(10):
             K = int(rng.integers(2, 12))
-            Q = random_psd(rng, K)
-            sol = solve_simplex_qp(Q)
+            q = random_psd(rng, K)
+            sol = solve_simplex_qp(q)
+            Q = q.matrix
             vertex_objs = np.diag(Q)
             assert sol.objective <= np.min(vertex_objs) + 1e-9
             eq = equal_weights(K)
@@ -355,30 +360,21 @@ class TestSolveSimplexQp:
 
     def test_dominates_random_simplex_points(self):
         rng = np.random.default_rng(9)
-        Q = random_psd(rng, 6)
-        sol = solve_simplex_qp(Q)
+        q = random_psd(rng, 6)
+        sol = solve_simplex_qp(q)
         W = rng.dirichlet(np.ones(6), size=100_000)
-        objs = np.einsum("ij,jk,ik->i", W, Q, W)
+        objs = np.einsum("ij,jk,ik->i", W, q.matrix, W)
         assert sol.objective <= np.min(objs) + 1e-9
-
-    def test_accepts_quadratic_form(self):
-        X, y, x_star = _linear_instance(10)
-        models = [CandidateModel((), 1), CandidateModel((0, 1, 2), 1)]
-        qf = LinearQFactory(X, y, models).q_form(x_star)
-        sol_form = solve_simplex_qp(qf)
-        sol_dense = solve_simplex_qp(qf.matrix)
-        assert sol_form.objective == pytest.approx(sol_dense.objective, abs=1e-10)
-
-    def test_clips_tiny_negative_eigenvalues(self):
-        Q = np.diag([1.0, 2.0])
-        Q[0, 0] -= 1e-13  # still effectively PSD
-        jitter = np.array([[0.0, 1e-13], [1e-13, 0.0]])
-        sol = solve_simplex_qp(Q + jitter)
-        np.testing.assert_allclose(sol.weights, [2.0 / 3.0, 1.0 / 3.0], atol=1e-6)
 
     def test_rejects_non_finite(self):
         with pytest.raises(NumericalError):
-            solve_simplex_qp(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+            solve_simplex_qp(QuadraticForm.from_parts([1.0, np.nan], np.eye(2)))
+
+    def test_rejects_a_dense_matrix(self):
+        # an indefinite matrix (w'Qw = -1 at the second vertex) has no
+        # factor M = [b'; A] with Q = M'M, so the solver cannot search it
+        with pytest.raises(DataError, match=r"QuadraticForm\.from_parts"):
+            solve_simplex_qp(np.diag([1.0, -1.0]))
 
     def test_weights_exactly_on_simplex(self):
         rng = np.random.default_rng(11)
@@ -391,11 +387,13 @@ class TestSolveSimplexQp:
         sol = solve_simplex_qp(random_psd(rng, 4))
         assert sol.kkt_residual <= 1e-8
 
-    def test_iteration_cap_raises(self):
-        Q = np.diag([1.0, 2.0])  # the start vertex is not optimal: two major cycles
-        assert solve_simplex_qp(Q, max_iter=2).iterations == 2
+    def test_iteration_cap_raises(self, monkeypatch):
+        # the start vertex of diag(1, 2) is not optimal: two major cycles
+        monkeypatch.setattr(mse_weights, "SOLVER_MAX_ITER", 2)
+        assert solve_simplex_qp(DIAGONAL_1_2).iterations == 2
+        monkeypatch.setattr(mse_weights, "SOLVER_MAX_ITER", 1)
         with pytest.raises(NumericalError, match="did not converge"):
-            solve_simplex_qp(Q, max_iter=1)
+            solve_simplex_qp(DIAGONAL_1_2)
 
     @pytest.mark.parametrize("split_index, rows", sorted(HARD_PROSTATE_ROWS.items()))
     def test_hard_prostate_rows_certified(self, split_index, rows):
@@ -443,10 +441,10 @@ class TestSolveSimplexQp:
     @settings(max_examples=60, deadline=None)
     def test_solution_dominates_sampled_points(self, seed, K):
         rng = np.random.default_rng(seed)
-        Q = random_psd(rng, K)
-        sol = solve_simplex_qp(Q)
+        q = random_psd(rng, K)
+        sol = solve_simplex_qp(q)
         W = rng.dirichlet(np.ones(K), size=200)
-        sampled = np.einsum("ij,jk,ik->i", W, Q, W)
+        sampled = np.einsum("ij,jk,ik->i", W, q.matrix, W)
         assert sol.objective <= np.min(sampled) + 1e-9
 
 
@@ -505,10 +503,10 @@ class TestEqualWeights:
 
 
 class TestNearestPointOracles:
-    """The nearest-point solver against closed forms, a grid and the dense path."""
+    """The nearest-point solver against closed forms and a grid."""
 
     def test_diagonal_closed_form(self):
-        sol = solve_simplex_qp(np.diag([1.0, 2.0]))
+        sol = solve_simplex_qp(DIAGONAL_1_2)
         np.testing.assert_allclose(sol.weights, [2.0 / 3.0, 1.0 / 3.0], atol=1e-7)
         assert sol.iterations > 0  # really went through the iteration
 
@@ -516,12 +514,12 @@ class TestNearestPointOracles:
         rng = np.random.default_rng(20)
         for _ in range(10):
             K = int(rng.integers(2, 4))
-            Q = random_psd(rng, K)
-            sol = solve_simplex_qp(Q)
-            assert sol.objective <= grid_min_objective(Q) + 1e-6
+            q = random_psd(rng, K)
+            sol = solve_simplex_qp(q)
+            assert sol.objective <= grid_min_objective(q.matrix) + 1e-6
 
     def test_rank_one_exits_immediately(self):
-        sol = solve_simplex_qp(np.ones((5, 5)))
+        sol = solve_simplex_qp(QuadraticForm.from_parts(np.ones(5), np.zeros((1, 5))))  # Q = 11'
         assert sol.objective == pytest.approx(1.0, abs=1e-10)
 
     def test_quadratic_form_input(self):
@@ -531,9 +529,6 @@ class TestNearestPointOracles:
         sol = solve_simplex_qp(qf)
         assert np.all(sol.weights >= 0.0)
         assert np.sum(sol.weights) == pytest.approx(1.0, abs=1e-12)
-        # same optimum as the dense path on the same matrix
-        dense = solve_simplex_qp(qf.matrix)
-        assert sol.objective == pytest.approx(dense.objective, abs=1e-7)
 
 
 def _collinear_forms(seed=20261018, count=750):

@@ -1,5 +1,9 @@
-"""The package's exported names, and README's entry-point table, stay in step."""
+"""The package's exported names, and README's entry-point table, stay in step.
 
+Names and keywords that were removed stay removed.
+"""
+
+import inspect
 import re
 from pathlib import Path
 
@@ -17,6 +21,19 @@ REMOVED = (
     "best_subset_cv",
     "pseudo_true_linear",
     "error_metric",
+)
+# (callable, keyword) pairs: each knob had one value in use and became a constant
+REMOVED_KEYWORDS = (
+    (glmavg.solve_simplex_qp, "max_iter"),
+    (glmavg.logistic_mle, "max_iter"),
+    (glmavg.logistic_pseudo_fit, "max_iter"),
+    (glmavg.logistic_mle, "tol"),
+    (glmavg.logistic_pseudo_fit, "tol"),
+    (glmavg.run_study2, "n"),
+    (glmavg.run_study2, "include_oracle"),
+    (glmavg.synthetic_prostate, "n"),
+    (glmavg.synthetic_prostate, "seed"),
+    (glmavg.select_best_subset, "n_folds"),
 )
 
 
@@ -51,3 +68,10 @@ def test_removed_names_stay_removed(name):
     assert name not in glmavg.__all__
     assert not hasattr(glmavg, name)
     assert f"`{name}`" not in README.read_text()
+
+
+@pytest.mark.parametrize(
+    "func, keyword", REMOVED_KEYWORDS, ids=[f"{func.__name__}-{kw}" for func, kw in REMOVED_KEYWORDS]
+)
+def test_removed_keywords_stay_removed(func, keyword):
+    assert keyword not in inspect.signature(func).parameters

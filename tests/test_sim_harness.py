@@ -20,8 +20,7 @@ from glmavg.sim_harness import (
     _one_replication,
     STUDY1_BETA,
     STUDY2_BETA3_GRID,
-    STUDY2_X_STAR_LINEAR,
-    STUDY2_X_STAR_LOGISTIC,
+    STUDY2_X_STAR,
     study1_model_sets,
     study2_model_sets,
 )
@@ -56,7 +55,7 @@ class TestOracleEstimate:
 
     @pytest.mark.parametrize("beta3, mu", [(0.001, -0.192), (0.5, -0.714)])
     def test_stock_truth_values(self, beta3, mu):
-        x = np.asarray(STUDY2_X_STAR_LINEAR)
+        x = np.asarray(STUDY2_X_STAR)
         beta = np.array([0.3, 0.1, 0.3, beta3])
         assert x @ beta == pytest.approx(mu, abs=5e-4)
 
@@ -108,6 +107,38 @@ class TestStudyConfig:
                 seed=0,
                 schemes=("optimal", "bogus"),
             )
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: run_study2(schemes=(), n_reps=20),
+            lambda: simulate_cell(
+                StudyConfig(
+                    family="linear",
+                    n=50,
+                    beta_true=np.ones(4),
+                    candidate_set=nested_sequence(1, 3),
+                    x_star=np.ones(4),
+                    n_reps=20,
+                    seed=0,
+                    schemes=(),
+                ),
+                oracle_support=CandidateModel((0, 1, 2), 1),
+            ),
+        ],
+        ids=["run_study2", "simulate_cell"],
+    )
+    def test_rejects_empty_schemes_before_any_draw(self, monkeypatch, run):
+        # a cell with no weighting scheme would fit every candidate on
+        # every replication and report no estimate of them
+        import glmavg.sim_harness as sim_harness
+
+        def no_draw(*args):
+            raise AssertionError("a replication stream was drawn before the schemes were checked")
+
+        monkeypatch.setattr(sim_harness, "substream", no_draw)
+        with pytest.raises(DataError, match="schemes is empty"):
+            run()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("field", ["beta_true", "x_star"])
@@ -217,7 +248,7 @@ class TestStudyConfig:
             n=50,
             beta_true=np.array([0.3, 0.1, 0.3, 0.5]),
             candidate_set=nested_sequence(1, 3),
-            x_star=np.asarray(STUDY2_X_STAR_LINEAR),
+            x_star=np.asarray(STUDY2_X_STAR),
             n_reps=2,
             seed=0,
         )
@@ -249,7 +280,7 @@ class TestSimulateCell:
             n=40,
             beta_true=np.array([0.3, 0.1, 0.3, 0.1]),
             candidate_set=study2_model_sets()["A"],
-            x_star=np.asarray(STUDY2_X_STAR_LINEAR),
+            x_star=np.asarray(STUDY2_X_STAR),
             n_reps=n_reps,
             seed=3,
             schemes=("optimal", "aic"),
@@ -273,7 +304,7 @@ class TestSimulateCell:
             n=60,
             beta_true=np.array([0.3, 0.1, 0.3, 0.1]),
             candidate_set=study2_model_sets()["B"],
-            x_star=np.asarray(STUDY2_X_STAR_LINEAR),
+            x_star=np.asarray(STUDY2_X_STAR),
             n_reps=6,
             seed=4,
             schemes=("optimal", "aic"),
@@ -306,7 +337,7 @@ class TestSimulateCell:
                 n=80,
                 beta_true=np.array([0.3, 0.1, 0.3, 0.1]),
                 candidate_set=study2_model_sets()[case],
-                x_star=np.asarray(STUDY2_X_STAR_LINEAR),
+                x_star=np.asarray(STUDY2_X_STAR),
                 n_reps=6,
                 seed=5,
             )
@@ -322,7 +353,7 @@ class TestSimulateCell:
             n=8,
             beta_true=np.array([0.3, 0.1, 0.3, 0.05]),
             candidate_set=study2_model_sets()["A"],
-            x_star=np.asarray(STUDY2_X_STAR_LOGISTIC),
+            x_star=np.asarray(STUDY2_X_STAR),
             n_reps=30,
             seed=2,
             schemes=("optimal", "aic"),
@@ -379,7 +410,7 @@ class TestRunStudy2:
     def test_truth_columns_match_reference(self):
         report = run_study2(
             "linear", beta3_grid=STUDY2_BETA3_GRID, cases=("A",), n_reps=2, seed=0,
-            schemes=("equal",), include_oracle=False,
+            schemes=("equal",),
         )
         for row in report.rows:
             assert row["truth"] == pytest.approx(TABLE1_TRUTH[row["beta3"]], abs=5e-4)
@@ -387,7 +418,7 @@ class TestRunStudy2:
     def test_truth_columns_logistic(self):
         report = run_study2(
             "logistic", beta3_grid=STUDY2_BETA3_GRID, cases=("B",), n_reps=2, seed=0,
-            schemes=("equal",), include_oracle=False,
+            schemes=("equal",),
         )
         for row in report.rows:
             assert row["truth"] == pytest.approx(TABLE2_TRUTH[row["beta3"]], abs=5e-4)
@@ -409,8 +440,7 @@ def test_logistic_case_a_mean_recovers_truth():
     # 500-rep mean of the optimal-scheme estimate lands near the true
     # probability when the candidate set contains the true model
     report = run_study2(
-        "logistic", beta3_grid=(0.001,), cases=("A",), n_reps=500, seed=0,
-        include_oracle=False, workers=2,
+        "logistic", beta3_grid=(0.001,), cases=("A",), n_reps=500, seed=0, workers=2,
     )
     row = report.select(scheme="optimal")[0]
     assert row["truth"] == pytest.approx(0.452, abs=5e-4)
