@@ -8,9 +8,18 @@ Subcommands
     cv        repeated train/test comparison of prediction methods
     band      subsample prediction bands for every row of a test CSV
 
+Each handler builds its rows and its JSON payload once and ends in one
+``_emit`` call: the rows as CSV (``dataio.csv_text``: a header line,
+floats by ``repr``, None as an empty cell, a trailing newline), or under
+``--format json`` the payload as ``json.dumps(payload, indent=2)`` plus
+a newline.  ``weights`` and ``predict`` fit the family's averaging
+predictor (``LinearAveragingPredictor`` or ``LogisticAveragingPredictor``)
+and call its ``predict`` once.
+
 Exit codes: 0 success, 2 data errors (bad CSV, bad arguments),
 3 numerical failures (singular designs, non-convergent fits).
-Output files are written atomically (temp file + rename).
+Output files are written atomically (temp file + rename), with the mode
+a shell redirect gives (0666 less the umask).
 """
 
 from __future__ import annotations
@@ -23,18 +32,13 @@ import tempfile
 
 import numpy as np
 
-from .averaging import (
-    Functional,
-    fit_and_average_linear,
-    fit_and_average_logistic,
-    prediction_band,
-)
+from .averaging import _PREDICTORS, SCHEMES, prediction_band
 from .crossval import DEFAULT_METHODS, SELECTION_RULES, cv_compare
-from .dataio import load_csv
+from .dataio import csv_text, load_csv
 from .errors import DataError, GlmavgError, NumericalError
-from .glm_fit import full_linear_fit
+from .glm_fit import full_linear_fit, require_finite
 from .model_space import ModelSet, enumerate_all_subsets
-from .sim_harness import STUDY2_BETA3_GRID, run_study1, run_study2
+from .sim_harness import REPORT_COLUMNS, STUDY2_BETA3_GRID, run_study1, run_study2
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -42,6 +46,9 @@ def _write_atomic(path: str, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".glmavg-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(handle.fileno(), 0o666 & ~umask)  # a shell redirect's mode, not mkstemp's 0600
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -50,7 +57,9 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, columns, rows, payload) -> None:
+    """Every command's output: ``rows`` as CSV, or ``payload`` as JSON under ``--format json``."""
+    text = json.dumps(payload, indent=2) + "\n" if args.format == "json" else csv_text(columns, rows)
     if args.out:
         _write_atomic(args.out, text)
     else:
@@ -95,53 +104,45 @@ def _dataset_and_x_star(args):
 
 def _cmd_point(args) -> None:
     """``weights`` and ``predict``: one averaged estimate at x*, shaped per command."""
+    if args.dump_q and args.format != "json":
+        raise DataError("--dump-q needs --format json")
     dataset, x_star = _dataset_and_x_star(args)
     models = _load_models(args, dataset.d - 1)
-    if args.family == "logistic":
-        functional, average = Functional.logistic_point(x_star), fit_and_average_logistic
-    else:
-        functional, average = Functional.linear_point(x_star), fit_and_average_linear
-    estimate = average(dataset.design, dataset.response, models, functional, args.scheme)
+    require_finite("x_star", x_star)  # before any candidate is fit
+    predictor = _PREDICTORS[args.family](dataset.design, dataset.response, models)
+    estimate = predictor.predict(x_star, args.scheme)
 
-    if args.format == "json":
-        if args.command == "weights":
-            payload = {
-                "scheme": args.scheme,
-                "family": args.family,
-                "estimate": estimate.value,
-                "weights": estimate.weights.tolist(),
-                "per_model": estimate.per_model.tolist(),
-                "models": [list(m.included) for m in models],
-            }
-        else:
-            payload = {
-                "family": args.family,
-                "scheme": args.scheme,
-                "estimate": estimate.value,
-                "weights": estimate.weights.tolist(),
-            }
-        if estimate.solution is not None:
-            payload.update(
-                objective=estimate.solution.objective,
-                kkt_residual=estimate.solution.kkt_residual,
-                iterations=estimate.solution.iterations,
-            )
-        if args.dump_q and estimate.q_hat is not None:
-            q_hat = estimate.q_hat
-            payload.update(bias=q_hat.bias.tolist(), q_matrix=q_hat.matrix.tolist())
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    elif args.dump_q:
-        raise DataError("--dump-q needs --format json")
-    elif args.command == "weights":
-        lines = ["model,included,weight,per_model_value"]
-        for k, model in enumerate(models):
-            included = " ".join(str(i) for i in model.included)
-            lines.append(
-                f"{k},{included},{float(estimate.weights[k])!r},{float(estimate.per_model[k])!r}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
+    if args.command == "weights":
+        payload = {
+            "scheme": args.scheme,
+            "family": args.family,
+            "estimate": estimate.value,
+            "weights": estimate.weights.tolist(),
+            "per_model": estimate.per_model.tolist(),
+            "models": [list(m.included) for m in models],
+        }
+        columns = ("model", "included", "weight", "per_model_value")
+        rows = [
+            dict(zip(columns, (k, " ".join(map(str, m.included)), w, v)))
+            for k, (m, w, v) in enumerate(zip(models, payload["weights"], payload["per_model"]))
+        ]
     else:
-        _emit(args, f"family,scheme,estimate\n{args.family},{args.scheme},{estimate.value!r}\n")
+        payload = {
+            "family": args.family,
+            "scheme": args.scheme,
+            "estimate": estimate.value,
+            "weights": estimate.weights.tolist(),
+        }
+        columns, rows = ("family", "scheme", "estimate"), [payload]
+    if estimate.solution is not None:
+        payload.update(
+            objective=estimate.solution.objective,
+            kkt_residual=estimate.solution.kkt_residual,
+            iterations=estimate.solution.iterations,
+        )
+    if args.dump_q and estimate.q_hat is not None:
+        payload.update(bias=estimate.q_hat.bias.tolist(), q_matrix=estimate.q_hat.matrix.tolist())
+    _emit(args, columns, rows, payload)
 
 
 def _cmd_study1(args) -> None:
@@ -153,7 +154,7 @@ def _cmd_study1(args) -> None:
         workers=args.workers,
         fixed_design=args.fixed_design,
     )
-    _emit(args, report.to_json_text() if args.format == "json" else report.to_csv_text())
+    _emit(args, REPORT_COLUMNS, report.rows, {"columns": list(REPORT_COLUMNS), "rows": report.rows})
 
 
 def _cmd_study2(args) -> None:
@@ -167,7 +168,7 @@ def _cmd_study2(args) -> None:
         workers=args.workers,
         fixed_design=args.fixed_design,
     )
-    _emit(args, report.to_json_text() if args.format == "json" else report.to_csv_text())
+    _emit(args, REPORT_COLUMNS, report.rows, {"columns": list(REPORT_COLUMNS), "rows": report.rows})
 
 
 def _cmd_cv(args) -> None:
@@ -182,19 +183,14 @@ def _cmd_cv(args) -> None:
         select_by=args.select_by,
         workers=args.workers,
     )
-    if args.format == "json":
-        _emit(args, json.dumps(report.to_dict(), indent=2) + "\n")
-    else:
-        lines = ["method,mean_error"]
-        for method, err in report.mean_errors.items():
-            lines.append(f"{method},{err!r}")
-        _emit(args, "\n".join(lines) + "\n")
+    rows = [{"method": method, "mean_error": err} for method, err in report.mean_errors.items()]
+    _emit(args, ("method", "mean_error"), rows, report.to_dict())
 
 
 def _cmd_band(args) -> None:
     train = load_csv(args.data, args.response, family="linear")
     test = load_csv(args.test_data, args.response, family="linear")
-    if test.d != train.d:
+    if test.column_names != train.column_names:
         raise DataError("training and test files must have the same columns")
     models = _load_models(args, train.d - 1)
     sigma = args.sigma
@@ -202,7 +198,7 @@ def _cmd_band(args) -> None:
         sigma = float(np.sqrt(full_linear_fit(train.design, train.response).sigma2))
     n_reps = args.reps if args.reps is not None else 50
 
-    lines = ["index,actual,predicted,lower,upper"]
+    columns = ("index", "actual", "predicted", "lower", "upper")
     rows = []
     for i in range(test.n):
         band = prediction_band(
@@ -218,21 +214,8 @@ def _cmd_band(args) -> None:
             scheme=args.scheme,
             workers=args.workers,
         )
-        actual = float(test.response[i])
-        lines.append(f"{i},{actual!r},{band.point!r},{band.lower!r},{band.upper!r}")
-        rows.append(
-            {
-                "index": i,
-                "actual": actual,
-                "predicted": band.point,
-                "lower": band.lower,
-                "upper": band.upper,
-            }
-        )
-    if args.format == "json":
-        _emit(args, json.dumps({"level": args.level, "sigma": sigma, "rows": rows}, indent=2) + "\n")
-    else:
-        _emit(args, "\n".join(lines) + "\n")
+        rows.append(dict(zip(columns, (i, float(test.response[i]), band.point, band.lower, band.upper))))
+    _emit(args, columns, rows, {"level": args.level, "sigma": sigma, "rows": rows})
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     point_args.add_argument(
         "--x-star", required=True, help="comma-separated covariate vector incl. intercept 1"
     )
-    point_args.add_argument("--scheme", choices=("optimal", "aic", "equal"), default="optimal")
+    point_args.add_argument("--scheme", choices=SCHEMES, default="optimal")
     point_args.add_argument(
         "--dump-q", action="store_true", help="include the Q matrix in JSON output"
     )
@@ -314,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=0.9)
     p.add_argument("--sigma", type=float, default=None,
                    help="noise sd (default: full-model residual sd on the training data)")
-    p.add_argument("--scheme", choices=("optimal", "aic", "equal"), default="optimal")
+    p.add_argument("--scheme", choices=SCHEMES, default="optimal")
     p.set_defaults(handler=_cmd_band)
 
     return parser

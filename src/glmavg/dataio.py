@@ -130,6 +130,24 @@ def save_csv(dataset: Dataset, path) -> None:
             writer.writerow(row)
 
 
+def csv_text(columns, rows) -> str:
+    """The CLI's CSV: a header of ``columns``, then one line per row dict, ending in a newline.
+
+    A float cell is ``repr(float(v))``, so it reads back to the same
+    double; None or a missing key is an empty cell; anything else is
+    ``str(v)``.  No cell is quoted, and lines end in ``"\\n"``
+    (``save_csv`` writes the ``csv`` module's quoted ``"\\r\\n"`` form).
+    """
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        return repr(float(value)) if isinstance(value, float) else str(value)
+
+    lines = [",".join(columns)]
+    lines += [",".join(cell(row.get(column)) for column in columns) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def split(dataset: Dataset, n_train: int, seed: int) -> tuple[Dataset, Dataset]:
     """Uniform without-replacement split into (train, test), deterministic in seed."""
     if not 0 < n_train < dataset.n:

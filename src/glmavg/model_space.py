@@ -111,6 +111,12 @@ class ModelSet:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "ModelSet":
+        """The inverse of ``to_jsonl``.
+
+        ``p_fixed``, ``q`` and every ``included`` entry must be JSON
+        integers (not a float, a bool or a string) and ``included`` a
+        list; any other record raises ``DataError`` naming its line.
+        """
         models = []
         q = None
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -118,10 +124,17 @@ class ModelSet:
                 continue
             try:
                 rec = json.loads(line)
-                model = CandidateModel(tuple(rec["included"]), int(rec["p_fixed"]))
-                line_q = int(rec["q"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                included, p_fixed, line_q = rec["included"], rec["p_fixed"], rec["q"]
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise DataError(f"bad model record on line {lineno}: {exc}") from exc
+            if not isinstance(included, list) or any(
+                type(v) is not int for v in (p_fixed, line_q, *included)
+            ):
+                raise DataError(
+                    f"bad model record on line {lineno}: p_fixed, q and every included entry "
+                    "must be JSON integers, and included a list"
+                )
+            model = CandidateModel(tuple(included), p_fixed)
             if q is None:
                 q = line_q
             elif q != line_q:

@@ -28,7 +28,6 @@ values (Study II) so the estimand is a constant.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -41,6 +40,7 @@ from .averaging import (
     fit_and_average_logistic,  # no longer called here; perfbench/tracer.py looks it up here
 )
 from ._forked import run_replications
+from .dataio import csv_text
 from .errors import DataError, GlmavgError
 from .glm_fit import expit, logistic_mle, ols_fit, require_finite
 from .model_space import CandidateModel, ModelSet, nested_sequence, subset_columns, subset_point
@@ -128,27 +128,18 @@ class StudyConfig:
 
 @dataclass
 class StudyReport:
-    """Plot-ready table of per-cell Monte Carlo summaries."""
+    """Plot-ready table of per-cell Monte Carlo summaries.
+
+    ``rows`` holds one dict per cell and estimate column, keyed by
+    ``REPORT_COLUMNS`` (a Study I row's ``beta3`` is None).  ``to_csv_text``
+    writes them through ``dataio.csv_text``, the CLI's CSV writer; the
+    CLI's JSON form is ``{"columns": REPORT_COLUMNS, "rows": rows}``.
+    """
 
     rows: list[dict] = field(default_factory=list)
 
     def to_csv_text(self) -> str:
-        lines = [",".join(REPORT_COLUMNS)]
-        for row in self.rows:
-            cells = []
-            for col in REPORT_COLUMNS:
-                value = row.get(col)
-                if value is None:
-                    cells.append("")
-                elif isinstance(value, float):
-                    cells.append(repr(float(value)))
-                else:
-                    cells.append(str(value))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-
-    def to_json_text(self) -> str:
-        return json.dumps({"columns": list(REPORT_COLUMNS), "rows": self.rows}, indent=2) + "\n"
+        return csv_text(REPORT_COLUMNS, self.rows)
 
     def select(self, **conditions) -> list[dict]:
         """Rows matching all the given column values."""

@@ -13,6 +13,8 @@ from glmavg.cli import main
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 # `glmavg cv` argument lists (paths relative to the repo root) mapped to their exact stdout
 CV_GOLDEN = json.loads((SRC.parent / "tests" / "data" / "cv_golden.json").read_text())
+# the same for every other subcommand, written by tests/data/make_cli_golden.py
+CLI_GOLDEN = json.loads((SRC.parent / "tests" / "data" / "cli_golden.json").read_text())
 
 
 def _exit_code(argv):
@@ -53,6 +55,15 @@ def test_cli_import_loads_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.splitlines() == ["[]", "0 []"]
+
+
+@pytest.mark.parametrize("args", sorted(CLI_GOLDEN))
+def test_every_command_matches_golden_text(args, monkeypatch, capsys):
+    # weights/predict (both families, every scheme, CSV, JSON, --dump-q), study1,
+    # study2 (both families) and band (one and two workers)
+    monkeypatch.chdir(SRC.parent)
+    assert main(args.split()) == 0
+    assert capsys.readouterr().out == CLI_GOLDEN[args]
 
 
 @pytest.fixture
@@ -122,6 +133,16 @@ class TestWeightsCommand:
             "--x-star", "1,0.5,-0.5", "--dump-q",
         ])
         assert rc == 2
+
+    def test_dump_q_without_json_is_rejected_before_reading_data(self, tmp_path, capsys):
+        rc = main([
+            "weights", "--data", str(tmp_path / "missing.csv"), "--response", "y",
+            "--x-star", "1,0.5,-0.5", "--dump-q",
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--dump-q needs --format json" in captured.err
 
     def test_custom_model_file(self, linear_csv, tmp_path):
         models_path = tmp_path / "models.jsonl"
@@ -224,6 +245,42 @@ class TestPredictCommand:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["q_matrix"]) == 4
         assert len(payload["bias"]) == 4
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"p_fixed": 1.9, "q": 2, "included": [0.5]}',
+            '{"p_fixed": 1, "q": 2, "included": "01"}',
+            '{"p_fixed": 1, "q": 2, "included": [true]}',
+        ],
+        ids=["floats", "string-included", "bool-index"],
+    )
+    def test_non_integer_model_record_is_a_data_error(self, linear_csv, tmp_path, record, capsys):
+        models_path = tmp_path / "models.jsonl"
+        models_path.write_text(record + "\n")
+        rc = main([
+            "predict", "--data", str(linear_csv), "--response", "y",
+            "--x-star", "1,0,0", "--models", str(models_path),
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad model record on line 1" in captured.err
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"])
+    def test_out_file_mode_follows_umask(self, linear_csv, tmp_path, umask, mode):
+        # the mode a shell redirect would give, not mkstemp's 0600
+        out = tmp_path / "estimate.csv"
+        previous = os.umask(umask)
+        try:
+            rc = main([
+                "predict", "--data", str(linear_csv), "--response", "y",
+                "--x-star", "1,0,0", "--out", str(out),
+            ])
+        finally:
+            os.umask(previous)
+        assert rc == 0
+        assert out.stat().st_mode & 0o777 == mode
 
     def test_missing_column_exit_code(self, linear_csv):
         assert main([
@@ -497,6 +554,22 @@ class TestBandCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["sigma"] == 0.5
         assert len(payload["rows"]) == 1
+
+    def test_test_columns_in_another_order_are_rejected(self, tmp_path, capsys):
+        # same names and width, but a and b swapped: reading by position would swap the covariates
+        rng = np.random.default_rng(3)
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        rows = [f"{a!r},{b!r},{a + b!r}" for a, b in rng.standard_normal((20, 2)).tolist()]
+        train.write_text("\n".join(["a,b,y"] + rows) + "\n")
+        test.write_text("\n".join(["b,a,y"] + rows[:2]) + "\n")
+        rc = main([
+            "band", "--data", str(train), "--response", "y", "--test-data", str(test),
+            "--n-sub", "10", "--reps", "3",
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "training and test files must have the same columns" in captured.err
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -60,6 +60,28 @@ class TestModelSet:
         with pytest.raises(DataError, match="line 2"):
             ModelSet.from_jsonl('{"p_fixed": 1, "q": 2, "included": []}\nnot json\n')
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"p_fixed": 1.9, "q": 2, "included": [0]}',
+            '{"p_fixed": 1, "q": 2.0, "included": [0]}',
+            '{"p_fixed": 1, "q": 2, "included": [0.5]}',
+            '{"p_fixed": 1, "q": 2, "included": "01"}',
+            '{"p_fixed": 1, "q": 2, "included": [true]}',
+            '{"p_fixed": true, "q": 2, "included": [0]}',
+            '{"p_fixed": 1, "q": "2", "included": [0]}',
+            '{"p_fixed": 1, "q": 2, "included": {"0": 1}}',
+        ],
+        ids=[
+            "float-p_fixed", "float-q", "float-index", "string-included", "bool-index",
+            "bool-p_fixed", "string-q", "object-included",
+        ],
+    )
+    def test_jsonl_non_integer_fields_rejected(self, record):
+        # a record is read exactly or not at all: 1.9 is not truncated to 1, "01" is not (0, 1)
+        with pytest.raises(DataError, match="bad model record on line 2"):
+            ModelSet.from_jsonl('{"p_fixed": 1, "q": 2, "included": []}\n' + record + "\n")
+
 
 class TestEnumerateAllSubsets:
     def test_q_zero_single_model(self):
