@@ -1,10 +1,10 @@
 """The model-averaging estimator itself, and subsample prediction bands.
 
 An averaged estimate is a convex combination of per-model functional
-estimates: each candidate is fit to the data once, through
-``LinearQFactory`` or ``LogisticQFactory``, the functional is evaluated
-on its zero-padded coefficient vector, and the weights come from one of
-three schemes:
+estimates: each candidate is fit to the data once, by the averaging
+predictor, which is ``LinearQFactory`` or ``LogisticQFactory`` with a
+``predict`` method; the functional is evaluated on its zero-padded
+coefficient vector, and the weights come from one of three schemes:
 
 * ``optimal`` — minimise the estimated asymptotic MSE over the simplex,
 * ``aic``     — smoothed-AIC weights from the per-model likelihoods,
@@ -146,37 +146,33 @@ def _checked_width(X: np.ndarray, models: ModelSet) -> int:
 
 
 class _AveragingPredictor:
-    """Averaging predictor bound to one training set and one Q-hat factory.
+    """``predict`` for the candidate factories: the averaged estimate at x* under a scheme.
 
-    Fits every candidate once, through the subclass's factory; each
-    subsequent ``predict`` call costs only the per-model values and the
-    weights for its x*.  The AIC weights read the factory's
-    log-likelihoods and dimensions and are computed once.
+    Each averaging predictor is its family's factory with this method
+    added, so the fits, the per-model values and ``q_form`` sit on the
+    one object that ``predict`` asks.  Every candidate is fit once, when
+    the object is built; each ``predict`` costs only the per-model values
+    and the weights for its x*.  The AIC weights read the factory's
+    log-likelihoods and dimensions on the first ``aic`` call and are kept.
+    ``predict`` stays in this module: it calls ``solve_simplex_qp``
+    through this module's globals, the name ``perfbench/tracer.py`` wraps.
     """
 
-    _factory_class: type
-
-    def __init__(self, X: np.ndarray, y: np.ndarray, models: ModelSet):
-        self.models = models
-        self.factory = self._factory_class(X, y, list(models))
-        self._aic = None
-
-    def _aic_weights(self) -> np.ndarray:
-        if self._aic is None:
-            self._aic = aic_weights(self.factory.logliks(), self.factory.dims())
-        return self._aic
+    _aic = None
 
     def predict(self, x_star: np.ndarray, scheme: str = "optimal") -> AveragedEstimate:
         _check_scheme(scheme)
         # raises DataError on a wrong shape or a non-finite x*, whatever the scheme
-        per_model = self.factory.per_model_values(x_star)
+        per_model = self.per_model_values(x_star)
         q_hat = solution = None
         if scheme == "optimal":
-            q_hat = self.factory.q_form(x_star)
+            q_hat = self.q_form(x_star)
             solution = solve_simplex_qp(q_hat)
             weights = solution.weights
         elif scheme == "aic":
-            weights = self._aic_weights()
+            if self._aic is None:
+                self._aic = aic_weights(self.logliks(), self.dims())
+            weights = self._aic
         else:
             weights = equal_weights(len(self.models))
         return AveragedEstimate(
@@ -188,25 +184,23 @@ class _AveragingPredictor:
         )
 
 
-class LinearAveragingPredictor(_AveragingPredictor):
-    """OLS fits of every candidate on one training set, through ``LinearQFactory``.
+class LinearAveragingPredictor(_AveragingPredictor, LinearQFactory):
+    """``LinearQFactory`` plus ``predict``: OLS fits of every candidate on one training set.
 
     ``fit_and_average_linear`` is the one-shot convenience wrapper.
     """
 
-    _factory_class = LinearQFactory
     _kind = "linear_point"
 
 
-class LogisticAveragingPredictor(_AveragingPredictor):
-    """Logistic MLEs of every candidate on one training set, through ``LogisticQFactory``.
+class LogisticAveragingPredictor(_AveragingPredictor, LogisticQFactory):
+    """``LogisticQFactory`` plus ``predict``: logistic MLEs of every candidate on one training set.
 
     Every scheme and every x* share the candidate fits; the pseudo-fits
     behind the ``optimal`` scheme's Q-hat run on its first call only.
     ``fit_and_average_logistic`` is the one-shot convenience wrapper.
     """
 
-    _factory_class = LogisticQFactory
     _kind = "logistic_point"
 
 

@@ -19,7 +19,10 @@ and call its ``predict`` once.
 Exit codes: 0 success, 2 data errors (bad CSV, bad arguments),
 3 numerical failures (singular designs, non-convergent fits).
 Output files are written atomically (temp file + rename), with the mode
-a shell redirect gives (0666 less the umask).
+a shell redirect gives (0666 less the umask).  An ``--out`` that cannot
+be written (a missing directory, a directory, no permission) exits 2
+with an error that names the ``--out`` path as given, and leaves no
+file behind.
 """
 
 from __future__ import annotations
@@ -42,19 +45,30 @@ from .sim_harness import REPORT_COLUMNS, STUDY2_BETA3_GRID, run_study1, run_stud
 
 
 def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".glmavg-", suffix=".tmp")
+    """Write ``text`` to ``path`` through a temp file in the same directory and a rename.
+
+    An ``OSError`` names ``path`` as given, never the temp file, and no
+    temp file is left behind.  A directory at ``path`` is a ``DataError``
+    raised before any file is made.
+    """
+    if os.path.isdir(path):
+        raise DataError(f"--out {path!r} is a directory")
     try:
-        with os.fdopen(fd, "w") as handle:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(handle.fileno(), 0o666 & ~umask)  # a shell redirect's mode, not mkstemp's 0600
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        directory = os.path.dirname(os.path.abspath(path))
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".glmavg-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                umask = os.umask(0)
+                os.umask(umask)
+                os.fchmod(handle.fileno(), 0o666 & ~umask)  # a shell redirect's mode, not mkstemp's 0600
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _emit(args, columns, rows, payload) -> None:
@@ -67,8 +81,16 @@ def _emit(args, columns, rows, payload) -> None:
 
 
 def _parse_floats(text: str, what: str) -> np.ndarray:
+    """The comma-separated numbers of flag ``what``; a blank ``text`` gives none.
+
+    An empty entry raises ``DataError`` with its 1-based position, so
+    ``1,,2`` is never read as ``1,2``.
+    """
+    entries = [v.strip() for v in text.split(",")] if text.strip() else []
+    if "" in entries:
+        raise DataError(f"{what} entry {entries.index('') + 1} of {len(entries)} is empty")
     try:
-        return np.array([float(v) for v in text.split(",") if v.strip() != ""])
+        return np.array([float(v) for v in entries])
     except ValueError as exc:
         raise DataError(f"cannot parse {what}: {exc}") from None
 

@@ -9,10 +9,11 @@ the test rows, and errors are averaged over repeats.
 predictors; the subset is chosen inside the training split only —
 either by 5-fold cross-validation (default) or by training AIC — then
 refit on the whole training split and scored once on the test split.
-Each repeat fits the training split once, in one ``LinearQFactory``
-(the split factory), and every method reads from it: the full model's
+Each repeat fits the training split once, in one
+``LinearAveragingPredictor`` (the split factory: a ``LinearQFactory``
+with ``predict``), and every method asks it directly: the full model's
 coefficients, the AIC rule's log-likelihoods, the chosen subset's
-coefficients and the averaging predictor's candidates.  Inner CV folds
+coefficients and the averaged predictions.  Inner CV folds
 fit all 2^q candidates in one factory per fold.  Best-subset selection
 alone is ``cv_compare(dataset, methods=("best_subset",))``; its
 ``mean_errors["best_subset"]`` is the mean test MSE.
@@ -176,9 +177,9 @@ def cv_compare(
         needed = [chosen] if cv_best else list(subsets)  # the candidates best_subset reads
         held = list(models) if averaging else needed  # the split factory holds only what is read
         predictor = LinearAveragingPredictor(train.design, train.response, held)
-        preds = {"full_model": test.design @ predictor.factory.beta_full}
+        preds = {"full_model": test.design @ predictor.beta_full}
         if "best_subset" in methods:
-            source = predictor.factory
+            source = predictor
             if held != needed and chosen not in held:  # a custom ``models`` set lacks them
                 source = LinearQFactory(train.design, train.response, needed)
             if not cv_best:

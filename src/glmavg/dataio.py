@@ -71,8 +71,10 @@ def load_csv(path, response_column: str, family: str = "linear") -> Dataset:
     """Read a numeric CSV with a header row into a Dataset.
 
     All non-response columns become predictors in file order, behind a
-    prepended intercept column.  Parse failures report the offending
-    row and column.
+    prepended intercept column.  Blank lines (records with no cells,
+    such as a trailing empty line) are skipped, as ``csv.DictReader``
+    skips them; a row with some cells but not the header's count raises.
+    Parse failures report the offending row and column.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -89,6 +91,8 @@ def load_csv(path, response_column: str, family: str = "linear") -> Dataset:
         response = []
         rows = []
         for lineno, record in enumerate(reader, start=2):
+            if not record:  # a blank line, as csv.DictReader skips it
+                continue
             if len(record) != len(header):
                 raise DataError(
                     f"{path}: row {lineno} has {len(record)} cells, header has {len(header)}"

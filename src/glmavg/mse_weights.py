@@ -159,6 +159,9 @@ class _CandidateFactory:
     full model's value is its own dot product, not a row of the matmul,
     which BLAS may round differently.  Selection and the ``aic`` and
     ``equal`` schemes never call ``q_form``, so they never pay for it.
+    The averaging predictors subclass these factories
+    (``averaging.LinearAveragingPredictor``, ``LogisticAveragingPredictor``)
+    and add only ``predict``.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, models: Sequence[CandidateModel]):

@@ -20,6 +20,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import DataError
+
 
 def _key_to_int(key) -> int:
     if isinstance(key, (int, np.integer)):
@@ -34,9 +36,13 @@ def substream(seed: int, *keys) -> np.random.Generator:
     """Return an independent generator for ``(seed, *keys)``.
 
     The same arguments always produce the same stream; any change to
-    seed or any key produces an unrelated stream.
+    seed or any key produces an unrelated stream.  A negative seed or
+    integer key raises ``DataError`` naming its value, since ``SeedSequence``
+    takes only non-negative entropy.
     """
     entropy = (int(seed),) + tuple(_key_to_int(k) for k in keys)
+    if min(entropy) < 0:
+        raise DataError(f"seed and integer stream keys must be non-negative, got {min(entropy)}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 

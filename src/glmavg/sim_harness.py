@@ -184,7 +184,7 @@ def _one_replication(config: StudyConfig, rep: int, tags, oracle_support, X_fixe
     if oracle_support in config.candidate_set.models:
         # the oracle is a candidate, so the predictor has fit it already
         k = config.candidate_set.models.index(oracle_support)
-        values.append(float(predictor.factory.per_model_values(config.x_star)[k]))
+        values.append(float(predictor.per_model_values(config.x_star)[k]))
     elif oracle_support is not None:
         values.append(oracle_estimate(X, y, oracle_support, config.functional))
     return values

@@ -282,6 +282,32 @@ class TestPredictCommand:
         assert rc == 0
         assert out.stat().st_mode & 0o777 == mode
 
+    @pytest.mark.parametrize("out", ["missing-dir/o.csv", "outdir"], ids=["missing-dir", "directory"])
+    def test_unwritable_out_names_the_path_as_given(self, linear_csv, tmp_path, out, monkeypatch, capsys):
+        # the error names --out, not the temp file, and no file is made or left anywhere
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "outdir").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        rc = main([
+            "predict", "--data", str(linear_csv), "--response", "y",
+            "--x-star", "1,0,0", "--out", out,
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert repr(out) in err
+        assert ".glmavg-" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_empty_x_star_entry_is_a_data_error(self, linear_csv, capsys):
+        # "1,,0,0" must not be read as the 3-entry "1,0,0"
+        rc = main([
+            "predict", "--data", str(linear_csv), "--response", "y", "--x-star", "1,,0,0",
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--x-star entry 2 of 4 is empty" in captured.err
+
     def test_missing_column_exit_code(self, linear_csv):
         assert main([
             "predict", "--data", str(linear_csv), "--response", "zz",
@@ -372,6 +398,7 @@ class TestStudyCommands:
             (["study2", "--beta3", "0.1", "--dump-q"], "unrecognized arguments: --dump-q"),
             (["study1", "--n-grid", ""], "n_grid is empty"),
             (["study2", "--beta3", ""], "beta3_grid is empty"),
+            (["study1", "--n-grid", "100,,200"], "--n-grid entry 2 of 3 is empty"),
             (["study1", "--n-grid", "60,60"], "n_grid names 60.0 more than once"),
             (["study2", "--beta3", "0.1,0.1"], "beta3_grid names 0.1 more than once"),
             (["study1", "--cases", "A,A", "--n-grid", "60"], "cases names A more than once"),
@@ -385,8 +412,9 @@ class TestStudyCommands:
             "study1-case", "study2-case", "study1-n", "study2-scheme", "study1-workers",
             "study2-workers", "study2-inf-beta3", "study2-nan-beta3", "study2-logistic-inf-beta3",
             "study2-logistic-nan-beta3", "study1-dump-q", "study2-dump-q", "study1-empty-n-grid",
-            "study2-empty-beta3", "study1-repeated-n", "study2-repeated-beta3", "study1-repeated-case",
-            "study2-repeated-case", "study2-repeated-scheme",
+            "study2-empty-beta3", "study1-empty-n-grid-entry", "study1-repeated-n",
+            "study2-repeated-beta3", "study1-repeated-case", "study2-repeated-case",
+            "study2-repeated-scheme",
         ],
     )
     def test_bad_study_arguments_are_data_errors(self, args, message, capsys):
@@ -395,6 +423,16 @@ class TestStudyCommands:
         assert captured.out == ""
         assert message in captured.err
         assert "rep " not in captured.err
+
+    @pytest.mark.parametrize(
+        "args", [["study1", "--n-grid", "60"], ["study2", "--beta3", "0.1"]], ids=["study1", "study2"]
+    )
+    def test_negative_seed_is_a_data_error(self, args, capsys):
+        # the first replication's stream refuses it; the error may name that replication
+        assert _exit_code(args + ["--reps", "2", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed and integer stream keys must be non-negative, got -1" in captured.err
 
     def test_study2_csv_to_file(self, tmp_path):
         out = tmp_path / "study2.csv"
@@ -499,10 +537,11 @@ class TestCvCommand:
             (["--methods", ""], "unknown methods ['']"),
             (["--workers", "0"], "workers must be at least 1, got 0"),
             (["--dump-q"], "unrecognized arguments: --dump-q"),
+            (["--seed", "-3"], "seed and integer stream keys must be non-negative, got -3"),
         ],
         ids=[
             "n-train-8", "n-train-5", "inner-fold-8", "repeated-method", "empty-methods", "zero-workers",
-            "dump-q",
+            "dump-q", "negative-seed",
         ],
     )
     def test_bad_split_or_methods_are_data_errors(self, extra, message, monkeypatch, capsys):
@@ -580,10 +619,11 @@ class TestBandCommand:
             (["--n-sub", "2"], "n_sub=2 is below the design's 3 columns"),
             (["--workers", "0"], "workers must be at least 1, got 0"),
             (["--dump-q"], "unrecognized arguments: --dump-q"),
+            (["--seed", "-3"], "seed and integer stream keys must be non-negative, got -3"),
         ],
         ids=[
             "negative-sigma", "nan-sigma", "zero-n-sub", "n-sub-below-columns", "zero-workers",
-            "dump-q",
+            "dump-q", "negative-seed",
         ],
     )
     def test_bad_band_arguments_are_data_errors(self, linear_csv, tmp_path, flags, message, capsys):

@@ -44,6 +44,16 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 2 has 3 cells"):
             load_csv(path, "y")
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        # as csv.DictReader skips them; a short row after one keeps its record number
+        path = tmp_path / "blank.csv"
+        path.write_text("x,y\n1.0,2.0\n\n3.0,4.0\n\n")
+        ds = load_csv(path, "y")
+        np.testing.assert_array_equal(ds.response, [2.0, 4.0])
+        path.write_text("x,y\n1.0,2.0\n\n3.0\n")
+        with pytest.raises(DataError, match="row 4 has 1 cells, header has 2"):
+            load_csv(path, "y")
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

@@ -161,7 +161,7 @@ class TestLinearQFactory:
         for scheme in ("aic", "equal"):
             predictor.predict(test.design[0], scheme)
         with pytest.raises(Inverted):
-            predictor.factory.q_form(test.design[0])
+            predictor.q_form(test.design[0])
 
     def test_all_subsets_gram_factor_is_p_by_k_and_matches_double_sum(self):
         X, y, x_star = _linear_instance(9, n=40, q=8)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from glmavg import derive_seed, substream
+from glmavg import DataError, derive_seed, substream
 
 
 class TestSubstream:
@@ -26,6 +26,12 @@ class TestSubstream:
     def test_rejects_unhashable_key_types(self):
         with pytest.raises(TypeError):
             substream(0, 1.5)
+
+    def test_negative_seed_or_key_is_a_data_error(self):
+        with pytest.raises(DataError, match="seed and integer stream keys must be non-negative, got -1"):
+            substream(-1)
+        with pytest.raises(DataError, match="seed and integer stream keys must be non-negative, got -2"):
+            substream(0, "band", -2)
 
     def test_integer_and_numpy_integer_keys_agree(self):
         a = substream(0, np.int64(12)).standard_normal(3)
