@@ -12,6 +12,8 @@ under a minute.
 import pathlib
 
 from glmavg import run_study1, study1_model_sets
+from glmavg.dataio import csv_text
+from glmavg.sim_harness import REPORT_COLUMNS
 
 print("candidate sets:")
 for case, models in study1_model_sets().items():
@@ -33,7 +35,7 @@ for row in report.rows:
     )
 
 out = pathlib.Path(__file__).with_name("bias_variance_study.csv")
-out.write_text(report.to_csv_text())
+out.write_text(csv_text(REPORT_COLUMNS, report.rows))
 print(f"\nwrote {out}")
 print("note: with these nested candidates every unbiased model contains the")
 print("oracle's support, so the averaged variance tracks the oracle from above;")

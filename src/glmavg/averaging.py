@@ -40,7 +40,7 @@ from .mse_weights import (
 )
 from .glm_fit import logistic_mle
 from .model_space import ModelSet
-from .rng import substream
+from .rng import _checked_keys, substream
 
 SCHEMES = ("optimal", "aic", "equal")
 
@@ -283,6 +283,7 @@ def prediction_band(
     _check_scheme(scheme)
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise DataError(f"sigma must be finite and non-negative, got {sigma!r}")
+    _checked_keys(seed)
     x_star = Functional.linear_point(test_point).resolve(_checked_width(X_pool, models))
 
     def replicate(rep):

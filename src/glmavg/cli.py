@@ -28,6 +28,7 @@ file behind.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -108,6 +109,11 @@ def _load_models(args, q: int) -> ModelSet:
     return enumerate_all_subsets(1, q)
 
 
+def _reps(args, keyword: str) -> dict:
+    """``{keyword: --reps}`` when ``--reps`` is given, else nothing: the library default stands."""
+    return {} if args.reps is None else {keyword: args.reps}
+
+
 def _dataset_and_x_star(args):
     dataset = load_csv(args.data, args.response, family=args.family)
     x_star = _parse_floats(args.x_star, "--x-star")
@@ -171,10 +177,9 @@ def _cmd_study1(args) -> None:
     report = run_study1(
         n_grid=list(_parse_floats(args.n_grid, "--n-grid")),
         cases=args.cases.split(","),
-        n_reps=args.reps if args.reps is not None else 1000,
         seed=args.seed,
         workers=args.workers,
-        fixed_design=args.fixed_design,
+        **_reps(args, "n_reps"),
     )
     _emit(args, REPORT_COLUMNS, report.rows, {"columns": list(REPORT_COLUMNS), "rows": report.rows})
 
@@ -185,10 +190,9 @@ def _cmd_study2(args) -> None:
         beta3_grid=[float(v) for v in _parse_floats(args.beta3, "--beta3")],
         cases=args.cases.split(","),
         schemes=tuple(args.schemes.split(",")),
-        n_reps=args.reps if args.reps is not None else 500,
         seed=args.seed,
         workers=args.workers,
-        fixed_design=args.fixed_design,
+        **_reps(args, "n_reps"),
     )
     _emit(args, REPORT_COLUMNS, report.rows, {"columns": list(REPORT_COLUMNS), "rows": report.rows})
 
@@ -198,15 +202,15 @@ def _cmd_cv(args) -> None:
     report = cv_compare(
         dataset,
         methods=tuple(args.methods.split(",")),
-        n_repeats=args.reps if args.reps is not None else 5,
         seed=args.seed,
         n_train=args.n_train,
         models=_load_models(args, dataset.d - 1) if args.models else None,
         select_by=args.select_by,
         workers=args.workers,
+        **_reps(args, "n_repeats"),
     )
     rows = [{"method": method, "mean_error": err} for method, err in report.mean_errors.items()]
-    _emit(args, ("method", "mean_error"), rows, report.to_dict())
+    _emit(args, ("method", "mean_error"), rows, dataclasses.asdict(report))
 
 
 def _cmd_band(args) -> None:
@@ -218,7 +222,6 @@ def _cmd_band(args) -> None:
     sigma = args.sigma
     if sigma is None:
         sigma = float(np.sqrt(full_linear_fit(train.design, train.response).sigma2))
-    n_reps = args.reps if args.reps is not None else 50
 
     columns = ("index", "actual", "predicted", "lower", "upper")
     rows = []
@@ -229,12 +232,12 @@ def _cmd_band(args) -> None:
             test.design[i],
             models,
             n_sub=args.n_sub,
-            n_reps=n_reps,
             sigma=sigma,
             level=args.level,
             seed=args.seed + i,
             scheme=args.scheme,
             workers=args.workers,
+            **_reps(args, "n_reps"),
         )
         rows.append(dict(zip(columns, (i, float(test.response[i]), band.point, band.lower, band.upper))))
     _emit(args, columns, rows, {"level": args.level, "sigma": sigma, "rows": rows})
@@ -293,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bias/variance study vs the oracle")
     p.add_argument("--cases", default="A,B")
     p.add_argument("--n-grid", default=",".join(str(n) for n in range(100, 1001, 100)))
-    p.add_argument("--fixed-design", action="store_true")
     p.set_defaults(handler=_cmd_study1)
 
     p = sub.add_parser("study2", parents=[output_args, run_args],
@@ -302,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", default="A,B")
     p.add_argument("--beta3", default=",".join(repr(b) for b in STUDY2_BETA3_GRID))
     p.add_argument("--schemes", default="optimal,aic")
-    p.add_argument("--fixed-design", action="store_true")
     p.set_defaults(handler=_cmd_study2)
 
     p = sub.add_parser("cv", parents=[output_args, run_args, data_args],

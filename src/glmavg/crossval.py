@@ -21,7 +21,7 @@ alone is ``cv_compare(dataset, methods=("best_subset",))``; its
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .dataio import Dataset, split
 from .errors import DataError
 from .model_space import ModelSet, enumerate_all_subsets
 from .mse_weights import LinearQFactory, aic_values
-from .rng import derive_seed, substream
+from .rng import _checked_keys, derive_seed, substream
 
 DEFAULT_METHODS = ("avg_optimal", "avg_aic", "best_subset", "full_model")
 _SCHEMES = {"avg_optimal": "optimal", "avg_aic": "aic"}  # averaging method -> weighting scheme
@@ -42,24 +42,17 @@ _N_FOLDS = 5  # inner folds of the CV selection rule
 
 @dataclass
 class CvReport:
-    """Per-method mean prediction errors plus the per-repeat log."""
+    """Per-method mean prediction errors plus the per-repeat log.
+
+    The fields are in the order of the CLI's JSON keys.
+    """
 
     mean_errors: dict[str, float]
-    per_repeat: list[dict] = field(default_factory=list)
-    n_train: int = 0
-    n_test: int = 0
-    n_repeats: int = 0
-    seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "mean_errors": self.mean_errors,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "n_repeats": self.n_repeats,
-            "seed": self.seed,
-            "per_repeat": self.per_repeat,
-        }
+    n_train: int
+    n_test: int
+    n_repeats: int
+    seed: int
+    per_repeat: list[dict]
 
 
 def _check_select_by(select_by: str) -> None:
@@ -140,7 +133,8 @@ def cv_compare(
     Python thread is alive), and the log is joined in repeat order.
     An empty ``methods``, a method named twice, a training split too
     small for the full design (or, under the CV rule, for its inner
-    folds), or ``workers`` below 1 raises ``DataError`` before any split.
+    folds), a negative ``seed``, or ``workers`` below 1 raises
+    ``DataError`` before any split.
     """
     if dataset.family != "linear":
         raise DataError("cv_compare supports the linear family only")
@@ -154,6 +148,7 @@ def cv_compare(
     if len(set(methods)) < len(methods):
         raise DataError(f"methods {list(methods)} name a method more than once")
     _check_select_by(select_by)
+    _checked_keys(seed)
     if n_train is None:
         n_train = min(max(int(round(dataset.n * _TRAIN_FRACTION)), 1), dataset.n - 1)
     cv_best = "best_subset" in methods and select_by == "cv"
@@ -198,9 +193,9 @@ def cv_compare(
     mean_errors = {m: float(np.mean([r["error"] for r in per_repeat if r["method"] == m])) for m in methods}
     return CvReport(
         mean_errors=mean_errors,
-        per_repeat=per_repeat,
         n_train=n_train,
         n_test=dataset.n - n_train,
         n_repeats=n_repeats,
         seed=seed,
+        per_repeat=per_repeat,
     )

@@ -32,6 +32,14 @@ def _key_to_int(key) -> int:
     raise TypeError(f"stream keys must be int or str, got {type(key).__name__}")
 
 
+def _checked_keys(seed, *keys) -> tuple[int, ...]:
+    """``(seed, *keys)`` as integers; a negative seed or integer key raises ``DataError``."""
+    entropy = tuple(_key_to_int(k) for k in (seed, *keys))
+    if min(entropy) < 0:
+        raise DataError(f"seed and integer stream keys must be non-negative, got {min(entropy)}")
+    return entropy
+
+
 def substream(seed: int, *keys) -> np.random.Generator:
     """Return an independent generator for ``(seed, *keys)``.
 
@@ -40,10 +48,7 @@ def substream(seed: int, *keys) -> np.random.Generator:
     integer key raises ``DataError`` naming its value, since ``SeedSequence``
     takes only non-negative entropy.
     """
-    entropy = (int(seed),) + tuple(_key_to_int(k) for k in keys)
-    if min(entropy) < 0:
-        raise DataError(f"seed and integer stream keys must be non-negative, got {min(entropy)}")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(_checked_keys(seed, *keys))))
 
 
 def derive_seed(seed: int, *keys) -> int:
@@ -51,7 +56,8 @@ def derive_seed(seed: int, *keys) -> int:
 
     For call sites whose signature takes a plain seed (e.g. train/test
     splitting) but that need distinct, reproducible seeds per repeat.
+    A negative seed or integer key raises ``DataError``, as in ``substream``.
     """
-    material = ",".join(str(_key_to_int(k)) for k in (seed,) + keys)
+    material = ",".join(map(str, _checked_keys(seed, *keys)))
     digest = hashlib.sha256(material.encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big")

@@ -10,20 +10,22 @@ Two stock experiments are provided:
   for linear and logistic targets as the weakest coefficient sweeps a
   grid, with the candidate sets growing from the intercept upward.
 
-Both studies build and check every cell's ``StudyConfig`` first, so a
-bad cell raises before the first replication; one private runner then
-simulates the cells in order and writes one summary row per estimate
-column.  Every replication draws from a stream keyed by (seed, study,
-cell, replication), so reports are byte-identical across runs and across
-worker counts.  With ``workers`` > 1 a cell's replications are split
-into contiguous blocks, the first run in the calling process and the
-others in forked worker processes (see ``glmavg._forked``); they run
-serially when ``workers`` is 1, when the process may use one CPU only,
-off Linux, or while another Python thread is alive.
-Design matrices are redrawn each replication by default
-(``fixed_design=True`` shares one design per cell instead); the target
-covariate x* is drawn once per study (Study I) or fixed to the stock
-values (Study II) so the estimand is a constant.
+A cell is one ``StudyConfig``: the data-generating process, the
+candidate set and schemes, the oracle model and the cell's stream tags.
+Both studies build and check every cell's config first, so a bad cell
+(a negative seed included) raises before the first replication; one
+private runner then simulates the cells in order and writes one summary
+row per estimate column.  Replication r draws its design and response
+from the stream ``substream(seed, *tags, r)``, so reports are
+byte-identical across runs and across worker counts.  With
+``workers`` > 1 a cell's replications are split into contiguous blocks,
+the first run in the calling process and the others in forked worker
+processes (see ``glmavg._forked``); they run serially when ``workers``
+is 1, when the process may use one CPU only, off Linux, or while
+another Python thread is alive.
+Design matrices are redrawn each replication; the target covariate x*
+is drawn once per study (Study I) or fixed to the stock values
+(Study II) so the estimand is a constant.
 """
 
 from __future__ import annotations
@@ -40,11 +42,10 @@ from .averaging import (
     fit_and_average_logistic,  # no longer called here; perfbench/tracer.py looks it up here
 )
 from ._forked import run_replications
-from .dataio import csv_text
 from .errors import DataError, GlmavgError
 from .glm_fit import expit, logistic_mle, ols_fit, require_finite
 from .model_space import CandidateModel, ModelSet, nested_sequence, subset_columns, subset_point
-from .rng import substream
+from .rng import _checked_keys, substream
 
 REPORT_COLUMNS = (
     "case",
@@ -77,7 +78,16 @@ STUDY2_BETA3_GRID = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5)
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """One Monte Carlo cell: a data-generating process plus estimation settings."""
+    """One Monte Carlo cell: a data-generating process plus estimation settings.
+
+    ``oracle``, when given, adds an "oracle" estimate column: that
+    model's own fit on each replication's draws.  ``tags`` key the
+    cell's streams (replication r draws from ``substream(seed, *tags, r)``)
+    and name a failing replication.  The cell is checked here, so a
+    bad one raises ``DataError`` before any draw: the oracle must share
+    the candidate set's ``p_fixed`` and index only below its ``q``, and
+    the seed and integer tags must be non-negative.
+    """
 
     family: str
     n: int
@@ -87,6 +97,8 @@ class StudyConfig:
     n_reps: int
     seed: int
     schemes: tuple[str, ...] = ("optimal",)
+    oracle: CandidateModel | None = None
+    tags: tuple = ()
 
     def __post_init__(self):
         if self.family not in ("linear", "logistic"):
@@ -109,6 +121,15 @@ class StudyConfig:
             raise DataError(f"unknown weighting schemes {unknown}; expected a subset of {SCHEMES}")
         if len(set(self.schemes)) < len(self.schemes):
             raise DataError(f"weighting schemes {list(self.schemes)} name a scheme more than once")
+        if self.oracle is not None and (
+            self.oracle.p_fixed != self.candidate_set.p_fixed
+            or any(j >= self.candidate_set.q for j in self.oracle.included)
+        ):
+            raise DataError(
+                f"oracle {self.oracle} is not a model over the candidate set's "
+                f"p_fixed={self.candidate_set.p_fixed}, q={self.candidate_set.q}"
+            )
+        _checked_keys(self.seed, *self.tags)
         beta.flags.writeable = False
         x.flags.writeable = False
         object.__setattr__(self, "beta_true", beta)
@@ -125,21 +146,24 @@ class StudyConfig:
             return Functional.logistic_point(self.x_star)
         return Functional.linear_point(self.x_star)
 
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """The estimate columns: one per scheme, then the oracle's."""
+        oracle = ("oracle",) if self.oracle is not None else ()
+        return (*self.schemes, *oracle)
+
 
 @dataclass
 class StudyReport:
     """Plot-ready table of per-cell Monte Carlo summaries.
 
     ``rows`` holds one dict per cell and estimate column, keyed by
-    ``REPORT_COLUMNS`` (a Study I row's ``beta3`` is None).  ``to_csv_text``
-    writes them through ``dataio.csv_text``, the CLI's CSV writer; the
-    CLI's JSON form is ``{"columns": REPORT_COLUMNS, "rows": rows}``.
+    ``REPORT_COLUMNS`` (a Study I row's ``beta3`` is None).  The CLI
+    writes them as ``dataio.csv_text(REPORT_COLUMNS, rows)``, or as the
+    JSON ``{"columns": REPORT_COLUMNS, "rows": rows}``.
     """
 
     rows: list[dict] = field(default_factory=list)
-
-    def to_csv_text(self) -> str:
-        return csv_text(REPORT_COLUMNS, self.rows)
 
     def select(self, **conditions) -> list[dict]:
         """Rows matching all the given column values."""
@@ -165,14 +189,10 @@ def oracle_estimate(
 # ---------------------------------------------------------------------------
 
 
-def _one_replication(config: StudyConfig, rep: int, tags, oracle_support, X_fixed):
-    rng = substream(config.seed, *tags, rep)
+def _one_replication(config: StudyConfig, rep: int):
+    rng = substream(config.seed, *config.tags, rep)
     n = config.n
-    p_total = config.beta_true.shape[0]
-    if X_fixed is not None:
-        X = X_fixed
-    else:
-        X = np.column_stack([np.ones(n), rng.standard_normal((n, p_total - 1))])
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, config.beta_true.shape[0] - 1))])
     eta = X @ config.beta_true
     if config.family == "linear":
         y = eta + rng.standard_normal(n)
@@ -181,58 +201,39 @@ def _one_replication(config: StudyConfig, rep: int, tags, oracle_support, X_fixe
 
     predictor = _PREDICTORS[config.family](X, y, config.candidate_set)
     values = [predictor.predict(config.x_star, scheme).value for scheme in config.schemes]
-    if oracle_support in config.candidate_set.models:
+    if config.oracle in config.candidate_set.models:
         # the oracle is a candidate, so the predictor has fit it already
-        k = config.candidate_set.models.index(oracle_support)
+        k = config.candidate_set.models.index(config.oracle)
         values.append(float(predictor.per_model_values(config.x_star)[k]))
-    elif oracle_support is not None:
-        values.append(oracle_estimate(X, y, oracle_support, config.functional))
+    elif config.oracle is not None:
+        values.append(oracle_estimate(X, y, config.oracle, config.functional))
     return values
 
 
-def simulate_cell(
-    config: StudyConfig,
-    *,
-    oracle_support: CandidateModel | None = None,
-    fixed_design: bool = False,
-    workers: int = 1,
-    tags: tuple = (),
-) -> dict[str, np.ndarray]:
-    """All replication estimates for one cell, keyed by scheme (plus "oracle").
+def simulate_cell(config: StudyConfig, *, workers: int = 1) -> dict[str, np.ndarray]:
+    """All replication estimates for one cell, keyed by ``config.columns``.
 
-    The output is a deterministic function of (config, tags), bit for
+    The output is a deterministic function of ``config``, bit for
     bit the same for every ``workers``: up to ``workers`` processes run
     contiguous blocks of replications (serially when ``workers`` is 1,
     on one usable CPU, off Linux, or while another Python thread is
     alive), and the rows are joined in index order.  ``workers`` below 1
     raises ``DataError`` before any replication.  A ``GlmavgError``
     raised in a replication is re-raised with that replication's key,
-    the tags and the rep index, appended to its message, e.g.
+    the config's tags and the rep index, appended to its message, e.g.
     ``('study2', 'logistic', 'A', '0.05', rep 17)``; its class and
     attributes are kept, and the earliest failing replication wins.
     """
-    X_fixed = None
-    if fixed_design:
-        rng = substream(config.seed, *tags, "design")
-        X_fixed = np.column_stack(
-            [np.ones(config.n), rng.standard_normal((config.n, config.beta_true.shape[0] - 1))]
-        )
-
     def replicate(rep):
         try:
-            return _one_replication(config, rep, tags, oracle_support, X_fixed)
+            return _one_replication(config, rep)
         except GlmavgError as exc:
-            key = ", ".join([*map(repr, tags), f"rep {rep}"])
+            key = ", ".join([*map(repr, config.tags), f"rep {rep}"])
             exc.args = (f"{exc} in replication ({key})",)
             raise
 
     matrix = np.asarray(run_replications(replicate, config.n_reps, workers), dtype=float)
-    return {name: matrix[:, j] for j, name in enumerate(_columns(config, oracle_support))}
-
-
-def _columns(config: StudyConfig, oracle_support) -> list[str]:
-    # one estimate column per scheme, then the oracle's
-    return list(config.schemes) + (["oracle"] if oracle_support is not None else [])
+    return {name: matrix[:, j] for j, name in enumerate(config.columns)}
 
 
 def _check_grid(name: str, values) -> None:
@@ -253,23 +254,17 @@ def _check_cases(cases, model_sets: dict[str, ModelSet]) -> None:
         raise DataError(f"unknown cases {unknown}; expected a subset of {sorted(model_sets)}")
 
 
-def _run_cells(cells, *, oracle_support, fixed_design: bool, workers: int) -> StudyReport:
-    """Simulate each (config, tags, labels) cell and summarise its estimate columns.
+def _run_cells(cells, workers: int) -> StudyReport:
+    """Simulate each (config, labels) cell and summarise its estimate columns.
 
     Each row starts with the cell's ``labels`` (case, family, beta3, n in
-    that order), then its ``scheme``; the cells come checked, so a bad
-    cell raises before the first replication.
+    that order), then its ``scheme``; the configs come built, hence
+    checked, so a bad cell raises before the first replication.
     """
     report = StudyReport()
-    for config, tags, labels in cells:
-        estimates = simulate_cell(
-            config,
-            oracle_support=oracle_support,
-            fixed_design=fixed_design,
-            workers=workers,
-            tags=tags,
-        )
-        for name in _columns(config, oracle_support):
+    for config, labels in cells:
+        estimates = simulate_cell(config, workers=workers)
+        for name in config.columns:
             report.rows.append(_summary_row(estimates[name], config.truth, **labels, scheme=name))
     return report
 
@@ -313,7 +308,6 @@ def run_study1(
     n_reps: int = 1000,
     seed: int = 0,
     workers: int = 1,
-    fixed_design: bool = False,
 ) -> StudyReport:
     """Bias/variance comparison of optimal-weight averaging vs the oracle fit.
 
@@ -328,7 +322,7 @@ def run_study1(
     x_star = np.concatenate(
         [[1.0], substream(seed, "study1", "x_star").standard_normal(len(beta) - 1)]
     )
-    oracle_support = CandidateModel(STUDY1_ORACLE_SUPPORT, STUDY1_P_FIXED)
+    oracle = CandidateModel(STUDY1_ORACLE_SUPPORT, STUDY1_P_FIXED)
     model_sets = study1_model_sets()
     _check_cases(cases, model_sets)
     _check_grid("n_grid", n_grid)
@@ -347,16 +341,15 @@ def run_study1(
                 n_reps=n_reps,
                 seed=seed,
                 schemes=("optimal",),
+                oracle=oracle,
+                tags=("study1", case, int(n)),
             ),
-            ("study1", case, int(n)),
             dict(case=case, family="linear", beta3=None, n=int(n)),
         )
         for case in cases
         for n in n_grid
     ]
-    return _run_cells(
-        cells, oracle_support=oracle_support, fixed_design=fixed_design, workers=workers
-    )
+    return _run_cells(cells, workers)
 
 
 def study2_model_sets() -> dict[str, ModelSet]:
@@ -379,7 +372,6 @@ def run_study2(
     n_reps: int = 500,
     seed: int = 0,
     workers: int = 1,
-    fixed_design: bool = False,
 ) -> StudyReport:
     """Optimal vs AIC weighting, and the oracle, as the weakest coefficient varies.
 
@@ -398,7 +390,7 @@ def run_study2(
     _check_grid("beta3_grid", beta3_grid)
     # every coefficient of the generating vector is nonzero, so the
     # oracle support is the full 4-coefficient model in both cases
-    oracle_support = CandidateModel((0, 1, 2), 1)
+    oracle = CandidateModel((0, 1, 2), 1)
 
     cells = [
         (
@@ -411,13 +403,12 @@ def run_study2(
                 n_reps=n_reps,
                 seed=seed,
                 schemes=tuple(schemes),
+                oracle=oracle,
+                tags=("study2", family, case, repr(float(beta3))),
             ),
-            ("study2", family, case, repr(float(beta3))),
             dict(case=case, family=family, beta3=float(beta3), n=100),
         )
         for case in cases
         for beta3 in beta3_grid
     ]
-    return _run_cells(
-        cells, oracle_support=oracle_support, fixed_design=fixed_design, workers=workers
-    )
+    return _run_cells(cells, workers)

@@ -428,11 +428,12 @@ class TestStudyCommands:
         "args", [["study1", "--n-grid", "60"], ["study2", "--beta3", "0.1"]], ids=["study1", "study2"]
     )
     def test_negative_seed_is_a_data_error(self, args, capsys):
-        # the first replication's stream refuses it; the error may name that replication
+        # every cell's config checks its seed, so no replication runs
         assert _exit_code(args + ["--reps", "2", "--seed", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "seed and integer stream keys must be non-negative, got -1" in captured.err
+        assert "rep " not in captured.err
 
     def test_study2_csv_to_file(self, tmp_path):
         out = tmp_path / "study2.csv"
@@ -538,10 +539,14 @@ class TestCvCommand:
             (["--workers", "0"], "workers must be at least 1, got 0"),
             (["--dump-q"], "unrecognized arguments: --dump-q"),
             (["--seed", "-3"], "seed and integer stream keys must be non-negative, got -3"),
+            (
+                ["--seed", "-3", "--select-by", "aic"],
+                "seed and integer stream keys must be non-negative, got -3",
+            ),
         ],
         ids=[
             "n-train-8", "n-train-5", "inner-fold-8", "repeated-method", "empty-methods", "zero-workers",
-            "dump-q", "negative-seed",
+            "dump-q", "negative-seed", "negative-seed-aic",
         ],
     )
     def test_bad_split_or_methods_are_data_errors(self, extra, message, monkeypatch, capsys):

@@ -124,8 +124,9 @@ class TestCvCompare:
         report = cv_compare(ds, methods=("full_model",), n_repeats=2, seed=4)
         assert report.n_train + report.n_test == 45
         assert report.n_repeats == 2
-        d = report.to_dict()
-        assert set(d) >= {"mean_errors", "n_train", "n_test", "per_repeat"}
+        assert report.seed == 4
+        assert set(report.mean_errors) == {"full_model"}
+        assert [row["repeat"] for row in report.per_repeat] == [0, 1]
 
     def test_rejects_logistic_family(self):
         ds = synthetic_prostate()

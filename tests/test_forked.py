@@ -47,6 +47,7 @@ def _config(family="linear", n_reps=40):
         n_reps=n_reps,
         seed=4,
         schemes=("optimal", "aic"),
+        tags=("t",),
     )
 
 
@@ -63,7 +64,7 @@ def test_earliest_failure_wins(monkeypatch, deadline, failing, first):
 
     monkeypatch.setattr(sim_harness, "_one_replication", failing_replication)
     with pytest.raises(NonConvergenceError) as excinfo:
-        simulate_cell(_config(), tags=("t",), workers=2)
+        simulate_cell(_config(), workers=2)
     raised = excinfo.value
     assert str(raised) == f"separated at rep {first} in replication ('t', rep {first})"
     assert (raised.model, raised.iterations) == (model, first)
@@ -112,8 +113,8 @@ def test_no_child_left_after_raise_in_calling_process(deadline):
 @pytest.mark.parametrize("workers", [3, 64])
 def test_workers_above_cpus_or_n_give_the_same_bits(workers):
     config = _config(family="logistic", n_reps=3)
-    serial = simulate_cell(config, tags=("t",), workers=1)
-    wide = simulate_cell(config, tags=("t",), workers=workers)
+    serial = simulate_cell(config, workers=1)
+    wide = simulate_cell(config, workers=workers)
     for key in serial:
         assert serial[key].tobytes() == wide[key].tobytes()
     assert_no_child_left()

@@ -34,7 +34,14 @@ REMOVED_KEYWORDS = (
     (glmavg.synthetic_prostate, "n"),
     (glmavg.synthetic_prostate, "seed"),
     (glmavg.select_best_subset, "n_folds"),
+    (glmavg.run_study1, "fixed_design"),
+    (glmavg.run_study2, "fixed_design"),
+    (glmavg.simulate_cell, "fixed_design"),
+    (glmavg.simulate_cell, "oracle_support"),
+    (glmavg.simulate_cell, "tags"),
 )
+# (class, attribute) pairs: each report writer gave way to the CLI's one writer
+REMOVED_ATTRIBUTES = ((glmavg.StudyReport, "to_csv_text"), (glmavg.CvReport, "to_dict"))
 
 
 def _entry_point_names():
@@ -75,3 +82,10 @@ def test_removed_names_stay_removed(name):
 )
 def test_removed_keywords_stay_removed(func, keyword):
     assert keyword not in inspect.signature(func).parameters
+
+
+@pytest.mark.parametrize(
+    "cls, attribute", REMOVED_ATTRIBUTES, ids=[f"{cls.__name__}-{a}" for cls, a in REMOVED_ATTRIBUTES]
+)
+def test_removed_attributes_stay_removed(cls, attribute):
+    assert not hasattr(cls, attribute)

@@ -49,3 +49,9 @@ class TestDeriveSeed:
 
     def test_frozen_canary(self):
         assert derive_seed(0, "canary") == 4475981746271602067
+
+    def test_negative_seed_or_key_is_a_data_error(self):
+        with pytest.raises(DataError, match="seed and integer stream keys must be non-negative, got -1"):
+            derive_seed(-1)
+        with pytest.raises(DataError, match="seed and integer stream keys must be non-negative, got -2"):
+            derive_seed(0, "cv-split", -2)

@@ -15,6 +15,7 @@ from glmavg import (
     run_study2,
     simulate_cell,
 )
+from glmavg.dataio import csv_text
 from glmavg.sim_harness import (
     REPORT_COLUMNS,
     _one_replication,
@@ -122,8 +123,8 @@ class TestStudyConfig:
                     n_reps=20,
                     seed=0,
                     schemes=(),
+                    oracle=CandidateModel((0, 1, 2), 1),
                 ),
-                oracle_support=CandidateModel((0, 1, 2), 1),
             ),
         ],
         ids=["run_study2", "simulate_cell"],
@@ -274,7 +275,7 @@ class TestModelSets:
 
 
 class TestSimulateCell:
-    def _config(self, n_reps=8):
+    def _config(self, n_reps=8, **fields):
         return StudyConfig(
             family="linear",
             n=40,
@@ -284,17 +285,18 @@ class TestSimulateCell:
             n_reps=n_reps,
             seed=3,
             schemes=("optimal", "aic"),
+            **fields,
         )
 
     def test_shapes_and_keys(self):
-        out = simulate_cell(self._config(), oracle_support=CandidateModel((0, 1, 2), 1))
+        out = simulate_cell(self._config(oracle=CandidateModel((0, 1, 2), 1)))
         assert set(out) == {"optimal", "aic", "oracle"}
         assert all(v.shape == (8,) for v in out.values())
 
     def test_worker_count_does_not_change_results(self):
-        config = self._config(n_reps=12)
-        serial = simulate_cell(config, tags=("t",), workers=1)
-        threaded = simulate_cell(config, tags=("t",), workers=4)
+        config = self._config(n_reps=12, tags=("t",))
+        serial = simulate_cell(config, workers=1)
+        threaded = simulate_cell(config, workers=4)
         for key in serial:
             np.testing.assert_array_equal(serial[key], threaded[key])
 
@@ -308,9 +310,10 @@ class TestSimulateCell:
             n_reps=6,
             seed=4,
             schemes=("optimal", "aic"),
+            tags=("t",),
         )
-        serial = simulate_cell(config, tags=("t",), workers=1)
-        threaded = simulate_cell(config, tags=("t",), workers=3)
+        serial = simulate_cell(config, workers=1)
+        threaded = simulate_cell(config, workers=3)
         for key in serial:
             np.testing.assert_array_equal(serial[key], threaded[key])
 
@@ -340,9 +343,11 @@ class TestSimulateCell:
                 x_star=np.asarray(STUDY2_X_STAR),
                 n_reps=6,
                 seed=5,
+                oracle=oracle,
+                tags=("t",),
             )
             calls.clear()
-            out[case] = simulate_cell(config, oracle_support=oracle, tags=("t",))["oracle"]
+            out[case] = simulate_cell(config)["oracle"]
             assert len(calls) == (0 if case == "A" else config.n_reps)
         np.testing.assert_allclose(out["A"], out["B"], rtol=1e-12, atol=0)
 
@@ -357,11 +362,11 @@ class TestSimulateCell:
             n_reps=30,
             seed=2,
             schemes=("optimal", "aic"),
+            tags=("study2", "logistic", "A", "0.05"),
         )
-        tags = ("study2", "logistic", "A", "0.05")
         for rep in range(config.n_reps):
             try:
-                _one_replication(config, rep, tags, None, None)
+                _one_replication(config, rep)
             except NonConvergenceError as exc:
                 first, direct = rep, exc
                 break
@@ -369,18 +374,43 @@ class TestSimulateCell:
             pytest.fail("no replication separated")
         assert first > 0 and direct.model is not None
         with pytest.raises(NonConvergenceError) as excinfo:
-            simulate_cell(config, tags=tags)
+            simulate_cell(config)
         raised = excinfo.value
         assert str(raised) == f"{direct} in replication ('study2', 'logistic', 'A', '0.05', rep {first})"
         assert raised.model == direct.model
         assert raised.iterations == direct.iterations
 
-    def test_fixed_design_shares_design_across_reps(self):
-        config = self._config(n_reps=4)
-        fixed = simulate_cell(config, tags=("t",), fixed_design=True)
-        redrawn = simulate_cell(config, tags=("t",), fixed_design=False)
-        # same streams, different design handling: estimates must differ
-        assert not np.allclose(fixed["optimal"], redrawn["optimal"])
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    def test_the_cell_is_its_config(self, family):
+        # two configs built apart from equal values give the same bits,
+        # and the tags alone key the streams
+        def build(tags):
+            return StudyConfig(
+                family=family,
+                n=60,
+                beta_true=np.array([0.3, 0.1, 0.3, 0.1]),
+                candidate_set=study2_model_sets()["B"],
+                x_star=np.asarray(STUDY2_X_STAR),
+                n_reps=4,
+                seed=7,
+                schemes=("optimal", "aic"),
+                oracle=CandidateModel((0, 1, 2), 1),
+                tags=tags,
+            )
+
+        first, second = simulate_cell(build(("t", 1))), simulate_cell(build(("t", 1)))
+        retagged = simulate_cell(build(("t", 2)))
+        assert list(first) == ["optimal", "aic", "oracle"]
+        for key in first:
+            assert first[key].tobytes() == second[key].tobytes()
+            assert not np.array_equal(first[key], retagged[key])
+
+    @pytest.mark.parametrize(
+        "oracle", [CandidateModel((0, 1), 2), CandidateModel((0, 3), 1)], ids=["other-p-fixed", "index-at-q"]
+    )
+    def test_oracle_outside_the_candidate_layout_is_rejected(self, oracle):
+        with pytest.raises(DataError, match="p_fixed=1, q=3"):
+            self._config(oracle=oracle)
 
 
 class TestRunStudy1:
@@ -450,7 +480,7 @@ def test_logistic_case_a_mean_recovers_truth():
 class TestStudyReport:
     def test_csv_round_structure(self):
         report = run_study2("linear", beta3_grid=(0.05,), cases=("A",), n_reps=3, seed=0)
-        text = report.to_csv_text()
+        text = csv_text(REPORT_COLUMNS, report.rows)
         lines = text.strip().split("\n")
         assert lines[0] == ",".join(REPORT_COLUMNS)
         assert len(lines) == 1 + len(report.rows)
@@ -458,13 +488,13 @@ class TestStudyReport:
     def test_byte_identical_reruns(self):
         a = run_study2("linear", beta3_grid=(0.05,), cases=("B",), n_reps=10, seed=9)
         b = run_study2("linear", beta3_grid=(0.05,), cases=("B",), n_reps=10, seed=9)
-        assert a.to_csv_text() == b.to_csv_text()
+        assert csv_text(REPORT_COLUMNS, a.rows) == csv_text(REPORT_COLUMNS, b.rows)
         assert a.rows == b.rows
 
     def test_worker_invariance_of_report(self):
         a = run_study2("linear", beta3_grid=(0.05,), cases=("B",), n_reps=10, seed=9, workers=3)
         b = run_study2("linear", beta3_grid=(0.05,), cases=("B",), n_reps=10, seed=9, workers=1)
-        assert a.to_csv_text() == b.to_csv_text()
+        assert csv_text(REPORT_COLUMNS, a.rows) == csv_text(REPORT_COLUMNS, b.rows)
 
     def test_select(self):
         report = run_study2("linear", beta3_grid=(0.05, 0.1), cases=("A",), n_reps=2, seed=0)
