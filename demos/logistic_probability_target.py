@@ -4,6 +4,8 @@ The per-model estimates are plain logistic MLEs.  The optimal weights
 come from the logistic MSE form, whose bias entries compare each
 model's pseudo-fit (the IRLS solution matching the full model's fitted
 probabilities) against the full-model probability at the target point.
+The logit link is canonical, so that pseudo-fit is the model's own MLE,
+as the two printed coefficient rows show, and the form reads the MLEs.
 """
 
 import numpy as np
@@ -29,9 +31,9 @@ x_star = np.array([1.0, -1.855445, -1.018565, -1.045111])
 truth = float(expit(x_star @ beta_true))
 models = study2_model_sets()["A"]  # intercept-up ladder
 
-# Pseudo-fit machinery: project the full model onto a sub-model by
-# solving the sub-model score equation against the full fitted
-# probabilities (not against the raw 0/1 data).
+# Pseudo-fit: project the full model onto a sub-model by solving the
+# sub-model score equation against the full fitted probabilities (not
+# against the raw 0/1 data).  It lands on the sub-model's data MLE.
 full = logistic_mle(X, y)
 p_full = expit(X @ full.beta)
 sub = models[1]  # intercept + first covariate

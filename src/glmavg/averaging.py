@@ -10,10 +10,10 @@ coefficient vector, and the weights come from one of three schemes:
 * ``aic``     — smoothed-AIC weights from the per-model likelihoods,
 * ``equal``   — the uniform baseline.
 
-Per-model values always use the data fits (OLS / logistic MLE); the
-``optimal`` scheme's quadratic form internally uses pseudo-fits for the
-logistic bias entries, which is a property of the MSE estimate, not of
-the reported estimator.
+Per-model values and the ``optimal`` scheme's quadratic form use the
+same data fits (OLS / logistic MLE): under the canonical links each
+candidate's fit against the full model's fitted values is its own data
+fit, so Q-hat needs no fit of its own.
 """
 
 from __future__ import annotations
@@ -196,8 +196,10 @@ class LinearAveragingPredictor(_AveragingPredictor, LinearQFactory):
 class LogisticAveragingPredictor(_AveragingPredictor, LogisticQFactory):
     """``LogisticQFactory`` plus ``predict``: logistic MLEs of every candidate on one training set.
 
-    Every scheme and every x* share the candidate fits; the pseudo-fits
-    behind the ``optimal`` scheme's Q-hat run on its first call only.
+    Every scheme and every x* share the candidate fits.  The ``optimal``
+    scheme's Q-hat reads the same MLEs; its first call adds only the
+    weighted R factors, and the full-model MLE when the full design is
+    not a candidate.
     ``fit_and_average_logistic`` is the one-shot convenience wrapper.
     """
 

@@ -15,10 +15,12 @@ the merit:
 * ``logistic_mle`` fits 0/1 data by maximum likelihood (t = y, merit
   -loglik),
 * ``logistic_pseudo_fit`` solves the score equation against a vector of
-  *target probabilities* (the full-model fitted probabilities, when
-  estimating the averaged estimator's mean squared error), i.e. the
-  population projection of one model onto another (merit: the score's
-  infinity norm).
+  *target probabilities*, i.e. the population projection of one model
+  onto another (merit: the score's infinity norm).  Against the full
+  model's fitted probabilities it gives a candidate's own MLE, since
+  the logit link is canonical, so ``LogisticQFactory`` reads the MLEs
+  and no longer calls it; the tests use it as the oracle for that
+  identity.
 """
 
 from __future__ import annotations

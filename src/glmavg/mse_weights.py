@@ -17,14 +17,21 @@ per-model functional estimates:
   Gram (X_k'X_k)^{-1} zero-padded to p x p.  Since X = Q R_full and
   Q'Q = I, the factor is taken as a_k = sigma_full R_full G_k x*, so A
   has p rows (one per column of the full design), not n.
-* logistic family: b_k = p_k* - p_full at x*, with p_k* the pseudo-fit
-  of model k against the full-model fitted probabilities, and entry
-  (j, k) of A'A is p_j*(1-p_j*) x_j*' M_j^{-1} X_j' W_full X_k M_k^{-1}
-  x_k* p_k*(1-p_k*), with M_k = X_k' diag(p_k(1-p_k)) X_k and
-  W_full = diag(p_full(1-p_full)).  Since W_full^{1/2} X = Q_w R_w and
-  Q_w'Q_w = I, the factor is taken as a_k = R_w S_k M_k^{-1} x_k*
-  p_k*(1-p_k*), with S_k the p x d_k column selector of model k, so A
-  has p rows here too.
+* logistic family: b_k = p_k* - p_full at x*, with p_k* model k's
+  pseudo-true probability, the fit of model k against the full-model
+  fitted probabilities p_full, and entry (j, k) of A'A is
+  p_j*(1-p_j*) x_j*' M_j^{-1} X_j' W_full X_k M_k^{-1} x_k* p_k*(1-p_k*),
+  with M_k = X_k' diag(p_k(1-p_k)) X_k and W_full = diag(p_full(1-p_full)).
+  Since W_full^{1/2} X = Q_w R_w and Q_w'Q_w = I, the factor is taken as
+  a_k = R_w S_k M_k^{-1} x_k* p_k*(1-p_k*), with S_k the p x d_k column
+  selector of model k, so A has p rows here too.  That fit against
+  p_full is model k's own MLE: the logit link is canonical, so the full
+  MLE solves X'(y - p_full) = 0, and as X_k = X S_k,
+  X_k'(p_full - p(X_k beta)) = X_k'(y - p(X_k beta)) for every beta; the
+  two score equations are one (McCullagh & Nelder 1989).  The plug-in
+  therefore reads the MLEs the factory already has, the logistic twin
+  of the linear B_pl = B; its only fit is the full-model MLE, when the
+  full design is not a candidate.
 
 Both are one assembly (``_CandidateFactory.q_form``) with link h and
 slope h': the identity and 1 for linear targets, expit and p(1-p) for
@@ -71,7 +78,7 @@ from .glm_fit import (
     ill_conditioned,
     lapack_solve,
     logistic_mle,
-    logistic_pseudo_fit,
+    logistic_pseudo_fit,  # no longer called here; perfbench/tracer.py looks it up here
     qr_factor,
     require_finite,
 )
@@ -292,15 +299,18 @@ class LogisticQFactory(_CandidateFactory):
 
     The fit runs each candidate's MLE once, in list order, so a failure
     names the first failing candidate; ``fits`` keeps the results.  The
-    link is ``expit``.  The first ``q_form`` fits the truth plug-in once:
-    the full-model MLE (the candidate's own fit when the full design is a
-    candidate, else one more fit, which names no model when it fails),
-    each candidate's pseudo-fit against the full model's fitted
-    probabilities p_full, with the R factor R_k of its weighted design
+    link is ``expit``.  The first ``q_form`` builds the truth plug-in
+    once: the full-model MLE (the candidate's own fit when the full design
+    is a candidate, else one more fit, which names no model when it
+    fails), the R factor R_k of each candidate's weighted design
     sqrt(p_k(1-p_k)) X_k, and R = R_w, the R factor of W_full^{1/2} X.
-    The full model's pseudo-fit is its own MLE, so that solve is skipped.
-    Column k of the Gram factor is then R_w S_k M_k^{-1} x_k* p_k*(1-p_k*)
-    = R_w (G x*)_k p_k*(1-p_k*), with M_k = R_k'R_k.
+    Each candidate's pseudo-true coefficients, its fit against the full
+    model's fitted probabilities, are its MLE (the identity in the module
+    docstring), so B_pl = B and p_k, R_k are taken at the MLE; they agree
+    with an explicit pseudo-fit to the Newton tolerance, about 1e-9
+    relative.  Column k of the Gram factor is then
+    R_w S_k M_k^{-1} x_k* p_k*(1-p_k*) = R_w (G x*)_k p_k*(1-p_k*), with
+    M_k = R_k'R_k.
     """
 
     _link = staticmethod(expit)
@@ -317,33 +327,25 @@ class LogisticQFactory(_CandidateFactory):
         return B, np.array([fit.loglik for fit in self.fits])
 
     def _fit_plug_in(self):
-        """Padded pseudo-fit coefficients, the full MLE, padded inverse Grams, and R_w."""
+        """B, the full MLE, padded inverse Grams at each candidate's MLE, and R_w."""
         X = self._X
         K, p = self._B.shape
         if self._full is None:
             beta_full = logistic_mle(X, self._y).beta
+            p_full = expit(X @ beta_full)
+            _, R_w = qr_factor(np.sqrt(p_full * (1.0 - p_full))[:, None] * X)
         else:
             beta_full = self.fits[self._full].beta
-        p_full = expit(X @ beta_full)
-        sqrt_w_full = np.sqrt(p_full * (1.0 - p_full))
-        B = np.zeros((K, p))
         G = np.zeros((K, p, p))
-        for k, (model, cols, X_k) in enumerate(zip(self.models, self._cols, self._designs)):
-            if k == self._full:
-                beta_k, sqrt_w_k = beta_full, sqrt_w_full
-            else:
-                beta_k = logistic_pseudo_fit(X_k, p_full, model=model).beta
-                p_k = expit(X_k @ beta_k)
-                sqrt_w_k = np.sqrt(p_k * (1.0 - p_k))
-            _, R_k = qr_factor(sqrt_w_k[:, None] * X_k, model=model)
-            B[k, cols] = beta_k
+        candidates = zip(self.models, self._cols, self._designs, self.fits)
+        for k, (model, cols, X_k, fit) in enumerate(candidates):
+            p_k = expit(X_k @ fit.beta)
+            _, R_k = qr_factor(np.sqrt(p_k * (1.0 - p_k))[:, None] * X_k, model=model)
             R_inv = np.linalg.inv(R_k)
             G[k][np.ix_(cols, cols)] = R_inv @ R_inv.T
             if k == self._full:
                 R_w = R_k
-        if self._full is None:
-            _, R_w = qr_factor(sqrt_w_full[:, None] * X)
-        return B, beta_full, G.reshape(K * p, p), R_w
+        return self._B, beta_full, G.reshape(K * p, p), R_w
 
 
 def build_q_logistic(
@@ -354,9 +356,9 @@ def build_q_logistic(
 ) -> QuadraticForm:
     """Estimated-MSE form for the probability functional p(x*'beta) under logistic fits.
 
-    The full-model MLE supplies both the truth plug-in (fitted
-    probabilities and their Bernoulli variances) and the target each
-    candidate is pseudo-fit against.  Fit failures propagate with the
+    The full-model MLE supplies the truth plug-in (fitted probabilities
+    and their Bernoulli variances); each candidate's MLE is its
+    pseudo-true fit against it.  Fit failures propagate with the
     offending model attached.
     """
     X = np.asarray(X, dtype=float)

@@ -76,7 +76,7 @@ STUDY2_BETA_BASE = (0.3, 0.1, 0.3)
 STUDY2_BETA3_GRID = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StudyConfig:
     """One Monte Carlo cell: a data-generating process plus estimation settings.
 
@@ -87,6 +87,11 @@ class StudyConfig:
     bad one raises ``DataError`` before any draw: the oracle must share
     the candidate set's ``p_fixed`` and index only below its ``q``, and
     the seed and integer tags must be non-negative.
+
+    A config compares and hashes by identity: two configs built apart
+    from equal values are two cells, unequal, each usable as a dict key.
+    The generated field-wise ``==`` and ``hash`` would raise on the array
+    fields.
     """
 
     family: str

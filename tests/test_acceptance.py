@@ -39,6 +39,7 @@ from oracles import (
 )
 
 import glmavg as g
+from glmavg.glm_fit import SCORE_TOL
 from glmavg.sim_harness import (
     STUDY1_BETA,
     STUDY1_ORACLE_SUPPORT,
@@ -152,7 +153,7 @@ def test_criterion_3_solver_optimality():
 
 
 # ---------------------------------------------------------------------------
-# 4. plug-in identity (20 instances, 1e-10)
+# 4. plug-in identity (20 instances, 1e-10), and its logistic twin (bound from SCORE_TOL)
 # ---------------------------------------------------------------------------
 
 
@@ -169,6 +170,63 @@ def test_criterion_4_plug_in_identity():
         dev = np.max(np.abs(pseudo_true_linear(X_k, X, full.beta_full) - g.ols_fit(X_k, y).beta))
         worst = max(worst, dev)
     assert report("criterion 4: plug-in identity (20 instances)", worst <= 1e-10, f"max dev {worst:.2e}")
+
+
+def test_criterion_4_logistic_plug_in_identity():
+    """The logistic pseudo-fit against the full model's fit is the candidate's own MLE.
+
+    Under the canonical logit link the full MLE solves X'(y - p_full) = 0,
+    and a candidate's columns X_k = X S_k are columns of X, so for every
+    beta the two scores of model k differ by a constant:
+
+        X_k'(y - p(X_k beta)) - X_k'(p_full - p(X_k beta)) = S_k' X'(y - p_full).
+
+    ``LogisticQFactory`` builds Q-hat from the candidates' MLEs on the
+    strength of this identity.  The bound comes from the Newton loop's
+    stopping rule, |score|_inf <= SCORE_TOL:
+
+    * the full MLE stops with |X'(y - p_full)|_inf <= SCORE_TOL, which
+      bounds the constant above;
+    * the candidate MLE beta_m stops with its own score below SCORE_TOL,
+      so its score against p_full is below 2 SCORE_TOL;
+    * the pseudo-fit beta_p stops with its score against p_full below
+      SCORE_TOL.
+
+    By the mean value theorem that score's difference at the two points
+    is M_bar (beta_p - beta_m), with M_bar the mean of
+    M_k = X_k' diag(p(1-p)) X_k over the segment between them, so
+    |beta_p - beta_m|_inf <= |M_bar^{-1}|_inf 3 SCORE_TOL.  M_bar differs
+    from M_k at beta_m by a relative O(|beta_p - beta_m|), about 1e-9
+    here, so the test takes |M_k^{-1}|_inf 3 SCORE_TOL, with 1% slack for
+    that difference, as each instance's bound.  On these 20 instances
+    (n = 200, d <= 5, a random proper sub-model) the worst deviation is
+    1.6e-10 relative to the MLE's largest coefficient, 0.13 of its bound.
+    """
+    worst_ratio = worst_rel = 0.0
+    for trial in range(20):
+        rng = np.random.default_rng(350 + trial)
+        n = 200
+        d = int(rng.integers(2, 6))
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, d - 1))])
+        y = (rng.random(n) < expit(X @ rng.uniform(-1, 1, d))).astype(float)
+        size = int(rng.integers(0, d - 1))
+        included = sorted(int(j) for j in rng.choice(d - 1, size=size, replace=False))
+        model = g.CandidateModel(tuple(included), 1)
+        X_k = g.subset_columns(X, model)
+        p_full = expit(X @ g.logistic_mle(X, y).beta)
+        mle = g.logistic_mle(X_k, y).beta
+        pseudo = g.logistic_pseudo_fit(X_k, p_full).beta
+        p_k = expit(X_k @ mle)
+        M_inv = np.linalg.inv(X_k.T @ (X_k * (p_k * (1.0 - p_k))[:, None]))
+        bound = 1.01 * 3.0 * SCORE_TOL * np.max(np.sum(np.abs(M_inv), axis=1))
+        dev = np.max(np.abs(pseudo - mle))
+        worst_ratio = max(worst_ratio, dev / bound)
+        worst_rel = max(worst_rel, dev / np.max(np.abs(mle)))
+    assert report(
+        "criterion 4: logistic plug-in identity (20 instances)",
+        worst_ratio <= 1.0,
+        f"max dev {worst_rel:.2e} relative, {worst_ratio:.2e} of its bound",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from scipy.special import expit
 from oracles import aic_weights_reference
 
 import glmavg.averaging as averaging
+import glmavg.glm_fit as glm_fit
 import glmavg.mse_weights as mse_weights
 from glmavg import (
     CandidateModel,
@@ -282,13 +283,21 @@ class TestLogisticAveragingPredictor:
             return wrapper
 
         monkeypatch.setattr(mse_weights, "logistic_mle", counted("mle", mse_weights.logistic_mle))
-        monkeypatch.setattr(
-            mse_weights, "logistic_pseudo_fit", counted("pseudo", mse_weights.logistic_pseudo_fit)
-        )
+        # A pseudo-fit counts whether it is reached through mse_weights or glm_fit.
+        for module in (mse_weights, glm_fit):
+            monkeypatch.setattr(
+                module, "logistic_pseudo_fit", counted("pseudo", module.logistic_pseudo_fit)
+            )
         return calls
 
     @pytest.mark.parametrize("with_full", [True, False])
     def test_each_candidate_is_fit_once(self, monkeypatch, with_full):
+        """K MLEs when the predictor is built and no pseudo-fit, ever.
+
+        Q-hat reads the candidates' own MLEs, so the first ``optimal`` call
+        adds only the full-model MLE, and only when the full design is not
+        a candidate.  The ``aic`` and ``equal`` schemes fit nothing more.
+        """
         X, y = self._data()
         models = enumerate_all_subsets(1, 2)  # the last subset is the full design
         if not with_full:
@@ -296,24 +305,19 @@ class TestLogisticAveragingPredictor:
         K = len(models)
         calls = self._count_fits(monkeypatch)
         predictor = LogisticAveragingPredictor(X, y, models)
+        assert calls == {"mle": K, "pseudo": 0}
         points = [np.array([1.0, 0.3, -0.2]), np.array([1.0, -1.1, 0.5]), np.array([1.0, 0.0, 2.0])]
+        for x_star in points:
+            for scheme in ("aic", "equal"):
+                predictor.predict(x_star, scheme)
+        assert calls == {"mle": K, "pseudo": 0}
         predictor.predict(points[0], "optimal")
-        after_first = dict(calls)
-        assert after_first == {"mle": K if with_full else K + 1, "pseudo": K - 1 if with_full else K}
+        after_first = {"mle": K if with_full else K + 1, "pseudo": 0}
+        assert calls == after_first
         for x_star in points:
             for scheme in ("optimal", "aic", "equal"):
                 predictor.predict(x_star, scheme)
         assert calls == after_first
-
-    def test_aic_and_equal_need_no_pseudo_fit(self, monkeypatch):
-        X, y = self._data()
-        models = enumerate_all_subsets(1, 2)
-        calls = self._count_fits(monkeypatch)
-        predictor = LogisticAveragingPredictor(X, y, models)
-        for x_star in (np.array([1.0, 0.3, -0.2]), np.array([1.0, -1.1, 0.5])):
-            for scheme in ("aic", "equal"):
-                predictor.predict(x_star, scheme)
-        assert calls == {"mle": len(models), "pseudo": 0}
 
     @pytest.mark.parametrize("scheme", ["optimal", "aic", "equal"])
     def test_matches_one_shot(self, scheme):

@@ -96,6 +96,24 @@ class TestStudyConfig:
                 seed=0,
             )
 
+    def test_equality_and_hash_are_identity(self):
+        def build():
+            return StudyConfig(
+                family="linear",
+                n=50,
+                beta_true=np.ones(4),
+                candidate_set=nested_sequence(1, 3),
+                x_star=np.ones(4),
+                n_reps=5,
+                seed=0,
+            )
+
+        a, b = build(), build()
+        assert a == a and a != b and not (a == b)
+        assert hash(a) == hash(a)
+        assert {a: "a", b: "b"}[a] == "a"
+        assert len({a, b, a}) == 2
+
     def test_rejects_unknown_scheme(self):
         with pytest.raises(DataError, match=r"unknown weighting schemes \['bogus'\]"):
             StudyConfig(
