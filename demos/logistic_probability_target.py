@@ -44,7 +44,7 @@ print("  pseudo-fit coefficients:", np.round(pseudo.beta, 4), f"({pseudo.iterati
 print("  data MLE coefficients:  ", np.round(data_fit.beta, 4))
 
 q_hat = build_q_logistic(X, y, list(models), x_star)
-print("\nestimated bias entries (pseudo-fit minus full, at x*):", np.round(q_hat.bias, 4))
+print("\nestimated bias entries (MLE minus full, at x*):", np.round(q_hat.bias, 4))
 
 print(f"\ntrue success probability at x*: {truth:.4f}")
 functional = Functional.logistic_point(x_star)

@@ -1,10 +1,16 @@
 """Per-model estimation for the linear and logistic families.
 
-Linear solves go through a rank-revealing QR factorisation (never an
-explicit inverse); a condition number above ``COND_LIMIT`` raises
-``SingularDesignError``.  The triangular system R beta = Q'y goes to
-``np.linalg.solve``: its partial-pivoting LU leaves an upper-triangular
-R unpivoted and unchanged, so the solve is back substitution on R.
+Linear fits read the R factor of [X_k | y] (never an explicit inverse
+and never Q): its leading block is R_k, its last column above the
+diagonal is Q_k'y, and its last diagonal entry squared is the RSS.
+``_least_squares`` factors [X_U | y] once on its n rows, with U the
+union of the candidates' columns, and reduces each candidate from that
+(|U| + 1)-row factor in one small QR; ``ols_fit`` is the same routine
+for one design.  A condition number of R_k above ``COND_LIMIT`` raises
+``SingularDesignError``.  The triangular system R_k beta = Q_k'y goes
+to ``np.linalg.solve``: its partial-pivoting LU leaves an
+upper-triangular R_k unpivoted and unchanged, so the solve is back
+substitution on R_k.
 Both logistic fits solve the score equation X_k'(t - p(X_k beta)) = 0
 with one damped Newton loop (``_damped_newton``): full steps from
 beta = 0, halving the step whenever the candidate fails to lower the
@@ -159,6 +165,59 @@ def _gaussian_profile_loglik(rss, n: int):
 # ---------------------------------------------------------------------------
 
 
+def _least_squares(X: np.ndarray, y: np.ndarray, column_sets: list[list[int]]):
+    """Least-squares fits of y on several column sets of X, from one R factor of [X_U | y].
+
+    U is the union of the sets.  The only n-row work is one
+    ``np.linalg.qr(..., mode="r")`` of [X_U | y], which gives R_aug with
+    at most |U| + 1 rows.  Since [X_k | y] = Q_aug [R_aug[:, k] | R_aug[:, y]],
+    the R factor T of that small matrix is the R factor of [X_k | y]:
+    R_k is T's leading d x d block, Q_k'y its last column above the
+    diagonal and RSS_k = t_dd^2 (0 when n = d, as T then has only d
+    rows).  The sets of one dimension d share one stacked QR, one SVD
+    for the condition guard and one ``np.linalg.solve`` (back
+    substitution on R_k).  A set that is all of U's columns in order
+    reduces a factor that is already triangular: every Householder
+    reflector is the identity, so its fit is the one-design fit's to
+    the last bit.
+
+    Returns the coefficients B (one row per set, zero outside its
+    columns), the RSS, the kept factors ``(indices, columns, R stack)``
+    of each dimension, and ``(index, message)`` for every set that needs
+    more rows or is numerically rank deficient.  A dimension after the
+    first failure is still checked but not solved, so the caller can
+    name the first failing set.
+    """
+    n, p = X.shape
+    union = sorted(set().union(*column_sets))
+    where = np.zeros(p, dtype=int)
+    where[union] = np.arange(len(union))
+    R_aug = np.linalg.qr(np.column_stack((X[:, union], y)), mode="r")
+    groups: dict[int, list[int]] = {}
+    for k, cols in enumerate(column_sets):
+        groups.setdefault(len(cols), []).append(k)
+    B = np.zeros((len(column_sets), p))
+    rss = np.zeros(len(column_sets))
+    factors, failures = [], []
+    for d, members in groups.items():
+        if n < d:
+            failures += [(k, f"need n >= d, got n={n}, d={d}") for k in members]
+            continue
+        idx = np.array(members)
+        cols = np.array([column_sets[k] for k in members])
+        picks = np.column_stack((where[cols], np.full(len(members), len(union))))
+        T = np.linalg.qr(R_aug[:, picks].transpose(1, 0, 2), mode="r")
+        R = T[:, :d, :d]
+        failures += [(members[j], RANK_DEFICIENT_MESSAGE) for j in np.flatnonzero(ill_conditioned(R))]
+        if failures:
+            continue  # the fit is lost; keep checking so the error names the first failure
+        B[idx[:, None], cols] = np.linalg.solve(R, T[:, :d, d:])[:, :, 0]
+        if T.shape[1] > d:
+            rss[idx] = T[:, d, d] ** 2
+        factors.append((idx, cols, R))
+    return B, rss, factors, failures
+
+
 def ols_fit(
     X_k: np.ndarray,
     y: np.ndarray,
@@ -169,22 +228,25 @@ def ols_fit(
 
     ``X_k`` holds the model's own columns (``subset_columns``), and the
     result's ``beta`` is in that order.  ``model`` only names the
-    candidate in a ``SingularDesignError``.  The log-likelihood is the
-    Gaussian profile one at sigma^2 = RSS/n (+inf for an exact fit).
+    candidate in a ``SingularDesignError``.  The fit is ``_least_squares``
+    on the one column set of ``X_k``: R_k, Q_k'y and the RSS come from
+    the R factor of [X_k | y], so an exactly determined design (n = d)
+    has RSS 0.  The log-likelihood is the Gaussian profile one at
+    sigma^2 = RSS/n (+inf for an exact fit).
     """
     X_k = np.asarray(X_k, dtype=float)
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.shape[0] != X_k.shape[0]:
         raise DataError("y must be a vector with one entry per design row")
     require_finite("response", y)
-    Q, R = qr_factor(X_k, model=model)
-    beta = np.linalg.solve(R, Q.T @ y)
-    rss = float(np.sum((y - X_k @ beta) ** 2))
-    return FitResult(
-        beta=beta,
-        loglik=_gaussian_profile_loglik(rss, X_k.shape[0]),
-        dim=X_k.shape[1],
-    )
+    if X_k.ndim != 2:
+        raise DataError("design matrix must be 2-d")
+    require_finite("design matrix", X_k)
+    n, d = X_k.shape
+    B, rss, _, failures = _least_squares(X_k, y, [list(range(d))])
+    if failures:
+        raise SingularDesignError(failures[0][1], model=model)
+    return FitResult(beta=B[0], loglik=_gaussian_profile_loglik(rss[0], n), dim=d)
 
 
 def full_linear_fit(X: np.ndarray, y: np.ndarray) -> LinearFullFit:

@@ -10,6 +10,7 @@ import numpy as np
 from scipy.special import expit
 
 from glmavg import (
+    FitResult,
     QuadraticForm,
     enumerate_all_subsets,
     full_linear_fit,
@@ -80,6 +81,26 @@ def q_logistic_double_sum(X, y, models, x_star):
             )
             Q[k, kp] = bias_term + variance
     return Q
+
+
+def reduced_ols_fit(X, y, column_sets, k):
+    """Candidate k's OLS fit reduced on its own from the R factor of [X_U | y].
+
+    U is the union of ``column_sets``.  One ``mode="r"`` QR of the
+    candidate's columns of that factor and its y column, unstacked, gives
+    R_k, Q_k'y and the RSS; ``np.linalg.solve`` gives beta.  This is the
+    reduction ``LinearQFactory`` runs in stacks, one matrix at a time.
+    """
+    union = sorted(set().union(*column_sets))
+    R_aug = np.linalg.qr(np.column_stack([X[:, union], y]), mode="r")
+    local = [union.index(c) for c in column_sets[k]]
+    T = np.linalg.qr(R_aug[:, local + [len(union)]], mode="r")
+    d, n = len(local), X.shape[0]
+    beta = np.linalg.solve(T[:d, :d], T[:d, d])
+    rss = T[d, d] ** 2 if T.shape[0] > d else 0.0
+    with np.errstate(divide="ignore"):
+        loglik = -0.5 * n * (np.log(2.0 * np.pi * np.asarray(rss) / n) + 1.0)
+    return FitResult(beta=beta, loglik=loglik, dim=d)
 
 
 def pseudo_true_linear(X_k, X, beta):

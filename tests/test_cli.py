@@ -11,7 +11,8 @@ from glmavg import nested_sequence, save_csv, synthetic_prostate
 from glmavg.cli import main
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-# `glmavg cv` argument lists (paths relative to the repo root) mapped to their exact stdout
+# `glmavg cv` argument lists (paths relative to the repo root) mapped to their exact stdout,
+# written by tests/data/make_cv_golden.py
 CV_GOLDEN = json.loads((SRC.parent / "tests" / "data" / "cv_golden.json").read_text())
 # the same for every other subcommand, written by tests/data/make_cli_golden.py
 CLI_GOLDEN = json.loads((SRC.parent / "tests" / "data" / "cli_golden.json").read_text())

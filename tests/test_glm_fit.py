@@ -74,6 +74,14 @@ class TestOlsFit:
         fit = ols_fit(np.eye(3), np.array([1.0, 2.0, 3.0]))
         assert fit.loglik == np.inf
 
+    def test_exactly_determined_random_design_gives_infinite_loglik(self):
+        # n = d: the residual is zero, not the roundoff of a residual pass
+        # (which would give a finite loglik, about 144 here)
+        rng = np.random.default_rng(3)
+        X = np.column_stack([np.ones(4), rng.standard_normal((4, 3))])
+        fit = ols_fit(X, rng.standard_normal(4))
+        assert fit.loglik == np.inf
+
 
 class TestFullLinearFit:
     def test_exact_fit_zero_sigma2(self):

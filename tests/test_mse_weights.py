@@ -12,9 +12,11 @@ from oracles import (
     q_linear_double_sum,
     q_logistic_double_sum,
     random_psd,
+    reduced_ols_fit,
 )
 
 import glmavg.mse_weights as mse_weights
+from glmavg.sim_harness import STUDY1_BETA, STUDY1_P_FIXED, STUDY1_Q, study1_model_sets
 from glmavg import (
     CandidateModel,
     DataError,
@@ -98,18 +100,67 @@ class TestBuildQLinear:
 
 
 class TestLinearQFactory:
-    def test_fits_equal_ols_bitwise_on_all_prostate_candidates(self):
-        # the batched QR must give each candidate exactly ols_fit's numbers;
-        # the bitwise vertex and single-model tests rely on it
+    def test_fits_equal_one_candidate_reductions_on_all_prostate_candidates(self):
+        # The stacked reduction must give each candidate exactly the numbers of
+        # its own unstacked reduction of the same R factor of [X | y].  Against
+        # ols_fit, which factors the candidate's own n rows, the worst of the 256
+        # is 9.7e-15 relative in beta and 4.8e-16 in the log-likelihood.
         ds = synthetic_prostate()
         models = enumerate_all_subsets(1, 8)
+        column_sets = [model.column_indices() for model in models]
         factory = LinearQFactory(ds.design, ds.response, models)
         betas, logliks = factory.model_betas(), factory.logliks()
         assert len(betas) == len(models) == 256
-        for model, beta, loglik in zip(models, betas, logliks):
+        for k, (model, beta, loglik) in enumerate(zip(models, betas, logliks)):
+            reduced = reduced_ols_fit(ds.design, ds.response, column_sets, k)
+            assert np.array_equal(beta, reduced.beta)
+            assert loglik == reduced.loglik
             fit = ols_fit(subset_columns(ds.design, model), ds.response)
-            assert np.array_equal(beta, fit.beta)
-            assert loglik == fit.loglik
+            assert np.max(np.abs(beta - fit.beta)) <= 4e-14 * np.max(np.abs(fit.beta))
+            assert abs(loglik - fit.loglik) <= 2e-15 * abs(fit.loglik)
+
+    def test_exactly_determined_candidate_takes_every_aic_weight(self):
+        # n = d = 4: the full model fits exactly, so its loglik is +inf and
+        # aic_weights' exact-fit branch gives it all the weight; roundoff
+        # residuals would give a finite loglik (about 145 here)
+        rng = np.random.default_rng(3)
+        X = np.column_stack([np.ones(4), rng.standard_normal((4, 3))])
+        factory = LinearQFactory(X, rng.standard_normal(4), enumerate_all_subsets(1, 3))
+        logliks = factory.logliks()
+        assert logliks[-1] == np.inf and np.isfinite(logliks[:-1]).all()
+        assert factory.sigma2 == 0.0
+        np.testing.assert_array_equal(aic_weights(logliks, factory.dims()), [0.0] * 7 + [1.0])
+
+    @pytest.mark.parametrize(
+        "case, expected",
+        [("prostate", 1), ("study1", 1), ("column_left_out", 2)],
+    )
+    def test_one_n_row_factorisation_per_design(self, case, expected, monkeypatch):
+        # Only [X_U | y] (and the full design, when no candidate has one of its
+        # columns) is factored on its n rows; every candidate is reduced from
+        # that R factor in QRs of at most p + 1 rows.
+        if case == "prostate":
+            ds = synthetic_prostate()
+            X, y, models = ds.design, ds.response, enumerate_all_subsets(1, 8)
+        else:
+            rng = np.random.default_rng(31)
+            n, p = 300, STUDY1_P_FIXED + STUDY1_Q
+            X = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+            y = X @ np.asarray(STUDY1_BETA) + rng.standard_normal(n)
+            models = study1_model_sets()["A"].models
+            if case == "column_left_out":
+                models = [m for m in models if m.dim < p and 4 not in m.included]
+        rows = []
+        qr = np.linalg.qr
+
+        def counted(a, *args, **kwargs):
+            rows.append(np.shape(a)[-2])
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        LinearQFactory(X, y, models)
+        assert rows.count(X.shape[0]) == expected
+        assert all(r == X.shape[0] or r <= X.shape[1] + 1 for r in rows)
 
     def test_padded_betas_place_each_fit_in_its_columns(self):
         ds = synthetic_prostate()
@@ -310,8 +361,8 @@ HARD_PROSTATE_ROWS = {
 UNCERTIFIED_PROSTATE_ROWS = [(315, 20, 6), (1030, 14, 12)]
 
 # The solver's exact output on prostate seed 0, splits 0-9 x 30 rows, and
-# which of the 750 collinear forms raise; written from the solver before
-# its corral system went through ``lapack_solve``.
+# which of the 750 collinear forms raise; written by
+# tests/data/make_solver_golden.py.
 SOLVER_GOLDEN = json.loads(
     (pathlib.Path(__file__).resolve().parent / "data" / "solver_golden.json").read_text()
 )
