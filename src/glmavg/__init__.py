@@ -61,7 +61,6 @@ from .rng import derive_seed, substream
 from .sim_harness import (
     StudyConfig,
     StudyReport,
-    oracle_estimate,
     run_study1,
     run_study2,
     simulate_cell,
@@ -111,7 +110,6 @@ __all__ = [
     "logistic_pseudo_fit",
     "nested_sequence",
     "ols_fit",
-    "oracle_estimate",
     "prediction_band",
     "run_study1",
     "run_study2",

@@ -133,8 +133,8 @@ def lapack_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _umath_linalg.solve1(A, b, signature="dd->d")
 
 
-def qr_factor(X: np.ndarray, model: CandidateModel | None = None):
-    """Reduced QR of a design matrix with a condition-number guard."""
+def r_factor(X: np.ndarray, model: CandidateModel | None = None) -> np.ndarray:
+    """R factor of a design matrix's QR, with a condition-number guard; Q is never formed."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DataError("design matrix must be 2-d")
@@ -142,10 +142,10 @@ def qr_factor(X: np.ndarray, model: CandidateModel | None = None):
     n, d = X.shape
     if n < d:
         raise SingularDesignError(f"need n >= d, got n={n}, d={d}", model=model)
-    Q, R = np.linalg.qr(X)
+    R = np.linalg.qr(X, mode="r")
     if ill_conditioned(R):
         raise SingularDesignError(RANK_DEFICIENT_MESSAGE, model=model)
-    return Q, R
+    return R
 
 
 def ill_conditioned(R: np.ndarray) -> np.ndarray:

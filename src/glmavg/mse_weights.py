@@ -78,7 +78,7 @@ from .glm_fit import (
     lapack_solve,
     logistic_mle,
     logistic_pseudo_fit,  # no longer called here; perfbench/tracer.py looks it up here
-    qr_factor,
+    r_factor,
     require_finite,
 )
 from .model_space import CandidateModel
@@ -157,14 +157,17 @@ class _CandidateFactory:
 
     A subclass fits (``_fit``: the padded coefficients B, K x p, and the
     log-likelihoods) and sets the link h and its slope h'; the per-model
-    values at x* are h(B x*).  The first ``q_form`` runs ``_fit_plug_in``:
-    B_pl (K x p, each candidate's padded plug-in coefficients), the full
-    model's coefficients beta_full, the padded inverse Grams G (K p x p)
-    and a p x p factor R.  With v = h(B_pl x*), the bias is
-    v - h(x*'beta_full) and the Gram factor is R (G x*)' diag(h'(v)).  The
-    full model's value is its own dot product, not a row of the matmul,
-    which BLAS may round differently.  Selection and the ``aic`` and
-    ``equal`` schemes never call ``q_form``, so they never pay for it.
+    values at x* are h(B x*).  Under both canonical links each candidate's
+    plug-in coefficients are B itself, so the first ``q_form`` runs
+    ``_fit_plug_in`` only for the full model's coefficients beta_full,
+    the padded inverse Grams G (K p x p) and a p x p factor R.  With
+    v = h(B x*), the bias is v - h(x*'beta_full) and the Gram factor is
+    R (G x*)' diag(h'(v)).  The full model's value is its own dot
+    product, not a row of the matmul, which BLAS may round differently.
+    Selection and the ``aic`` and ``equal`` schemes never call
+    ``q_form``, so they never pay for it.  A factory may hold no
+    candidates (``cv_compare`` builds one only for ``beta_full``); its
+    ``q_form`` raises ``DataError`` before any plug-in fit.
     The averaging predictors subclass these factories
     (``averaging.LinearAveragingPredictor``, ``LogisticAveragingPredictor``)
     and add only ``predict``.
@@ -210,10 +213,12 @@ class _CandidateFactory:
 
     def q_form(self, x_star: np.ndarray) -> QuadraticForm:
         x_star = _checked_point(x_star, self._B.shape[1])
+        if not self.models:
+            raise DataError("a quadratic form needs at least one model")
         if self._plug_in is None:
             self._plug_in = self._fit_plug_in()
-        B_pl, beta_full, G, R = self._plug_in
-        values = self._link(B_pl @ x_star)
+        beta_full, G, R = self._plug_in
+        values = self._link(self._B @ x_star)
         G_x = (G @ x_star).reshape(values.shape[0], -1)
         bias = values - self._link(x_star @ beta_full)
         return QuadraticForm.from_parts(bias, R @ (G_x.T * self._slope(values)))
@@ -270,13 +275,13 @@ class LinearQFactory(_CandidateFactory):
         return B[:K], _gaussian_profile_loglik(rss[:K], n)
 
     def _fit_plug_in(self):
-        """B and beta_full, the inverse Grams from the kept R factors, and sigma_full R_full."""
+        """beta_full, the inverse Grams from the kept R factors, and sigma_full R_full."""
         K, p = self._B.shape
         G = np.zeros((K + 1, p, p))  # row K: the full design when it is not a candidate
         for idx, cols, R in self._factors:
             R_inv = np.linalg.inv(R)
             G[idx[:, None, None], cols[:, :, None], cols[:, None, :]] = R_inv @ R_inv.transpose(0, 2, 1)
-        return self._B, self.beta_full, G[:K].reshape(K * p, p), np.sqrt(self.sigma2) * self._R_full
+        return self.beta_full, G[:K].reshape(K * p, p), np.sqrt(self.sigma2) * self._R_full
 
     def model_betas(self) -> list[np.ndarray]:
         return [beta[model.column_indices()] for beta, model in zip(self._B, self.models)]
@@ -315,25 +320,25 @@ class LogisticQFactory(_CandidateFactory):
         return B, np.array([fit.loglik for fit in self.fits])
 
     def _fit_plug_in(self):
-        """B, the full MLE, padded inverse Grams at each candidate's MLE, and R_w."""
+        """The full MLE, padded inverse Grams at each candidate's MLE, and R_w."""
         X = self._X
         K, p = self._B.shape
         if self._full is None:
             beta_full = logistic_mle(X, self._y).beta
             p_full = expit(X @ beta_full)
-            _, R_w = qr_factor(np.sqrt(p_full * (1.0 - p_full))[:, None] * X)
+            R_w = r_factor(np.sqrt(p_full * (1.0 - p_full))[:, None] * X)
         else:
             beta_full = self.fits[self._full].beta
         G = np.zeros((K, p, p))
         candidates = zip(self.models, self._cols, self._designs, self.fits)
         for k, (model, cols, X_k, fit) in enumerate(candidates):
             p_k = expit(X_k @ fit.beta)
-            _, R_k = qr_factor(np.sqrt(p_k * (1.0 - p_k))[:, None] * X_k, model=model)
+            R_k = r_factor(np.sqrt(p_k * (1.0 - p_k))[:, None] * X_k, model=model)
             R_inv = np.linalg.inv(R_k)
             G[k][np.ix_(cols, cols)] = R_inv @ R_inv.T
             if k == self._full:
                 R_w = R_k
-        return self._B, beta_full, G.reshape(K * p, p), R_w
+        return beta_full, G.reshape(K * p, p), R_w
 
 
 def build_q_logistic(

@@ -15,14 +15,17 @@ candidate set and schemes, the oracle model and the cell's stream tags.
 Both studies build and check every cell's config first, so a bad cell
 (a negative seed included) raises before the first replication; one
 private runner then simulates the cells in order and writes one summary
-row per estimate column.  Replication r draws its design and response
-from the stream ``substream(seed, *tags, r)``, so reports are
-byte-identical across runs and across worker counts.  With
-``workers`` > 1 a cell's replications are split into contiguous blocks,
-the first run in the calling process and the others in forked worker
-processes (see ``glmavg._forked``); they run serially when ``workers``
-is 1, when the process may use one CPU only, off Linux, or while
-another Python thread is alive.
+row per estimate column.  The oracle column is the oracle model's own
+fit on each replication's draws, at x*: the predictor's fit when the
+oracle is a candidate, else one ``ols_fit`` or ``logistic_mle`` of its
+columns.  Replication r draws its design and response from the stream
+``substream(seed, *tags, r)``, so reports are byte-identical across
+runs and across worker counts.  With ``workers`` > 1 a cell's
+replications are split into contiguous blocks, the first run in the
+calling process and the others in forked worker processes (see
+``glmavg._forked``); they run serially when ``workers`` is 1, when the
+process may use one CPU only, off Linux, or while another Python thread
+is alive.
 Design matrices are redrawn each replication; the target covariate x*
 is drawn once per study (Study I) or fixed to the stock values
 (Study II) so the estimand is a constant.
@@ -38,13 +41,12 @@ import numpy as np
 from .averaging import (
     _PREDICTORS,
     SCHEMES,
-    Functional,
     fit_and_average_logistic,  # no longer called here; perfbench/tracer.py looks it up here
 )
 from ._forked import run_replications
 from .errors import DataError, GlmavgError
 from .glm_fit import expit, logistic_mle, ols_fit, require_finite
-from .model_space import CandidateModel, ModelSet, nested_sequence, subset_columns, subset_point
+from .model_space import CandidateModel, ModelSet, nested_sequence
 from .rng import _checked_keys, substream
 
 REPORT_COLUMNS = (
@@ -81,12 +83,15 @@ class StudyConfig:
     """One Monte Carlo cell: a data-generating process plus estimation settings.
 
     ``oracle``, when given, adds an "oracle" estimate column: that
-    model's own fit on each replication's draws.  ``tags`` key the
-    cell's streams (replication r draws from ``substream(seed, *tags, r)``)
-    and name a failing replication.  The cell is checked here, so a
-    bad one raises ``DataError`` before any draw: the oracle must share
-    the candidate set's ``p_fixed`` and index only below its ``q``, and
-    the seed and integer tags must be non-negative.
+    model's own fit on each replication's draws, read from the predictor
+    when the oracle is a candidate and otherwise fitted on the oracle's
+    columns alone, then evaluated at x* through the family's link, as
+    ``truth`` is.  ``tags`` key the cell's streams (replication r draws
+    from ``substream(seed, *tags, r)``) and name a failing replication.
+    The cell is checked here, so a bad one raises ``DataError`` before
+    any draw: the oracle must share the candidate set's ``p_fixed`` and
+    index only below its ``q``, and the seed and integer tags must be
+    non-negative.
 
     A config compares and hashes by identity: two configs built apart
     from equal values are two cells, unequal, each usable as a dict key.
@@ -146,12 +151,6 @@ class StudyConfig:
         return float(expit(eta)) if self.family == "logistic" else eta
 
     @property
-    def functional(self) -> Functional:
-        if self.family == "logistic":
-            return Functional.logistic_point(self.x_star)
-        return Functional.linear_point(self.x_star)
-
-    @property
     def columns(self) -> tuple[str, ...]:
         """The estimate columns: one per scheme, then the oracle's."""
         oracle = ("oracle",) if self.oracle is not None else ()
@@ -173,20 +172,6 @@ class StudyReport:
     def select(self, **conditions) -> list[dict]:
         """Rows matching all the given column values."""
         return [r for r in self.rows if all(r.get(k) == v for k, v in conditions.items())]
-
-
-def oracle_estimate(
-    X: np.ndarray, y: np.ndarray, true_support: CandidateModel, functional: Functional
-) -> float:
-    """Fit only the true-support columns and evaluate the functional there."""
-    X = np.asarray(X, dtype=float)
-    X_o = subset_columns(X, true_support)
-    x_o = subset_point(functional.resolve(X.shape[1]), true_support)
-    if functional.kind == "logistic_point":
-        fit = logistic_mle(X_o, y, model=true_support)
-        return float(expit(x_o @ fit.beta))
-    fit = ols_fit(X_o, y, model=true_support)
-    return float(x_o @ fit.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +196,12 @@ def _one_replication(config: StudyConfig, rep: int):
         k = config.candidate_set.models.index(config.oracle)
         values.append(float(predictor.per_model_values(config.x_star)[k]))
     elif config.oracle is not None:
-        values.append(oracle_estimate(X, y, config.oracle, config.functional))
+        # one fit of the oracle's columns, through this module's ols_fit and
+        # logistic_mle: the names perfbench/tracer.py wraps
+        cols = config.oracle.column_indices()
+        fit = (ols_fit if config.family == "linear" else logistic_mle)(X[:, cols], y, model=config.oracle)
+        eta = float(config.x_star[cols] @ fit.beta)
+        values.append(float(expit(eta)) if config.family == "logistic" else eta)
     return values
 
 

@@ -493,3 +493,27 @@ def test_unknown_scheme_is_rejected_before_any_fit(fit, functional):
     y = (y > np.median(y)).astype(float)
     with pytest.raises(DataError, match="scheme"):
         fit(X, y, nested_sequence(1, 2), functional(np.array([1.0, 0.2, -0.3])), "bogus")
+
+
+@pytest.mark.parametrize(
+    "predictor_class", [LinearAveragingPredictor, LogisticAveragingPredictor], ids=["linear", "logistic"]
+)
+def test_empty_candidate_list_raises_data_error_before_any_plug_in_fit(monkeypatch, predictor_class):
+    # cv_compare builds a predictor with no candidates only to read beta_full,
+    # so the constructor accepts []; asking it for weights or Q-hat does not.
+    X, y = TestLogisticAveragingPredictor._data(seed=20)
+    x_star = np.array([1.0, 0.3, -0.2])
+    fits = []
+    fit = mse_weights.logistic_mle
+    monkeypatch.setattr(mse_weights, "logistic_mle", lambda *a, **k: fits.append(1) or fit(*a, **k))
+    predictor = predictor_class(X, y, [])
+    calls = [lambda: predictor.q_form(x_star)]
+    for scheme in ("optimal", "aic", "equal"):
+        calls.append(lambda scheme=scheme: predictor.predict(x_star, scheme))
+    if predictor_class is LogisticAveragingPredictor:
+        calls.append(lambda: mse_weights.build_q_logistic(X, y, [], x_star))
+    for call in calls:
+        with pytest.raises(DataError):
+            call()
+    assert predictor._plug_in is None
+    assert fits == []

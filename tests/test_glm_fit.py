@@ -20,7 +20,7 @@ from glmavg import (
     ols_fit,
 )
 from glmavg.glm_fit import expit as glmavg_expit
-from glmavg.glm_fit import lapack_solve, qr_factor
+from glmavg.glm_fit import lapack_solve, r_factor
 
 
 class TestOlsFit:
@@ -418,7 +418,7 @@ def _inputs():
 
 
 FIT_CALLS = [
-    ("qr_factor", lambda a: qr_factor(a["X"]), "X"),
+    ("r_factor", lambda a: r_factor(a["X"]), "X"),
     ("ols_fit", lambda a: ols_fit(a["X"], a["y"]), "X"),
     ("ols_fit", lambda a: ols_fit(a["X"], a["y"]), "y"),
     ("full_linear_fit", lambda a: full_linear_fit(a["X"], a["y"]), "X"),

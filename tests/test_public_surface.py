@@ -21,6 +21,7 @@ REMOVED = (
     "best_subset_cv",
     "pseudo_true_linear",
     "error_metric",
+    "oracle_estimate",
 )
 # (callable, keyword) pairs: each knob had one value in use and became a constant
 REMOVED_KEYWORDS = (
@@ -40,8 +41,13 @@ REMOVED_KEYWORDS = (
     (glmavg.simulate_cell, "oracle_support"),
     (glmavg.simulate_cell, "tags"),
 )
-# (class, attribute) pairs: each report writer gave way to the CLI's one writer
-REMOVED_ATTRIBUTES = ((glmavg.StudyReport, "to_csv_text"), (glmavg.CvReport, "to_dict"))
+# (class, attribute) pairs: each report writer gave way to the CLI's one writer, and
+# the study oracle's functional to one fit inside the replication
+REMOVED_ATTRIBUTES = (
+    (glmavg.StudyReport, "to_csv_text"),
+    (glmavg.CvReport, "to_dict"),
+    (glmavg.StudyConfig, "functional"),
+)
 
 
 def _entry_point_names():

@@ -5,12 +5,10 @@ from scipy.special import expit
 from glmavg import (
     CandidateModel,
     DataError,
-    Functional,
     ModelSet,
     NonConvergenceError,
     StudyConfig,
     nested_sequence,
-    oracle_estimate,
     run_study1,
     run_study2,
     simulate_cell,
@@ -45,30 +43,11 @@ TABLE2_TRUTH = {
 
 
 class TestOracleEstimate:
-    def test_noiseless_linear_is_exact(self):
-        rng = np.random.default_rng(0)
-        X = np.column_stack([np.ones(50), rng.standard_normal((50, 3))])
-        beta = np.array([0.5, 1.0, 0.0, -2.0])
-        support = CandidateModel((0, 2), 1)
-        x_star = np.array([1.0, 0.7, 0.1, -0.4])
-        got = oracle_estimate(X, X @ beta, support, Functional.linear_point(x_star))
-        assert got == pytest.approx(x_star @ beta, abs=1e-10)
-
     @pytest.mark.parametrize("beta3, mu", [(0.001, -0.192), (0.5, -0.714)])
     def test_stock_truth_values(self, beta3, mu):
         x = np.asarray(STUDY2_X_STAR)
         beta = np.array([0.3, 0.1, 0.3, beta3])
         assert x @ beta == pytest.approx(mu, abs=5e-4)
-
-    def test_logistic_oracle_runs(self):
-        rng = np.random.default_rng(1)
-        X = np.column_stack([np.ones(200), rng.standard_normal((200, 2))])
-        beta = np.array([0.2, 0.5, -0.3])
-        y = (rng.random(200) < expit(X @ beta)).astype(float)
-        got = oracle_estimate(
-            X, y, CandidateModel((0, 1), 1), Functional.logistic_point(np.array([1.0, 0.0, 0.0]))
-        )
-        assert 0.0 < got < 1.0
 
 
 class TestStudyConfig:
