@@ -8,9 +8,13 @@ union of the candidates' columns, and reduces each candidate from that
 (|U| + 1)-row factor in one small QR; ``ols_fit`` is the same routine
 for one design.  A condition number of R_k above ``COND_LIMIT`` raises
 ``SingularDesignError``.  The triangular system R_k beta = Q_k'y goes
-to ``np.linalg.solve``: its partial-pivoting LU leaves an
-upper-triangular R_k unpivoted and unchanged, so the solve is back
-substitution on R_k.
+to LAPACK ``gesv``: its partial-pivoting LU leaves an upper-triangular
+R_k unpivoted and unchanged, so the solve is back substitution on R_k.
+Every LAPACK call on the fit path (the QRs, the guard's SVD, the
+solves, and the plug-in's inverses in ``mse_weights``) goes through the
+``lapack_*`` helpers here, which call the gufuncs behind
+``np.linalg.qr``, ``svd``, ``solve`` and ``inv`` without their
+wrappers: the same bits at a fraction of the cost on small matrices.
 Both logistic fits solve the score equation X_k'(t - p(X_k beta)) = 0
 with one damped Newton loop (``_damped_newton``): full steps from
 beta = 0, halving the step whenever the candidate fails to lower the
@@ -31,6 +35,7 @@ the merit:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,42 +121,92 @@ def require_finite(name: str, *arrays: np.ndarray) -> None:
         raise DataError(f"{name} must be finite")
 
 
-def lapack_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with A x = b for a square float matrix A and a vector b, by LAPACK ``gesv``.
+@functools.lru_cache(maxsize=64)
+def _below_diagonal(rows: int, cols: int) -> np.ndarray:
+    # Read-only mask of a rows x cols matrix's entries below its diagonal, cached by shape.
+    mask = np.tri(rows, cols, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
-    This is the gufunc ``np.linalg.solve`` itself calls for a 1-d b
-    (``numpy.linalg._umath_linalg.solve1``, signature ``dd->d``), without
-    the wrapper's argument checks and its ``errstate`` block, so x is
-    ``np.linalg.solve``'s to the last bit at about a fifth of the cost on
-    a small system (1.6 against 8.2 us on 8 x 8).  An exactly singular A
-    gives all-NaN x and sets the floating-point invalid flag instead of
-    raising ``LinAlgError``: call it under
-    ``np.errstate(invalid="ignore")`` and map a non-finite x to the
-    caller's own error.  The gufunc is a private numpy name;
-    ``tests/test_glm_fit.py`` pins it bitwise against ``np.linalg.solve``.
+
+def lapack_qr_r(A: np.ndarray) -> np.ndarray:
+    """R factor of the QR of each matrix of a float64 stack, by LAPACK ``geqrf``, in place.
+
+    This is what ``np.linalg.qr(A, mode="r")`` does after copying A:
+    the gufunc ``numpy.linalg._umath_linalg.qr_r_raw`` writes the
+    Householder form into A, and R is its leading min(m, n) rows with the
+    entries below the diagonal set to zero, as ``np.triu`` sets them.  R
+    is a view of A, and A is overwritten: pass a float64 array of your
+    own, of any strides (the gufunc copies it into a Fortran buffer
+    first, so the layout does not move a bit).
     """
-    return _umath_linalg.solve1(A, b, signature="dd->d")
+    _umath_linalg.qr_r_raw(A, signature="d->d")
+    R = A[..., : min(A.shape[-2:]), :]
+    np.copyto(R, 0.0, where=_below_diagonal(*R.shape[-2:]))
+    return R
+
+
+def lapack_singular_values(A: np.ndarray) -> np.ndarray:
+    """Singular values, largest first, of each matrix of a stack (``np.linalg.svd(A, compute_uv=False)``)."""
+    return _umath_linalg.svd(A, signature="d->d")
+
+
+def lapack_inv(A: np.ndarray) -> np.ndarray:
+    """Inverse of each square matrix of a stack, by LAPACK ``gesv`` (``np.linalg.inv``)."""
+    return _umath_linalg.inv(A, signature="d->d")
+
+
+def lapack_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with A x = b for square float matrices A, by LAPACK ``gesv`` (``np.linalg.solve``).
+
+    As in ``np.linalg.solve``, a 1-d b is one right-hand side (the gufunc
+    ``solve1``, signature ``dd->d``) and otherwise b stacks matrices of
+    right-hand sides (``solve``).
+
+    These four helpers call the gufuncs behind their ``np.linalg``
+    wrappers, without the wrappers' argument checks, copies and
+    ``errstate`` blocks, so each result is the wrapper's to the last bit
+    at a fraction of the cost on small matrices (a solve: 1.6 against
+    8.2 us on 8 x 8).  A LAPACK failure, an exactly singular A here,
+    gives NaN and sets the floating-point invalid flag instead of raising
+    ``LinAlgError``: run them under ``np.errstate(invalid="ignore")``,
+    one per routine, and map a non-finite result to the caller's own
+    error (``ill_conditioned`` rejects a NaN singular value).  The
+    gufuncs are private numpy names; ``tests/test_glm_fit.py`` pins each
+    helper bitwise against its wrapper.
+    """
+    if b.ndim == 1:
+        return _umath_linalg.solve1(A, b, signature="dd->d")
+    return _umath_linalg.solve(A, b, signature="dd->d")
 
 
 def r_factor(X: np.ndarray, model: CandidateModel | None = None) -> np.ndarray:
     """R factor of a design matrix's QR, with a condition-number guard; Q is never formed."""
-    X = np.asarray(X, dtype=float)
+    X = np.array(X, dtype=float)  # a copy: the factorisation overwrites it
     if X.ndim != 2:
         raise DataError("design matrix must be 2-d")
     require_finite("design matrix", X)
     n, d = X.shape
     if n < d:
         raise SingularDesignError(f"need n >= d, got n={n}, d={d}", model=model)
-    R = np.linalg.qr(X, mode="r")
-    if ill_conditioned(R):
-        raise SingularDesignError(RANK_DEFICIENT_MESSAGE, model=model)
+    with np.errstate(invalid="ignore"):
+        R = lapack_qr_r(X)
+        if ill_conditioned(R):
+            raise SingularDesignError(RANK_DEFICIENT_MESSAGE, model=model)
     return R
 
 
 def ill_conditioned(R: np.ndarray) -> np.ndarray:
-    """Condition guard on R factors stacked along the leading axes (True = reject)."""
-    s = np.linalg.svd(R, compute_uv=False)
-    return (s[..., -1] <= 0) | (s[..., 0] > COND_LIMIT * s[..., -1])
+    """Condition guard on R factors stacked along the leading axes (True = reject).
+
+    A factor is kept only when its smallest singular value is positive
+    and its condition number is at most ``COND_LIMIT``.  Both tests are
+    written so that NaN fails them: a failed SVD, or a factor with a
+    non-finite entry, gives NaN singular values and is rejected.  Call
+    it under ``np.errstate(invalid="ignore")``.
+    """
+    s = lapack_singular_values(R)
+    return ~((s[..., -1] > 0) & (s[..., 0] <= COND_LIMIT * s[..., -1]))
 
 
 def _gaussian_profile_loglik(rss, n: int):
@@ -168,18 +223,21 @@ def _gaussian_profile_loglik(rss, n: int):
 def _least_squares(X: np.ndarray, y: np.ndarray, column_sets: list[list[int]]):
     """Least-squares fits of y on several column sets of X, from one R factor of [X_U | y].
 
-    U is the union of the sets.  The only n-row work is one
-    ``np.linalg.qr(..., mode="r")`` of [X_U | y], which gives R_aug with
-    at most |U| + 1 rows.  Since [X_k | y] = Q_aug [R_aug[:, k] | R_aug[:, y]],
+    U is the union of the sets.  The only n-row work is one QR
+    (``lapack_qr_r``) of [X_U | y], built once and factored in place,
+    which gives R_aug with at most |U| + 1 rows; no column set means
+    nothing to factor.  Since [X_k | y] = Q_aug [R_aug[:, k] | R_aug[:, y]],
     the R factor T of that small matrix is the R factor of [X_k | y]:
     R_k is T's leading d x d block, Q_k'y its last column above the
     diagonal and RSS_k = t_dd^2 (0 when n = d, as T then has only d
     rows).  The sets of one dimension d share one stacked QR, one SVD
-    for the condition guard and one ``np.linalg.solve`` (back
-    substitution on R_k).  A set that is all of U's columns in order
-    reduces a factor that is already triangular: every Householder
-    reflector is the identity, so its fit is the one-design fit's to
-    the last bit.
+    for the condition guard and one ``lapack_solve`` (back substitution
+    on R_k).  A set that is all of U's columns in order reduces a factor
+    that is already triangular: every Householder reflector is the
+    identity, so its fit is the one-design fit's to the last bit.  Every
+    LAPACK call runs under one ``errstate``; a failed one gives NaN,
+    which the guard or the check on the coefficients turns into a
+    rank-deficiency failure.
 
     Returns the coefficients B (one row per set, zero outside its
     columns), the RSS, the kept factors ``(indices, columns, R stack)``
@@ -189,32 +247,44 @@ def _least_squares(X: np.ndarray, y: np.ndarray, column_sets: list[list[int]]):
     name the first failing set.
     """
     n, p = X.shape
-    union = sorted(set().union(*column_sets))
-    where = np.zeros(p, dtype=int)
-    where[union] = np.arange(len(union))
-    R_aug = np.linalg.qr(np.column_stack((X[:, union], y)), mode="r")
-    groups: dict[int, list[int]] = {}
-    for k, cols in enumerate(column_sets):
-        groups.setdefault(len(cols), []).append(k)
     B = np.zeros((len(column_sets), p))
     rss = np.zeros(len(column_sets))
     factors, failures = [], []
-    for d, members in groups.items():
-        if n < d:
-            failures += [(k, f"need n >= d, got n={n}, d={d}") for k in members]
-            continue
-        idx = np.array(members)
-        cols = np.array([column_sets[k] for k in members])
-        picks = np.column_stack((where[cols], np.full(len(members), len(union))))
-        T = np.linalg.qr(R_aug[:, picks].transpose(1, 0, 2), mode="r")
-        R = T[:, :d, :d]
-        failures += [(members[j], RANK_DEFICIENT_MESSAGE) for j in np.flatnonzero(ill_conditioned(R))]
-        if failures:
-            continue  # the fit is lost; keep checking so the error names the first failure
-        B[idx[:, None], cols] = np.linalg.solve(R, T[:, :d, d:])[:, :, 0]
-        if T.shape[1] > d:
-            rss[idx] = T[:, d, d] ** 2
-        factors.append((idx, cols, R))
+    if not column_sets:
+        return B, rss, factors, failures
+    union = sorted(set().union(*column_sets))
+    where = np.zeros(p, dtype=int)
+    where[union] = np.arange(len(union))
+    # [X_U | y] is stored transposed, so that the gather of X_U's columns
+    # (mode="clip": no bounds pass, which would copy ``out`` first) is its only copy.
+    Xy_t = np.empty((len(union) + 1, n))
+    np.take(X.T, union, axis=0, out=Xy_t[:-1], mode="clip")
+    Xy_t[-1] = y
+    groups: dict[int, list[int]] = {}
+    for k, cols in enumerate(column_sets):
+        groups.setdefault(len(cols), []).append(k)
+    with np.errstate(invalid="ignore"):
+        R_aug = lapack_qr_r(Xy_t.T)
+        for d, members in groups.items():
+            if n < d:
+                failures += [(k, f"need n >= d, got n={n}, d={d}") for k in members]
+                continue
+            idx = np.array(members)
+            cols = np.array([column_sets[k] for k in members])
+            picks = np.column_stack((where[cols], np.full(len(members), len(union))))
+            T = lapack_qr_r(R_aug[:, picks].transpose(1, 0, 2))
+            R = T[:, :d, :d]
+            rejected = ill_conditioned(R)
+            if not (failures or rejected.any()):
+                beta = lapack_solve(R, T[:, :d, d:])[:, :, 0]
+                rejected = ~np.isfinite(beta).all(axis=1)
+            failures += [(members[j], RANK_DEFICIENT_MESSAGE) for j in np.flatnonzero(rejected)]
+            if failures:
+                continue  # the fit is lost; keep checking so the error names the first failure
+            B[idx[:, None], cols] = beta
+            if T.shape[1] > d:
+                rss[idx] = T[:, d, d] ** 2
+            factors.append((idx, cols, R))
     return B, rss, factors, failures
 
 

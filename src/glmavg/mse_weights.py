@@ -55,7 +55,11 @@ at most p + 2 square and about ten per prostate prediction, go to LAPACK
 bits as ``np.linalg.solve`` without its per-call wrapper, which cost
 about 6 of 8 us per call and a third of the solve.  Every weight vector
 returned is certified: its KKT residual, recomputed from M, is at most
-2e-12 max_k Q_kk, and otherwise ``NumericalError`` is raised.  The
+2e-12 max_k Q_kk.  When that fast run raises or its answer fails the
+certificate, which a corral system singular to roundoff can cause, the
+algorithm runs once more with each corral system solved through the QR
+factor of the corral's points instead of their Gram matrix, and only
+when that answer fails too is ``NumericalError`` raised.  The
 weights need not be unique, since faces of the hull can be affinely
 dependent; M w is, and with it the objective and, for linear targets,
 the averaged estimate x*'beta_full + (M w)_0.
@@ -72,9 +76,12 @@ import numpy as np
 
 from .errors import DataError, NumericalError, SingularDesignError
 from .glm_fit import (
+    RANK_DEFICIENT_MESSAGE,
     _gaussian_profile_loglik,
     _least_squares,
     expit,
+    lapack_inv,
+    lapack_qr_r,
     lapack_solve,
     logistic_mle,
     logistic_pseudo_fit,  # no longer called here; perfbench/tracer.py looks it up here
@@ -231,21 +238,23 @@ class LinearQFactory(_CandidateFactory):
     with U the union of the candidates' columns, then per dimension one
     stacked QR of the at most (p + 1)-row columns of that R factor, which
     gives every R_k, Q_k'y and RSS_k, one SVD for the condition guard and
-    one ``np.linalg.solve`` for the coefficients.  The full design joins
-    that factor when U is every column, as it is when the full design is
-    a candidate; otherwise it is one more design with its own factor.  A
+    one LAPACK solve for the coefficients.  With no candidates there is
+    no [X_U | y] to factor.  The full design joins that factor when U is
+    every column, as it is when the full design is a candidate;
+    otherwise it is one more design with its own factor.  A
     one-model set reduces a factor that is already triangular, so its
     beta and RSS are ``ols_fit``'s to the last bit; inside a larger set a
     candidate's fit agrees with ``ols_fit`` to rounding (at most 1e-14
     relative in beta over the 256 prostate candidates).  The R factors
-    are kept; the first ``q_form`` inverts them, one ``np.linalg.inv``
+    are kept; the first ``q_form`` inverts them, one ``glm_fit.lapack_inv``
     per stack, into the padded inverse Grams G_k = (X_k'X_k)^{-1}.  The
     link is the identity, the plug-in is the full OLS fit, and since
     X = Q_full R_full, R = sigma_full R_full.
 
     A rank-deficient design raises ``SingularDesignError`` naming the
     first failing candidate in list order, or no model when the only
-    failing design is the full one and it is not a candidate.
+    failing design is the full one and it is not a candidate; so does a
+    failed inverse in the first ``q_form``, which LAPACK reports as NaN.
     """
 
     _link = staticmethod(lambda eta: eta)
@@ -278,9 +287,14 @@ class LinearQFactory(_CandidateFactory):
         """beta_full, the inverse Grams from the kept R factors, and sigma_full R_full."""
         K, p = self._B.shape
         G = np.zeros((K + 1, p, p))  # row K: the full design when it is not a candidate
-        for idx, cols, R in self._factors:
-            R_inv = np.linalg.inv(R)
-            G[idx[:, None, None], cols[:, :, None], cols[:, None, :]] = R_inv @ R_inv.transpose(0, 2, 1)
+        with np.errstate(invalid="ignore"):
+            for idx, cols, R in self._factors:
+                R_inv = lapack_inv(R)
+                G[idx[:, None, None], cols[:, :, None], cols[:, None, :]] = R_inv @ R_inv.transpose(0, 2, 1)
+        failed = np.flatnonzero(~np.isfinite(G).all(axis=(1, 2)))  # a failed inverse is NaN
+        if failed.size:
+            k = failed[0]
+            raise SingularDesignError(RANK_DEFICIENT_MESSAGE, model=self.models[k] if k < K else None)
         return self.beta_full, G[:K].reshape(K * p, p), np.sqrt(self.sigma2) * self._R_full
 
     def model_betas(self) -> list[np.ndarray]:
@@ -303,7 +317,9 @@ class LogisticQFactory(_CandidateFactory):
     with an explicit pseudo-fit to the Newton tolerance, about 1e-9
     relative.  Column k of the Gram factor is then
     R_w S_k M_k^{-1} x_k* p_k*(1-p_k*) = R_w (G x*)_k p_k*(1-p_k*), with
-    M_k = R_k'R_k.
+    M_k = R_k'R_k and M_k^{-1} from ``glm_fit.lapack_inv`` on R_k; a
+    failed inverse, which LAPACK reports as NaN, raises
+    ``SingularDesignError`` naming the candidate.
     """
 
     _link = staticmethod(expit)
@@ -331,13 +347,16 @@ class LogisticQFactory(_CandidateFactory):
             beta_full = self.fits[self._full].beta
         G = np.zeros((K, p, p))
         candidates = zip(self.models, self._cols, self._designs, self.fits)
-        for k, (model, cols, X_k, fit) in enumerate(candidates):
-            p_k = expit(X_k @ fit.beta)
-            R_k = r_factor(np.sqrt(p_k * (1.0 - p_k))[:, None] * X_k, model=model)
-            R_inv = np.linalg.inv(R_k)
-            G[k][np.ix_(cols, cols)] = R_inv @ R_inv.T
-            if k == self._full:
-                R_w = R_k
+        with np.errstate(invalid="ignore"):
+            for k, (model, cols, X_k, fit) in enumerate(candidates):
+                p_k = expit(X_k @ fit.beta)
+                R_k = r_factor(np.sqrt(p_k * (1.0 - p_k))[:, None] * X_k, model=model)
+                R_inv = lapack_inv(R_k)
+                if not np.isfinite(R_inv).all():  # a failed inverse is NaN
+                    raise SingularDesignError(RANK_DEFICIENT_MESSAGE, model=model)
+                G[k][np.ix_(cols, cols)] = R_inv @ R_inv.T
+                if k == self._full:
+                    R_w = R_k
         return beta_full, G.reshape(K * p, p), R_w
 
 
@@ -408,7 +427,30 @@ def aic_weights(logliks, dims) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _nearest_point(P: np.ndarray, sq_norms: np.ndarray):
+def _gram_corral_solve(S: np.ndarray, c: float, ones: np.ndarray) -> np.ndarray:
+    """u = (S S' + c 11')^{-1} 1 by LAPACK ``gesv`` on the Gram matrix: the fast path."""
+    A = S @ S.T
+    A += c
+    return lapack_solve(A, ones)
+
+
+def _qr_corral_solve(S: np.ndarray, c: float, ones: np.ndarray) -> np.ndarray:
+    """The same u from the R factor of F = [sqrt(c) 1'; S'], never forming S S' + c 11'.
+
+    F'F = c 11' + S S' = R'R, so u is two triangular solves, R'z = 1 and
+    R u = z.  The Gram matrix's condition number is the square of F's,
+    so a corral that is singular to roundoff there may still be solved
+    here.  R is square: a corral is affinely independent, so it has at
+    most one point more than S has columns, and F has that many rows.
+    """
+    F = np.empty((S.shape[1] + 1, S.shape[0]))
+    F[0] = math.sqrt(c)
+    F[1:] = S.T
+    R = lapack_qr_r(F)
+    return lapack_solve(R, lapack_solve(R.T, ones))
+
+
+def _nearest_point(P: np.ndarray, sq_norms: np.ndarray, corral_solve=_gram_corral_solve):
     """Wolfe's algorithm: simplex weights of the point of conv{rows of P} nearest 0.
 
     The corral is an affinely independent set of points and x the point
@@ -426,14 +468,15 @@ def _nearest_point(P: np.ndarray, sq_norms: np.ndarray):
 
     The corral's points S are kept as a C-contiguous array: a point that
     enters is appended and the points that leave are masked out, so S S'
-    takes the same BLAS path on every cycle.  The corral system, at most
-    p + 2 square, goes straight to LAPACK ``gesv`` through
-    ``lapack_solve``, the gufunc behind ``np.linalg.solve``: the bits are
-    the same, and the wrapper's checks and ``errstate`` block, about 6 of
-    its 8 us on 8 x 8 and a third of a prostate row's solve at about 10
-    corral solves per row, are skipped.  One ``errstate`` covers the
-    whole loop, and a singular system, which comes back as NaNs, raises
-    ``NumericalError``.
+    takes the same BLAS path on every cycle.  ``corral_solve(S, c, 1)``
+    gives the corral system's solution u.  On the fast path
+    (``_gram_corral_solve``) the system, at most p + 2 square, goes
+    straight to LAPACK ``gesv`` through ``lapack_solve``, the gufunc
+    behind ``np.linalg.solve``: the bits are the same, and the wrapper's
+    checks and ``errstate`` block, about 6 of its 8 us on 8 x 8 and a
+    third of a prostate row's solve at about 10 corral solves per row,
+    are skipped.  One ``errstate`` covers the whole loop, and a singular
+    system, which comes back as NaNs, raises ``NumericalError``.
     """
     stop = _GAP_TOL * float(sq_norms.max())
     ones = np.ones(P.shape[0])
@@ -462,9 +505,7 @@ def _nearest_point(P: np.ndarray, sq_norms: np.ndarray):
                 # the affine minimiser is proportional to (S S' + c 11')^{-1} 1;
                 # c = the corral's largest Q_kk keeps the system on its points' scale.
                 # The system is positive definite, so 1'u > 0 unless the solve broke down.
-                A = S @ S.T
-                A += c
-                u = lapack_solve(A, ones[: len(corral)])
+                u = corral_solve(S, c, ones[: len(corral)])
                 total = float(u.sum())
                 if not 0.0 < total < math.inf:
                     if total != total:  # a singular system gives all-NaN u
@@ -490,6 +531,18 @@ def _nearest_point(P: np.ndarray, sq_norms: np.ndarray):
     raise NumericalError(f"weight solve did not converge in {SOLVER_MAX_ITER} major cycles")
 
 
+def _certified_solution(P: np.ndarray, sq_norms: np.ndarray, corral_solve) -> WeightSolution:
+    """One run of ``_nearest_point`` whose answer passes the KKT certificate, else ``NumericalError``."""
+    w, cycles = _nearest_point(P, sq_norms, corral_solve)
+    x = w @ P
+    grad = 2.0 * (P @ x)
+    residual = float((w * (grad - grad.min())).max())
+    bound = _KKT_TOL * float(sq_norms.max())
+    if residual > bound:
+        raise NumericalError(f"weight solve not certified: KKT residual {residual:.3g} > {bound:.3g}")
+    return WeightSolution(weights=w, objective=float(x @ x), iterations=cycles, kkt_residual=residual)
+
+
 def solve_simplex_qp(q: QuadraticForm) -> WeightSolution:
     """Minimise w'Qw over the probability simplex, with a certified answer.
 
@@ -501,9 +554,18 @@ def solve_simplex_qp(q: QuadraticForm) -> WeightSolution:
     residual max_k w_k (g_k - min g), g = 2 Q w, is recomputed from M at
     the end.  The minimiser need not be unique; the objective and Q w are.
 
-    Raises ``NumericalError`` for non-finite input, a singular corral
-    system, ``SOLVER_MAX_ITER`` major cycles without convergence, or a
-    KKT residual above ``_KKT_TOL`` times the largest Q_kk.
+    The fast path solves each corral system on its Gram matrix.  When
+    that run raises ``NumericalError`` (a corral system singular to
+    roundoff, or no convergence) or its answer fails the certificate,
+    Wolfe's algorithm runs once more from the start with each corral
+    system solved through the QR factor of the corral's points
+    (``_qr_corral_solve``), and that answer is certified under the same
+    bound.  Every row the fast path certifies keeps its bits.
+
+    Raises ``NumericalError`` for non-finite input, or when the second
+    run also meets a singular corral system, ``SOLVER_MAX_ITER`` major
+    cycles without convergence, or a KKT residual above ``_KKT_TOL``
+    times the largest Q_kk.
     """
     if not isinstance(q, QuadraticForm):
         raise DataError(
@@ -516,11 +578,7 @@ def solve_simplex_qp(q: QuadraticForm) -> WeightSolution:
     sq_norms = np.einsum("ij,ij->i", P, P)
     if P.shape[0] == 1:
         return WeightSolution(np.ones(1), float(sq_norms[0]), 0, 0.0)
-    w, cycles = _nearest_point(P, sq_norms)
-    x = w @ P
-    grad = 2.0 * (P @ x)
-    residual = float((w * (grad - grad.min())).max())
-    bound = _KKT_TOL * float(sq_norms.max())
-    if residual > bound:
-        raise NumericalError(f"weight solve not certified: KKT residual {residual:.3g} > {bound:.3g}")
-    return WeightSolution(weights=w, objective=float(x @ x), iterations=cycles, kkt_residual=residual)
+    try:
+        return _certified_solution(P, sq_norms, _gram_corral_solve)
+    except NumericalError:
+        return _certified_solution(P, sq_norms, _qr_corral_solve)

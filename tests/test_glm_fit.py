@@ -20,7 +20,14 @@ from glmavg import (
     ols_fit,
 )
 from glmavg.glm_fit import expit as glmavg_expit
-from glmavg.glm_fit import lapack_solve, r_factor
+from glmavg.glm_fit import (
+    ill_conditioned,
+    lapack_inv,
+    lapack_qr_r,
+    lapack_singular_values,
+    lapack_solve,
+    r_factor,
+)
 
 
 class TestOlsFit:
@@ -377,6 +384,65 @@ class TestLapackSolve:
         with np.errstate(invalid="ignore"):
             x = lapack_solve(np.ones((3, 3)), np.ones(3))
         assert np.isnan(x).all()
+
+
+def _stacks(seed, shape, count=20):
+    # Random stacks of ``shape``, each also as a transposed, non-contiguous view.
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield rng.standard_normal(shape)
+        yield rng.standard_normal(shape[:-2] + shape[:-3:-1]).swapaxes(-1, -2)
+
+
+# The fit path's shapes: the n-row [X_U | y], a stack of (p + 1) x (d + 1)
+# reductions of its R factor, a stack of d x d factors, and 1 x 1.
+HELPER_SHAPES = [(1000, 11), (67, 10), (4, 10, 5), (5, 4, 4), (3, 1, 1), (1, 1)]
+
+
+@pytest.mark.filterwarnings("error")
+class TestLapackHelpers:
+    """Each helper against its np.linalg wrapper, bit for bit: the gufuncs are private numpy names."""
+
+    @pytest.mark.parametrize("shape", HELPER_SHAPES, ids=str)
+    def test_qr_r_equals_numpy_qr_bitwise(self, shape):
+        for A in _stacks(710, shape):
+            expected = np.linalg.qr(A, mode="r")
+            assert lapack_qr_r(A).tobytes() == expected.tobytes()  # overwrites A
+
+    @pytest.mark.parametrize("shape", HELPER_SHAPES, ids=str)
+    def test_singular_values_equal_numpy_svd_bitwise(self, shape):
+        for A in _stacks(720, shape):
+            expected = np.linalg.svd(A, compute_uv=False)
+            assert lapack_singular_values(A).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [s for s in HELPER_SHAPES if s[-1] == s[-2]], ids=str)
+    def test_inv_and_solve_equal_numpy_bitwise(self, shape):
+        rng = np.random.default_rng(730)
+        for A in _stacks(731, shape):
+            b = rng.standard_normal(shape[:-1] + (1,))
+            assert lapack_inv(A).tobytes() == np.linalg.inv(A).tobytes()
+            assert lapack_solve(A, b).tobytes() == np.linalg.solve(A, b).tobytes()
+
+    def test_qr_r_overwrites_its_input_and_returns_a_view(self):
+        A = np.random.default_rng(740).standard_normal((3, 6, 4))
+        R = lapack_qr_r(A)
+        assert R.shape == (3, 4, 4) and np.shares_memory(R, A)
+        assert np.all(np.tril(R, -1) == 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_ill_conditioned_rejects_a_non_finite_factor(self, bad):
+        R = np.stack([np.eye(3), np.eye(3)])
+        R[1, 1, 1] = bad
+        with np.errstate(invalid="ignore"):
+            assert ill_conditioned(R).tolist() == [False, True]
+            assert ill_conditioned(np.full((2, 2), np.nan))
+
+    def test_a_failed_back_substitution_is_a_singular_design_error(self, monkeypatch):
+        # LAPACK reports a failed solve as NaN; the fit turns that into the design's error.
+        monkeypatch.setattr(glm_fit, "lapack_solve", lambda A, b: np.full(b.shape, np.nan))
+        X = np.column_stack([np.ones(20), np.arange(20.0)])
+        with pytest.raises(SingularDesignError, match="rank deficient"):
+            ols_fit(X, np.arange(20.0) ** 2)
 
 
 @pytest.mark.filterwarnings("error")

@@ -15,6 +15,7 @@ from oracles import (
     reduced_ols_fit,
 )
 
+import glmavg.glm_fit as glm_fit
 import glmavg.mse_weights as mse_weights
 from glmavg.sim_harness import STUDY1_BETA, STUDY1_P_FIXED, STUDY1_Q, study1_model_sets
 from glmavg import (
@@ -22,6 +23,7 @@ from glmavg import (
     DataError,
     LinearAveragingPredictor,
     LinearQFactory,
+    LogisticAveragingPredictor,
     LogisticQFactory,
     NonConvergenceError,
     NumericalError,
@@ -133,12 +135,13 @@ class TestLinearQFactory:
 
     @pytest.mark.parametrize(
         "case, expected",
-        [("prostate", 1), ("study1", 1), ("column_left_out", 2)],
+        [("prostate", 1), ("study1", 1), ("column_left_out", 2), ("no_candidates", 1)],
     )
     def test_one_n_row_factorisation_per_design(self, case, expected, monkeypatch):
         # Only [X_U | y] (and the full design, when no candidate has one of its
         # columns) is factored on its n rows; every candidate is reduced from
-        # that R factor in QRs of at most p + 1 rows.
+        # that R factor in QRs of at most p + 1 rows.  With no candidates
+        # there is no [X_U | y]: only the full design is factored.
         if case == "prostate":
             ds = synthetic_prostate()
             X, y, models = ds.design, ds.response, enumerate_all_subsets(1, 8)
@@ -150,14 +153,16 @@ class TestLinearQFactory:
             models = study1_model_sets()["A"].models
             if case == "column_left_out":
                 models = [m for m in models if m.dim < p and 4 not in m.included]
+            if case == "no_candidates":
+                models = []
         rows = []
-        qr = np.linalg.qr
+        qr = glm_fit.lapack_qr_r
 
-        def counted(a, *args, **kwargs):
+        def counted(a):
             rows.append(np.shape(a)[-2])
-            return qr(a, *args, **kwargs)
+            return qr(a)
 
-        monkeypatch.setattr(np.linalg, "qr", counted)
+        monkeypatch.setattr(glm_fit, "lapack_qr_r", counted)
         LinearQFactory(X, y, models)
         assert rows.count(X.shape[0]) == expected
         assert all(r == X.shape[0] or r <= X.shape[1] + 1 for r in rows)
@@ -203,7 +208,7 @@ class TestLinearQFactory:
         def no_inverse(*args, **kwargs):
             raise Inverted
 
-        monkeypatch.setattr(mse_weights.np.linalg, "inv", no_inverse)
+        monkeypatch.setattr(mse_weights, "lapack_inv", no_inverse)
         ds = synthetic_prostate()
         train, test = split(ds, 67, seed=derive_seed(0, "prostate-split", 0))
         for rule in ("cv", "aic"):
@@ -294,6 +299,38 @@ class TestLogisticQFactory:
             factory.q_form(x_star)
 
 
+@pytest.mark.filterwarnings("error")
+def test_fit_path_calls_no_numpy_linalg_wrapper(monkeypatch):
+    # Every fit, plug-in and weight solve reaches LAPACK through the glm_fit
+    # helpers.  No candidate has the last column, so the full design is
+    # fitted on its own in both families.
+    def wrapper(*args, **kwargs):
+        raise AssertionError("a numpy.linalg wrapper was called")
+
+    for name in ("qr", "svd", "inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, wrapper)
+    models = [m for m in enumerate_all_subsets(1, 3) if 2 not in m.included]
+    X, y, x_star = _linear_instance(26)
+    X_logit, y_logit, x_logit = TestBuildQLogistic._instance(26)
+    for predictor, x in [
+        (LinearAveragingPredictor(X, y, models), x_star),
+        (LogisticAveragingPredictor(X_logit, y_logit, models), x_logit),
+    ]:
+        assert np.isfinite(predictor.q_form(x).matrix).all()
+        assert np.isfinite(predictor.predict(x, "optimal").value)
+
+
+@pytest.mark.parametrize("factory", [LinearQFactory, LogisticQFactory])
+def test_a_failed_inverse_gram_is_a_singular_design_error(factory, monkeypatch):
+    # LAPACK reports a failed inverse as NaN; the plug-in names the first candidate.
+    monkeypatch.setattr(mse_weights, "lapack_inv", lambda A: np.full_like(A, np.nan))
+    X, y, x_star = TestBuildQLogistic._instance(27)
+    models = list(enumerate_all_subsets(1, 3))
+    with pytest.raises(SingularDesignError) as excinfo:
+        factory(X, y, models).q_form(x_star)
+    assert excinfo.value.model == models[0]
+
+
 class TestBuildQLogistic:
     @staticmethod
     def _instance(seed, n=100, q=3):
@@ -356,9 +393,10 @@ HARD_PROSTATE_ROWS = {
 }
 
 
-# Real rows whose weights no solve has certified so far: (seed, split, row),
-# split r drawn with seed derive_seed(seed, "prostate-split", r).
-UNCERTIFIED_PROSTATE_ROWS = [(315, 20, 6), (1030, 14, 12)]
+# Real rows on which the solver's fast path raises and only its second run
+# certifies: (seed, split, row), split r drawn with seed
+# derive_seed(seed, "prostate-split", r).
+UNCERTIFIED_PROSTATE_ROWS = [(315, 20, 6), (1030, 14, 12), (23106, 14, 24)]
 
 # The solver's exact output on prostate seed 0, splits 0-9 x 30 rows, and
 # which of the 750 collinear forms raise; written by
@@ -461,32 +499,58 @@ class TestSolveSimplexQp:
             assert sol.objective == pytest.approx(float(sol.weights @ q.matrix @ sol.weights), rel=1e-12)
 
     @pytest.mark.parametrize("seed, split_index, row", UNCERTIFIED_PROSTATE_ROWS)
-    def test_real_rows_certify_or_raise(self, seed, split_index, row):
-        # Both rows raised "not certified" when added; a better solve may
-        # certify them, under the bench's relative test, but never return
-        # uncertified weights.
+    def test_real_rows_certify(self, seed, split_index, row):
+        # The fast path raised on each of these rows ("not certified" on the
+        # first two, "singular corral system" on the third); the second run
+        # certifies them under the bench's relative test.
         train, test = split(synthetic_prostate(), 67, seed=derive_seed(seed, "prostate-split", split_index))
         q = LinearQFactory(train.design, train.response, enumerate_all_subsets(1, 8)).q_form(test.design[row])
-        try:
-            sol = solve_simplex_qp(q)
-        except NumericalError as exc:
-            print(f"[INFO] seed {seed}, split {split_index}, row {row} raised: {exc}")
-            return
+        sol = solve_simplex_qp(q)
         grad = 2.0 * (q.matrix @ sol.weights)
         residual = float(np.max(sol.weights * (grad - np.min(grad))))
         assert residual <= 1e-12 * max(1.0, float(np.max(np.abs(grad))))
 
+    def test_last_bits_of_q_hat_do_not_decide_a_real_row(self):
+        # Seed 410, split 17, row 27 sits next to a degenerate corral: the
+        # solver without its second run raised on 16 of these 300 draws, each
+        # moving b and A by a few ulps.
+        train, test = split(synthetic_prostate(), 67, seed=derive_seed(410, "prostate-split", 17))
+        q = LinearQFactory(train.design, train.response, enumerate_all_subsets(1, 8)).q_form(test.design[27])
+        rng = np.random.default_rng(410)
+        for _ in range(300):
+            bias = q.bias + rng.integers(-8, 9, q.bias.shape) * np.spacing(q.bias)
+            gram_factor = q.gram_factor * (1.0 + rng.integers(-4, 5, q.gram_factor.shape) * 2.0**-52)
+            solve_simplex_qp(QuadraticForm.from_parts(bias, gram_factor))
+
     @pytest.mark.filterwarnings("error")
-    def test_exactly_singular_corral_raises(self):
+    def test_exactly_singular_corral_certifies(self):
         # Three points within 1e-9 of a line: the third to enter makes the
-        # corral system exactly singular in floating point.
+        # Gram corral system exactly singular in floating point, so the fast
+        # path raises; the QR second run solves it and certifies.
         points = np.array([
             [1.0727936432643008, 0.34665979847341305],
             [0.11000714679883557, -1.8567487022480091],
             [0.33211868726535404, -1.3484299228557228],
         ])
+        q = QuadraticForm.from_parts(points[:, 0], points[:, 1:].T)
+        sq_norms = np.einsum("ij,ij->i", points, points)
         with pytest.raises(NumericalError, match="singular corral system"):
-            solve_simplex_qp(QuadraticForm.from_parts(points[:, 0], points[:, 1:].T))
+            mse_weights._certified_solution(points, sq_norms, mse_weights._gram_corral_solve)
+        sol = solve_simplex_qp(q)
+        assert np.all(sol.weights >= 0.0) and abs(np.sum(sol.weights) - 1.0) <= 1e-12
+        assert sol.kkt_residual <= 2e-12 * float(sq_norms.max())
+
+    def test_second_run_certifies_when_the_fast_path_fails(self, monkeypatch):
+        monkeypatch.setattr(mse_weights, "_gram_corral_solve", lambda S, c, ones: np.full(len(ones), np.nan))
+        expected = [2.0 / 3.0, 1.0 / 3.0]
+        np.testing.assert_allclose(solve_simplex_qp(DIAGONAL_1_2).weights, expected, atol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_both_runs_failing_raise(self, monkeypatch):
+        # Every corral solve of both runs goes through lapack_solve.
+        monkeypatch.setattr(mse_weights, "lapack_solve", lambda A, b: np.full(b.shape, np.nan))
+        with pytest.raises(NumericalError, match="singular corral system"):
+            solve_simplex_qp(DIAGONAL_1_2)
 
     @given(st.integers(0, 2**31 - 1), st.integers(2, 8))
     @settings(max_examples=60, deadline=None)
