@@ -7,9 +7,14 @@ diagonal is Q_k'y, and its last diagonal entry squared is the RSS.
 union of the candidates' columns, and reduces each candidate from that
 (|U| + 1)-row factor in one small QR; ``ols_fit`` is the same routine
 for one design.  A condition number of R_k above ``COND_LIMIT`` raises
-``SingularDesignError``.  The triangular system R_k beta = Q_k'y goes
-to LAPACK ``gesv``: its partial-pivoting LU leaves an upper-triangular
-R_k unpivoted and unchanged, so the solve is back substitution on R_k.
+``SingularDesignError``.  By the interlacing inequalities for singular
+values of submatrices (Thompson 1972), no column subset of X_U is worse
+conditioned than X_U, so one SVD of X_U's factor R_U, within
+``UNION_COND_LIMIT``, passes every candidate; only a design past that
+margin is guarded one model size at a time.  The triangular system
+R_k beta = Q_k'y goes to LAPACK ``gesv``: its partial-pivoting LU
+leaves an upper-triangular R_k unpivoted and unchanged, so the solve is
+back substitution on R_k.
 Every LAPACK call on the fit path (the QRs, the guard's SVD, the
 solves, and the plug-in's inverses in ``mse_weights``) goes through the
 ``lapack_*`` helpers here, which call the gufuncs behind
@@ -45,6 +50,10 @@ from .errors import DataError, NonConvergenceError, SingularDesignError
 from .model_space import CandidateModel
 
 COND_LIMIT = 1e10
+# A union factor R_U within this bound certifies every column subset of X_U
+# (see ``_least_squares``).  Roundoff in a computed R_k moves its condition
+# number by a relative O(n u cond), 1e-6 at n = 1000: far inside the factor 1e3.
+UNION_COND_LIMIT = 1e-3 * COND_LIMIT
 SCORE_TOL = 1e-8
 MAX_ITER = 100
 BETA_BOUND = 30.0  # separation guard: |beta|_inf above this means a diverging fit
@@ -203,10 +212,16 @@ def ill_conditioned(R: np.ndarray) -> np.ndarray:
     and its condition number is at most ``COND_LIMIT``.  Both tests are
     written so that NaN fails them: a failed SVD, or a factor with a
     non-finite entry, gives NaN singular values and is rejected.  Call
-    it under ``np.errstate(invalid="ignore")``.
+    it under ``np.errstate(invalid="ignore")``.  ``r_factor`` runs it on
+    every factor; ``_least_squares`` runs it only on the model sizes of a
+    design that its one union check does not certify.
     """
-    s = lapack_singular_values(R)
-    return ~((s[..., -1] > 0) & (s[..., 0] <= COND_LIMIT * s[..., -1]))
+    return _rejects(lapack_singular_values(R), COND_LIMIT)
+
+
+def _rejects(s: np.ndarray, limit: float) -> np.ndarray:
+    # The guard on singular values s (largest first): sigma_min > 0 and cond <= limit pass; NaN fails.
+    return ~((s[..., -1] > 0) & (s[..., 0] <= limit * s[..., -1]))
 
 
 def _gaussian_profile_loglik(rss, n: int):
@@ -230,13 +245,28 @@ def _least_squares(X: np.ndarray, y: np.ndarray, column_sets: list[list[int]]):
     the R factor T of that small matrix is the R factor of [X_k | y]:
     R_k is T's leading d x d block, Q_k'y its last column above the
     diagonal and RSS_k = t_dd^2 (0 when n = d, as T then has only d
-    rows).  The sets of one dimension d share one stacked QR, one SVD
-    for the condition guard and one ``lapack_solve`` (back substitution
-    on R_k).  A set that is all of U's columns in order reduces a factor
-    that is already triangular: every Householder reflector is the
-    identity, so its fit is the one-design fit's to the last bit.  Every
-    LAPACK call runs under one ``errstate``; a failed one gives NaN,
-    which the guard or the check on the coefficients turns into a
+    rows).  The sets of one dimension d share one stacked QR and one
+    ``lapack_solve`` (back substitution on R_k).  A set that is all of
+    U's columns in order reduces a factor that is already triangular:
+    every Householder reflector is the identity, so its fit is the
+    one-design fit's to the last bit, and its R_k is R_aug's leading
+    block R_U.
+
+    The condition guard takes one SVD of R_U when U's own set is among
+    the sets and n > |U|.  Every X_k is a column subset of X_U, so by
+    interlacing sigma_max(X_k) <= sigma_max(X_U) and sigma_min(X_k) >=
+    sigma_min(X_U), hence cond(R_k) <= cond(R_U).  When cond(R_U) is at
+    most ``UNION_COND_LIMIT``, three orders of magnitude inside
+    ``COND_LIMIT``, the roundoff in the computed R_k cannot carry any of
+    them past the guard, and every set passes on that one SVD.
+    Otherwise U's own set takes that SVD's verdict against
+    ``COND_LIMIT`` and every other dimension gets one stacked SVD
+    (``ill_conditioned``), as it would with no union check; without U's
+    own set or a row below R_U every dimension does.  So no fit makes
+    more SVD calls than the guard alone would, and the check decides only
+    verdicts: the QRs, solves and kept factors are the same either way.
+    Every LAPACK call runs under one ``errstate``; a failed one gives
+    NaN, which the guard or the check on the coefficients turns into a
     rank-deficiency failure.
 
     Returns the coefficients B (one row per set, zero outside its
@@ -253,11 +283,12 @@ def _least_squares(X: np.ndarray, y: np.ndarray, column_sets: list[list[int]]):
     if not column_sets:
         return B, rss, factors, failures
     union = sorted(set().union(*column_sets))
+    u = len(union)
     where = np.zeros(p, dtype=int)
-    where[union] = np.arange(len(union))
+    where[union] = np.arange(u)
     # [X_U | y] is stored transposed, so that the gather of X_U's columns
     # (mode="clip": no bounds pass, which would copy ``out`` first) is its only copy.
-    Xy_t = np.empty((len(union) + 1, n))
+    Xy_t = np.empty((u + 1, n))
     np.take(X.T, union, axis=0, out=Xy_t[:-1], mode="clip")
     Xy_t[-1] = y
     groups: dict[int, list[int]] = {}
@@ -265,16 +296,23 @@ def _least_squares(X: np.ndarray, y: np.ndarray, column_sets: list[list[int]]):
         groups.setdefault(len(cols), []).append(k)
     with np.errstate(invalid="ignore"):
         R_aug = lapack_qr_r(Xy_t.T)
+        certified, union_rejected = False, None
+        if n > u and u in groups and all(column_sets[k] == union for k in groups[u]):
+            s = lapack_singular_values(R_aug[:u, :u])
+            certified, union_rejected = not _rejects(s, UNION_COND_LIMIT), bool(_rejects(s, COND_LIMIT))
         for d, members in groups.items():
             if n < d:
                 failures += [(k, f"need n >= d, got n={n}, d={d}") for k in members]
                 continue
             idx = np.array(members)
             cols = np.array([column_sets[k] for k in members])
-            picks = np.column_stack((where[cols], np.full(len(members), len(union))))
+            picks = np.column_stack((where[cols], np.full(len(members), u)))
             T = lapack_qr_r(R_aug[:, picks].transpose(1, 0, 2))
             R = T[:, :d, :d]
-            rejected = ill_conditioned(R)
+            if union_rejected is not None and (certified or d == u):
+                rejected = np.full(len(members), union_rejected)
+            else:
+                rejected = ill_conditioned(R)
             if not (failures or rejected.any()):
                 beta = lapack_solve(R, T[:, :d, d:])[:, :, 0]
                 rejected = ~np.isfinite(beta).all(axis=1)
@@ -313,6 +351,8 @@ def ols_fit(
         raise DataError("design matrix must be 2-d")
     require_finite("design matrix", X_k)
     n, d = X_k.shape
+    if d == 0:
+        raise DataError("design matrix has no columns")
     B, rss, _, failures = _least_squares(X_k, y, [list(range(d))])
     if failures:
         raise SingularDesignError(failures[0][1], model=model)

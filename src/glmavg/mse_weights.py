@@ -237,8 +237,11 @@ class LinearQFactory(_CandidateFactory):
     The fit is ``glm_fit._least_squares``: one n-row QR of [X_U | y],
     with U the union of the candidates' columns, then per dimension one
     stacked QR of the at most (p + 1)-row columns of that R factor, which
-    gives every R_k, Q_k'y and RSS_k, one SVD for the condition guard and
-    one LAPACK solve for the coefficients.  With no candidates there is
+    gives every R_k, Q_k'y and RSS_k, and one LAPACK solve for the
+    coefficients.  The condition guard is one SVD of X_U's factor when
+    U's own set is fitted (a candidate or the full design) and that
+    factor is well inside ``COND_LIMIT``; otherwise it adds one SVD per
+    dimension.  With no candidates there is
     no [X_U | y] to factor.  The full design joins that factor when U is
     every column, as it is when the full design is a candidate;
     otherwise it is one more design with its own factor.  A

@@ -84,9 +84,10 @@ class StudyConfig:
 
     ``oracle``, when given, adds an "oracle" estimate column: that
     model's own fit on each replication's draws, read from the predictor
-    when the oracle is a candidate and otherwise fitted on the oracle's
-    columns alone, then evaluated at x* through the family's link, as
-    ``truth`` is.  ``tags`` key the cell's streams (replication r draws
+    when the oracle is a candidate or, in the linear family, the full
+    design (the predictor's ``beta_full``), and otherwise fitted on the
+    oracle's columns alone, then evaluated at x* through the family's
+    link, as ``truth`` is.  ``tags`` key the cell's streams (replication r draws
     from ``substream(seed, *tags, r)``) and name a failing replication.
     The cell is checked here, so a bad one raises ``DataError`` before
     any draw: the oracle must share the candidate set's ``p_fixed`` and
@@ -196,11 +197,16 @@ def _one_replication(config: StudyConfig, rep: int):
         k = config.candidate_set.models.index(config.oracle)
         values.append(float(predictor.per_model_values(config.x_star)[k]))
     elif config.oracle is not None:
-        # one fit of the oracle's columns, through this module's ols_fit and
-        # logistic_mle: the names perfbench/tracer.py wraps
         cols = config.oracle.column_indices()
-        fit = (ols_fit if config.family == "linear" else logistic_mle)(X[:, cols], y, model=config.oracle)
-        eta = float(config.x_star[cols] @ fit.beta)
+        if config.family == "linear" and len(cols) == X.shape[1]:
+            # the full design, which the linear predictor has fit already
+            beta = predictor.beta_full
+        else:
+            # one fit of the oracle's columns, through this module's ols_fit and
+            # logistic_mle: the names perfbench/tracer.py wraps
+            fit = (ols_fit if config.family == "linear" else logistic_mle)(X[:, cols], y, model=config.oracle)
+            beta = fit.beta
+        eta = float(config.x_star[cols] @ beta)
         values.append(float(expit(eta)) if config.family == "logistic" else eta)
     return values
 

@@ -83,6 +83,27 @@ def q_logistic_double_sum(X, y, models, x_star):
     return Q
 
 
+def _reduced_factor(X, y, column_sets, k):
+    # Candidate k's R factor of [X_k | y], reduced from [X_U | y]'s, and its dimension.
+    union = sorted(set().union(*column_sets))
+    R_aug = np.linalg.qr(np.column_stack([X[:, union], y]), mode="r")
+    local = [union.index(c) for c in column_sets[k]]
+    return np.linalg.qr(R_aug[:, local + [len(union)]], mode="r"), len(local)
+
+
+def reduced_guard_rejects(X, y, column_sets, k, cond_limit):
+    """The condition guard's verdict on candidate k's own reduced R_k (True = reject).
+
+    The guard asked of each candidate alone, with no union check: one
+    ``np.linalg.svd`` of the R_k that ``reduced_ols_fit`` solves with,
+    kept when its smallest singular value is positive and its condition
+    number is at most ``cond_limit``.
+    """
+    T, d = _reduced_factor(X, y, column_sets, k)
+    s = np.linalg.svd(T[:d, :d], compute_uv=False)
+    return not (s[-1] > 0 and s[0] <= cond_limit * s[-1])
+
+
 def reduced_ols_fit(X, y, column_sets, k):
     """Candidate k's OLS fit reduced on its own from the R factor of [X_U | y].
 
@@ -91,11 +112,8 @@ def reduced_ols_fit(X, y, column_sets, k):
     R_k, Q_k'y and the RSS; ``np.linalg.solve`` gives beta.  This is the
     reduction ``LinearQFactory`` runs in stacks, one matrix at a time.
     """
-    union = sorted(set().union(*column_sets))
-    R_aug = np.linalg.qr(np.column_stack([X[:, union], y]), mode="r")
-    local = [union.index(c) for c in column_sets[k]]
-    T = np.linalg.qr(R_aug[:, local + [len(union)]], mode="r")
-    d, n = len(local), X.shape[0]
+    T, d = _reduced_factor(X, y, column_sets, k)
+    n = X.shape[0]
     beta = np.linalg.solve(T[:d, :d], T[:d, d])
     rss = T[d, d] ** 2 if T.shape[0] > d else 0.0
     with np.errstate(divide="ignore"):

@@ -1,6 +1,7 @@
 """``tools/bench_pairs.py`` alternates the two checkouts and reports what the pairs show."""
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,14 @@ def _result(op, failed=0, correct=True):
     }
 
 
+def _checkouts(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        (checkout / "perfbench").mkdir(parents=True)
+        (checkout / "perfbench" / "run.py").write_text("")
+    return parent, change
+
+
 def test_pairs_alternate_their_order_and_step_the_seed(bench_pairs, tmp_path):
     calls = []
 
@@ -31,10 +40,7 @@ def test_pairs_alternate_their_order_and_step_the_seed(bench_pairs, tmp_path):
         calls.append((checkout.name, seed, seconds))
         return _result(1.0)
 
-    parent, change = tmp_path / "parent", tmp_path / "change"
-    for checkout in (parent, change):
-        (checkout / "perfbench").mkdir(parents=True)
-        (checkout / "perfbench" / "run.py").write_text("")
+    parent, change = _checkouts(tmp_path)
     args = bench_pairs.parse_args([str(parent), str(change), "--workload", "w", "--seed", "7", "--pairs", "3"])
     results = bench_pairs.run_pairs(args, 12, run=fake_run)
     assert [call[:2] for call in calls] == [
@@ -62,3 +68,37 @@ def test_summary_counts_wins_by_the_metrics_direction(bench_pairs):
 def test_a_checkout_without_the_benchmark_is_refused(bench_pairs, tmp_path):
     with pytest.raises(SystemExit):
         bench_pairs.parse_args([str(ROOT), str(tmp_path), "--workload", "w", "--seed", "0", "--pairs", "1"])
+
+
+def test_json_file_holds_every_run_and_the_comparison(bench_pairs, tmp_path, capsys):
+    parent, change = _checkouts(tmp_path)
+    (parent / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 12,
+        "end_to_end": [{"name": "op_p50_kernels", "better": "lower"}],
+    }))
+    values = {"parent": iter([0.60, 0.62, 0.58, 0.64]), "change": iter([0.47, 0.63, 0.45, 0.50])}
+
+    def fake_run(checkout, workload, seed, seconds):
+        return _result(next(values[checkout.name]), failed=int(seed == 12 and checkout == change))
+
+    out = tmp_path / "BENCH_1.json"
+    argv = [str(parent), str(change), "--workload", "w", "--seed", "11", "--pairs", "4", "--json", str(out)]
+    assert bench_pairs.main(argv, run=fake_run) == 0
+    record = json.loads(out.read_text())
+    assert (record["workload"], record["pairs"], record["seeds"], record["run_seconds"]) == ("w", 4, [11, 12, 13, 14], 12)
+    # pair 1 ran the change first, so the change read its second value there
+    assert [r["metrics"]["op_p50_kernels"] for r in record["runs"]["parent"]] == [0.60, 0.62, 0.58, 0.64]
+    assert [r["metrics"]["op_p50_kernels"] for r in record["runs"]["change"]] == [0.47, 0.63, 0.45, 0.50]
+    assert [r["seed"] for r in record["runs"]["change"]] == [11, 12, 13, 14]
+    assert [r["failed"] for r in record["runs"]["change"]] == [0, 1, 0, 0]
+    metric = record["end_to_end"]["op_p50_kernels"]
+    for side, median, quartiles in (("parent", 0.61, [0.595, 0.625]), ("change", 0.485, [0.465, 0.5325])):
+        assert metric[side]["median"] == pytest.approx(median)
+        assert metric[side]["quartiles"] == pytest.approx(quartiles)
+    assert metric["move"] == (0.485 - 0.61) / 0.61
+    assert (metric["change_better"], metric["pairs"], metric["better"]) == (3, 4, "lower")
+    assert metric["gap_over_iqr"] == abs(0.485 - 0.61) / (0.625 - 0.595)
+    assert record["totals"]["change"] == {"failed": 1, "attempted": 40, "correct_runs": 4, "runs": 4}
+    # the printed report reads the same comparison
+    assert "-20.5%  change better in 3 of 4  |gap| / parent IQR 4.17" in capsys.readouterr().out
+

@@ -5,19 +5,23 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from oracles import newton_logistic_oracle, pseudo_true_linear
+from oracles import newton_logistic_oracle, pseudo_true_linear, reduced_guard_rejects, reduced_ols_fit
 
 import glmavg.glm_fit as glm_fit
 from glmavg import (
     CandidateModel,
     DataError,
+    LinearQFactory,
     NonConvergenceError,
     ProbVector,
     SingularDesignError,
+    StudyConfig,
+    enumerate_all_subsets,
     full_linear_fit,
     logistic_mle,
     logistic_pseudo_fit,
     ols_fit,
+    synthetic_prostate,
 )
 from glmavg.glm_fit import expit as glmavg_expit
 from glmavg.glm_fit import (
@@ -27,6 +31,13 @@ from glmavg.glm_fit import (
     lapack_singular_values,
     lapack_solve,
     r_factor,
+)
+from glmavg.sim_harness import (
+    STUDY1_BETA,
+    STUDY1_ORACLE_SUPPORT,
+    STUDY1_P_FIXED,
+    _one_replication,
+    study1_model_sets,
 )
 
 
@@ -67,6 +78,12 @@ class TestOlsFit:
     def test_more_columns_than_rows(self):
         with pytest.raises(SingularDesignError):
             ols_fit(np.ones((2, 3)), np.zeros(2))
+
+    def test_design_without_columns_is_a_data_error(self, monkeypatch):
+        # Raised before any factorisation: a 0 x 0 factor has no condition number.
+        monkeypatch.setattr(glm_fit, "lapack_qr_r", None)
+        with pytest.raises(DataError, match="no columns"):
+            ols_fit(np.empty((5, 0)), np.arange(5.0))
 
     def test_gaussian_profile_loglik(self):
         rng = np.random.default_rng(4)
@@ -504,3 +521,139 @@ def test_non_finite_input_is_a_data_error(call, field, bad):
     args[field][1] = bad
     with pytest.raises(DataError, match="must be finite"):
         call(args)
+
+
+def _count_svds(monkeypatch):
+    calls = []
+    svd = glm_fit.lapack_singular_values
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return svd(a)
+
+    monkeypatch.setattr(glm_fit, "lapack_singular_values", counted)
+    return calls
+
+
+def _per_group_svds(column_sets, n):
+    # What the guard alone costs: one stacked SVD per model size that has enough rows.
+    return len({len(cols) for cols in column_sets if len(cols) <= n})
+
+
+def _near_collinear(seed):
+    # An intercept and q N(0, 1) columns, one of them moved to within about
+    # 1 / scale of another: condition numbers from about 1e6 to 1e12.
+    rng = np.random.default_rng([26, seed])
+    n, q = int(rng.integers(12, 80)), int(rng.integers(2, 6))
+    Z = rng.standard_normal((n, q))
+    i, j = rng.choice(q, 2, replace=False)
+    Z[:, j] = Z[:, i] + Z[:, j] / 10 ** rng.uniform(6, 12)
+    return np.column_stack([np.ones(n), Z]), rng.standard_normal(n)
+
+
+class TestUnionGuard:
+    """One SVD of X_U's factor certifies every candidate; otherwise each model size is guarded."""
+
+    @staticmethod
+    def _check_against_each_candidate_alone(X, y, monkeypatch):
+        # The fit's verdict on every candidate equals the guard asked of that
+        # candidate alone, and a fitted candidate keeps the reduction's bits.
+        column_sets = [m.column_indices() for m in enumerate_all_subsets(1, X.shape[1] - 1)]
+        calls = _count_svds(monkeypatch)
+        B, _, _, failures = glm_fit._least_squares(X, y, column_sets)
+        monkeypatch.undo()
+        expected = [k for k in range(len(column_sets))
+                    if reduced_guard_rejects(X, y, column_sets, k, glm_fit.COND_LIMIT)]
+        assert sorted(k for k, _ in failures) == expected
+        if not failures:
+            for k, cols in enumerate(column_sets):
+                assert np.array_equal(B[k, cols], reduced_ols_fit(X, y, column_sets, k).beta)
+        assert len(calls) <= _per_group_svds(column_sets, X.shape[0])
+        R_U = np.linalg.qr(X, mode="r")
+        certified = np.linalg.cond(R_U) <= glm_fit.UNION_COND_LIMIT
+        if certified:
+            assert len(calls) == 1
+        return certified, bool(failures)
+
+    def test_union_verdict_on_the_hard_golden_designs(self, monkeypatch):
+        # Cauchy covariates, fitted as linear designs on their 0/1 responses.
+        outcomes = set()
+        for kind in ("mle", "pseudo"):
+            for row in LOGISTIC_GOLDEN[kind]:
+                if row["hard"]:
+                    X, y, _ = _golden_problem(row["seed"], True)
+                    outcomes.add(self._check_against_each_candidate_alone(X, y, monkeypatch))
+        assert (True, False) in outcomes
+
+    def test_union_verdict_on_near_collinear_designs(self, monkeypatch):
+        outcomes = [self._check_against_each_candidate_alone(*_near_collinear(seed), monkeypatch)
+                    for seed in range(60)]
+        # certified, guarded by size and fitted, guarded by size and failed: all occur
+        assert {(True, False), (False, False), (False, True)} <= set(outcomes)
+
+    def test_union_failing_the_margin_still_fits(self, monkeypatch):
+        # Columns 1 and 2 are nearly collinear (cond about 1e8, past the
+        # union's margin) but no candidate holds both, so every one fits.
+        rng = np.random.default_rng(2601)
+        n = 40
+        z = rng.standard_normal((n, 3))
+        X = np.column_stack([np.ones(n), z[:, 0], z[:, 0] + 1e-8 * z[:, 1], z[:, 2]])
+        y = rng.standard_normal(n)
+        models = [CandidateModel(inc, 1) for inc in [(0,), (1,), (0, 2), (1, 2), ()]]
+        assert glm_fit.UNION_COND_LIMIT < np.linalg.cond(X) <= glm_fit.COND_LIMIT
+        calls = _count_svds(monkeypatch)
+        factory = LinearQFactory(X, y, models)
+        column_sets = [m.column_indices() for m in models] + [list(range(4))]
+        assert len(calls) == _per_group_svds(column_sets, n) == 4
+        for k, beta in enumerate(factory.model_betas()):
+            assert np.array_equal(beta, reduced_ols_fit(X, y, column_sets, k).beta)
+
+    def test_first_failing_candidate_is_named_in_list_order(self):
+        # Column 2 is twice column 1.  Candidate 2 (size 3) fails before
+        # candidate 1 (size 4) is checked, but candidate 1 is named.
+        rng = np.random.default_rng(2602)
+        z = rng.standard_normal((30, 2))
+        X = np.column_stack([np.ones(30), z[:, 0], 2.0 * z[:, 0], z[:, 1]])
+        models = [CandidateModel((0, 2), 1), CandidateModel((0, 1, 2), 1), CandidateModel((0, 1), 1)]
+        with pytest.raises(SingularDesignError, match="rank deficient") as info:
+            LinearQFactory(X, rng.standard_normal(30), models)
+        assert info.value.model is models[1]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_without_a_spare_row_each_size_is_guarded(self, monkeypatch, n):
+        # n < |U| + 1: R_aug has no row below R_U, so the union is not
+        # checked; sets of more than n columns need more rows.
+        rng = np.random.default_rng(2603)
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, 3))])
+        y = rng.standard_normal(n)
+        column_sets = [m.column_indices() for m in enumerate_all_subsets(1, 3)]
+        calls = _count_svds(monkeypatch)
+        B, rss, _, failures = glm_fit._least_squares(X, y, column_sets)
+        assert len(calls) == _per_group_svds(column_sets, n) == n
+        assert failures == [(7, f"need n >= d, got n={n}, d=4")] * (n == 3)
+        if n == 4:
+            for k, cols in enumerate(column_sets):
+                assert np.array_equal(B[k, cols], reduced_ols_fit(X, y, column_sets, k).beta)
+            assert rss[-1] == 0.0
+
+    def test_one_svd_per_prostate_fit_and_study1_replication(self, monkeypatch):
+        calls = _count_svds(monkeypatch)
+        ds = synthetic_prostate()
+        models = enumerate_all_subsets(1, 8)
+        LinearQFactory(ds.design, ds.response, models)
+        assert len(calls) == 1  # the guard alone: 9, one per model size
+        assert _per_group_svds([m.column_indices() for m in models], 67) == 9
+        calls.clear()
+        config = StudyConfig(
+            family="linear",
+            n=1000,
+            beta_true=np.asarray(STUDY1_BETA),
+            candidate_set=study1_model_sets()["A"],
+            x_star=np.linspace(-1.0, 1.0, 10),
+            n_reps=1,
+            seed=0,
+            oracle=CandidateModel(STUDY1_ORACLE_SUPPORT, STUDY1_P_FIXED),
+        )
+        _one_replication(config, 0)
+        assert len(calls) == 1  # the guard alone: 6
+        assert _per_group_svds([m.column_indices() for m in config.candidate_set], 1000) == 6

@@ -24,6 +24,17 @@ from glmavg.sim_harness import (
     study2_model_sets,
 )
 
+# run_study2("linear", beta3_grid=(0.1, 0.5), cases=("B",), n_reps=30, seed=3)
+# with the oracle refit by ols_fit: (mean_estimate, mse) of each row, as float.hex.
+CASE_B_REPORT = [
+    ("-0x1.4182ed29a6f7ap-3", "0x1.04207f1cda5d7p-4"),
+    ("-0x1.1341903571c02p-3", "0x1.54328b0ab264cp-4"),
+    ("-0x1.3627add9be213p-2", "0x1.54fa8e9a76b03p-5"),
+    ("-0x1.66ef7ba4432b0p-3", "0x1.7e3848dcf3ff3p-2"),
+    ("-0x1.7f438330fc2b7p-4", "0x1.f0b4998af2d2cp-2"),
+    ("-0x1.65cd2d3abe8a4p-1", "0x1.a7c73bb9ada3ep-4"),
+]
+
 TABLE1_TRUTH = {
     0.001: -0.192,
     0.005: -0.196,
@@ -317,8 +328,9 @@ class TestSimulateCell:
     @pytest.mark.parametrize("family, refit", [("linear", "ols_fit"), ("logistic", "logistic_mle")])
     def test_oracle_candidate_is_not_refit(self, monkeypatch, family, refit):
         # Case A holds the oracle (full) model, case B does not.  Both cells
-        # draw the same data, so the oracle column must agree, and only
-        # case B may refit the oracle.
+        # draw the same data, so the oracle column must agree.  Only the
+        # logistic case B refits the oracle: a linear predictor has fit the
+        # full design already, for beta_full.
         import glmavg.sim_harness as sim_harness
 
         calls = []
@@ -345,8 +357,40 @@ class TestSimulateCell:
             )
             calls.clear()
             out[case] = simulate_cell(config)["oracle"]
-            assert len(calls) == (0 if case == "A" else config.n_reps)
+            assert len(calls) == (config.n_reps if (case, family) == ("B", "logistic") else 0)
         np.testing.assert_allclose(out["A"], out["B"], rtol=1e-12, atol=0)
+
+    def test_linear_full_oracle_reads_the_predictors_full_fit(self, monkeypatch):
+        # Study II case B's candidates span 3 of the 4 columns, so the
+        # predictor factors the full design on its own; the full-model oracle
+        # reads that fit (2 n-row QRs per replication, where refitting it
+        # made 3) and keeps every bit of the refit's report.
+        import glmavg.glm_fit as glm_fit
+
+        rows = []
+        qr = glm_fit.lapack_qr_r
+
+        def counted(a):
+            rows.append(np.shape(a)[-2])
+            return qr(a)
+
+        monkeypatch.setattr(glm_fit, "lapack_qr_r", counted)
+        config = StudyConfig(
+            family="linear",
+            n=100,
+            beta_true=np.array([0.3, 0.1, 0.3, 0.1]),
+            candidate_set=study2_model_sets()["B"],
+            x_star=np.asarray(STUDY2_X_STAR),
+            n_reps=1,
+            seed=0,
+            oracle=CandidateModel((0, 1, 2), 1),
+        )
+        _one_replication(config, 0)
+        assert rows.count(config.n) == 2
+        monkeypatch.undo()
+        report = run_study2("linear", beta3_grid=(0.1, 0.5), cases=("B",), n_reps=30, seed=3)
+        got = [(float(r["mean_estimate"]).hex(), float(r["mse"]).hex()) for r in report.rows]
+        assert got == CASE_B_REPORT  # written by the refitting oracle
 
     def test_failing_replication_names_its_key(self):
         # at n = 8 the logistic fits separate in some replications

@@ -1,6 +1,6 @@
 """Compare two checkouts on one benchmark workload in alternating pairs.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload W --seed S --pairs N
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W --seed S --pairs N [--json PATH]
 
 Pair i runs ``perfbench/run.py --workload W --seed S+i`` once in each
 checkout, the parent first in even pairs and the change first in odd
@@ -16,6 +16,9 @@ in the median, the pairs in which the change did better (by the metric's
 ``better``), and the median gap over the parent's interquartile range.
 Then the failed operations and the ``correct: true`` runs of each
 side.  Progress lines go to standard error, the report to standard output.
+``--json PATH`` also writes the pairs to PATH (a ``BENCH_<n>.json``
+file): each side's runs with their seeds, op counts and metrics, and per
+end-to-end metric the figures the report prints.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ def parse_args(argv):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
     parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--json", type=Path, help="also write the runs and the summary to this file")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -75,41 +79,101 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def summarise(results: dict[str, list[dict]], metrics: list[dict]) -> list[str]:
-    """The report's lines: one per end-to-end metric, then the failure and correctness totals."""
+def compare(results: dict[str, list[dict]], metrics: list[dict]) -> dict[str, dict]:
+    """Per end-to-end metric: each side's quartiles, the relative move, the wins and the gap.
+
+    ``move`` is the change's median over the parent's, minus one, and
+    ``gap_over_iqr`` the medians' distance over the parent's interquartile
+    range; each is None where its divisor is zero.
+    """
     pairs = len(results["parent"])
-    lines = []
+    summary = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         values = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
         (p1, p2, p3), (c1, c2, c3) = (quartiles(values[side]) for side in SIDES)
-        wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
-        move = f"{(c2 - p2) / p2:+.1%}" if p2 else "n/a"
-        spread = f"{abs(c2 - p2) / (p3 - p1):.2f}" if p3 > p1 else "n/a"
+        summary[name] = {
+            "better": metric["better"],
+            "parent": {"median": p2, "quartiles": [p1, p3]},
+            "change": {"median": c2, "quartiles": [c1, c3]},
+            "move": (c2 - p2) / p2 if p2 else None,
+            "change_better": sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"])),
+            "pairs": pairs,
+            "gap_over_iqr": abs(c2 - p2) / (p3 - p1) if p3 > p1 else None,
+        }
+    return summary
+
+
+def totals(runs: list[dict]) -> dict[str, int]:
+    """One side's failed and attempted ops, and its ``correct: true`` runs."""
+    return {
+        "failed": sum(r["failed"] for r in runs),
+        "attempted": sum(r["attempted"] for r in runs),
+        "correct_runs": sum(bool(r["correct"]) for r in runs),
+        "runs": len(runs),
+    }
+
+
+def summarise(results: dict[str, list[dict]], metrics: list[dict]) -> list[str]:
+    """The report's lines: one per end-to-end metric, then the failure and correctness totals."""
+    lines = []
+    for name, m in compare(results, metrics).items():
+        (p1, p3), (c1, c3) = m["parent"]["quartiles"], m["change"]["quartiles"]
+        move = "n/a" if m["move"] is None else f"{m['move']:+.1%}"
+        spread = "n/a" if m["gap_over_iqr"] is None else f"{m['gap_over_iqr']:.2f}"
         lines.append(
-            f"{name:<16} parent {p2:.4g} [{p1:.4g}, {p3:.4g}]  change {c2:.4g} [{c1:.4g}, {c3:.4g}]  "
-            f"{move}  change better in {wins} of {pairs}  |gap| / parent IQR {spread}"
+            f"{name:<16} parent {m['parent']['median']:.4g} [{p1:.4g}, {p3:.4g}]  "
+            f"change {m['change']['median']:.4g} [{c1:.4g}, {c3:.4g}]  "
+            f"{move}  change better in {m['change_better']} of {m['pairs']}  |gap| / parent IQR {spread}"
         )
     for side in SIDES:
-        runs = results[side]
-        failed = sum(r["failed"] for r in runs)
-        attempted = sum(r["attempted"] for r in runs)
-        correct = sum(bool(r["correct"]) for r in runs)
+        t = totals(results[side])
         lines.append(
-            f"{side:<16} failed {failed} of {attempted} ops; correct: true in {correct} of {len(runs)} runs"
+            f"{side:<16} failed {t['failed']} of {t['attempted']} ops; "
+            f"correct: true in {t['correct_runs']} of {t['runs']} runs"
         )
     return lines
 
 
-def main(argv=None) -> int:
+def bench_record(args, seconds: float, results: dict[str, list[dict]], metrics: list[dict]) -> dict:
+    """What ``--json`` writes: the settings, every run of each side, and the comparison."""
+    seeds = [args.seed + i for i in range(args.pairs)]
+    return {
+        "workload": args.workload,
+        "pairs": args.pairs,
+        "seeds": seeds,
+        "run_seconds": seconds,
+        "order": "the parent runs first in even pairs (counting from 0), the change in odd ones",
+        "runs": {
+            side: [
+                {
+                    "seed": seed,
+                    "correct": bool(r["correct"]),
+                    "attempted": r["attempted"],
+                    "failed": r["failed"],
+                    "metrics": {name: m["value"] for name, m in r["metrics"].items()},
+                }
+                for seed, r in zip(seeds, results[side])
+            ]
+            for side in SIDES
+        },
+        "end_to_end": compare(results, metrics),
+        "totals": {side: totals(results[side]) for side in SIDES},
+    }
+
+
+def main(argv=None, run=run_one) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     benchmark = json.loads((args.parent / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
-    results = run_pairs(args, seconds)
+    results = run_pairs(args, seconds, run=run)
     print(f"{args.workload}: {args.pairs} alternating pairs, seeds {args.seed}-{args.seed + args.pairs - 1}, "
           f"{seconds:g} s each; median [quartiles]")
     for line in summarise(results, benchmark["end_to_end"]):
         print(line)
+    if args.json is not None:
+        record = bench_record(args, seconds, results, benchmark["end_to_end"])
+        args.json.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 
