@@ -235,10 +235,11 @@ def _gaussian_profile_loglik(rss, n: int):
 # ---------------------------------------------------------------------------
 
 
-def _least_squares(X: np.ndarray, y: np.ndarray, column_sets: list[list[int]]):
+def _least_squares(X: np.ndarray, y: np.ndarray, column_sets: list[tuple[int, ...] | list[int]]):
     """Least-squares fits of y on several column sets of X, from one R factor of [X_U | y].
 
-    U is the union of the sets.  The only n-row work is one QR
+    U is the union of the sets (lists or tuples of increasing column
+    indices).  The only n-row work is one QR
     (``lapack_qr_r``) of [X_U | y], built once and factored in place,
     which gives R_aug with at most |U| + 1 rows; no column set means
     nothing to factor.  Since [X_k | y] = Q_aug [R_aug[:, k] | R_aug[:, y]],
@@ -297,7 +298,7 @@ def _least_squares(X: np.ndarray, y: np.ndarray, column_sets: list[list[int]]):
     with np.errstate(invalid="ignore"):
         R_aug = lapack_qr_r(Xy_t.T)
         certified, union_rejected = False, None
-        if n > u and u in groups and all(column_sets[k] == union for k in groups[u]):
+        if n > u and u in groups and all(list(column_sets[k]) == union for k in groups[u]):
             s = lapack_singular_values(R_aug[:u, :u])
             certified, union_rejected = not _rejects(s, UNION_COND_LIMIT), bool(_rejects(s, COND_LIMIT))
         for d, members in groups.items():
@@ -376,7 +377,7 @@ def full_linear_fit(X: np.ndarray, y: np.ndarray) -> LinearFullFit:
 
 def _bernoulli_loglik(eta: np.ndarray, y: np.ndarray) -> float:
     # sum_i [ y_i eta_i - log(1 + e^eta_i) ], with soft y allowed.
-    return float(y @ eta - np.sum(np.logaddexp(0.0, eta)))
+    return float(y @ eta - np.logaddexp(0.0, eta).sum())
 
 
 def _newton_direction(X, weights, score, model):
@@ -403,7 +404,7 @@ def _damped_newton(X, target, merit, *, model, label, separation=""):
     eta = X @ beta
     p = expit(eta)
     score = X.T @ (target - p)
-    size = np.max(np.abs(score))
+    size = np.abs(score).max()
     value = merit(eta, size)
     iterations = 0
     while not size <= SCORE_TOL:  # a NaN score runs on into an error
@@ -421,7 +422,7 @@ def _damped_newton(X, target, merit, *, model, label, separation=""):
             eta_cand = X @ candidate
             p_cand = expit(eta_cand)
             score_cand = X.T @ (target - p_cand)
-            size_cand = np.max(np.abs(score_cand))
+            size_cand = np.abs(score_cand).max()
             value_cand = merit(eta_cand, size_cand)
             if value_cand <= value + slack:
                 break
@@ -429,7 +430,7 @@ def _damped_newton(X, target, merit, *, model, label, separation=""):
         beta, eta, p, score = candidate, eta_cand, p_cand, score_cand
         size, value = size_cand, value_cand
         iterations += 1
-        if np.max(np.abs(beta)) > BETA_BOUND:
+        if np.abs(beta).max() > BETA_BOUND:
             raise NonConvergenceError(
                 f"{label} diverged{separation}: "
                 f"|beta|_inf > {BETA_BOUND:g} after {iterations} iterations",
@@ -455,9 +456,9 @@ def logistic_mle(
     if y.ndim != 1 or y.shape[0] != X_k.shape[0]:
         raise DataError("y must be a vector with one entry per design row")
     require_finite("design matrix", X_k)
-    if not np.all((y == 0.0) | (y == 1.0)):
+    if not ((y == 0.0) | (y == 1.0)).all():
         raise DataError("logistic responses must be coded 0/1")
-    if np.all(y == y[0]):
+    if (y == y[0]).all():
         # constant response: the likelihood increases without bound
         raise NonConvergenceError(
             "degenerate response (all outcomes identical): the MLE does not exist",

@@ -10,7 +10,8 @@ common (p_fixed + q)-dimensional coordinates: x*'beta_k over the model's
 own columns equals x*' times beta_k zero-padded to full length.  The
 candidate factories in ``mse_weights`` keep each candidate's
 coefficients in that padded form; this module only does the column
-bookkeeping (``column_indices``, ``subset_columns``, ``subset_point``).
+bookkeeping (``columns``, ``column_indices``, ``subset_columns``,
+``subset_point``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,13 @@ MAX_ENUMERABLE_Q = 20
 
 @dataclass(frozen=True)
 class CandidateModel:
-    """One candidate: ``p_fixed`` always-kept coefficients plus an optional-index subset."""
+    """One candidate: ``p_fixed`` always-kept coefficients plus an optional-index subset.
+
+    ``columns``, built once, is the tuple of the model's column
+    positions in a full [fixed | optional] layout; ``column_indices``
+    returns it as a new list.  It is not a field, so ``==``, ``hash``
+    and ``repr`` read ``included`` and ``p_fixed`` alone.
+    """
 
     included: tuple[int, ...]
     p_fixed: int
@@ -44,6 +51,7 @@ class CandidateModel:
             raise DataError(f"optional indices must be strictly increasing, got {self.included}")
         if self.p_fixed + len(self.included) < 1:
             raise DataError("a candidate model must have at least one coefficient")
+        object.__setattr__(self, "columns", (*range(self.p_fixed), *(self.p_fixed + j for j in self.included)))
 
     @property
     def dim(self) -> int:
@@ -52,7 +60,7 @@ class CandidateModel:
 
     def column_indices(self) -> list[int]:
         """Column positions of this model inside a full [fixed | optional] layout."""
-        return list(range(self.p_fixed)) + [self.p_fixed + j for j in self.included]
+        return list(self.columns)
 
 
 class ModelSet:

@@ -190,11 +190,11 @@ class _CandidateFactory:
             raise DataError("y must be a vector with one entry per design row")
         require_finite("design and response", X, y)
         self.models = list(models)
-        self._cols = [model.column_indices() for model in self.models]
+        self._cols = [model.columns for model in self.models]
         for cols in self._cols:
             if cols[-1] >= p:
                 raise DataError(f"design has {p} columns, model needs column {cols[-1]}")
-        full_cols = list(range(p))
+        full_cols = tuple(range(p))  # a tuple: a list never equals a model's columns
         self._full = self._cols.index(full_cols) if full_cols in self._cols else None
         self._X = X
         self._y = y
@@ -357,7 +357,8 @@ class LogisticQFactory(_CandidateFactory):
                 R_inv = lapack_inv(R_k)
                 if not np.isfinite(R_inv).all():  # a failed inverse is NaN
                     raise SingularDesignError(RANK_DEFICIENT_MESSAGE, model=model)
-                G[k][np.ix_(cols, cols)] = R_inv @ R_inv.T
+                at = np.array(cols)
+                G[k, at[:, None], at] = R_inv @ R_inv.T
                 if k == self._full:
                     R_w = R_k
         return beta_full, G.reshape(K * p, p), R_w

@@ -20,12 +20,13 @@ fit on each replication's draws, at x*: the predictor's fit when the
 oracle is a candidate, else one ``ols_fit`` or ``logistic_mle`` of its
 columns.  Replication r draws its design and response from the stream
 ``substream(seed, *tags, r)``, so reports are byte-identical across
-runs and across worker counts.  With ``workers`` > 1 a cell's
-replications are split into contiguous blocks, the first run in the
-calling process and the others in forked worker processes (see
-``glmavg._forked``); they run serially when ``workers`` is 1, when the
-process may use one CPU only, off Linux, or while another Python thread
-is alive.
+runs and across worker counts.  A study lays all its cells'
+replications out cell by cell in one ``run_replications`` call, so
+with ``workers`` > 1 they are split into contiguous blocks, the first
+run in the calling process and the others in forked worker processes
+(see ``glmavg._forked``), with one fork per worker for the whole study;
+they run serially when ``workers`` is 1, when the process may use one
+CPU only, off Linux, or while another Python thread is alive.
 Design matrices are redrawn each replication; the target covariate x*
 is drawn once per study (Study I) or fixed to the stock values
 (Study II) so the estimand is a constant.
@@ -211,21 +212,19 @@ def _one_replication(config: StudyConfig, rep: int):
     return values
 
 
-def simulate_cell(config: StudyConfig, *, workers: int = 1) -> dict[str, np.ndarray]:
-    """All replication estimates for one cell, keyed by ``config.columns``.
+def _simulate(configs, workers: int) -> list[dict[str, np.ndarray]]:
+    """Every replication estimate of each config, in one ``run_replications`` call.
 
-    The output is a deterministic function of ``config``, bit for
-    bit the same for every ``workers``: up to ``workers`` processes run
-    contiguous blocks of replications (serially when ``workers`` is 1,
-    on one usable CPU, off Linux, or while another Python thread is
-    alive), and the rows are joined in index order.  ``workers`` below 1
-    raises ``DataError`` before any replication.  A ``GlmavgError``
-    raised in a replication is re-raised with that replication's key,
-    the config's tags and the rep index, appended to its message, e.g.
-    ``('study2', 'logistic', 'A', '0.05', rep 17)``; its class and
-    attributes are kept, and the earliest failing replication wins.
+    The replications are laid out cell by cell (all of the first
+    config's, then the next's), so the same forked workers serve every
+    cell and the earliest failing (cell, rep) is raised, as the serial
+    loop would raise it.  Each cell's rows are then split back in order and keyed
+    by its ``columns``.
     """
-    def replicate(rep):
+    keys = [(config, rep) for config in configs for rep in range(config.n_reps)]
+
+    def replicate(i):
+        config, rep = keys[i]
         try:
             return _one_replication(config, rep)
         except GlmavgError as exc:
@@ -233,8 +232,27 @@ def simulate_cell(config: StudyConfig, *, workers: int = 1) -> dict[str, np.ndar
             exc.args = (f"{exc} in replication ({key})",)
             raise
 
-    matrix = np.asarray(run_replications(replicate, config.n_reps, workers), dtype=float)
-    return {name: matrix[:, j] for j, name in enumerate(config.columns)}
+    rows = iter(run_replications(replicate, len(keys), workers))
+    matrices = [np.asarray([next(rows) for _ in range(config.n_reps)], dtype=float) for config in configs]
+    return [dict(zip(config.columns, matrix.T)) for config, matrix in zip(configs, matrices)]
+
+
+def simulate_cell(config: StudyConfig, *, workers: int = 1) -> dict[str, np.ndarray]:
+    """All replication estimates for one cell, keyed by ``config.columns``.
+
+    This is the studies' runner on one config.  The output is a
+    deterministic function of ``config``, bit for bit the same for every
+    ``workers``: up to ``workers`` processes run contiguous blocks of
+    replications (serially when ``workers`` is 1, on one usable CPU, off
+    Linux, or while another Python thread is alive), and the rows are
+    joined in index order.  ``workers`` below 1 raises ``DataError``
+    before any replication.  A ``GlmavgError`` raised in a replication
+    is re-raised with that replication's key, the config's tags and the
+    rep index, appended to its message, e.g.
+    ``('study2', 'logistic', 'A', '0.05', rep 17)``; its class and
+    attributes are kept, and the earliest failing replication wins.
+    """
+    return _simulate([config], workers)[0]
 
 
 def _check_grid(name: str, values) -> None:
@@ -256,15 +274,18 @@ def _check_cases(cases, model_sets: dict[str, ModelSet]) -> None:
 
 
 def _run_cells(cells, workers: int) -> StudyReport:
-    """Simulate each (config, labels) cell and summarise its estimate columns.
+    """Simulate every (config, labels) cell and summarise its estimate columns.
 
+    All the cells' replications go through one ``run_replications``
+    call (``_simulate``), so a study forks once at ``workers`` > 1, not
+    once per cell, and a failure names the earliest failing cell and rep.
     Each row starts with the cell's ``labels`` (case, family, beta3, n in
     that order), then its ``scheme``; the configs come built, hence
     checked, so a bad cell raises before the first replication.
     """
     report = StudyReport()
-    for config, labels in cells:
-        estimates = simulate_cell(config, workers=workers)
+    configs = [config for config, _ in cells]
+    for (config, labels), estimates in zip(cells, _simulate(configs, workers)):
         for name in config.columns:
             report.rows.append(_summary_row(estimates[name], config.truth, **labels, scheme=name))
     return report
@@ -315,9 +336,10 @@ def run_study1(
     Every cell is checked before the first replication runs; an empty
     ``cases`` or ``n_grid``, or one naming a value twice, raises
     ``DataError``.
-    ``workers`` splits each cell's replications as ``simulate_cell``
-    does; the report is byte-identical for every value, and a value
-    below 1 raises ``DataError`` before any replication runs.
+    ``workers`` splits the replications of all the cells, in one run,
+    as ``simulate_cell`` splits a cell's; the report is byte-identical
+    for every value, and a value below 1 raises ``DataError`` before any
+    replication runs.
     """
     beta = np.asarray(STUDY1_BETA)
     x_star = np.concatenate(
@@ -382,9 +404,10 @@ def run_study2(
     before the first replication runs; an unknown ``family``, an empty
     ``cases`` or ``beta3_grid``, or one naming a value twice, and empty
     or repeated ``schemes`` raise ``DataError``.
-    ``workers`` splits each cell's replications as ``simulate_cell``
-    does; the report is byte-identical for every value, and a value
-    below 1 raises ``DataError`` before any replication runs.
+    ``workers`` splits the replications of all the cells, in one run,
+    as ``simulate_cell`` splits a cell's; the report is byte-identical
+    for every value, and a value below 1 raises ``DataError`` before any
+    replication runs.
     """
     model_sets = study2_model_sets()
     _check_cases(cases, model_sets)

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -33,6 +36,17 @@ class TestCandidateModel:
 
     def test_column_indices_layout(self):
         assert CandidateModel((0, 2), 2).column_indices() == [0, 1, 2, 4]
+
+    def test_columns_are_built_once_and_are_not_a_field(self):
+        model = CandidateModel((0, 2), 2)
+        assert model.columns == (0, 1, 2, 4)
+        assert model.columns is model.columns
+        assert model.column_indices() is not model.column_indices()  # a new list each call
+        twin = pickle.loads(pickle.dumps(model))
+        assert twin == model and hash(twin) == hash(model) and twin.columns == model.columns
+        assert repr(model) == "CandidateModel(included=(0, 2), p_fixed=2)"
+        assert [f.name for f in dataclasses.fields(model)] == ["included", "p_fixed"]
+        assert ModelSet([model], 3).to_jsonl() == '{"p_fixed": 2, "q": 3, "included": [0, 2]}\n'
 
 
 class TestModelSet:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -504,6 +506,66 @@ class TestRunStudy2:
     def test_unknown_family(self):
         with pytest.raises(DataError):
             run_study2("poisson", n_reps=2)
+
+
+class TestOneRunPerStudy:
+    """A study's cells share one run_replications call, so one fork at workers > 1."""
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the runner forks only with two usable CPUs")
+    def test_a_two_cell_study_forks_once(self, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        report = run_study2("logistic", beta3_grid=(0.05, 0.5), cases=("A",), n_reps=6, workers=2)
+        assert len(forks) == 1  # 2 when each cell made its own run_replications call
+        monkeypatch.undo()
+        assert report.rows == run_study2("logistic", beta3_grid=(0.05, 0.5), cases=("A",), n_reps=6).rows
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda workers: run_study1(n_grid=(60, 90), cases=("A", "B"), n_reps=5, seed=2, workers=workers),
+            lambda workers: run_study2("linear", beta3_grid=(0.05, 0.5), n_reps=5, seed=2, workers=workers),
+            lambda workers: run_study2("logistic", beta3_grid=(0.05, 0.5), n_reps=5, seed=2, workers=workers),
+        ],
+        ids=["study1", "study2-linear", "study2-logistic"],
+    )
+    def test_multi_cell_reports_do_not_depend_on_workers(self, run):
+        serial = run(1)
+        assert len(serial.rows) > 4
+        for workers in (2, 3):
+            assert run(workers).rows == serial.rows
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "failing, named",
+        [({("0.5", 2)}, ("0.5", 2)), ({("0.05", 5), ("0.5", 1)}, ("0.05", 5))],
+        ids=["cell-1-alone", "cells-0-and-1"],
+    )
+    def test_earliest_failing_cell_is_named(self, monkeypatch, workers, failing, named):
+        # 2 cells of 6 reps: cell 0 (beta3 = 0.05) is reps 0-5 of the one run, cell 1 (0.5) reps 6-11
+        import glmavg.sim_harness as sim_harness
+
+        model = CandidateModel((0,), 1)
+        original = sim_harness._one_replication
+
+        def failing_replication(config, rep):
+            if (config.tags[-1], rep) in failing:
+                raise NonConvergenceError(f"separated at rep {rep}", model=model, iterations=rep)
+            return original(config, rep)
+
+        monkeypatch.setattr(sim_harness, "_one_replication", failing_replication)
+        with pytest.raises(NonConvergenceError) as excinfo:
+            run_study2("linear", beta3_grid=(0.05, 0.5), cases=("A",), n_reps=6, workers=workers)
+        beta3, rep = named
+        raised = excinfo.value
+        assert str(raised) == f"separated at rep {rep} in replication ('study2', 'linear', 'A', '{beta3}', rep {rep})"
+        assert (raised.model, raised.iterations) == (model, rep)
 
 
 @pytest.mark.slow
