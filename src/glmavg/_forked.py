@@ -4,27 +4,32 @@ Every replication loop in the package draws replication i from its own
 stream, so its rows do not depend on which process computes them.  The
 callers are ``sim_harness._simulate``, which lays out all the cells of
 one ``run_study1``, ``run_study2`` or ``simulate_cell`` call as one
-``range(n)``, ``prediction_band`` (one call per band) and
+``range(n)``, rep by rep, ``prediction_band`` (one call per band) and
 ``cv_compare``.  ``run_replications`` splits ``range(n)`` into
-contiguous blocks, runs the first block in the calling process and each
-other block in a fork-started child, and joins the rows in index order,
-so the result is bit-identical for every worker count.  On a 2-core
-x86-64 host a round trip to a child costs about 3.7 ms with ``os.fork``
-and a pipe, 4.5 ms with a ``multiprocessing.Process`` and 6 ms with a
-process pool, and importing ``multiprocessing`` and
-``concurrent.futures`` would add 13-19 ms to every cold CLI call; so
-this module uses ``os.fork``.  The fork is a fixed cost per call, so a
-caller should make one call for all its replications: an empty 2-block
-call takes 1.45 ms, and a child's first Study II logistic replication
-takes 1.28 ms against 0.58 ms unforked (medians of 200).
-``gc.freeze()`` before the fork changed neither figure.
+contiguous blocks whose lengths differ by one at most, runs the first
+block in the calling process and each other block in a fork-started
+child, and joins the rows in index order, so the result is
+bit-identical for every worker count.  On a 2-core x86-64 host a round trip to a child costs about
+3.7 ms with ``os.fork`` and a pipe, 4.5 ms with a
+``multiprocessing.Process`` and 6 ms with a process pool, and importing
+``multiprocessing`` and ``concurrent.futures`` would add 13-19 ms to
+every cold CLI call; so this module uses ``os.fork``.  The fork is a
+fixed cost per call: an empty 2-block call takes 1.45 ms, and a child's
+first Study II logistic replication takes 1.28 ms against 0.58 ms
+unforked (medians of 200); ``gc.freeze()`` before the fork changed
+neither figure.  So a caller makes one call for many replications, laid
+out so that blocks of one length cost about the same.
 
 The loop runs serially, in the calling process, when ``workers`` is 1,
 when n is 1, when the process may use only one CPU, when the platform is
 not Linux with ``os.fork``, or when more than one Python thread is alive
 (a fork copies only the calling thread, and a lock held by another
 thread would stay held in the child; OpenBLAS, numpy's BLAS, resets its
-own thread pool in a forked child).
+own thread pool in a forked child).  Each process keeps OpenBLAS's
+thread pool, so on a 2-core host run with ``OPENBLAS_NUM_THREADS=1``:
+with its default pool, two processes fitting n = 1000 designs at once
+contend for the cores, and a Study I n = 1000 cell took longer at
+``workers=2`` than at ``workers=1``.
 """
 
 from __future__ import annotations

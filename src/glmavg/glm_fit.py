@@ -235,14 +235,15 @@ def _gaussian_profile_loglik(rss, n: int):
 # ---------------------------------------------------------------------------
 
 
-def _least_squares(X: np.ndarray, y: np.ndarray, column_sets: list[tuple[int, ...] | list[int]]):
+def _least_squares(X: np.ndarray, y: np.ndarray, column_sets: list):
     """Least-squares fits of y on several column sets of X, from one R factor of [X_U | y].
 
-    U is the union of the sets (lists or tuples of increasing column
-    indices).  The only n-row work is one QR
-    (``lapack_qr_r``) of [X_U | y], built once and factored in place,
-    which gives R_aug with at most |U| + 1 rows; no column set means
-    nothing to factor.  Since [X_k | y] = Q_aug [R_aug[:, k] | R_aug[:, y]],
+    U is the union of the sets.  Each set is a sequence of strictly
+    increasing column indices, so a set of |U| columns is U itself.
+    The only n-row work is one QR (``lapack_qr_r``) of [X_U | y], built
+    once and factored in place, which gives R_aug with at most |U| + 1
+    rows; no column set means nothing to factor.  Since
+    [X_k | y] = Q_aug [R_aug[:, k] | R_aug[:, y]],
     the R factor T of that small matrix is the R factor of [X_k | y]:
     R_k is T's leading d x d block, Q_k'y its last column above the
     diagonal and RSS_k = t_dd^2 (0 when n = d, as T then has only d
@@ -298,7 +299,7 @@ def _least_squares(X: np.ndarray, y: np.ndarray, column_sets: list[tuple[int, ..
     with np.errstate(invalid="ignore"):
         R_aug = lapack_qr_r(Xy_t.T)
         certified, union_rejected = False, None
-        if n > u and u in groups and all(list(column_sets[k]) == union for k in groups[u]):
+        if n > u and u in groups:
             s = lapack_singular_values(R_aug[:u, :u])
             certified, union_rejected = not _rejects(s, UNION_COND_LIMIT), bool(_rejects(s, COND_LIMIT))
         for d, members in groups.items():

@@ -194,8 +194,8 @@ class _CandidateFactory:
         for cols in self._cols:
             if cols[-1] >= p:
                 raise DataError(f"design has {p} columns, model needs column {cols[-1]}")
-        full_cols = tuple(range(p))  # a tuple: a list never equals a model's columns
-        self._full = self._cols.index(full_cols) if full_cols in self._cols else None
+        # columns are strictly increasing and below p, so only the full design has p of them
+        self._full = next((k for k, cols in enumerate(self._cols) if len(cols) == p), None)
         self._X = X
         self._y = y
         self._B, self._logliks = self._fit()

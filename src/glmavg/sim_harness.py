@@ -21,8 +21,9 @@ oracle is a candidate, else one ``ols_fit`` or ``logistic_mle`` of its
 columns.  Replication r draws its design and response from the stream
 ``substream(seed, *tags, r)``, so reports are byte-identical across
 runs and across worker counts.  A study lays all its cells'
-replications out cell by cell in one ``run_replications`` call, so
-with ``workers`` > 1 they are split into contiguous blocks, the first
+replications out rep by rep (rep 0 of every cell, then rep 1, ...) in
+one ``run_replications`` call, so with ``workers`` > 1 they are split
+into contiguous blocks holding the same share of every cell, the first
 run in the calling process and the others in forked worker processes
 (see ``glmavg._forked``), with one fork per worker for the whole study;
 they run serially when ``workers`` is 1, when the process may use one
@@ -215,16 +216,19 @@ def _one_replication(config: StudyConfig, rep: int):
 def _simulate(configs, workers: int) -> list[dict[str, np.ndarray]]:
     """Every replication estimate of each config, in one ``run_replications`` call.
 
-    The replications are laid out cell by cell (all of the first
-    config's, then the next's), so the same forked workers serve every
-    cell and the earliest failing (cell, rep) is raised, as the serial
-    loop would raise it.  Each cell's rows are then split back in order and keyed
-    by its ``columns``.
+    The configs share ``n_reps``, as a study's cells do.  The
+    replications are laid out rep by rep (rep 0 of every cell, then rep
+    1, ...), so each contiguous block of the run holds the same share of
+    every cell, whatever a cell's n makes it cost.  The earliest failing
+    (rep, cell) in that order is raised, for every ``workers``.  Each
+    cell's rows are then taken back in order and keyed by its
+    ``columns``.
     """
-    keys = [(config, rep) for config in configs for rep in range(config.n_reps)]
+    count, n_reps = len(configs), configs[0].n_reps
+    assert all(config.n_reps == n_reps for config in configs)
 
     def replicate(i):
-        config, rep = keys[i]
+        config, rep = configs[i % count], i // count
         try:
             return _one_replication(config, rep)
         except GlmavgError as exc:
@@ -232,9 +236,8 @@ def _simulate(configs, workers: int) -> list[dict[str, np.ndarray]]:
             exc.args = (f"{exc} in replication ({key})",)
             raise
 
-    rows = iter(run_replications(replicate, len(keys), workers))
-    matrices = [np.asarray([next(rows) for _ in range(config.n_reps)], dtype=float) for config in configs]
-    return [dict(zip(config.columns, matrix.T)) for config, matrix in zip(configs, matrices)]
+    rows = run_replications(replicate, count * n_reps, workers)
+    return [dict(zip(config.columns, np.asarray(rows[c::count], dtype=float).T)) for c, config in enumerate(configs)]
 
 
 def simulate_cell(config: StudyConfig, *, workers: int = 1) -> dict[str, np.ndarray]:
@@ -277,8 +280,8 @@ def _run_cells(cells, workers: int) -> StudyReport:
     """Simulate every (config, labels) cell and summarise its estimate columns.
 
     All the cells' replications go through one ``run_replications``
-    call (``_simulate``), so a study forks once at ``workers`` > 1, not
-    once per cell, and a failure names the earliest failing cell and rep.
+    call (``_simulate``), so a study forks once per worker, not once per
+    cell, and a failure names the earliest failing (rep, cell).
     Each row starts with the cell's ``labels`` (case, family, beta3, n in
     that order), then its ``scheme``; the configs come built, hence
     checked, so a bad cell raises before the first replication.

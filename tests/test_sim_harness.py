@@ -541,14 +541,35 @@ class TestOneRunPerStudy:
         for workers in (2, 3):
             assert run(workers).rows == serial.rows
 
+    def test_replications_are_laid_out_rep_by_rep(self, monkeypatch):
+        # so each contiguous block of the one run holds the same share of every cell,
+        # and a study whose cells differ in n splits its cost evenly across workers
+        import glmavg.sim_harness as sim_harness
+
+        order = []
+        original = sim_harness._one_replication
+
+        def recorded(config, rep):
+            order.append((config.n, rep))
+            return original(config, rep)
+
+        monkeypatch.setattr(sim_harness, "_one_replication", recorded)
+        run_study1(n_grid=(60, 200), cases=("A",), n_reps=3, seed=2)
+        assert order == [(60, 0), (200, 0), (60, 1), (200, 1), (60, 2), (200, 2)]
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize(
         "failing, named",
-        [({("0.5", 2)}, ("0.5", 2)), ({("0.05", 5), ("0.5", 1)}, ("0.05", 5))],
-        ids=["cell-1-alone", "cells-0-and-1"],
+        [
+            ({("0.5", 2)}, ("0.5", 2)),
+            ({("0.05", 3), ("0.5", 3)}, ("0.05", 3)),
+            ({("0.05", 5), ("0.5", 1)}, ("0.5", 1)),
+        ],
+        ids=["cell-1-alone", "same-rep-cell-0-wins", "earlier-rep-wins"],
     )
     def test_earliest_failing_cell_is_named(self, monkeypatch, workers, failing, named):
-        # 2 cells of 6 reps: cell 0 (beta3 = 0.05) is reps 0-5 of the one run, cell 1 (0.5) reps 6-11
+        # 2 cells of 6 reps laid out rep by rep: run index 2 * rep + cell, with
+        # cell 0 (beta3 = 0.05) and cell 1 (0.5); the earliest index fails first
         import glmavg.sim_harness as sim_harness
 
         model = CandidateModel((0,), 1)
