@@ -4,12 +4,17 @@ Every replication loop in the package draws replication i from its own
 stream, so its rows do not depend on which process computes them.  The
 callers are ``sim_harness._simulate``, which lays out all the cells of
 one ``run_study1``, ``run_study2`` or ``simulate_cell`` call as one
-``range(n)``, rep by rep, ``prediction_band`` (one call per band) and
-``cv_compare``.  ``run_replications`` splits ``range(n)`` into
-contiguous blocks whose lengths differ by one at most, runs the first
-block in the calling process and each other block in a fork-started
-child, and joins the rows in index order, so the result is
-bit-identical for every worker count.  On a 2-core x86-64 host a round trip to a child costs about
+``range(n)``, rep by rep; ``averaging._prediction_bands``, which lays
+out every test row of one ``band`` run (or the one row of a
+``prediction_band`` call) row by row; and ``cv_compare``.  Each makes
+one call, so ``workers`` > 1 forks ``workers`` - 1 children per study,
+``band`` run or ``cv`` run.  ``run_replications`` splits ``range(n)``
+into contiguous blocks whose lengths differ by one at most, hands each
+block to the caller's task as one ``range`` (the study harness fits a
+block's linear replications as stacks), runs the first block in the
+calling process and each other block in a fork-started child, and
+joins the rows in index order, so the result is bit-identical for every
+worker count.  On a 2-core x86-64 host a round trip to a child costs about
 3.7 ms with ``os.fork`` and a pipe, 4.5 ms with a
 ``multiprocessing.Process`` and 6 ms with a process pool, and importing
 ``multiprocessing`` and ``concurrent.futures`` would add 13-19 ms to
@@ -51,21 +56,25 @@ def _block_count(n: int, workers: int) -> int:
 
 
 def run_replications(task, n: int, workers: int) -> list:
-    """``[task(0), ..., task(n - 1)]``, with every block but the first run in a forked child.
+    """The rows of ``range(n)``, each contiguous block of it but the first run in a forked child.
 
-    An exception raised by ``task`` ends its block.  The one at the
-    earliest index is raised, as the serial loop would raise it: a
-    child sends it back pickled, with its class, message and
-    attributes.  A child that exits without sending its rows raises
-    ``ChildProcessError``.  Every child is reaped before this returns
-    or raises.  ``workers`` below 1 raises ``DataError`` before any
+    ``task(block)`` gets a contiguous ``range`` of indices and returns
+    their rows in order, so a caller can share work across a block's
+    replications; ``task(range(n))`` is the serial result.  When a
+    block fails, ``task`` raises the failure at its earliest index, as
+    a loop over the indices would; the earliest failing block's is
+    raised here, so the failure at the earliest index wins: a child
+    sends it back pickled, with its class, message and attributes.  A
+    child that exits without sending its rows raises
+    ``ChildProcessError``.  Every child is reaped before this returns or
+    raises.  ``workers`` below 1 raises ``DataError`` before any
     replication.
     """
     if workers < 1:
         raise DataError(f"workers must be at least 1, got {workers}")
     count = _block_count(n, workers)
     if count == 1:
-        return [task(i) for i in range(n)]
+        return task(range(n))
     # the calling process also forks and collects, so it takes the smallest block
     bounds = [n * b // count for b in range(count + 1)]
     blocks = [range(bounds[b], bounds[b + 1]) for b in range(count)]
@@ -83,7 +92,7 @@ def run_replications(task, n: int, workers: int) -> list:
                 _run_child(task, block, read_fd, write_fd)
             os.close(write_fd)
             live[pid] = read_fd
-        rows = [task(i) for i in blocks[0]]
+        rows = task(blocks[0])
         for pid, block in zip(list(live), blocks[1:]):
             with os.fdopen(live[pid], "rb", closefd=False) as pipe:
                 payload = pipe.read()
@@ -100,9 +109,9 @@ def run_replications(task, n: int, workers: int) -> list:
 
 
 def _run_child(task, block: range, read_fd: int, write_fd: int):
-    """Run ``block`` in a forked child, pipe back (rows, first failure) and exit; never returns.
+    """Run ``block`` in a forked child, pipe back (rows, failure) and exit; never returns.
 
-    Any exception a replication raises is sent back, so the caller sees
+    Any exception the block raises is sent back, so the caller sees
     what the serial loop would raise; one that cannot be pickled ends
     the child with status 1.
     """
@@ -110,12 +119,10 @@ def _run_child(task, block: range, read_fd: int, write_fd: int):
     try:
         os.close(read_fd)
         rows, failure = [], None
-        for i in block:
-            try:
-                rows.append(task(i))
-            except Exception as exc:
-                failure = exc
-                break
+        try:
+            rows = task(block)
+        except Exception as exc:
+            failure = exc
         payload = pickle.dumps((rows, failure), protocol=pickle.HIGHEST_PROTOCOL)
         with os.fdopen(write_fd, "wb") as pipe:
             pipe.write(payload)

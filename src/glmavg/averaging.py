@@ -43,6 +43,7 @@ from .model_space import ModelSet
 from .rng import _checked_keys, substream
 
 SCHEMES = ("optimal", "aic", "equal")
+_BAND_REPS = 50  # replications per prediction band
 
 
 @dataclass(frozen=True)
@@ -164,24 +165,40 @@ class _AveragingPredictor:
         _check_scheme(scheme)
         # raises DataError on a wrong shape or a non-finite x*, whatever the scheme
         per_model = self.per_model_values(x_star)
-        q_hat = solution = None
-        if scheme == "optimal":
-            q_hat = self.q_form(x_star)
-            solution = solve_simplex_qp(q_hat)
-            weights = solution.weights
-        elif scheme == "aic":
-            if self._aic is None:
-                self._aic = aic_weights(self.logliks(), self.dims())
-            weights = self._aic
-        else:
-            weights = equal_weights(len(self.models))
-        return AveragedEstimate(
-            value=average_estimate(weights, per_model),
-            weights=weights,
-            per_model=per_model,
-            q_hat=q_hat,
-            solution=solution,
-        )
+        return _averaged(scheme, per_model, lambda: self.q_form(x_star), self._aic_weights)
+
+    def _aic_weights(self) -> np.ndarray:
+        if self._aic is None:
+            self._aic = aic_weights(self.logliks(), self.dims())
+        return self._aic
+
+
+def _averaged(scheme: str, per_model: np.ndarray, q_form, aic) -> AveragedEstimate:
+    """The averaged estimate of ``per_model`` under a checked ``scheme``.
+
+    The weights solve ``q_form()`` over the simplex (``optimal``), are
+    ``aic()`` (``aic``) or are equal; each callable is called only for
+    its own scheme.  The solve is ``solve_simplex_qp`` looked up in this
+    module's globals, the name ``perfbench/tracer.py`` wraps.  The
+    predictors and the study harness's stacked linear fits both average
+    through here.
+    """
+    q_hat = solution = None
+    if scheme == "optimal":
+        q_hat = q_form()
+        solution = solve_simplex_qp(q_hat)
+        weights = solution.weights
+    elif scheme == "aic":
+        weights = aic()
+    else:
+        weights = equal_weights(per_model.shape[-1])
+    return AveragedEstimate(
+        value=average_estimate(weights, per_model),
+        weights=weights,
+        per_model=per_model,
+        q_hat=q_hat,
+        solution=solution,
+    )
 
 
 class LinearAveragingPredictor(_AveragingPredictor, LinearQFactory):
@@ -249,7 +266,7 @@ def prediction_band(
     models: ModelSet,
     *,
     n_sub: int = 50,
-    n_reps: int = 50,
+    n_reps: int = _BAND_REPS,
     sigma: float,
     level: float = 0.9,
     seed: int = 0,
@@ -270,6 +287,23 @@ def prediction_band(
     off Linux, or while another Python thread is alive).  Every argument,
     ``workers`` below 1 included, is checked before the first draw.
     """
+    return _prediction_bands(
+        X_pool, y_pool, [test_point], models, n_sub=n_sub, n_reps=n_reps, sigma=sigma,
+        level=level, seeds=[seed], scheme=scheme, workers=workers,
+    )[0]
+
+
+def _prediction_bands(
+    X_pool, y_pool, test_points, models, *, n_sub, n_reps=_BAND_REPS, sigma, level, seeds, scheme, workers
+):
+    """``prediction_band`` of each test row with its own seed, all in one ``run_replications`` call.
+
+    Row i's replication r is run index ``i * n_reps + r`` and draws from
+    ``substream(seeds[i], "band", r)``, so every band is the one its own
+    call gives, the earliest failing row's failure is raised, as a call
+    per row would raise it, and ``workers`` > 1 forks once for all rows.
+    Every argument of every row is checked before the first draw.
+    """
     X_pool = np.asarray(X_pool, dtype=float)
     y_pool = np.asarray(y_pool, dtype=float)
     if not 0.0 < level < 1.0:
@@ -285,24 +319,33 @@ def prediction_band(
     _check_scheme(scheme)
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise DataError(f"sigma must be finite and non-negative, got {sigma!r}")
-    _checked_keys(seed)
-    x_star = Functional.linear_point(test_point).resolve(_checked_width(X_pool, models))
+    for seed in seeds:
+        _checked_keys(seed)
+    width = _checked_width(X_pool, models)
+    x_stars = [Functional.linear_point(point).resolve(width) for point in test_points]
 
-    def replicate(rep):
-        rng = substream(seed, "band", rep)
+    def replicate(i):
+        row, rep = divmod(i, n_reps)
+        rng = substream(seeds[row], "band", rep)
         idx = rng.choice(X_pool.shape[0], size=n_sub, replace=False)
-        mean = LinearAveragingPredictor(X_pool[idx], y_pool[idx], models).predict(x_star, scheme).value
+        mean = LinearAveragingPredictor(X_pool[idx], y_pool[idx], models).predict(x_stars[row], scheme).value
         return mean, mean + rng.normal(0.0, sigma)
 
-    means, draws = np.array(run_replications(replicate, n_reps, workers)).T.copy()
-    draws.sort()
+    pairs = run_replications(lambda block: [replicate(i) for i in block], len(x_stars) * n_reps, workers)
     alpha = (1.0 - level) / 2.0
-    return PredictionBand(
-        point=float(np.mean(means)),
-        lower=_sorted_quantile(draws, alpha),
-        upper=_sorted_quantile(draws, 1.0 - alpha),
-        level=level,
-    )
+    bands = []
+    for row in range(len(x_stars)):
+        means, draws = np.array(pairs[row * n_reps : (row + 1) * n_reps]).T.copy()
+        draws.sort()
+        bands.append(
+            PredictionBand(
+                point=float(np.mean(means)),
+                lower=_sorted_quantile(draws, alpha),
+                upper=_sorted_quantile(draws, 1.0 - alpha),
+                level=level,
+            )
+        )
+    return bands
 
 
 def _sorted_quantile(ordered: np.ndarray, q: float) -> float:

@@ -36,7 +36,12 @@ import tempfile
 
 import numpy as np
 
-from .averaging import _PREDICTORS, SCHEMES, prediction_band
+from .averaging import (
+    _PREDICTORS,
+    SCHEMES,
+    _prediction_bands,
+    prediction_band,  # no longer called here; perfbench/tracer.py looks it up here
+)
 from .crossval import DEFAULT_METHODS, SELECTION_RULES, cv_compare
 from .dataio import csv_text, load_csv
 from .errors import DataError, GlmavgError, NumericalError
@@ -223,23 +228,24 @@ def _cmd_band(args) -> None:
     if sigma is None:
         sigma = float(np.sqrt(full_linear_fit(train.design, train.response).sigma2))
 
+    bands = _prediction_bands(
+        train.design,
+        train.response,
+        test.design,
+        models,
+        n_sub=args.n_sub,
+        sigma=sigma,
+        level=args.level,
+        seeds=[args.seed + i for i in range(test.n)],
+        scheme=args.scheme,
+        workers=args.workers,
+        **_reps(args, "n_reps"),
+    )
     columns = ("index", "actual", "predicted", "lower", "upper")
-    rows = []
-    for i in range(test.n):
-        band = prediction_band(
-            train.design,
-            train.response,
-            test.design[i],
-            models,
-            n_sub=args.n_sub,
-            sigma=sigma,
-            level=args.level,
-            seed=args.seed + i,
-            scheme=args.scheme,
-            workers=args.workers,
-            **_reps(args, "n_reps"),
-        )
-        rows.append(dict(zip(columns, (i, float(test.response[i]), band.point, band.lower, band.upper))))
+    rows = [
+        dict(zip(columns, (i, float(test.response[i]), band.point, band.lower, band.upper)))
+        for i, band in enumerate(bands)
+    ]
     _emit(args, columns, rows, {"level": args.level, "sigma": sigma, "rows": rows})
 
 

@@ -189,7 +189,8 @@ def cv_compare(
             for m in methods
         ]
 
-    per_repeat = [row for rows in run_replications(run_repeat, n_repeats, workers) for row in rows]
+    repeats = run_replications(lambda block: [run_repeat(r) for r in block], n_repeats, workers)
+    per_repeat = [row for rows in repeats for row in rows]
     mean_errors = {m: float(np.mean([r["error"] for r in per_repeat if r["method"] == m])) for m in methods}
     return CvReport(
         mean_errors=mean_errors,

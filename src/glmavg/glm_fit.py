@@ -2,16 +2,23 @@
 
 Linear fits read the R factor of [X_k | y] (never an explicit inverse
 and never Q): its leading block is R_k, its last column above the
-diagonal is Q_k'y, and its last diagonal entry squared is the RSS.
-``_least_squares`` factors [X_U | y] once on its n rows, with U the
-union of the candidates' columns, and reduces each candidate from that
-(|U| + 1)-row factor in one small QR; ``ols_fit`` is the same routine
-for one design.  A condition number of R_k above ``COND_LIMIT`` raises
-``SingularDesignError``.  By the interlacing inequalities for singular
-values of submatrices (Thompson 1972), no column subset of X_U is worse
-conditioned than X_U, so one SVD of X_U's factor R_U, within
-``UNION_COND_LIMIT``, passes every candidate; only a design past that
-margin is guarded one model size at a time.  The triangular system
+diagonal is Q_k'y, and its last diagonal entry squared is the RSS.  A
+fit is split at R_aug, the (|U| + 1)-row R factor of [X_U | y], with U
+the union of the candidates' columns.  ``_augmented_r`` makes it, one
+QR of a training set's n rows and the fit's only n-row work, and
+``_least_squares_from_r`` reduces each candidate from it in one small
+QR.  The reduction takes R_aug alone or stacked along leading axes, one
+training set per slice, so a study fits a block's replications with one
+LAPACK call per model size, not one per replication; the gufuncs work
+slice by slice, so every slice keeps the bits of a lone fit.
+``_least_squares`` is the two steps on one training set, and
+``ols_fit`` that routine for one design.  A condition number of R_k
+above ``COND_LIMIT`` raises ``SingularDesignError``.  By the
+interlacing inequalities for singular values of submatrices (Thompson
+1972), no column subset of X_U is worse conditioned than X_U, so one
+SVD of X_U's factor R_U, within ``UNION_COND_LIMIT``, passes every
+candidate; only a design past that margin is guarded one model size at
+a time.  The triangular system
 R_k beta = Q_k'y goes to LAPACK ``gesv``: its partial-pivoting LU
 leaves an upper-triangular R_k unpivoted and unchanged, so the solve is
 back substitution on R_k.
@@ -235,24 +242,54 @@ def _gaussian_profile_loglik(rss, n: int):
 # ---------------------------------------------------------------------------
 
 
-def _least_squares(X: np.ndarray, y: np.ndarray, column_sets: list):
-    """Least-squares fits of y on several column sets of X, from one R factor of [X_U | y].
+def _augmented_r(X: np.ndarray, y: np.ndarray, union) -> np.ndarray:
+    """R_aug, the R factor of [X_U | y] for the sorted columns ``union``: a fit's only n-row work.
 
-    U is the union of the sets.  Each set is a sequence of strictly
-    increasing column indices, so a set of |U| columns is U itself.
-    The only n-row work is one QR (``lapack_qr_r``) of [X_U | y], built
-    once and factored in place, which gives R_aug with at most |U| + 1
-    rows; no column set means nothing to factor.  Since
-    [X_k | y] = Q_aug [R_aug[:, k] | R_aug[:, y]],
-    the R factor T of that small matrix is the R factor of [X_k | y]:
-    R_k is T's leading d x d block, Q_k'y its last column above the
-    diagonal and RSS_k = t_dd^2 (0 when n = d, as T then has only d
-    rows).  The sets of one dimension d share one stacked QR and one
-    ``lapack_solve`` (back substitution on R_k).  A set that is all of
-    U's columns in order reduces a factor that is already triangular:
-    every Householder reflector is the identity, so its fit is the
-    one-design fit's to the last bit, and its R_k is R_aug's leading
-    block R_U.
+    It has min(n, |U| + 1) rows.  [X_U | y] is stored transposed, so that
+    the gather of X_U's columns (mode="clip": no bounds pass, which would
+    copy ``out`` first) is its only n-row copy, and ``lapack_qr_r``
+    factors it in place.  R_aug is returned as a copy of its own, so
+    that keeping it does not keep that n-row buffer.  A failed QR gives
+    NaN, which ``_least_squares_from_r`` rejects.
+    """
+    n = X.shape[0]
+    Xy_t = np.empty((len(union) + 1, n))
+    np.take(X.T, union, axis=0, out=Xy_t[:-1], mode="clip")
+    Xy_t[-1] = y
+    with np.errstate(invalid="ignore"):
+        return lapack_qr_r(Xy_t.T).copy()
+
+
+def _union(column_sets) -> list[int]:
+    """The sorted union U of the column sets, the columns ``_augmented_r`` factors."""
+    return sorted(set().union(*column_sets))
+
+
+def _fit_failure(n: int, d: int) -> str:
+    """Why a failed column set of d columns failed on n rows."""
+    return f"need n >= d, got n={n}, d={d}" if n < d else RANK_DEFICIENT_MESSAGE
+
+
+def _least_squares_from_r(R_aug: np.ndarray, n: int, p: int, column_sets: list, union: list):
+    """Least-squares fits of y on several column sets of X, from R_aug on every leading axis.
+
+    ``R_aug`` is ``_augmented_r(X, y, union)``, with ``union`` the sets'
+    ``_union``, for one training set of n rows and p columns, or such
+    factors of many training sets stacked along leading axes; every
+    array returned has the same leading axes.  Each column set is a
+    sequence of strictly increasing column indices, so a set of |U|
+    columns is U itself.
+    Since [X_k | y] = Q_aug [R_aug[:, k] | R_aug[:, y]], the R factor T of
+    that small matrix is the R factor of [X_k | y]: R_k is T's leading
+    d x d block, Q_k'y its last column above the diagonal and
+    RSS_k = t_dd^2 (0 when n = d, as T then has only d rows).  The sets
+    of one dimension d share one stacked QR and one ``lapack_solve``
+    (back substitution on R_k), for every training set of the stack at
+    once; LAPACK's gufuncs work slice by slice, so each training set
+    gets the bits it gets alone.  A set that is all of U's columns in
+    order reduces a factor that is already triangular: every
+    Householder reflector is the identity, so its fit is the one-design
+    fit's to the last bit, and its R_k is R_aug's leading block R_U.
 
     The condition guard takes one SVD of R_U when U's own set is among
     the sets and n > |U|.  Every X_k is a column subset of X_U, so by
@@ -263,68 +300,85 @@ def _least_squares(X: np.ndarray, y: np.ndarray, column_sets: list):
     them past the guard, and every set passes on that one SVD.
     Otherwise U's own set takes that SVD's verdict against
     ``COND_LIMIT`` and every other dimension gets one stacked SVD
-    (``ill_conditioned``), as it would with no union check; without U's
-    own set or a row below R_U every dimension does.  So no fit makes
-    more SVD calls than the guard alone would, and the check decides only
-    verdicts: the QRs, solves and kept factors are the same either way.
-    Every LAPACK call runs under one ``errstate``; a failed one gives
-    NaN, which the guard or the check on the coefficients turns into a
-    rank-deficiency failure.
+    (``ill_conditioned``) of the training sets the union left unsure,
+    as it would with no union check; without U's own set or a row below
+    R_U every dimension does.  So no training set makes more SVD calls
+    than the guard alone would, and the check decides only verdicts: the
+    QRs, solves and kept factors are the same either way.  Every LAPACK
+    call runs under one ``errstate``; a failed one gives NaN, which the
+    guard or the check on the coefficients turns into a rank-deficiency
+    failure.
 
     Returns the coefficients B (one row per set, zero outside its
-    columns), the RSS, the kept factors ``(indices, columns, R stack)``
-    of each dimension, and ``(index, message)`` for every set that needs
-    more rows or is numerically rank deficient.  A dimension after the
-    first failure is still checked but not solved, so the caller can
-    name the first failing set.
+    columns), the RSS, the factors ``(indices, columns, R stack)`` of
+    each dimension, and ``failed``, True for every set that needs more
+    rows or is numerically rank deficient (``_fit_failure`` words it).
+    Every dimension is solved, but ``failed`` marks the sets that a fit
+    taking the dimensions in order would: a dimension the guard rejects
+    in part, or any dimension after a training set's first failure, is
+    judged on the guard alone, so the caller names the same first
+    failing set.  A failed training set's B, RSS and factors are not a
+    fit.
     """
-    n, p = X.shape
-    B = np.zeros((len(column_sets), p))
-    rss = np.zeros(len(column_sets))
-    factors, failures = [], []
+    lead = R_aug.shape[:-2]
+    B = np.zeros((*lead, len(column_sets), p))
+    rss = np.zeros((*lead, len(column_sets)))
+    failed = np.zeros((*lead, len(column_sets)), dtype=bool)
+    factors = []
     if not column_sets:
-        return B, rss, factors, failures
-    union = sorted(set().union(*column_sets))
+        return B, rss, factors, failed
     u = len(union)
     where = np.zeros(p, dtype=int)
     where[union] = np.arange(u)
-    # [X_U | y] is stored transposed, so that the gather of X_U's columns
-    # (mode="clip": no bounds pass, which would copy ``out`` first) is its only copy.
-    Xy_t = np.empty((u + 1, n))
-    np.take(X.T, union, axis=0, out=Xy_t[:-1], mode="clip")
-    Xy_t[-1] = y
     groups: dict[int, list[int]] = {}
     for k, cols in enumerate(column_sets):
         groups.setdefault(len(cols), []).append(k)
+    checks = []  # (indices, the guard's verdicts, non-finite coefficients) of each dimension
     with np.errstate(invalid="ignore"):
-        R_aug = lapack_qr_r(Xy_t.T)
-        certified, union_rejected = False, None
+        certified = union_rejected = None
         if n > u and u in groups:
-            s = lapack_singular_values(R_aug[:u, :u])
-            certified, union_rejected = not _rejects(s, UNION_COND_LIMIT), bool(_rejects(s, COND_LIMIT))
+            s = lapack_singular_values(R_aug[..., :u, :u])
+            certified, union_rejected = ~_rejects(s, UNION_COND_LIMIT), _rejects(s, COND_LIMIT)
         for d, members in groups.items():
-            if n < d:
-                failures += [(k, f"need n >= d, got n={n}, d={d}") for k in members]
-                continue
             idx = np.array(members)
+            if n < d:
+                every = np.ones((*lead, len(members)), dtype=bool)
+                checks.append((idx, every, every))
+                continue
             cols = np.array([column_sets[k] for k in members])
             picks = np.column_stack((where[cols], np.full(len(members), u)))
-            T = lapack_qr_r(R_aug[:, picks].transpose(1, 0, 2))
-            R = T[:, :d, :d]
-            if union_rejected is not None and (certified or d == u):
-                rejected = np.full(len(members), union_rejected)
+            T = lapack_qr_r(R_aug[..., picks].swapaxes(-3, -2))
+            R = T[..., :d, :d]
+            if union_rejected is None:
+                guard = ill_conditioned(R)
             else:
-                rejected = ill_conditioned(R)
-            if not (failures or rejected.any()):
-                beta = lapack_solve(R, T[:, :d, d:])[:, :, 0]
-                rejected = ~np.isfinite(beta).all(axis=1)
-            failures += [(members[j], RANK_DEFICIENT_MESSAGE) for j in np.flatnonzero(rejected)]
-            if failures:
-                continue  # the fit is lost; keep checking so the error names the first failure
-            B[idx[:, None], cols] = beta
-            if T.shape[1] > d:
-                rss[idx] = T[:, d, d] ** 2
+                guard = np.repeat(union_rejected[..., None], len(members), axis=-1)
+                if d != u and not certified.all():
+                    guard[~certified] = ill_conditioned(R[~certified])
+            beta = lapack_solve(R, T[..., :d, d:])[..., 0]
+            checks.append((idx, guard, ~np.isfinite(beta).all(axis=-1)))
+            B[..., idx[:, None], cols] = beta
+            if T.shape[-2] > d:
+                rss[..., idx] = T[..., d, d] ** 2
             factors.append((idx, cols, R))
+    if any(guard.any() or nonfinite.any() for _, guard, nonfinite in checks):
+        # what a fit taking the dimensions in order fails: one the guard rejects in part,
+        # or any after a failure, goes unsolved and fails on the guard's verdicts
+        blocked = np.zeros(lead, dtype=bool)
+        for idx, guard, nonfinite in checks:
+            rejected = np.where((blocked | guard.any(axis=-1))[..., None], guard, nonfinite)
+            failed[..., idx] = rejected
+            blocked |= rejected.any(axis=-1)
+    return B, rss, factors, failed
+
+
+def _least_squares(X: np.ndarray, y: np.ndarray, column_sets: list):
+    """``_least_squares_from_r`` on one training set (X, y), its failures as ``(index, message)`` in index order."""
+    n, p = X.shape
+    union = _union(column_sets)
+    R_aug = _augmented_r(X, y, union) if column_sets else np.zeros((0, 1))
+    B, rss, factors, failed = _least_squares_from_r(R_aug, n, p, column_sets, union)
+    failures = [(int(k), _fit_failure(n, len(column_sets[k]))) for k in np.flatnonzero(failed)]
     return B, rss, factors, failures
 
 
@@ -355,7 +409,7 @@ def ols_fit(
     n, d = X_k.shape
     if d == 0:
         raise DataError("design matrix has no columns")
-    B, rss, _, failures = _least_squares(X_k, y, [list(range(d))])
+    B, rss, _, failures = _least_squares(X_k, y, [range(d)])
     if failures:
         raise SingularDesignError(failures[0][1], model=model)
     return FitResult(beta=B[0], loglik=_gaussian_profile_loglik(rss[0], n), dim=d)

@@ -33,10 +33,17 @@ per-model functional estimates:
   of the linear B_pl = B; its only fit is the full-model MLE, when the
   full design is not a candidate.
 
-Both are one assembly (``_CandidateFactory.q_form``) with link h and
-slope h': the identity and 1 for linear targets, expit and p(1-p) for
-logistic ones.  Both factories defer the plug-in fit, and with it every
-matrix inverse, to the first ``q_form``.
+Both are one assembly (``_q_parts``, which ``_CandidateFactory.q_form``
+calls) with link h and slope h': the identity and 1 for linear targets,
+expit and p(1-p) for logistic ones.  Both factories defer the plug-in
+fit, and with it every matrix inverse, to the first ``q_form``.  The
+linear fit and plug-in (``_LinearFits``) and ``_q_parts`` take their
+arrays alone or stacked along leading axes, one training set per slice:
+``LinearQFactory`` runs them on one training set, and the study harness
+on a block of replications' R factors at once, with one LAPACK or BLAS
+call per model size or product for the whole block.  Every such call
+works slice by slice, so each replication keeps the bits of its own
+``LinearQFactory``.
 
 The factored construction keeps Qhat symmetric positive semidefinite by
 construction; tests cross-check it entrywise against the literal
@@ -77,8 +84,11 @@ import numpy as np
 from .errors import DataError, NumericalError, SingularDesignError
 from .glm_fit import (
     RANK_DEFICIENT_MESSAGE,
+    _augmented_r,
+    _fit_failure,
     _gaussian_profile_loglik,
-    _least_squares,
+    _least_squares_from_r,
+    _union,
     expit,
     lapack_inv,
     lapack_qr_r,
@@ -194,8 +204,7 @@ class _CandidateFactory:
         for cols in self._cols:
             if cols[-1] >= p:
                 raise DataError(f"design has {p} columns, model needs column {cols[-1]}")
-        # columns are strictly increasing and below p, so only the full design has p of them
-        self._full = next((k for k, cols in enumerate(self._cols) if len(cols) == p), None)
+        self._full = _full_index(self._cols, p)
         self._X = X
         self._y = y
         self._B, self._logliks = self._fit()
@@ -224,21 +233,136 @@ class _CandidateFactory:
             raise DataError("a quadratic form needs at least one model")
         if self._plug_in is None:
             self._plug_in = self._fit_plug_in()
-        beta_full, G, R = self._plug_in
         values = self._link(self._B @ x_star)
-        G_x = (G @ x_star).reshape(values.shape[0], -1)
-        bias = values - self._link(x_star @ beta_full)
-        return QuadraticForm.from_parts(bias, R @ (G_x.T * self._slope(values)))
+        return QuadraticForm.from_parts(*_q_parts(values, *self._plug_in, x_star, self._link, self._slope))
+
+
+def _q_parts(values, beta_full, G, R, x_star, link, slope):
+    """Q-hat's bias and Gram factor at x*, on every leading axis of the plug-in.
+
+    ``values`` is h(B x*), ``G`` the padded inverse Grams (K p x p) and
+    R the p x p factor, as ``_CandidateFactory`` describes them; the
+    arrays may carry leading axes, one training set per slice.  Every
+    product is a stacked ``matmul``, which calls BLAS once per slice with
+    the slice's own layout, so each slice gets the bits it gets alone.
+    The full model's value x*'beta_full is a (1 x p)(p x 1) product per
+    slice, BLAS's dot, as for one training set; as a stacked
+    matrix-vector product it would round differently.
+    """
+    G_x = (G @ x_star).reshape(*values.shape, -1)
+    full_value = link((x_star[None, :] @ beta_full[..., None])[..., 0])
+    return values - full_value, R @ (G_x.swapaxes(-1, -2) * slope(values[..., None, :]))
+
+
+def _design_error(failed, models, message) -> SingularDesignError | None:
+    """The ``SingularDesignError`` of the first design ``failed`` marks, or None.
+
+    ``failed`` has K + 1 entries: the K candidates, then the full design
+    when it is not one of them, which names no model.  ``message(k)``
+    words design k's failure.
+    """
+    if not failed.any():
+        return None
+    k = int(failed.argmax())
+    return SingularDesignError(message(k), model=models[k] if k < len(models) else None)
+
+
+def _full_index(cols, p: int) -> int | None:
+    """The index of the first candidate with all p columns, or None."""
+    # columns are strictly increasing and below p, so only the full design has p of them
+    return next((k for k, c in enumerate(cols) if len(c) == p), None)
+
+
+class _LinearDesigns:
+    """The designs a linear candidate fit factors, and each training set's n-row work on them.
+
+    ``cols`` are the K candidates' columns and ``full`` the index of the
+    candidate with all p of them, or None.  ``sets`` are the column sets
+    fitted from one factor: the candidates' and, with no full candidate,
+    the full design's when their union is every column, as set K.
+    ``full`` is then the full design's index among ``sets``, or None
+    when some column is in no candidate and the full design is one more
+    design with its own factor.
+    """
+
+    def __init__(self, cols, full, p: int):
+        self.K, self.p = len(cols), p
+        self.sets, self.full, self.union = list(cols), full, _union(cols)
+        if full is None and len(self.union) == p:
+            self.sets, self.full = [*cols, range(p)], len(cols)
+
+    def factors(self, X, y):
+        """R_aug of [X_U | y] for one training set (X, y), and of [X | y] when the full design has its own."""
+        R_aug = _augmented_r(X, y, self.union) if self.sets else np.zeros((0, 1))
+        return R_aug, None if self.full is not None else _augmented_r(X, y, range(self.p))
+
+
+class _LinearFits:
+    """Every linear candidate's OLS fit, from the R factors of one training set or of a stack of them.
+
+    ``R_aug`` and ``R_full`` are what ``designs.factors`` returns for one
+    training set of n rows, or those factors of many such training sets
+    stacked along leading axes; every array here keeps those axes.  The
+    fit is ``glm_fit._least_squares_from_r``, once for ``designs.sets``
+    and once more for a full design with its own factor.  ``failed``
+    marks the K candidates, then the full design when it is none of
+    them; a training set that failed has no fit, and ``fit_error`` names
+    its first failing design.
+    """
+
+    def __init__(self, designs: _LinearDesigns, R_aug, R_full, n: int):
+        K, p, f = designs.K, designs.p, designs.full
+        B, rss, self.factors, failed = _least_squares_from_r(R_aug, n, p, designs.sets, designs.union)
+        B_full, rss_full, factors_full = B, rss, self.factors
+        if f is None:
+            B_full, rss_full, factors_full, failed_full = _least_squares_from_r(R_full, n, p, [range(p)], range(p))
+            failed, f = np.concatenate((failed, failed_full), axis=-1), 0
+        elif len(designs.sets) == K:  # the full design is a candidate
+            failed = np.concatenate((failed, np.zeros_like(failed[..., :1])), axis=-1)
+        self.failed = failed
+        self._designs, self._n = designs, n
+        self.B = B[..., :K, :]
+        self.logliks = _gaussian_profile_loglik(rss[..., :K], n)
+        self.beta_full = B_full[..., f, :]
+        self.sigma2 = rss_full[..., f] / n
+        self.R_full = next(R[..., idx == f, :, :][..., 0, :, :] for idx, _, R in factors_full if f in idx)
+
+    def fit_error(self, models, i=()) -> SingularDesignError | None:
+        """The error naming training set ``i``'s first failing design, or None."""
+        designs = self._designs
+
+        def message(k):
+            return _fit_failure(self._n, len(designs.sets[k]) if k < designs.K else designs.p)
+
+        return _design_error(self.failed[i], models, message)
+
+    def plug_in(self):
+        """The padded inverse Grams (K p x p), sigma_full R_full, and which of the K + 1 inverses failed.
+
+        The inverse Grams G_k = R_k^{-1} R_k^{-T} come from one
+        ``lapack_inv`` per stack of kept factors; a failed inverse is NaN.
+        """
+        lead = self.B.shape[:-2]
+        K, p = self.B.shape[-2:]
+        G = np.zeros((*lead, K + 1, p, p))  # row K: the full design when it is not a candidate
+        with np.errstate(invalid="ignore"):
+            for idx, cols, R in self.factors:
+                R_inv = lapack_inv(R)
+                G[..., idx[:, None, None], cols[:, :, None], cols[:, None, :]] = R_inv @ np.swapaxes(R_inv, -1, -2)
+        failed = ~np.isfinite(G).all(axis=(-2, -1))
+        R = np.sqrt(self.sigma2)[..., None, None] * self.R_full
+        return G[..., :K, :, :].reshape(*lead, K * p, p), R, failed
 
 
 class LinearQFactory(_CandidateFactory):
     """Every candidate's OLS fit on one (X, y), reusable across many x*.
 
-    The fit is ``glm_fit._least_squares``: one n-row QR of [X_U | y],
-    with U the union of the candidates' columns, then per dimension one
-    stacked QR of the at most (p + 1)-row columns of that R factor, which
-    gives every R_k, Q_k'y and RSS_k, and one LAPACK solve for the
-    coefficients.  The condition guard is one SVD of X_U's factor when
+    The fit is ``_LinearFits`` on this one training set: one n-row QR of
+    [X_U | y] (``_LinearDesigns.factors``), with U the union of the
+    candidates' columns, then ``glm_fit._least_squares_from_r``: per
+    dimension one stacked QR of the at most (p + 1)-row columns of that R
+    factor, which gives every R_k, Q_k'y and RSS_k, and one LAPACK solve
+    for the coefficients.  The condition guard is one SVD of X_U's factor when
     U's own set is fitted (a candidate or the full design) and that
     factor is well inside ``COND_LIMIT``; otherwise it adds one SVD per
     dimension.  With no candidates there is
@@ -266,39 +390,23 @@ class LinearQFactory(_CandidateFactory):
     def _fit(self):
         X, y = self._X, self._y
         n, p = X.shape
-        K = len(self.models)
-        full_cols = list(range(p))
-        column_sets, full = self._cols, self._full
-        if full is None and len(set().union(*column_sets)) == p:
-            column_sets, full = column_sets + [full_cols], K  # the full design joins the one factor
-        B, rss, self._factors, failures = _least_squares(X, y, column_sets)
-        full_fit = B, rss, self._factors, full
-        if full is None:  # a column no candidate has: the full design is a design of its own
-            B_f, rss_f, factors_f, full_failures = _least_squares(X, y, [full_cols])
-            full_fit = B_f, rss_f, factors_f, 0
-            failures += [(K, message) for _, message in full_failures]
-        if failures:
-            k, message = min(failures)
-            raise SingularDesignError(message, model=self.models[k] if k < K else None)
-        B_full, rss_full, factors_full, f = full_fit
-        self.beta_full = B_full[f]
-        self.sigma2 = float(rss_full[f] / n)
-        self._R_full = next(R[idx == f][0] for idx, _, R in factors_full if f in idx)
-        return B[:K], _gaussian_profile_loglik(rss[:K], n)
+        designs = _LinearDesigns(self._cols, self._full, p)
+        fits = _LinearFits(designs, *designs.factors(X, y), n)
+        error = fits.fit_error(self.models)
+        if error is not None:
+            raise error
+        self._fits = fits
+        self.beta_full = fits.beta_full
+        self.sigma2 = float(fits.sigma2)
+        return fits.B, fits.logliks
 
     def _fit_plug_in(self):
         """beta_full, the inverse Grams from the kept R factors, and sigma_full R_full."""
-        K, p = self._B.shape
-        G = np.zeros((K + 1, p, p))  # row K: the full design when it is not a candidate
-        with np.errstate(invalid="ignore"):
-            for idx, cols, R in self._factors:
-                R_inv = lapack_inv(R)
-                G[idx[:, None, None], cols[:, :, None], cols[:, None, :]] = R_inv @ R_inv.transpose(0, 2, 1)
-        failed = np.flatnonzero(~np.isfinite(G).all(axis=(1, 2)))  # a failed inverse is NaN
-        if failed.size:
-            k = failed[0]
-            raise SingularDesignError(RANK_DEFICIENT_MESSAGE, model=self.models[k] if k < K else None)
-        return self.beta_full, G[:K].reshape(K * p, p), np.sqrt(self.sigma2) * self._R_full
+        G, R, failed = self._fits.plug_in()
+        error = _design_error(failed, self.models, lambda k: RANK_DEFICIENT_MESSAGE)
+        if error is not None:
+            raise error
+        return self.beta_full, G, R
 
     def model_betas(self) -> list[np.ndarray]:
         return [beta[model.column_indices()] for beta, model in zip(self._B, self.models)]

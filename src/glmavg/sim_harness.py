@@ -14,20 +14,27 @@ A cell is one ``StudyConfig``: the data-generating process, the
 candidate set and schemes, the oracle model and the cell's stream tags.
 Both studies build and check every cell's config first, so a bad cell
 (a negative seed included) raises before the first replication; one
-private runner then simulates the cells in order and writes one summary
-row per estimate column.  The oracle column is the oracle model's own
-fit on each replication's draws, at x*: the predictor's fit when the
-oracle is a candidate, else one ``ols_fit`` or ``logistic_mle`` of its
-columns.  Replication r draws its design and response from the stream
-``substream(seed, *tags, r)``, so reports are byte-identical across
-runs and across worker counts.  A study lays all its cells'
-replications out rep by rep (rep 0 of every cell, then rep 1, ...) in
-one ``run_replications`` call, so with ``workers`` > 1 they are split
-into contiguous blocks holding the same share of every cell, the first
-run in the calling process and the others in forked worker processes
-(see ``glmavg._forked``), with one fork per worker for the whole study;
-they run serially when ``workers`` is 1, when the process may use one
-CPU only, off Linux, or while another Python thread is alive.
+private runner then simulates the cells and writes one summary row per
+estimate column.  The oracle column is the oracle model's own fit on
+each replication's draws, at x*: the predictor's fit when the oracle is
+a candidate or, in the linear family, the full design, else one
+``ols_fit`` or ``logistic_mle`` of its columns.  Replication r draws
+its design and response from the stream ``substream(seed, *tags, r)``,
+keyed once per cell, so reports are byte-identical across runs and
+across worker counts.  A study lays all its cells' replications out rep
+by rep (rep 0 of every cell, then rep 1, ...) in one
+``run_replications`` call, which hands each process one contiguous
+block holding the same share of every cell: the first block runs in the
+calling process and the others in forked worker processes (see
+``glmavg._forked``), with one fork per worker for the whole study; they
+run serially when ``workers`` is 1, when the process may use one CPU
+only, off Linux, or while another Python thread is alive.  In a block
+(``_run_block``), each replication draws its data and factors [X_U | y]
+on its n rows; a linear cell's replications are then fitted as stacks
+of up to ``_STACK_REPS``, with one LAPACK call per model size and one
+Q-hat assembly per stack, and only the simplex solves and the estimates
+run per replication.  A logistic replication is fitted on its own.
+Every estimate keeps the bits of one predictor fitted per replication.
 Design matrices are redrawn each replication; the target covariate x*
 is drawn once per study (Study I) or fixed to the stock values
 (Study II) so the estimand is a constant.
@@ -35,21 +42,42 @@ is drawn once per study (Study I) or fixed to the stock values
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .averaging import (
-    _PREDICTORS,
     SCHEMES,
+    LogisticAveragingPredictor,
+    _averaged,
     fit_and_average_logistic,  # no longer called here; perfbench/tracer.py looks it up here
 )
 from ._forked import run_replications
 from .errors import DataError, GlmavgError
-from .glm_fit import expit, logistic_mle, ols_fit, require_finite
+from .glm_fit import RANK_DEFICIENT_MESSAGE, expit, logistic_mle, ols_fit, require_finite
 from .model_space import CandidateModel, ModelSet, nested_sequence
+from .mse_weights import (
+    LinearQFactory,
+    QuadraticForm,
+    _design_error,
+    _full_index,
+    _LinearDesigns,
+    _LinearFits,
+    _q_parts,
+    aic_weights,
+)
 from .rng import _checked_keys, substream
+
+# The most linear replications of one cell fitted as one stack.  A stack
+# holds about K p^2 doubles per replication, never the n-row designs.
+# Measured on Study I (K = 7, p = 10; 256 replications, BLAS on one
+# thread, 2-core x86-64 VM), ms per replication at n = 100 / 1000:
+# stacks of 1: 0.459 / 0.605, 8: 0.191 / 0.333, 32: 0.150 / 0.289,
+# 64: 0.143 / 0.280, 256: 0.141 / 0.278; one replication at a time,
+# unstacked, took 0.436 / 0.579.
+_STACK_REPS = 64
 
 REPORT_COLUMNS = (
     "case",
@@ -90,7 +118,8 @@ class StudyConfig:
     design (the predictor's ``beta_full``), and otherwise fitted on the
     oracle's columns alone, then evaluated at x* through the family's
     link, as ``truth`` is.  ``tags`` key the cell's streams (replication r draws
-    from ``substream(seed, *tags, r)``) and name a failing replication.
+    from ``substream(seed, *tags, r)``; the keys are hashed once, here)
+    and name a failing replication.
     The cell is checked here, so a bad one raises ``DataError`` before
     any draw: the oracle must share the candidate set's ``p_fixed`` and
     index only below its ``q``, and the seed and integer tags must be
@@ -142,7 +171,8 @@ class StudyConfig:
                 f"oracle {self.oracle} is not a model over the candidate set's "
                 f"p_fixed={self.candidate_set.p_fixed}, q={self.candidate_set.q}"
             )
-        _checked_keys(self.seed, *self.tags)
+        # the cell's stream keys, hashed once: replication r draws from substream(*keys, r)
+        object.__setattr__(self, "_keys", _checked_keys(self.seed, *self.tags))
         beta.flags.writeable = False
         x.flags.writeable = False
         object.__setattr__(self, "beta_true", beta)
@@ -182,8 +212,9 @@ class StudyReport:
 # ---------------------------------------------------------------------------
 
 
-def _one_replication(config: StudyConfig, rep: int):
-    rng = substream(config.seed, *config.tags, rep)
+def _draw(config: StudyConfig, rep: int):
+    """Replication ``rep``'s design and response, from the stream ``substream(seed, *tags, rep)``."""
+    rng = substream(*config._keys, rep)
     n = config.n
     X = np.column_stack([np.ones(n), rng.standard_normal((n, config.beta_true.shape[0] - 1))])
     eta = X @ config.beta_true
@@ -191,26 +222,142 @@ def _one_replication(config: StudyConfig, rep: int):
         y = eta + rng.standard_normal(n)
     else:
         y = (rng.random(n) < expit(eta)).astype(float)
+    return X, y
 
-    predictor = _PREDICTORS[config.family](X, y, config.candidate_set)
+
+def _logistic_replication(config: StudyConfig, rep: int) -> list[float]:
+    """One logistic replication's estimates, one per ``config.columns``."""
+    X, y = _draw(config, rep)
+    predictor = LogisticAveragingPredictor(X, y, config.candidate_set)
     values = [predictor.predict(config.x_star, scheme).value for scheme in config.schemes]
     if config.oracle in config.candidate_set.models:
         # the oracle is a candidate, so the predictor has fit it already
         k = config.candidate_set.models.index(config.oracle)
         values.append(float(predictor.per_model_values(config.x_star)[k]))
     elif config.oracle is not None:
+        # one fit of the oracle's columns, through this module's logistic_mle: the name perfbench/tracer.py wraps
         cols = config.oracle.column_indices()
-        if config.family == "linear" and len(cols) == X.shape[1]:
-            # the full design, which the linear predictor has fit already
-            beta = predictor.beta_full
-        else:
-            # one fit of the oracle's columns, through this module's ols_fit and
-            # logistic_mle: the names perfbench/tracer.py wraps
-            fit = (ols_fit if config.family == "linear" else logistic_mle)(X[:, cols], y, model=config.oracle)
-            beta = fit.beta
-        eta = float(config.x_star[cols] @ beta)
-        values.append(float(expit(eta)) if config.family == "logistic" else eta)
+        fit = logistic_mle(X[:, cols], y, model=config.oracle)
+        values.append(float(expit(float(config.x_star[cols] @ fit.beta))))
     return values
+
+
+def _linear_stack(config: StudyConfig, members, rows: list, failures: dict) -> None:
+    """Fit a linear cell's replications as one stack and average each; fill ``rows`` and ``failures``.
+
+    ``members`` are (position, rep) pairs.  Each replication draws its
+    data and makes its n-row QRs (``_LinearDesigns.factors``), and fits a
+    non-candidate oracle other than the full design with its own
+    ``ols_fit``; then one ``_LinearFits`` over the stack of R factors
+    makes every candidate's QR, guard, solve and inverse Gram, and one
+    ``_q_parts`` every Q-hat, as ``LinearQFactory`` does for one training
+    set and with its bits.  Only the simplex solves and the estimates run
+    per replication, through ``averaging._averaged``.  A replication's
+    ``GlmavgError`` goes to ``failures[position]``: the first raised in
+    the order of a lone replication (its fit, then its schemes in order,
+    then its oracle).
+    """
+    models, x_star = config.candidate_set.models, config.x_star
+    p = x_star.shape[0]
+    cols = [model.columns for model in models]
+    designs = _LinearDesigns(cols, _full_index(cols, p), p)
+    oracle = config.oracle
+    oracle_k = models.index(oracle) if oracle in models else None
+    oracle_cols = None if oracle is None else oracle.column_indices()
+    own_oracle = oracle is not None and oracle_k is None and len(oracle_cols) < p
+    factors, oracle_values = [None] * len(members), [None] * len(members)
+    for j, (position, rep) in enumerate(members):
+        try:
+            X, y = _draw(config, rep)
+            require_finite("design and response", X, y)
+        except GlmavgError as exc:
+            failures[position] = exc
+            continue
+        factors[j] = designs.factors(X, y)
+        if own_oracle:
+            # through this module's ols_fit: the name perfbench/tracer.py wraps
+            try:
+                beta = ols_fit(X[:, oracle_cols], y, model=oracle).beta
+                oracle_values[j] = float(x_star[oracle_cols] @ beta)
+            except GlmavgError as exc:
+                oracle_values[j] = exc
+    drawn = [f for f in factors if f is not None]
+    if not drawn:
+        return
+    # a replication whose draw failed stacks another's factors, and its failure stands
+    factors = [drawn[0] if f is None else f for f in factors]
+    R_aug, R_full = (None if parts[0] is None else np.stack(parts) for parts in zip(*factors))
+    fits = _LinearFits(designs, R_aug, R_full, config.n)
+    values = fits.B @ x_star
+    if "optimal" in config.schemes:
+        G, R, plug_in_failed = fits.plug_in()
+        bias, gram = _q_parts(values, fits.beta_full, G, R, x_star, LinearQFactory._link, LinearQFactory._slope)
+    dims = np.array([model.dim for model in models])
+
+    for j, (position, _) in enumerate(members):
+        if position in failures:  # its draw failed
+            continue
+
+        def q_form():
+            error = _design_error(plug_in_failed[j], models, lambda k: RANK_DEFICIENT_MESSAGE)
+            if error is not None:
+                raise error
+            return QuadraticForm.from_parts(bias[j], gram[j])
+
+        aic = functools.partial(aic_weights, fits.logliks[j], dims)
+        try:
+            error = fits.fit_error(models, j)
+            if error is not None:
+                raise error
+            row = [_averaged(scheme, values[j], q_form, aic).value for scheme in config.schemes]
+            if oracle_k is not None:
+                row.append(float(values[j, oracle_k]))
+            elif own_oracle:
+                if isinstance(oracle_values[j], GlmavgError):
+                    raise oracle_values[j]
+                row.append(oracle_values[j])
+            elif oracle is not None:  # the full design, which the fit has already
+                row.append(float(x_star[oracle_cols] @ fits.beta_full[j]))
+            rows[position] = row
+        except GlmavgError as exc:
+            failures[position] = exc
+
+
+def _run_block(cells) -> list[list[float]]:
+    """The estimates of each (config, rep) of ``cells``, one contiguous block of a study's layout.
+
+    A linear cell's replications in the block are fitted in stacks of
+    at most ``_STACK_REPS`` (``_linear_stack``); a logistic cell's one
+    replication at a time.  The failure at the earliest position of
+    ``cells`` is raised, whatever the stage it failed in, with the
+    replication's key, the config's tags and the rep, appended to its
+    message, e.g. ``('study2', 'logistic', 'A', '0.05', rep 17)``; its
+    class and attributes are kept.
+    """
+    rows, failures = [None] * len(cells), {}
+    by_config = {}  # configs compare by identity
+    for position, (config, rep) in enumerate(cells):
+        by_config.setdefault(config, []).append((position, rep))
+    for config, members in by_config.items():
+        step = _STACK_REPS if config.family == "linear" else 1
+        for start in range(0, len(members), step):
+            if failures and members[start][0] > min(failures):
+                break  # an earlier replication has failed already
+            if config.family == "linear":
+                _linear_stack(config, members[start : start + step], rows, failures)
+                continue
+            position, rep = members[start]
+            try:
+                rows[position] = _logistic_replication(config, rep)
+            except GlmavgError as exc:
+                failures[position] = exc
+    if failures:
+        position = min(failures)
+        exc, (config, rep) = failures[position], cells[position]
+        key = ", ".join([*map(repr, config.tags), f"rep {rep}"])
+        exc.args = (f"{exc} in replication ({key})",)
+        raise exc
+    return rows
 
 
 def _simulate(configs, workers: int) -> list[dict[str, np.ndarray]]:
@@ -219,24 +366,18 @@ def _simulate(configs, workers: int) -> list[dict[str, np.ndarray]]:
     The configs share ``n_reps``, as a study's cells do.  The
     replications are laid out rep by rep (rep 0 of every cell, then rep
     1, ...), so each contiguous block of the run holds the same share of
-    every cell, whatever a cell's n makes it cost.  The earliest failing
-    (rep, cell) in that order is raised, for every ``workers``.  Each
-    cell's rows are then taken back in order and keyed by its
-    ``columns``.
+    every cell, whatever a cell's n makes it cost; ``_run_block`` runs a
+    block.  The earliest failing (rep, cell) in that order is raised,
+    for every ``workers``.  Each cell's rows are then taken back in
+    order and keyed by its ``columns``.
     """
     count, n_reps = len(configs), configs[0].n_reps
     assert all(config.n_reps == n_reps for config in configs)
 
-    def replicate(i):
-        config, rep = configs[i % count], i // count
-        try:
-            return _one_replication(config, rep)
-        except GlmavgError as exc:
-            key = ", ".join([*map(repr, config.tags), f"rep {rep}"])
-            exc.args = (f"{exc} in replication ({key})",)
-            raise
+    def block_rows(block):
+        return _run_block([(configs[i % count], i // count) for i in block])
 
-    rows = run_replications(replicate, count * n_reps, workers)
+    rows = run_replications(block_rows, count * n_reps, workers)
     return [dict(zip(config.columns, np.asarray(rows[c::count], dtype=float).T)) for c, config in enumerate(configs)]
 
 

@@ -11,6 +11,7 @@ from scipy.special import expit
 
 from glmavg import (
     FitResult,
+    LinearAveragingPredictor,
     QuadraticForm,
     enumerate_all_subsets,
     full_linear_fit,
@@ -201,3 +202,31 @@ def select_best_subset_reference(train, select_by="cv", n_folds=5, seed=0, repea
             pred = subset_columns(held.design, model) @ fit.beta
             scores[j] += float(np.mean((held.response - pred) ** 2)) * fold.size
     return candidates[int(np.argmin(scores))]
+
+
+def study_draw_reference(config, rep):
+    """A linear study replication's (X, y), drawn from ``substream(seed, *tags, rep)`` with the tags re-keyed."""
+    rng = substream(config.seed, *config.tags, rep)
+    n = config.n
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, config.beta_true.shape[0] - 1))])
+    return X, X @ config.beta_true + rng.standard_normal(n)
+
+
+def linear_estimates_reference(config, X, y):
+    """A linear study replication's estimates from one predictor fitted to its own training set.
+
+    One ``LinearAveragingPredictor`` per replication, asked for each
+    scheme in turn, then the oracle: the predictor's own value when the
+    oracle is a candidate, its ``beta_full`` for the full design, else
+    one ``ols_fit`` of the oracle's columns.
+    """
+    predictor = LinearAveragingPredictor(X, y, config.candidate_set)
+    values = [predictor.predict(config.x_star, scheme).value for scheme in config.schemes]
+    oracle, models = config.oracle, config.candidate_set.models
+    if oracle in models:
+        values.append(float(predictor.per_model_values(config.x_star)[models.index(oracle)]))
+    elif oracle is not None:
+        cols = oracle.column_indices()
+        beta = predictor.beta_full if len(cols) == X.shape[1] else ols_fit(X[:, cols], y, model=oracle).beta
+        values.append(float(config.x_star[cols] @ beta))
+    return values

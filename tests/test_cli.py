@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from glmavg import nested_sequence, save_csv, synthetic_prostate
+from glmavg import enumerate_all_subsets, nested_sequence, save_csv, synthetic_prostate
 from glmavg.cli import main
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -582,6 +582,43 @@ class TestBandCommand:
         for line in lines[1:]:
             _, _, predicted, lower, upper = map(float, line.split(","))
             assert lower <= predicted <= upper
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the runner forks only with two usable CPUs")
+    def test_band_forks_once_for_every_row(self, linear_csv, tmp_path, monkeypatch, capsys):
+        # every row's replications go through one runner call (one fork per row when each row made its own)
+        from glmavg import prediction_band
+        from glmavg.dataio import load_csv
+
+        test_path = tmp_path / "test.csv"
+        lines = linear_csv.read_text().strip().split("\n")
+        test_path.write_text("\n".join(lines[:4]) + "\n")
+        args = [
+            "band", "--data", str(linear_csv), "--response", "y", "--test-data", str(test_path),
+            "--n-sub", "30", "--reps", "6", "--seed", "4", "--sigma", "0.5", "--format", "json",
+        ]
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        assert main([*args, "--workers", "2"]) == 0
+        assert len(forks) == 1  # 3 test rows
+        monkeypatch.undo()
+        forked = capsys.readouterr().out
+        assert main([*args, "--workers", "1"]) == 0
+        assert capsys.readouterr().out == forked
+        train, test = load_csv(linear_csv, "y"), load_csv(test_path, "y")
+        models = enumerate_all_subsets(1, train.d - 1)
+        rows = json.loads(forked)["rows"]
+        assert len(rows) == test.n == 3
+        for i, row in enumerate(rows):
+            band = prediction_band(
+                train.design, train.response, test.design[i], models, n_sub=30, n_reps=6, sigma=0.5, seed=4 + i
+            )
+            assert (row["predicted"], row["lower"], row["upper"]) == (band.point, band.lower, band.upper)
 
     def test_band_respects_sigma_flag(self, linear_csv, tmp_path, capsys):
         test_path = tmp_path / "test.csv"

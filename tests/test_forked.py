@@ -32,6 +32,11 @@ def deadline():
     signal.signal(signal.SIGALRM, previous)
 
 
+def per_index(task):
+    """The block task that runs ``task`` on each index of its block."""
+    return lambda block: [task(i) for i in block]
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -55,14 +60,14 @@ def _config(family="linear", n_reps=40):
 def test_earliest_failure_wins(monkeypatch, deadline, failing, first):
     # 40 replications on 2 workers: the calling process runs reps 0-19, a child 20-39
     model = CandidateModel((0, 1), 1)
-    original = sim_harness._one_replication
+    original = sim_harness._draw
 
-    def failing_replication(config, rep, *args):
+    def failing_draw(config, rep):
         if rep in failing:
             raise NonConvergenceError(f"separated at rep {rep}", model=model, iterations=rep)
-        return original(config, rep, *args)
+        return original(config, rep)
 
-    monkeypatch.setattr(sim_harness, "_one_replication", failing_replication)
+    monkeypatch.setattr(sim_harness, "_draw", failing_draw)
     with pytest.raises(NonConvergenceError) as excinfo:
         simulate_cell(_config(), workers=2)
     raised = excinfo.value
@@ -85,12 +90,12 @@ def test_child_that_sends_nothing_raises(deadline, end):
 
     code = 3 if end == "exit" else -signal.SIGKILL
     with pytest.raises(ChildProcessError, match=f"replications 3-5 ended with exit code {code}"):
-        run_replications(task, 6, 2)
+        run_replications(per_index(task), 6, 2)
     assert_no_child_left()
 
 
 def test_no_child_left_after_return(deadline):
-    assert run_replications(lambda i: i * i, 7, 2) == [i * i for i in range(7)]
+    assert run_replications(per_index(lambda i: i * i), 7, 2) == [i * i for i in range(7)]
     assert_no_child_left()
 
 
@@ -105,7 +110,7 @@ def test_no_child_left_after_raise_in_calling_process(deadline):
 
     start = time.perf_counter()
     with pytest.raises(ValueError, match="bad replication 0"):
-        run_replications(task, 4, 2)
+        run_replications(per_index(task), 4, 2)
     assert time.perf_counter() - start < 20
     assert_no_child_left()
 
@@ -122,7 +127,7 @@ def test_workers_above_cpus_or_n_give_the_same_bits(workers):
 
 @two_cpus
 def test_two_workers_use_two_processes(deadline):
-    pids = run_replications(lambda i: os.getpid(), 6, 2)
+    pids = run_replications(per_index(lambda i: os.getpid()), 6, 2)
     assert pids[:3] == [os.getpid()] * 3
     assert len(set(pids[3:])) == 1 and pids[3] != os.getpid()
 
@@ -132,7 +137,7 @@ def test_live_thread_runs_serially(deadline):
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert run_replications(lambda i: os.getpid(), 4, 2) == [os.getpid()] * 4
+        assert run_replications(per_index(lambda i: os.getpid()), 4, 2) == [os.getpid()] * 4
     finally:
         release.set()
         thread.join()

@@ -36,7 +36,7 @@ from glmavg.sim_harness import (
     STUDY1_BETA,
     STUDY1_ORACLE_SUPPORT,
     STUDY1_P_FIXED,
-    _one_replication,
+    simulate_cell,
     study1_model_sets,
 )
 
@@ -650,10 +650,11 @@ class TestUnionGuard:
             beta_true=np.asarray(STUDY1_BETA),
             candidate_set=study1_model_sets()["A"],
             x_star=np.linspace(-1.0, 1.0, 10),
-            n_reps=1,
+            n_reps=5,
             seed=0,
             oracle=CandidateModel(STUDY1_ORACLE_SUPPORT, STUDY1_P_FIXED),
         )
-        _one_replication(config, 0)
-        assert len(calls) == 1  # the guard alone: 6
+        simulate_cell(config)
+        # one SVD of the 10 x 10 union factor per replication, all 5 in one stacked call
+        assert calls == [(5, 10, 10)]  # the guard alone: 6 per replication
         assert _per_group_svds([m.column_indices() for m in config.candidate_set], 1000) == 6

@@ -1,30 +1,43 @@
+import hashlib
+import json
 import os
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+import glmavg.averaging as averaging
+import glmavg.rng as rng_module
+import glmavg.sim_harness as sim_harness
 from glmavg import (
     CandidateModel,
     DataError,
+    LinearAveragingPredictor,
     ModelSet,
     NonConvergenceError,
+    NumericalError,
+    SingularDesignError,
     StudyConfig,
     nested_sequence,
     run_study1,
     run_study2,
     simulate_cell,
+    substream,
 )
 from glmavg.dataio import csv_text
+from glmavg.glm_fit import RANK_DEFICIENT_MESSAGE
 from glmavg.sim_harness import (
     REPORT_COLUMNS,
-    _one_replication,
+    _logistic_replication,
     STUDY1_BETA,
+    STUDY1_ORACLE_SUPPORT,
+    STUDY1_P_FIXED,
     STUDY2_BETA3_GRID,
     STUDY2_X_STAR,
     study1_model_sets,
     study2_model_sets,
 )
+from oracles import linear_estimates_reference, study_draw_reference
 
 # run_study2("linear", beta3_grid=(0.1, 0.5), cases=("B",), n_reps=30, seed=3)
 # with the oracle refit by ols_fit: (mean_estimate, mse) of each row, as float.hex.
@@ -206,7 +219,7 @@ class TestStudyConfig:
         def no_fit(*args, **kwargs):
             raise AssertionError("a replication ran")
 
-        monkeypatch.setattr(sim_harness, "_one_replication", no_fit)
+        monkeypatch.setattr(sim_harness, "_run_block", no_fit)
         with pytest.raises(DataError, match=message) as excinfo:
             run()
         assert "rep" not in str(excinfo.value)
@@ -218,7 +231,7 @@ class TestStudyConfig:
         def no_fit(*args, **kwargs):
             raise AssertionError("a replication ran")
 
-        monkeypatch.setattr(sim_harness, "_one_replication", no_fit)
+        monkeypatch.setattr(sim_harness, "_run_block", no_fit)
         with pytest.raises(DataError, match="bogus") as excinfo:
             run_study2(family=family, schemes=("optimal", "bogus"), n_reps=2)
         assert "rep" not in str(excinfo.value)
@@ -250,7 +263,7 @@ class TestStudyConfig:
         def no_fit(*args, **kwargs):
             raise AssertionError("a replication ran")
 
-        monkeypatch.setattr(sim_harness, "_one_replication", no_fit)
+        monkeypatch.setattr(sim_harness, "_run_block", no_fit)
         with pytest.raises(DataError, match=f"workers must be at least 1, got {workers}"):
             run(workers)
 
@@ -387,7 +400,7 @@ class TestSimulateCell:
             seed=0,
             oracle=CandidateModel((0, 1, 2), 1),
         )
-        _one_replication(config, 0)
+        simulate_cell(config)
         assert rows.count(config.n) == 2
         monkeypatch.undo()
         report = run_study2("linear", beta3_grid=(0.1, 0.5), cases=("B",), n_reps=30, seed=3)
@@ -409,7 +422,7 @@ class TestSimulateCell:
         )
         for rep in range(config.n_reps):
             try:
-                _one_replication(config, rep)
+                _logistic_replication(config, rep)
             except NonConvergenceError as exc:
                 first, direct = rep, exc
                 break
@@ -547,13 +560,13 @@ class TestOneRunPerStudy:
         import glmavg.sim_harness as sim_harness
 
         order = []
-        original = sim_harness._one_replication
+        original = sim_harness._run_block
 
-        def recorded(config, rep):
-            order.append((config.n, rep))
-            return original(config, rep)
+        def recorded(cells):
+            order.extend((config.n, rep) for config, rep in cells)
+            return original(cells)
 
-        monkeypatch.setattr(sim_harness, "_one_replication", recorded)
+        monkeypatch.setattr(sim_harness, "_run_block", recorded)
         run_study1(n_grid=(60, 200), cases=("A",), n_reps=3, seed=2)
         assert order == [(60, 0), (200, 0), (60, 1), (200, 1), (60, 2), (200, 2)]
 
@@ -573,20 +586,214 @@ class TestOneRunPerStudy:
         import glmavg.sim_harness as sim_harness
 
         model = CandidateModel((0,), 1)
-        original = sim_harness._one_replication
+        original = sim_harness._draw
 
-        def failing_replication(config, rep):
+        def failing_draw(config, rep):
             if (config.tags[-1], rep) in failing:
                 raise NonConvergenceError(f"separated at rep {rep}", model=model, iterations=rep)
             return original(config, rep)
 
-        monkeypatch.setattr(sim_harness, "_one_replication", failing_replication)
+        monkeypatch.setattr(sim_harness, "_draw", failing_draw)
         with pytest.raises(NonConvergenceError) as excinfo:
             run_study2("linear", beta3_grid=(0.05, 0.5), cases=("A",), n_reps=6, workers=workers)
         beta3, rep = named
         raised = excinfo.value
         assert str(raised) == f"separated at rep {rep} in replication ('study2', 'linear', 'A', '{beta3}', rep {rep})"
         assert (raised.model, raised.iterations) == (model, rep)
+
+
+def _report_digest(report) -> str:
+    """A digest of a report's rows, floats by ``float.hex``."""
+    rows = [[(k, float(v).hex() if isinstance(v, float) else v) for k, v in row.items()] for row in report.rows]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+
+
+def _linear_cells(n_reps=20):
+    """Study I cases A and B at n = 60 and 1000, Study II linear cases A and B: every oracle path.
+
+    Study I case A's oracle is a candidate and case B's is not (one
+    ``ols_fit`` per replication); Study II case A's full oracle is a
+    candidate, and case B's full design lies outside the candidates'
+    union, so it has its own factor and the oracle reads ``beta_full``.
+    """
+    x1 = np.linspace(-1.0, 1.0, 10)
+    x1[0] = 1.0
+    study1 = [
+        StudyConfig(
+            family="linear",
+            n=n,
+            beta_true=np.asarray(STUDY1_BETA),
+            candidate_set=study1_model_sets()[case],
+            x_star=x1,
+            n_reps=n_reps,
+            seed=3,
+            oracle=CandidateModel(STUDY1_ORACLE_SUPPORT, STUDY1_P_FIXED),
+            tags=("study1", case, n),
+        )
+        for case in "AB"
+        for n in (60, 1000)
+    ]
+    study2 = [
+        StudyConfig(
+            family="linear",
+            n=100,
+            beta_true=np.array([0.3, 0.1, 0.3, 0.1]),
+            candidate_set=study2_model_sets()[case],
+            x_star=np.asarray(STUDY2_X_STAR),
+            n_reps=n_reps,
+            seed=3,
+            schemes=("optimal", "aic", "equal"),
+            oracle=CandidateModel((0, 1, 2), 1),
+            tags=("study2", "linear", case),
+        )
+        for case in "AB"
+    ]
+    return study1 + study2
+
+
+STACK_SIZES = pytest.mark.parametrize("stack", [1, 7, 10**6], ids=["stack-1", "stack-7", "one-stack"])
+
+
+class TestStackedLinearFits:
+    """A block's linear replications are fitted as one stack, with each lone fit's bits."""
+
+    @pytest.fixture(scope="class")
+    def cells_and_reference(self):
+        cells = _linear_cells()
+        reference = [
+            np.array([linear_estimates_reference(config, *study_draw_reference(config, rep)) for rep in range(20)])
+            for config in cells
+        ]
+        return cells, reference
+
+    @STACK_SIZES
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_estimates_equal_one_predictor_per_replication(self, monkeypatch, cells_and_reference, stack, workers):
+        cells, reference = cells_and_reference
+        monkeypatch.setattr(sim_harness, "_STACK_REPS", stack)
+        for config, got, expected in zip(cells, sim_harness._simulate(cells, workers), reference):
+            assert list(got) == list(config.columns)
+            for c, column in enumerate(config.columns):
+                assert got[column].tobytes() == expected[:, c].tobytes(), (config.tags, column)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_reports_keep_their_bits(self, workers):
+        # digests of the reports of the per-replication fits that the stacks replace
+        study1 = run_study1(n_grid=(100, 1000), cases=("A", "B"), n_reps=40, workers=workers)
+        study2 = run_study2("linear", cases=("A", "B"), n_reps=40, workers=workers)
+        assert _report_digest(study1) == "d965c3fff6c2e498"
+        assert _report_digest(study2) == "1f758ac6e1ff92fa"
+
+    @STACK_SIZES
+    def test_a_guarded_replication_in_a_stack_keeps_its_bits(self, monkeypatch, stack):
+        # rep 3's last column nearly repeats column 1 (cond(R_U) about 1e8): past the union
+        # check's margin, so that replication alone is guarded one model size at a time
+        original = sim_harness._draw
+
+        def draw(config, rep):
+            X, y = original(config, rep)
+            if rep == 3:
+                X = X.copy()
+                X[:, -1] = X[:, 1] + 1e-8 * X[:, -1]
+            return X, y
+
+        monkeypatch.setattr(sim_harness, "_draw", draw)
+        monkeypatch.setattr(sim_harness, "_STACK_REPS", stack)
+        config = _linear_cells(n_reps=9)[2]  # Study I case B, n = 60
+        got = simulate_cell(config)
+        expected = np.array([linear_estimates_reference(config, *draw(config, rep)) for rep in range(9)])
+        for c, column in enumerate(config.columns):
+            assert got[column].tobytes() == expected[:, c].tobytes()
+
+    @STACK_SIZES
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_singular_design_raises_what_its_predictor_raises(self, monkeypatch, stack, workers):
+        original = sim_harness._draw
+
+        def draw(config, rep):
+            X, y = original(config, rep)
+            if rep in (4, 7):
+                X = X.copy()
+                X[:, -1] = X[:, 1]  # every candidate with the last optional column is singular
+            return X, y
+
+        monkeypatch.setattr(sim_harness, "_draw", draw)
+        monkeypatch.setattr(sim_harness, "_STACK_REPS", stack)
+        config = _linear_cells(n_reps=9)[2]
+        with pytest.raises(SingularDesignError) as direct:
+            LinearAveragingPredictor(*draw(config, 4), config.candidate_set)
+        with pytest.raises(SingularDesignError) as excinfo:
+            simulate_cell(config, workers=workers)
+        assert str(excinfo.value) == f"{direct.value} in replication ('study1', 'B', 60, rep 4)"
+        assert excinfo.value.model == direct.value.model is not None
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "singular_at, unsolved_at, first",
+        [(("0.5", 3), ("0.05", 1), "solve"), (("0.5", 1), ("0.05", 4), "fit")],
+        ids=["earlier-solve-wins", "earlier-fit-wins"],
+    )
+    def test_the_earlier_of_a_fit_and_a_solve_failure_wins(self, monkeypatch, workers, singular_at, unsolved_at, first):
+        # 2 cells of 6 reps laid out rep by rep (run index 2 * rep + cell): a singular design
+        # fails one replication's fit, an injected solver failure another's solve
+        original_draw, original_solve = sim_harness._draw, averaging.solve_simplex_qp
+        target = {}
+
+        def draw(config, rep):
+            X, y = original_draw(config, rep)
+            if (config.tags[-1], rep) == singular_at:
+                X = X.copy()
+                X[:, 3] = X[:, 2]  # only the full candidate is singular
+            if (config.tags[-1], rep) == unsolved_at:
+                q_hat = LinearAveragingPredictor(X, y, config.candidate_set).q_form(config.x_star)
+                target["bias"] = q_hat.bias.tobytes()
+            return X, y
+
+        def solve(q_hat):
+            if q_hat.bias.tobytes() == target.get("bias"):
+                raise NumericalError("weight solve failed: injected")
+            return original_solve(q_hat)
+
+        monkeypatch.setattr(sim_harness, "_draw", draw)
+        monkeypatch.setattr(averaging, "solve_simplex_qp", solve)
+        with pytest.raises((SingularDesignError, NumericalError)) as excinfo:
+            run_study2("linear", beta3_grid=(0.05, 0.5), cases=("A",), n_reps=6, workers=workers)
+        beta3, rep = singular_at if first == "fit" else unsolved_at
+        key = f"in replication ('study2', 'linear', 'A', '{beta3}', rep {rep})"
+        if first == "fit":
+            assert type(excinfo.value) is SingularDesignError
+            assert str(excinfo.value) == f"{RANK_DEFICIENT_MESSAGE} {key}"
+            assert excinfo.value.model == study2_model_sets()["A"][3]
+        else:
+            assert type(excinfo.value) is NumericalError
+            assert str(excinfo.value) == f"weight solve failed: injected {key}"
+
+
+class TestStreamKeys:
+    """A cell's string tags are hashed once, when its config is built."""
+
+    @pytest.mark.parametrize("cell", [0, 2, 4], ids=["study1-A", "study1-B", "study2-A"])
+    def test_first_draws_are_the_tags_streams(self, cell):
+        config = _linear_cells()[cell]
+        for rep in (0, 1, 17):
+            old = substream(config.seed, *config.tags, rep).standard_normal(4)
+            new = substream(*config._keys, rep).standard_normal(4)
+            assert old.tobytes() == new.tobytes()
+        assert sim_harness._draw(config, 5)[0].tobytes() == study_draw_reference(config, 5)[0].tobytes()
+
+    def test_no_tag_is_hashed_per_replication(self, monkeypatch):
+        config = _linear_cells(n_reps=5)[4]
+        hashed = []
+        key_to_int = rng_module._key_to_int
+
+        def counted(key):
+            if isinstance(key, str):
+                hashed.append(key)
+            return key_to_int(key)
+
+        monkeypatch.setattr(rng_module, "_key_to_int", counted)
+        simulate_cell(config)
+        assert hashed == []
 
 
 @pytest.mark.slow
