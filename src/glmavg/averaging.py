@@ -165,40 +165,24 @@ class _AveragingPredictor:
         _check_scheme(scheme)
         # raises DataError on a wrong shape or a non-finite x*, whatever the scheme
         per_model = self.per_model_values(x_star)
-        return _averaged(scheme, per_model, lambda: self.q_form(x_star), self._aic_weights)
-
-    def _aic_weights(self) -> np.ndarray:
-        if self._aic is None:
-            self._aic = aic_weights(self.logliks(), self.dims())
-        return self._aic
-
-
-def _averaged(scheme: str, per_model: np.ndarray, q_form, aic) -> AveragedEstimate:
-    """The averaged estimate of ``per_model`` under a checked ``scheme``.
-
-    The weights solve ``q_form()`` over the simplex (``optimal``), are
-    ``aic()`` (``aic``) or are equal; each callable is called only for
-    its own scheme.  The solve is ``solve_simplex_qp`` looked up in this
-    module's globals, the name ``perfbench/tracer.py`` wraps.  The
-    predictors and the study harness's stacked linear fits both average
-    through here.
-    """
-    q_hat = solution = None
-    if scheme == "optimal":
-        q_hat = q_form()
-        solution = solve_simplex_qp(q_hat)
-        weights = solution.weights
-    elif scheme == "aic":
-        weights = aic()
-    else:
-        weights = equal_weights(per_model.shape[-1])
-    return AveragedEstimate(
-        value=average_estimate(weights, per_model),
-        weights=weights,
-        per_model=per_model,
-        q_hat=q_hat,
-        solution=solution,
-    )
+        q_hat = solution = None
+        if scheme == "optimal":
+            q_hat = self.q_form(x_star)
+            solution = solve_simplex_qp(q_hat)
+            weights = solution.weights
+        elif scheme == "aic":
+            if self._aic is None:
+                self._aic = aic_weights(self.logliks(), self.dims())
+            weights = self._aic
+        else:
+            weights = equal_weights(len(self.models))
+        return AveragedEstimate(
+            value=average_estimate(weights, per_model),
+            weights=weights,
+            per_model=per_model,
+            q_hat=q_hat,
+            solution=solution,
+        )
 
 
 class LinearAveragingPredictor(_AveragingPredictor, LinearQFactory):

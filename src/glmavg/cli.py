@@ -40,7 +40,9 @@ from .averaging import (
     _PREDICTORS,
     SCHEMES,
     _prediction_bands,
-    prediction_band,  # no longer called here; perfbench/tracer.py looks it up here
+    # not called here: _cmd_band lays every row out in one _prediction_bands call, so the
+    # tracer's cli.prediction_band hook, which looks the name up here, records no span
+    prediction_band,
 )
 from .crossval import DEFAULT_METHODS, SELECTION_RULES, cv_compare
 from .dataio import csv_text, load_csv

@@ -33,17 +33,18 @@ per-model functional estimates:
   of the linear B_pl = B; its only fit is the full-model MLE, when the
   full design is not a candidate.
 
-Both are one assembly (``_q_parts``, which ``_CandidateFactory.q_form``
-calls) with link h and slope h': the identity and 1 for linear targets,
-expit and p(1-p) for logistic ones.  Both factories defer the plug-in
-fit, and with it every matrix inverse, to the first ``q_form``.  The
-linear fit and plug-in (``_LinearFits``) and ``_q_parts`` take their
-arrays alone or stacked along leading axes, one training set per slice:
-``LinearQFactory`` runs them on one training set, and the study harness
-on a block of replications' R factors at once, with one LAPACK or BLAS
-call per model size or product for the whole block.  Every such call
-works slice by slice, so each replication keeps the bits of its own
-``LinearQFactory``.
+Both are one assembly (``_CandidateFactory.q_form``) with link h and
+slope h': the identity and 1 for linear targets, expit and p(1-p) for
+logistic ones.  Both factories defer the plug-in fit, and with it every
+matrix inverse, to the first ``q_form``.  The linear fit and plug-in
+(``_LinearFits``) take their R factors alone or stacked along leading
+axes, one training set per slice: ``LinearQFactory`` runs them on one
+training set, and the study harness on a block of replications' R
+factors at once, with one LAPACK call per model size for the whole
+block, then reads each replication's slice as its own factory
+(``LinearQFactory._from_stack``), whose ``q_form`` assembles that
+replication's Qhat alone.  Every stacked call works slice by slice, so
+each replication keeps the bits of its own ``LinearQFactory``.
 
 The factored construction keeps Qhat symmetric positive semidefinite by
 construction; tests cross-check it entrywise against the literal
@@ -233,25 +234,11 @@ class _CandidateFactory:
             raise DataError("a quadratic form needs at least one model")
         if self._plug_in is None:
             self._plug_in = self._fit_plug_in()
+        beta_full, G, R = self._plug_in
         values = self._link(self._B @ x_star)
-        return QuadraticForm.from_parts(*_q_parts(values, *self._plug_in, x_star, self._link, self._slope))
-
-
-def _q_parts(values, beta_full, G, R, x_star, link, slope):
-    """Q-hat's bias and Gram factor at x*, on every leading axis of the plug-in.
-
-    ``values`` is h(B x*), ``G`` the padded inverse Grams (K p x p) and
-    R the p x p factor, as ``_CandidateFactory`` describes them; the
-    arrays may carry leading axes, one training set per slice.  Every
-    product is a stacked ``matmul``, which calls BLAS once per slice with
-    the slice's own layout, so each slice gets the bits it gets alone.
-    The full model's value x*'beta_full is a (1 x p)(p x 1) product per
-    slice, BLAS's dot, as for one training set; as a stacked
-    matrix-vector product it would round differently.
-    """
-    G_x = (G @ x_star).reshape(*values.shape, -1)
-    full_value = link((x_star[None, :] @ beta_full[..., None])[..., 0])
-    return values - full_value, R @ (G_x.swapaxes(-1, -2) * slope(values[..., None, :]))
+        G_x = (G @ x_star).reshape(values.shape[0], -1)
+        bias = values - self._link(x_star @ beta_full)
+        return QuadraticForm.from_parts(bias, R @ (G_x.T * self._slope(values)))
 
 
 def _design_error(failed, models, message) -> SingularDesignError | None:
@@ -313,19 +300,21 @@ class _LinearFits:
     def __init__(self, designs: _LinearDesigns, R_aug, R_full, n: int):
         K, p, f = designs.K, designs.p, designs.full
         B, rss, self.factors, failed = _least_squares_from_r(R_aug, n, p, designs.sets, designs.union)
-        B_full, rss_full, factors_full = B, rss, self.factors
+        B_full, rss_full, self._factors_full = B, rss, self.factors
         if f is None:
-            B_full, rss_full, factors_full, failed_full = _least_squares_from_r(R_full, n, p, [range(p)], range(p))
+            B_full, rss_full, self._factors_full, failed_full = _least_squares_from_r(
+                R_full, n, p, [range(p)], range(p)
+            )
             failed, f = np.concatenate((failed, failed_full), axis=-1), 0
         elif len(designs.sets) == K:  # the full design is a candidate
             failed = np.concatenate((failed, np.zeros_like(failed[..., :1])), axis=-1)
         self.failed = failed
-        self._designs, self._n = designs, n
+        self._designs, self._n, self._f = designs, n, f
+        self._plug_in = None
         self.B = B[..., :K, :]
         self.logliks = _gaussian_profile_loglik(rss[..., :K], n)
         self.beta_full = B_full[..., f, :]
         self.sigma2 = rss_full[..., f] / n
-        self.R_full = next(R[..., idx == f, :, :][..., 0, :, :] for idx, _, R in factors_full if f in idx)
 
     def fit_error(self, models, i=()) -> SingularDesignError | None:
         """The error naming training set ``i``'s first failing design, or None."""
@@ -339,9 +328,14 @@ class _LinearFits:
     def plug_in(self):
         """The padded inverse Grams (K p x p), sigma_full R_full, and which of the K + 1 inverses failed.
 
-        The inverse Grams G_k = R_k^{-1} R_k^{-T} come from one
-        ``lapack_inv`` per stack of kept factors; a failed inverse is NaN.
+        Made on the first call for every training set of the stack and
+        kept; a training set that failed its fit has no plug-in, so only
+        a set with a fit may read its slice.  The inverse Grams
+        G_k = R_k^{-1} R_k^{-T} come from one ``lapack_inv`` per stack of
+        kept factors; a failed inverse is NaN.
         """
+        if self._plug_in is not None:
+            return self._plug_in
         lead = self.B.shape[:-2]
         K, p = self.B.shape[-2:]
         G = np.zeros((*lead, K + 1, p, p))  # row K: the full design when it is not a candidate
@@ -350,8 +344,11 @@ class _LinearFits:
                 R_inv = lapack_inv(R)
                 G[..., idx[:, None, None], cols[:, :, None], cols[:, None, :]] = R_inv @ np.swapaxes(R_inv, -1, -2)
         failed = ~np.isfinite(G).all(axis=(-2, -1))
-        R = np.sqrt(self.sigma2)[..., None, None] * self.R_full
-        return G[..., :K, :, :].reshape(*lead, K * p, p), R, failed
+        f = self._f
+        R_full = next(R[..., idx == f, :, :][..., 0, :, :] for idx, _, R in self._factors_full if f in idx)
+        R = np.sqrt(self.sigma2)[..., None, None] * R_full
+        self._plug_in = G[..., :K, :, :].reshape(*lead, K * p, p), R, failed
+        return self._plug_in
 
 
 class LinearQFactory(_CandidateFactory):
@@ -391,22 +388,42 @@ class LinearQFactory(_CandidateFactory):
         X, y = self._X, self._y
         n, p = X.shape
         designs = _LinearDesigns(self._cols, self._full, p)
-        fits = _LinearFits(designs, *designs.factors(X, y), n)
-        error = fits.fit_error(self.models)
+        return self._take(_LinearFits(designs, *designs.factors(X, y), n), ())
+
+    @classmethod
+    def _from_stack(cls, models: Sequence[CandidateModel], fits: _LinearFits, i: int):
+        """The factory of training set ``i`` of a stack of fits, with no fit of its own.
+
+        ``fits`` is ``_LinearFits`` over many training sets of the same
+        candidates; this factory reads slice ``i`` of it and raises what
+        that training set's own factory raises.  The plug-in is made for
+        the whole stack on the first ``q_form`` of any of its factories.
+        """
+        self = cls.__new__(cls)
+        self.models = list(models)
+        self._B, self._logliks = self._take(fits, i)
+        self._B.flags.writeable = False
+        self._logliks.flags.writeable = False
+        self._plug_in = None
+        return self
+
+    def _take(self, fits: _LinearFits, i):
+        """Training set ``i`` of ``fits`` (``()`` for an unstacked fit): its B and log-likelihoods, or its error."""
+        error = fits.fit_error(self.models, i)
         if error is not None:
             raise error
-        self._fits = fits
-        self.beta_full = fits.beta_full
-        self.sigma2 = float(fits.sigma2)
-        return fits.B, fits.logliks
+        self._fits, self._i = fits, i
+        self.beta_full = fits.beta_full[i]
+        self.sigma2 = float(fits.sigma2[i])
+        return fits.B[i], fits.logliks[i]
 
     def _fit_plug_in(self):
         """beta_full, the inverse Grams from the kept R factors, and sigma_full R_full."""
         G, R, failed = self._fits.plug_in()
-        error = _design_error(failed, self.models, lambda k: RANK_DEFICIENT_MESSAGE)
+        error = _design_error(failed[self._i], self.models, lambda k: RANK_DEFICIENT_MESSAGE)
         if error is not None:
             raise error
-        return self.beta_full, G, R
+        return self.beta_full, G[self._i], R[self._i]
 
     def model_betas(self) -> list[np.ndarray]:
         return [beta[model.column_indices()] for beta, model in zip(self._B, self.models)]

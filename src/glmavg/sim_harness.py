@@ -32,9 +32,10 @@ only, off Linux, or while another Python thread is alive.  In a block
 (``_run_block``), each replication draws its data and factors [X_U | y]
 on its n rows; a linear cell's replications are then fitted as stacks
 of up to ``_STACK_REPS``, with one LAPACK call per model size and one
-Q-hat assembly per stack, and only the simplex solves and the estimates
-run per replication.  A logistic replication is fitted on its own.
-Every estimate keeps the bits of one predictor fitted per replication.
+inverse per model size per stack, and each replication reads its slice
+as its own predictor, whose Q-hat, simplex solves and estimates run per
+replication.  A logistic replication is fitted on its own.  Every
+estimate keeps the bits of one predictor fitted per replication.
 Design matrices are redrawn each replication; the target covariate x*
 is drawn once per study (Study I) or fixed to the stock values
 (Study II) so the estimand is a constant.
@@ -50,33 +51,24 @@ import numpy as np
 
 from .averaging import (
     SCHEMES,
+    LinearAveragingPredictor,
     LogisticAveragingPredictor,
-    _averaged,
     fit_and_average_logistic,  # no longer called here; perfbench/tracer.py looks it up here
 )
 from ._forked import run_replications
 from .errors import DataError, GlmavgError
-from .glm_fit import RANK_DEFICIENT_MESSAGE, expit, logistic_mle, ols_fit, require_finite
+from .glm_fit import expit, logistic_mle, ols_fit, require_finite
 from .model_space import CandidateModel, ModelSet, nested_sequence
-from .mse_weights import (
-    LinearQFactory,
-    QuadraticForm,
-    _design_error,
-    _full_index,
-    _LinearDesigns,
-    _LinearFits,
-    _q_parts,
-    aic_weights,
-)
+from .mse_weights import _full_index, _LinearDesigns, _LinearFits
 from .rng import _checked_keys, substream
 
 # The most linear replications of one cell fitted as one stack.  A stack
 # holds about K p^2 doubles per replication, never the n-row designs.
 # Measured on Study I (K = 7, p = 10; 256 replications, BLAS on one
 # thread, 2-core x86-64 VM), ms per replication at n = 100 / 1000:
-# stacks of 1: 0.459 / 0.605, 8: 0.191 / 0.333, 32: 0.150 / 0.289,
-# 64: 0.143 / 0.280, 256: 0.141 / 0.278; one replication at a time,
-# unstacked, took 0.436 / 0.579.
+# stacks of 1: 0.469 / 0.612, 8: 0.203 / 0.347, 32: 0.165 / 0.305,
+# 64: 0.160 / 0.295, 256: 0.155 / 0.294; one replication at a time,
+# unstacked, took 0.417 / 0.568.
 _STACK_REPS = 64
 
 REPORT_COLUMNS = (
@@ -173,6 +165,9 @@ class StudyConfig:
             )
         # the cell's stream keys, hashed once: replication r draws from substream(*keys, r)
         object.__setattr__(self, "_keys", _checked_keys(self.seed, *self.tags))
+        # the oracle's index among the candidates, or None
+        models = self.candidate_set.models
+        object.__setattr__(self, "_oracle_k", models.index(self.oracle) if self.oracle in models else None)
         beta.flags.writeable = False
         x.flags.writeable = False
         object.__setattr__(self, "beta_true", beta)
@@ -225,47 +220,77 @@ def _draw(config: StudyConfig, rep: int):
     return X, y
 
 
+def _own_oracle(config: StudyConfig) -> bool:
+    """Whether the oracle needs a fit of its own: it is neither a candidate nor, in the linear family, the full design."""
+    oracle = config.oracle
+    if oracle is None or config._oracle_k is not None:
+        return False
+    return config.family == "logistic" or oracle.dim < config.x_star.shape[0]
+
+
+def _oracle_fit(config: StudyConfig, X: np.ndarray, y: np.ndarray) -> float:
+    """The oracle's value at x* from one fit of its own columns on (X, y)."""
+    cols = config.oracle.column_indices()
+    # through this module's ols_fit and logistic_mle: the names perfbench/tracer.py wraps
+    if config.family == "linear":
+        return float(config.x_star[cols] @ ols_fit(X[:, cols], y, model=config.oracle).beta)
+    fit = logistic_mle(X[:, cols], y, model=config.oracle)
+    return float(expit(float(config.x_star[cols] @ fit.beta)))
+
+
+def _estimates(config: StudyConfig, predictor, oracle_fit) -> list[float]:
+    """One replication's estimates from its predictor, one per ``config.columns``.
+
+    ``oracle_fit()`` gives the oracle's value when ``_own_oracle`` holds.
+    """
+    x_star = config.x_star
+    values = [predictor.predict(x_star, scheme).value for scheme in config.schemes]
+    if config._oracle_k is not None:
+        # the oracle is a candidate, so the predictor has fit it already
+        values.append(float(predictor.per_model_values(x_star)[config._oracle_k]))
+    elif _own_oracle(config):
+        values.append(oracle_fit())
+    elif config.oracle is not None:
+        # the full design, which the linear predictor has fit already
+        values.append(float(x_star[config.oracle.column_indices()] @ predictor.beta_full))
+    return values
+
+
 def _logistic_replication(config: StudyConfig, rep: int) -> list[float]:
     """One logistic replication's estimates, one per ``config.columns``."""
     X, y = _draw(config, rep)
     predictor = LogisticAveragingPredictor(X, y, config.candidate_set)
-    values = [predictor.predict(config.x_star, scheme).value for scheme in config.schemes]
-    if config.oracle in config.candidate_set.models:
-        # the oracle is a candidate, so the predictor has fit it already
-        k = config.candidate_set.models.index(config.oracle)
-        values.append(float(predictor.per_model_values(config.x_star)[k]))
-    elif config.oracle is not None:
-        # one fit of the oracle's columns, through this module's logistic_mle: the name perfbench/tracer.py wraps
-        cols = config.oracle.column_indices()
-        fit = logistic_mle(X[:, cols], y, model=config.oracle)
-        values.append(float(expit(float(config.x_star[cols] @ fit.beta))))
-    return values
+    return _estimates(config, predictor, lambda: _oracle_fit(config, X, y))
+
+
+def _returned(result):
+    """``result``, or raise it when it is an error."""
+    if isinstance(result, GlmavgError):
+        raise result
+    return result
 
 
 def _linear_stack(config: StudyConfig, members, rows: list, failures: dict) -> None:
     """Fit a linear cell's replications as one stack and average each; fill ``rows`` and ``failures``.
 
     ``members`` are (position, rep) pairs.  Each replication draws its
-    data and makes its n-row QRs (``_LinearDesigns.factors``), and fits a
-    non-candidate oracle other than the full design with its own
-    ``ols_fit``; then one ``_LinearFits`` over the stack of R factors
-    makes every candidate's QR, guard, solve and inverse Gram, and one
-    ``_q_parts`` every Q-hat, as ``LinearQFactory`` does for one training
-    set and with its bits.  Only the simplex solves and the estimates run
-    per replication, through ``averaging._averaged``.  A replication's
-    ``GlmavgError`` goes to ``failures[position]``: the first raised in
-    the order of a lone replication (its fit, then its schemes in order,
-    then its oracle).
+    data and makes its n-row QRs (``_LinearDesigns.factors``), and fits
+    an oracle of its own (``_oracle_fit``) while it has its draws; then
+    one ``_LinearFits`` over the stack of R factors makes every
+    candidate's QR, guard, solve and, on the first ``q_form``, inverse
+    Gram, with the bits of ``LinearQFactory`` on one training set.  Each
+    replication then reads its slice as its own predictor
+    (``LinearAveragingPredictor._from_stack``), which raises its fit's
+    error and averages as a predictor fitted alone does.  A
+    replication's ``GlmavgError`` goes to ``failures[position]``: the
+    first raised in the order of a lone replication (its fit, then its
+    schemes in order, then its oracle).
     """
-    models, x_star = config.candidate_set.models, config.x_star
-    p = x_star.shape[0]
+    models = config.candidate_set.models
+    p = config.x_star.shape[0]
     cols = [model.columns for model in models]
     designs = _LinearDesigns(cols, _full_index(cols, p), p)
-    oracle = config.oracle
-    oracle_k = models.index(oracle) if oracle in models else None
-    oracle_cols = None if oracle is None else oracle.column_indices()
-    own_oracle = oracle is not None and oracle_k is None and len(oracle_cols) < p
-    factors, oracle_values = [None] * len(members), [None] * len(members)
+    factors, oracles = [None] * len(members), [None] * len(members)
     for j, (position, rep) in enumerate(members):
         try:
             X, y = _draw(config, rep)
@@ -274,13 +299,11 @@ def _linear_stack(config: StudyConfig, members, rows: list, failures: dict) -> N
             failures[position] = exc
             continue
         factors[j] = designs.factors(X, y)
-        if own_oracle:
-            # through this module's ols_fit: the name perfbench/tracer.py wraps
+        if _own_oracle(config):
             try:
-                beta = ols_fit(X[:, oracle_cols], y, model=oracle).beta
-                oracle_values[j] = float(x_star[oracle_cols] @ beta)
+                oracles[j] = _oracle_fit(config, X, y)
             except GlmavgError as exc:
-                oracle_values[j] = exc
+                oracles[j] = exc
     drawn = [f for f in factors if f is not None]
     if not drawn:
         return
@@ -288,37 +311,12 @@ def _linear_stack(config: StudyConfig, members, rows: list, failures: dict) -> N
     factors = [drawn[0] if f is None else f for f in factors]
     R_aug, R_full = (None if parts[0] is None else np.stack(parts) for parts in zip(*factors))
     fits = _LinearFits(designs, R_aug, R_full, config.n)
-    values = fits.B @ x_star
-    if "optimal" in config.schemes:
-        G, R, plug_in_failed = fits.plug_in()
-        bias, gram = _q_parts(values, fits.beta_full, G, R, x_star, LinearQFactory._link, LinearQFactory._slope)
-    dims = np.array([model.dim for model in models])
-
     for j, (position, _) in enumerate(members):
         if position in failures:  # its draw failed
             continue
-
-        def q_form():
-            error = _design_error(plug_in_failed[j], models, lambda k: RANK_DEFICIENT_MESSAGE)
-            if error is not None:
-                raise error
-            return QuadraticForm.from_parts(bias[j], gram[j])
-
-        aic = functools.partial(aic_weights, fits.logliks[j], dims)
         try:
-            error = fits.fit_error(models, j)
-            if error is not None:
-                raise error
-            row = [_averaged(scheme, values[j], q_form, aic).value for scheme in config.schemes]
-            if oracle_k is not None:
-                row.append(float(values[j, oracle_k]))
-            elif own_oracle:
-                if isinstance(oracle_values[j], GlmavgError):
-                    raise oracle_values[j]
-                row.append(oracle_values[j])
-            elif oracle is not None:  # the full design, which the fit has already
-                row.append(float(x_star[oracle_cols] @ fits.beta_full[j]))
-            rows[position] = row
+            predictor = LinearAveragingPredictor._from_stack(models, fits, j)
+            rows[position] = _estimates(config, predictor, functools.partial(_returned, oracles[j]))
         except GlmavgError as exc:
             failures[position] = exc
 

@@ -327,6 +327,16 @@ class TestPredictCommand:
         assert rc == 3
 
 
+    @pytest.mark.parametrize("command", ["weights", "predict"])
+    def test_fewer_rows_than_columns_is_a_numerical_failure(self, command, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        header = ",".join([f"x{j}" for j in range(8)] + ["y"])
+        rows = [",".join(repr(float(i * 9 + j) ** 0.5) for j in range(9)) for i in range(3)]
+        path.write_text("\n".join([header, *rows]) + "\n")
+        rc = main([command, "--data", str(path), "--response", "y", "--x-star", ",".join(["1"] * 9)])
+        assert rc == 3
+        assert "numerical failure: need n >= d, got n=3, d=4" in capsys.readouterr().err
+
 class TestPointOutputShapes:
     """Exact output layout of ``weights`` and ``predict``, which share one handler."""
 

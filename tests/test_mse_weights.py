@@ -200,6 +200,25 @@ class TestLinearQFactory:
             LinearQFactory(X, y, models)
         assert excinfo.value.model is None
 
+    @pytest.mark.parametrize("factory", [LinearQFactory, LinearAveragingPredictor])
+    @pytest.mark.parametrize(
+        "models, d, model",
+        [
+            # the full design is a candidate: the first 4-parameter candidate is too wide
+            (list(enumerate_all_subsets(1, 8)), 4, CandidateModel((0, 1, 2), 1)),
+            # column 8 is in no candidate, so the full design has a factor of its own
+            ([m for m in enumerate_all_subsets(1, 8) if 7 not in m.included], 4, CandidateModel((0, 1, 2), 1)),
+            # every candidate fits on 3 rows; only the full design, with its own factor, is too wide
+            ([CandidateModel((), 1), CandidateModel((0,), 1)], 9, None),
+        ],
+    )
+    def test_fewer_rows_than_columns_names_the_first_design_too_wide(self, factory, models, d, model):
+        X, y, _ = _linear_instance(11, n=10, q=8)
+        with pytest.raises(SingularDesignError) as excinfo:
+            factory(X[:3], y[:3], models)
+        assert str(excinfo.value) == f"need n >= d, got n=3, d={d}"
+        assert excinfo.value.model == model
+
     def test_inverse_grams_wait_for_the_first_q_form(self, monkeypatch):
         # selection and the aic/equal schemes read only the candidate fits
         class Inverted(Exception):

@@ -13,6 +13,7 @@ from glmavg import (
     CandidateModel,
     DataError,
     LinearAveragingPredictor,
+    LinearQFactory,
     ModelSet,
     NonConvergenceError,
     NumericalError,
@@ -683,6 +684,25 @@ class TestStackedLinearFits:
         study2 = run_study2("linear", cases=("A", "B"), n_reps=40, workers=workers)
         assert _report_digest(study1) == "d965c3fff6c2e498"
         assert _report_digest(study2) == "1f758ac6e1ff92fa"
+
+    @STACK_SIZES
+    def test_every_replication_averages_through_its_own_predictor(self, monkeypatch, stack):
+        # perfbench/tracer.py wraps these names: one predict per replication and scheme,
+        # one q_form per replication (the optimal scheme's), each on that replication's predictor
+        calls = []
+        for owner, name in [(LinearAveragingPredictor, "predict"), (LinearQFactory, "q_form")]:
+            def counted(predictor, *args, _original=getattr(owner, name), _name=name):
+                calls.append((_name, id(predictor)))
+                return _original(predictor, *args)
+
+            monkeypatch.setattr(owner, name, counted)
+        monkeypatch.setattr(sim_harness, "_STACK_REPS", stack)
+        config = _linear_cells(n_reps=9)[5]  # Study II case B: three schemes
+        simulate_cell(config)
+        predicts = [who for name, who in calls if name == "predict"]
+        q_forms = [who for name, who in calls if name == "q_form"]
+        assert len(predicts) == 27 and len(q_forms) == 9
+        assert predicts[::3] == predicts[1::3] == predicts[2::3] == q_forms
 
     @STACK_SIZES
     def test_a_guarded_replication_in_a_stack_keeps_its_bits(self, monkeypatch, stack):
