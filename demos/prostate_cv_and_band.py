@@ -11,9 +11,9 @@ import pathlib
 import numpy as np
 
 from glmavg import (
+    LinearQFactory,
     cv_compare,
     enumerate_all_subsets,
-    full_linear_fit,
     prediction_band,
     split,
     synthetic_prostate,
@@ -33,7 +33,8 @@ for method, err in sorted(report.mean_errors.items(), key=lambda kv: kv[1]):
 # Prediction bands for one split, subsampling 50 of the 67 training
 # rows per replication and adding full-model-sigma noise to each mean.
 train, test = split(dataset, 67, seed=5)
-sigma = float(np.sqrt(full_linear_fit(train.design, train.response).sigma2))
+# a factory with no candidates fits only the full design
+sigma = float(np.sqrt(LinearQFactory(train.design, train.response, []).sigma2))
 print(f"\nfull-model residual sd on the training split: {sigma:.3f}")
 
 models = enumerate_all_subsets(1, 8)

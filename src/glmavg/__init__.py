@@ -14,7 +14,6 @@ from .averaging import (
     LinearAveragingPredictor,
     LogisticAveragingPredictor,
     PredictionBand,
-    average_estimate,
     fit_and_average_linear,
     fit_and_average_logistic,
     prediction_band,
@@ -32,9 +31,7 @@ from .errors import (
 )
 from .glm_fit import (
     FitResult,
-    LinearFullFit,
     ProbVector,
-    full_linear_fit,
     logistic_mle,
     logistic_pseudo_fit,
     ols_fit,
@@ -81,7 +78,6 @@ __all__ = [
     "Functional",
     "GlmavgError",
     "LinearAveragingPredictor",
-    "LinearFullFit",
     "LinearQFactory",
     "LogisticAveragingPredictor",
     "LogisticQFactory",
@@ -96,7 +92,6 @@ __all__ = [
     "StudyReport",
     "WeightSolution",
     "aic_weights",
-    "average_estimate",
     "build_q_logistic",
     "cv_compare",
     "derive_seed",
@@ -104,7 +99,6 @@ __all__ = [
     "equal_weights",
     "fit_and_average_linear",
     "fit_and_average_logistic",
-    "full_linear_fit",
     "load_csv",
     "logistic_mle",
     "logistic_pseudo_fit",

@@ -120,19 +120,6 @@ class PredictionBand:
     level: float
 
 
-def average_estimate(weights: np.ndarray, per_model: np.ndarray) -> float:
-    """Dot product of simplex weights with finite per-model estimates."""
-    weights = np.asarray(weights, dtype=float)
-    per_model = np.asarray(per_model, dtype=float)
-    if weights.shape != per_model.shape:
-        raise DataError("weights and per-model values must have the same length")
-    if not (np.isfinite(weights).all() and np.isfinite(per_model).all()):
-        raise DataError("weights and per-model values must be finite")
-    if abs(weights.sum() - 1.0) > 1e-9 or weights.min() < -1e-9:
-        raise DataError("weights must lie on the probability simplex")
-    return float(weights @ per_model)
-
-
 def _check_scheme(scheme: str):
     if scheme not in SCHEMES:
         raise DataError(f"unknown weighting scheme {scheme!r}; expected one of {SCHEMES}")
@@ -177,7 +164,7 @@ class _AveragingPredictor:
         else:
             weights = equal_weights(len(self.models))
         return AveragedEstimate(
-            value=average_estimate(weights, per_model),
+            value=float(weights @ per_model),
             weights=weights,
             per_model=per_model,
             q_hat=q_hat,

@@ -47,8 +47,9 @@ from .averaging import (
 from .crossval import DEFAULT_METHODS, SELECTION_RULES, cv_compare
 from .dataio import csv_text, load_csv
 from .errors import DataError, GlmavgError, NumericalError
-from .glm_fit import full_linear_fit, require_finite
+from .glm_fit import require_finite
 from .model_space import ModelSet, enumerate_all_subsets
+from .mse_weights import LinearQFactory
 from .sim_harness import REPORT_COLUMNS, STUDY2_BETA3_GRID, run_study1, run_study2
 
 
@@ -228,7 +229,8 @@ def _cmd_band(args) -> None:
     models = _load_models(args, train.d - 1)
     sigma = args.sigma
     if sigma is None:
-        sigma = float(np.sqrt(full_linear_fit(train.design, train.response).sigma2))
+        # the full design's divisor-n residual sd, from its R factor: a factory with no candidates
+        sigma = float(np.sqrt(LinearQFactory(train.design, train.response, []).sigma2))
 
     bands = _prediction_bands(
         train.design,

@@ -90,15 +90,6 @@ class FitResult:
 
 
 @dataclass(frozen=True)
-class LinearFullFit:
-    """Full-design OLS fit with the divisor-n residual variance."""
-
-    beta_full: np.ndarray
-    sigma2: float
-    fitted: np.ndarray
-
-
-@dataclass(frozen=True)
 class ProbVector:
     """Probability vector constrained to the open interval (0, 1)."""
 
@@ -191,7 +182,7 @@ def lapack_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     gufuncs are private numpy names; ``tests/test_glm_fit.py`` pins each
     helper bitwise against its wrapper.
     """
-    if b.ndim == 1:
+    if b.ndim == A.ndim - 1:
         return _umath_linalg.solve1(A, b, signature="dd->d")
     return _umath_linalg.solve(A, b, signature="dd->d")
 
@@ -415,84 +406,139 @@ def ols_fit(
     return FitResult(beta=B[0], loglik=_gaussian_profile_loglik(rss[0], n), dim=d)
 
 
-def full_linear_fit(X: np.ndarray, y: np.ndarray) -> LinearFullFit:
-    """OLS on the full design; residual variance uses divisor n, not n-d."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    beta = ols_fit(X, y).beta
-    fitted = X @ beta
-    sigma2 = float(np.mean((y - fitted) ** 2))
-    return LinearFullFit(beta_full=beta, sigma2=sigma2, fitted=fitted)
-
-
 # ---------------------------------------------------------------------------
 # logistic family
 # ---------------------------------------------------------------------------
 
 
-def _bernoulli_loglik(eta: np.ndarray, y: np.ndarray) -> float:
-    # sum_i [ y_i eta_i - log(1 + e^eta_i) ], with soft y allowed.
-    return float(y @ eta - np.logaddexp(0.0, eta).sum())
+def _bernoulli_loglik(eta: np.ndarray, y: np.ndarray):
+    # sum_i [ y_i eta_i - log(1 + e^eta_i) ] on the last axis, with soft y allowed.
+    return np.vecdot(y, eta) - np.logaddexp(0.0, eta).sum(axis=-1)
 
 
-def _newton_direction(X, weights, score, model):
-    H = (X * weights[:, None]).T @ X
-    with np.errstate(invalid="ignore"):
-        direction = lapack_solve(H, score)
-    if not np.isfinite(direction).all():
-        raise SingularDesignError("singular Hessian in logistic fit (rank-deficient design)", model=model)
-    return direction
+def _slices(marked) -> list[tuple]:
+    """The index tuples of the slices ``marked`` flags (``()`` for an unstacked one)."""
+    if not marked.any():  # argwhere costs about 10 us even on nothing
+        return []
+    return [tuple(i.tolist()) for i in np.argwhere(marked)]
+
+
+def _freeze(failures: dict, failed, active, error):
+    """Record ``error(i)`` for every slice i that ``failed`` marks, and return ``active`` without them."""
+    for i in _slices(failed):
+        failures[i] = error(i)
+    return active & ~failed
 
 
 def _damped_newton(X, target, merit, *, model, label, separation=""):
-    """Solve the score equation X'(target - p(X beta)) = 0 from beta = 0.
+    """Solve the score equation X'(target - p(X beta)) = 0 from beta = 0, on every leading axis.
 
+    ``X`` is one n x d design and ``target`` its n-vector, or such
+    problems of one (n, d) stacked along leading axes, one per slice.
     ``merit(eta, size)``, with ``size`` the score's infinity norm, is
     the value each step must not raise beyond roundoff
     (``1e-12 * (1 + |value|)``); the step is halved until it does, at
-    most ``_MAX_HALVINGS`` times.  Returns beta, X beta, the merit there
-    and the iteration count.  ``label`` and ``separation`` word the
-    ``NonConvergenceError`` raised after ``MAX_ITER`` iterations or past
-    ``BETA_BOUND``.
+    most ``_MAX_HALVINGS`` times.  The slices run in lockstep through
+    this one loop, each with its own step, halvings, iteration count and
+    ``BETA_BOUND`` guard.  A slice whose score has converged, or whose
+    fit has failed, is frozen while the rest carry on: its direction is
+    zero, so its step gives back its beta (beta starts at +0 and is
+    never -0) and everything computed from it to the bit, and no mask or
+    gather touches the others.  Every product, solve and reduction works
+    slice by slice, so each slice gets the bits of its own lone fit.
+
+    Returns beta, X beta, the merit there and the iteration counts, each
+    with the leading axes, and ``failures``, a dict from the index of
+    every failed slice (``()`` for a lone fit) to its error: the
+    ``NonConvergenceError`` after ``MAX_ITER`` iterations or past
+    ``BETA_BOUND``, worded by ``label`` and ``separation``, or the
+    ``SingularDesignError`` of a singular Hessian.  A failed slice's
+    other results are not a fit.
     """
-    beta = np.zeros(X.shape[1])
-    eta = X @ beta
+    lead = X.shape[:-2]
+    anything = np.ndarray.any if lead else bool  # a lone fit's flags are numpy scalars
+    X_t = X.swapaxes(-1, -2)
+    beta = np.zeros((*lead, X.shape[-1]))
+    eta = np.matvec(X, beta)
     p = expit(eta)
-    score = X.T @ (target - p)
-    size = np.abs(score).max()
+    score = np.matvec(X_t, target - p)
+    size = np.abs(score).max(axis=-1)
     value = merit(eta, size)
-    iterations = 0
-    while not size <= SCORE_TOL:  # a NaN score runs on into an error
-        if iterations >= MAX_ITER:
-            raise NonConvergenceError(
-                f"{label} did not converge in {MAX_ITER} iterations",
-                model=model,
-                iterations=iterations,
-            )
-        direction = _newton_direction(X, p * (1.0 - p), score, model)
-        step = 1.0
-        slack = 1e-12 * (1.0 + abs(value))  # roundoff-level non-improvement still accepts
+    iterations = np.zeros(lead, dtype=int)
+    failures = {}
+    full_step = np.ones((*lead, 1))
+    active = ~(size <= SCORE_TOL)  # a NaN score runs on into an error
+    passes = 0  # an active slice has made every pass: its iteration count
+    while anything(active):
+        if passes >= MAX_ITER:
+            _freeze(failures, active, active, lambda i: NonConvergenceError(
+                f"{label} did not converge in {MAX_ITER} iterations", model=model, iterations=MAX_ITER
+            ))
+            break
+        H = (X * (p * (1.0 - p))[..., None]).swapaxes(-1, -2) @ X
+        with np.errstate(invalid="ignore"):
+            direction = lapack_solve(H, score)
+        singular = ~np.isfinite(direction).all(axis=-1)
+        if anything(singular):  # a frozen slice's may be singular still
+            active = _freeze(failures, singular & active, active, lambda i: SingularDesignError(
+                "singular Hessian in logistic fit (rank-deficient design)", model=model
+            ))
+            if not anything(active):
+                break
+        if lead:
+            direction = np.where(active[..., None], direction, 0.0)  # a frozen slice stays put
+        step = full_step
+        slack = 1e-12 * (1.0 + np.abs(value))  # roundoff-level non-improvement still accepts
         for _ in range(_MAX_HALVINGS):
             candidate = beta + step * direction
-            eta_cand = X @ candidate
+            eta_cand = np.matvec(X, candidate)
             p_cand = expit(eta_cand)
-            score_cand = X.T @ (target - p_cand)
-            size_cand = np.abs(score_cand).max()
+            score_cand = np.matvec(X_t, target - p_cand)
+            size_cand = np.abs(score_cand).max(axis=-1)
             value_cand = merit(eta_cand, size_cand)
-            if value_cand <= value + slack:
+            rejected = ~(value_cand <= value + slack)  # a frozen slice gives back its value
+            if not anything(rejected):
                 break
-            step *= 0.5
+            step = np.where(rejected[..., None], 0.5 * step, step)
         beta, eta, p, score = candidate, eta_cand, p_cand, score_cand
         size, value = size_cand, value_cand
-        iterations += 1
-        if np.abs(beta).max() > BETA_BOUND:
-            raise NonConvergenceError(
-                f"{label} diverged{separation}: "
-                f"|beta|_inf > {BETA_BOUND:g} after {iterations} iterations",
+        iterations = iterations + active
+        passes += 1
+        diverged = np.abs(beta).max(axis=-1) > BETA_BOUND
+        if anything(diverged):  # a frozen slice may be past the bound already
+            active = _freeze(failures, diverged & active, active, lambda i: NonConvergenceError(
+                f"{label} diverged{separation}: |beta|_inf > {BETA_BOUND:g} after {int(iterations[i])} iterations",
                 model=model,
-                iterations=iterations,
-            )
-    return beta, eta, value, iterations
+                iterations=int(iterations[i]),
+            ))
+        active = active & ~(size <= SCORE_TOL)
+    return beta, eta, value, iterations, failures
+
+
+_DEGENERATE_MESSAGE = "degenerate response (all outcomes identical): the MLE does not exist"
+
+
+def _mle_fits(X, y, *, model=None):
+    """Logistic MLEs of 0/1 responses y on X, on every leading axis: beta, loglik, iterations, failures.
+
+    One ``_damped_newton`` loop on -loglik for the whole stack.  A slice
+    whose responses are all equal has no MLE and fails as degenerate, as
+    ``logistic_mle`` fails before its loop; in a stack it runs with the
+    others, but its results are not a fit.  ``failures`` maps each failed
+    slice's index (``()`` for a lone fit) to its error, which names
+    ``model``.
+    """
+    beta, _, neg_ll, iterations, failures = _damped_newton(
+        X,
+        y,
+        lambda eta, size: -_bernoulli_loglik(eta, y),
+        model=model,
+        label="logistic fit",
+        separation=" (possible separation)",
+    )
+    for i in _slices((y == y[..., :1]).all(axis=-1)):
+        failures[i] = NonConvergenceError(_DEGENERATE_MESSAGE, model=model)
+    return beta, -neg_ll, iterations, failures
 
 
 def logistic_mle(
@@ -515,19 +561,11 @@ def logistic_mle(
         raise DataError("logistic responses must be coded 0/1")
     if (y == y[0]).all():
         # constant response: the likelihood increases without bound
-        raise NonConvergenceError(
-            "degenerate response (all outcomes identical): the MLE does not exist",
-            model=model,
-        )
-    beta, _, neg_ll, iterations = _damped_newton(
-        X_k,
-        y,
-        lambda eta, size: -_bernoulli_loglik(eta, y),
-        model=model,
-        label="logistic fit",
-        separation=" (possible separation)",
-    )
-    return FitResult(beta=beta, loglik=-neg_ll, dim=X_k.shape[1], iterations=iterations)
+        raise NonConvergenceError(_DEGENERATE_MESSAGE, model=model)
+    beta, loglik, iterations, failures = _mle_fits(X_k, y, model=model)
+    if failures:
+        raise failures[()]
+    return FitResult(beta=beta, loglik=float(loglik), dim=X_k.shape[1], iterations=int(iterations))
 
 
 def logistic_pseudo_fit(
@@ -550,16 +588,18 @@ def logistic_pseudo_fit(
     target = p_target.probs
     if target.shape[0] != X_k.shape[0]:
         raise DataError("p_target must have one entry per design row")
-    beta, eta, _, iterations = _damped_newton(
+    beta, eta, _, iterations, failures = _damped_newton(
         X_k,
         target,
         lambda eta, size: size,
         model=model,
         label="logistic pseudo-fit",
     )
+    if failures:
+        raise failures[()]
     return FitResult(
         beta=beta,
-        loglik=_bernoulli_loglik(eta, target),
+        loglik=float(_bernoulli_loglik(eta, target)),
         dim=X_k.shape[1],
-        iterations=iterations,
+        iterations=int(iterations),
     )

@@ -89,14 +89,17 @@ from .glm_fit import (
     _fit_failure,
     _gaussian_profile_loglik,
     _least_squares_from_r,
+    _mle_fits,
+    _slices,
     _union,
     expit,
+    ill_conditioned,
     lapack_inv,
     lapack_qr_r,
     lapack_solve,
+    # no longer called here; perfbench/tracer.py looks them up here
     logistic_mle,
-    logistic_pseudo_fit,  # no longer called here; perfbench/tracer.py looks it up here
-    r_factor,
+    logistic_pseudo_fit,
     require_finite,
 )
 from .model_space import CandidateModel
@@ -173,22 +176,26 @@ def _checked_point(x_star: np.ndarray, p: int) -> np.ndarray:
 class _CandidateFactory:
     """Every candidate's fit on one (X, y), reusable across many x*.
 
-    A subclass fits (``_fit``: the padded coefficients B, K x p, and the
-    log-likelihoods) and sets the link h and its slope h'; the per-model
-    values at x* are h(B x*).  Under both canonical links each candidate's
-    plug-in coefficients are B itself, so the first ``q_form`` runs
-    ``_fit_plug_in`` only for the full model's coefficients beta_full,
-    the padded inverse Grams G (K p x p) and a p x p factor R.  With
-    v = h(B x*), the bias is v - h(x*'beta_full) and the Gram factor is
-    R (G x*)' diag(h'(v)).  The full model's value is its own dot
-    product, not a row of the matmul, which BLAS may round differently.
-    Selection and the ``aic`` and ``equal`` schemes never call
-    ``q_form``, so they never pay for it.  A factory may hold no
-    candidates (``cv_compare`` builds one only for ``beta_full``); its
-    ``q_form`` raises ``DataError`` before any plug-in fit.
-    The averaging predictors subclass these factories
-    (``averaging.LinearAveragingPredictor``, ``LogisticAveragingPredictor``)
-    and add only ``predict``.
+    A subclass names its family's designs (``_Designs``: what a training
+    set keeps for the fit, ``reduce``, and the fit of one such training
+    set or of a stack of them, ``fit``) and sets the link h and its slope
+    h'; the fits object gives the padded coefficients B (K x p) and the
+    log-likelihoods, and the per-model values at x* are h(B x*).  Under
+    both canonical links each candidate's plug-in coefficients are B
+    itself, so the first ``q_form`` asks the fits only for the full
+    model's coefficients beta_full, the padded inverse Grams G (K p x p)
+    and a p x p factor R.  With v = h(B x*), the bias is
+    v - h(x*'beta_full) and the Gram factor is R (G x*)' diag(h'(v)).
+    The full model's value is its own dot product, not a row of the
+    matmul, which BLAS may round differently.  Selection and the ``aic``
+    and ``equal`` schemes never call ``q_form``, so they never pay for
+    it.  A factory may hold no candidates (``cv_compare`` builds one only
+    for ``beta_full``); its ``q_form`` raises ``DataError`` before any
+    plug-in fit.  A factory built on one training set is the fit with no
+    leading axis; ``_from_stack`` reads one training set of a stacked fit
+    instead, with the same bits.  The averaging predictors subclass these
+    factories (``averaging.LinearAveragingPredictor``,
+    ``LogisticAveragingPredictor``) and add only ``predict``.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, models: Sequence[CandidateModel]):
@@ -200,15 +207,34 @@ class _CandidateFactory:
         if y.ndim != 1 or y.shape[0] != n:
             raise DataError("y must be a vector with one entry per design row")
         require_finite("design and response", X, y)
-        self.models = list(models)
-        self._cols = [model.columns for model in self.models]
-        for cols in self._cols:
-            if cols[-1] >= p:
-                raise DataError(f"design has {p} columns, model needs column {cols[-1]}")
-        self._full = _full_index(self._cols, p)
-        self._X = X
-        self._y = y
-        self._B, self._logliks = self._fit()
+        models = list(models)
+        for model in models:
+            if model.columns[-1] >= p:
+                raise DataError(f"design has {p} columns, model needs column {model.columns[-1]}")
+        designs = self._Designs(models, p)
+        self._take(designs.fit(*designs.reduce(X, y), n), ())
+
+    @classmethod
+    def _from_stack(cls, fits, i: tuple):
+        """The factory of training set ``i``, an index tuple, of a stack of fits, with no fit of its own.
+
+        ``fits`` is ``_Designs.fit`` over many training sets of the same
+        candidates; this factory reads slice ``i`` of it and raises what
+        that training set's own factory raises.  The plug-in is made for
+        the whole stack on the first ``q_form`` of any of its factories.
+        """
+        self = cls.__new__(cls)
+        self._take(fits, i)
+        return self
+
+    def _take(self, fits, i):
+        """Training set ``i`` of ``fits`` (``()`` for an unstacked fit), or its error."""
+        error = fits.fit_error(i)
+        if error is not None:
+            raise error
+        self.models = fits.models
+        self._fits, self._i = fits, i
+        self._B, self._logliks = fits.B[i], fits.logliks[i]
         self._B.flags.writeable = False
         self._logliks.flags.writeable = False
         self._plug_in = None
@@ -233,7 +259,11 @@ class _CandidateFactory:
         if not self.models:
             raise DataError("a quadratic form needs at least one model")
         if self._plug_in is None:
-            self._plug_in = self._fit_plug_in()
+            beta_full, G, R = self._fits.plug_in()
+            error = self._fits.plug_in_error(self._i)
+            if error is not None:
+                raise error
+            self._plug_in = beta_full[self._i], G[self._i], R[self._i]
         beta_full, G, R = self._plug_in
         values = self._link(self._B @ x_star)
         G_x = (G @ x_star).reshape(values.shape[0], -1)
@@ -263,31 +293,42 @@ def _full_index(cols, p: int) -> int | None:
 class _LinearDesigns:
     """The designs a linear candidate fit factors, and each training set's n-row work on them.
 
-    ``cols`` are the K candidates' columns and ``full`` the index of the
-    candidate with all p of them, or None.  ``sets`` are the column sets
-    fitted from one factor: the candidates' and, with no full candidate,
-    the full design's when their union is every column, as set K.
-    ``full`` is then the full design's index among ``sets``, or None
-    when some column is in no candidate and the full design is one more
-    design with its own factor.
+    ``models`` are the K candidates over p columns, ``cols`` their
+    columns and ``full`` the index of the candidate with all p of them,
+    or None.  ``sets`` are the column sets fitted from one factor: the
+    candidates' and, with no full candidate, the full design's when
+    their union is every column, as set K.  ``full`` is then the full
+    design's index among ``sets``, or None when some column is in no
+    candidate and the full design is one more design with its own factor.
     """
 
-    def __init__(self, cols, full, p: int):
+    def __init__(self, models, p: int):
+        self.models = models
+        cols = [model.columns for model in models]
+        full = _full_index(cols, p)
         self.K, self.p = len(cols), p
-        self.sets, self.full, self.union = list(cols), full, _union(cols)
+        self.sets, self.full, self.union = cols, full, _union(cols)
         if full is None and len(self.union) == p:
             self.sets, self.full = [*cols, range(p)], len(cols)
 
-    def factors(self, X, y):
-        """R_aug of [X_U | y] for one training set (X, y), and of [X | y] when the full design has its own."""
+    def reduce(self, X, y):
+        """What one training set (X, y) keeps for the fit: R_aug of [X_U | y], and of [X | y] when the full design has its own."""
         R_aug = _augmented_r(X, y, self.union) if self.sets else np.zeros((0, 1))
         return R_aug, None if self.full is not None else _augmented_r(X, y, range(self.p))
+
+    def kept(self, n: int) -> int:
+        """About how many doubles a fit holds per training set of n rows: its R factors."""
+        return (len(self.union) + 1) ** 2 + (self.p + 1) ** 2
+
+    def fit(self, R_aug, R_full, n: int):
+        """``_LinearFits`` on what ``reduce`` kept of one training set, or of a stack of them."""
+        return _LinearFits(self, R_aug, R_full, n)
 
 
 class _LinearFits:
     """Every linear candidate's OLS fit, from the R factors of one training set or of a stack of them.
 
-    ``R_aug`` and ``R_full`` are what ``designs.factors`` returns for one
+    ``R_aug`` and ``R_full`` are what ``designs.reduce`` returns for one
     training set of n rows, or those factors of many such training sets
     stacked along leading axes; every array here keeps those axes.  The
     fit is ``glm_fit._least_squares_from_r``, once for ``designs.sets``
@@ -309,6 +350,7 @@ class _LinearFits:
         elif len(designs.sets) == K:  # the full design is a candidate
             failed = np.concatenate((failed, np.zeros_like(failed[..., :1])), axis=-1)
         self.failed = failed
+        self.models = designs.models
         self._designs, self._n, self._f = designs, n, f
         self._plug_in = None
         self.B = B[..., :K, :]
@@ -316,23 +358,24 @@ class _LinearFits:
         self.beta_full = B_full[..., f, :]
         self.sigma2 = rss_full[..., f] / n
 
-    def fit_error(self, models, i=()) -> SingularDesignError | None:
+    def fit_error(self, i=()) -> SingularDesignError | None:
         """The error naming training set ``i``'s first failing design, or None."""
         designs = self._designs
 
         def message(k):
             return _fit_failure(self._n, len(designs.sets[k]) if k < designs.K else designs.p)
 
-        return _design_error(self.failed[i], models, message)
+        return _design_error(self.failed[i], self.models, message)
 
     def plug_in(self):
-        """The padded inverse Grams (K p x p), sigma_full R_full, and which of the K + 1 inverses failed.
+        """beta_full, the padded inverse Grams (K p x p) and sigma_full R_full.
 
         Made on the first call for every training set of the stack and
         kept; a training set that failed its fit has no plug-in, so only
         a set with a fit may read its slice.  The inverse Grams
         G_k = R_k^{-1} R_k^{-T} come from one ``lapack_inv`` per stack of
-        kept factors; a failed inverse is NaN.
+        kept factors; a failed inverse is NaN, which ``plug_in_error``
+        reports.
         """
         if self._plug_in is not None:
             return self._plug_in
@@ -343,19 +386,23 @@ class _LinearFits:
             for idx, cols, R in self.factors:
                 R_inv = lapack_inv(R)
                 G[..., idx[:, None, None], cols[:, :, None], cols[:, None, :]] = R_inv @ np.swapaxes(R_inv, -1, -2)
-        failed = ~np.isfinite(G).all(axis=(-2, -1))
+        self._inverse_failed = ~np.isfinite(G).all(axis=(-2, -1))
         f = self._f
         R_full = next(R[..., idx == f, :, :][..., 0, :, :] for idx, _, R in self._factors_full if f in idx)
         R = np.sqrt(self.sigma2)[..., None, None] * R_full
-        self._plug_in = G[..., :K, :, :].reshape(*lead, K * p, p), R, failed
+        self._plug_in = self.beta_full, G[..., :K, :, :].reshape(*lead, K * p, p), R
         return self._plug_in
+
+    def plug_in_error(self, i=()) -> SingularDesignError | None:
+        """The error naming training set ``i``'s first failed inverse Gram, or None."""
+        return _design_error(self._inverse_failed[i], self.models, lambda k: RANK_DEFICIENT_MESSAGE)
 
 
 class LinearQFactory(_CandidateFactory):
     """Every candidate's OLS fit on one (X, y), reusable across many x*.
 
     The fit is ``_LinearFits`` on this one training set: one n-row QR of
-    [X_U | y] (``_LinearDesigns.factors``), with U the union of the
+    [X_U | y] (``_LinearDesigns.reduce``), with U the union of the
     candidates' columns, then ``glm_fit._least_squares_from_r``: per
     dimension one stacked QR of the at most (p + 1)-row columns of that R
     factor, which gives every R_k, Q_k'y and RSS_k, and one LAPACK solve
@@ -369,11 +416,13 @@ class LinearQFactory(_CandidateFactory):
     one-model set reduces a factor that is already triangular, so its
     beta and RSS are ``ols_fit``'s to the last bit; inside a larger set a
     candidate's fit agrees with ``ols_fit`` to rounding (at most 1e-14
-    relative in beta over the 256 prostate candidates).  The R factors
-    are kept; the first ``q_form`` inverts them, one ``glm_fit.lapack_inv``
-    per stack, into the padded inverse Grams G_k = (X_k'X_k)^{-1}.  The
-    link is the identity, the plug-in is the full OLS fit, and since
-    X = Q_full R_full, R = sigma_full R_full.
+    relative in beta over the 256 prostate candidates).  ``beta_full``
+    and ``sigma2``, the divisor-n residual variance, come from the full
+    design's R factor.  The R factors are kept; the first ``q_form``
+    inverts them, one ``glm_fit.lapack_inv`` per stack, into the padded
+    inverse Grams G_k = (X_k'X_k)^{-1}.  The link is the identity, the
+    plug-in is the full OLS fit, and since X = Q_full R_full,
+    R = sigma_full R_full.
 
     A rank-deficient design raises ``SingularDesignError`` naming the
     first failing candidate in list order, or no model when the only
@@ -381,112 +430,171 @@ class LinearQFactory(_CandidateFactory):
     failed inverse in the first ``q_form``, which LAPACK reports as NaN.
     """
 
+    _Designs = _LinearDesigns
     _link = staticmethod(lambda eta: eta)
     _slope = staticmethod(lambda mu: 1.0)
 
-    def _fit(self):
-        X, y = self._X, self._y
-        n, p = X.shape
-        designs = _LinearDesigns(self._cols, self._full, p)
-        return self._take(_LinearFits(designs, *designs.factors(X, y), n), ())
-
-    @classmethod
-    def _from_stack(cls, models: Sequence[CandidateModel], fits: _LinearFits, i: int):
-        """The factory of training set ``i`` of a stack of fits, with no fit of its own.
-
-        ``fits`` is ``_LinearFits`` over many training sets of the same
-        candidates; this factory reads slice ``i`` of it and raises what
-        that training set's own factory raises.  The plug-in is made for
-        the whole stack on the first ``q_form`` of any of its factories.
-        """
-        self = cls.__new__(cls)
-        self.models = list(models)
-        self._B, self._logliks = self._take(fits, i)
-        self._B.flags.writeable = False
-        self._logliks.flags.writeable = False
-        self._plug_in = None
-        return self
-
     def _take(self, fits: _LinearFits, i):
-        """Training set ``i`` of ``fits`` (``()`` for an unstacked fit): its B and log-likelihoods, or its error."""
-        error = fits.fit_error(self.models, i)
-        if error is not None:
-            raise error
-        self._fits, self._i = fits, i
+        super()._take(fits, i)
         self.beta_full = fits.beta_full[i]
         self.sigma2 = float(fits.sigma2[i])
-        return fits.B[i], fits.logliks[i]
-
-    def _fit_plug_in(self):
-        """beta_full, the inverse Grams from the kept R factors, and sigma_full R_full."""
-        G, R, failed = self._fits.plug_in()
-        error = _design_error(failed[self._i], self.models, lambda k: RANK_DEFICIENT_MESSAGE)
-        if error is not None:
-            raise error
-        return self.beta_full, G[self._i], R[self._i]
 
     def model_betas(self) -> list[np.ndarray]:
         return [beta[model.column_indices()] for beta, model in zip(self._B, self.models)]
 
 
+class _LogisticDesigns:
+    """The designs of a logistic candidate fit: a training set keeps its whole (X, y).
+
+    ``models`` are the K candidates over p columns, ``cols`` their
+    columns and ``full`` the index of the candidate with all p of them,
+    or None.
+    """
+
+    def __init__(self, models, p: int):
+        self.models, self.p = models, p
+        self.cols = [model.columns for model in models]
+        self.full = _full_index(self.cols, p)
+
+    def reduce(self, X, y):
+        """What one training set keeps for the fit: its X and y, once the responses are checked."""
+        if self.models and not ((y == 0.0) | (y == 1.0)).all():
+            raise DataError("logistic responses must be coded 0/1")
+        return X, y
+
+    def kept(self, n: int) -> int:
+        """About how many doubles a fit holds per training set of n rows: X, y and each candidate's columns."""
+        return n * (self.p + 1 + sum(len(cols) for cols in self.cols))
+
+    def fit(self, X, y, n: int):
+        """``_LogisticFits`` on one training set, or on a stack of them."""
+        return _LogisticFits(self, X, y)
+
+
+class _LogisticFits:
+    """Every logistic candidate's MLE, from one training set or from a stack of them.
+
+    ``X`` (n x p) and ``y`` (n) are one training set, or many stacked
+    along leading axes; every array here keeps those axes.  Each
+    candidate is one ``glm_fit._mle_fits`` call on its columns for the
+    whole stack: one damped Newton loop whose slices run in lockstep,
+    each with the bits of its own lone fit.  A training set's
+    ``fit_error`` is the first failure in candidate order, as a factory
+    fitting its candidates in list order raises it.
+    """
+
+    def __init__(self, designs: _LogisticDesigns, X, y):
+        self.models = designs.models
+        self._designs, self._X, self._y = designs, X, y
+        lead, p = X.shape[:-2], X.shape[-1]
+        K = len(designs.cols)
+        self.B = np.zeros((*lead, K, p))
+        self.logliks = np.zeros((*lead, K))
+        self._X_k = [X[..., cols] for cols in designs.cols]
+        self._betas = []
+        self._errors = {}  # training set -> its first error, in the order a lone fit meets them
+        for k, (model, cols, X_k) in enumerate(zip(self.models, designs.cols, self._X_k)):
+            beta, loglik, _, failures = _mle_fits(X_k, y, model=model)
+            self._betas.append(beta)
+            self.B[..., k, cols] = beta
+            self.logliks[..., k] = loglik
+            for i, error in failures.items():
+                self._errors.setdefault(i, error)
+        self._plug_in = None
+
+    def fit_error(self, i=()):
+        return self._errors.get(i)
+
+    def plug_in(self):
+        """The full MLE, the padded inverse Grams at each candidate's MLE, and R_w.
+
+        Made on the first call for every training set of the stack and
+        kept: the full-model MLE when the full design is not a candidate
+        (its failures name no model), then for each candidate the R
+        factor R_k of sqrt(p_k(1-p_k)) X_k at its MLE with its condition
+        guard, and M_k^{-1} from ``glm_fit.lapack_inv`` on R_k, a failed
+        inverse being NaN.  R_w is the full design's R_k.
+        ``plug_in_error`` gives a training set's first failure in that
+        order.
+        """
+        if self._plug_in is not None:
+            return self._plug_in
+        X, y = self._X, self._y
+        lead, (n, p) = X.shape[:-2], X.shape[-2:]
+        K = len(self.models)
+        self._plug_in_errors = errors = {}
+        full = self._designs.full
+        if full is None:
+            beta_full, _, _, failures = _mle_fits(X, y)
+            errors.update(failures)
+            R_w, rejected = _weighted_r(X, beta_full)
+            _record(errors, rejected, lambda: SingularDesignError(_fit_failure(n, p)))
+        else:
+            beta_full = self.B[..., full, :]
+        G = np.zeros((*lead, K, p, p))
+        candidates = zip(self.models, self._designs.cols, self._X_k, self._betas)
+        for k, (model, cols, X_k, beta) in enumerate(candidates):
+            R_k, rejected = _weighted_r(X_k, beta)
+            with np.errstate(invalid="ignore"):
+                R_inv = lapack_inv(R_k)
+            # the guard and a failed inverse word the same error
+            rejected |= ~np.isfinite(R_inv).all(axis=(-2, -1))
+            _record(errors, rejected, lambda: SingularDesignError(_fit_failure(n, len(cols)), model=model))
+            at = np.array(cols)
+            G[..., k, at[:, None], at] = R_inv @ np.swapaxes(R_inv, -1, -2)
+            if k == full:
+                R_w = R_k
+        self._plug_in = beta_full, G.reshape(*lead, K * p, p), R_w
+        return self._plug_in
+
+    def plug_in_error(self, i=()):
+        return self._plug_in_errors.get(i)
+
+
+def _record(errors: dict, failed, error) -> None:
+    """Give every training set that ``failed`` marks, and that has no error yet, a fresh ``error()``."""
+    for i in _slices(failed):
+        errors.setdefault(i, error())
+
+
+def _weighted_r(X, beta):
+    """R factor of sqrt(p (1 - p)) X at p = expit(X beta), on every leading axis, and ``r_factor``'s verdict.
+
+    The verdict is True where ``r_factor`` would raise: fewer rows than
+    columns, or a factor its condition guard rejects.
+    """
+    n, d = X.shape[-2:]
+    p = expit(np.matvec(X, beta))
+    with np.errstate(invalid="ignore"):
+        R = lapack_qr_r(np.sqrt(p * (1.0 - p))[..., None] * X)
+        rejected = ill_conditioned(R) if n >= d else np.ones(X.shape[:-2], dtype=bool)
+    return R, rejected
+
+
 class LogisticQFactory(_CandidateFactory):
     """Every candidate's logistic fit on one (X, y), reusable across many x*.
 
-    The fit runs each candidate's MLE once, in list order, so a failure
-    names the first failing candidate; ``fits`` keeps the results.  The
-    link is ``expit``.  The first ``q_form`` builds the truth plug-in
-    once: the full-model MLE (the candidate's own fit when the full design
-    is a candidate, else one more fit, which names no model when it
-    fails), the R factor R_k of each candidate's weighted design
-    sqrt(p_k(1-p_k)) X_k, and R = R_w, the R factor of W_full^{1/2} X.
-    Each candidate's pseudo-true coefficients, its fit against the full
-    model's fitted probabilities, are its MLE (the identity in the module
-    docstring), so B_pl = B and p_k, R_k are taken at the MLE; they agree
-    with an explicit pseudo-fit to the Newton tolerance, about 1e-9
-    relative.  Column k of the Gram factor is then
-    R_w S_k M_k^{-1} x_k* p_k*(1-p_k*) = R_w (G x*)_k p_k*(1-p_k*), with
-    M_k = R_k'R_k and M_k^{-1} from ``glm_fit.lapack_inv`` on R_k; a
-    failed inverse, which LAPACK reports as NaN, raises
+    The fit is ``_LogisticFits`` on this one training set: each
+    candidate's MLE, in list order, so a failure names the first failing
+    candidate.  The link is ``expit``.  The first ``q_form`` builds the
+    truth plug-in once: the full-model MLE (the candidate's own fit when
+    the full design is a candidate, else one more fit, which names no
+    model when it fails), the R factor R_k of each candidate's weighted
+    design sqrt(p_k(1-p_k)) X_k, and R = R_w, the R factor of
+    W_full^{1/2} X.  Each candidate's pseudo-true coefficients, its fit
+    against the full model's fitted probabilities, are its MLE (the
+    identity in the module docstring), so B_pl = B and p_k, R_k are
+    taken at the MLE; they agree with an explicit pseudo-fit to the
+    Newton tolerance, about 1e-9 relative.  Column k of the Gram factor
+    is then R_w S_k M_k^{-1} x_k* p_k*(1-p_k*) = R_w (G x*)_k p_k*(1-p_k*),
+    with M_k = R_k'R_k and M_k^{-1} from ``glm_fit.lapack_inv`` on R_k;
+    a failed inverse, which LAPACK reports as NaN, raises
     ``SingularDesignError`` naming the candidate.
     """
 
+    _Designs = _LogisticDesigns
     _link = staticmethod(expit)
     _slope = staticmethod(lambda p: p * (1.0 - p))
-
-    def _fit(self):
-        self._designs = [self._X[:, cols] for cols in self._cols]
-        self.fits = [
-            logistic_mle(X_k, self._y, model=model) for X_k, model in zip(self._designs, self.models)
-        ]
-        B = np.zeros((len(self.models), self._X.shape[1]))
-        for k, (cols, fit) in enumerate(zip(self._cols, self.fits)):
-            B[k, cols] = fit.beta
-        return B, np.array([fit.loglik for fit in self.fits])
-
-    def _fit_plug_in(self):
-        """The full MLE, padded inverse Grams at each candidate's MLE, and R_w."""
-        X = self._X
-        K, p = self._B.shape
-        if self._full is None:
-            beta_full = logistic_mle(X, self._y).beta
-            p_full = expit(X @ beta_full)
-            R_w = r_factor(np.sqrt(p_full * (1.0 - p_full))[:, None] * X)
-        else:
-            beta_full = self.fits[self._full].beta
-        G = np.zeros((K, p, p))
-        candidates = zip(self.models, self._cols, self._designs, self.fits)
-        with np.errstate(invalid="ignore"):
-            for k, (model, cols, X_k, fit) in enumerate(candidates):
-                p_k = expit(X_k @ fit.beta)
-                R_k = r_factor(np.sqrt(p_k * (1.0 - p_k))[:, None] * X_k, model=model)
-                R_inv = lapack_inv(R_k)
-                if not np.isfinite(R_inv).all():  # a failed inverse is NaN
-                    raise SingularDesignError(RANK_DEFICIENT_MESSAGE, model=model)
-                at = np.array(cols)
-                G[k, at[:, None], at] = R_inv @ R_inv.T
-                if k == self._full:
-                    R_w = R_k
-        return beta_full, G.reshape(K * p, p), R_w
 
 
 def build_q_logistic(

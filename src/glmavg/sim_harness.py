@@ -50,26 +50,33 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .averaging import (
+    _PREDICTORS,
     SCHEMES,
-    LinearAveragingPredictor,
-    LogisticAveragingPredictor,
     fit_and_average_logistic,  # no longer called here; perfbench/tracer.py looks it up here
 )
 from ._forked import run_replications
 from .errors import DataError, GlmavgError
 from .glm_fit import expit, logistic_mle, ols_fit, require_finite
 from .model_space import CandidateModel, ModelSet, nested_sequence
-from .mse_weights import _full_index, _LinearDesigns, _LinearFits
 from .rng import _checked_keys, substream
 
-# The most linear replications of one cell fitted as one stack.  A stack
-# holds about K p^2 doubles per replication, never the n-row designs.
-# Measured on Study I (K = 7, p = 10; 256 replications, BLAS on one
-# thread, 2-core x86-64 VM), ms per replication at n = 100 / 1000:
-# stacks of 1: 0.469 / 0.612, 8: 0.203 / 0.347, 32: 0.165 / 0.305,
-# 64: 0.160 / 0.295, 256: 0.155 / 0.294; one replication at a time,
-# unstacked, took 0.417 / 0.568.
+# The most replications of one cell fitted as one stack, and the most
+# doubles a stack's fit may hold (``_Designs.kept``; 16 MB).  A linear
+# stack holds about p^2 doubles per replication, never the n-row designs,
+# so only the count binds it; a logistic one holds its designs, so at
+# Study II's n = 100 and p = 4 the count binds, and only at n p above
+# about 2e5 the doubles.  Measured (256 replications, BLAS on one thread,
+# 2-core x86-64 VM), ms per replication:
+# - Study I (K = 7, p = 10) at n = 100 / 1000, stacks of 1: 0.440 / 0.588
+#   (a stack of one is fitted with no leading axis), 8: 0.203 / 0.347,
+#   32: 0.165 / 0.305, 64: 0.154 / 0.290, 256: 0.155 / 0.294; one
+#   replication at a time, before the stacks, 0.417 / 0.568;
+# - Study II logistic case A / B (K = 4 / 3, n = 100, beta3 = 0.05),
+#   stacks of 1: 0.693 / 0.784, 4: 0.373 / 0.489, 12: 0.244 / 0.357,
+#   25: 0.209 / 0.322, 64: 0.192 / 0.303, 256: 0.186 / 0.297; one
+#   replication at a time, before the stacks, 0.585 / 0.661.
 _STACK_REPS = 64
+_STACK_DOUBLES = 1 << 21
 
 REPORT_COLUMNS = (
     "case",
@@ -256,13 +263,6 @@ def _estimates(config: StudyConfig, predictor, oracle_fit) -> list[float]:
     return values
 
 
-def _logistic_replication(config: StudyConfig, rep: int) -> list[float]:
-    """One logistic replication's estimates, one per ``config.columns``."""
-    X, y = _draw(config, rep)
-    predictor = LogisticAveragingPredictor(X, y, config.candidate_set)
-    return _estimates(config, predictor, lambda: _oracle_fit(config, X, y))
-
-
 def _returned(result):
     """``result``, or raise it when it is an error."""
     if isinstance(result, GlmavgError):
@@ -270,53 +270,58 @@ def _returned(result):
     return result
 
 
-def _linear_stack(config: StudyConfig, members, rows: list, failures: dict) -> None:
-    """Fit a linear cell's replications as one stack and average each; fill ``rows`` and ``failures``.
+def _fit_stack(config: StudyConfig, designs, members, rows: list, failures: dict) -> None:
+    """Fit a cell's replications as one stack and average each; fill ``rows`` and ``failures``.
 
-    ``members`` are (position, rep) pairs.  Each replication draws its
-    data and makes its n-row QRs (``_LinearDesigns.factors``), and fits
-    an oracle of its own (``_oracle_fit``) while it has its draws; then
-    one ``_LinearFits`` over the stack of R factors makes every
-    candidate's QR, guard, solve and, on the first ``q_form``, inverse
-    Gram, with the bits of ``LinearQFactory`` on one training set.  Each
-    replication then reads its slice as its own predictor
-    (``LinearAveragingPredictor._from_stack``), which raises its fit's
-    error and averages as a predictor fitted alone does.  A
-    replication's ``GlmavgError`` goes to ``failures[position]``: the
-    first raised in the order of a lone replication (its fit, then its
-    schemes in order, then its oracle).
+    ``designs`` are the cell's family designs (the predictor's
+    ``_Designs``) and ``members`` (position, rep) pairs.  Each
+    replication draws its data and keeps what the fit needs
+    (``designs.reduce``: a
+    linear replication its n-row QRs, a logistic one its design and
+    response), and fits an oracle of its own (``_oracle_fit``) while it
+    has its draws.  Then one fit over the stack (``designs.fit``) makes
+    every candidate's fit for all of them at once: the linear QRs,
+    guards and solves with one LAPACK call per model size, the logistic
+    MLEs with one damped Newton loop per candidate, and, on the first
+    ``q_form``, the whole stack's plug-in, each replication with the
+    bits of its own predictor.  A stack of one is fitted with no leading
+    axis.  Each replication then reads its slice as its own predictor
+    (``_from_stack``), which raises its fit's error and averages as a
+    predictor fitted alone does.  A replication's ``GlmavgError`` goes
+    to ``failures[position]``: the first raised in the order of a lone
+    replication (its fit, then its schemes in order, then its oracle).
     """
-    models = config.candidate_set.models
-    p = config.x_star.shape[0]
-    cols = [model.columns for model in models]
-    designs = _LinearDesigns(cols, _full_index(cols, p), p)
-    factors, oracles = [None] * len(members), [None] * len(members)
+    predictor_class = _PREDICTORS[config.family]
+    parts, oracles = [None] * len(members), [None] * len(members)
     for j, (position, rep) in enumerate(members):
         try:
             X, y = _draw(config, rep)
             require_finite("design and response", X, y)
+            parts[j] = designs.reduce(X, y)
         except GlmavgError as exc:
             failures[position] = exc
             continue
-        factors[j] = designs.factors(X, y)
         if _own_oracle(config):
             try:
                 oracles[j] = _oracle_fit(config, X, y)
             except GlmavgError as exc:
                 oracles[j] = exc
-    drawn = [f for f in factors if f is not None]
+    drawn = [part for part in parts if part is not None]
     if not drawn:
         return
-    # a replication whose draw failed stacks another's factors, and its failure stands
-    factors = [drawn[0] if f is None else f for f in factors]
-    R_aug, R_full = (None if parts[0] is None else np.stack(parts) for parts in zip(*factors))
-    fits = _LinearFits(designs, R_aug, R_full, config.n)
-    for j, (position, _) in enumerate(members):
+    if len(parts) == 1:
+        fits, slices = designs.fit(*drawn[0], config.n), [()]
+    else:
+        # a replication whose draw failed stacks another's parts, and its failure stands
+        parts = [drawn[0] if part is None else part for part in parts]
+        stacked = (None if column[0] is None else np.stack(column) for column in zip(*parts))
+        fits, slices = designs.fit(*stacked, config.n), [(j,) for j in range(len(parts))]
+    for (position, _), i, oracle in zip(members, slices, oracles):
         if position in failures:  # its draw failed
             continue
         try:
-            predictor = LinearAveragingPredictor._from_stack(models, fits, j)
-            rows[position] = _estimates(config, predictor, functools.partial(_returned, oracles[j]))
+            predictor = predictor_class._from_stack(fits, i)
+            rows[position] = _estimates(config, predictor, functools.partial(_returned, oracle))
         except GlmavgError as exc:
             failures[position] = exc
 
@@ -324,31 +329,27 @@ def _linear_stack(config: StudyConfig, members, rows: list, failures: dict) -> N
 def _run_block(cells) -> list[list[float]]:
     """The estimates of each (config, rep) of ``cells``, one contiguous block of a study's layout.
 
-    A linear cell's replications in the block are fitted in stacks of
-    at most ``_STACK_REPS`` (``_linear_stack``); a logistic cell's one
-    replication at a time.  The failure at the earliest position of
-    ``cells`` is raised, whatever the stage it failed in, with the
-    replication's key, the config's tags and the rep, appended to its
-    message, e.g. ``('study2', 'logistic', 'A', '0.05', rep 17)``; its
-    class and attributes are kept.
+    A cell's replications in the block are fitted in stacks of at most
+    ``_STACK_REPS`` (``_fit_stack``), whatever its family, and of fewer
+    when the fits would hold more than ``_STACK_DOUBLES`` doubles
+    (``_Designs.kept``), as a logistic cell of large n p would.  The failure
+    at the earliest position of ``cells`` is raised, whatever the stage
+    it failed in, with the replication's key, the config's tags and the
+    rep, appended to its message, e.g.
+    ``('study2', 'logistic', 'A', '0.05', rep 17)``; its class and
+    attributes are kept.
     """
     rows, failures = [None] * len(cells), {}
     by_config = {}  # configs compare by identity
     for position, (config, rep) in enumerate(cells):
         by_config.setdefault(config, []).append((position, rep))
     for config, members in by_config.items():
-        step = _STACK_REPS if config.family == "linear" else 1
+        designs = _PREDICTORS[config.family]._Designs(config.candidate_set.models, config.x_star.shape[0])
+        step = max(1, min(_STACK_REPS, _STACK_DOUBLES // designs.kept(config.n)))
         for start in range(0, len(members), step):
             if failures and members[start][0] > min(failures):
                 break  # an earlier replication has failed already
-            if config.family == "linear":
-                _linear_stack(config, members[start : start + step], rows, failures)
-                continue
-            position, rep = members[start]
-            try:
-                rows[position] = _logistic_replication(config, rep)
-            except GlmavgError as exc:
-                failures[position] = exc
+            _fit_stack(config, designs, members[start : start + step], rows, failures)
     if failures:
         position = min(failures)
         exc, (config, rep) = failures[position], cells[position]

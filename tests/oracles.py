@@ -6,15 +6,17 @@ enumeration, exhaustive grids, plain full-step Newton), so agreement is
 evidence of correctness rather than self-confirmation.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.special import expit
 
 from glmavg import (
     FitResult,
     LinearAveragingPredictor,
+    LogisticAveragingPredictor,
     QuadraticForm,
     enumerate_all_subsets,
-    full_linear_fit,
     logistic_mle,
     logistic_pseudo_fit,
     ols_fit,
@@ -22,6 +24,30 @@ from glmavg import (
     subset_point,
     substream,
 )
+from glmavg import glm_fit
+
+
+@dataclass(frozen=True)
+class LinearFullFit:
+    """Full-design OLS fit with the divisor-n residual variance."""
+
+    beta_full: np.ndarray
+    sigma2: float
+    fitted: np.ndarray
+
+
+def full_linear_fit(X, y) -> LinearFullFit:
+    """OLS on the full design, its residual variance from an n-row residual pass with divisor n, not n - d.
+
+    The library takes sigma2 from the R factor of [X | y] instead
+    (``LinearQFactory.sigma2``); this pass is the independent check.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    beta = ols_fit(X, y).beta
+    fitted = X @ beta
+    sigma2 = float(np.mean((y - fitted) ** 2))
+    return LinearFullFit(beta_full=beta, sigma2=sigma2, fitted=fitted)
 
 
 def q_linear_double_sum(X, y, models, x_star):
@@ -205,11 +231,15 @@ def select_best_subset_reference(train, select_by="cv", n_folds=5, seed=0, repea
 
 
 def study_draw_reference(config, rep):
-    """A linear study replication's (X, y), drawn from ``substream(seed, *tags, rep)`` with the tags re-keyed."""
+    """A study replication's (X, y), drawn from ``substream(seed, *tags, rep)`` with the tags re-keyed."""
     rng = substream(config.seed, *config.tags, rep)
     n = config.n
     X = np.column_stack([np.ones(n), rng.standard_normal((n, config.beta_true.shape[0] - 1))])
-    return X, X @ config.beta_true + rng.standard_normal(n)
+    eta = X @ config.beta_true
+    if config.family == "linear":
+        return X, eta + rng.standard_normal(n)
+    # the library's expit, so that no rounding of scipy's can flip a draw
+    return X, (rng.random(n) < glm_fit.expit(eta)).astype(float)
 
 
 def linear_estimates_reference(config, X, y):
@@ -229,4 +259,24 @@ def linear_estimates_reference(config, X, y):
         cols = oracle.column_indices()
         beta = predictor.beta_full if len(cols) == X.shape[1] else ols_fit(X[:, cols], y, model=oracle).beta
         values.append(float(config.x_star[cols] @ beta))
+    return values
+
+
+def logistic_estimates_reference(config, X, y):
+    """A logistic study replication's estimates from one predictor fitted to its own training set.
+
+    One ``LogisticAveragingPredictor`` per replication, asked for each
+    scheme in turn, then the oracle: the predictor's own value when the
+    oracle is a candidate, else one ``logistic_mle`` of the oracle's
+    columns.
+    """
+    predictor = LogisticAveragingPredictor(X, y, config.candidate_set)
+    values = [predictor.predict(config.x_star, scheme).value for scheme in config.schemes]
+    oracle, models = config.oracle, config.candidate_set.models
+    if oracle in models:
+        values.append(float(predictor.per_model_values(config.x_star)[models.index(oracle)]))
+    elif oracle is not None:
+        cols = oracle.column_indices()
+        beta = logistic_mle(X[:, cols], y, model=oracle).beta
+        values.append(float(glm_fit.expit(float(config.x_star[cols] @ beta))))
     return values

@@ -31,6 +31,7 @@ from scipy import stats
 from scipy.special import expit
 
 from oracles import (
+    full_linear_fit,
     grid_min_objective,
     pseudo_true_linear,
     q_linear_double_sum,
@@ -166,7 +167,7 @@ def test_criterion_4_plug_in_identity():
         y = X @ rng.uniform(-1, 1, d) + rng.standard_normal(n)
         model = g.CandidateModel(tuple(sorted(rng.choice(d - 1, size=2, replace=False))), 1)
         X_k = g.subset_columns(X, model)
-        full = g.full_linear_fit(X, y)
+        full = full_linear_fit(X, y)
         dev = np.max(np.abs(pseudo_true_linear(X_k, X, full.beta_full) - g.ols_fit(X_k, y).beta))
         worst = max(worst, dev)
     assert report("criterion 4: plug-in identity (20 instances)", worst <= 1e-10, f"max dev {worst:.2e}")
@@ -429,7 +430,7 @@ def _prostate_split_errors():
     avg_errs, full_errs, sigmas = [], [], []
     for repeat in range(100):
         train, test = g.split(dataset, 67, seed=g.derive_seed(SEED, "prostate-split", repeat))
-        sigmas.append(float(np.sqrt(g.full_linear_fit(train.design, train.response).sigma2)))
+        sigmas.append(float(np.sqrt(full_linear_fit(train.design, train.response).sigma2)))
         predictor = g.LinearAveragingPredictor(train.design, train.response, models)
         preds = np.array(
             [predictor.predict(test.design[i], "optimal").value for i in range(test.n)]

@@ -14,7 +14,6 @@ from glmavg import (
     LinearAveragingPredictor,
     LogisticAveragingPredictor,
     ModelSet,
-    average_estimate,
     enumerate_all_subsets,
     fit_and_average_linear,
     fit_and_average_logistic,
@@ -61,39 +60,33 @@ class TestFunctional:
             Functional.linear_point(np.ones((3, 1)))
 
 
-class TestAverageEstimate:
-    def test_vertex_weight_selects_entry(self):
-        w = np.array([0.0, 0.0, 1.0])
-        assert average_estimate(w, np.array([5.0, 6.0, 7.0])) == 7.0
-
-    def test_equal_weights(self):
-        assert average_estimate(np.array([0.5, 0.5]), np.array([1.0, 3.0])) == 2.0
-
-    def test_convex_combination_arithmetic(self):
-        got = average_estimate(np.array([0.25, 0.75]), np.array([-0.192, -0.296]))
-        assert got == pytest.approx(0.25 * -0.192 + 0.75 * -0.296, abs=1e-12)
-        assert got == pytest.approx(-0.270, abs=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DataError):
-            average_estimate(np.array([1.0]), np.array([1.0, 2.0]))
-
-    def test_off_simplex_rejected(self):
-        with pytest.raises(DataError):
-            average_estimate(np.array([0.6, 0.6]), np.array([1.0, 2.0]))
-        with pytest.raises(DataError):
-            average_estimate(np.array([1.5, -0.5]), np.array([1.0, 2.0]))
-
+class TestAveragedValue:
     @pytest.mark.parametrize(
-        "weights, per_model",
-        [([np.nan, 1.0], [1.0, 2.0]), ([0.5, 0.5], [np.inf, 2.0]), ([1.0, 0.0], [np.nan, 2.0])],
-        ids=["nan-weight", "inf-value", "nan-value"],
+        "predictor_class", [LinearAveragingPredictor, LogisticAveragingPredictor], ids=["linear", "logistic"]
     )
-    def test_non_finite_rejected(self, weights, per_model):
-        # NaN passes both simplex comparisons, and a non-finite value would
-        # come back as the estimate.
-        with pytest.raises(DataError, match="must be finite"):
-            average_estimate(np.array(weights), np.array(per_model))
+    def test_value_is_the_weighted_sum_of_the_per_model_values(self, predictor_class):
+        # Every scheme's weights come from the certified solver, aic_weights or
+        # equal_weights, so predict takes their dot product with no simplex re-check.
+        X, y = TestLogisticAveragingPredictor._data(seed=21)
+        if predictor_class is LinearAveragingPredictor:
+            y = X @ np.array([0.2, 0.7, -0.4]) + np.random.default_rng(22).standard_normal(X.shape[0])
+        predictor = predictor_class(X, y, enumerate_all_subsets(1, 2))
+        x_star = np.array([1.0, 0.3, -0.2])
+        for scheme in ("optimal", "aic", "equal"):
+            est = predictor.predict(x_star, scheme)
+            assert est.weights.min() >= 0.0 and abs(est.weights.sum() - 1.0) <= 1e-12
+            assert np.isfinite(est.per_model).all()
+            assert float(est.value).hex() == float(est.weights @ est.per_model).hex()
+
+    def test_vertex_weight_selects_its_model(self):
+        # one candidate: weight 1 on it, and the value is its own prediction
+        X, y, _ = _linear_data(seed=23, q=2)
+        models = ModelSet([CandidateModel((0,), 1)], 2)
+        x_star = np.array([1.0, 0.4, 2.0])
+        for scheme in ("optimal", "aic", "equal"):
+            est = LinearAveragingPredictor(X, y, models).predict(x_star, scheme)
+            assert est.weights.tolist() == [1.0]
+            assert est.value == float(est.per_model[0])
 
 
 class TestFitAndAverageLinear:
@@ -282,7 +275,8 @@ class TestLogisticAveragingPredictor:
 
             return wrapper
 
-        monkeypatch.setattr(mse_weights, "logistic_mle", counted("mle", mse_weights.logistic_mle))
+        # each MLE of a factory is one Newton loop, ``_mle_fits``
+        monkeypatch.setattr(mse_weights, "_mle_fits", counted("mle", mse_weights._mle_fits))
         # A pseudo-fit counts whether it is reached through mse_weights or glm_fit.
         for module in (mse_weights, glm_fit):
             monkeypatch.setattr(
@@ -504,8 +498,8 @@ def test_empty_candidate_list_raises_data_error_before_any_plug_in_fit(monkeypat
     X, y = TestLogisticAveragingPredictor._data(seed=20)
     x_star = np.array([1.0, 0.3, -0.2])
     fits = []
-    fit = mse_weights.logistic_mle
-    monkeypatch.setattr(mse_weights, "logistic_mle", lambda *a, **k: fits.append(1) or fit(*a, **k))
+    fit = mse_weights._mle_fits
+    monkeypatch.setattr(mse_weights, "_mle_fits", lambda *a, **k: fits.append(1) or fit(*a, **k))
     predictor = predictor_class(X, y, [])
     calls = [lambda: predictor.q_form(x_star)]
     for scheme in ("optimal", "aic", "equal"):

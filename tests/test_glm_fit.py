@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from oracles import newton_logistic_oracle, pseudo_true_linear, reduced_guard_rejects, reduced_ols_fit
+from oracles import (
+    full_linear_fit,
+    newton_logistic_oracle,
+    pseudo_true_linear,
+    reduced_guard_rejects,
+    reduced_ols_fit,
+)
 
 import glmavg.glm_fit as glm_fit
 from glmavg import (
@@ -17,7 +23,6 @@ from glmavg import (
     SingularDesignError,
     StudyConfig,
     enumerate_all_subsets,
-    full_linear_fit,
     logistic_mle,
     logistic_pseudo_fit,
     ols_fit,
@@ -107,12 +112,24 @@ class TestOlsFit:
         assert fit.loglik == np.inf
 
 
-class TestFullLinearFit:
+class TestFullDesignSigma2:
+    """``LinearQFactory.sigma2`` (``band``'s default sigma) from the R factor of [X | y]."""
+
     def test_exact_fit_zero_sigma2(self):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((20, 3))
-        full = full_linear_fit(X, X @ np.array([1.0, 2.0, 3.0]))
-        assert full.sigma2 == pytest.approx(0.0, abs=1e-20)
+        y = X @ np.array([1.0, 2.0, 3.0])
+        assert LinearQFactory(X, y, []).sigma2 == pytest.approx(0.0, abs=1e-20)
+        assert full_linear_fit(X, y).sigma2 == pytest.approx(0.0, abs=1e-20)
+
+    def test_exactly_determined_design_has_sigma2_zero(self):
+        # n = d: the factor of [X | y] has no row below R, so the RSS is 0, where
+        # the oracle's residual pass gives roundoff (4.1e-32 on this design)
+        rng = np.random.default_rng(3)
+        X = np.column_stack([np.ones(4), rng.standard_normal((4, 3))])
+        y = rng.standard_normal(4)
+        assert LinearQFactory(X, y, []).sigma2 == 0.0
+        assert 0.0 < full_linear_fit(X, y).sigma2 < 1e-28
 
     def test_sigma2_is_projected_noise_with_divisor_n(self):
         rng = np.random.default_rng(6)
@@ -120,18 +137,20 @@ class TestFullLinearFit:
         X = rng.standard_normal((n, 4))
         e = rng.standard_normal(n)
         y = X @ np.array([1.0, -1.0, 0.5, 2.0]) + e
-        full = full_linear_fit(X, y)
         # projection oracle via pinv, independent of the QR path
         P = X @ np.linalg.pinv(X)
         resid_oracle = e - P @ e
-        assert full.sigma2 == pytest.approx(np.sum(resid_oracle**2) / n, rel=1e-10)
+        expected = np.sum(resid_oracle**2) / n
+        assert LinearQFactory(X, y, []).sigma2 == pytest.approx(expected, rel=1e-10)
+        assert full_linear_fit(X, y).sigma2 == pytest.approx(expected, rel=1e-10)
 
-    def test_fitted_values(self):
+    def test_beta_full_is_the_full_ols_fit(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((15, 2))
         y = rng.standard_normal(15)
-        full = full_linear_fit(X, y)
-        np.testing.assert_allclose(full.fitted, X @ full.beta_full, atol=1e-12)
+        factory = LinearQFactory(X, y, [])
+        assert factory.beta_full.tobytes() == ols_fit(X, y).beta.tobytes()
+        assert factory.sigma2 == pytest.approx(full_linear_fit(X, y).sigma2, rel=1e-12)
 
 
 class TestPseudoTrueLinear:
@@ -384,6 +403,55 @@ def test_fits_replay_logistic_golden(kind):
         assert result.iterations == row["iterations"], where
 
 
+def _stack_around(problem, at, size, seed, kind):
+    """A stack of ``size`` problems of ``problem``'s (n, d) with ``problem`` at position ``at``.
+
+    The others are fresh ordinary draws: a 0/1 response for the MLE, a
+    target in (0.05, 0.95) for the pseudo-fit.
+    """
+    X, v = problem
+    n, d = X.shape
+    rng = np.random.default_rng([29, seed])
+    Xs = np.concatenate([np.ones((size, n, 1)), rng.standard_normal((size, n, d - 1))], axis=-1)
+    p = glmavg_expit(np.matvec(Xs, rng.uniform(-1.5, 1.5, (size, d))))
+    vs = (rng.random((size, n)) < p).astype(float) if kind == "mle" else np.clip(p, 0.05, 0.95)
+    Xs[at], vs[at] = X, v
+    return Xs, vs
+
+
+@pytest.mark.parametrize("position", ["first", "middle"])
+@pytest.mark.parametrize("kind", ["mle", "pseudo"])
+def test_golden_fits_replay_as_one_slice_of_a_stack(kind, position):
+    """Every ``logistic_golden.json`` problem as one slice of a stack of 5 of its (n, d).
+
+    The slices run through one lockstep Newton loop; the golden slice
+    keeps its bits, its iteration count, and its error's class, message
+    and iterations, whatever its neighbours do.
+    """
+    at = 0 if position == "first" else 2
+    for row in LOGISTIC_GOLDEN[kind]:
+        X, y, target = _golden_problem(row["seed"], row["hard"])
+        Xs, vs = _stack_around((X, y if kind == "mle" else target), at, 5, row["seed"] + 1000 * row["hard"], kind)
+        where = (kind, row["seed"], row["hard"], position)
+        if kind == "mle":
+            beta, loglik, iterations, failures = glm_fit._mle_fits(Xs, vs)
+        else:
+            beta, eta, _, iterations, failures = glm_fit._damped_newton(
+                Xs, vs, lambda eta, size: size, model=None, label="logistic pseudo-fit"
+            )
+            loglik = glm_fit._bernoulli_loglik(eta, vs)
+        if "error" in row:
+            error = failures[(at,)]
+            assert type(error).__name__ == row["error"], where
+            assert str(error) == row["message"], where
+            assert error.iterations == row["iterations"], where
+            continue
+        assert (at,) not in failures, where
+        assert [float(b).hex() for b in beta[at]] == row["beta"], where
+        assert float(loglik[at]).hex() == row["loglik"], where
+        assert iterations[at] == row["iterations"], where
+
+
 @pytest.mark.filterwarnings("error")
 class TestLapackSolve:
     @pytest.mark.parametrize("n", range(1, 13))
@@ -504,8 +572,8 @@ FIT_CALLS = [
     ("r_factor", lambda a: r_factor(a["X"]), "X"),
     ("ols_fit", lambda a: ols_fit(a["X"], a["y"]), "X"),
     ("ols_fit", lambda a: ols_fit(a["X"], a["y"]), "y"),
-    ("full_linear_fit", lambda a: full_linear_fit(a["X"], a["y"]), "X"),
-    ("full_linear_fit", lambda a: full_linear_fit(a["X"], a["y"]), "y"),
+    ("LinearQFactory", lambda a: LinearQFactory(a["X"], a["y"], []), "X"),
+    ("LinearQFactory", lambda a: LinearQFactory(a["X"], a["y"], []), "y"),
     ("logistic_mle", lambda a: logistic_mle(a["X"], a["y01"]), "X"),
     ("logistic_pseudo_fit", lambda a: logistic_pseudo_fit(a["X"], a["p"]), "X"),
 ]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from oracles import (
+    full_linear_fit,
     grid_min_objective,
     q_linear_double_sum,
     q_logistic_double_sum,
@@ -34,7 +35,6 @@ from glmavg import (
     derive_seed,
     enumerate_all_subsets,
     equal_weights,
-    full_linear_fit,
     logistic_mle,
     logistic_pseudo_fit,
     ols_fit,

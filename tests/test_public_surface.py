@@ -22,6 +22,9 @@ REMOVED = (
     "pseudo_true_linear",
     "error_metric",
     "oracle_estimate",
+    "average_estimate",
+    "full_linear_fit",
+    "LinearFullFit",
 )
 # (callable, keyword) pairs: each knob had one value in use and became a constant
 REMOVED_KEYWORDS = (

@@ -29,7 +29,6 @@ from glmavg.dataio import csv_text
 from glmavg.glm_fit import RANK_DEFICIENT_MESSAGE
 from glmavg.sim_harness import (
     REPORT_COLUMNS,
-    _logistic_replication,
     STUDY1_BETA,
     STUDY1_ORACLE_SUPPORT,
     STUDY1_P_FIXED,
@@ -38,7 +37,7 @@ from glmavg.sim_harness import (
     study1_model_sets,
     study2_model_sets,
 )
-from oracles import linear_estimates_reference, study_draw_reference
+from oracles import linear_estimates_reference, logistic_estimates_reference, study_draw_reference
 
 # run_study2("linear", beta3_grid=(0.1, 0.5), cases=("B",), n_reps=30, seed=3)
 # with the oracle refit by ols_fit: (mean_estimate, mse) of each row, as float.hex.
@@ -423,7 +422,7 @@ class TestSimulateCell:
         )
         for rep in range(config.n_reps):
             try:
-                _logistic_replication(config, rep)
+                logistic_estimates_reference(config, *study_draw_reference(config, rep))
             except NonConvergenceError as exc:
                 first, direct = rep, exc
                 break
@@ -787,6 +786,163 @@ class TestStackedLinearFits:
         else:
             assert type(excinfo.value) is NumericalError
             assert str(excinfo.value) == f"weight solve failed: injected {key}"
+
+
+def _logistic_cells(n_reps=70):
+    """Study II logistic cases A and B at a weak and a strong beta3, with every scheme.
+
+    Case A's full oracle is a candidate; case B's is not, so each
+    replication fits it on its own and the plug-in fits the full design.
+    """
+    return [
+        StudyConfig(
+            family="logistic",
+            n=100,
+            beta_true=np.array([0.3, 0.1, 0.3, beta3]),
+            candidate_set=study2_model_sets()[case],
+            x_star=np.asarray(STUDY2_X_STAR),
+            n_reps=n_reps,
+            seed=3,
+            schemes=("optimal", "aic", "equal"),
+            oracle=CandidateModel((0, 1, 2), 1),
+            tags=("study2", "logistic", case, repr(beta3)),
+        )
+        for case in "AB"
+        for beta3 in (0.05, 0.5)
+    ]
+
+
+LOGISTIC_STACK_SIZES = pytest.mark.parametrize("stack", [1, 12, 64], ids=["stack-1", "stack-12", "stack-64"])
+
+
+class TestStackedLogisticFits:
+    """A block's logistic replications are fitted as one stack, with each lone fit's bits."""
+
+    @pytest.fixture(scope="class")
+    def cells_and_reference(self):
+        cells = _logistic_cells()
+        reference = [
+            np.array(
+                [logistic_estimates_reference(config, *study_draw_reference(config, rep)) for rep in range(70)]
+            )
+            for config in cells
+        ]
+        return cells, reference
+
+    @LOGISTIC_STACK_SIZES
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_estimates_equal_one_predictor_per_replication(self, monkeypatch, cells_and_reference, stack, workers):
+        cells, reference = cells_and_reference
+        monkeypatch.setattr(sim_harness, "_STACK_REPS", stack)
+        for config, got, expected in zip(cells, sim_harness._simulate(cells, workers), reference):
+            assert list(got) == list(config.columns)
+            for c, column in enumerate(config.columns):
+                assert got[column].tobytes() == expected[:, c].tobytes(), (config.tags, column)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_reports_keep_their_bits(self, workers):
+        # the digest of the report of the per-replication fits that the stacks replace
+        report = run_study2("logistic", cases=("A", "B"), n_reps=40, workers=workers)
+        assert _report_digest(report) == "6bb837ce172d5b09"
+
+    def test_a_large_design_caps_the_stack(self, monkeypatch):
+        # a logistic stack holds its n-row designs: past _STACK_DOUBLES it holds fewer replications
+        config = _logistic_cells(n_reps=10)[2]
+        designs = sim_harness._PREDICTORS["logistic"]._Designs(config.candidate_set.models, 4)
+        assert sim_harness._STACK_REPS * designs.kept(config.n) <= sim_harness._STACK_DOUBLES
+        expected = simulate_cell(config)
+        sizes = []
+        fit_stack = sim_harness._fit_stack
+
+        def recorded(config, designs, members, rows, failures):
+            sizes.append(len(members))
+            return fit_stack(config, designs, members, rows, failures)
+
+        monkeypatch.setattr(sim_harness, "_fit_stack", recorded)
+        monkeypatch.setattr(sim_harness, "_STACK_DOUBLES", 3 * designs.kept(config.n) + 1)
+        got = simulate_cell(config)
+        assert sizes == [3, 3, 3, 1]
+        for column in config.columns:
+            assert got[column].tobytes() == expected[column].tobytes()
+
+    @staticmethod
+    def _defective_draw(defects):
+        """``_draw`` with the replications ``defects`` names made to fail their fits.
+
+        ``"constant"``: every response 1 (no MLE); ``"singular"``: the
+        last column a copy of the one before, so the full candidate's
+        Hessian is exactly singular; ``"separated"``: the response is
+        the sign of column 1, so every candidate with it diverges.
+        """
+        original = sim_harness._draw
+
+        def draw(config, rep):
+            X, y = original(config, rep)
+            defect = defects.get(rep)
+            if defect == "constant":
+                y = np.ones_like(y)
+            elif defect == "singular":
+                X = X.copy()
+                X[:, 3] = X[:, 2]
+            elif defect == "separated":
+                y = (X[:, 1] > 0).astype(float)
+            return X, y
+
+        return draw
+
+    @pytest.mark.parametrize(
+        "order",
+        [("separated", "singular", "constant"), ("singular", "constant", "separated"), ("constant", "separated", "singular")],
+        ids=lambda order: "-".join(order),
+    )
+    @pytest.mark.parametrize("stack", [1, 12], ids=["stack-1", "stack-12"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_earliest_failing_replication_raises_its_lone_error(self, monkeypatch, order, stack, workers):
+        defects = dict(zip((3, 5, 8), order))
+        draw = self._defective_draw(defects)
+        monkeypatch.setattr(sim_harness, "_draw", draw)
+        monkeypatch.setattr(sim_harness, "_STACK_REPS", stack)
+        config = _logistic_cells(n_reps=12)[0]
+        lone = {}
+        for rep in defects:
+            with pytest.raises(NumericalError) as info:
+                logistic_estimates_reference(config, *draw(config, rep))
+            lone[defects[rep]] = info.value
+        assert type(lone["singular"]) is SingularDesignError and "singular Hessian" in str(lone["singular"])
+        assert type(lone["separated"]) is NonConvergenceError and "diverged" in str(lone["separated"])
+        assert type(lone["constant"]) is NonConvergenceError and "degenerate" in str(lone["constant"])
+        direct = lone[order[0]]
+        with pytest.raises(NumericalError) as excinfo:
+            simulate_cell(config, workers=workers)
+        raised = excinfo.value
+        assert type(raised) is type(direct)
+        assert str(raised) == f"{direct} in replication ('study2', 'logistic', 'A', '0.05', rep 3)"
+        assert raised.model == direct.model is not None
+        assert getattr(raised, "iterations", None) == getattr(direct, "iterations", None)
+
+    def test_a_failed_replication_leaves_the_others_bits(self, monkeypatch):
+        # the failing slices freeze while the rest of the stack runs on: each replication
+        # of one stack gives its lone predictor's estimates, or raises its lone error
+        defects = {3: "separated", 5: "singular", 8: "constant"}
+        draw = self._defective_draw(defects)
+        config = _logistic_cells(n_reps=12)[2]  # case B: the plug-in fits the full design too
+        predictor_class = sim_harness._PREDICTORS["logistic"]
+        designs = predictor_class._Designs(config.candidate_set.models, 4)
+        draws = [draw(config, rep) for rep in range(12)]
+        fits = designs.fit(np.stack([X for X, _ in draws]), np.stack([y for _, y in draws]), config.n)
+
+        def outcome(make):
+            try:
+                predictor = make()
+                return [float(predictor.predict(config.x_star, scheme).value).hex() for scheme in config.schemes]
+            except NumericalError as exc:
+                return (type(exc).__name__, str(exc), exc.model)
+
+        for rep, (X, y) in enumerate(draws):
+            got = outcome(lambda: predictor_class._from_stack(fits, (rep,)))
+            expected = outcome(lambda: predictor_class(X, y, config.candidate_set))
+            assert got == expected, rep
+            assert isinstance(got, tuple) == (rep in defects), rep
 
 
 class TestStreamKeys:
