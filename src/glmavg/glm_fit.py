@@ -31,11 +31,16 @@ Both logistic fits solve the score equation X_k'(t - p(X_k beta)) = 0
 with one damped Newton loop (``_damped_newton``): full steps from
 beta = 0, halving the step whenever the candidate fails to lower the
 fit's merit, and stopping when the score's infinity norm drops below
-``SCORE_TOL``.  The two public solves differ only in the target t and
-the merit:
+``SCORE_TOL``.  The loop takes one problem, or many of one (n, d)
+stacked along leading axes, which it runs in lockstep, each slice with
+its own step, halvings, iteration count and divergence guard, and each
+with the bits of its own lone fit: a study fits one candidate for a
+block's replications with one Newton loop, not one per replication.
+The two public solves differ only in the target t and the merit:
 
 * ``logistic_mle`` fits 0/1 data by maximum likelihood (t = y, merit
-  -loglik),
+  -loglik), through ``_mle_fits``, which the candidate factories call
+  on one training set or a stack of them,
 * ``logistic_pseudo_fit`` solves the score equation against a vector of
   *target probabilities*, i.e. the population projection of one model
   onto another (merit: the score's infinity norm).  Against the full
@@ -166,9 +171,10 @@ def lapack_inv(A: np.ndarray) -> np.ndarray:
 def lapack_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with A x = b for square float matrices A, by LAPACK ``gesv`` (``np.linalg.solve``).
 
-    As in ``np.linalg.solve``, a 1-d b is one right-hand side (the gufunc
-    ``solve1``, signature ``dd->d``) and otherwise b stacks matrices of
-    right-hand sides (``solve``).
+    A b with one axis fewer than A holds one right-hand side per matrix
+    (the gufunc ``solve1``, signature ``dd->d``), as a 1-d b does in
+    ``np.linalg.solve``; otherwise b stacks matrices of right-hand sides
+    (``solve``).
 
     These four helpers call the gufuncs behind their ``np.linalg``
     wrappers, without the wrappers' argument checks, copies and
@@ -187,22 +193,6 @@ def lapack_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _umath_linalg.solve(A, b, signature="dd->d")
 
 
-def r_factor(X: np.ndarray, model: CandidateModel | None = None) -> np.ndarray:
-    """R factor of a design matrix's QR, with a condition-number guard; Q is never formed."""
-    X = np.array(X, dtype=float)  # a copy: the factorisation overwrites it
-    if X.ndim != 2:
-        raise DataError("design matrix must be 2-d")
-    require_finite("design matrix", X)
-    n, d = X.shape
-    if n < d:
-        raise SingularDesignError(f"need n >= d, got n={n}, d={d}", model=model)
-    with np.errstate(invalid="ignore"):
-        R = lapack_qr_r(X)
-        if ill_conditioned(R):
-            raise SingularDesignError(RANK_DEFICIENT_MESSAGE, model=model)
-    return R
-
-
 def ill_conditioned(R: np.ndarray) -> np.ndarray:
     """Condition guard on R factors stacked along the leading axes (True = reject).
 
@@ -210,9 +200,10 @@ def ill_conditioned(R: np.ndarray) -> np.ndarray:
     and its condition number is at most ``COND_LIMIT``.  Both tests are
     written so that NaN fails them: a failed SVD, or a factor with a
     non-finite entry, gives NaN singular values and is rejected.  Call
-    it under ``np.errstate(invalid="ignore")``.  ``r_factor`` runs it on
-    every factor; ``_least_squares`` runs it only on the model sizes of a
-    design that its one union check does not certify.
+    it under ``np.errstate(invalid="ignore")``.  The logistic plug-in
+    runs it on every weighted factor; ``_least_squares`` runs it only on
+    the model sizes of a design that its one union check does not
+    certify.
     """
     return _rejects(lapack_singular_values(R), COND_LIMIT)
 

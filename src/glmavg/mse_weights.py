@@ -36,15 +36,18 @@ per-model functional estimates:
 Both are one assembly (``_CandidateFactory.q_form``) with link h and
 slope h': the identity and 1 for linear targets, expit and p(1-p) for
 logistic ones.  Both factories defer the plug-in fit, and with it every
-matrix inverse, to the first ``q_form``.  The linear fit and plug-in
-(``_LinearFits``) take their R factors alone or stacked along leading
-axes, one training set per slice: ``LinearQFactory`` runs them on one
-training set, and the study harness on a block of replications' R
-factors at once, with one LAPACK call per model size for the whole
-block, then reads each replication's slice as its own factory
-(``LinearQFactory._from_stack``), whose ``q_form`` assembles that
-replication's Qhat alone.  Every stacked call works slice by slice, so
-each replication keeps the bits of its own ``LinearQFactory``.
+matrix inverse, to the first ``q_form``.  Each family's fit and plug-in
+(``_LinearFits``, ``_LogisticFits``, made by its designs' ``fit``) take
+one training set or many stacked along leading axes, one per slice: a
+factory runs them on one training set, and the study harness on a
+block of replications at once, the linear family on their R factors
+with one LAPACK call per model size, the logistic family on their
+designs with one damped Newton loop per candidate and one QR, guard
+SVD and inverse per candidate for the plug-in.  It then reads each
+replication's slice as its own factory (``_from_stack``), whose
+``q_form`` assembles that replication's Qhat alone.  Every stacked call
+works slice by slice, so each replication keeps the bits of its own
+factory.
 
 The factored construction keeps Qhat symmetric positive semidefinite by
 construction; tests cross-check it entrywise against the literal
@@ -558,10 +561,11 @@ def _record(errors: dict, failed, error) -> None:
 
 
 def _weighted_r(X, beta):
-    """R factor of sqrt(p (1 - p)) X at p = expit(X beta), on every leading axis, and ``r_factor``'s verdict.
+    """R factor of sqrt(p (1 - p)) X at p = expit(X beta), on every leading axis, and its rejections.
 
-    The verdict is True where ``r_factor`` would raise: fewer rows than
-    columns, or a factor its condition guard rejects.
+    A factor is rejected (True) when X has fewer rows than columns or
+    the condition guard ``glm_fit.ill_conditioned`` rejects it;
+    ``_fit_failure`` words why.
     """
     n, d = X.shape[-2:]
     p = expit(np.matvec(X, beta))

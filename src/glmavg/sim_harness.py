@@ -29,13 +29,17 @@ calling process and the others in forked worker processes (see
 ``glmavg._forked``), with one fork per worker for the whole study; they
 run serially when ``workers`` is 1, when the process may use one CPU
 only, off Linux, or while another Python thread is alive.  In a block
-(``_run_block``), each replication draws its data and factors [X_U | y]
-on its n rows; a linear cell's replications are then fitted as stacks
-of up to ``_STACK_REPS``, with one LAPACK call per model size and one
-inverse per model size per stack, and each replication reads its slice
-as its own predictor, whose Q-hat, simplex solves and estimates run per
-replication.  A logistic replication is fitted on its own.  Every
-estimate keeps the bits of one predictor fitted per replication.
+(``_run_block``), a cell's replications are fitted as stacks of up to
+``_STACK_REPS``, whatever the family, through one routine
+(``_fit_stack``).  Each replication draws its data and keeps what its
+family's fit needs: a linear one factors [X_U | y] on its n rows, a
+logistic one keeps its design and response.  The stack is then fitted
+at once, with one LAPACK call per model size (linear) or one damped
+Newton loop per candidate (logistic), and one inverse per model size
+or candidate for the plug-in, and each replication reads its slice as
+its own predictor, whose Q-hat, simplex solves and estimates run per
+replication.  Every estimate keeps the bits of one predictor fitted
+per replication.
 Design matrices are redrawn each replication; the target covariate x*
 is drawn once per study (Study I) or fixed to the stock values
 (Study II) so the estimand is a constant.

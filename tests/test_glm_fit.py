@@ -35,7 +35,6 @@ from glmavg.glm_fit import (
     lapack_qr_r,
     lapack_singular_values,
     lapack_solve,
-    r_factor,
 )
 from glmavg.sim_harness import (
     STUDY1_BETA,
@@ -569,7 +568,6 @@ def _inputs():
 
 
 FIT_CALLS = [
-    ("r_factor", lambda a: r_factor(a["X"]), "X"),
     ("ols_fit", lambda a: ols_fit(a["X"], a["y"]), "X"),
     ("ols_fit", lambda a: ols_fit(a["X"], a["y"]), "y"),
     ("LinearQFactory", lambda a: LinearQFactory(a["X"], a["y"], []), "X"),
