@@ -425,9 +425,11 @@ def test_golden_fits_replay_as_one_slice_of_a_stack(kind, position):
 
     The slices run through one lockstep Newton loop; the golden slice
     keeps its bits, its iteration count, and its error's class, message
-    and iterations, whatever its neighbours do.
+    and iterations, whatever its neighbours do, and every other slice
+    gives what its own lone fit gives.
     """
     at = 0 if position == "first" else 2
+    lone_fit = logistic_mle if kind == "mle" else logistic_pseudo_fit
     for row in LOGISTIC_GOLDEN[kind]:
         X, y, target = _golden_problem(row["seed"], row["hard"])
         Xs, vs = _stack_around((X, y if kind == "mle" else target), at, 5, row["seed"] + 1000 * row["hard"], kind)
@@ -449,6 +451,13 @@ def test_golden_fits_replay_as_one_slice_of_a_stack(kind, position):
         assert [float(b).hex() for b in beta[at]] == row["beta"], where
         assert float(loglik[at]).hex() == row["loglik"], where
         assert iterations[at] == row["iterations"], where
+        for j in range(5):
+            try:
+                lone = lone_fit(Xs[j], vs[j])
+            except NonConvergenceError as exc:
+                assert str(failures[(j,)]) == str(exc), (where, j)
+                continue
+            assert beta[j].tobytes() == lone.beta.tobytes() and iterations[j] == lone.iterations, (where, j)
 
 
 @pytest.mark.filterwarnings("error")

@@ -19,6 +19,7 @@ from glmavg import (
     NumericalError,
     SingularDesignError,
     StudyConfig,
+    logistic_mle,
     nested_sequence,
     run_study1,
     run_study2,
@@ -908,6 +909,14 @@ class TestStackedLogisticFits:
             with pytest.raises(NumericalError) as info:
                 logistic_estimates_reference(config, *draw(config, rep))
             lone[defects[rep]] = info.value
+            # the error a loop over the candidates' own MLEs meets first, in list order
+            X, y = draw(config, rep)
+            with pytest.raises(NumericalError) as first:
+                for model in config.candidate_set.models:
+                    logistic_mle(X[:, model.column_indices()], y, model=model)
+            assert (type(first.value), str(first.value), first.value.model) == (
+                type(info.value), str(info.value), info.value.model
+            )
         assert type(lone["singular"]) is SingularDesignError and "singular Hessian" in str(lone["singular"])
         assert type(lone["separated"]) is NonConvergenceError and "diverged" in str(lone["separated"])
         assert type(lone["constant"]) is NonConvergenceError and "degenerate" in str(lone["constant"])
