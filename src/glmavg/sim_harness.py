@@ -72,9 +72,9 @@ from .rng import _checked_keys, substream
 # about 2e5 the doubles.  Measured (256 replications, BLAS on one thread,
 # 2-core x86-64 VM), ms per replication:
 # - Study I (K = 7, p = 10) at n = 100 / 1000, stacks of 1: 0.440 / 0.588
-#   (a stack of one is fitted with no leading axis), 8: 0.203 / 0.347,
-#   32: 0.165 / 0.305, 64: 0.154 / 0.290, 256: 0.155 / 0.294; one
-#   replication at a time, before the stacks, 0.417 / 0.568;
+#   (a stack of one is fitted with no leading axis), 64: 0.154 / 0.290;
+#   before that, 8: 0.203 / 0.347, 32: 0.165 / 0.305, 256: 0.155 / 0.294;
+#   one replication at a time, before the stacks, 0.417 / 0.568;
 # - Study II logistic case A / B (K = 4 / 3, n = 100, beta3 = 0.05),
 #   stacks of 1: 0.693 / 0.784, 4: 0.373 / 0.489, 12: 0.244 / 0.357,
 #   25: 0.209 / 0.322, 64: 0.192 / 0.303, 256: 0.186 / 0.297; one
@@ -280,10 +280,9 @@ def _fit_stack(config: StudyConfig, designs, members, rows: list, failures: dict
     ``designs`` are the cell's family designs (the predictor's
     ``_Designs``) and ``members`` (position, rep) pairs.  Each
     replication draws its data and keeps what the fit needs
-    (``designs.reduce``: a
-    linear replication its n-row QRs, a logistic one its design and
-    response), and fits an oracle of its own (``_oracle_fit``) while it
-    has its draws.  Then one fit over the stack (``designs.fit``) makes
+    (``designs.reduce``: a linear replication its n-row QRs, a logistic
+    one its design and response), and fits an oracle of its own
+    (``_oracle_fit``) while it has its draws.  Then one fit over the stack (``designs.fit``) makes
     every candidate's fit for all of them at once: the linear QRs,
     guards and solves with one LAPACK call per model size, the logistic
     MLEs with one damped Newton loop per candidate, and, on the first
