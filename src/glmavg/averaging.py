@@ -13,7 +13,9 @@ coefficient vector, and the weights come from one of three schemes:
 Per-model values and the ``optimal`` scheme's quadratic form use the
 same data fits (OLS / logistic MLE): under the canonical links each
 candidate's fit against the full model's fitted values is its own data
-fit, so Q-hat needs no fit of its own.
+fit, so Q-hat needs no fit of its own.  The study harness averages a
+whole stack of replications in one pass (``_average_stack``), on the
+same routines as a predictor's, with each replication's bits.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._forked import run_replications
-from .errors import DataError
+from .errors import DataError, GlmavgError
 
 # build_q_logistic and logistic_mle are no longer called here; they stay
 # importable from this module, where perfbench/tracer.py looks them up.
@@ -33,6 +35,8 @@ from .mse_weights import (
     LogisticQFactory,
     QuadraticForm,
     WeightSolution,
+    _aic_weights,
+    aic_values,
     aic_weights,
     build_q_logistic,
     equal_weights,
@@ -196,6 +200,65 @@ class LogisticAveragingPredictor(_AveragingPredictor, LogisticQFactory):
 
 # the predictor of each family, for the one-shot wrappers and the study harness
 _PREDICTORS = {"linear": LinearAveragingPredictor, "logistic": LogisticAveragingPredictor}
+
+
+def _average_stack(fits, x_star: np.ndarray, schemes: list) -> tuple[np.ndarray, list]:
+    """Each training set's averaged estimates under its schemes, from one fit of a stack of them.
+
+    ``fits`` is a family's fit (``_Designs.fit``) of training sets
+    stacked on one leading axis, or of one training set with none, and
+    ``schemes[j]`` names set j's schemes in order, or is None for a set
+    to skip.  What ``predict`` computes per call is computed here once
+    for the whole stack, on its leading axis: the per-model values
+    h(B x*), Q-hat's bias and Gram factor when a set asks for
+    ``optimal``, and the AIC weights when one asks for ``aic``.  Only
+    the simplex solves, through this module's ``solve_simplex_qp`` (the
+    name ``perfbench/tracer.py`` wraps), and the weighted sums run per
+    set.  The stacked routines are the ones a predictor runs on its one
+    training set, slice by slice, so each estimate has the bits of its
+    own predictor's ``predict``.
+
+    Returns the per-model values and, per set, the list of its
+    estimates or the first ``GlmavgError`` its own predictor raises:
+    its fit's, then each scheme's in order (for ``optimal`` the
+    plug-in's, then the solver's).
+    """
+    slices = [(j,) for j in range(len(schemes))] if fits.B.ndim > 2 else [()]
+    asked = {scheme for names in schemes if names for scheme in names}
+    with np.errstate(all="ignore"):  # a set that failed its fit may hold anything
+        values = fits.values(x_star)
+        if "optimal" in asked:
+            bias, gram_factor = fits.q_parts(x_star, values)
+        if "aic" in asked:
+            dims = fits.dims()
+            aic = _aic_weights(aic_values(fits.logliks, dims))
+    results = []
+    for i, names in zip(slices, schemes):
+        if names is None:
+            results.append(None)
+            continue
+        try:
+            error = fits.fit_error(i)
+            if error is not None:
+                raise error
+            estimates = []
+            for scheme in names:
+                if scheme == "optimal":
+                    error = fits.plug_in_error(i)
+                    if error is not None:
+                        raise error
+                    weights = solve_simplex_qp(QuadraticForm.from_parts(bias[i], gram_factor[i])).weights
+                elif scheme == "aic":
+                    weights = aic[i]
+                    if np.isnan(weights[0]):  # a set aic_weights treats apart, or refuses
+                        weights = aic_weights(fits.logliks[i], dims)
+                else:
+                    weights = equal_weights(len(fits.models))
+                estimates.append(float(weights @ values[i]))
+            results.append(estimates)
+        except GlmavgError as exc:
+            results.append(exc)
+    return values, results
 
 
 def _fit_and_average(family, X, y, models, functional, scheme) -> AveragedEstimate:

@@ -33,21 +33,20 @@ per-model functional estimates:
   of the linear B_pl = B; its only fit is the full-model MLE, when the
   full design is not a candidate.
 
-Both are one assembly (``_CandidateFactory.q_form``) with link h and
-slope h': the identity and 1 for linear targets, expit and p(1-p) for
-logistic ones.  Both factories defer the plug-in fit, and with it every
-matrix inverse, to the first ``q_form``.  Each family's fit and plug-in
+Both are one assembly (``_Fits.q_parts``) with link h and slope h':
+the identity and 1 for linear targets, expit and p(1-p) for logistic
+ones.  Both factories defer the plug-in fit, and with it every matrix
+inverse, to the first ``q_form``.  Each family's fit and plug-in
 (``_LinearFits``, ``_LogisticFits``, made by its designs' ``fit``) take
-one training set or many stacked along leading axes, one per slice: a
-factory runs them on one training set, and the study harness on a
-block of replications at once, the linear family on their R factors
-with one LAPACK call per model size, the logistic family on their
-designs with one damped Newton loop per candidate and one QR, guard
-SVD and inverse per candidate for the plug-in.  It then reads each
-replication's slice as its own factory (``_from_stack``), whose
-``q_form`` assembles that replication's Qhat alone.  Every stacked call
-works slice by slice, so each replication keeps the bits of its own
-factory.
+one training set or many stacked along leading axes, one per slice, and
+so do the per-model values and the Qhat assembly: a factory runs them
+on one training set, with no leading axis, and the study harness on a
+stack of replications at once (``averaging._average_stack``), the
+linear family on their R factors with one LAPACK call per model size,
+the logistic family on their designs with one damped Newton loop per
+candidate and one QR, guard SVD and inverse per candidate for the
+plug-in.  Every stacked call works slice by slice, so each replication
+keeps the bits of its own factory.
 
 The factored construction keeps Qhat symmetric positive semidefinite by
 construction; tests cross-check it entrywise against the literal
@@ -181,22 +180,16 @@ class _CandidateFactory:
 
     A subclass names its family's designs (``_Designs``: what a training
     set keeps for the fit, ``reduce``, and the fit of one such training
-    set or of a stack of them, ``fit``) and sets the link h and its slope
-    h'; the fits object gives the padded coefficients B (K x p) and the
-    log-likelihoods, and the per-model values at x* are h(B x*).  Under
-    both canonical links each candidate's plug-in coefficients are B
-    itself, so the first ``q_form`` asks the fits only for the full
-    model's coefficients beta_full, the padded inverse Grams G (K p x p)
-    and a p x p factor R.  With v = h(B x*), the bias is
-    v - h(x*'beta_full) and the Gram factor is R (G x*)' diag(h'(v)).
-    The full model's value is its own dot product, not a row of the
-    matmul, which BLAS may round differently.  Selection and the ``aic``
-    and ``equal`` schemes never call ``q_form``, so they never pay for
-    it.  A factory may hold no candidates (``cv_compare`` builds one only
-    for ``beta_full``); its ``q_form`` raises ``DataError`` before any
-    plug-in fit.  A factory built on one training set is the fit with no
-    leading axis; ``_from_stack`` reads one training set of a stacked fit
-    instead, with the same bits.  The averaging predictors subclass these
+    set or of a stack of them, ``fit``).  A factory is that fit on one
+    training set, with no leading axis: it raises the fit's first error,
+    and its per-model values and ``q_form`` are the fits' own
+    (``_Fits.values`` and ``_Fits.q_parts``) on that one set, the
+    routines the study harness runs on a whole stack
+    (``averaging._average_stack``).  Selection and the ``aic`` and
+    ``equal`` schemes never call ``q_form``, so they never pay for the
+    plug-in.  A factory may hold no candidates (``cv_compare`` builds
+    one only for ``beta_full``); its ``q_form`` raises ``DataError``
+    before any plug-in fit.  The averaging predictors subclass these
     factories (``averaging.LinearAveragingPredictor``,
     ``LogisticAveragingPredictor``) and add only ``predict``.
     """
@@ -215,32 +208,15 @@ class _CandidateFactory:
             if model.columns[-1] >= p:
                 raise DataError(f"design has {p} columns, model needs column {model.columns[-1]}")
         designs = self._Designs(models, p)
-        self._take(designs.fit(*designs.reduce(X, y), n), ())
-
-    @classmethod
-    def _from_stack(cls, fits, i: tuple):
-        """The factory of training set ``i``, an index tuple, of a stack of fits, with no fit of its own.
-
-        ``fits`` is ``_Designs.fit`` over many training sets of the same
-        candidates; this factory reads slice ``i`` of it and raises what
-        that training set's own factory raises.  The plug-in is made for
-        the whole stack on the first ``q_form`` of any of its factories.
-        """
-        self = cls.__new__(cls)
-        self._take(fits, i)
-        return self
-
-    def _take(self, fits, i):
-        """Training set ``i`` of ``fits`` (``()`` for an unstacked fit), or its error."""
-        error = fits.fit_error(i)
+        fits = designs.fit(*designs.reduce(X, y), n)
+        error = fits.fit_error()
         if error is not None:
             raise error
-        self.models = fits.models
-        self._fits, self._i = fits, i
-        self._B, self._logliks = fits.B[i], fits.logliks[i]
+        self.models, self._fits = models, fits
+        self._plug_in_checked = False
+        self._B, self._logliks = fits.B, fits.logliks
         self._B.flags.writeable = False
         self._logliks.flags.writeable = False
-        self._plug_in = None
 
     def padded_betas(self) -> np.ndarray:
         """Read-only K x p coefficients, zero where a candidate leaves a column out."""
@@ -251,27 +227,60 @@ class _CandidateFactory:
         return self._logliks
 
     def dims(self) -> np.ndarray:
-        return np.array([model.dim for model in self.models])
+        return self._fits.dims()
 
     def per_model_values(self, x_star: np.ndarray) -> np.ndarray:
         """h(x_k*' beta_k) for every candidate (the per-model functional estimates)."""
-        return self._link(self._B @ _checked_point(x_star, self._B.shape[1]))
+        return self._fits.values(_checked_point(x_star, self._B.shape[1]))
 
     def q_form(self, x_star: np.ndarray) -> QuadraticForm:
         x_star = _checked_point(x_star, self._B.shape[1])
         if not self.models:
             raise DataError("a quadratic form needs at least one model")
-        if self._plug_in is None:
-            beta_full, G, R = self._fits.plug_in()
-            error = self._fits.plug_in_error(self._i)
+        fits = self._fits
+        if not self._plug_in_checked:
+            error = fits.plug_in_error()
             if error is not None:
                 raise error
-            self._plug_in = beta_full[self._i], G[self._i], R[self._i]
-        beta_full, G, R = self._plug_in
-        values = self._link(self._B @ x_star)
-        G_x = (G @ x_star).reshape(values.shape[0], -1)
-        bias = values - self._link(x_star @ beta_full)
-        return QuadraticForm.from_parts(bias, R @ (G_x.T * self._slope(values)))
+            self._plug_in_checked = True
+        return QuadraticForm.from_parts(*fits.q_parts(x_star, fits.values(x_star)))
+
+
+class _Fits:
+    """What both families' fits share: the per-model values and Qhat's parts at x*, on every leading axis.
+
+    A subclass sets the link h and ``by_slope``, which scales row k of
+    G x* by the slope h'(v_k) (the identity's slope is 1, so the linear
+    rows stay as they are), and gives ``B``, the padded coefficients
+    (K x p per training set), and ``plug_in``: the full model's
+    coefficients beta_full, the padded inverse Grams G (K p x p) and a
+    p x p factor R.  Under both canonical links each candidate's plug-in
+    coefficients are B itself, so with v = h(B x*) the bias is
+    v - h(x*'beta_full) and the Gram factor R (G x*)' diag(h'(v)).
+    The same routines serve one training set (a factory) and a stack of
+    them (the study harness): every product works slice by slice, so a
+    stacked training set keeps the bits of its own factory.
+    """
+
+    def dims(self) -> np.ndarray:
+        return np.array([model.dim for model in self.models])
+
+    def values(self, x_star: np.ndarray) -> np.ndarray:
+        """h(B x*): every candidate's value at x*, for every training set."""
+        return self.link(self.B @ x_star)
+
+    def q_parts(self, x_star: np.ndarray, values: np.ndarray):
+        """Qhat's bias and Gram factor at x* for every training set, with ``values`` = ``self.values(x_star)``.
+
+        Only a training set with a fit and no ``plug_in_error`` has a form
+        here.  The full model's value is its own dot product (``vecdot``,
+        one per training set), not a row of a matmul, which BLAS may round
+        differently.
+        """
+        beta_full, G, R = self.plug_in()
+        G_x = (G @ x_star).reshape(*values.shape, -1)
+        bias = values - self.link(np.vecdot(x_star, beta_full))[..., None]
+        return bias, R @ self.by_slope(G_x, values).mT
 
 
 def _design_error(failed, models, message) -> SingularDesignError | None:
@@ -328,7 +337,7 @@ class _LinearDesigns:
         return _LinearFits(self, R_aug, R_full, n)
 
 
-class _LinearFits:
+class _LinearFits(_Fits):
     """Every linear candidate's OLS fit, from the R factors of one training set or of a stack of them.
 
     ``R_aug`` and ``R_full`` are what ``designs.reduce`` returns for one
@@ -338,8 +347,11 @@ class _LinearFits:
     and once more for a full design with its own factor.  ``failed``
     marks the K candidates, then the full design when it is none of
     them; a training set that failed has no fit, and ``fit_error`` names
-    its first failing design.
+    its first failing design.  The link is the identity.
     """
+
+    link = staticmethod(lambda eta: eta)
+    by_slope = staticmethod(lambda G_x, mu: G_x)  # h' = 1
 
     def __init__(self, designs: _LinearDesigns, R_aug, R_full, n: int):
         K, p, f = designs.K, designs.p, designs.full
@@ -397,7 +409,8 @@ class _LinearFits:
         return self._plug_in
 
     def plug_in_error(self, i=()) -> SingularDesignError | None:
-        """The error naming training set ``i``'s first failed inverse Gram, or None."""
+        """The error naming training set ``i``'s first failed inverse Gram, or None; makes the plug-in first."""
+        self.plug_in()
         return _design_error(self._inverse_failed[i], self.models, lambda k: RANK_DEFICIENT_MESSAGE)
 
 
@@ -434,13 +447,14 @@ class LinearQFactory(_CandidateFactory):
     """
 
     _Designs = _LinearDesigns
-    _link = staticmethod(lambda eta: eta)
-    _slope = staticmethod(lambda mu: 1.0)
 
-    def _take(self, fits: _LinearFits, i):
-        super()._take(fits, i)
-        self.beta_full = fits.beta_full[i]
-        self.sigma2 = float(fits.sigma2[i])
+    @property
+    def beta_full(self) -> np.ndarray:
+        return self._fits.beta_full
+
+    @property
+    def sigma2(self) -> float:
+        return float(self._fits.sigma2)
 
     def model_betas(self) -> list[np.ndarray]:
         return [beta[model.column_indices()] for beta, model in zip(self._B, self.models)]
@@ -474,7 +488,7 @@ class _LogisticDesigns:
         return _LogisticFits(self, X, y)
 
 
-class _LogisticFits:
+class _LogisticFits(_Fits):
     """Every logistic candidate's MLE, from one training set or from a stack of them.
 
     ``X`` (n x p) and ``y`` (n) are one training set, or many stacked
@@ -483,8 +497,12 @@ class _LogisticFits:
     whole stack: one damped Newton loop whose slices run in lockstep,
     each with the bits of its own lone fit.  A training set's
     ``fit_error`` is the first failure in candidate order, as a factory
-    fitting its candidates in list order raises it.
+    fitting its candidates in list order raises it.  The link is
+    ``expit``, with slope p(1 - p).
     """
+
+    link = staticmethod(expit)
+    by_slope = staticmethod(lambda G_x, p: G_x * (p * (1.0 - p))[..., None])
 
     def __init__(self, designs: _LogisticDesigns, X, y):
         self.models = designs.models
@@ -551,6 +569,8 @@ class _LogisticFits:
         return self._plug_in
 
     def plug_in_error(self, i=()):
+        """Training set ``i``'s first plug-in failure, or None; makes the plug-in first."""
+        self.plug_in()
         return self._plug_in_errors.get(i)
 
 
@@ -597,8 +617,6 @@ class LogisticQFactory(_CandidateFactory):
     """
 
     _Designs = _LogisticDesigns
-    _link = staticmethod(expit)
-    _slope = staticmethod(lambda p: p * (1.0 - p))
 
 
 def build_q_logistic(
@@ -632,10 +650,10 @@ def equal_weights(K: int) -> np.ndarray:
 
 
 def aic_values(logliks, dims) -> np.ndarray:
-    """AIC_k = -2 loglik_k + 2 dim_k for every candidate."""
+    """AIC_k = -2 loglik_k + 2 dim_k for every candidate, on every leading axis of ``logliks``."""
     logliks = np.asarray(logliks, dtype=float)
     dims = np.asarray(dims, dtype=float)
-    if logliks.ndim != 1 or logliks.shape != dims.shape or logliks.size == 0:
+    if dims.ndim != 1 or logliks.shape[-1:] != dims.shape or dims.size == 0:
         raise DataError("logliks and dims must be non-empty vectors of the same length")
     return -2.0 * logliks + 2.0 * dims
 
@@ -651,6 +669,8 @@ def aic_weights(logliks, dims) -> np.ndarray:
     weight equally among themselves.
     """
     aic = aic_values(logliks, dims)
+    if aic.ndim != 1:
+        raise DataError("logliks and dims must be non-empty vectors of the same length")
     if np.any(np.isnan(aic)):
         raise DataError("log-likelihoods must not be NaN")
     best = np.min(aic)
@@ -659,8 +679,19 @@ def aic_weights(logliks, dims) -> np.ndarray:
         return mask.astype(float) / mask.sum()
     if best == np.inf:
         raise DataError("every model has an infinitely bad fit; AIC weights are undefined")
-    w = np.exp(-0.5 * (aic - best))
-    return w / w.sum()
+    return _aic_weights(aic)
+
+
+def _aic_weights(aic: np.ndarray) -> np.ndarray:
+    """exp(-(AIC_k - min AIC) / 2), normalised, on the last axis of ``aic`` and every leading one.
+
+    A candidate set whose smallest AIC is not finite (a NaN, or a fit
+    infinitely good or every fit infinitely bad), which ``aic_weights``
+    treats apart, gives all NaN.
+    """
+    with np.errstate(invalid="ignore"):
+        w = np.exp(-0.5 * (aic - aic.min(axis=-1, keepdims=True)))
+        return w / w.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

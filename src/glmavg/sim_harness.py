@@ -16,30 +16,34 @@ Both studies build and check every cell's config first, so a bad cell
 (a negative seed included) raises before the first replication; one
 private runner then simulates the cells and writes one summary row per
 estimate column.  The oracle column is the oracle model's own fit on
-each replication's draws, at x*: the predictor's fit when the oracle is
+each replication's draws, at x*: the candidates' fit when the oracle is
 a candidate or, in the linear family, the full design, else one
-``ols_fit`` or ``logistic_mle`` of its columns.  Replication r draws
-its design and response from the stream ``substream(seed, *tags, r)``,
-keyed once per cell, so reports are byte-identical across runs and
-across worker counts.  A study lays all its cells' replications out rep
-by rep (rep 0 of every cell, then rep 1, ...) in one
-``run_replications`` call, which hands each process one contiguous
-block holding the same share of every cell: the first block runs in the
-calling process and the others in forked worker processes (see
-``glmavg._forked``), with one fork per worker for the whole study; they
+``ols_fit`` of its columns (linear) or one more MLE of its columns for
+the whole stack (logistic), with the bits of a lone ``logistic_mle``.
+Replication r draws its design and response from the stream
+``substream(seed, *tags, r)``, keyed once per cell, so reports are
+byte-identical across runs and across worker counts.  A study lays all
+its cells' replications out rep by rep (rep 0 of every cell, then rep
+1, ...) in one ``run_replications`` call, which hands each process one
+contiguous block holding the same share of every cell: the first block
+runs in the calling process and the others in forked worker processes
+(see ``glmavg._forked``), with one fork per worker for the whole study; they
 run serially when ``workers`` is 1, when the process may use one CPU
 only, off Linux, or while another Python thread is alive.  In a block
-(``_run_block``), a cell's replications are fitted as stacks of up to
-``_STACK_REPS``, whatever the family, through one routine
-(``_fit_stack``).  Each replication draws its data and keeps what its
-family's fit needs: a linear one factors [X_U | y] on its n rows, a
-logistic one keeps its design and response.  The stack is then fitted
-at once, with one LAPACK call per model size (linear) or one damped
-Newton loop per candidate (logistic), and one inverse per model size
-or candidate for the plug-in, and each replication reads its slice as
-its own predictor, whose Q-hat, simplex solves and estimates run per
-replication.  Every estimate keeps the bits of one predictor fitted
-per replication.
+(``_run_block``), the replications that share a design (the family, n,
+the candidates and x*) are stacked together, across cells, so the
+cells of a beta3 grid share their stacks; each group is cut into stacks
+of up to ``_STACK_REPS``, whatever the family, and run through one
+routine (``_fit_stack``).  Each replication draws its data and keeps
+what its family's fit needs: a linear one factors [X_U | y] on its n
+rows, a logistic one keeps its design and response.  The stack is then
+fitted at once, with one LAPACK call per model size (linear) or one
+damped Newton loop per candidate (logistic), and one inverse per model
+size or candidate for the plug-in.  One averaging pass
+(``averaging._average_stack``) then makes the per-model values, Q-hat
+and the AIC weights for the whole stack; only the simplex solves and
+the weighted sums run per replication.  Every estimate keeps the bits
+of one predictor fitted per replication.
 Design matrices are redrawn each replication; the target covariate x*
 is drawn once per study (Study I) or fixed to the stock values
 (Study II) so the estimand is a constant.
@@ -47,7 +51,6 @@ is drawn once per study (Study I) or fixed to the stock values
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -56,29 +59,38 @@ import numpy as np
 from .averaging import (
     _PREDICTORS,
     SCHEMES,
+    _average_stack,
     fit_and_average_logistic,  # no longer called here; perfbench/tracer.py looks it up here
 )
 from ._forked import run_replications
 from .errors import DataError, GlmavgError
-from .glm_fit import expit, logistic_mle, ols_fit, require_finite
+from .glm_fit import (
+    _mle_fits,
+    expit,
+    logistic_mle,  # no longer called here; perfbench/tracer.py looks it up here
+    ols_fit,
+    require_finite,
+)
 from .model_space import CandidateModel, ModelSet, nested_sequence
 from .rng import _checked_keys, substream
 
-# The most replications of one cell fitted as one stack, and the most
+# The most replications fitted and averaged as one stack, and the most
 # doubles a stack's fit may hold (``_Designs.kept``; 16 MB).  A linear
 # stack holds about p^2 doubles per replication, never the n-row designs,
 # so only the count binds it; a logistic one holds its designs, so at
 # Study II's n = 100 and p = 4 the count binds, and only at n p above
-# about 2e5 the doubles.  Measured (256 replications, BLAS on one thread,
-# 2-core x86-64 VM), ms per replication:
-# - Study I (K = 7, p = 10) at n = 100 / 1000, stacks of 1: 0.440 / 0.588
-#   (a stack of one is fitted with no leading axis), 64: 0.154 / 0.290;
-#   before that, 8: 0.203 / 0.347, 32: 0.165 / 0.305, 256: 0.155 / 0.294;
-#   one replication at a time, before the stacks, 0.417 / 0.568;
-# - Study II logistic case A / B (K = 4 / 3, n = 100, beta3 = 0.05),
-#   stacks of 1: 0.693 / 0.784, 4: 0.373 / 0.489, 12: 0.244 / 0.357,
-#   25: 0.209 / 0.322, 64: 0.192 / 0.303, 256: 0.186 / 0.297; one
-#   replication at a time, before the stacks, 0.585 / 0.661.
+# about 2e5 the doubles.  Measured (one cell of 256 replications, BLAS on
+# one thread, 2-core x86-64 VM), ms per replication:
+# - Study I case A (K = 7, p = 10) at n = 100 / 1000, stacks of 1:
+#   0.404 / 0.555 (a stack of one is fitted with no leading axis), 64:
+#   0.127 / 0.270; averaged one replication at a time, 0.146 / 0.285;
+#   before the stacks, 0.417 / 0.568;
+# - Study II logistic case A / B (K = 4 / 3, n = 100, beta3 = 0.05,
+#   schemes optimal and aic), stacks of 1: 0.586 / 0.677, 4: 0.306 /
+#   0.350, 12: 0.192 / 0.215, 25: 0.158 / 0.179, 64: 0.145 / 0.153,
+#   256: 0.137 / 0.143; averaged one replication at a time (with case
+#   B's oracle fitted alone), 64: 0.190 / 0.289; before the stacks,
+#   0.585 / 0.661.
 _STACK_REPS = 64
 _STACK_DOUBLES = 1 << 21
 
@@ -116,9 +128,9 @@ class StudyConfig:
     """One Monte Carlo cell: a data-generating process plus estimation settings.
 
     ``oracle``, when given, adds an "oracle" estimate column: that
-    model's own fit on each replication's draws, read from the predictor
-    when the oracle is a candidate or, in the linear family, the full
-    design (the predictor's ``beta_full``), and otherwise fitted on the
+    model's own fit on each replication's draws, read from the candidates'
+    fit when the oracle is a candidate or, in the linear family, the full
+    design (the fit's ``beta_full``), and otherwise fitted on the
     oracle's columns alone, then evaluated at x* through the family's
     link, as ``truth`` is.  ``tags`` key the cell's streams (replication r draws
     from ``substream(seed, *tags, r)``; the keys are hashed once, here)
@@ -179,6 +191,8 @@ class StudyConfig:
         # the oracle's index among the candidates, or None
         models = self.candidate_set.models
         object.__setattr__(self, "_oracle_k", models.index(self.oracle) if self.oracle in models else None)
+        # what the replications of one stack share: the family, n, the candidates and x* (hence p)
+        object.__setattr__(self, "_design", (self.family, self.n, tuple(models), x.tobytes()))
         beta.flags.writeable = False
         x.flags.writeable = False
         object.__setattr__(self, "beta_true", beta)
@@ -239,32 +253,26 @@ def _own_oracle(config: StudyConfig) -> bool:
     return config.family == "logistic" or oracle.dim < config.x_star.shape[0]
 
 
-def _oracle_fit(config: StudyConfig, X: np.ndarray, y: np.ndarray) -> float:
-    """The oracle's value at x* from one fit of its own columns on (X, y)."""
+def _linear_oracle(config: StudyConfig, X: np.ndarray, y: np.ndarray):
+    """A linear oracle's value at x* from one ``ols_fit`` of its own columns on (X, y), or its error."""
     cols = config.oracle.column_indices()
-    # through this module's ols_fit and logistic_mle: the names perfbench/tracer.py wraps
-    if config.family == "linear":
+    try:
+        # through this module's ols_fit: the name perfbench/tracer.py wraps
         return float(config.x_star[cols] @ ols_fit(X[:, cols], y, model=config.oracle).beta)
-    fit = logistic_mle(X[:, cols], y, model=config.oracle)
-    return float(expit(float(config.x_star[cols] @ fit.beta)))
+    except GlmavgError as exc:
+        return exc
 
 
-def _estimates(config: StudyConfig, predictor, oracle_fit) -> list[float]:
-    """One replication's estimates from its predictor, one per ``config.columns``.
+def _logistic_oracle(oracle: CandidateModel, X: np.ndarray, y: np.ndarray, x_star: np.ndarray):
+    """A logistic oracle's value at x* on every training set of the stack (X, y), and its failures.
 
-    ``oracle_fit()`` gives the oracle's value when ``_own_oracle`` holds.
+    One ``_mle_fits`` over the stack's ``X[..., cols]``, the layout of
+    the candidates' own fits, so each training set keeps the bits of a
+    lone ``logistic_mle`` of its ``X[:, cols]``.
     """
-    x_star = config.x_star
-    values = [predictor.predict(x_star, scheme).value for scheme in config.schemes]
-    if config._oracle_k is not None:
-        # the oracle is a candidate, so the predictor has fit it already
-        values.append(float(predictor.per_model_values(x_star)[config._oracle_k]))
-    elif _own_oracle(config):
-        values.append(oracle_fit())
-    elif config.oracle is not None:
-        # the full design, which the linear predictor has fit already
-        values.append(float(x_star[config.oracle.column_indices()] @ predictor.beta_full))
-    return values
+    cols = list(oracle.columns)
+    beta, _, _, failures = _mle_fits(X[..., cols], y, model=oracle)
+    return expit(np.vecdot(x_star[cols], beta)), failures
 
 
 def _returned(result):
@@ -274,29 +282,34 @@ def _returned(result):
     return result
 
 
-def _fit_stack(config: StudyConfig, designs, members, rows: list, failures: dict) -> None:
-    """Fit a cell's replications as one stack and average each; fill ``rows`` and ``failures``.
+def _fit_stack(designs, members, rows: list, failures: dict) -> None:
+    """Fit and average a stack of replications that share a design; fill ``rows`` and ``failures``.
 
-    ``designs`` are the cell's family designs (the predictor's
-    ``_Designs``) and ``members`` (position, rep) pairs.  Each
-    replication draws its data and keeps what the fit needs
+    ``designs`` are the family designs (the predictor's ``_Designs``)
+    and ``members`` (position, config, rep) triples whose configs share
+    the family, n, the candidates and x*; they may come from several
+    cells.  Each replication draws its data and keeps what the fit needs
     (``designs.reduce``: a linear replication its n-row QRs, a logistic
-    one its design and response), and fits an oracle of its own
-    (``_oracle_fit``) while it has its draws.  Then one fit over the stack (``designs.fit``) makes
-    every candidate's fit for all of them at once: the linear QRs,
-    guards and solves with one LAPACK call per model size, the logistic
-    MLEs with one damped Newton loop per candidate, and, on the first
-    ``q_form``, the whole stack's plug-in, each replication with the
-    bits of its own predictor.  A stack of one is fitted with no leading
-    axis.  Each replication then reads its slice as its own predictor
-    (``_from_stack``), which raises its fit's error and averages as a
-    predictor fitted alone does.  A replication's ``GlmavgError`` goes
-    to ``failures[position]``: the first raised in the order of a lone
-    replication (its fit, then its schemes in order, then its oracle).
+    one its design and response), and a linear oracle of its own is
+    fitted while it has its draws (``_linear_oracle``).  Then one fit
+    over the stack (``designs.fit``) makes every candidate's fit for all
+    of them at once: the linear QRs, guards and solves with one LAPACK
+    call per model size, the logistic MLEs with one damped Newton loop
+    per candidate.  One averaging pass (``averaging._average_stack``)
+    makes the per-model values, Q-hat and the AIC weights for the whole
+    stack; only the simplex solves and the weighted sums run per
+    replication.  The oracle column reads the stack's values when the
+    oracle is a candidate, the stack's ``beta_full`` when it is the
+    linear full design, and one more stacked MLE when it is a logistic
+    model of its own (``_logistic_oracle``).  A stack of one is fitted
+    with no leading axis.  Every estimate keeps the bits of one
+    predictor fitted per replication.  A replication's ``GlmavgError``
+    goes to ``failures[position]``: the first raised in the order of a
+    lone replication (its draw, its fit, its schemes in order, then its
+    oracle).
     """
-    predictor_class = _PREDICTORS[config.family]
     parts, oracles = [None] * len(members), [None] * len(members)
-    for j, (position, rep) in enumerate(members):
+    for j, (position, config, rep) in enumerate(members):
         try:
             X, y = _draw(config, rep)
             require_finite("design and response", X, y)
@@ -304,27 +317,43 @@ def _fit_stack(config: StudyConfig, designs, members, rows: list, failures: dict
         except GlmavgError as exc:
             failures[position] = exc
             continue
-        if _own_oracle(config):
-            try:
-                oracles[j] = _oracle_fit(config, X, y)
-            except GlmavgError as exc:
-                oracles[j] = exc
+        if config.family == "linear" and _own_oracle(config):
+            oracles[j] = _linear_oracle(config, X, y)
     drawn = [part for part in parts if part is not None]
     if not drawn:
         return
+    first = members[0][1]
+    n, x_star = first.n, first.x_star
     if len(parts) == 1:
-        fits, slices = designs.fit(*drawn[0], config.n), [()]
+        stacked, slices = drawn[0], [()]
     else:
         # a replication whose draw failed stacks another's parts, and its failure stands
-        parts = [drawn[0] if part is None else part for part in parts]
-        stacked = (None if column[0] is None else np.stack(column) for column in zip(*parts))
-        fits, slices = designs.fit(*stacked, config.n), [(j,) for j in range(len(parts))]
-    for (position, _), i, oracle in zip(members, slices, oracles):
-        if position in failures:  # its draw failed
+        columns = zip(*(drawn[0] if part is None else part for part in parts))
+        stacked = [None if column[0] is None else np.stack(column) for column in columns]
+        slices = [(j,) for j in range(len(parts))]
+    fits = designs.fit(*stacked, n)
+    schemes = [None if part is None else config.schemes for part, (_, config, _) in zip(parts, members)]
+    values, results = _average_stack(fits, x_star, schemes)
+    own = {}  # a logistic oracle of its own -> its values and failures over the stack
+    for (position, config, _), i, result, oracle in zip(members, slices, results, oracles):
+        if result is None:  # its draw failed
             continue
         try:
-            predictor = predictor_class._from_stack(fits, i)
-            rows[position] = _estimates(config, predictor, functools.partial(_returned, oracle))
+            estimates = _returned(result)
+            if config._oracle_k is not None:
+                # the oracle is a candidate, so the stack has fit it already
+                estimates.append(float(values[i][config._oracle_k]))
+            elif config.family == "linear" and _own_oracle(config):
+                estimates.append(_returned(oracle))
+            elif config.oracle is not None and config.family == "linear":
+                # the full design, which the linear fit has fit already
+                estimates.append(float(x_star[config.oracle.column_indices()] @ fits.beta_full[i]))
+            elif config.oracle is not None:
+                if config.oracle not in own:
+                    own[config.oracle] = _logistic_oracle(config.oracle, *stacked, x_star)
+                oracle_values, oracle_failures = own[config.oracle]
+                estimates.append(float(_returned(oracle_failures.get(i, oracle_values[i]))))
+            rows[position] = estimates
         except GlmavgError as exc:
             failures[position] = exc
 
@@ -332,27 +361,30 @@ def _fit_stack(config: StudyConfig, designs, members, rows: list, failures: dict
 def _run_block(cells) -> list[list[float]]:
     """The estimates of each (config, rep) of ``cells``, one contiguous block of a study's layout.
 
-    A cell's replications in the block are fitted in stacks of at most
-    ``_STACK_REPS`` (``_fit_stack``), whatever its family, and of fewer
-    when the fits would hold more than ``_STACK_DOUBLES`` doubles
-    (``_Designs.kept``), as a logistic cell of large n p would.  The failure
-    at the earliest position of ``cells`` is raised, whatever the stage
-    it failed in, with the replication's key, the config's tags and the
-    rep, appended to its message, e.g.
-    ``('study2', 'logistic', 'A', '0.05', rep 17)``; its class and
-    attributes are kept.
+    The block's replications are grouped by design (``config._design``),
+    across cells: a study's cells that differ only in the generating
+    coefficients, as the stock beta3 grid's do, share their stacks.
+    Each group is fitted in stacks of at most ``_STACK_REPS``
+    (``_fit_stack``), whatever its family, and of fewer when the fits
+    would hold more than ``_STACK_DOUBLES`` doubles (``_Designs.kept``),
+    as a logistic stack of large n p would.  The failure at the earliest
+    position of ``cells`` is raised, whatever the stage it failed in,
+    with the replication's key, the config's tags and the rep, appended
+    to its message, e.g. ``('study2', 'logistic', 'A', '0.05', rep 17)``;
+    its class and attributes are kept.
     """
     rows, failures = [None] * len(cells), {}
-    by_config = {}  # configs compare by identity
+    groups = {}
     for position, (config, rep) in enumerate(cells):
-        by_config.setdefault(config, []).append((position, rep))
-    for config, members in by_config.items():
+        groups.setdefault(config._design, []).append((position, config, rep))
+    for members in groups.values():
+        config = members[0][1]
         designs = _PREDICTORS[config.family]._Designs(config.candidate_set.models, config.x_star.shape[0])
         step = max(1, min(_STACK_REPS, _STACK_DOUBLES // designs.kept(config.n)))
         for start in range(0, len(members), step):
             if failures and members[start][0] > min(failures):
                 break  # an earlier replication has failed already
-            _fit_stack(config, designs, members[start : start + step], rows, failures)
+            _fit_stack(designs, members[start : start + step], rows, failures)
     if failures:
         position = min(failures)
         exc, (config, rep) = failures[position], cells[position]

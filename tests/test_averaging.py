@@ -509,5 +509,5 @@ def test_empty_candidate_list_raises_data_error_before_any_plug_in_fit(monkeypat
     for call in calls:
         with pytest.raises(DataError):
             call()
-    assert predictor._plug_in is None
+    assert predictor._fits._plug_in is None  # no plug-in was made
     assert fits == []

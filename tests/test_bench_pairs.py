@@ -2,6 +2,8 @@
 
 import importlib
 import json
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -68,6 +70,34 @@ def test_summary_counts_wins_by_the_metrics_direction(bench_pairs):
 def test_a_checkout_without_the_benchmark_is_refused(bench_pairs, tmp_path):
     with pytest.raises(SystemExit):
         bench_pairs.parse_args([str(ROOT), str(tmp_path), "--workload", "w", "--seed", "0", "--pairs", "1"])
+
+
+@pytest.mark.parametrize("top", ["src", "perfbench"])
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_a_checkout_with_bytecode_caches_is_refused_by_name(bench_pairs, tmp_path, capsys, top, side):
+    # a checkout with valid caches starts faster than one that compiles its sources
+    parent, change = _checkouts(tmp_path)
+    cache = {"parent": parent, "change": change}[side] / top / "glmavg" / "__pycache__"
+    cache.mkdir(parents=True)
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_args([str(parent), str(change), "--workload", "w", "--seed", "0", "--pairs", "1"])
+    assert str(cache) in capsys.readouterr().err
+    cache.rmdir()
+    assert bench_pairs.parse_args([str(parent), str(change), "--workload", "w", "--seed", "0", "--pairs", "1"])
+
+
+def test_every_run_leaves_no_bytecode(bench_pairs, tmp_path, monkeypatch):
+    seen = {}
+
+    def fake_subprocess_run(cmd, *, cwd, capture_output, text, env):
+        seen.update(cwd=cwd, env=env)
+        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(_result(1.0)) + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    assert bench_pairs.run_one(tmp_path, "w", 3, 12)["metrics"]["op_p50_kernels"]["value"] == 1.0
+    assert seen["cwd"] == tmp_path
+    assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert seen["env"].get("PYTHONPYCACHEPREFIX") == os.environ.get("PYTHONPYCACHEPREFIX")  # no prefix is set
 
 
 def test_json_file_holds_every_run_and_the_comparison(bench_pairs, tmp_path, capsys):

@@ -16,7 +16,9 @@ def report_digest(monkeypatch):
     return importlib.import_module("report_digest")
 
 
-@pytest.mark.parametrize("name", ["study1_B", "study2_linear_B", "study2_logistic_A", "study2_logistic_B"])
+@pytest.mark.parametrize(
+    "name", ["study1_B", "study2_linear_B", "study2_logistic_A", "study2_logistic_B", "thin_study2"]
+)
 def test_a_tiny_calls_digest_is_the_same_at_one_and_two_workers(report_digest, name):
     call = report_digest.CALLS[name]
     serial = report_digest.call_digest(call, 6, 1)
@@ -44,3 +46,19 @@ def test_main_prints_one_line_per_call_and_worker_count(report_digest, monkeypat
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[:2] for line in lines] == [["tiny", "workers=1"], ["tiny", "workers=2"]]
     assert lines[0].split()[2] == lines[1].split()[2]
+
+
+def test_thin_study2_runs_both_families_at_two_replications(report_digest, monkeypatch):
+    calls = []
+    run_study2 = report_digest.run_study2
+
+    def recorded(family, **kwargs):
+        calls.append((family, kwargs["n_reps"]))
+        return run_study2(family, **kwargs)
+
+    monkeypatch.setattr(report_digest, "run_study2", recorded)
+    report = report_digest.CALLS["thin_study2"](50, 1)  # --n-reps does not apply
+    assert calls == [("linear", 2), ("logistic", 2)]
+    # 2 cases x 6 beta3 cells x (optimal, aic, oracle) per family
+    assert [row["family"] for row in report.rows] == ["linear"] * 36 + ["logistic"] * 36
+    assert report_digest.digest(report.rows) == report_digest.call_digest(report_digest.CALLS["thin_study2"], 6, 3)

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import expit
 
 import glmavg.averaging as averaging
+import glmavg.mse_weights as mse_weights
 import glmavg.rng as rng_module
 import glmavg.sim_harness as sim_harness
 from glmavg import (
@@ -341,12 +342,12 @@ class TestSimulateCell:
         for key in serial:
             np.testing.assert_array_equal(serial[key], threaded[key])
 
-    @pytest.mark.parametrize("family, refit", [("linear", "ols_fit"), ("logistic", "logistic_mle")])
+    @pytest.mark.parametrize("family, refit", [("linear", "ols_fit"), ("logistic", "_mle_fits")])
     def test_oracle_candidate_is_not_refit(self, monkeypatch, family, refit):
         # Case A holds the oracle (full) model, case B does not.  Both cells
         # draw the same data, so the oracle column must agree.  Only the
-        # logistic case B refits the oracle: a linear predictor has fit the
-        # full design already, for beta_full.
+        # logistic case B refits the oracle, once for the whole stack: a
+        # linear fit has fit the full design already, for beta_full.
         import glmavg.sim_harness as sim_harness
 
         calls = []
@@ -356,7 +357,11 @@ class TestSimulateCell:
             calls.append(1)
             return original(*args, **kwargs)
 
+        def no_lone_fit(*args, **kwargs):
+            raise AssertionError("a study oracle is fitted with its stack, not alone")
+
         monkeypatch.setattr(sim_harness, refit, counted)
+        monkeypatch.setattr(sim_harness, "logistic_mle", no_lone_fit)
         oracle = CandidateModel((0, 1, 2), 1)
         out = {}
         for case in ("A", "B"):
@@ -373,7 +378,7 @@ class TestSimulateCell:
             )
             calls.clear()
             out[case] = simulate_cell(config)["oracle"]
-            assert len(calls) == (config.n_reps if (case, family) == ("B", "logistic") else 0)
+            assert len(calls) == (1 if (case, family) == ("B", "logistic") else 0)
         np.testing.assert_allclose(out["A"], out["B"], rtol=1e-12, atol=0)
 
     def test_linear_full_oracle_reads_the_predictors_full_fit(self, monkeypatch):
@@ -686,23 +691,30 @@ class TestStackedLinearFits:
         assert _report_digest(study2) == "1f758ac6e1ff92fa"
 
     @STACK_SIZES
-    def test_every_replication_averages_through_its_own_predictor(self, monkeypatch, stack):
-        # perfbench/tracer.py wraps these names: one predict per replication and scheme,
-        # one q_form per replication (the optimal scheme's), each on that replication's predictor
+    def test_one_averaging_pass_per_stack(self, monkeypatch, stack):
+        # the per-model values and Q-hat are made once per stack, and no replication
+        # builds a predictor; perfbench/tracer.py wraps averaging.solve_simplex_qp,
+        # which still runs once per replication and optimal scheme
         calls = []
-        for owner, name in [(LinearAveragingPredictor, "predict"), (LinearQFactory, "q_form")]:
-            def counted(predictor, *args, _original=getattr(owner, name), _name=name):
-                calls.append((_name, id(predictor)))
-                return _original(predictor, *args)
+        for owner, name in [
+            (LinearAveragingPredictor, "predict"),
+            (LinearQFactory, "q_form"),
+            (LinearQFactory, "__init__"),
+            (mse_weights._Fits, "q_parts"),
+            (averaging, "solve_simplex_qp"),
+        ]:
+            def counted(*args, _original=getattr(owner, name), _name=name):
+                calls.append(_name)
+                return _original(*args)
 
             monkeypatch.setattr(owner, name, counted)
         monkeypatch.setattr(sim_harness, "_STACK_REPS", stack)
         config = _linear_cells(n_reps=9)[5]  # Study II case B: three schemes
         simulate_cell(config)
-        predicts = [who for name, who in calls if name == "predict"]
-        q_forms = [who for name, who in calls if name == "q_form"]
-        assert len(predicts) == 27 and len(q_forms) == 9
-        assert predicts[::3] == predicts[1::3] == predicts[2::3] == q_forms
+        stacks = -(-9 // min(stack, 9))
+        assert calls.count("q_parts") == stacks
+        assert calls.count("solve_simplex_qp") == 9
+        assert len(calls) == stacks + 9
 
     @STACK_SIZES
     def test_a_guarded_replication_in_a_stack_keeps_its_bits(self, monkeypatch, stack):
@@ -855,9 +867,9 @@ class TestStackedLogisticFits:
         sizes = []
         fit_stack = sim_harness._fit_stack
 
-        def recorded(config, designs, members, rows, failures):
+        def recorded(designs, members, rows, failures):
             sizes.append(len(members))
-            return fit_stack(config, designs, members, rows, failures)
+            return fit_stack(designs, members, rows, failures)
 
         monkeypatch.setattr(sim_harness, "_fit_stack", recorded)
         monkeypatch.setattr(sim_harness, "_STACK_DOUBLES", 3 * designs.kept(config.n) + 1)
@@ -939,19 +951,154 @@ class TestStackedLogisticFits:
         designs = predictor_class._Designs(config.candidate_set.models, 4)
         draws = [draw(config, rep) for rep in range(12)]
         fits = designs.fit(np.stack([X for X, _ in draws]), np.stack([y for _, y in draws]), config.n)
+        _, results = averaging._average_stack(fits, config.x_star, [config.schemes] * 12)
 
-        def outcome(make):
-            try:
-                predictor = make()
-                return [float(predictor.predict(config.x_star, scheme).value).hex() for scheme in config.schemes]
-            except NumericalError as exc:
-                return (type(exc).__name__, str(exc), exc.model)
+        def outcome(result):
+            if isinstance(result, NumericalError):
+                return (type(result).__name__, str(result), result.model)
+            return [float(value).hex() for value in result]
 
         for rep, (X, y) in enumerate(draws):
-            got = outcome(lambda: predictor_class._from_stack(fits, (rep,)))
-            expected = outcome(lambda: predictor_class(X, y, config.candidate_set))
-            assert got == expected, rep
+            try:
+                predictor = predictor_class(X, y, config.candidate_set)
+                expected = [predictor.predict(config.x_star, scheme).value for scheme in config.schemes]
+            except NumericalError as exc:
+                expected = exc
+            got = outcome(results[rep])
+            assert got == outcome(expected), rep
             assert isinstance(got, tuple) == (rep in defects), rep
+
+
+def _study2_cells(family, n_reps, cases="AB", schemes=("optimal", "aic", "equal")):
+    """Study II cells of one family at a weak and a strong beta3, laid out as ``run_study2`` lays them out.
+
+    The cells of a case share n, the candidates and x*, so a block
+    stacks them together.
+    """
+    return [
+        StudyConfig(
+            family=family,
+            n=100,
+            beta_true=np.array([0.3, 0.1, 0.3, beta3]),
+            candidate_set=study2_model_sets()[case],
+            x_star=np.asarray(STUDY2_X_STAR),
+            n_reps=n_reps,
+            seed=3,
+            schemes=schemes,
+            oracle=CandidateModel((0, 1, 2), 1),
+            tags=("study2", family, case, repr(beta3)),
+        )
+        for case in cases
+        for beta3 in (0.05, 0.5)
+    ]
+
+
+def _estimates_reference(cells, draw=study_draw_reference):
+    """Each cell's estimates, one row per replication, from one predictor fitted per replication."""
+    reference = {"linear": linear_estimates_reference, "logistic": logistic_estimates_reference}
+    return [
+        np.array([reference[config.family](config, *draw(config, rep)) for rep in range(config.n_reps)])
+        for config in cells
+    ]
+
+
+class TestCrossCellStacks:
+    """A block's replications that share a design are fitted and averaged as one stack, whatever their cell."""
+
+    def test_cells_that_share_a_design_share_their_stacks(self, monkeypatch):
+        stacks = []
+        fit_stack = sim_harness._fit_stack
+
+        def recorded(designs, members, rows, failures):
+            stacks.append([(config.tags[2], config.tags[3], rep) for _, config, rep in members])
+            return fit_stack(designs, members, rows, failures)
+
+        monkeypatch.setattr(sim_harness, "_fit_stack", recorded)
+        monkeypatch.setattr(sim_harness, "_STACK_REPS", 5)
+        sim_harness._simulate(_study2_cells("logistic", 3), 1)
+        # rep by rep: (A 0.05, A 0.5, B 0.05, B 0.5) for rep 0, then rep 1, ...; each case is one design
+        assert stacks == [
+            [("A", "0.05", 0), ("A", "0.5", 0), ("A", "0.05", 1), ("A", "0.5", 1), ("A", "0.05", 2)],
+            [("A", "0.5", 2)],
+            [("B", "0.05", 0), ("B", "0.5", 0), ("B", "0.05", 1), ("B", "0.5", 1), ("B", "0.05", 2)],
+            [("B", "0.5", 2)],
+        ]
+
+    @pytest.fixture(scope="class", params=["linear", "logistic"])
+    def cells_and_reference(self, request):
+        cells = _study2_cells(request.param, 30)
+        return cells, _estimates_reference(cells)
+
+    @LOGISTIC_STACK_SIZES
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_estimates_equal_one_predictor_per_replication(self, monkeypatch, cells_and_reference, stack, workers):
+        # at stacks of 12 and 64 every stack holds both beta3 cells of its case
+        cells, reference = cells_and_reference
+        monkeypatch.setattr(sim_harness, "_STACK_REPS", stack)
+        for config, got, expected in zip(cells, sim_harness._simulate(cells, workers), reference):
+            assert list(got) == list(config.columns)
+            for c, column in enumerate(config.columns):
+                assert got[column].tobytes() == expected[:, c].tobytes(), (config.tags, column)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n_reps", [1, 2])
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    def test_thin_studies_keep_their_bits(self, monkeypatch, family, n_reps, workers):
+        # the stock grid's 12 cells hold one or two replications each: every block stacks a case's cells
+        seen = []
+        simulate = sim_harness._simulate
+
+        def recorded(configs, workers):
+            got = simulate(configs, workers)
+            seen.append((configs, got))
+            return got
+
+        monkeypatch.setattr(sim_harness, "_simulate", recorded)
+        report = run_study2(family, n_reps=n_reps, seed=4, workers=workers)
+        [(configs, got)] = seen
+        assert len(configs) == 12 and len(report.rows) == 36
+        for config, estimates, expected in zip(configs, got, _estimates_reference(configs)):
+            for c, column in enumerate(config.columns):
+                assert estimates[column].tobytes() == expected[:, c].tobytes(), (config.tags, column)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "fit_at, plug_in_at, first",
+        [(("0.05", 1), ("0.5", 2), "fit"), (("0.05", 3), ("0.5", 1), "plug-in")],
+        ids=["earlier-fit-wins", "earlier-plug-in-wins"],
+    )
+    def test_the_earliest_of_a_fit_and_a_plug_in_failure_wins(self, monkeypatch, workers, fit_at, plug_in_at, first):
+        # 2 case-B cells of 6 reps laid out rep by rep (run index 2 * rep + cell), one stack at
+        # workers=1: one replication fails its fit, one of the other cell its plug-in alone
+        original = sim_harness._draw
+
+        def draw(config, rep):
+            X, y = original(config, rep)
+            if (config.tags[-1], rep) == fit_at:
+                y = np.ones_like(y)  # no candidate has an MLE
+            if (config.tags[-1], rep) == plug_in_at:
+                X = X.copy()
+                X[:, 3] = X[:, 2]  # only the full design, the plug-in's own fit, is singular
+            return X, y
+
+        monkeypatch.setattr(sim_harness, "_draw", draw)
+        cells = _study2_cells("logistic", 6, cases="B", schemes=("optimal", "aic"))
+        lone = {}
+        for beta3, rep in (fit_at, plug_in_at):
+            config = next(config for config in cells if config.tags[-1] == beta3)
+            with pytest.raises(NumericalError) as info:
+                logistic_estimates_reference(config, *draw(config, rep))
+            lone[beta3, rep] = info.value
+        assert "degenerate" in str(lone[fit_at]) and lone[fit_at].model is not None
+        assert "singular Hessian" in str(lone[plug_in_at]) and lone[plug_in_at].model is None
+        beta3, rep = fit_at if first == "fit" else plug_in_at
+        direct = lone[beta3, rep]
+        with pytest.raises(NumericalError) as excinfo:
+            sim_harness._simulate(cells, workers)
+        raised = excinfo.value
+        assert type(raised) is type(direct)
+        assert str(raised) == f"{direct} in replication ('study2', 'logistic', 'B', '{beta3}', rep {rep})"
+        assert raised.model == direct.model
 
 
 class TestStreamKeys:

@@ -10,6 +10,16 @@ a fresh ``python3 perfbench/run.py`` in its own checkout, as long as the
 output is the JSON result; a run that exits 1 (an output check failed)
 still counts, with ``correct: false``.
 
+Both sides compile their sources on every run.  A checkout with valid
+bytecode caches starts faster than one without (a ``cli_band``
+invocation ran in 96 ms against 110 ms, and ``setup_s`` read 0.170
+against 0.183 s), so every child runs with ``PYTHONDONTWRITEBYTECODE=1``
+and the tool refuses a checkout that holds a ``__pycache__`` directory
+under ``src/`` or ``perfbench/``, naming it.  A fresh ``git archive``
+or ``git clone`` of each commit has none.  ``PYTHONPYCACHEPREFIX`` is no
+substitute: an empty prefix recompiles numpy and the standard library
+too (a cold import took 365 ms against 82 ms).
+
 For every end-to-end metric that the same ``BENCHMARK.json`` lists, the
 report gives each side's median and quartiles, the change's relative move
 in the median, the pairs in which the change did better (by the metric's
@@ -25,12 +35,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+CACHED = ("src", "perfbench")  # the directories of a checkout that must hold no __pycache__
 
 
 def parse_args(argv):
@@ -47,14 +59,27 @@ def parse_args(argv):
     for side in SIDES:
         if not (getattr(args, side) / "perfbench" / "run.py").is_file():
             parser.error(f"{getattr(args, side)} has no perfbench/run.py")
+    for side in SIDES:
+        cache = bytecode_cache(getattr(args, side))
+        if cache is not None:
+            parser.error(f"{cache} holds bytecode caches; remove it, or compare fresh checkouts")
     return args
+
+
+def bytecode_cache(checkout: Path) -> Path | None:
+    """The first ``__pycache__`` directory under the checkout's ``src/`` or ``perfbench/``, or None."""
+    for top in CACHED:
+        for cache in sorted((checkout / top).rglob("__pycache__")):
+            return cache
+    return None
 
 
 def run_one(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run in ``checkout``: its JSON result line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds)]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # each run compiles, as a fresh checkout does
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=env)
     lines = done.stdout.strip().splitlines()
     if done.returncode not in (0, 1) or not lines:
         why = done.stderr.strip()[-500:]

@@ -13,10 +13,14 @@ rows, one line per row, each cell written exactly: a float as
   ``study2_logistic_B``: ``run_study2`` over the stock beta3 grid;
 * ``ref_study1_n1000`` and ``ref_study2_logistic``: the reference calls
   of the ``study1_n1000`` and ``study2_logistic`` benchmark workloads
-  (``perfbench/workloads.py``, 40 replications at seed 0).
+  (``perfbench/workloads.py``, 40 replications at seed 0);
+* ``thin_study2``: ``run_study2`` of both families over the stock grid
+  (both cases, every beta3) at 2 replications a cell, the linear rows
+  first, so that at 2 or more workers a process holds one replication
+  of each cell.
 
 ``--n-reps`` sets the replications of every call but the two reference
-calls (default 100), and each call runs at every ``--workers`` value
+calls and ``thin_study2`` (default 100), and each call runs at every ``--workers`` value
 (default 1 and 2).  Run it in two checkouts, each with its own
 ``PYTHONPATH``, and diff the outputs: equal lines mean equal reports, to
 the last bit.  The default run takes about 2 s on a 2-core x86-64 VM.
@@ -27,7 +31,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 
-from glmavg import GlmavgError, run_study1, run_study2
+from glmavg import GlmavgError, StudyReport, run_study1, run_study2
 
 
 def _study1(case):
@@ -38,6 +42,11 @@ def _study1(case):
 
 def _study2(family, case):
     return lambda n_reps, workers: run_study2(family, cases=(case,), n_reps=n_reps, seed=2, workers=workers)
+
+
+def _thin_study2(n_reps, workers):
+    rows = [run_study2(family, n_reps=2, seed=3, workers=workers).rows for family in ("linear", "logistic")]
+    return StudyReport(rows=rows[0] + rows[1])
 
 
 CALLS = {
@@ -59,6 +68,7 @@ CALLS = {
         seed=0,
         workers=workers,
     ),
+    "thin_study2": _thin_study2,
 }
 
 
