@@ -48,6 +48,13 @@ from .rng import _checked_keys, substream
 
 SCHEMES = ("optimal", "aic", "equal")
 _BAND_REPS = 50  # replications per prediction band
+# The fewest ``optimal`` sets of a stack that are solved in lockstep
+# (``_lockstep._solve_stack``); fewer are solved one at a time.  Per solve, on forms
+# from Study I (K = 7) and Study II logistic (K = 4) runs (2-core Xeon, numpy 2.4,
+# BLAS on one thread), the lockstep loop took 136 / 106 us at a stack of 1, 46 / 32 us
+# at 5, 41 / 28 us at 6 and 9.0 / 5.0 us at 64, against 45 / 37 us alone: it breaks
+# even at 5 and wins from 6.
+_LOCKSTEP_MIN = 6
 
 
 @dataclass(frozen=True)
@@ -211,12 +218,17 @@ def _average_stack(fits, x_star: np.ndarray, schemes: list) -> tuple[np.ndarray,
     to skip.  What ``predict`` computes per call is computed here once
     for the whole stack, on its leading axis: the per-model values
     h(B x*), Q-hat's bias and Gram factor when a set asks for
-    ``optimal``, and the AIC weights when one asks for ``aic``.  Only
-    the simplex solves, through this module's ``solve_simplex_qp`` (the
-    name ``perfbench/tracer.py`` wraps), and the weighted sums run per
-    set.  The stacked routines are the ones a predictor runs on its one
-    training set, slice by slice, so each estimate has the bits of its
-    own predictor's ``predict``.
+    ``optimal``, and the AIC weights when one asks for ``aic``.  The
+    simplex solves of the sets that ask for ``optimal`` and have a fit
+    and a plug-in are one lockstep loop (``_lockstep._solve_stack``)
+    when there are at least ``_LOCKSTEP_MIN`` of them; a set that loop
+    cannot certify, and every set of a smaller stack, is solved alone
+    through this module's ``solve_simplex_qp`` (the name
+    ``perfbench/tracer.py`` wraps), which gives it its Gram run, then
+    its QR run, or its error.  Only those lone solves and the weighted
+    sums run per set.  The stacked routines are the ones a predictor
+    runs on its one training set, slice by slice, so each estimate has
+    the bits of its own predictor's ``predict``.
 
     Returns the per-model values and, per set, the list of its
     estimates or the first ``GlmavgError`` its own predictor raises:
@@ -232,8 +244,22 @@ def _average_stack(fits, x_star: np.ndarray, schemes: list) -> tuple[np.ndarray,
         if "aic" in asked:
             dims = fits.dims()
             aic = _aic_weights(aic_values(fits.logliks, dims))
+    solved = {}  # set -> its weights from the lockstep loop
+    if "optimal" in asked:
+        ready = [
+            j
+            for j, (i, names) in enumerate(zip(slices, schemes))
+            if names and "optimal" in names and fits.fit_error(i) is None and fits.plug_in_error(i) is None
+        ]
+        if len(ready) >= _LOCKSTEP_MIN:
+            from ._lockstep import _solve_stack  # imported here: see its module docstring
+
+            # every set ready, as is usual, needs no gathered copy
+            forms = (bias, gram_factor) if len(ready) == len(slices) else (bias[ready], gram_factor[ready])
+            weights, *_, lone = _solve_stack(*forms)
+            solved = {j: w for j, w, alone in zip(ready, weights, lone.tolist()) if not alone}
     results = []
-    for i, names in zip(slices, schemes):
+    for j, (i, names) in enumerate(zip(slices, schemes)):
         if names is None:
             results.append(None)
             continue
@@ -244,10 +270,12 @@ def _average_stack(fits, x_star: np.ndarray, schemes: list) -> tuple[np.ndarray,
             estimates = []
             for scheme in names:
                 if scheme == "optimal":
-                    error = fits.plug_in_error(i)
-                    if error is not None:
-                        raise error
-                    weights = solve_simplex_qp(QuadraticForm.from_parts(bias[i], gram_factor[i])).weights
+                    weights = solved.get(j)
+                    if weights is None:
+                        error = fits.plug_in_error(i)
+                        if error is not None:
+                            raise error
+                        weights = solve_simplex_qp(QuadraticForm.from_parts(bias[i], gram_factor[i])).weights
                 elif scheme == "aic":
                     weights = aic[i]
                     if np.isnan(weights[0]):  # a set aic_weights treats apart, or refuses

@@ -69,7 +69,9 @@ returned is certified: its KKT residual, recomputed from M, is at most
 certificate, which a corral system singular to roundoff can cause, the
 algorithm runs once more with each corral system solved through the QR
 factor of the corral's points instead of their Gram matrix, and only
-when that answer fails too is ``NumericalError`` raised.  The
+when that answer fails too is ``NumericalError`` raised.  A study stack
+makes its fast runs in one lockstep loop (``_lockstep``), with each
+form's bits.  The
 weights need not be unique, since faces of the hull can be affinely
 dependent; M w is, and with it the objective and, for linear targets,
 the averaged estimate x*'beta_full + (M w)_0.
@@ -749,6 +751,10 @@ def _nearest_point(P: np.ndarray, sq_norms: np.ndarray, corral_solve=_gram_corra
     third of a prostate row's solve at about 10 corral solves per row,
     are skipped.  One ``errstate`` covers the whole loop, and a singular
     system, which comes back as NaNs, raises ``NumericalError``.
+
+    It serves every lone solve, each form of a study stack too small for
+    ``_lockstep._nearest_points`` (this loop on a stack, with the same
+    bits), and each form that loop cannot certify.
     """
     stop = _GAP_TOL * float(sq_norms.max())
     ones = np.ones(P.shape[0])
@@ -832,7 +838,10 @@ def solve_simplex_qp(q: QuadraticForm) -> WeightSolution:
     Wolfe's algorithm runs once more from the start with each corral
     system solved through the QR factor of the corral's points
     (``_qr_corral_solve``), and that answer is certified under the same
-    bound.  Every row the fast path certifies keeps its bits.
+    bound.  Every row the fast path certifies keeps its bits.  A study
+    stack solves its forms with these bits in one lockstep loop
+    (``_lockstep._solve_stack``), and calls this only for a form that
+    loop cannot certify or a stack too small for it.
 
     Raises ``NumericalError`` for non-finite input, or when the second
     run also meets a singular corral system, ``SOLVER_MAX_ITER`` major

@@ -41,9 +41,12 @@ fitted at once, with one LAPACK call per model size (linear) or one
 damped Newton loop per candidate (logistic), and one inverse per model
 size or candidate for the plug-in.  One averaging pass
 (``averaging._average_stack``) then makes the per-model values, Q-hat
-and the AIC weights for the whole stack; only the simplex solves and
-the weighted sums run per replication.  Every estimate keeps the bits
-of one predictor fitted per replication.
+and the AIC weights for the whole stack, and solves its weights in one
+lockstep loop (``_lockstep._solve_stack``), or one replication at a
+time in a stack of fewer than ``averaging._LOCKSTEP_MIN``; only the
+weighted sums, and a lone solve for a form the loop cannot certify,
+run per replication.  Every estimate keeps the bits of one predictor
+fitted per replication.
 Design matrices are redrawn each replication; the target covariate x*
 is drawn once per study (Study I) or fixed to the stock values
 (Study II) so the estimand is a constant.
@@ -296,8 +299,9 @@ def _fit_stack(designs, members, rows: list, failures: dict) -> None:
     of them at once: the linear QRs, guards and solves with one LAPACK
     call per model size, the logistic MLEs with one damped Newton loop
     per candidate.  One averaging pass (``averaging._average_stack``)
-    makes the per-model values, Q-hat and the AIC weights for the whole
-    stack; only the simplex solves and the weighted sums run per
+    makes the per-model values, Q-hat, the AIC weights and, from
+    ``averaging._LOCKSTEP_MIN`` replications up, the weight solves for
+    the whole stack; only the weighted sums and any lone solves run per
     replication.  The oracle column reads the stack's values when the
     oracle is a candidate, the stack's ``beta_full`` when it is the
     linear full design, and one more stacked MLE when it is a logistic

@@ -16,6 +16,8 @@ from oracles import (
     reduced_ols_fit,
 )
 
+import glmavg._lockstep as _lockstep
+import glmavg.averaging as averaging
 import glmavg.glm_fit as glm_fit
 import glmavg.mse_weights as mse_weights
 from glmavg.sim_harness import STUDY1_BETA, STUDY1_P_FIXED, STUDY1_Q, study1_model_sets
@@ -732,6 +734,144 @@ class TestSolverGolden:
             except NumericalError:
                 raised.append("1")
         assert "".join(raised) == SOLVER_GOLDEN["collinear_raises"]
+
+
+def _hexed(weights, objective, iterations, kkt_residual):
+    return [float(v).hex() for v in weights], float(objective).hex(), int(iterations), float(kkt_residual).hex()
+
+
+def _lone_answer(bias, gram_factor):
+    """``solve_simplex_qp``'s answer for one form, in hex, or its error as (type, message)."""
+    try:
+        sol = solve_simplex_qp(QuadraticForm.from_parts(bias, gram_factor))
+    except NumericalError as exc:
+        return type(exc), str(exc)
+    return _hexed(sol.weights, sol.objective, sol.iterations, sol.kkt_residual)
+
+
+def _gram_run_fails(bias, gram_factor) -> bool:
+    """Whether ``solve_simplex_qp``'s first run, on the Gram corral systems, raises or fails the certificate."""
+    P = np.column_stack([bias, gram_factor.T])
+    try:
+        mse_weights._certified_solution(P, np.einsum("ij,ij->i", P, P), mse_weights._gram_corral_solve)
+    except NumericalError:
+        return True
+    return False
+
+
+# The separated 7-row logistic design whose optimal weights neither solver run
+# certifies (K = 16 candidates, all subsets of 4 optional columns): Z, with
+# X = [1 | Z], y = (Z[:, 0] > 0) and x* = X[0].
+SEPARATED_Z = [
+    [-0.19148561565958722, -0.4864673699172336, 0.3982669372592033, 0.606794502584708],
+    [1.2435616626991888, 1.1307641213517998, -0.06772438421155849, -1.208394504206709],
+    [2.151792810582535, 1.3987763451735902, 0.7338236723154302, 0.33257881855053556],
+    [-0.12466518575961379, -1.6644962248419577, 0.05396353193926462, 0.13567000923821937],
+    [-0.5902758904938162, 1.4700197624146076, 0.36017964809437814, -0.4908795680648221],
+    [-0.40886238805999336, 1.8117965142750287, -0.9371026808008383, 0.9736021835348283],
+    [1.4094971864660084, 1.44164465448382, -0.32203740863393576, -0.6995560220068083],
+]
+
+
+class _FormStack:
+    """A stand-in for a family's stacked fit whose Qhat parts are given forms and whose values are all 1."""
+
+    def __init__(self, bias, gram_factor):
+        self.bias, self.gram_factor = bias, gram_factor
+        self.B = np.zeros((*bias.shape, 1))
+        self.models = [None] * bias.shape[1]
+
+    def values(self, x_star):
+        return np.ones(self.bias.shape)
+
+    def q_parts(self, x_star, values):
+        return self.bias, self.gram_factor
+
+    def fit_error(self, i):
+        return None
+
+    plug_in_error = fit_error
+
+
+class TestStackedSolve:
+    """Every slice of a lockstep solve (``_solve_stack``) is its lone ``solve_simplex_qp``, bit for bit."""
+
+    def test_prostate_splits_match_the_golden_file(self):
+        golden = SOLVER_GOLDEN["prostate"]
+        models = enumerate_all_subsets(1, 8)
+        splits = {}
+        for case in golden["rows"]:
+            splits.setdefault(case["split"], []).append(case)
+        assert len(splits) == 10 and {len(cases) for cases in splits.values()} == {30}
+        for r, cases in splits.items():
+            train, test = split(synthetic_prostate(), golden["n_train"], seed=derive_seed(golden["seed"], "prostate-split", r))
+            factory = LinearQFactory(train.design, train.response, models)
+            forms = [factory.q_form(test.design[case["row"]]) for case in cases]
+            bias, gram_factor = np.stack([q.bias for q in forms]), np.stack([q.gram_factor for q in forms])
+            weights, objective, iterations, residual, lone = _lockstep._solve_stack(bias, gram_factor)
+            assert not lone.any(), r
+            for i, case in enumerate(cases):
+                support = np.flatnonzero(weights[i])
+                assert support.tolist() == case["support"], case
+                assert [float(v).hex() for v in weights[i, support]] == case["weights"], case
+                assert iterations[i] == case["iterations"], case
+                assert float(objective[i]).hex() == case["objective"], case
+                assert float(residual[i]).hex() == case["kkt_residual"], case
+                assert _hexed(weights[i], objective[i], iterations[i], residual[i]) == _lone_answer(bias[i], gram_factor[i])
+
+    def test_collinear_forms_stacked_by_shape(self):
+        # every slice the lockstep run certifies is the lone answer, and it sends to the lone
+        # solve exactly the slices whose lone Gram run fails: 427 of the 750
+        stacks = {}
+        for q in _collinear_forms():
+            stacks.setdefault(q.gram_factor.shape, []).append(q)
+        sent = 0
+        for forms in stacks.values():
+            bias, gram_factor = np.stack([q.bias for q in forms]), np.stack([q.gram_factor for q in forms])
+            weights, objective, iterations, residual, lone = _lockstep._solve_stack(bias, gram_factor)
+            for i in range(len(forms)):
+                assert lone[i] == _gram_run_fails(bias[i], gram_factor[i])
+                if not lone[i]:
+                    assert _hexed(weights[i], objective[i], iterations[i], residual[i]) == _lone_answer(
+                        bias[i], gram_factor[i]
+                    )
+            sent += int(lone.sum())
+        assert len(stacks) > 10 and sent == 427
+
+    def test_one_model_forms(self):
+        rng = np.random.default_rng(32)
+        bias, gram_factor = rng.standard_normal((8, 1)), rng.standard_normal((8, 4, 1))
+        gram_factor[5, 0, 0] = np.inf
+        weights, objective, iterations, residual, lone = _lockstep._solve_stack(bias, gram_factor)
+        assert np.flatnonzero(lone).tolist() == [5]
+        for i in set(range(8)) - {5}:
+            assert _hexed(weights[i], objective[i], iterations[i], residual[i]) == _lone_answer(bias[i], gram_factor[i])
+
+    def test_failing_slices_raise_their_lone_errors(self):
+        X = np.column_stack([np.ones(7), SEPARATED_Z])
+        separated = LogisticQFactory(X, (X[:, 1] > 0.0).astype(float), enumerate_all_subsets(1, 4)).q_form(X[0])
+        rng = np.random.default_rng(31)
+        bias = np.stack([rng.standard_normal(16) for _ in range(12)])
+        gram_factor = np.stack([rng.standard_normal((5, 16)) for _ in range(12)])
+        bias[4], gram_factor[4] = separated.bias, separated.gram_factor
+        gram_factor[9, 2, 7] = np.nan
+        weights, objective, iterations, residual, lone = _lockstep._solve_stack(bias, gram_factor)
+        assert np.flatnonzero(lone).tolist() == [4, 9]
+        for i in set(range(12)) - {4, 9}:
+            assert _hexed(weights[i], objective[i], iterations[i], residual[i]) == _lone_answer(bias[i], gram_factor[i])
+        # through the study's averaging pass, at and below the lockstep minimum
+        for size in (12, averaging._LOCKSTEP_MIN - 1):
+            _, results = averaging._average_stack(_FormStack(bias[:size], gram_factor[:size]), None, [("optimal",)] * size)
+            for i, result in enumerate(results):
+                expected = _lone_answer(bias[i], gram_factor[i])
+                if i in (4, 9):
+                    assert (type(result), str(result)) == expected
+                    assert expected[1].startswith(
+                        "weight solve not certified" if i == 4 else "non-finite entries in the quadratic form"
+                    )
+                else:
+                    lone_weights = np.array([float.fromhex(v) for v in expected[0]])
+                    assert result == [float(lone_weights @ np.ones(16))]
 
 
 class TestQuadraticForm:

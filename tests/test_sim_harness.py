@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import glmavg._lockstep as _lockstep
 import glmavg.averaging as averaging
 import glmavg.mse_weights as mse_weights
 import glmavg.rng as rng_module
@@ -693,8 +694,9 @@ class TestStackedLinearFits:
     @STACK_SIZES
     def test_one_averaging_pass_per_stack(self, monkeypatch, stack):
         # the per-model values and Q-hat are made once per stack, and no replication
-        # builds a predictor; perfbench/tracer.py wraps averaging.solve_simplex_qp,
-        # which still runs once per replication and optimal scheme
+        # builds a predictor; a stack of at least _LOCKSTEP_MIN replications solves its
+        # weights in one lockstep loop, a smaller one once per replication through
+        # averaging.solve_simplex_qp, the name perfbench/tracer.py wraps
         calls = []
         for owner, name in [
             (LinearAveragingPredictor, "predict"),
@@ -702,6 +704,7 @@ class TestStackedLinearFits:
             (LinearQFactory, "__init__"),
             (mse_weights._Fits, "q_parts"),
             (averaging, "solve_simplex_qp"),
+            (_lockstep, "_solve_stack"),
         ]:
             def counted(*args, _original=getattr(owner, name), _name=name):
                 calls.append(_name)
@@ -711,10 +714,13 @@ class TestStackedLinearFits:
         monkeypatch.setattr(sim_harness, "_STACK_REPS", stack)
         config = _linear_cells(n_reps=9)[5]  # Study II case B: three schemes
         simulate_cell(config)
-        stacks = -(-9 // min(stack, 9))
-        assert calls.count("q_parts") == stacks
-        assert calls.count("solve_simplex_qp") == 9
-        assert len(calls) == stacks + 9
+        sizes = [min(stack, 9 - start) for start in range(0, 9, stack)]
+        lockstep = [size for size in sizes if size >= averaging._LOCKSTEP_MIN]
+        assert sizes == ([9] if stack > 9 else [7, 2] if stack == 7 else [1] * 9)
+        assert calls.count("q_parts") == len(sizes)
+        assert calls.count("_solve_stack") == len(lockstep)
+        assert calls.count("solve_simplex_qp") == 9 - sum(lockstep)
+        assert len(calls) == len(sizes) + len(lockstep) + 9 - sum(lockstep)
 
     @STACK_SIZES
     def test_a_guarded_replication_in_a_stack_keeps_its_bits(self, monkeypatch, stack):
@@ -759,16 +765,23 @@ class TestStackedLinearFits:
         assert str(excinfo.value) == f"{direct.value} in replication ('study1', 'B', 60, rep 4)"
         assert excinfo.value.model == direct.value.model is not None
 
+    @pytest.mark.parametrize("lockstep", [True, False], ids=["lockstep", "lone-solves"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize(
         "singular_at, unsolved_at, first",
         [(("0.5", 3), ("0.05", 1), "solve"), (("0.5", 1), ("0.05", 4), "fit")],
         ids=["earlier-solve-wins", "earlier-fit-wins"],
     )
-    def test_the_earlier_of_a_fit_and_a_solve_failure_wins(self, monkeypatch, workers, singular_at, unsolved_at, first):
+    def test_the_earlier_of_a_fit_and_a_solve_failure_wins(
+        self, monkeypatch, workers, singular_at, unsolved_at, first, lockstep
+    ):
         # 2 cells of 6 reps laid out rep by rep (run index 2 * rep + cell): a singular design
-        # fails one replication's fit, an injected solver failure another's solve
+        # fails one replication's fit, an injected solver failure another's solve.  At
+        # workers=1 the 12 replications are one stack, solved in lockstep unless the
+        # lockstep minimum is out of reach; the injected slice then fails the lockstep
+        # run, as a slice that cannot be certified does, and is solved alone.
         original_draw, original_solve = sim_harness._draw, averaging.solve_simplex_qp
+        original_stack = _lockstep._solve_stack
         target = {}
 
         def draw(config, rep):
@@ -786,10 +799,22 @@ class TestStackedLinearFits:
                 raise NumericalError("weight solve failed: injected")
             return original_solve(q_hat)
 
+        def solve_stack(bias, gram_factor):
+            *answers, lone = original_stack(bias, gram_factor)
+            stacked.append(len(bias))
+            return (*answers, lone | [row.tobytes() == target.get("bias") for row in bias])
+
+        stacked = []
         monkeypatch.setattr(sim_harness, "_draw", draw)
         monkeypatch.setattr(averaging, "solve_simplex_qp", solve)
+        monkeypatch.setattr(_lockstep, "_solve_stack", solve_stack)
+        if not lockstep:
+            monkeypatch.setattr(averaging, "_LOCKSTEP_MIN", 10**9)
         with pytest.raises((SingularDesignError, NumericalError)) as excinfo:
             run_study2("linear", beta3_grid=(0.05, 0.5), cases=("A",), n_reps=6, workers=workers)
+        if workers == 1:
+            # the fit failure's slice is not stacked
+            assert stacked == ([11] if lockstep else [])
         beta3, rep = singular_at if first == "fit" else unsolved_at
         key = f"in replication ('study2', 'linear', 'A', '{beta3}', rep {rep})"
         if first == "fit":
@@ -1099,6 +1124,73 @@ class TestCrossCellStacks:
         assert type(raised) is type(direct)
         assert str(raised) == f"{direct} in replication ('study2', 'logistic', 'B', '{beta3}', rep {rep})"
         assert raised.model == direct.model
+
+
+def _lockstep_studies():
+    """A Study I, a Study II linear and a Study II logistic run whose stacks hold 10 to 20 replications."""
+    return {
+        "study1": lambda workers: run_study1(n_grid=(100,), cases=("A", "B"), n_reps=20, seed=11, workers=workers),
+        "study2-linear": lambda workers: run_study2(
+            "linear", beta3_grid=(0.05, 0.5), cases=("A", "B"), n_reps=10, seed=12, workers=workers
+        ),
+        "study2-logistic": lambda workers: run_study2(
+            "logistic", beta3_grid=(0.05, 0.5), cases=("A", "B"), n_reps=10, seed=13, workers=workers
+        ),
+    }
+
+
+class TestLockstepSolve:
+    """A study's reports and errors are the same whether its stacks solve their weights in lockstep or one by one."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("study", list(_lockstep_studies()))
+    def test_reports_equal_lone_solves(self, monkeypatch, study, workers):
+        run = _lockstep_studies()[study]
+        stacks = []
+        solve_stack = _lockstep._solve_stack
+
+        def counted(bias, gram_factor):
+            stacks.append(len(bias))
+            return solve_stack(bias, gram_factor)
+
+        monkeypatch.setattr(_lockstep, "_solve_stack", counted)
+        lockstep = run(workers)
+        if workers == 1:  # a forked worker's calls are not seen here
+            assert stacks and min(stacks) >= averaging._LOCKSTEP_MIN
+        monkeypatch.setattr(averaging, "_LOCKSTEP_MIN", 10**9)
+        stacks.clear()
+        lone = run(workers)
+        assert stacks == []
+        assert _report_digest(lockstep) == _report_digest(lone)
+        assert csv_text(REPORT_COLUMNS, lockstep.rows) == csv_text(REPORT_COLUMNS, lone.rows)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("study", list(_lockstep_studies()))
+    def test_a_failing_replication_is_named_alike(self, monkeypatch, study, workers):
+        # rep 7 of every cell fails its fit: a copied column (linear) or a constant response
+        # (logistic); the other replications of its stack are solved in lockstep
+        original = sim_harness._draw
+
+        def draw(config, rep):
+            X, y = original(config, rep)
+            if rep == 7:
+                if config.family == "linear":
+                    X = X.copy()
+                    X[:, -1] = X[:, 1]
+                else:
+                    y = np.ones_like(y)
+            return X, y
+
+        monkeypatch.setattr(sim_harness, "_draw", draw)
+        run = _lockstep_studies()[study]
+        raised = []
+        for minimum in (averaging._LOCKSTEP_MIN, 10**9):
+            monkeypatch.setattr(averaging, "_LOCKSTEP_MIN", minimum)
+            with pytest.raises(NumericalError) as excinfo:
+                run(workers)
+            raised.append((type(excinfo.value), str(excinfo.value), excinfo.value.model))
+        assert raised[0] == raised[1]
+        assert "rep 7)" in raised[0][1]
 
 
 class TestStreamKeys:
