@@ -30,15 +30,34 @@ when n is 1, when the process may use only one CPU, when the platform is
 not Linux with ``os.fork``, or when more than one Python thread is alive
 (a fork copies only the calling thread, and a lock held by another
 thread would stay held in the child; OpenBLAS, numpy's BLAS, resets its
-own thread pool in a forked child).  Each process keeps OpenBLAS's
-thread pool, so on a 2-core host run with ``OPENBLAS_NUM_THREADS=1``:
-with its default pool, two processes fitting n = 1000 designs at once
-contend for the cores, and a Study I n = 1000 cell took longer at
-``workers=2`` than at ``workers=1``.
+own thread pool in a forked child).  It also runs serially below a
+floor of work: a caller passes ``rep_ms``, its estimate of one
+replication's milliseconds from what it sees in its input (the family,
+the sample size and width of a design, the candidates), and a block is
+forked only when its estimated work reaches ``_FORK_FLOOR_MS``, the
+fork's measured fixed cost (``tools/fork_floor.py``).  So a thin study, whose halves
+would each be a small stack, runs as one ``task(range(n))`` call.
+
+When the loop does fork, every process that runs a block runs OpenBLAS
+on one thread.  The calling process sets it before the forks, so each
+child starts on one thread, and restores its own previous count once
+every child is reaped, on a return and on a raise.  (A child that set
+it itself would restart the pool that OpenBLAS shuts down at a fork,
+and the pool's new thread would spin beside the block for about
+0.13 s.)  With OpenBLAS's default pool, two processes fitting n = 1000
+designs at once contended for the cores: a Study I run of two n = 1000
+cells (400 replications each) took 0.30-5.6 s, median 0.38 s, at
+``workers=2``, and now takes 0.12 s, as with ``OPENBLAS_NUM_THREADS=1``
+(11 fresh processes each, 2-core x86-64 VM).  numpy has no call for
+this, so it goes through ``ctypes`` into the OpenBLAS that the process
+has loaded, found among its mapped objects; ``ctypes`` is used only on
+the forked path, and with no OpenBLAS found the blocks run on whatever
+BLAS threads they have.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 import signal
@@ -47,39 +66,97 @@ import threading
 
 from .errors import DataError
 
+# A block is forked only when its estimated work, ``rep_ms`` times its
+# length, reaches this many milliseconds.  The fork's fixed cost is the
+# empty 2-block call (1.46 ms) plus the copy-on-write slowdown of the
+# processes' first replications (1.09 ms in the caller for a Study II
+# logistic one).  ``tools/fork_floor.py`` (medians of 31, BLAS on one
+# thread, 2-core x86-64 VM), forked time over serial time by estimated
+# block work: 1.24 at 1.35 ms (Study II linear, 2 cells of 25); at
+# 2.7 ms 0.99 (logistic, 2 cells of 25) and 0.85 (linear, 2 cells of
+# 50); 0.70-0.71 at 5.4 ms; 0.52-0.68 from 7.2 ms up (the stock grids,
+# criterion 7's Study I run at 167 ms, a 3-row prostate band at 89 ms).
+# The floor sits above 2.7 ms, where a logistic block only broke even.
+_FORK_FLOOR_MS = 3.0
 
-def _block_count(n: int, workers: int) -> int:
+# (get, set) pairs of the thread-count calls an OpenBLAS build may export
+_OPENBLAS_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _block_count(n: int, workers: int, rep_ms: float | None) -> int:
     """How many blocks ``range(n)`` is split into; 1 runs it serially."""
     if not (sys.platform.startswith("linux") and hasattr(os, "fork")) or threading.active_count() > 1:
         return 1
-    return max(1, min(workers, n, len(os.sched_getaffinity(0))))
+    count = min(workers, n, len(os.sched_getaffinity(0)))
+    if rep_ms is not None and _FORK_FLOOR_MS > 0:
+        count = min(count, int(n * rep_ms / _FORK_FLOOR_MS))
+    return max(1, count)
 
 
-def run_replications(task, n: int, workers: int) -> list:
+@functools.cache
+def _blas_calls():
+    """The (get, set) thread-count calls of the OpenBLAS this process has loaded, or None.
+
+    Looked up once per process, among the shared objects mapped into it,
+    each opened with ``RTLD_NOLOAD`` so that nothing new is loaded.
+    """
+    try:
+        import ctypes
+
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(None, 5)[5].strip() for line in maps if "openblas" in line.lower()})
+    except (ImportError, OSError):
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for get, set_ in _OPENBLAS_CALLS:
+            if hasattr(lib, get) and hasattr(lib, set_):
+                return getattr(lib, get), getattr(lib, set_)
+    return None
+
+
+def run_replications(task, n: int, workers: int, rep_ms: float | None = None) -> list:
     """The rows of ``range(n)``, each contiguous block of it but the first run in a forked child.
 
     ``task(block)`` gets a contiguous ``range`` of indices and returns
     their rows in order, so a caller can share work across a block's
-    replications; ``task(range(n))`` is the serial result.  When a
-    block fails, ``task`` raises the failure at its earliest index, as
-    a loop over the indices would; the earliest failing block's is
-    raised here, so the failure at the earliest index wins: a child
-    sends it back pickled, with its class, message and attributes.  A
-    child that exits without sending its rows raises
-    ``ChildProcessError``.  Every child is reaped before this returns or
-    raises.  ``workers`` below 1 raises ``DataError`` before any
-    replication.
+    replications; ``task(range(n))`` is the serial result.  ``rep_ms``
+    estimates one replication's work in milliseconds: with it, a block
+    is forked only when its share reaches ``_FORK_FLOOR_MS``; without
+    it, ``range(n)`` is split into as many blocks as ``workers`` asks
+    and the process can run.  When a block fails, ``task`` raises the
+    failure at its earliest index, as a loop over the indices would; the
+    earliest failing block's is raised here, so the failure at the
+    earliest index wins: a child sends it back pickled, with its class,
+    message and attributes.  A child that exits without sending its rows
+    raises ``ChildProcessError``.  Every child is reaped, and the calling
+    process's BLAS thread count restored, before this returns or raises.
+    ``workers`` below 1 raises ``DataError`` before any replication.
     """
     if workers < 1:
         raise DataError(f"workers must be at least 1, got {workers}")
-    count = _block_count(n, workers)
+    count = _block_count(n, workers, rep_ms)
     if count == 1:
         return task(range(n))
     # the calling process also forks and collects, so it takes the smallest block
     bounds = [n * b // count for b in range(count + 1)]
     blocks = [range(bounds[b], bounds[b + 1]) for b in range(count)]
+    blas = _blas_calls()
+    previous = blas[0]() if blas is not None else 1
     live = {}  # pid -> read end of its pipe, for every child not yet reaped
     try:
+        if previous != 1:
+            # set before the forks, so every child starts on one thread: a child's
+            # own call would restart the pool that the fork shut down, and its new
+            # thread would spin beside the block for about 0.13 s
+            blas[1](1)
         for block in blocks[1:]:
             read_fd, write_fd = os.pipe()
             try:
@@ -106,6 +183,8 @@ def run_replications(task, n: int, workers: int) -> list:
             os.close(read_fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        if previous != 1:
+            blas[1](previous)
 
 
 def _run_child(task, block: range, read_fd: int, write_fd: int):

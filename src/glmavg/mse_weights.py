@@ -714,9 +714,13 @@ def _qr_corral_solve(S: np.ndarray, c: float, ones: np.ndarray) -> np.ndarray:
     F'F = c 11' + S S' = R'R, so u is two triangular solves, R'z = 1 and
     R u = z.  The Gram matrix's condition number is the square of F's,
     so a corral that is singular to roundoff there may still be solved
-    here.  R is square: a corral is affinely independent, so it has at
-    most one point more than S has columns, and F has that many rows.
+    here.  R is square while the corral is affinely independent, so has
+    at most one point more than S has columns, as F has rows; a corral
+    that roundoff let grow past that is singular, and raises
+    ``NumericalError``.
     """
+    if S.shape[0] > S.shape[1] + 1:
+        raise NumericalError(f"weight solve failed: a corral of {S.shape[0]} points in {S.shape[1]} dimensions")
     F = np.empty((S.shape[1] + 1, S.shape[0]))
     F[0] = math.sqrt(c)
     F[1:] = S.T

@@ -29,9 +29,10 @@ contiguous block holding the same share of every cell: the first block
 runs in the calling process and the others in forked worker processes
 (see ``glmavg._forked``), with one fork per worker for the whole study; they
 run serially when ``workers`` is 1, when the process may use one CPU
-only, off Linux, or while another Python thread is alive.  In a block
-(``_run_block``), the replications that share a design (the family, n,
-the candidates and x*) are stacked together, across cells, so the
+only, off Linux, while another Python thread is alive, or when a
+block's estimated work (``_rep_ms``) is below the runner's floor.  In
+a block (``_run_block``), the replications that share a design (the
+family, n, the candidates and x*) are stacked together, across cells, so the
 cells of a beta3 grid share their stacks; each group is cut into stacks
 of up to ``_STACK_REPS``, whatever the family, and run through one
 routine (``_fit_stack``).  Each replication draws its data and keeps
@@ -96,6 +97,17 @@ from .rng import _checked_keys, substream
 #   0.585 / 0.661.
 _STACK_REPS = 64
 _STACK_DOUBLES = 1 << 21
+
+# One stacked replication's milliseconds, per candidate and per design
+# entry (n x p), by family, for ``run_replications``' floor of work per
+# process.  Fitted to the added cost of a replication in cells of 50 and
+# 200 (BLAS on one thread, 2-core x86-64 VM): linear, Study I case A at
+# n = 100 / 1000 / 3000 0.094 / 0.242 / 0.539 ms (model: 0.099 / 0.234
+# / 0.534), Study II case A at n = 100 0.060 (0.054); logistic, Study II
+# case A at n = 100 / 400 / 1000 0.108 / 0.250 / 0.540 (0.108 / 0.252 /
+# 0.540), the Study I ladder at n = 200 / 1000 0.339 / 1.397 (0.330 /
+# 1.290).  ``tools/fork_floor.py`` prints the estimate beside each run.
+_REP_MS = {"linear": (0.012, 1.5e-5), "logistic": (0.015, 1.2e-4)}
 
 REPORT_COLUMNS = (
     "case",
@@ -407,7 +419,8 @@ def _simulate(configs, workers: int) -> list[dict[str, np.ndarray]]:
     every cell, whatever a cell's n makes it cost; ``_run_block`` runs a
     block.  The earliest failing (rep, cell) in that order is raised,
     for every ``workers``.  Each cell's rows are then taken back in
-    order and keyed by its ``columns``.
+    order and keyed by its ``columns``.  The runner's estimate of a
+    replication's work is the cells' mean ``_rep_ms``.
     """
     count, n_reps = len(configs), configs[0].n_reps
     assert all(config.n_reps == n_reps for config in configs)
@@ -415,8 +428,14 @@ def _simulate(configs, workers: int) -> list[dict[str, np.ndarray]]:
     def block_rows(block):
         return _run_block([(configs[i % count], i // count) for i in block])
 
-    rows = run_replications(block_rows, count * n_reps, workers)
+    rows = run_replications(block_rows, count * n_reps, workers, sum(map(_rep_ms, configs)) / count)
     return [dict(zip(config.columns, np.asarray(rows[c::count], dtype=float).T)) for c, config in enumerate(configs)]
+
+
+def _rep_ms(config: StudyConfig) -> float:
+    """An estimate of one replication's milliseconds in a stack of ``config``'s cell."""
+    per_model, per_entry = _REP_MS[config.family]
+    return per_model * len(config.candidate_set.models) + per_entry * config.n * config.x_star.shape[0]
 
 
 def simulate_cell(config: StudyConfig, *, workers: int = 1) -> dict[str, np.ndarray]:
@@ -426,11 +445,12 @@ def simulate_cell(config: StudyConfig, *, workers: int = 1) -> dict[str, np.ndar
     deterministic function of ``config``, bit for bit the same for every
     ``workers``: up to ``workers`` processes run contiguous blocks of
     replications (serially when ``workers`` is 1, on one usable CPU, off
-    Linux, or while another Python thread is alive), and the rows are
-    joined in index order.  ``workers`` below 1 raises ``DataError``
-    before any replication.  A ``GlmavgError`` raised in a replication
-    is re-raised with that replication's key, the config's tags and the
-    rep index, appended to its message, e.g.
+    Linux, while another Python thread is alive, or below the runner's
+    floor of work per process), and the rows are joined in index order.
+    ``workers`` below 1 raises ``DataError`` before any replication.  A
+    ``GlmavgError`` raised in a replication is re-raised with that
+    replication's key, the config's tags and the rep index, appended to
+    its message, e.g.
     ``('study2', 'logistic', 'A', '0.05', rep 17)``; its class and
     attributes are kept, and the earliest failing replication wins.
     """
@@ -519,9 +539,11 @@ def run_study1(
     ``cases`` or ``n_grid``, or one naming a value twice, raises
     ``DataError``.
     ``workers`` splits the replications of all the cells, in one run,
-    as ``simulate_cell`` splits a cell's; the report is byte-identical
-    for every value, and a value below 1 raises ``DataError`` before any
-    replication runs.
+    as ``simulate_cell`` splits a cell's (serially when ``workers`` is 1,
+    on one usable CPU, off Linux, while another Python thread is alive,
+    or below the runner's floor of work per process); the report is
+    byte-identical for every value, and a value below 1 raises
+    ``DataError`` before any replication runs.
     """
     beta = np.asarray(STUDY1_BETA)
     x_star = np.concatenate(
@@ -587,9 +609,11 @@ def run_study2(
     ``cases`` or ``beta3_grid``, or one naming a value twice, and empty
     or repeated ``schemes`` raise ``DataError``.
     ``workers`` splits the replications of all the cells, in one run,
-    as ``simulate_cell`` splits a cell's; the report is byte-identical
-    for every value, and a value below 1 raises ``DataError`` before any
-    replication runs.
+    as ``simulate_cell`` splits a cell's (serially when ``workers`` is 1,
+    on one usable CPU, off Linux, while another Python thread is alive,
+    or below the runner's floor of work per process); the report is
+    byte-identical for every value, and a value below 1 raises
+    ``DataError`` before any replication runs.
     """
     model_sets = study2_model_sets()
     _check_cases(cases, model_sets)

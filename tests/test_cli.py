@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import glmavg._forked as _forked
 from glmavg import enumerate_all_subsets, nested_sequence, save_csv, synthetic_prostate
 from glmavg.cli import main
 
@@ -614,6 +615,7 @@ class TestBandCommand:
             return fork()
 
         monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(_forked, "_FORK_FLOOR_MS", 0.0)  # 18 replications are below the floor
         assert main([*args, "--workers", "2"]) == 0
         assert len(forks) == 1  # 3 test rows
         monkeypatch.undo()

@@ -2,12 +2,15 @@
 
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
+import glmavg._forked as _forked
 import glmavg.sim_harness as sim_harness
 from glmavg import CandidateModel, NonConvergenceError, StudyConfig, simulate_cell
 from glmavg._forked import run_replications
@@ -141,3 +144,131 @@ def test_live_thread_runs_serially(deadline):
     finally:
         release.set()
         thread.join()
+
+
+def refuse_fork():
+    raise AssertionError("os.fork called below the floor")
+
+
+@two_cpus
+def test_blocks_below_the_floor_run_in_the_calling_process(monkeypatch, deadline):
+    floor = _forked._FORK_FLOOR_MS
+    assert floor > 0
+    pid = os.getpid()
+    # 6 replications on 2 workers: blocks of 3, each a quarter of the floor short
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    assert run_replications(per_index(lambda i: os.getpid()), 6, 2, floor / 4) == [pid] * 6
+    monkeypatch.undo()
+    # a block of 3 that just reaches the floor is forked
+    pids = run_replications(per_index(lambda i: os.getpid()), 6, 2, floor / 3)
+    assert pids[:3] == [pid] * 3 and pid not in pids[3:]
+    assert_no_child_left()
+
+
+@two_cpus
+@pytest.mark.parametrize("n_reps, forks", [(6, 0), (40, 1)])
+def test_a_study_forks_only_above_the_floor(monkeypatch, deadline, n_reps, forks):
+    def run(workers):
+        return sim_harness.run_study2(
+            "logistic", beta3_grid=(0.05, 0.5), cases=("A",), n_reps=n_reps, seed=5, workers=workers
+        )
+
+    cell = StudyConfig(
+        family="logistic",
+        n=100,
+        beta_true=np.array([0.3, 0.1, 0.3, 0.05]),
+        candidate_set=study2_model_sets()["A"],
+        x_star=np.asarray(STUDY2_X_STAR),
+        n_reps=n_reps,
+        seed=5,
+    )
+    # a 2-worker block holds n_reps replications, one of each cell per rep
+    block_ms = n_reps * sim_harness._rep_ms(cell)
+    assert (block_ms >= _forked._FORK_FLOOR_MS) == bool(forks)
+    called = []
+    fork = os.fork
+
+    def counted():
+        called.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    forked = run(2)
+    monkeypatch.undo()
+    assert len(called) == forks
+    assert forked.rows == run(1).rows
+    assert_no_child_left()
+
+
+@pytest.fixture
+def blas_two_threads():
+    """The loaded OpenBLAS's (get, set), set to two threads for the test; skips without one."""
+    calls = _forked._blas_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS found among the process's loaded objects")
+    get, set_ = calls
+    previous = get()
+    set_(2)
+    try:
+        if get() != 2:
+            pytest.skip("this OpenBLAS does not run two threads")
+        yield calls
+    finally:
+        set_(previous)
+
+
+@two_cpus
+def test_every_block_runs_on_one_blas_thread(deadline, blas_two_threads):
+    get = blas_two_threads[0]
+    rows = run_replications(per_index(lambda i: (os.getpid(), get())), 6, 2)
+    assert [threads for _, threads in rows] == [1] * 6
+    assert rows[0][0] == os.getpid() != rows[5][0]  # one child among them
+    assert get() == 2
+    assert_no_child_left()
+
+
+@two_cpus
+def test_blas_threads_are_restored_after_a_raise(deadline, blas_two_threads):
+    get = blas_two_threads[0]
+    parent = os.getpid()
+    seen = []
+
+    def task(i):
+        if os.getpid() == parent:
+            seen.append(get())
+            raise ValueError(f"bad replication {i}")
+        return i
+
+    with pytest.raises(ValueError, match="bad replication 0"):
+        run_replications(per_index(task), 4, 2)
+    assert seen == [1] and get() == 2
+    assert_no_child_left()
+
+
+NO_CTYPES = """
+import sys
+sys.modules["ctypes"] = None  # any import of ctypes now raises ImportError
+import glmavg.cli
+import glmavg._forked as _forked
+from glmavg import run_study2
+
+serial = run_study2("logistic", beta3_grid=(0.05, 0.5), n_reps=4, workers=1).rows
+assert glmavg.cli.main(["study1", "--n-grid", "60", "--reps", "3", "--workers", "1"]) == 0
+print(_forked._blas_calls.cache_info().currsize)
+_forked._FORK_FLOOR_MS = 0.0
+print(run_study2("logistic", beta3_grid=(0.05, 0.5), n_reps=4, workers=2).rows == serial, _forked._blas_calls())
+"""
+
+
+def test_only_a_forked_run_looks_for_openblas(tmp_path):
+    # numpy imports ctypes when it can; with ctypes refused, the CLI's import,
+    # a serial study and a CLI run must not need it, and a forked run skips the
+    # BLAS pin instead of failing
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_CTYPES], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-2:] == ["0", "True None"]

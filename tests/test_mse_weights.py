@@ -702,6 +702,43 @@ class TestSolverFailurePaths:
         assert raised < 750  # the family is not all failures
         print(f"[INFO] collinear family: {raised} of 750 forms raised NumericalError")
 
+    def test_an_oversized_qr_corral_raises_numerical_error(self, monkeypatch):
+        # Random forms with column scales 10^U(-3, 3): in 16 of the first 3,000
+        # the QR second run's corral outgrows the form's rows plus one, the
+        # first at draw 139 (K = 38, d = 12), where its R factor is not square.
+        qr_solve = mse_weights._qr_corral_solve
+        oversized = []
+
+        def recording(S, c, ones):
+            if S.shape[0] > S.shape[1] + 1:
+                oversized.append(draw)
+            return qr_solve(S, c, ones)
+
+        monkeypatch.setattr(mse_weights, "_qr_corral_solve", recording)
+        rng = np.random.default_rng(7)
+        shapes, outcomes = {}, {}
+        for draw in range(3000):
+            K, d = int(rng.integers(2, 40)), int(rng.integers(2, 13))
+            scale = 10.0 ** rng.uniform(-3, 3, K)
+            b = rng.standard_normal(K) * scale
+            A = rng.standard_normal((d - 1, K)) * scale
+            shapes[draw] = K, d
+            before = len(oversized)
+            try:
+                sol = solve_simplex_qp(QuadraticForm.from_parts(b, A))
+            except NumericalError:
+                outcomes[draw] = "raised"
+                continue
+            if len(oversized) > before:
+                M, w = np.vstack([b, A]), sol.weights
+                assert np.all(np.isfinite(w)) and np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
+                grad = 2.0 * (M.T @ (M @ w))
+                assert float(np.max(w * (grad - grad.min()))) <= 2e-12 * float(np.max(np.sum(M * M, axis=0)))
+                outcomes[draw] = "certified"
+        forms = sorted(set(oversized))
+        assert len(forms) == 16 and forms[0] == 139 and shapes[139] == (38, 12)
+        assert all(outcomes.get(draw) in ("raised", "certified") for draw in forms)
+
 
 class TestSolverGolden:
     """The solver's output replayed bit for bit against ``solver_golden.json``."""

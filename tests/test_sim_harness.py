@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import glmavg._forked as _forked
 import glmavg._lockstep as _lockstep
 import glmavg.averaging as averaging
 import glmavg.mse_weights as mse_weights
@@ -541,6 +542,7 @@ class TestOneRunPerStudy:
             return fork()
 
         monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(_forked, "_FORK_FLOOR_MS", 0.0)  # 12 replications are below the floor
         report = run_study2("logistic", beta3_grid=(0.05, 0.5), cases=("A",), n_reps=6, workers=2)
         assert len(forks) == 1  # 2 when each cell made its own run_replications call
         monkeypatch.undo()
