@@ -87,12 +87,12 @@ _OPENBLAS_CALLS = (
 )
 
 
-def _block_count(n: int, workers: int, rep_ms: float | None) -> int:
+def _block_count(n: int, workers: int, rep_ms: float) -> int:
     """How many blocks ``range(n)`` is split into; 1 runs it serially."""
     if not (sys.platform.startswith("linux") and hasattr(os, "fork")) or threading.active_count() > 1:
         return 1
     count = min(workers, n, len(os.sched_getaffinity(0)))
-    if rep_ms is not None and _FORK_FLOOR_MS > 0:
+    if _FORK_FLOOR_MS > 0:
         count = min(count, int(n * rep_ms / _FORK_FLOOR_MS))
     return max(1, count)
 
@@ -122,16 +122,15 @@ def _blas_calls():
     return None
 
 
-def run_replications(task, n: int, workers: int, rep_ms: float | None = None) -> list:
+def run_replications(task, n: int, workers: int, rep_ms: float) -> list:
     """The rows of ``range(n)``, each contiguous block of it but the first run in a forked child.
 
     ``task(block)`` gets a contiguous ``range`` of indices and returns
     their rows in order, so a caller can share work across a block's
     replications; ``task(range(n))`` is the serial result.  ``rep_ms``
-    estimates one replication's work in milliseconds: with it, a block
-    is forked only when its share reaches ``_FORK_FLOOR_MS``; without
-    it, ``range(n)`` is split into as many blocks as ``workers`` asks
-    and the process can run.  When a block fails, ``task`` raises the
+    estimates one replication's work in milliseconds, and a block is
+    forked only when its share reaches ``_FORK_FLOOR_MS``.  When a block
+    fails, ``task`` raises the
     failure at its earliest index, as a loop over the indices would; the
     earliest failing block's is raised here, so the failure at the
     earliest index wins: a child sends it back pickled, with its class,

@@ -35,6 +35,11 @@ def deadline():
     signal.signal(signal.SIGALRM, previous)
 
 
+# an estimate of one replication's work that alone reaches the floor, so the runner
+# forks as many blocks as workers, n and the CPUs allow
+AT_FLOOR = _forked._FORK_FLOOR_MS
+
+
 def per_index(task):
     """The block task that runs ``task`` on each index of its block."""
     return lambda block: [task(i) for i in block]
@@ -93,12 +98,12 @@ def test_child_that_sends_nothing_raises(deadline, end):
 
     code = 3 if end == "exit" else -signal.SIGKILL
     with pytest.raises(ChildProcessError, match=f"replications 3-5 ended with exit code {code}"):
-        run_replications(per_index(task), 6, 2)
+        run_replications(per_index(task), 6, 2, AT_FLOOR)
     assert_no_child_left()
 
 
 def test_no_child_left_after_return(deadline):
-    assert run_replications(per_index(lambda i: i * i), 7, 2) == [i * i for i in range(7)]
+    assert run_replications(per_index(lambda i: i * i), 7, 2, AT_FLOOR) == [i * i for i in range(7)]
     assert_no_child_left()
 
 
@@ -113,7 +118,7 @@ def test_no_child_left_after_raise_in_calling_process(deadline):
 
     start = time.perf_counter()
     with pytest.raises(ValueError, match="bad replication 0"):
-        run_replications(per_index(task), 4, 2)
+        run_replications(per_index(task), 4, 2, AT_FLOOR)
     assert time.perf_counter() - start < 20
     assert_no_child_left()
 
@@ -129,8 +134,9 @@ def test_workers_above_cpus_or_n_give_the_same_bits(workers):
 
 
 @two_cpus
-def test_two_workers_use_two_processes(deadline):
-    pids = run_replications(per_index(lambda i: os.getpid()), 6, 2)
+def test_two_workers_use_two_processes(deadline, monkeypatch):
+    monkeypatch.setattr(_forked, "_FORK_FLOOR_MS", 0.0)  # 6 replications of no estimated work
+    pids = run_replications(per_index(lambda i: os.getpid()), 6, 2, 0.0)
     assert pids[:3] == [os.getpid()] * 3
     assert len(set(pids[3:])) == 1 and pids[3] != os.getpid()
 
@@ -140,7 +146,7 @@ def test_live_thread_runs_serially(deadline):
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert run_replications(per_index(lambda i: os.getpid()), 4, 2) == [os.getpid()] * 4
+        assert run_replications(per_index(lambda i: os.getpid()), 4, 2, AT_FLOOR) == [os.getpid()] * 4
     finally:
         release.set()
         thread.join()
@@ -220,7 +226,7 @@ def blas_two_threads():
 @two_cpus
 def test_every_block_runs_on_one_blas_thread(deadline, blas_two_threads):
     get = blas_two_threads[0]
-    rows = run_replications(per_index(lambda i: (os.getpid(), get())), 6, 2)
+    rows = run_replications(per_index(lambda i: (os.getpid(), get())), 6, 2, AT_FLOOR)
     assert [threads for _, threads in rows] == [1] * 6
     assert rows[0][0] == os.getpid() != rows[5][0]  # one child among them
     assert get() == 2
@@ -240,7 +246,7 @@ def test_blas_threads_are_restored_after_a_raise(deadline, blas_two_threads):
         return i
 
     with pytest.raises(ValueError, match="bad replication 0"):
-        run_replications(per_index(task), 4, 2)
+        run_replications(per_index(task), 4, 2, AT_FLOOR)
     assert seen == [1] and get() == 2
     assert_no_child_left()
 

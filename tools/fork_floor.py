@@ -62,7 +62,7 @@ def _band(seed):
 
 def calls(seed):
     """(name, call(workers)) for every timed call."""
-    yield "empty", lambda workers: _forked.run_replications(lambda block: list(block), 2, workers)
+    yield "empty", lambda workers: _forked.run_replications(lambda block: list(block), 2, workers, 0.0)
     for family in ("logistic", "linear"):
         for full in (False, True):
             for reps in REPS:
@@ -78,8 +78,8 @@ def block_ms(call) -> float:
     seen = []
     runner = _forked.run_replications
 
-    def recording(task, n, workers, rep_ms=None):
-        seen.append((n, rep_ms or 0.0))
+    def recording(task, n, workers, rep_ms):
+        seen.append((n, rep_ms))
         return runner(task, n, workers, rep_ms)
 
     modules = (_forked, sim_harness, averaging)
