@@ -33,10 +33,13 @@ thread would stay held in the child; OpenBLAS, numpy's BLAS, resets its
 own thread pool in a forked child).  It also runs serially below a
 floor of work: a caller passes ``rep_ms``, its estimate of one
 replication's milliseconds from what it sees in its input (the family,
-the sample size and width of a design, the candidates), and a block is
-forked only when its estimated work reaches ``_FORK_FLOOR_MS``, the
-fork's measured fixed cost (``tools/fork_floor.py``).  So a thin study, whose halves
-would each be a small stack, runs as one ``task(range(n))`` call.
+the sample size and width of a design, the candidates), and may pass
+``process_ms``, what its task costs more in a fresh forked process (a
+logistic study's first Newton loops); a block is forked only when its
+estimated work reaches ``_FORK_FLOOR_MS``, the fork's measured fixed
+cost, plus ``process_ms`` (``tools/fork_floor.py``).  So a thin study,
+whose halves would each be a small stack, runs as one
+``task(range(n))`` call.
 
 When the loop does fork, every process that runs a block runs OpenBLAS
 on one thread.  The calling process sets it before the forks, so each
@@ -67,17 +70,19 @@ import threading
 from .errors import DataError
 
 # A block is forked only when its estimated work, ``rep_ms`` times its
-# length, reaches this many milliseconds.  The fork's fixed cost is the
-# empty 2-block call (1.46 ms) plus the copy-on-write slowdown of the
-# processes' first replications (1.09 ms in the caller for a Study II
-# logistic one).  ``tools/fork_floor.py`` (medians of 31, BLAS on one
-# thread, 2-core x86-64 VM), forked time over serial time by estimated
-# block work: 1.24 at 1.35 ms (Study II linear, 2 cells of 25); at
-# 2.7 ms 0.99 (logistic, 2 cells of 25) and 0.85 (linear, 2 cells of
-# 50); 0.70-0.71 at 5.4 ms; 0.52-0.68 from 7.2 ms up (the stock grids,
-# criterion 7's Study I run at 167 ms, a 3-row prostate band at 89 ms).
-# The floor sits above 2.7 ms, where a logistic block only broke even.
-_FORK_FLOOR_MS = 3.0
+# length, reaches this many milliseconds plus the caller's ``process_ms``.
+# ``tools/fork_floor.py`` (four runs, medians of 31 or 41 each, BLAS on
+# one thread, 2-core x86-64 VM), forked time over serial time by
+# estimated block work, on two Study II case A cells: linear 1.32-1.38
+# at 1.08 ms (20 a cell), 1.13-1.20 at 1.62 ms (30), 0.95-0.98 at
+# 1.89 ms (35), 0.84-0.87 at 2.7 ms (50); logistic, whose first
+# replications in a forked process cost it about 1 ms more, 1.02-1.08
+# at 2.16 ms (20), 0.96-1.01 at 2.7 ms (25), 0.91-0.93 at 3.24 ms (30),
+# 0.71-0.77 from 3.78 ms up; 0.52-0.69 from 7.2 ms up (the stock grids,
+# criterion 7's Study I run, a 3-row prostate band).  So a linear block
+# forks from 1.8 ms, and the study harness adds 1.2 ms for a logistic
+# one: a block that only breaks even keeps to one process.
+_FORK_FLOOR_MS = 1.8
 
 # (get, set) pairs of the thread-count calls an OpenBLAS build may export
 _OPENBLAS_CALLS = (
@@ -87,13 +92,11 @@ _OPENBLAS_CALLS = (
 )
 
 
-def _block_count(n: int, workers: int, rep_ms: float) -> int:
+def _block_count(n: int, workers: int, rep_ms: float, process_ms: float) -> int:
     """How many blocks ``range(n)`` is split into; 1 runs it serially."""
     if not (sys.platform.startswith("linux") and hasattr(os, "fork")) or threading.active_count() > 1:
         return 1
-    count = min(workers, n, len(os.sched_getaffinity(0)))
-    if _FORK_FLOOR_MS > 0:
-        count = min(count, int(n * rep_ms / _FORK_FLOOR_MS))
+    count = min(workers, n, len(os.sched_getaffinity(0)), int(n * rep_ms / (_FORK_FLOOR_MS + process_ms)))
     return max(1, count)
 
 
@@ -122,15 +125,16 @@ def _blas_calls():
     return None
 
 
-def run_replications(task, n: int, workers: int, rep_ms: float) -> list:
+def run_replications(task, n: int, workers: int, rep_ms: float, process_ms: float = 0.0) -> list:
     """The rows of ``range(n)``, each contiguous block of it but the first run in a forked child.
 
     ``task(block)`` gets a contiguous ``range`` of indices and returns
     their rows in order, so a caller can share work across a block's
     replications; ``task(range(n))`` is the serial result.  ``rep_ms``
-    estimates one replication's work in milliseconds, and a block is
-    forked only when its share reaches ``_FORK_FLOOR_MS``.  When a block
-    fails, ``task`` raises the
+    estimates one replication's work in milliseconds and ``process_ms``
+    what the task costs more in a forked process, and a block is forked
+    only when its share reaches ``_FORK_FLOOR_MS`` plus ``process_ms``.
+    When a block fails, ``task`` raises the
     failure at its earliest index, as a loop over the indices would; the
     earliest failing block's is raised here, so the failure at the
     earliest index wins: a child sends it back pickled, with its class,
@@ -141,7 +145,7 @@ def run_replications(task, n: int, workers: int, rep_ms: float) -> list:
     """
     if workers < 1:
         raise DataError(f"workers must be at least 1, got {workers}")
-    count = _block_count(n, workers, rep_ms)
+    count = _block_count(n, workers, rep_ms, process_ms)
     if count == 1:
         return task(range(n))
     # the calling process also forks and collects, so it takes the smallest block

@@ -38,13 +38,12 @@ _SCHEMES = {"avg_optimal": "optimal", "avg_aic": "aic"}  # averaging method -> w
 SELECTION_RULES = ("cv", "aic")
 _TRAIN_FRACTION = 67 / 97  # the stock prostate protocol's 67/30 split, kept proportional
 _N_FOLDS = 5  # inner folds of the CV selection rule
-# One repeat's milliseconds, for ``run_replications``' floor of work per
-# process: fixed and per candidate, then per test row and averaging
-# method, fixed and per candidate.  Fitted to the default methods on
-# all subsets of 2 / 8 columns (K = 4 / 256) with 29 and 90 test rows:
-# 3.6 / 9.8 ms and 8.1 / 20.0 ms a repeat (BLAS on one thread, 2-core
-# x86-64 VM).
-_REPEAT_MS = (1.44, 0.014, 0.037, 0.00018)
+# One repeat's milliseconds, fixed and per candidate, for
+# ``run_replications``' floor of work per process: the default methods
+# took 3.6 / 9.8 ms a repeat on all subsets of 2 / 8 columns (K = 4 /
+# 256) with 29 test rows, and more with more rows (8.1 / 20.0 ms with
+# 90; BLAS on one thread, 2-core x86-64 VM).
+_REPEAT_MS = (3.5, 0.025)
 
 
 @dataclass
@@ -197,9 +196,8 @@ def cv_compare(
             for m in methods
         ]
 
-    fixed, per_model, per_row, per_row_model = _REPEAT_MS
-    K = max(len(models or ()), len(subsets))
-    repeat_ms = fixed + per_model * K + (dataset.n - n_train) * len(averaging) * (per_row + per_row_model * K)
+    fixed, per_model = _REPEAT_MS
+    repeat_ms = fixed + per_model * max(len(models or ()), len(subsets))
     repeats = run_replications(lambda block: [run_repeat(r) for r in block], n_repeats, workers, repeat_ms)
     per_repeat = [row for rows in repeats for row in rows]
     mean_errors = {m: float(np.mean([r["error"] for r in per_repeat if r["method"] == m])) for m in methods}

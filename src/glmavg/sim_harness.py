@@ -30,7 +30,8 @@ runs in the calling process and the others in forked worker processes
 (see ``glmavg._forked``), with one fork per worker for the whole study; they
 run serially when ``workers`` is 1, when the process may use one CPU
 only, off Linux, while another Python thread is alive, or when a
-block's estimated work (``_rep_ms``) is below the runner's floor.  In
+block's estimated work (``_rep_ms``) is below the runner's floor, to
+which a logistic study adds ``_PROCESS_MS``.  In
 a block (``_run_block``), the replications that share a design (the
 family, n, the candidates and x*) are stacked together, across cells, so the
 cells of a beta3 grid share their stacks; each group is cut into stacks
@@ -108,6 +109,15 @@ _STACK_DOUBLES = 1 << 21
 # 0.540), the Study I ladder at n = 200 / 1000 0.339 / 1.397 (0.330 /
 # 1.290).  ``tools/fork_floor.py`` prints the estimate beside each run.
 _REP_MS = {"linear": (0.012, 1.5e-5), "logistic": (0.015, 1.2e-4)}
+# What a forked process's block costs more than ``_REP_MS`` says, by
+# family: a logistic block's first Newton loops run on pages the fork
+# left shared (a child's first Study II logistic replication took 1.28
+# against 0.58 ms unforked, medians of 200).  Placed from the crossovers
+# of ``tools/fork_floor.py``: forking two cells of Study II case A paid
+# from 1.89 ms of estimated work a block for linear (35 a cell) and from
+# 3.24 ms for logistic (30 a cell); logistic broke even at 2.7 ms (25 a
+# cell), where linear already gained 13-16% (50 a cell).
+_PROCESS_MS = {"linear": 0.0, "logistic": 1.2}
 
 REPORT_COLUMNS = (
     "case",
@@ -420,7 +430,8 @@ def _simulate(configs, workers: int) -> list[dict[str, np.ndarray]]:
     block.  The earliest failing (rep, cell) in that order is raised,
     for every ``workers``.  Each cell's rows are then taken back in
     order and keyed by its ``columns``.  The runner's estimate of a
-    replication's work is the cells' mean ``_rep_ms``.
+    replication's work is the cells' mean ``_rep_ms``, and of a forked
+    process's added cost the largest ``_PROCESS_MS`` of their families.
     """
     count, n_reps = len(configs), configs[0].n_reps
     assert all(config.n_reps == n_reps for config in configs)
@@ -428,7 +439,9 @@ def _simulate(configs, workers: int) -> list[dict[str, np.ndarray]]:
     def block_rows(block):
         return _run_block([(configs[i % count], i // count) for i in block])
 
-    rows = run_replications(block_rows, count * n_reps, workers, sum(map(_rep_ms, configs)) / count)
+    rep_ms = sum(map(_rep_ms, configs)) / count
+    process_ms = max(_PROCESS_MS[config.family] for config in configs)
+    rows = run_replications(block_rows, count * n_reps, workers, rep_ms, process_ms)
     return [dict(zip(config.columns, np.asarray(rows[c::count], dtype=float).T)) for c, config in enumerate(configs)]
 
 

@@ -7,7 +7,6 @@ import sys
 import numpy as np
 import pytest
 
-import glmavg._forked as _forked
 from glmavg import enumerate_all_subsets, nested_sequence, save_csv, synthetic_prostate
 from glmavg.cli import main
 
@@ -469,6 +468,7 @@ class TestStudyCommands:
         assert payload["columns"][0] == "case"
         assert len(payload["rows"]) == 2
 
+    @pytest.mark.usefixtures("fork_any_work")
     def test_study2_deterministic_output(self, tmp_path):
         args = ["study2", "--seed", "5", "--reps", "3", "--beta3", "0.1", "--cases", "B"]
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -595,7 +595,7 @@ class TestBandCommand:
             assert lower <= predicted <= upper
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the runner forks only with two usable CPUs")
-    def test_band_forks_once_for_every_row(self, linear_csv, tmp_path, monkeypatch, capsys):
+    def test_band_forks_once_for_every_row(self, linear_csv, tmp_path, monkeypatch, capsys, fork_any_work):
         # every row's replications go through one runner call (one fork per row when each row made its own)
         from glmavg import prediction_band
         from glmavg.dataio import load_csv
@@ -615,7 +615,6 @@ class TestBandCommand:
             return fork()
 
         monkeypatch.setattr(os, "fork", counted)
-        monkeypatch.setattr(_forked, "_FORK_FLOOR_MS", 0.0)  # 18 replications are below the floor
         assert main([*args, "--workers", "2"]) == 0
         assert len(forks) == 1  # 3 test rows
         monkeypatch.undo()

@@ -45,6 +45,19 @@ def per_index(task):
     return lambda block: [task(i) for i in block]
 
 
+def counted_forks(monkeypatch):
+    """A list that gains an entry at each ``os.fork`` from now on."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -65,8 +78,9 @@ def _config(family="linear", n_reps=40):
 
 
 @pytest.mark.parametrize("failing, first", [((17, 30), 17), ((30, 35), 30)], ids=["parent-and-child", "child"])
-def test_earliest_failure_wins(monkeypatch, deadline, failing, first):
-    # 40 replications on 2 workers: the calling process runs reps 0-19, a child 20-39
+def test_earliest_failure_wins(monkeypatch, deadline, fork_any_work, failing, first):
+    # 40 replications on 2 workers: the calling process runs reps 0-19, a child 20-39,
+    # and a child's failure comes back pickled, with its class and attributes
     model = CandidateModel((0, 1), 1)
     original = sim_harness._draw
 
@@ -76,8 +90,10 @@ def test_earliest_failure_wins(monkeypatch, deadline, failing, first):
         return original(config, rep)
 
     monkeypatch.setattr(sim_harness, "_draw", failing_draw)
+    forks = counted_forks(monkeypatch)
     with pytest.raises(NonConvergenceError) as excinfo:
         simulate_cell(_config(), workers=2)
+    assert len(forks) == min(2, len(os.sched_getaffinity(0))) - 1
     raised = excinfo.value
     assert str(raised) == f"separated at rep {first} in replication ('t', rep {first})"
     assert (raised.model, raised.iterations) == (model, first)
@@ -124,19 +140,20 @@ def test_no_child_left_after_raise_in_calling_process(deadline):
 
 
 @pytest.mark.parametrize("workers", [3, 64])
-def test_workers_above_cpus_or_n_give_the_same_bits(workers):
+def test_workers_above_cpus_or_n_give_the_same_bits(monkeypatch, fork_any_work, workers):
     config = _config(family="logistic", n_reps=3)
     serial = simulate_cell(config, workers=1)
+    forks = counted_forks(monkeypatch)
     wide = simulate_cell(config, workers=workers)
+    assert len(forks) == min(3, len(os.sched_getaffinity(0))) - 1
     for key in serial:
         assert serial[key].tobytes() == wide[key].tobytes()
     assert_no_child_left()
 
 
 @two_cpus
-def test_two_workers_use_two_processes(deadline, monkeypatch):
-    monkeypatch.setattr(_forked, "_FORK_FLOOR_MS", 0.0)  # 6 replications of no estimated work
-    pids = run_replications(per_index(lambda i: os.getpid()), 6, 2, 0.0)
+def test_two_workers_use_two_processes(deadline):
+    pids = run_replications(per_index(lambda i: os.getpid()), 6, 2, AT_FLOOR)
     assert pids[:3] == [os.getpid()] * 3
     assert len(set(pids[3:])) == 1 and pids[3] != os.getpid()
 
@@ -165,22 +182,27 @@ def test_blocks_below_the_floor_run_in_the_calling_process(monkeypatch, deadline
     monkeypatch.setattr(os, "fork", refuse_fork)
     assert run_replications(per_index(lambda i: os.getpid()), 6, 2, floor / 4) == [pid] * 6
     monkeypatch.undo()
-    # a block of 3 that just reaches the floor is forked
-    pids = run_replications(per_index(lambda i: os.getpid()), 6, 2, floor / 3)
+    # a block of 3 just over the floor is forked
+    pids = run_replications(per_index(lambda i: os.getpid()), 6, 2, floor / 3 * 1.001)
     assert pids[:3] == [pid] * 3 and pid not in pids[3:]
     assert_no_child_left()
 
 
 @two_cpus
-@pytest.mark.parametrize("n_reps, forks", [(6, 0), (40, 1)])
-def test_a_study_forks_only_above_the_floor(monkeypatch, deadline, n_reps, forks):
+@pytest.mark.parametrize(
+    "family, n_reps, forks",
+    [("logistic", 6, 0), ("logistic", 25, 0), ("logistic", 40, 1), ("linear", 30, 0), ("linear", 50, 1)],
+)
+def test_a_study_forks_only_above_the_floor(monkeypatch, deadline, family, n_reps, forks):
+    # two cells of 25 logistic or of 50 linear replications estimate 2.7 ms a block,
+    # but only the linear study gains from a fork: a logistic one adds its process cost
     def run(workers):
         return sim_harness.run_study2(
-            "logistic", beta3_grid=(0.05, 0.5), cases=("A",), n_reps=n_reps, seed=5, workers=workers
+            family, beta3_grid=(0.05, 0.5), cases=("A",), n_reps=n_reps, seed=5, workers=workers
         )
 
     cell = StudyConfig(
-        family="logistic",
+        family=family,
         n=100,
         beta_true=np.array([0.3, 0.1, 0.3, 0.05]),
         candidate_set=study2_model_sets()["A"],
@@ -190,15 +212,8 @@ def test_a_study_forks_only_above_the_floor(monkeypatch, deadline, n_reps, forks
     )
     # a 2-worker block holds n_reps replications, one of each cell per rep
     block_ms = n_reps * sim_harness._rep_ms(cell)
-    assert (block_ms >= _forked._FORK_FLOOR_MS) == bool(forks)
-    called = []
-    fork = os.fork
-
-    def counted():
-        called.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
+    assert (block_ms >= _forked._FORK_FLOOR_MS + sim_harness._PROCESS_MS[family]) == bool(forks)
+    called = counted_forks(monkeypatch)
     forked = run(2)
     monkeypatch.undo()
     assert len(called) == forks
@@ -252,17 +267,22 @@ def test_blas_threads_are_restored_after_a_raise(deadline, blas_two_threads):
 
 
 NO_CTYPES = """
+import os
 import sys
 sys.modules["ctypes"] = None  # any import of ctypes now raises ImportError
 import glmavg.cli
 import glmavg._forked as _forked
+import glmavg.sim_harness as sim_harness
 from glmavg import run_study2
 
 serial = run_study2("logistic", beta3_grid=(0.05, 0.5), n_reps=4, workers=1).rows
 assert glmavg.cli.main(["study1", "--n-grid", "60", "--reps", "3", "--workers", "1"]) == 0
 print(_forked._blas_calls.cache_info().currsize)
-_forked._FORK_FLOOR_MS = 0.0
-print(run_study2("logistic", beta3_grid=(0.05, 0.5), n_reps=4, workers=2).rows == serial, _forked._blas_calls())
+_forked._FORK_FLOOR_MS = 1e-9
+sim_harness._PROCESS_MS["logistic"] = 0.0
+forked = run_study2("logistic", beta3_grid=(0.05, 0.5), n_reps=4, workers=2).rows
+looked = _forked._blas_calls.cache_info().currsize == 1  # the forked path looks for OpenBLAS
+print(forked == serial, looked == (len(os.sched_getaffinity(0)) > 1), _forked._blas_calls())
 """
 
 
@@ -277,4 +297,4 @@ def test_only_a_forked_run_looks_for_openblas(tmp_path):
         [sys.executable, "-c", NO_CTYPES], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.splitlines()[-2:] == ["0", "True None"]
+    assert proc.stdout.splitlines()[-2:] == ["0", "True True None"]

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-import glmavg._forked as _forked
 import glmavg._lockstep as _lockstep
 import glmavg.averaging as averaging
 import glmavg.mse_weights as mse_weights
@@ -42,6 +41,10 @@ from glmavg.sim_harness import (
     study2_model_sets,
 )
 from oracles import linear_estimates_reference, logistic_estimates_reference, study_draw_reference
+
+# the studies here compare worker counts on a few replications, far below the
+# runner's floor of work per process, so every test lets the runner fork them
+pytestmark = pytest.mark.usefixtures("fork_any_work")
 
 # run_study2("linear", beta3_grid=(0.1, 0.5), cases=("B",), n_reps=30, seed=3)
 # with the oracle refit by ols_fit: (mean_estimate, mse) of each row, as float.hex.
@@ -542,7 +545,6 @@ class TestOneRunPerStudy:
             return fork()
 
         monkeypatch.setattr(os, "fork", counted)
-        monkeypatch.setattr(_forked, "_FORK_FLOOR_MS", 0.0)  # 12 replications are below the floor
         report = run_study2("logistic", beta3_grid=(0.05, 0.5), cases=("A",), n_reps=6, workers=2)
         assert len(forks) == 1  # 2 when each cell made its own run_replications call
         monkeypatch.undo()
