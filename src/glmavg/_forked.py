@@ -71,14 +71,14 @@ from .errors import DataError
 
 # A block is forked only when its estimated work, ``rep_ms`` times its
 # length, reaches this many milliseconds plus the caller's ``process_ms``.
-# ``tools/fork_floor.py`` (four runs, medians of 31 or 41 each, BLAS on
+# ``tools/fork_floor.py`` (five runs, medians of 31 or 41 each, BLAS on
 # one thread, 2-core x86-64 VM), forked time over serial time by
-# estimated block work, on two Study II case A cells: linear 1.32-1.38
-# at 1.08 ms (20 a cell), 1.13-1.20 at 1.62 ms (30), 0.95-0.98 at
+# estimated block work, on two Study II case A cells: linear 1.32-1.40
+# at 1.08 ms (20 a cell), 1.13-1.20 at 1.62 ms (30), 0.95-0.99 at
 # 1.89 ms (35), 0.84-0.87 at 2.7 ms (50); logistic, whose first
 # replications in a forked process cost it about 1 ms more, 1.02-1.08
-# at 2.16 ms (20), 0.96-1.01 at 2.7 ms (25), 0.91-0.93 at 3.24 ms (30),
-# 0.71-0.77 from 3.78 ms up; 0.52-0.69 from 7.2 ms up (the stock grids,
+# at 2.16 ms (20), 0.96-1.02 at 2.7 ms (25), 0.91-0.94 at 3.24 ms (30),
+# 0.71-0.78 from 3.78 ms up; 0.52-0.69 from 7.2 ms up (the stock grids,
 # criterion 7's Study I run, a 3-row prostate band).  So a linear block
 # forks from 1.8 ms, and the study harness adds 1.2 ms for a logistic
 # one: a block that only breaks even keeps to one process.

@@ -27,8 +27,11 @@ of the blocks' own work and the fork.  The calls:
 * ``band 3 rows``: ``band``'s runner on three prostate rows, all 256
   subsets, 50 replications a row.
 
-The last line names each call that the runner sends the slower way:
-forked where the forked run was not faster, or serial where it was.
+The last lines give the crossover of each family's Study II calls (and
+of the other calls together): the largest estimated block work at which
+the forked run was not faster and the smallest at which it was; then
+each call that the runner sends the slower way, forked where the forked
+run was not faster or serial where it was.
 The default run takes about two minutes on a 2-core x86-64 VM.
 """
 
@@ -115,7 +118,7 @@ def main(argv=None):
         f"{'call':28} {'block est ms':>12} {'forks at ms':>11} {'serial ms':>10} {'forked ms':>10} "
         f"{'forked/serial':>13} runner"
     )
-    wrong = []
+    wrong, paid = [], {}
     for name, call in calls(args.seed):
         estimate, threshold = block_ms(call)
         serial, forked = [], []
@@ -128,12 +131,22 @@ def main(argv=None):
             _forked._FORK_FLOOR_MS, sim_harness._PROCESS_MS = floor, process
         s, f = statistics.median(serial), statistics.median(forked)
         forks = estimate >= threshold
-        if name != "empty" and forks != (f < s):
-            wrong.append(name)
+        if name != "empty":
+            group = name.split()[1] if name.startswith("study2") else "other"
+            paid.setdefault(group, []).append((estimate, f < s))
+            if forks != (f < s):
+                wrong.append(name)
         print(
             f"{name:28} {estimate:12.2f} {threshold:11.2f} {s:10.2f} {f:10.2f} {f / s:13.3f} "
             f"{'forks' if forks else 'serial'}",
             flush=True,
+        )
+    for group, runs in paid.items():
+        lost = max((e for e, won in runs if not won), default=None)
+        won = min((e for e, won in runs if won), default=None)
+        print(
+            f"{group}: forking did not pay up to {'-' if lost is None else f'{lost:.2f}'} ms "
+            f"and paid from {'-' if won is None else f'{won:.2f}'} ms of estimated block work"
         )
     print(f"sent the slower way: {', '.join(wrong) or 'none'}")
 
