@@ -18,7 +18,7 @@ from .averaging import (
     fit_and_average_logistic,
     prediction_band,
 )
-from .crossval import CvReport, cv_compare, select_best_subset
+from .crossval import CvReport, cv_compare
 from .dataio import Dataset, load_csv, save_csv, split
 from .datasets import synthetic_prostate
 from .errors import (
@@ -108,7 +108,6 @@ __all__ = [
     "run_study1",
     "run_study2",
     "save_csv",
-    "select_best_subset",
     "simulate_cell",
     "solve_simplex_qp",
     "split",

@@ -48,11 +48,6 @@ from .rng import _checked_keys, substream
 
 SCHEMES = ("optimal", "aic", "equal")
 _BAND_REPS = 50  # replications per prediction band
-# One band replication's milliseconds, fixed and per candidate, for
-# ``run_replications``' floor of work per process: fitted to 0.34 / 0.49
-# / 1.19 ms at K = 8 / 32 / 256 (all subsets of 3 / 5 / 8 prostate
-# columns, n_sub 30 and 60; BLAS on one thread, 2-core x86-64 VM).
-_BAND_REP_MS = (0.31, 0.0034)
 # The fewest ``optimal`` sets of a stack that are solved in lockstep
 # (``_lockstep._solve_stack``); fewer are solved one at a time.  Per solve, on forms
 # from Study I (K = 7) and Study II logistic (K = 4) runs (2-core Xeon, numpy 2.4,
@@ -351,8 +346,7 @@ def prediction_band(
     derived from (seed, r), so the band is bit for bit the same for
     every ``workers``: up to ``workers`` processes run contiguous blocks
     of replications (serially when ``workers`` is 1, on one usable CPU,
-    off Linux, while another Python thread is alive, or below the
-    runner's floor of work per process).  Every argument,
+    off Linux, or while another Python thread is alive).  Every argument,
     ``workers`` below 1 included, is checked before the first draw.
     """
     return _prediction_bands(
@@ -399,10 +393,7 @@ def _prediction_bands(
         mean = LinearAveragingPredictor(X_pool[idx], y_pool[idx], models).predict(x_stars[row], scheme).value
         return mean, mean + rng.normal(0.0, sigma)
 
-    fixed, per_model = _BAND_REP_MS
-    pairs = run_replications(
-        lambda block: [replicate(i) for i in block], len(x_stars) * n_reps, workers, fixed + per_model * len(models)
-    )
+    pairs = run_replications(lambda block: [replicate(i) for i in block], len(x_stars) * n_reps, workers)
     alpha = (1.0 - level) / 2.0
     bands = []
     for row in range(len(x_stars)):

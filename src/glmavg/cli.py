@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_args.add_argument("--workers", type=int, default=1,
                           help="worker processes for the replications (at least 1; output is "
                                "identical for every count; serial on one CPU, off Linux, or "
-                               "when the work is too small to split)")
+                               "when a study's work is too small to split)")
 
     data_args = argparse.ArgumentParser(add_help=False)
     data_args.add_argument("--data", required=True, help="input CSV with a header row")

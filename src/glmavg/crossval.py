@@ -38,12 +38,6 @@ _SCHEMES = {"avg_optimal": "optimal", "avg_aic": "aic"}  # averaging method -> w
 SELECTION_RULES = ("cv", "aic")
 _TRAIN_FRACTION = 67 / 97  # the stock prostate protocol's 67/30 split, kept proportional
 _N_FOLDS = 5  # inner folds of the CV selection rule
-# One repeat's milliseconds, fixed and per candidate, for
-# ``run_replications``' floor of work per process: the default methods
-# took 3.6 / 9.8 ms a repeat on all subsets of 2 / 8 columns (K = 4 /
-# 256) with 29 test rows, and more with more rows (8.1 / 20.0 ms with
-# 90; BLAS on one thread, 2-core x86-64 VM).
-_REPEAT_MS = (3.5, 0.025)
 
 
 @dataclass
@@ -85,29 +79,6 @@ def _select(train: Dataset, candidates, select_by: str, factory, seed, repeat) -
     return int(np.argmin(scores))
 
 
-def select_best_subset(
-    train: Dataset,
-    *,
-    select_by: str = "cv",
-    seed: int = 0,
-    repeat: int = 0,
-):
-    """Pick the optional-predictor subset by inner 5-fold CV (or training AIC).
-
-    Returns the winning CandidateModel.  Ties break toward the earlier
-    model in enumeration order, which is also the smaller index set.
-    The CV rule fits every candidate in one ``LinearQFactory`` per inner
-    fold; the AIC rule fits them in one factory on ``train``.
-    ``cv_compare`` applies the same rules and reads the AIC rule's fits
-    from its split factory.  More than ``MAX_ENUMERABLE_Q`` optional
-    predictors raise ``CapacityError``.
-    """
-    _check_select_by(select_by)
-    candidates = enumerate_all_subsets(1, train.d - 1)
-    factory = LinearQFactory(train.design, train.response, candidates) if select_by == "aic" else None
-    return candidates[_select(train, candidates, select_by, factory, seed, repeat)]
-
-
 def cv_compare(
     dataset: Dataset,
     methods=DEFAULT_METHODS,
@@ -135,9 +106,8 @@ def cv_compare(
     Each repeat's split and fold seeds derive from (seed, repeat), so
     the report is bit for bit the same for every ``workers``: up to
     ``workers`` processes run contiguous blocks of repeats (serially when
-    ``workers`` is 1, on one usable CPU, off Linux, while another Python
-    thread is alive, or below the runner's floor of work per process),
-    and the log is joined in repeat order.
+    ``workers`` is 1, on one usable CPU, off Linux, or while another
+    Python thread is alive), and the log is joined in repeat order.
     An empty ``methods``, a method named twice, a training split too
     small for the full design (or, under the CV rule, for its inner
     folds), a negative ``seed``, or ``workers`` below 1 raises
@@ -196,9 +166,7 @@ def cv_compare(
             for m in methods
         ]
 
-    fixed, per_model = _REPEAT_MS
-    repeat_ms = fixed + per_model * max(len(models or ()), len(subsets))
-    repeats = run_replications(lambda block: [run_repeat(r) for r in block], n_repeats, workers, repeat_ms)
+    repeats = run_replications(lambda block: [run_repeat(r) for r in block], n_repeats, workers)
     per_repeat = [row for rows in repeats for row in rows]
     mean_errors = {m: float(np.mean([r["error"] for r in per_repeat if r["method"] == m])) for m in methods}
     return CvReport(

@@ -30,12 +30,13 @@ runs in the calling process and the others in forked worker processes
 (see ``glmavg._forked``), with one fork per worker for the whole study; they
 run serially when ``workers`` is 1, when the process may use one CPU
 only, off Linux, while another Python thread is alive, or when a
-block's estimated work (``_rep_ms``) is below the runner's floor, to
-which a logistic study adds ``_PROCESS_MS``.  In
+block's estimated work (``_rep_ms``) is below the study's floor of work
+per process (``_FORK_FLOOR_MS``, higher for a logistic study).  In
 a block (``_run_block``), the replications that share a design (the
 family, n, the candidates and x*) are stacked together, across cells, so the
-cells of a beta3 grid share their stacks; each group is cut into stacks
-of up to ``_STACK_REPS``, whatever the family, and run through one
+cells of a beta3 grid share their stacks; each group is cut into the
+fewest stacks of up to ``_STACK_REPS``, whatever the family, their sizes
+differing by one at most, and run through one
 routine (``_fit_stack``).  Each replication draws its data and keeps
 what its family's fit needs: a linear one factors [X_U | y] on its n
 rows, a logistic one keeps its design and response.  The stack is then
@@ -100,24 +101,30 @@ _STACK_REPS = 64
 _STACK_DOUBLES = 1 << 21
 
 # One stacked replication's milliseconds, per candidate and per design
-# entry (n x p), by family, for ``run_replications``' floor of work per
-# process.  Fitted to the added cost of a replication in cells of 50 and
-# 200 (BLAS on one thread, 2-core x86-64 VM): linear, Study I case A at
-# n = 100 / 1000 / 3000 0.094 / 0.242 / 0.539 ms (model: 0.099 / 0.234
-# / 0.534), Study II case A at n = 100 0.060 (0.054); logistic, Study II
-# case A at n = 100 / 400 / 1000 0.108 / 0.250 / 0.540 (0.108 / 0.252 /
-# 0.540), the Study I ladder at n = 200 / 1000 0.339 / 1.397 (0.330 /
-# 1.290).  ``tools/fork_floor.py`` prints the estimate beside each run.
+# entry (n x p), by family, for the floor of work per process below.
+# Fitted to the added cost of a replication in cells of 50 and 200 (BLAS
+# on one thread, 2-core x86-64 VM): linear, Study I case A at n = 100 /
+# 1000 / 3000 0.094 / 0.242 / 0.539 ms (model: 0.099 / 0.234 / 0.534),
+# Study II case A at n = 100 0.060 (0.054); logistic, Study II case A at
+# n = 100 / 400 / 1000 0.108 / 0.250 / 0.540 (0.108 / 0.252 / 0.540),
+# the Study I ladder at n = 200 / 1000 0.339 / 1.397 (0.330 / 1.290).
+# ``tools/fork_floor.py`` prints the estimate beside each run.
 _REP_MS = {"linear": (0.012, 1.5e-5), "logistic": (0.015, 1.2e-4)}
-# What a forked process's block costs more than ``_REP_MS`` says, by
-# family: a logistic block's first Newton loops run on pages the fork
-# left shared (a child's first Study II logistic replication took 1.28
-# against 0.58 ms unforked, medians of 200).  Placed from the crossovers
-# of ``tools/fork_floor.py``: forking two cells of Study II case A paid
-# from 1.89 ms of estimated work a block for linear (35 a cell) and from
-# 3.24 ms for logistic (30 a cell); logistic broke even at 2.7 ms (25 a
-# cell), where linear already gained 13-16% (50 a cell).
-_PROCESS_MS = {"linear": 0.0, "logistic": 1.2}
+# A study forks a block only when its estimated work (``_REP_MS``) reaches
+# this many milliseconds, by family.  ``tools/fork_floor.py`` (five runs,
+# medians of 31 or 41 each, BLAS on one thread, 2-core x86-64 VM), forked
+# time over serial time by estimated block work, on two Study II case A
+# cells: linear 1.32-1.40 at 1.08 ms (20 a cell), 1.13-1.20 at 1.62 ms
+# (30), 0.95-0.99 at 1.89 ms (35), 0.84-0.87 at 2.7 ms (50); logistic
+# 1.02-1.08 at 2.16 ms (20), 0.96-1.02 at 2.7 ms (25), 0.91-0.94 at
+# 3.24 ms (30), 0.71-0.78 from 3.78 ms up; 0.52-0.69 from 7.2 ms up (the
+# stock grids, criterion 7's Study I run).  An empty 2-block fork costs
+# about 1.45 ms, and a logistic block's first Newton loops run on pages
+# the fork left shared (a child's first Study II logistic replication
+# took 1.28 against 0.58 ms unforked, medians of 200), so a logistic
+# block needs 1.2 ms more: a block that only breaks even keeps to one
+# process.
+_FORK_FLOOR_MS = {"linear": 1.8, "logistic": 3.0}
 
 REPORT_COLUMNS = (
     "case",
@@ -390,11 +397,12 @@ def _run_block(cells) -> list[list[float]]:
     The block's replications are grouped by design (``config._design``),
     across cells: a study's cells that differ only in the generating
     coefficients, as the stock beta3 grid's do, share their stacks.
-    Each group is fitted in stacks of at most ``_STACK_REPS``
+    Each group is fitted in the fewest stacks of at most ``_STACK_REPS``
     (``_fit_stack``), whatever its family, and of fewer when the fits
     would hold more than ``_STACK_DOUBLES`` doubles (``_Designs.kept``),
-    as a logistic stack of large n p would.  The failure at the earliest
-    position of ``cells`` is raised, whatever the stage it failed in,
+    as a logistic stack of large n p would; the stacks' sizes differ by
+    one at most, so no stack is a small remainder.  The failure at the
+    earliest position of ``cells`` is raised, whatever the stage it failed in,
     with the replication's key, the config's tags and the rep, appended
     to its message, e.g. ``('study2', 'logistic', 'A', '0.05', rep 17)``;
     its class and attributes are kept.
@@ -407,10 +415,12 @@ def _run_block(cells) -> list[list[float]]:
         config = members[0][1]
         designs = _PREDICTORS[config.family]._Designs(config.candidate_set.models, config.x_star.shape[0])
         step = max(1, min(_STACK_REPS, _STACK_DOUBLES // designs.kept(config.n)))
-        for start in range(0, len(members), step):
+        count = -(-len(members) // step)
+        bounds = [len(members) * b // count for b in range(count + 1)]
+        for start, stop in zip(bounds, bounds[1:]):
             if failures and members[start][0] > min(failures):
                 break  # an earlier replication has failed already
-            _fit_stack(designs, members[start : start + step], rows, failures)
+            _fit_stack(designs, members[start:stop], rows, failures)
     if failures:
         position = min(failures)
         exc, (config, rep) = failures[position], cells[position]
@@ -429,9 +439,8 @@ def _simulate(configs, workers: int) -> list[dict[str, np.ndarray]]:
     every cell, whatever a cell's n makes it cost; ``_run_block`` runs a
     block.  The earliest failing (rep, cell) in that order is raised,
     for every ``workers``.  Each cell's rows are then taken back in
-    order and keyed by its ``columns``.  The runner's estimate of a
-    replication's work is the cells' mean ``_rep_ms``, and of a forked
-    process's added cost the largest ``_PROCESS_MS`` of their families.
+    order and keyed by its ``columns``.  ``workers`` is capped at
+    ``_block_cap``, so a thin study runs in one process.
     """
     count, n_reps = len(configs), configs[0].n_reps
     assert all(config.n_reps == n_reps for config in configs)
@@ -439,10 +448,22 @@ def _simulate(configs, workers: int) -> list[dict[str, np.ndarray]]:
     def block_rows(block):
         return _run_block([(configs[i % count], i // count) for i in block])
 
-    rep_ms = sum(map(_rep_ms, configs)) / count
-    process_ms = max(_PROCESS_MS[config.family] for config in configs)
-    rows = run_replications(block_rows, count * n_reps, workers, rep_ms, process_ms)
+    # a workers below 1 passes through, for the runner to refuse
+    rows = run_replications(block_rows, count * n_reps, min(workers, _block_cap(configs)))
     return [dict(zip(config.columns, np.asarray(rows[c::count], dtype=float).T)) for c, config in enumerate(configs)]
+
+
+def _block_cap(configs) -> int:
+    """The most blocks a study of ``configs`` is split into: each must hold its floor of work.
+
+    A block's estimated work is its length times the cells' mean
+    ``_rep_ms``, and the floor the largest ``_FORK_FLOOR_MS`` of their
+    families.
+    """
+    n = len(configs) * configs[0].n_reps
+    mean_ms = sum(map(_rep_ms, configs)) / len(configs)
+    floor = max(_FORK_FLOOR_MS[config.family] for config in configs)
+    return max(1, int(n * mean_ms / floor))
 
 
 def _rep_ms(config: StudyConfig) -> float:
@@ -458,7 +479,7 @@ def simulate_cell(config: StudyConfig, *, workers: int = 1) -> dict[str, np.ndar
     deterministic function of ``config``, bit for bit the same for every
     ``workers``: up to ``workers`` processes run contiguous blocks of
     replications (serially when ``workers`` is 1, on one usable CPU, off
-    Linux, while another Python thread is alive, or below the runner's
+    Linux, while another Python thread is alive, or below the study's
     floor of work per process), and the rows are joined in index order.
     ``workers`` below 1 raises ``DataError`` before any replication.  A
     ``GlmavgError`` raised in a replication is re-raised with that
@@ -554,7 +575,7 @@ def run_study1(
     ``workers`` splits the replications of all the cells, in one run,
     as ``simulate_cell`` splits a cell's (serially when ``workers`` is 1,
     on one usable CPU, off Linux, while another Python thread is alive,
-    or below the runner's floor of work per process); the report is
+    or below the study's floor of work per process); the report is
     byte-identical for every value, and a value below 1 raises
     ``DataError`` before any replication runs.
     """
@@ -624,7 +645,7 @@ def run_study2(
     ``workers`` splits the replications of all the cells, in one run,
     as ``simulate_cell`` splits a cell's (serially when ``workers`` is 1,
     on one usable CPU, off Linux, while another Python thread is alive,
-    or below the runner's floor of work per process); the report is
+    or below the study's floor of work per process); the report is
     byte-identical for every value, and a value below 1 raises
     ``DataError`` before any replication runs.
     """

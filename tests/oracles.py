@@ -206,7 +206,7 @@ def aic_weights_reference(fits):
 def select_best_subset_reference(train, select_by="cv", n_folds=5, seed=0, repeat=0):
     """All-subsets selection by one ``ols_fit`` per candidate (and per inner fold).
 
-    The folds are ``select_best_subset``'s: the permutation of the
+    The folds are ``crossval._select``'s: the permutation of the
     (seed, "folds", repeat) stream, split into ``n_folds`` near-equal parts.
     Ties break toward the earlier model.
     """

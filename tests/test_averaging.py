@@ -387,7 +387,6 @@ class TestPredictionBand:
         b = prediction_band(X, y, np.array([1.0, 0.0, 0.0]), models, **kwargs)
         assert (a.point, a.lower, a.upper) == (b.point, b.lower, b.upper)
 
-    @pytest.mark.usefixtures("fork_any_work")
     def test_worker_count_does_not_change_band(self):
         X, y = self._pool()
         models = nested_sequence(1, 2)

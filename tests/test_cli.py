@@ -595,7 +595,7 @@ class TestBandCommand:
             assert lower <= predicted <= upper
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the runner forks only with two usable CPUs")
-    def test_band_forks_once_for_every_row(self, linear_csv, tmp_path, monkeypatch, capsys, fork_any_work):
+    def test_band_forks_once_for_every_row(self, linear_csv, tmp_path, monkeypatch, capsys):
         # every row's replications go through one runner call (one fork per row when each row made its own)
         from glmavg import prediction_band
         from glmavg.dataio import load_csv

@@ -10,10 +10,11 @@ from glmavg import (
     CapacityError,
     DataError,
     Dataset,
+    LinearQFactory,
     ModelSet,
     cv_compare,
     derive_seed,
-    select_best_subset,
+    enumerate_all_subsets,
     split,
     synthetic_prostate,
 )
@@ -32,22 +33,32 @@ def _dataset(seed=0, n=60, q=3, beta=None, sigma=1.0):
     )
 
 
-class TestSelectBestSubset:
+def _chosen(train, select_by, seed=0, repeat=0):
+    """The subset ``crossval._select`` picks among all subsets of ``train``'s optional columns.
+
+    The AIC rule reads a factory fitted on ``train``, as ``cv_compare``'s
+    split factory is; the CV rule fits its own per inner fold.
+    """
+    subsets = enumerate_all_subsets(1, train.d - 1)
+    factory = LinearQFactory(train.design, train.response, subsets) if select_by == "aic" else None
+    return subsets[crossval._select(train, subsets, select_by, factory, seed, repeat)]
+
+
+class TestSelect:
     def test_noiseless_sparse_truth_selected(self):
         ds = _dataset(seed=1, n=80, q=4, beta=[1.0, 2.0, 0.0, 0.0, -1.5], sigma=0.0)
-        model = select_best_subset(ds, select_by="cv", seed=0, repeat=0)
+        model = _chosen(ds, "cv", seed=0, repeat=0)
         # exact fit: the truth's support {0, 3} must be included
         assert {0, 3} <= set(model.included)
 
     def test_aic_rule(self):
         ds = _dataset(seed=2, n=100, q=3, beta=[0.5, 3.0, 0.0, 0.0], sigma=1.0)
-        model = select_best_subset(ds, select_by="aic")
+        model = _chosen(ds, "aic")
         assert 0 in model.included
 
     def test_unknown_rule(self):
         with pytest.raises(DataError):
-            select_best_subset(_dataset(), select_by="bic")
-
+            cv_compare(_dataset(), methods=("best_subset",), select_by="bic")
 
     @pytest.mark.parametrize("select_by", ["cv", "aic"])
     def test_matches_per_candidate_fits_on_prostate_splits(self, select_by):
@@ -56,13 +67,13 @@ class TestSelectBestSubset:
         ds = synthetic_prostate()
         for repeat in range(8):
             train, _ = split(ds, 67, derive_seed(0, "cv-split", repeat))
-            got = select_best_subset(train, select_by=select_by, seed=0, repeat=repeat)
+            got = _chosen(train, select_by, seed=0, repeat=repeat)
             expected = select_best_subset_reference(train, select_by, seed=0, repeat=repeat)
             assert got == expected, repeat
 
     def test_too_many_optional_predictors(self):
         with pytest.raises(CapacityError):
-            select_best_subset(_dataset(n=40, q=21))
+            cv_compare(_dataset(n=40, q=21), methods=("best_subset",))
 
 
 class TestBestSubsetCv:

@@ -12,9 +12,18 @@ import pytest
 
 import glmavg._forked as _forked
 import glmavg.sim_harness as sim_harness
-from glmavg import CandidateModel, NonConvergenceError, StudyConfig, simulate_cell
+from glmavg import (
+    CandidateModel,
+    NonConvergenceError,
+    StudyConfig,
+    cv_compare,
+    nested_sequence,
+    prediction_band,
+    simulate_cell,
+    synthetic_prostate,
+)
 from glmavg._forked import run_replications
-from glmavg.sim_harness import STUDY2_X_STAR, study2_model_sets
+from glmavg.sim_harness import STUDY1_BETA, STUDY2_X_STAR, study1_model_sets, study2_model_sets
 
 two_cpus = pytest.mark.skipif(
     len(os.sched_getaffinity(0)) < 2, reason="the runner forks only with two usable CPUs"
@@ -33,11 +42,6 @@ def deadline():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
-
-
-# an estimate of one replication's work that alone reaches the floor, so the runner
-# forks as many blocks as workers, n and the CPUs allow
-AT_FLOOR = _forked._FORK_FLOOR_MS
 
 
 def per_index(task):
@@ -114,12 +118,12 @@ def test_child_that_sends_nothing_raises(deadline, end):
 
     code = 3 if end == "exit" else -signal.SIGKILL
     with pytest.raises(ChildProcessError, match=f"replications 3-5 ended with exit code {code}"):
-        run_replications(per_index(task), 6, 2, AT_FLOOR)
+        run_replications(per_index(task), 6, 2)
     assert_no_child_left()
 
 
 def test_no_child_left_after_return(deadline):
-    assert run_replications(per_index(lambda i: i * i), 7, 2, AT_FLOOR) == [i * i for i in range(7)]
+    assert run_replications(per_index(lambda i: i * i), 7, 2) == [i * i for i in range(7)]
     assert_no_child_left()
 
 
@@ -134,7 +138,7 @@ def test_no_child_left_after_raise_in_calling_process(deadline):
 
     start = time.perf_counter()
     with pytest.raises(ValueError, match="bad replication 0"):
-        run_replications(per_index(task), 4, 2, AT_FLOOR)
+        run_replications(per_index(task), 4, 2)
     assert time.perf_counter() - start < 20
     assert_no_child_left()
 
@@ -153,7 +157,7 @@ def test_workers_above_cpus_or_n_give_the_same_bits(monkeypatch, fork_any_work, 
 
 @two_cpus
 def test_two_workers_use_two_processes(deadline):
-    pids = run_replications(per_index(lambda i: os.getpid()), 6, 2, AT_FLOOR)
+    pids = run_replications(per_index(lambda i: os.getpid()), 6, 2)
     assert pids[:3] == [os.getpid()] * 3
     assert len(set(pids[3:])) == 1 and pids[3] != os.getpid()
 
@@ -163,7 +167,7 @@ def test_live_thread_runs_serially(deadline):
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert run_replications(per_index(lambda i: os.getpid()), 4, 2, AT_FLOOR) == [os.getpid()] * 4
+        assert run_replications(per_index(lambda i: os.getpid()), 4, 2) == [os.getpid()] * 4
     finally:
         release.set()
         thread.join()
@@ -173,35 +177,9 @@ def refuse_fork():
     raise AssertionError("os.fork called below the floor")
 
 
-@two_cpus
-def test_blocks_below_the_floor_run_in_the_calling_process(monkeypatch, deadline):
-    floor = _forked._FORK_FLOOR_MS
-    assert floor > 0
-    pid = os.getpid()
-    # 6 replications on 2 workers: blocks of 3, each a quarter of the floor short
-    monkeypatch.setattr(os, "fork", refuse_fork)
-    assert run_replications(per_index(lambda i: os.getpid()), 6, 2, floor / 4) == [pid] * 6
-    monkeypatch.undo()
-    # a block of 3 just over the floor is forked
-    pids = run_replications(per_index(lambda i: os.getpid()), 6, 2, floor / 3 * 1.001)
-    assert pids[:3] == [pid] * 3 and pid not in pids[3:]
-    assert_no_child_left()
-
-
-@two_cpus
-@pytest.mark.parametrize(
-    "family, n_reps, forks",
-    [("logistic", 6, 0), ("logistic", 25, 0), ("logistic", 40, 1), ("linear", 30, 0), ("linear", 50, 1)],
-)
-def test_a_study_forks_only_above_the_floor(monkeypatch, deadline, family, n_reps, forks):
-    # two cells of 25 logistic or of 50 linear replications estimate 2.7 ms a block,
-    # but only the linear study gains from a fork: a logistic one adds its process cost
-    def run(workers):
-        return sim_harness.run_study2(
-            family, beta3_grid=(0.05, 0.5), cases=("A",), n_reps=n_reps, seed=5, workers=workers
-        )
-
-    cell = StudyConfig(
+def _study2_cell(family, n_reps):
+    """A Study II case A cell at n = 100, the shape of the thin studies below."""
+    return StudyConfig(
         family=family,
         n=100,
         beta_true=np.array([0.3, 0.1, 0.3, 0.05]),
@@ -210,14 +188,99 @@ def test_a_study_forks_only_above_the_floor(monkeypatch, deadline, family, n_rep
         n_reps=n_reps,
         seed=5,
     )
+
+
+@two_cpus
+def test_blocks_below_the_floor_run_in_the_calling_process(monkeypatch, deadline):
+    cell = _study2_cell("linear", 6)
+    # 6 replications on 2 workers: blocks of 3, a floor 0.1% over a block's estimate
+    block_ms = 3 * sim_harness._rep_ms(cell)
+    monkeypatch.setattr(sim_harness, "_FORK_FLOOR_MS", {"linear": block_ms * 1.001})
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    serial = sim_harness.simulate_cell(cell, workers=2)
+    monkeypatch.undo()
+    # a floor 0.1% under a block's estimate: the block of 3 is forked
+    monkeypatch.setattr(sim_harness, "_FORK_FLOOR_MS", {"linear": block_ms * 0.999})
+    forks = counted_forks(monkeypatch)
+    forked = sim_harness.simulate_cell(cell, workers=2)
+    assert len(forks) == 1
+    for key in serial:
+        assert serial[key].tobytes() == forked[key].tobytes()
+    assert_no_child_left()
+
+
+def _study(name, n_reps):
+    """The cells and the call of a two-cell study: Study II case A of one family, or Study I case A at n = 100 and 1000."""
+    if name == "study1":
+        cells = [
+            StudyConfig(
+                family="linear",
+                n=n,
+                beta_true=np.asarray(STUDY1_BETA),
+                candidate_set=study1_model_sets()["A"],
+                x_star=np.ones(len(STUDY1_BETA)),
+                n_reps=n_reps,
+                seed=5,
+            )
+            for n in (100, 1000)
+        ]
+        return cells, lambda workers: sim_harness.run_study1(
+            n_grid=(100, 1000), cases=("A",), n_reps=n_reps, seed=5, workers=workers
+        )
+    return [_study2_cell(name, n_reps)], lambda workers: sim_harness.run_study2(
+        name, beta3_grid=(0.05, 0.5), cases=("A",), n_reps=n_reps, seed=5, workers=workers
+    )
+
+
+@two_cpus
+@pytest.mark.parametrize(
+    "study, n_reps, forks",
+    [
+        ("logistic", 6, 0),
+        ("logistic", 25, 0),
+        ("logistic", 27, 0),
+        ("logistic", 28, 1),
+        ("logistic", 40, 1),
+        ("linear", 30, 0),
+        ("linear", 33, 0),
+        ("linear", 34, 1),
+        ("linear", 50, 1),
+        ("study1", 10, 0),
+        ("study1", 11, 1),
+    ],
+)
+def test_a_study_forks_only_above_the_floor(monkeypatch, deadline, study, n_reps, forks):
+    # two cells of 25 logistic or of 50 linear replications estimate 2.7 ms a block,
+    # but only the linear study gains from a fork: a logistic floor holds its process
+    # cost.  Study I's cells of n = 100 and 1000 (0.099 and 0.234 ms a replication)
+    # are weighed on their mean.
+    cells, run = _study(study, n_reps)
     # a 2-worker block holds n_reps replications, one of each cell per rep
-    block_ms = n_reps * sim_harness._rep_ms(cell)
-    assert (block_ms >= _forked._FORK_FLOOR_MS + sim_harness._PROCESS_MS[family]) == bool(forks)
+    block_ms = n_reps * sum(map(sim_harness._rep_ms, cells)) / len(cells)
+    assert (block_ms >= sim_harness._FORK_FLOOR_MS[cells[0].family]) == bool(forks)
     called = counted_forks(monkeypatch)
     forked = run(2)
     monkeypatch.undo()
     assert len(called) == forks
     assert forked.rows == run(1).rows
+    assert_no_child_left()
+
+
+@two_cpus
+def test_band_and_cv_fork_at_any_work(monkeypatch, deadline):
+    # no floor: two replications or repeats on two workers fork one child
+    data = synthetic_prostate()
+    models = nested_sequence(1, 8)
+    band = dict(n_sub=30, n_reps=2, sigma=0.5, seed=3)
+    cv = dict(methods=("full_model", "avg_aic"), n_repeats=2, seed=3)
+    forks = counted_forks(monkeypatch)
+    forked_band = prediction_band(data.design, data.response, data.design[0], models, **band, workers=2)
+    assert len(forks) == 1
+    forked_cv = cv_compare(data, **cv, workers=2)
+    assert len(forks) == 2
+    monkeypatch.undo()
+    assert forked_band == prediction_band(data.design, data.response, data.design[0], models, **band)
+    assert forked_cv == cv_compare(data, **cv)
     assert_no_child_left()
 
 
@@ -241,7 +304,7 @@ def blas_two_threads():
 @two_cpus
 def test_every_block_runs_on_one_blas_thread(deadline, blas_two_threads):
     get = blas_two_threads[0]
-    rows = run_replications(per_index(lambda i: (os.getpid(), get())), 6, 2, AT_FLOOR)
+    rows = run_replications(per_index(lambda i: (os.getpid(), get())), 6, 2)
     assert [threads for _, threads in rows] == [1] * 6
     assert rows[0][0] == os.getpid() != rows[5][0]  # one child among them
     assert get() == 2
@@ -261,7 +324,7 @@ def test_blas_threads_are_restored_after_a_raise(deadline, blas_two_threads):
         return i
 
     with pytest.raises(ValueError, match="bad replication 0"):
-        run_replications(per_index(task), 4, 2, AT_FLOOR)
+        run_replications(per_index(task), 4, 2)
     assert seen == [1] and get() == 2
     assert_no_child_left()
 
@@ -278,8 +341,7 @@ from glmavg import run_study2
 serial = run_study2("logistic", beta3_grid=(0.05, 0.5), n_reps=4, workers=1).rows
 assert glmavg.cli.main(["study1", "--n-grid", "60", "--reps", "3", "--workers", "1"]) == 0
 print(_forked._blas_calls.cache_info().currsize)
-_forked._FORK_FLOOR_MS = 1e-9
-sim_harness._PROCESS_MS["logistic"] = 0.0
+sim_harness._FORK_FLOOR_MS = dict.fromkeys(sim_harness._FORK_FLOOR_MS, 1e-9)
 forked = run_study2("logistic", beta3_grid=(0.05, 0.5), n_reps=4, workers=2).rows
 looked = _forked._blas_calls.cache_info().currsize == 1  # the forked path looks for OpenBLAS
 print(forked == serial, looked == (len(os.sched_getaffinity(0)) > 1), _forked._blas_calls())

@@ -18,6 +18,7 @@ from oracles import (
 
 import glmavg._lockstep as _lockstep
 import glmavg.averaging as averaging
+import glmavg.crossval as crossval
 import glmavg.glm_fit as glm_fit
 import glmavg.mse_weights as mse_weights
 from glmavg.sim_harness import STUDY1_BETA, STUDY1_P_FIXED, STUDY1_Q, study1_model_sets
@@ -40,7 +41,6 @@ from glmavg import (
     logistic_mle,
     logistic_pseudo_fit,
     ols_fit,
-    select_best_subset,
     solve_simplex_qp,
     split,
     subset_columns,
@@ -232,8 +232,9 @@ class TestLinearQFactory:
         monkeypatch.setattr(mse_weights, "lapack_inv", no_inverse)
         ds = synthetic_prostate()
         train, test = split(ds, 67, seed=derive_seed(0, "prostate-split", 0))
-        for rule in ("cv", "aic"):
-            select_best_subset(train, select_by=rule)
+        subsets = enumerate_all_subsets(1, 8)
+        crossval._select(train, subsets, "cv", None, 0, 0)
+        crossval._select(train, subsets, "aic", LinearQFactory(train.design, train.response, subsets), 0, 0)
         predictor = LinearAveragingPredictor(train.design, train.response, enumerate_all_subsets(1, 8))
         for scheme in ("aic", "equal"):
             predictor.predict(test.design[0], scheme)

@@ -25,6 +25,7 @@ REMOVED = (
     "average_estimate",
     "full_linear_fit",
     "LinearFullFit",
+    "select_best_subset",
 )
 # (callable, keyword) pairs: each knob had one value in use and became a constant
 REMOVED_KEYWORDS = (
@@ -37,7 +38,6 @@ REMOVED_KEYWORDS = (
     (glmavg.run_study2, "include_oracle"),
     (glmavg.synthetic_prostate, "n"),
     (glmavg.synthetic_prostate, "seed"),
-    (glmavg.select_best_subset, "n_folds"),
     (glmavg.run_study1, "fixed_design"),
     (glmavg.run_study2, "fixed_design"),
     (glmavg.simulate_cell, "fixed_design"),

@@ -9,8 +9,8 @@ from glmavg import NonConvergenceError
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
-# the calls here run a few replications, below the runner's floor of work per
-# process, so every test lets the runner fork them at 2 or more workers
+# the calls here run a few replications, below a study's floor of work per
+# process, so every test lets the studies fork them at 2 or more workers
 pytestmark = pytest.mark.usefixtures("fork_any_work")
 
 

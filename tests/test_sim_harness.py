@@ -42,8 +42,8 @@ from glmavg.sim_harness import (
 )
 from oracles import linear_estimates_reference, logistic_estimates_reference, study_draw_reference
 
-# the studies here compare worker counts on a few replications, far below the
-# runner's floor of work per process, so every test lets the runner fork them
+# the studies here compare worker counts on a few replications, far below a
+# study's floor of work per process, so every test lets the studies fork them
 pytestmark = pytest.mark.usefixtures("fork_any_work")
 
 # run_study2("linear", beta3_grid=(0.1, 0.5), cases=("B",), n_reps=30, seed=3)
@@ -716,15 +716,18 @@ class TestStackedLinearFits:
 
             monkeypatch.setattr(owner, name, counted)
         monkeypatch.setattr(sim_harness, "_STACK_REPS", stack)
-        config = _linear_cells(n_reps=9)[5]  # Study II case B: three schemes
+        # 11 replications in stacks of at most 7 are two stacks of 5 and 6: one solved
+        # alone, one in lockstep
+        config = _linear_cells(n_reps=11)[5]  # Study II case B: three schemes
         simulate_cell(config)
-        sizes = [min(stack, 9 - start) for start in range(0, 9, stack)]
+        count = -(-11 // stack)
+        sizes = [11 * (b + 1) // count - 11 * b // count for b in range(count)]
         lockstep = [size for size in sizes if size >= averaging._LOCKSTEP_MIN]
-        assert sizes == ([9] if stack > 9 else [7, 2] if stack == 7 else [1] * 9)
+        assert sizes == ([11] if stack > 11 else [5, 6] if stack == 7 else [1] * 11)
         assert calls.count("q_parts") == len(sizes)
-        assert calls.count("_solve_stack") == len(lockstep)
-        assert calls.count("solve_simplex_qp") == 9 - sum(lockstep)
-        assert len(calls) == len(sizes) + len(lockstep) + 9 - sum(lockstep)
+        assert calls.count("_solve_stack") == len(lockstep) == (stack > 1)
+        assert calls.count("solve_simplex_qp") == 11 - sum(lockstep)
+        assert len(calls) == len(sizes) + len(lockstep) + 11 - sum(lockstep)
 
     @STACK_SIZES
     def test_a_guarded_replication_in_a_stack_keeps_its_bits(self, monkeypatch, stack):
@@ -903,7 +906,7 @@ class TestStackedLogisticFits:
         monkeypatch.setattr(sim_harness, "_fit_stack", recorded)
         monkeypatch.setattr(sim_harness, "_STACK_DOUBLES", 3 * designs.kept(config.n) + 1)
         got = simulate_cell(config)
-        assert sizes == [3, 3, 3, 1]
+        assert sizes == [2, 3, 2, 3]  # 10 in the fewest stacks of at most 3
         for column in config.columns:
             assert got[column].tobytes() == expected[column].tobytes()
 
@@ -1045,13 +1048,36 @@ class TestCrossCellStacks:
         monkeypatch.setattr(sim_harness, "_fit_stack", recorded)
         monkeypatch.setattr(sim_harness, "_STACK_REPS", 5)
         sim_harness._simulate(_study2_cells("logistic", 3), 1)
-        # rep by rep: (A 0.05, A 0.5, B 0.05, B 0.5) for rep 0, then rep 1, ...; each case is one design
+        # rep by rep: (A 0.05, A 0.5, B 0.05, B 0.5) for rep 0, then rep 1, ...; each case is one
+        # design, and its 6 replications are cut into two stacks of 3, not 5 and 1
         assert stacks == [
-            [("A", "0.05", 0), ("A", "0.5", 0), ("A", "0.05", 1), ("A", "0.5", 1), ("A", "0.05", 2)],
-            [("A", "0.5", 2)],
-            [("B", "0.05", 0), ("B", "0.5", 0), ("B", "0.05", 1), ("B", "0.5", 1), ("B", "0.05", 2)],
-            [("B", "0.5", 2)],
+            [("A", "0.05", 0), ("A", "0.5", 0), ("A", "0.05", 1)],
+            [("A", "0.5", 1), ("A", "0.05", 2), ("A", "0.5", 2)],
+            [("B", "0.05", 0), ("B", "0.5", 0), ("B", "0.05", 1)],
+            [("B", "0.5", 1), ("B", "0.05", 2), ("B", "0.5", 2)],
         ]
+
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    @pytest.mark.parametrize("n_reps, sizes", [(65, [32, 33]), (70, [35, 35])])
+    def test_a_group_over_one_stack_is_cut_into_equal_stacks(self, monkeypatch, family, n_reps, sizes):
+        # one cell of 65 or 70 replications: two near-equal stacks, not 64 and a remainder
+        # of 1 or 6, with the rows of one replication a stack
+        cell = _study2_cells(family, n_reps, cases="A")[:1]
+        stacks = []
+        fit_stack = sim_harness._fit_stack
+
+        def recorded(designs, members, rows, failures):
+            stacks.append(len(members))
+            return fit_stack(designs, members, rows, failures)
+
+        monkeypatch.setattr(sim_harness, "_fit_stack", recorded)
+        [got] = sim_harness._simulate(cell, 1)
+        assert stacks == sizes
+        monkeypatch.setattr(sim_harness, "_STACK_REPS", 1)
+        [lone] = sim_harness._simulate(cell, 1)
+        assert len(stacks) == 2 + n_reps
+        for column in cell[0].columns:
+            assert got[column].tobytes() == lone[column].tobytes(), column
 
     @pytest.fixture(scope="class", params=["linear", "logistic"])
     def cells_and_reference(self, request):

@@ -1,21 +1,21 @@
-"""Time runs of the replication runner serially and forked, to place its floor of work per process.
+"""Time runs serially and forked, to place a study's floor of work per process.
 
     PYTHONPATH=src python3 tools/fork_floor.py [--repeats N] [--seed S]
 
-``glmavg._forked.run_replications`` forks a block only when the
-caller's estimate of the block's work reaches ``_FORK_FLOOR_MS`` plus
-the caller's ``process_ms`` (the study harness's ``_PROCESS_MS`` of the
-family).  This tool times each call below twice, at ``workers=1`` and
-forked at ``workers=2`` with the floor and process costs set aside,
-alternating the two, and prints the medians of ``--repeats`` runs
-(default 31) with the estimated work of the forked run's larger block,
-the work at which the runner forks it, and what the runner does at
-``workers=2``.  OpenBLAS runs on one thread (the tool sets
-``OPENBLAS_NUM_THREADS=1`` before numpy loads), so the times are those
-of the blocks' own work and the fork.  The calls:
+A study caps its workers so that each forked block's estimated work
+reaches its families' floor (``sim_harness._block_cap``, from
+``_REP_MS`` and ``_FORK_FLOOR_MS``); ``band`` and ``cv`` fork whenever
+asked.  This tool times each call below twice, at ``workers=1`` and
+forked at ``workers=2`` with the floors set aside, alternating the two,
+and prints the medians of ``--repeats`` runs (default 31), what the
+call does at ``workers=2`` and, for a study, the estimated work of the
+forked run's larger block and the floor at which the study forks it.
+OpenBLAS runs on one thread (the tool sets ``OPENBLAS_NUM_THREADS=1``
+before numpy loads), so the times are those of the blocks' own work
+and the fork.  The calls:
 
-* ``empty``: a 2-block call of a task that does nothing, the fork's
-  bare cost (its estimate, 1 ms a replication, is made up);
+* ``empty``: a 2-block runner call of a task that does nothing, the
+  fork's bare cost;
 * ``study2 <family> thin R``: ``run_study2`` of either family over two
   cells (case A, beta3 0.05 and 0.5, the shape of the
   ``study2_logistic`` workload) at R = 20, 25, 30, 35, 40, 50, 100 and
@@ -28,9 +28,9 @@ of the blocks' own work and the fork.  The calls:
   subsets, 50 replications a row.
 
 The last lines give the crossover of each family's Study II calls (and
-of the other calls together): the largest estimated block work at which
-the forked run was not faster and the smallest at which it was; then
-each call that the runner sends the slower way, forked where the forked
+of criterion 7 apart): the largest estimated block work at which the
+forked run was not faster and the smallest at which it was; then each
+call but ``empty`` that goes the slower way, forked where the forked
 run was not faster or serial where it was.
 The default run takes about two minutes on a 2-core x86-64 VM.
 """
@@ -70,7 +70,7 @@ def _band(seed):
 
 def calls(seed):
     """(name, call(workers)) for every timed call."""
-    yield "empty", lambda workers: _forked.run_replications(lambda block: list(block), 2, workers, 1.0)
+    yield "empty", lambda workers: _forked.run_replications(lambda block: list(block), 2, workers)
     for family in ("logistic", "linear"):
         for full, ladder in ((False, THIN_REPS), (True, FULL_REPS)):
             for reps in ladder:
@@ -81,25 +81,30 @@ def calls(seed):
     yield "band 3 rows", _band(seed)
 
 
-def block_ms(call) -> tuple[float, float]:
-    """The caller's estimated work of the larger of two blocks, and the work at which it forks, from one serial run."""
+def study_plan(call):
+    """A study call's (larger block's estimated ms, floor ms, whether it forks at 2 workers); None for another call.
+
+    Read from the study's cap (``sim_harness._block_cap``) in one serial run.
+    """
     seen = []
-    runner = _forked.run_replications
+    cap = sim_harness._block_cap
 
-    def recording(task, n, workers, rep_ms, process_ms=0.0):
-        seen.append((n, rep_ms, process_ms))
-        return runner(task, n, workers, rep_ms, process_ms)
+    def recording(configs):
+        seen.append((configs, cap(configs)))
+        return seen[-1][1]
 
-    modules = (_forked, sim_harness, averaging)
-    for module in modules:
-        module.run_replications = recording
+    sim_harness._block_cap = recording
     try:
         call(1)
     finally:
-        for module in modules:
-            module.run_replications = runner
-    n, rep_ms, process_ms = seen[0]
-    return (n - n // 2) * rep_ms, _forked._FORK_FLOOR_MS + process_ms
+        sim_harness._block_cap = cap
+    if not seen:
+        return None
+    configs, blocks = seen[0]
+    n = len(configs) * configs[0].n_reps
+    mean_ms = sum(map(sim_harness._rep_ms, configs)) / len(configs)
+    floor = max(sim_harness._FORK_FLOOR_MS[config.family] for config in configs)
+    return (n - n // 2) * mean_ms, floor, blocks >= 2
 
 
 def timed(call, workers: int) -> float:
@@ -113,31 +118,32 @@ def main(argv=None):
     parser.add_argument("--repeats", type=int, default=31, help="runs per side of each call (default 31)")
     parser.add_argument("--seed", type=int, default=32001)
     args = parser.parse_args(argv)
-    floor, process = _forked._FORK_FLOOR_MS, sim_harness._PROCESS_MS
+    floors = sim_harness._FORK_FLOOR_MS
     print(
         f"{'call':28} {'block est ms':>12} {'forks at ms':>11} {'serial ms':>10} {'forked ms':>10} "
         f"{'forked/serial':>13} runner"
     )
     wrong, paid = [], {}
     for name, call in calls(args.seed):
-        estimate, threshold = block_ms(call)
+        plan = study_plan(call)
         serial, forked = [], []
-        _forked._FORK_FLOOR_MS, sim_harness._PROCESS_MS = 1e-9, dict.fromkeys(process, 0.0)
+        sim_harness._FORK_FLOOR_MS = dict.fromkeys(floors, 1e-9)
         try:
             for _ in range(args.repeats):
                 serial.append(timed(call, 1))
                 forked.append(timed(call, 2))
         finally:
-            _forked._FORK_FLOOR_MS, sim_harness._PROCESS_MS = floor, process
+            sim_harness._FORK_FLOOR_MS = floors
         s, f = statistics.median(serial), statistics.median(forked)
-        forks = estimate >= threshold
-        if name != "empty":
+        forks = plan is None or plan[2]
+        if name != "empty" and forks != (f < s):
+            wrong.append(name)
+        if plan is not None:
             group = name.split()[1] if name.startswith("study2") else "other"
-            paid.setdefault(group, []).append((estimate, f < s))
-            if forks != (f < s):
-                wrong.append(name)
+            paid.setdefault(group, []).append((plan[0], f < s))
+        estimate, floor = ("-", "-") if plan is None else (f"{plan[0]:.2f}", f"{plan[1]:.2f}")
         print(
-            f"{name:28} {estimate:12.2f} {threshold:11.2f} {s:10.2f} {f:10.2f} {f / s:13.3f} "
+            f"{name:28} {estimate:>12} {floor:>11} {s:10.2f} {f:10.2f} {f / s:13.3f} "
             f"{'forks' if forks else 'serial'}",
             flush=True,
         )

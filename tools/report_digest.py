@@ -16,10 +16,10 @@ rows, one line per row, each cell written exactly: a float as
   (``perfbench/workloads.py``, 40 replications at seed 0);
 * ``thin_study2``: ``run_study2`` of both families over the stock grid
   (both cases, every beta3) at 2 replications a cell, the linear rows
-  first.  Its blocks hold less estimated work than the runner's floor
-  of work per process, so it runs in one process at every worker
-  count, as ``ref_study2_logistic`` and every call at ``--n-reps 1``
-  do; ``tests/test_report_digest.py`` lets the runner fork them.
+  first.  Its blocks hold less estimated work than a study's floor of
+  work per process, so it runs in one process at every worker count,
+  as ``ref_study2_logistic`` and every call at ``--n-reps 1`` do;
+  ``tests/test_report_digest.py`` lets the studies fork them.
 
 ``--n-reps`` sets the replications of every call but the two reference
 calls and ``thin_study2`` (default 100), and each call runs at every ``--workers`` value
