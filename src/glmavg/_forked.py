@@ -10,8 +10,10 @@ out every test row of one ``band`` run (or the one row of a
 one call, so ``workers`` > 1 forks ``workers`` - 1 children per study,
 ``band`` run or ``cv`` run.  ``run_replications`` splits ``range(n)``
 into contiguous blocks whose lengths differ by one at most, hands each
-block to the caller's task as one ``range`` (the study harness fits a
-block's linear replications as stacks), runs the first block in the
+block to the caller's task as one ``range`` (the study harness fits and
+averages a block's replications as stacks, and ``band`` a block's
+replications of each test row, through one routine,
+``averaging._fit_average_stack``), runs the first block in the
 calling process and each other block in a fork-started child, and
 joins the rows in index order, so the result is bit-identical for every
 worker count.  On a 2-core x86-64 host a round trip to a child costs about

@@ -13,20 +13,25 @@ coefficient vector, and the weights come from one of three schemes:
 Per-model values and the ``optimal`` scheme's quadratic form use the
 same data fits (OLS / logistic MLE): under the canonical links each
 candidate's fit against the full model's fitted values is its own data
-fit, so Q-hat needs no fit of its own.  The study harness averages a
-whole stack of replications in one pass (``_average_stack``), on the
-same routines as a predictor's, with each replication's bits.
+fit, so Q-hat needs no fit of its own.  One routine averages:
+``_average_stack`` takes the fit of one training set, with no leading
+axis, or of a stack of them, and gives each set's weights under each
+of its schemes.  ``predict`` is its one-set call.  The study harness
+and ``band`` fit and average their replications as stacks
+(``_fit_average_stack``), cut by one policy (``_stacks``), with
+each replication's bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from ._forked import run_replications
-from .errors import DataError, GlmavgError
+from .errors import DataError, GlmavgError, _returned
 
 # build_q_logistic and logistic_mle are no longer called here; they stay
 # importable from this module, where perfbench/tracer.py looks them up.
@@ -36,13 +41,14 @@ from .mse_weights import (
     QuadraticForm,
     WeightSolution,
     _aic_weights,
+    _checked_point,
     aic_values,
     aic_weights,
     build_q_logistic,
     equal_weights,
     solve_simplex_qp,
 )
-from .glm_fit import logistic_mle
+from .glm_fit import logistic_mle, require_finite
 from .model_space import ModelSet
 from .rng import _checked_keys, substream
 
@@ -55,6 +61,29 @@ _BAND_REPS = 50  # replications per prediction band
 # at 5, 41 / 28 us at 6 and 9.0 / 5.0 us at 64, against 45 / 37 us alone: it breaks
 # even at 5 and wins from 6.
 _LOCKSTEP_MIN = 6
+# The most training sets fitted and averaged as one stack, and the most
+# doubles a stack's fit may hold (``_Designs.kept``; 16 MB).  A linear
+# stack holds its R factors, each candidate's R_k and the padded inverse
+# Grams, about K p^2 doubles per set, never the n-row designs, so the
+# count binds it below 32,768 doubles a set (the K = 256 prostate
+# candidates, p = 9, hold 27,929: stacks of 64) and the doubles above
+# (the 4,096 subsets of 12 predictors hold 905,777: stacks of 2); a
+# logistic one holds its designs, so at Study II's n = 100 and p = 4 the
+# count binds, and only at n p above about 2e5 the doubles.  Measured (one cell
+# of 256 replications, BLAS on one thread, 2-core x86-64 VM), ms per
+# replication:
+# - Study I case A (K = 7, p = 10) at n = 100 / 1000, stacks of 1:
+#   0.404 / 0.555 (a stack of one is fitted with no leading axis), 64:
+#   0.127 / 0.270; averaged one replication at a time, 0.146 / 0.285;
+#   before the stacks, 0.417 / 0.568;
+# - Study II logistic case A / B (K = 4 / 3, n = 100, beta3 = 0.05,
+#   schemes optimal and aic), stacks of 1: 0.586 / 0.677, 4: 0.306 /
+#   0.350, 12: 0.192 / 0.215, 25: 0.158 / 0.179, 64: 0.145 / 0.153,
+#   256: 0.137 / 0.143; averaged one replication at a time (with case
+#   B's oracle fitted alone), 64: 0.190 / 0.289; before the stacks,
+#   0.585 / 0.661.
+_STACK_REPS = 64
+_STACK_DOUBLES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -150,32 +179,21 @@ class _AveragingPredictor:
     Each averaging predictor is its family's factory with this method
     added, so the fits, the per-model values and ``q_form`` sit on the
     one object that ``predict`` asks.  Every candidate is fit once, when
-    the object is built; each ``predict`` costs only the per-model values
-    and the weights for its x*.  The AIC weights read the factory's
-    log-likelihoods and dimensions on the first ``aic`` call and are kept.
-    ``predict`` stays in this module: it calls ``solve_simplex_qp``
-    through this module's globals, the name ``perfbench/tracer.py`` wraps.
+    the object is built; each ``predict`` is one ``_average_stack`` call
+    on that fit with no leading axis, which costs only the per-model
+    values and the weights for its x*: the ``optimal`` scheme's Q-hat
+    and its lone solve through this module's ``solve_simplex_qp`` (the
+    name ``perfbench/tracer.py`` wraps), or the AIC or equal weights.
     """
-
-    _aic = None
 
     def predict(self, x_star: np.ndarray, scheme: str = "optimal") -> AveragedEstimate:
         _check_scheme(scheme)
         # raises DataError on a wrong shape or a non-finite x*, whatever the scheme
-        per_model = self.per_model_values(x_star)
-        q_hat = solution = None
-        if scheme == "optimal":
-            q_hat = self.q_form(x_star)
-            solution = solve_simplex_qp(q_hat)
-            weights = solution.weights
-        elif scheme == "aic":
-            if self._aic is None:
-                self._aic = aic_weights(self.logliks(), self.dims())
-            weights = self._aic
-        else:
-            weights = equal_weights(len(self.models))
+        x_star = _checked_point(x_star, self._B.shape[1])
+        per_model, [result] = _average_stack(self._fits, x_star, [(scheme,)])
+        [(value, weights, q_hat, solution)] = _returned(result)
         return AveragedEstimate(
-            value=float(weights @ per_model),
+            value=value,
             weights=weights,
             per_model=per_model,
             q_hat=q_hat,
@@ -210,33 +228,36 @@ _PREDICTORS = {"linear": LinearAveragingPredictor, "logistic": LogisticAveraging
 
 
 def _average_stack(fits, x_star: np.ndarray, schemes: list) -> tuple[np.ndarray, list]:
-    """Each training set's averaged estimates under its schemes, from one fit of a stack of them.
+    """Each training set's estimates and weights under its schemes, from one fit of a stack of them.
 
     ``fits`` is a family's fit (``_Designs.fit``) of training sets
-    stacked on one leading axis, or of one training set with none, and
-    ``schemes[j]`` names set j's schemes in order, or is None for a set
-    to skip.  What ``predict`` computes per call is computed here once
-    for the whole stack, on its leading axis: the per-model values
-    h(B x*), Q-hat's bias and Gram factor when a set asks for
-    ``optimal``, and the AIC weights when one asks for ``aic``.  The
-    simplex solves of the sets that ask for ``optimal`` and have a fit
-    and a plug-in are one lockstep loop (``_lockstep._solve_stack``)
-    when there are at least ``_LOCKSTEP_MIN`` of them; a set that loop
-    cannot certify, and every set of a smaller stack, is solved alone
-    through this module's ``solve_simplex_qp`` (the name
-    ``perfbench/tracer.py`` wraps), which gives it its Gram run, then
-    its QR run, or its error.  Only those lone solves and the weighted
-    sums run per set.  The stacked routines are the ones a predictor
-    runs on its one training set, slice by slice, so each estimate has
-    the bits of its own predictor's ``predict``.
+    stacked on one leading axis, or of one training set with none (a
+    predictor's, whose ``predict`` is this call), and ``schemes[j]``
+    names set j's schemes in order.  The per-model values h(B x*),
+    Q-hat's bias and Gram factor when a set asks for ``optimal``, and
+    the AIC weights when one asks for ``aic`` are made once for the
+    whole stack, on its leading axis.  The simplex
+    solves of the sets that ask for ``optimal`` and have a fit and a
+    plug-in are one lockstep loop (``_lockstep._solve_stack``) when
+    there are at least ``_LOCKSTEP_MIN`` of them; a set that loop cannot
+    certify, and every set of a smaller stack, is solved alone through
+    this module's ``solve_simplex_qp`` (the name ``perfbench/tracer.py``
+    wraps), which gives it its Gram run, then its QR run, or its error.
+    The stacked routines work slice by slice, so each set has the bits
+    it has alone.  An ``optimal`` call on no candidates raises
+    ``DataError`` before any plug-in fit.
 
-    Returns the per-model values and, per set, the list of its
-    estimates or the first ``GlmavgError`` its own predictor raises:
-    its fit's, then each scheme's in order (for ``optimal`` the
-    plug-in's, then the solver's).
+    Returns the per-model values and, per set, one (estimate, weights,
+    Q-hat, solution) tuple per scheme, the estimate being
+    ``float(weights @ values[i])`` and Q-hat and the ``WeightSolution``
+    set only by a lone ``optimal`` solve; or the first ``GlmavgError``
+    its own predictor raises: its fit's, then each scheme's in order
+    (for ``optimal`` the plug-in's, then the solver's).
     """
     slices = [(j,) for j in range(len(schemes))] if fits.B.ndim > 2 else [()]
-    asked = {scheme for names in schemes if names for scheme in names}
+    asked = {scheme for names in schemes for scheme in names}
+    if "optimal" in asked and not fits.models:
+        raise DataError("a quadratic form needs at least one model")
     with np.errstate(all="ignore"):  # a set that failed its fit may hold anything
         values = fits.values(x_star)
         if "optimal" in asked:
@@ -245,11 +266,11 @@ def _average_stack(fits, x_star: np.ndarray, schemes: list) -> tuple[np.ndarray,
             dims = fits.dims()
             aic = _aic_weights(aic_values(fits.logliks, dims))
     solved = {}  # set -> its weights from the lockstep loop
-    if "optimal" in asked:
+    if "optimal" in asked and len(slices) >= _LOCKSTEP_MIN:  # fewer sets never fill a lockstep run
         ready = [
             j
             for j, (i, names) in enumerate(zip(slices, schemes))
-            if names and "optimal" in names and fits.fit_error(i) is None and fits.plug_in_error(i) is None
+            if "optimal" in names and fits.fit_error(i) is None and fits.plug_in_error(i) is None
         ]
         if len(ready) >= _LOCKSTEP_MIN:
             from ._lockstep import _solve_stack  # imported here: see its module docstring
@@ -260,33 +281,63 @@ def _average_stack(fits, x_star: np.ndarray, schemes: list) -> tuple[np.ndarray,
             solved = {j: w for j, w, alone in zip(ready, weights, lone.tolist()) if not alone}
     results = []
     for j, (i, names) in enumerate(zip(slices, schemes)):
-        if names is None:
-            results.append(None)
-            continue
         try:
-            error = fits.fit_error(i)
-            if error is not None:
-                raise error
-            estimates = []
+            _returned(fits.fit_error(i))
+            entries = []
             for scheme in names:
+                q_hat = solution = None
                 if scheme == "optimal":
                     weights = solved.get(j)
                     if weights is None:
-                        error = fits.plug_in_error(i)
-                        if error is not None:
-                            raise error
-                        weights = solve_simplex_qp(QuadraticForm.from_parts(bias[i], gram_factor[i])).weights
+                        _returned(fits.plug_in_error(i))
+                        q_hat = QuadraticForm.from_parts(bias[i], gram_factor[i])
+                        solution = solve_simplex_qp(q_hat)
+                        weights = solution.weights
                 elif scheme == "aic":
                     weights = aic[i]
                     if np.isnan(weights[0]):  # a set aic_weights treats apart, or refuses
                         weights = aic_weights(fits.logliks[i], dims)
                 else:
                     weights = equal_weights(len(fits.models))
-                estimates.append(float(weights @ values[i]))
-            results.append(estimates)
+                entries.append((float(weights @ values[i]), weights, q_hat, solution))
+            results.append(entries)
         except GlmavgError as exc:
             results.append(exc)
     return values, results
+
+
+def _stacks(designs, n: int, members: list) -> list[list]:
+    """``members``, training sets of n rows and one design, cut into the stacks they are fitted in.
+
+    The stack-cut policy of every stacked loop (a study's design group,
+    a ``band`` block's replications of one row): the fewest stacks of at
+    most ``_STACK_REPS`` sets whose fits hold at most ``_STACK_DOUBLES``
+    doubles (``designs.kept``), their sizes differing by one at most, so
+    that no stack is a small remainder (70 sets are 35 + 35, not
+    64 + 6).
+    """
+    step = max(1, min(_STACK_REPS, _STACK_DOUBLES // designs.kept(n)))
+    count = -(-len(members) // step)
+    return [members[len(members) * b // count : len(members) * (b + 1) // count] for b in range(count)]
+
+
+def _fit_average_stack(designs, parts: list, n: int, x_star: np.ndarray, schemes: list):
+    """Fit training sets of one design as one stack, average them once, and weigh each set's values.
+
+    ``parts[j]`` is what ``designs.reduce`` kept of training set j, of n
+    rows, and ``schemes[j]`` names its schemes.  The parts are stacked
+    on one leading axis, or a lone set is fitted with none; one
+    ``designs.fit`` and one ``_average_stack`` then serve every set.
+    Returns the fit, each set's index on it, and ``_average_stack``'s
+    per-model values and per-set results.
+    """
+    if len(parts) == 1:
+        stacked, slices = parts[0], [()]
+    else:
+        stacked = [None if column[0] is None else np.stack(column) for column in zip(*parts)]
+        slices = [(j,) for j in range(len(parts))]
+    fits = designs.fit(*stacked, n)
+    return fits, slices, *_average_stack(fits, x_star, schemes)
 
 
 def _fit_and_average(family, X, y, models, functional, scheme) -> AveragedEstimate:
@@ -360,11 +411,17 @@ def _prediction_bands(
 ):
     """``prediction_band`` of each test row with its own seed, all in one ``run_replications`` call.
 
-    Row i's replication r is run index ``i * n_reps + r`` and draws from
-    ``substream(seeds[i], "band", r)``, so every band is the one its own
-    call gives, the earliest failing row's failure is raised, as a call
-    per row would raise it, and ``workers`` > 1 forks once for all rows.
-    Every argument of every row is checked before the first draw.
+    Row i's replication r is run index ``i * n_reps + r`` and draws its
+    subsample, then its noise, from ``substream(seeds[i], "band", r)``.
+    A block's replications of one row share n_sub, the candidates and
+    x*, so they are fitted and averaged as stacks (``_fit_average_stack``,
+    cut by ``_stacks``), as a study's are, and each mean has the
+    bits of one predictor fitted to its subsample.  So every band is the
+    one its own call gives, the earliest failing (row, replication)
+    raises the error its lone predictor raises, as a call per row would
+    raise it, and ``workers`` > 1 forks once for all rows.  Every
+    argument of every row, the pool's shape and finiteness included, is
+    checked before the first draw.
     """
     X_pool = np.asarray(X_pool, dtype=float)
     y_pool = np.asarray(y_pool, dtype=float)
@@ -385,15 +442,27 @@ def _prediction_bands(
         _checked_keys(seed)
     width = _checked_width(X_pool, models)
     x_stars = [Functional.linear_point(point).resolve(width) for point in test_points]
+    if y_pool.ndim != 1 or y_pool.shape[0] != X_pool.shape[0]:
+        raise DataError("y must be a vector with one entry per design row")
+    require_finite("design and response", X_pool, y_pool)
+    designs = LinearAveragingPredictor._Designs(list(models), width)
 
-    def replicate(i):
-        row, rep = divmod(i, n_reps)
-        rng = substream(seeds[row], "band", rep)
-        idx = rng.choice(X_pool.shape[0], size=n_sub, replace=False)
-        mean = LinearAveragingPredictor(X_pool[idx], y_pool[idx], models).predict(x_stars[row], scheme).value
-        return mean, mean + rng.normal(0.0, sigma)
+    def block_pairs(block):
+        pairs = []
+        for row, indices in groupby(block, lambda i: i // n_reps):
+            for reps in _stacks(designs, n_sub, [i % n_reps for i in indices]):
+                parts, noises = [], []
+                for rep in reps:
+                    rng = substream(seeds[row], "band", rep)
+                    idx = rng.choice(X_pool.shape[0], size=n_sub, replace=False)
+                    noises.append(rng.normal(0.0, sigma))
+                    parts.append(designs.reduce(X_pool[idx], y_pool[idx]))
+                results = _fit_average_stack(designs, parts, n_sub, x_stars[row], [(scheme,)] * len(parts))[3]
+                # the earliest failing replication raises its error
+                pairs += [(mean, mean + noise) for [(mean, *_)], noise in zip(map(_returned, results), noises)]
+        return pairs
 
-    pairs = run_replications(lambda block: [replicate(i) for i in block], len(x_stars) * n_reps, workers)
+    pairs = run_replications(block_pairs, len(x_stars) * n_reps, workers)
     alpha = (1.0 - level) / 2.0
     bands = []
     for row in range(len(x_stars)):

@@ -43,3 +43,10 @@ class NonConvergenceError(NumericalError):
         super().__init__(message)
         self.model = model
         self.iterations = iterations
+
+
+def _returned(result):
+    """``result``, or raise it when it is an error (a ``GlmavgError``); None passes."""
+    if isinstance(result, GlmavgError):
+        raise result
+    return result

@@ -86,7 +86,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericalError, SingularDesignError
+from .errors import DataError, NumericalError, SingularDesignError, _returned
 from .glm_fit import (
     RANK_DEFICIENT_MESSAGE,
     _augmented_r,
@@ -211,11 +211,8 @@ class _CandidateFactory:
                 raise DataError(f"design has {p} columns, model needs column {model.columns[-1]}")
         designs = self._Designs(models, p)
         fits = designs.fit(*designs.reduce(X, y), n)
-        error = fits.fit_error()
-        if error is not None:
-            raise error
+        _returned(fits.fit_error())
         self.models, self._fits = models, fits
-        self._plug_in_checked = False
         self._B, self._logliks = fits.B, fits.logliks
         self._B.flags.writeable = False
         self._logliks.flags.writeable = False
@@ -240,11 +237,7 @@ class _CandidateFactory:
         if not self.models:
             raise DataError("a quadratic form needs at least one model")
         fits = self._fits
-        if not self._plug_in_checked:
-            error = fits.plug_in_error()
-            if error is not None:
-                raise error
-            self._plug_in_checked = True
+        _returned(fits.plug_in_error())
         return QuadraticForm.from_parts(*fits.q_parts(x_star, fits.values(x_star)))
 
 
@@ -261,11 +254,23 @@ class _Fits:
     v - h(x*'beta_full) and the Gram factor R (G x*)' diag(h'(v)).
     The same routines serve one training set (a factory) and a stack of
     them (the study harness): every product works slice by slice, so a
-    stacked training set keeps the bits of its own factory.
+    stacked training set keeps the bits of its own factory.  A subclass
+    keeps each failed training set's first error, in the order a lone
+    fit meets them, in ``_errors`` and, once the plug-in is made, in
+    ``_plug_in_errors``, so a set with none is a dictionary miss.
     """
 
     def dims(self) -> np.ndarray:
         return np.array([model.dim for model in self.models])
+
+    def fit_error(self, i=()):
+        """Training set ``i``'s first fit failure, or None."""
+        return self._errors.get(i)
+
+    def plug_in_error(self, i=()):
+        """Training set ``i``'s first plug-in failure, or None; makes the plug-in first."""
+        self.plug_in()
+        return self._plug_in_errors.get(i)
 
     def values(self, x_star: np.ndarray) -> np.ndarray:
         """h(B x*): every candidate's value at x*, for every training set."""
@@ -285,17 +290,18 @@ class _Fits:
         return bias, R @ self.by_slope(G_x, values).mT
 
 
-def _design_error(failed, models, message) -> SingularDesignError | None:
-    """The ``SingularDesignError`` of the first design ``failed`` marks, or None.
+def _design_errors(failed, models, message) -> dict:
+    """The ``SingularDesignError`` of each training set's first design that ``failed`` marks, by set.
 
-    ``failed`` has K + 1 entries: the K candidates, then the full design
-    when it is not one of them, which names no model.  ``message(k)``
-    words design k's failure.
+    ``failed`` has K + 1 entries per training set: the K candidates,
+    then the full design when it is not one of them, which names no
+    model.  ``message(k)`` words design k's failure.
     """
-    if not failed.any():
-        return None
-    k = int(failed.argmax())
-    return SingularDesignError(message(k), model=models[k] if k < len(models) else None)
+    errors = {}
+    for i in _slices(failed.any(axis=-1)):
+        k = int(failed[i].argmax())
+        errors[i] = SingularDesignError(message(k), model=models[k] if k < len(models) else None)
+    return errors
 
 
 def _full_index(cols, p: int) -> int | None:
@@ -331,8 +337,13 @@ class _LinearDesigns:
         return R_aug, None if self.full is not None else _augmented_r(X, y, range(self.p))
 
     def kept(self, n: int) -> int:
-        """About how many doubles a fit holds per training set of n rows: its R factors."""
-        return (len(self.union) + 1) ** 2 + (self.p + 1) ** 2
+        """About how many doubles a fit holds per training set of n rows.
+
+        Its R factors of [X_U | y] and [X | y], each candidate's R_k and
+        the padded inverse Grams of the plug-in, (K + 1) p^2 of them.
+        """
+        factors = sum(len(cols) ** 2 for cols in self.sets) + (self.K + 1) * self.p**2
+        return (len(self.union) + 1) ** 2 + (self.p + 1) ** 2 + factors
 
     def fit(self, R_aug, R_full, n: int):
         """``_LinearFits`` on what ``reduce`` kept of one training set, or of a stack of them."""
@@ -346,10 +357,10 @@ class _LinearFits(_Fits):
     training set of n rows, or those factors of many such training sets
     stacked along leading axes; every array here keeps those axes.  The
     fit is ``glm_fit._least_squares_from_r``, once for ``designs.sets``
-    and once more for a full design with its own factor.  ``failed``
-    marks the K candidates, then the full design when it is none of
-    them; a training set that failed has no fit, and ``fit_error`` names
-    its first failing design.  The link is the identity.
+    and once more for a full design with its own factor.  A training set
+    that failed (in one of the K candidates, or in the full design when
+    it is none of them) has no fit, and ``fit_error`` names its first
+    failing design.  The link is the identity.
     """
 
     link = staticmethod(lambda eta: eta)
@@ -366,23 +377,15 @@ class _LinearFits(_Fits):
             failed, f = np.concatenate((failed, failed_full), axis=-1), 0
         elif len(designs.sets) == K:  # the full design is a candidate
             failed = np.concatenate((failed, np.zeros_like(failed[..., :1])), axis=-1)
-        self.failed = failed
-        self.models = designs.models
-        self._designs, self._n, self._f = designs, n, f
+        self.models, self._f = designs.models, f
+        self._errors = _design_errors(
+            failed, self.models, lambda k: _fit_failure(n, len(designs.sets[k]) if k < K else p)
+        )
         self._plug_in = None
         self.B = B[..., :K, :]
         self.logliks = _gaussian_profile_loglik(rss[..., :K], n)
         self.beta_full = B_full[..., f, :]
         self.sigma2 = rss_full[..., f] / n
-
-    def fit_error(self, i=()) -> SingularDesignError | None:
-        """The error naming training set ``i``'s first failing design, or None."""
-        designs = self._designs
-
-        def message(k):
-            return _fit_failure(self._n, len(designs.sets[k]) if k < designs.K else designs.p)
-
-        return _design_error(self.failed[i], self.models, message)
 
     def plug_in(self):
         """beta_full, the padded inverse Grams (K p x p) and sigma_full R_full.
@@ -403,17 +406,13 @@ class _LinearFits(_Fits):
             for idx, cols, R in self.factors:
                 R_inv = lapack_inv(R)
                 G[..., idx[:, None, None], cols[:, :, None], cols[:, None, :]] = R_inv @ np.swapaxes(R_inv, -1, -2)
-        self._inverse_failed = ~np.isfinite(G).all(axis=(-2, -1))
+        inverse_failed = ~np.isfinite(G).all(axis=(-2, -1))
+        self._plug_in_errors = _design_errors(inverse_failed, self.models, lambda k: RANK_DEFICIENT_MESSAGE)
         f = self._f
         R_full = next(R[..., idx == f, :, :][..., 0, :, :] for idx, _, R in self._factors_full if f in idx)
         R = np.sqrt(self.sigma2)[..., None, None] * R_full
         self._plug_in = self.beta_full, G[..., :K, :, :].reshape(*lead, K * p, p), R
         return self._plug_in
-
-    def plug_in_error(self, i=()) -> SingularDesignError | None:
-        """The error naming training set ``i``'s first failed inverse Gram, or None; makes the plug-in first."""
-        self.plug_in()
-        return _design_error(self._inverse_failed[i], self.models, lambda k: RANK_DEFICIENT_MESSAGE)
 
 
 class LinearQFactory(_CandidateFactory):
@@ -482,8 +481,13 @@ class _LogisticDesigns:
         return X, y
 
     def kept(self, n: int) -> int:
-        """About how many doubles a fit holds per training set of n rows: X, y and each candidate's columns."""
-        return n * (self.p + 1 + sum(len(cols) for cols in self.cols))
+        """About how many doubles a fit holds per training set of n rows.
+
+        X, y and each candidate's columns, then the plug-in's R_k and
+        padded inverse Grams.
+        """
+        factors = sum(len(cols) ** 2 for cols in self.cols) + len(self.cols) * self.p**2
+        return n * (self.p + 1 + sum(len(cols) for cols in self.cols)) + factors
 
     def fit(self, X, y, n: int):
         """``_LogisticFits`` on one training set, or on a stack of them."""
@@ -508,7 +512,7 @@ class _LogisticFits(_Fits):
 
     def __init__(self, designs: _LogisticDesigns, X, y):
         self.models = designs.models
-        self._designs, self._X, self._y = designs, X, y
+        self._designs, self.X, self.y = designs, X, y
         lead, p = X.shape[:-2], X.shape[-1]
         K = len(designs.cols)
         self.B = np.zeros((*lead, K, p))
@@ -525,9 +529,6 @@ class _LogisticFits(_Fits):
                 self._errors.setdefault(i, error)
         self._plug_in = None
 
-    def fit_error(self, i=()):
-        return self._errors.get(i)
-
     def plug_in(self):
         """The full MLE, the padded inverse Grams at each candidate's MLE, and R_w.
 
@@ -542,7 +543,7 @@ class _LogisticFits(_Fits):
         """
         if self._plug_in is not None:
             return self._plug_in
-        X, y = self._X, self._y
+        X, y = self.X, self.y
         lead, (n, p) = X.shape[:-2], X.shape[-2:]
         K = len(self.models)
         self._plug_in_errors = errors = {}
@@ -569,11 +570,6 @@ class _LogisticFits(_Fits):
                 R_w = R_k
         self._plug_in = beta_full, G.reshape(*lead, K * p, p), R_w
         return self._plug_in
-
-    def plug_in_error(self, i=()):
-        """Training set ``i``'s first plug-in failure, or None; makes the plug-in first."""
-        self.plug_in()
-        return self._plug_in_errors.get(i)
 
 
 def _record(errors: dict, failed, error) -> None:

@@ -34,15 +34,17 @@ block's estimated work (``_rep_ms``) is below the study's floor of work
 per process (``_FORK_FLOOR_MS``, higher for a logistic study).  In
 a block (``_run_block``), the replications that share a design (the
 family, n, the candidates and x*) are stacked together, across cells, so the
-cells of a beta3 grid share their stacks; each group is cut into the
-fewest stacks of up to ``_STACK_REPS``, whatever the family, their sizes
-differing by one at most, and run through one
-routine (``_fit_stack``).  Each replication draws its data and keeps
-what its family's fit needs: a linear one factors [X_U | y] on its n
-rows, a logistic one keeps its design and response.  The stack is then
-fitted at once, with one LAPACK call per model size (linear) or one
-damped Newton loop per candidate (logistic), and one inverse per model
-size or candidate for the plug-in.  One averaging pass
+cells of a beta3 grid share their stacks; each group is cut into
+stacks by ``averaging._stacks`` (the fewest of up to
+``averaging._STACK_REPS``, whatever the family, their sizes differing by
+one at most) and run through one routine (``_fit_stack``).  Each
+replication draws its data and keeps what its family's fit needs: a
+linear one factors [X_U | y] on its n rows, a logistic one keeps its
+design and response.  The stack is then fitted at once
+(``averaging._fit_average_stack``, which ``band`` runs too), with one
+LAPACK call per model size (linear) or one damped Newton loop per
+candidate (logistic), and one inverse per model size or candidate for
+the plug-in.  One averaging pass
 (``averaging._average_stack``) then makes the per-model values, Q-hat
 and the AIC weights for the whole stack, and solves its weights in one
 lockstep loop (``_lockstep._solve_stack``), or one replication at a
@@ -65,11 +67,12 @@ import numpy as np
 from .averaging import (
     _PREDICTORS,
     SCHEMES,
-    _average_stack,
+    _stacks,
+    _fit_average_stack,
     fit_and_average_logistic,  # no longer called here; perfbench/tracer.py looks it up here
 )
 from ._forked import run_replications
-from .errors import DataError, GlmavgError
+from .errors import DataError, GlmavgError, _returned
 from .glm_fit import (
     _mle_fits,
     expit,
@@ -79,26 +82,6 @@ from .glm_fit import (
 )
 from .model_space import CandidateModel, ModelSet, nested_sequence
 from .rng import _checked_keys, substream
-
-# The most replications fitted and averaged as one stack, and the most
-# doubles a stack's fit may hold (``_Designs.kept``; 16 MB).  A linear
-# stack holds about p^2 doubles per replication, never the n-row designs,
-# so only the count binds it; a logistic one holds its designs, so at
-# Study II's n = 100 and p = 4 the count binds, and only at n p above
-# about 2e5 the doubles.  Measured (one cell of 256 replications, BLAS on
-# one thread, 2-core x86-64 VM), ms per replication:
-# - Study I case A (K = 7, p = 10) at n = 100 / 1000, stacks of 1:
-#   0.404 / 0.555 (a stack of one is fitted with no leading axis), 64:
-#   0.127 / 0.270; averaged one replication at a time, 0.146 / 0.285;
-#   before the stacks, 0.417 / 0.568;
-# - Study II logistic case A / B (K = 4 / 3, n = 100, beta3 = 0.05,
-#   schemes optimal and aic), stacks of 1: 0.586 / 0.677, 4: 0.306 /
-#   0.350, 12: 0.192 / 0.215, 25: 0.158 / 0.179, 64: 0.145 / 0.153,
-#   256: 0.137 / 0.143; averaged one replication at a time (with case
-#   B's oracle fitted alone), 64: 0.190 / 0.289; before the stacks,
-#   0.585 / 0.661.
-_STACK_REPS = 64
-_STACK_DOUBLES = 1 << 21
 
 # One stacked replication's milliseconds, per candidate and per design
 # entry (n x p), by family, for the floor of work per process below.
@@ -307,13 +290,6 @@ def _logistic_oracle(oracle: CandidateModel, X: np.ndarray, y: np.ndarray, x_sta
     return expit(np.vecdot(x_star[cols], beta)), failures
 
 
-def _returned(result):
-    """``result``, or raise it when it is an error."""
-    if isinstance(result, GlmavgError):
-        raise result
-    return result
-
-
 def _fit_stack(designs, members, rows: list, failures: dict) -> None:
     """Fit and average a stack of replications that share a design; fill ``rows`` and ``failures``.
 
@@ -323,56 +299,43 @@ def _fit_stack(designs, members, rows: list, failures: dict) -> None:
     cells.  Each replication draws its data and keeps what the fit needs
     (``designs.reduce``: a linear replication its n-row QRs, a logistic
     one its design and response), and a linear oracle of its own is
-    fitted while it has its draws (``_linear_oracle``).  Then one fit
-    over the stack (``designs.fit``) makes every candidate's fit for all
-    of them at once: the linear QRs, guards and solves with one LAPACK
-    call per model size, the logistic MLEs with one damped Newton loop
-    per candidate.  One averaging pass (``averaging._average_stack``)
-    makes the per-model values, Q-hat, the AIC weights and, from
-    ``averaging._LOCKSTEP_MIN`` replications up, the weight solves for
-    the whole stack; only the weighted sums and any lone solves run per
-    replication.  The oracle column reads the stack's values when the
-    oracle is a candidate, the stack's ``beta_full`` when it is the
-    linear full design, and one more stacked MLE when it is a logistic
-    model of its own (``_logistic_oracle``).  A stack of one is fitted
-    with no leading axis.  Every estimate keeps the bits of one
+    fitted while it has its draws (``_linear_oracle``).  Then one
+    stacked fit and one averaging pass (``averaging._fit_average_stack``,
+    the routine ``band`` runs too) make every candidate's fit for all of
+    them at once (the linear QRs, guards and solves with one LAPACK call
+    per model size, the logistic MLEs with one damped Newton loop per
+    candidate), the per-model values, Q-hat, the AIC weights and, from
+    ``averaging._LOCKSTEP_MIN`` replications up, the weight solves; only
+    the weighted sums and any lone solves run per replication.  The
+    oracle column reads the stack's values when the oracle is a
+    candidate, the stack's ``beta_full`` when it is the linear full
+    design, and one more stacked MLE when it is a logistic model of its
+    own (``_logistic_oracle``).  Every estimate keeps the bits of one
     predictor fitted per replication.  A replication's ``GlmavgError``
     goes to ``failures[position]``: the first raised in the order of a
     lone replication (its draw, its fit, its schemes in order, then its
     oracle).
     """
-    parts, oracles = [None] * len(members), [None] * len(members)
-    for j, (position, config, rep) in enumerate(members):
+    drawn, parts, oracles = [], [], []
+    for position, config, rep in members:
         try:
             X, y = _draw(config, rep)
             require_finite("design and response", X, y)
-            parts[j] = designs.reduce(X, y)
+            parts.append(designs.reduce(X, y))
         except GlmavgError as exc:
             failures[position] = exc
             continue
-        if config.family == "linear" and _own_oracle(config):
-            oracles[j] = _linear_oracle(config, X, y)
-    drawn = [part for part in parts if part is not None]
+        drawn.append((position, config))
+        oracles.append(_linear_oracle(config, X, y) if config.family == "linear" and _own_oracle(config) else None)
     if not drawn:
         return
-    first = members[0][1]
-    n, x_star = first.n, first.x_star
-    if len(parts) == 1:
-        stacked, slices = drawn[0], [()]
-    else:
-        # a replication whose draw failed stacks another's parts, and its failure stands
-        columns = zip(*(drawn[0] if part is None else part for part in parts))
-        stacked = [None if column[0] is None else np.stack(column) for column in columns]
-        slices = [(j,) for j in range(len(parts))]
-    fits = designs.fit(*stacked, n)
-    schemes = [None if part is None else config.schemes for part, (_, config, _) in zip(parts, members)]
-    values, results = _average_stack(fits, x_star, schemes)
+    first = drawn[0][1]
+    schemes = [config.schemes for _, config in drawn]
+    fits, slices, values, results = _fit_average_stack(designs, parts, first.n, first.x_star, schemes)
     own = {}  # a logistic oracle of its own -> its values and failures over the stack
-    for (position, config, _), i, result, oracle in zip(members, slices, results, oracles):
-        if result is None:  # its draw failed
-            continue
+    for (position, config), i, result, oracle in zip(drawn, slices, results, oracles):
         try:
-            estimates = _returned(result)
+            estimates = [estimate for estimate, *_ in _returned(result)]
             if config._oracle_k is not None:
                 # the oracle is a candidate, so the stack has fit it already
                 estimates.append(float(values[i][config._oracle_k]))
@@ -380,10 +343,10 @@ def _fit_stack(designs, members, rows: list, failures: dict) -> None:
                 estimates.append(_returned(oracle))
             elif config.oracle is not None and config.family == "linear":
                 # the full design, which the linear fit has fit already
-                estimates.append(float(x_star[config.oracle.column_indices()] @ fits.beta_full[i]))
+                estimates.append(float(config.x_star[config.oracle.column_indices()] @ fits.beta_full[i]))
             elif config.oracle is not None:
                 if config.oracle not in own:
-                    own[config.oracle] = _logistic_oracle(config.oracle, *stacked, x_star)
+                    own[config.oracle] = _logistic_oracle(config.oracle, fits.X, fits.y, config.x_star)
                 oracle_values, oracle_failures = own[config.oracle]
                 estimates.append(float(_returned(oracle_failures.get(i, oracle_values[i]))))
             rows[position] = estimates
@@ -397,11 +360,11 @@ def _run_block(cells) -> list[list[float]]:
     The block's replications are grouped by design (``config._design``),
     across cells: a study's cells that differ only in the generating
     coefficients, as the stock beta3 grid's do, share their stacks.
-    Each group is fitted in the fewest stacks of at most ``_STACK_REPS``
-    (``_fit_stack``), whatever its family, and of fewer when the fits
-    would hold more than ``_STACK_DOUBLES`` doubles (``_Designs.kept``),
-    as a logistic stack of large n p would; the stacks' sizes differ by
-    one at most, so no stack is a small remainder.  The failure at the
+    Each group is cut by the one stack-cut policy
+    (``averaging._stacks``: the fewest stacks of at most
+    ``_STACK_REPS`` sets and ``_STACK_DOUBLES`` doubles, their sizes
+    differing by one at most), whatever its family, and each stack is
+    fitted and averaged by ``_fit_stack``.  The failure at the
     earliest position of ``cells`` is raised, whatever the stage it failed in,
     with the replication's key, the config's tags and the rep, appended
     to its message, e.g. ``('study2', 'logistic', 'A', '0.05', rep 17)``;
@@ -414,13 +377,10 @@ def _run_block(cells) -> list[list[float]]:
     for members in groups.values():
         config = members[0][1]
         designs = _PREDICTORS[config.family]._Designs(config.candidate_set.models, config.x_star.shape[0])
-        step = max(1, min(_STACK_REPS, _STACK_DOUBLES // designs.kept(config.n)))
-        count = -(-len(members) // step)
-        bounds = [len(members) * b // count for b in range(count + 1)]
-        for start, stop in zip(bounds, bounds[1:]):
-            if failures and members[start][0] > min(failures):
+        for stack in _stacks(designs, config.n, members):
+            if failures and stack[0][0] > min(failures):
                 break  # an earlier replication has failed already
-            _fit_stack(designs, members[start:stop], rows, failures)
+            _fit_stack(designs, stack, rows, failures)
     if failures:
         position = min(failures)
         exc, (config, rep) = failures[position], cells[position]

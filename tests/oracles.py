@@ -12,14 +12,18 @@ import numpy as np
 from scipy.special import expit
 
 from glmavg import (
+    AveragedEstimate,
     FitResult,
     LinearAveragingPredictor,
     LogisticAveragingPredictor,
     QuadraticForm,
+    aic_weights,
     enumerate_all_subsets,
+    equal_weights,
     logistic_mle,
     logistic_pseudo_fit,
     ols_fit,
+    solve_simplex_qp,
     subset_columns,
     subset_point,
     substream,
@@ -230,6 +234,33 @@ def select_best_subset_reference(train, select_by="cv", n_folds=5, seed=0, repea
     return candidates[int(np.argmin(scores))]
 
 
+def predict_reference(factory, x_star, scheme):
+    """``predict``'s averaged estimate from the factory's public calls, one scheme at a time.
+
+    The per-model values from ``per_model_values``; the weights from
+    ``q_form`` and one ``solve_simplex_qp`` (``optimal``), from
+    ``aic_weights`` of the factory's log-likelihoods and dimensions
+    (``aic``), or ``equal_weights`` (``equal``).  Errors come in the
+    order a lone prediction meets them: x*, then the plug-in, then the
+    solver.
+    """
+    per_model = factory.per_model_values(x_star)
+    q_hat = solution = None
+    if scheme == "optimal":
+        q_hat = factory.q_form(x_star)
+        solution = solve_simplex_qp(q_hat)
+        weights = solution.weights
+    elif scheme == "aic":
+        weights = aic_weights(factory.logliks(), factory.dims())
+    elif scheme == "equal":
+        weights = equal_weights(len(factory.models))
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return AveragedEstimate(
+        value=float(weights @ per_model), weights=weights, per_model=per_model, q_hat=q_hat, solution=solution
+    )
+
+
 def study_draw_reference(config, rep):
     """A study replication's (X, y), drawn from ``substream(seed, *tags, rep)`` with the tags re-keyed."""
     rng = substream(config.seed, *config.tags, rep)
@@ -246,12 +277,13 @@ def linear_estimates_reference(config, X, y):
     """A linear study replication's estimates from one predictor fitted to its own training set.
 
     One ``LinearAveragingPredictor`` per replication, asked for each
-    scheme in turn, then the oracle: the predictor's own value when the
-    oracle is a candidate, its ``beta_full`` for the full design, else
-    one ``ols_fit`` of the oracle's columns.
+    scheme in turn through ``predict_reference``, then the oracle: the
+    predictor's own value when the oracle is a candidate, its
+    ``beta_full`` for the full design, else one ``ols_fit`` of the
+    oracle's columns.
     """
     predictor = LinearAveragingPredictor(X, y, config.candidate_set)
-    values = [predictor.predict(config.x_star, scheme).value for scheme in config.schemes]
+    values = [predict_reference(predictor, config.x_star, scheme).value for scheme in config.schemes]
     oracle, models = config.oracle, config.candidate_set.models
     if oracle in models:
         values.append(float(predictor.per_model_values(config.x_star)[models.index(oracle)]))
@@ -266,12 +298,12 @@ def logistic_estimates_reference(config, X, y):
     """A logistic study replication's estimates from one predictor fitted to its own training set.
 
     One ``LogisticAveragingPredictor`` per replication, asked for each
-    scheme in turn, then the oracle: the predictor's own value when the
-    oracle is a candidate, else one ``logistic_mle`` of the oracle's
-    columns.
+    scheme in turn through ``predict_reference``, then the oracle: the
+    predictor's own value when the oracle is a candidate, else one
+    ``logistic_mle`` of the oracle's columns.
     """
     predictor = LogisticAveragingPredictor(X, y, config.candidate_set)
-    values = [predictor.predict(config.x_star, scheme).value for scheme in config.schemes]
+    values = [predict_reference(predictor, config.x_star, scheme).value for scheme in config.schemes]
     oracle, models = config.oracle, config.candidate_set.models
     if oracle in models:
         values.append(float(predictor.per_model_values(config.x_star)[models.index(oracle)]))

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from oracles import aic_weights_reference, reduced_ols_fit
+from oracles import aic_weights_reference, predict_reference, reduced_ols_fit, study_draw_reference
 
+import glmavg._lockstep as _lockstep
 import glmavg.averaging as averaging
 import glmavg.glm_fit as glm_fit
 import glmavg.mse_weights as mse_weights
@@ -20,12 +21,17 @@ from glmavg import (
     logistic_mle,
     nested_sequence,
     ols_fit,
+    SingularDesignError,
+    StudyConfig,
     prediction_band,
     solve_simplex_qp,
+    split,
+    study2_model_sets,
     subset_columns,
     substream,
     synthetic_prostate,
 )
+from glmavg.sim_harness import STUDY2_X_STAR
 
 
 def _linear_data(seed=0, n=100, q=3, beta=None, sigma=1.0):
@@ -433,16 +439,25 @@ class TestPredictionBand:
             ({"workers": 0}, "workers"),
             ({"test_point": np.array([1.0, 0.0])}, "x_star has length 2, model space needs 3"),
             ({"models": nested_sequence(1, 1)}, "design has 3 columns, model space needs 2"),
+            ({"y_pool": np.ones(119)}, "y must be a vector with one entry per design row"),
+            ({"y_pool": np.ones((120, 1))}, "y must be a vector with one entry per design row"),
+            ({"y_pool": np.r_[np.ones(119), np.nan]}, "design and response must be finite"),
         ],
-        ids=["n_sub-below-columns", "unknown-scheme", "zero-workers", "short-test-point", "narrow-models"],
+        ids=[
+            "n_sub-below-columns", "unknown-scheme", "zero-workers", "short-test-point", "narrow-models",
+            "short-response", "column-response", "non-finite-pool",
+        ],
     )
-    def test_bad_arguments_rejected_before_any_draw(self, monkeypatch, bad, message):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_arguments_rejected_before_any_draw(self, monkeypatch, bad, message, workers):
         def no_draw(*args):
             raise AssertionError("a subsample was drawn before the arguments were checked")
 
         monkeypatch.setattr(averaging, "substream", no_draw)
         X, y = self._pool()
         kwargs = dict(
+            X_pool=X,
+            y_pool=y,
             test_point=np.array([1.0, 0.0, 0.0]),
             models=nested_sequence(1, 2),
             n_sub=20,
@@ -450,9 +465,10 @@ class TestPredictionBand:
             sigma=1.0,
             level=0.9,
             seed=0,
+            workers=workers,
         ) | bad
         with pytest.raises(DataError, match=message):
-            prediction_band(X, y, **kwargs)
+            prediction_band(**kwargs)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 5, 16, 50, 201])
     @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99])
@@ -511,3 +527,181 @@ def test_empty_candidate_list_raises_data_error_before_any_plug_in_fit(monkeypat
             call()
     assert predictor._fits._plug_in is None  # no plug-in was made
     assert fits == []
+
+
+def _estimate_bits(estimate):
+    """Every field of an ``AveragedEstimate``, to the last bit."""
+    solution = estimate.solution
+    return (
+        float(estimate.value).hex(),
+        estimate.weights.tobytes(),
+        estimate.per_model.tobytes(),
+        None if estimate.q_hat is None else estimate.q_hat.matrix.tobytes(),
+        None
+        if solution is None
+        else (solution.weights.tobytes(), solution.objective.hex(), solution.iterations, solution.kkt_residual.hex()),
+    )
+
+
+def _prostate(seed):
+    return split(synthetic_prostate(), 67, seed=seed)
+
+
+class TestPredictIsTheReference:
+    """``predict``, the one-set ``_average_stack`` call, gives the factory's own answer bit for bit."""
+
+    @pytest.mark.parametrize("scheme", ["optimal", "aic", "equal"])
+    def test_prostate_rows(self, scheme):
+        models = enumerate_all_subsets(1, 8)
+        for seed in range(5):
+            train, test = _prostate(seed)
+            predictor = LinearAveragingPredictor(train.design, train.response, models)
+            for x_star in test.design:
+                got = predictor.predict(x_star, scheme)
+                assert _estimate_bits(got) == _estimate_bits(predict_reference(predictor, x_star, scheme))
+                assert (got.q_hat is None) == (got.solution is None) == (scheme != "optimal")
+
+    @pytest.mark.parametrize("scheme", ["optimal", "aic", "equal"])
+    def test_study2_logistic_rows(self, scheme):
+        config = StudyConfig(
+            family="logistic",
+            n=100,
+            beta_true=np.array([0.3, 0.1, 0.3, 0.05]),
+            candidate_set=study2_model_sets()["A"],
+            x_star=np.asarray(STUDY2_X_STAR),
+            n_reps=30,
+            seed=5,
+            tags=("study2", "logistic", "A", "0.05"),
+        )
+        for rep in range(config.n_reps):
+            predictor = LogisticAveragingPredictor(*study_draw_reference(config, rep), config.candidate_set)
+            got = predictor.predict(config.x_star, scheme)
+            assert _estimate_bits(got) == _estimate_bits(predict_reference(predictor, config.x_star, scheme)), rep
+
+
+class TestBandStacks:
+    """A band row's replications are fitted and averaged as the studies' stacks, each with its lone bits."""
+
+    MODELS = enumerate_all_subsets(1, 8)
+
+    @staticmethod
+    def _recorded_pairs(monkeypatch):
+        """The (mean, mean + noise) pairs of every replication, as the runner joins them."""
+        pairs = []
+        run = averaging.run_replications
+
+        def recorded(task, n, workers):
+            got = run(task, n, workers)
+            pairs.extend(got)
+            return got
+
+        monkeypatch.setattr(averaging, "run_replications", recorded)
+        return pairs
+
+    @staticmethod
+    def _lone_outcome(X_pool, y_pool, x_star, models, n_sub, sigma, seed, rep, scheme="optimal"):
+        """Replication ``rep``'s pair from one predictor fitted to its own subsample, or its lone error."""
+        rng = substream(seed, "band", rep)
+        idx = rng.choice(X_pool.shape[0], size=n_sub, replace=False)
+        try:
+            predictor = LinearAveragingPredictor(X_pool[idx], y_pool[idx], models)
+            mean = predict_reference(predictor, x_star, scheme).value
+        except SingularDesignError as exc:
+            return exc
+        return mean, mean + rng.normal(0.0, sigma)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n_reps", [5, 50], ids=["lone-solves", "lockstep"])
+    def test_each_mean_is_its_lone_predictors(self, monkeypatch, n_reps, workers):
+        train, test = _prostate(3)
+        pairs = self._recorded_pairs(monkeypatch)
+        lockstep = []
+        solve_stack = _lockstep._solve_stack
+        monkeypatch.setattr(_lockstep, "_solve_stack", lambda *forms: lockstep.append(1) or solve_stack(*forms))
+        band = prediction_band(
+            train.design, train.response, test.design[0], self.MODELS,
+            n_sub=50, n_reps=n_reps, sigma=0.7, seed=11, workers=workers,
+        )
+        expected = [
+            self._lone_outcome(train.design, train.response, test.design[0], self.MODELS, 50, 0.7, 11, rep)
+            for rep in range(n_reps)
+        ]
+        assert [(a.hex(), b.hex()) for a, b in pairs] == [(a.hex(), b.hex()) for a, b in expected]
+        assert band.point == float(np.mean([mean for mean, _ in expected]))
+        if workers == 1:  # a forked block's solves run in its own process
+            assert len(lockstep) == (n_reps >= averaging._LOCKSTEP_MIN)
+
+    def test_prostate_designs_count_their_inverse_grams(self):
+        designs = LinearAveragingPredictor._Designs(list(self.MODELS), 9)
+        assert designs.kept(50) >= 256 * 81
+        # the count cap still binds a prostate stack
+        assert averaging._STACK_REPS * designs.kept(50) <= averaging._STACK_DOUBLES
+
+    def test_a_row_of_70_is_cut_into_two_stacks_of_35(self, monkeypatch):
+        train, test = _prostate(4)
+        sizes = []
+        fit_average_stack = averaging._fit_average_stack
+
+        def recorded(designs, parts, *args):
+            sizes.append(len(parts))
+            return fit_average_stack(designs, parts, *args)
+
+        monkeypatch.setattr(averaging, "_fit_average_stack", recorded)
+        pairs = self._recorded_pairs(monkeypatch)
+        prediction_band(
+            train.design, train.response, test.design[1], self.MODELS, n_sub=50, n_reps=70, sigma=0.7, seed=12
+        )
+        assert sizes == [35, 35]
+        expected = [
+            self._lone_outcome(train.design, train.response, test.design[1], self.MODELS, 50, 0.7, 12, rep)
+            for rep in range(70)
+        ]
+        assert [(a.hex(), b.hex()) for a, b in pairs] == [(a.hex(), b.hex()) for a, b in expected]
+
+    @staticmethod
+    def _collinear_pool(n=40):
+        """A pool whose subsamples can make two sets of candidates singular.
+
+        Column 1 is constant on every row but 0 and 1, and column 3
+        copies column 2 on every row but 2 and 3.  A subsample without
+        rows 0 and 1 makes every candidate holding column 1 exactly
+        singular, and one without rows 2 and 3 every candidate holding
+        columns 2 and 3; the first such candidate in list order names
+        the error, so the errors tell the subsamples apart.
+        """
+        rng = np.random.default_rng(21)
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, 3))])
+        X[2:, 1] = 0.7
+        X[[0, 1] + list(range(4, n)), 3] = X[[0, 1] + list(range(4, n)), 2]
+        return X, X @ np.array([0.5, 1.0, -0.5, 0.3]) + rng.standard_normal(n)
+
+    def _lone_failures(self, X, y, rows, models, seeds, n_reps):
+        """The lone error of every (row, rep) whose own predictor raises, keyed by (row, rep)."""
+        failing = {}
+        for row, (x_star, seed) in enumerate(zip(rows, seeds)):
+            for rep in range(n_reps):
+                outcome = self._lone_outcome(X, y, x_star, models, 20, 0.5, seed, rep)
+                if isinstance(outcome, Exception):
+                    failing[row, rep] = outcome
+        return failing
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_singular_subsample_raises_its_lone_error(self, workers):
+        X, y = self._collinear_pool()
+        models = enumerate_all_subsets(1, 3)
+        rows, seeds, n_reps = X[:3], [3, 4, 5], 10
+        failing = self._lone_failures(X, y, rows, models, seeds, n_reps)
+        first = failing[min(failing)]
+        assert type(first) is SingularDesignError and first.model is not None
+        # later failures name other candidates, so none could pass for the first: in the first
+        # failing row's stack, and in the second half of the run (the other block at 2 workers)
+        assert {error.model for (row, _), error in failing.items() if row == min(failing)[0]} == {
+            CandidateModel((0,), 1), CandidateModel((1, 2), 1)
+        }
+        assert failing[min(key for key in failing if key >= (1, 5))].model != first.model
+        with pytest.raises(SingularDesignError) as info:
+            averaging._prediction_bands(
+                X, y, rows, models, n_sub=20, n_reps=n_reps, sigma=0.5, level=0.9, seeds=seeds,
+                scheme="optimal", workers=workers,
+            )
+        assert (str(info.value), info.value.model) == (str(first), first.model)

@@ -909,7 +909,11 @@ class TestStackedSolve:
                     )
                 else:
                     lone_weights = np.array([float.fromhex(v) for v in expected[0]])
-                    assert result == [float(lone_weights @ np.ones(16))]
+                    [(estimate, weights, q_hat, solution)] = result
+                    assert estimate == float(lone_weights @ np.ones(16))
+                    assert weights.tobytes() == lone_weights.tobytes()
+                    # only a lone solve hands back its form and solution
+                    assert (solution is None) == (q_hat is None) == (size >= averaging._LOCKSTEP_MIN)
 
 
 class TestQuadraticForm:

@@ -21,7 +21,8 @@ def report_digest(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name", ["study1_B", "study2_linear_B", "study2_logistic_A", "study2_logistic_B", "thin_study2"]
+    "name",
+    ["study1_B", "study2_linear_B", "study2_logistic_A", "study2_logistic_B", "thin_study2", "band_5", "cv_aic"],
 )
 def test_a_tiny_calls_digest_is_the_same_at_one_and_two_workers(report_digest, name):
     call = report_digest.CALLS[name]
@@ -66,3 +67,23 @@ def test_thin_study2_runs_both_families_at_two_replications(report_digest, monke
     # 2 cases x 6 beta3 cells x (optimal, aic, oracle) per family
     assert [row["family"] for row in report.rows] == ["linear"] * 36 + ["logistic"] * 36
     assert report_digest.digest(report.rows) == report_digest.call_digest(report_digest.CALLS["thin_study2"], 6, 3)
+
+
+def test_band_and_cv_calls_hash_their_rows(report_digest):
+    # --n-reps does not apply to them: a band row is one band, a cv report its log and means
+    for name, reps in (("band_5", 5), ("band_50", 50)):
+        rows = report_digest.CALLS[name](1, 1).rows
+        assert [sorted(row) for row in rows] == [["level", "lower", "point", "upper"]] * 3
+        assert report_digest.digest(rows) == report_digest.call_digest(report_digest.CALLS[name], 7, 1), reps
+    assert report_digest.call_digest(report_digest.CALLS["band_5"], 1, 1) != report_digest.call_digest(
+        report_digest.CALLS["band_50"], 1, 1
+    )
+    for name in ("cv_cv", "cv_aic"):
+        rows = report_digest.CALLS[name](1, 1).rows
+        methods = ["avg_optimal", "avg_aic", "best_subset", "full_model"]
+        assert [(row["repeat"], row["method"]) for row in rows[:-1]] == [(r, m) for r in (0, 1) for m in methods]
+        assert list(rows[-1]) == methods
+    cv_rows = [report_digest.CALLS[name](1, 1).rows for name in ("cv_cv", "cv_aic")]
+    # the rules choose on their own: the best subset's errors differ, the averages' do not
+    assert cv_rows[0][-1]["avg_optimal"] == cv_rows[1][-1]["avg_optimal"]
+    assert cv_rows[0][-1]["best_subset"] != cv_rows[1][-1]["best_subset"]

@@ -40,7 +40,12 @@ from glmavg.sim_harness import (
     study1_model_sets,
     study2_model_sets,
 )
-from oracles import linear_estimates_reference, logistic_estimates_reference, study_draw_reference
+from oracles import (
+    linear_estimates_reference,
+    logistic_estimates_reference,
+    predict_reference,
+    study_draw_reference,
+)
 
 # the studies here compare worker counts on a few replications, far below a
 # study's floor of work per process, so every test lets the studies fork them
@@ -681,7 +686,7 @@ class TestStackedLinearFits:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_estimates_equal_one_predictor_per_replication(self, monkeypatch, cells_and_reference, stack, workers):
         cells, reference = cells_and_reference
-        monkeypatch.setattr(sim_harness, "_STACK_REPS", stack)
+        monkeypatch.setattr(averaging, "_STACK_REPS", stack)
         for config, got, expected in zip(cells, sim_harness._simulate(cells, workers), reference):
             assert list(got) == list(config.columns)
             for c, column in enumerate(config.columns):
@@ -715,7 +720,7 @@ class TestStackedLinearFits:
                 return _original(*args)
 
             monkeypatch.setattr(owner, name, counted)
-        monkeypatch.setattr(sim_harness, "_STACK_REPS", stack)
+        monkeypatch.setattr(averaging, "_STACK_REPS", stack)
         # 11 replications in stacks of at most 7 are two stacks of 5 and 6: one solved
         # alone, one in lockstep
         config = _linear_cells(n_reps=11)[5]  # Study II case B: three schemes
@@ -743,7 +748,7 @@ class TestStackedLinearFits:
             return X, y
 
         monkeypatch.setattr(sim_harness, "_draw", draw)
-        monkeypatch.setattr(sim_harness, "_STACK_REPS", stack)
+        monkeypatch.setattr(averaging, "_STACK_REPS", stack)
         config = _linear_cells(n_reps=9)[2]  # Study I case B, n = 60
         got = simulate_cell(config)
         expected = np.array([linear_estimates_reference(config, *draw(config, rep)) for rep in range(9)])
@@ -763,7 +768,7 @@ class TestStackedLinearFits:
             return X, y
 
         monkeypatch.setattr(sim_harness, "_draw", draw)
-        monkeypatch.setattr(sim_harness, "_STACK_REPS", stack)
+        monkeypatch.setattr(averaging, "_STACK_REPS", stack)
         config = _linear_cells(n_reps=9)[2]
         with pytest.raises(SingularDesignError) as direct:
             LinearAveragingPredictor(*draw(config, 4), config.candidate_set)
@@ -878,7 +883,7 @@ class TestStackedLogisticFits:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_estimates_equal_one_predictor_per_replication(self, monkeypatch, cells_and_reference, stack, workers):
         cells, reference = cells_and_reference
-        monkeypatch.setattr(sim_harness, "_STACK_REPS", stack)
+        monkeypatch.setattr(averaging, "_STACK_REPS", stack)
         for config, got, expected in zip(cells, sim_harness._simulate(cells, workers), reference):
             assert list(got) == list(config.columns)
             for c, column in enumerate(config.columns):
@@ -894,7 +899,7 @@ class TestStackedLogisticFits:
         # a logistic stack holds its n-row designs: past _STACK_DOUBLES it holds fewer replications
         config = _logistic_cells(n_reps=10)[2]
         designs = sim_harness._PREDICTORS["logistic"]._Designs(config.candidate_set.models, 4)
-        assert sim_harness._STACK_REPS * designs.kept(config.n) <= sim_harness._STACK_DOUBLES
+        assert averaging._STACK_REPS * designs.kept(config.n) <= averaging._STACK_DOUBLES
         expected = simulate_cell(config)
         sizes = []
         fit_stack = sim_harness._fit_stack
@@ -904,7 +909,7 @@ class TestStackedLogisticFits:
             return fit_stack(designs, members, rows, failures)
 
         monkeypatch.setattr(sim_harness, "_fit_stack", recorded)
-        monkeypatch.setattr(sim_harness, "_STACK_DOUBLES", 3 * designs.kept(config.n) + 1)
+        monkeypatch.setattr(averaging, "_STACK_DOUBLES", 3 * designs.kept(config.n) + 1)
         got = simulate_cell(config)
         assert sizes == [2, 3, 2, 3]  # 10 in the fewest stacks of at most 3
         for column in config.columns:
@@ -946,7 +951,7 @@ class TestStackedLogisticFits:
         defects = dict(zip((3, 5, 8), order))
         draw = self._defective_draw(defects)
         monkeypatch.setattr(sim_harness, "_draw", draw)
-        monkeypatch.setattr(sim_harness, "_STACK_REPS", stack)
+        monkeypatch.setattr(averaging, "_STACK_REPS", stack)
         config = _logistic_cells(n_reps=12)[0]
         lone = {}
         for rep in defects:
@@ -993,10 +998,13 @@ class TestStackedLogisticFits:
         for rep, (X, y) in enumerate(draws):
             try:
                 predictor = predictor_class(X, y, config.candidate_set)
-                expected = [predictor.predict(config.x_star, scheme).value for scheme in config.schemes]
+                expected = [predict_reference(predictor, config.x_star, scheme).value for scheme in config.schemes]
             except NumericalError as exc:
                 expected = exc
-            got = outcome(results[rep])
+            result = results[rep]
+            if not isinstance(result, NumericalError):
+                result = [estimate for estimate, *_ in result]
+            got = outcome(result)
             assert got == outcome(expected), rep
             assert isinstance(got, tuple) == (rep in defects), rep
 
@@ -1046,7 +1054,7 @@ class TestCrossCellStacks:
             return fit_stack(designs, members, rows, failures)
 
         monkeypatch.setattr(sim_harness, "_fit_stack", recorded)
-        monkeypatch.setattr(sim_harness, "_STACK_REPS", 5)
+        monkeypatch.setattr(averaging, "_STACK_REPS", 5)
         sim_harness._simulate(_study2_cells("logistic", 3), 1)
         # rep by rep: (A 0.05, A 0.5, B 0.05, B 0.5) for rep 0, then rep 1, ...; each case is one
         # design, and its 6 replications are cut into two stacks of 3, not 5 and 1
@@ -1073,11 +1081,21 @@ class TestCrossCellStacks:
         monkeypatch.setattr(sim_harness, "_fit_stack", recorded)
         [got] = sim_harness._simulate(cell, 1)
         assert stacks == sizes
-        monkeypatch.setattr(sim_harness, "_STACK_REPS", 1)
+        monkeypatch.setattr(averaging, "_STACK_REPS", 1)
         [lone] = sim_harness._simulate(cell, 1)
         assert len(stacks) == 2 + n_reps
         for column in cell[0].columns:
             assert got[column].tobytes() == lone[column].tobytes(), column
+
+    def test_the_count_cap_binds_every_stock_design(self):
+        # a stack's doubles count its inverse Grams, but the stock studies' K <= 7 candidates hold
+        # few: their groups are cut by the count alone, 200 replications into 4 stacks of 50
+        designs = [("linear", models, n) for models in study1_model_sets().values() for n in (100, 1000, 3000)]
+        designs += [(family, models, 100) for family in ("linear", "logistic") for models in study2_model_sets().values()]
+        for family, models, n in designs:
+            p = models.p_fixed + models.q
+            stacks = averaging._stacks(sim_harness._PREDICTORS[family]._Designs(models.models, p), n, list(range(200)))
+            assert [len(stack) for stack in stacks] == [50] * 4, (family, len(models), n)
 
     @pytest.fixture(scope="class", params=["linear", "logistic"])
     def cells_and_reference(self, request):
@@ -1089,7 +1107,7 @@ class TestCrossCellStacks:
     def test_estimates_equal_one_predictor_per_replication(self, monkeypatch, cells_and_reference, stack, workers):
         # at stacks of 12 and 64 every stack holds both beta3 cells of its case
         cells, reference = cells_and_reference
-        monkeypatch.setattr(sim_harness, "_STACK_REPS", stack)
+        monkeypatch.setattr(averaging, "_STACK_REPS", stack)
         for config, got, expected in zip(cells, sim_harness._simulate(cells, workers), reference):
             assert list(got) == list(config.columns)
             for c, column in enumerate(config.columns):

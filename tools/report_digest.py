@@ -19,10 +19,19 @@ rows, one line per row, each cell written exactly: a float as
   first.  Its blocks hold less estimated work than a study's floor of
   work per process, so it runs in one process at every worker count,
   as ``ref_study2_logistic`` and every call at ``--n-reps 1`` do;
-  ``tests/test_report_digest.py`` lets the studies fork them.
+  ``tests/test_report_digest.py`` lets the studies fork them;
+* ``band_5`` and ``band_50``: prediction bands, as ``glmavg band``
+  makes them (one runner call for all rows), for 3 test rows of a
+  67-row ``synthetic_prostate()`` split over its 256 candidates, at 5
+  replications a row (each solved alone) and at 50 (a lockstep solve
+  per row); a row is one band: point, lower, upper and level;
+* ``cv_cv`` and ``cv_aic``: ``cv_compare`` on ``synthetic_prostate()``
+  at 2 repeats, its best subset chosen by ``select_by`` ``cv`` or
+  ``aic``; the rows are the per-repeat log, then the mean errors.
 
-``--n-reps`` sets the replications of every call but the two reference
-calls and ``thin_study2`` (default 100), and each call runs at every ``--workers`` value
+``--n-reps`` sets the replications of every study call but the two
+reference calls and ``thin_study2`` (default 100); the band and ``cv``
+calls ignore it.  Each call runs at every ``--workers`` value
 (default 1 and 2).  Run it in two checkouts, each with its own
 ``PYTHONPATH``, and diff the outputs: equal lines mean equal reports, to
 the last bit.  The default run takes about 2 s on a 2-core x86-64 VM.
@@ -31,9 +40,21 @@ the last bit.  The default run takes about 2 s on a 2-core x86-64 VM.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
+from types import SimpleNamespace
 
-from glmavg import GlmavgError, StudyReport, run_study1, run_study2
+from glmavg import (
+    GlmavgError,
+    StudyReport,
+    cv_compare,
+    enumerate_all_subsets,
+    run_study1,
+    run_study2,
+    split,
+    synthetic_prostate,
+)
+from glmavg.averaging import _prediction_bands
 
 
 def _study1(case):
@@ -49,6 +70,26 @@ def _study2(family, case):
 def _thin_study2(n_reps, workers):
     rows = [run_study2(family, n_reps=2, seed=3, workers=workers).rows for family in ("linear", "logistic")]
     return StudyReport(rows=rows[0] + rows[1])
+
+
+def _band(n_reps):
+    def call(_, workers):
+        train, test = split(synthetic_prostate(), 67, seed=4)
+        bands = _prediction_bands(
+            train.design, train.response, test.design[:3], enumerate_all_subsets(1, 8), n_sub=50,
+            n_reps=n_reps, sigma=0.7, level=0.9, seeds=[5, 6, 7], scheme="optimal", workers=workers,
+        )
+        return SimpleNamespace(rows=[dataclasses.asdict(band) for band in bands])
+
+    return call
+
+
+def _cv(select_by):
+    def call(_, workers):
+        report = cv_compare(synthetic_prostate(), n_repeats=2, seed=8, select_by=select_by, workers=workers)
+        return SimpleNamespace(rows=report.per_repeat + [report.mean_errors])
+
+    return call
 
 
 CALLS = {
@@ -71,6 +112,10 @@ CALLS = {
         workers=workers,
     ),
     "thin_study2": _thin_study2,
+    "band_5": _band(5),
+    "band_50": _band(50),
+    "cv_cv": _cv("cv"),
+    "cv_aic": _cv("aic"),
 }
 
 
