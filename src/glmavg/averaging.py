@@ -50,7 +50,7 @@ from .mse_weights import (
 )
 from .glm_fit import logistic_mle, require_finite
 from .model_space import ModelSet
-from .rng import _checked_keys, substream
+from .rng import _checked_keys, _stack_streams
 
 SCHEMES = ("optimal", "aic", "equal")
 _BAND_REPS = 50  # replications per prediction band
@@ -65,13 +65,20 @@ _LOCKSTEP_MIN = 6
 # doubles a stack's fit may hold (``_Designs.kept``; 16 MB).  A linear
 # stack holds its R factors, each candidate's R_k and the padded inverse
 # Grams, about K p^2 doubles per set, never the n-row designs, so the
-# count binds it below 32,768 doubles a set (the K = 256 prostate
-# candidates, p = 9, hold 27,929: stacks of 64) and the doubles above
-# (the 4,096 subsets of 12 predictors hold 905,777: stacks of 2); a
-# logistic one holds its designs, so at Study II's n = 100 and p = 4 the
-# count binds, and only at n p above about 2e5 the doubles.  Measured (one cell
-# of 256 replications, BLAS on one thread, 2-core x86-64 VM), ms per
-# replication:
+# count binds it below 8,192 doubles a set and the doubles above (the
+# K = 256 prostate candidates, p = 9, hold 27,929: stacks of 75; the
+# 4,096 subsets of 12 predictors hold 905,777: stacks of 2); a logistic
+# one holds its designs, so in Study II (p = 4) the count binds at
+# n = 100 (1,594 doubles a set), and the doubles from n of about 540.
+# A cap of 64 made a thin study pay a second stack's fixed cost: two
+# Study II case A cells (serial, medians of 31) at 35 / 70 a cell took,
+# at caps 64, 128 and 256, linear 4.18 / 7.40, 3.50 / 6.84 and 3.50 /
+# 6.04 ms, logistic 7.80 / 13.49, 6.83 / 12.26 and 6.76 / 11.38 ms; at
+# 200 a cell, cap 64 against 256, linear 19.6 / 16.2 and logistic 35.8 /
+# 30.7 ms.  A process running the stock logistic grid at 300 a cell
+# peaked at 44.7 MB against 40.5 MB.
+# Measured before (one cell of 256 replications, BLAS on one thread,
+# 2-core x86-64 VM), ms per replication:
 # - Study I case A (K = 7, p = 10) at n = 100 / 1000, stacks of 1:
 #   0.404 / 0.555 (a stack of one is fitted with no leading axis), 64:
 #   0.127 / 0.270; averaged one replication at a time, 0.146 / 0.285;
@@ -82,7 +89,7 @@ _LOCKSTEP_MIN = 6
 #   256: 0.137 / 0.143; averaged one replication at a time (with case
 #   B's oracle fitted alone), 64: 0.190 / 0.289; before the stacks,
 #   0.585 / 0.661.
-_STACK_REPS = 64
+_STACK_REPS = 256
 _STACK_DOUBLES = 1 << 21
 
 
@@ -313,8 +320,8 @@ def _stacks(designs, n: int, members: list) -> list[list]:
     a ``band`` block's replications of one row): the fewest stacks of at
     most ``_STACK_REPS`` sets whose fits hold at most ``_STACK_DOUBLES``
     doubles (``designs.kept``), their sizes differing by one at most, so
-    that no stack is a small remainder (70 sets are 35 + 35, not
-    64 + 6).
+    that no stack is a small remainder (300 sets are 150 + 150, not
+    256 + 44).
     """
     step = max(1, min(_STACK_REPS, _STACK_DOUBLES // designs.kept(n)))
     count = -(-len(members) // step)
@@ -412,7 +419,9 @@ def _prediction_bands(
     """``prediction_band`` of each test row with its own seed, all in one ``run_replications`` call.
 
     Row i's replication r is run index ``i * n_reps + r`` and draws its
-    subsample, then its noise, from ``substream(seeds[i], "band", r)``.
+    subsample, then its noise, from ``substream(seeds[i], "band", r)``,
+    as one generator re-keyed per replication of a stack
+    (``rng._stack_streams``).
     A block's replications of one row share n_sub, the candidates and
     x*, so they are fitted and averaged as stacks (``_fit_average_stack``,
     cut by ``_stacks``), as a study's are, and each mean has the
@@ -438,8 +447,7 @@ def _prediction_bands(
     _check_scheme(scheme)
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise DataError(f"sigma must be finite and non-negative, got {sigma!r}")
-    for seed in seeds:
-        _checked_keys(seed)
+    keys = [_checked_keys(seed, "band") for seed in seeds]
     width = _checked_width(X_pool, models)
     x_stars = [Functional.linear_point(point).resolve(width) for point in test_points]
     if y_pool.ndim != 1 or y_pool.shape[0] != X_pool.shape[0]:
@@ -452,8 +460,7 @@ def _prediction_bands(
         for row, indices in groupby(block, lambda i: i // n_reps):
             for reps in _stacks(designs, n_sub, [i % n_reps for i in indices]):
                 parts, noises = [], []
-                for rep in reps:
-                    rng = substream(seeds[row], "band", rep)
+                for rng in _stack_streams(keys[row], reps):
                     idx = rng.choice(X_pool.shape[0], size=n_sub, replace=False)
                     noises.append(rng.normal(0.0, sigma))
                     parts.append(designs.reduce(X_pool[idx], y_pool[idx]))

@@ -40,7 +40,9 @@ The two public solves differ only in the target t and the merit:
 
 * ``logistic_mle`` fits 0/1 data by maximum likelihood (t = y, merit
   -loglik), through ``_mle_fits``, which the candidate factories call
-  on one training set or a stack of them,
+  on one training set or a stack of them; the line search reads the
+  cheap ``_bernoulli_merit``, within a few ulp of -loglik, and the fit's
+  log-likelihood is the exact ``_bernoulli_loglik``, once, at the end,
 * ``logistic_pseudo_fit`` solves the score equation against a vector of
   *target probabilities*, i.e. the population projection of one model
   onto another (merit: the score's infinity norm).  Against the full
@@ -407,6 +409,20 @@ def _bernoulli_loglik(eta: np.ndarray, y: np.ndarray):
     return np.vecdot(y, eta) - np.logaddexp(0.0, eta).sum(axis=-1)
 
 
+def _bernoulli_merit(eta: np.ndarray, y: np.ndarray):
+    """``-_bernoulli_loglik(eta, y)`` to a few ulp, the MLE's line-search merit.
+
+    log(1 + e^eta) is max(eta, 0) + log1p(e^-|eta|), the steps of
+    ``np.logaddexp(0, eta)``, but on numpy's SIMD ``exp`` and ``log1p``
+    instead of libm's: about a quarter of the time (14 against 55-62 us
+    on a (50, 100) stack), and a few ulp off per term.  That is far
+    inside the line search's slack of 1e-12 * (1 + |value|), so no step
+    is taken or halved differently; the fit's log-likelihood is the
+    exact form, once, on the final eta.  A NaN eta gives NaN.
+    """
+    return (np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))).sum(axis=-1) - np.vecdot(y, eta)
+
+
 def _slices(marked) -> list[tuple]:
     """The index tuples of the slices ``marked`` flags (``()`` for an unstacked one)."""
     if not marked.any():  # argwhere costs about 10 us even on nothing
@@ -512,24 +528,26 @@ _DEGENERATE_MESSAGE = "degenerate response (all outcomes identical): the MLE doe
 def _mle_fits(X, y, *, model=None):
     """Logistic MLEs of 0/1 responses y on X, on every leading axis: beta, loglik, iterations, failures.
 
-    One ``_damped_newton`` loop on -loglik for the whole stack.  A slice
+    One ``_damped_newton`` loop on -loglik for the whole stack, its
+    line search on the cheap ``_bernoulli_merit``, then one exact
+    ``_bernoulli_loglik`` on the final eta.  A slice
     whose responses are all equal has no MLE and fails as degenerate, as
     ``logistic_mle`` fails before its loop; in a stack it runs with the
     others, but its results are not a fit.  ``failures`` maps each failed
     slice's index (``()`` for a lone fit) to its error, which names
     ``model``.
     """
-    beta, _, neg_ll, iterations, failures = _damped_newton(
+    beta, eta, _, iterations, failures = _damped_newton(
         X,
         y,
-        lambda eta, size: -_bernoulli_loglik(eta, y),
+        lambda eta, size: _bernoulli_merit(eta, y),
         model=model,
         label="logistic fit",
         separation=" (possible separation)",
     )
     for i in _slices((y == y[..., :1]).all(axis=-1)):
         failures[i] = NonConvergenceError(_DEGENERATE_MESSAGE, model=model)
-    return beta, -neg_ll, iterations, failures
+    return beta, _bernoulli_loglik(eta, y), iterations, failures
 
 
 def logistic_mle(

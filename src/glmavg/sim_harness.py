@@ -22,7 +22,9 @@ a candidate or, in the linear family, the full design, else one
 the whole stack (logistic), with the bits of a lone ``logistic_mle``.
 Replication r draws its design and response from the stream
 ``substream(seed, *tags, r)``, keyed once per cell, so reports are
-byte-identical across runs and across worker counts.  A study lays all
+byte-identical across runs and across worker counts; a stack draws a
+cell's replications from one generator re-keyed per replication
+(``rng._stack_streams``), with ``substream``'s bits.  A study lays all
 its cells' replications out rep by rep (rep 0 of every cell, then rep
 1, ...) in one ``run_replications`` call, which hands each process one
 contiguous block holding the same share of every cell: the first block
@@ -31,7 +33,7 @@ runs in the calling process and the others in forked worker processes
 run serially when ``workers`` is 1, when the process may use one CPU
 only, off Linux, while another Python thread is alive, or when a
 block's estimated work (``_rep_ms``) is below the study's floor of work
-per process (``_FORK_FLOOR_MS``, higher for a logistic study).  In
+per process (``_FORK_FLOOR_MS``, by family).  In
 a block (``_run_block``), the replications that share a design (the
 family, n, the candidates and x*) are stacked together, across cells, so the
 cells of a beta3 grid share their stacks; each group is cut into
@@ -81,33 +83,32 @@ from .glm_fit import (
     require_finite,
 )
 from .model_space import CandidateModel, ModelSet, nested_sequence
-from .rng import _checked_keys, substream
+from .rng import _checked_keys, _stack_streams, substream
 
 # One stacked replication's milliseconds, per candidate and per design
 # entry (n x p), by family, for the floor of work per process below.
-# Fitted to the added cost of a replication in cells of 50 and 200 (BLAS
-# on one thread, 2-core x86-64 VM): linear, Study I case A at n = 100 /
-# 1000 / 3000 0.094 / 0.242 / 0.539 ms (model: 0.099 / 0.234 / 0.534),
-# Study II case A at n = 100 0.060 (0.054); logistic, Study II case A at
-# n = 100 / 400 / 1000 0.108 / 0.250 / 0.540 (0.108 / 0.252 / 0.540),
-# the Study I ladder at n = 200 / 1000 0.339 / 1.397 (0.330 / 1.290).
+# Fitted to the added cost of a replication in cells of 50 and 200, each
+# cell one stack (BLAS on one thread, 2-core x86-64 VM, two runs of
+# medians of 21): linear, Study I case A at n = 100 / 1000 / 3000 0.066
+# / 0.200 / 0.50 ms (model: 0.067 / 0.201 / 0.500), Study II case A at
+# n = 100 0.036 (0.035); logistic, Study II case A at n = 100 / 400 /
+# 1000 0.068 / 0.205 / 0.46 (0.068 / 0.200 / 0.464), the Study I ladder
+# with an oracle of its own at n = 200 / 1000 0.36 / 1.46 (0.257 /
+# 1.144), in stacks that ``_STACK_DOUBLES`` cuts.
 # ``tools/fork_floor.py`` prints the estimate beside each run.
-_REP_MS = {"linear": (0.012, 1.5e-5), "logistic": (0.015, 1.2e-4)}
+_REP_MS = {"linear": (0.0074, 1.5e-5), "logistic": (0.0061, 1.1e-4)}
 # A study forks a block only when its estimated work (``_REP_MS``) reaches
-# this many milliseconds, by family.  ``tools/fork_floor.py`` (five runs,
-# medians of 31 or 41 each, BLAS on one thread, 2-core x86-64 VM), forked
-# time over serial time by estimated block work, on two Study II case A
-# cells: linear 1.32-1.40 at 1.08 ms (20 a cell), 1.13-1.20 at 1.62 ms
-# (30), 0.95-0.99 at 1.89 ms (35), 0.84-0.87 at 2.7 ms (50); logistic
-# 1.02-1.08 at 2.16 ms (20), 0.96-1.02 at 2.7 ms (25), 0.91-0.94 at
-# 3.24 ms (30), 0.71-0.78 from 3.78 ms up; 0.52-0.69 from 7.2 ms up (the
-# stock grids, criterion 7's Study I run).  An empty 2-block fork costs
-# about 1.45 ms, and a logistic block's first Newton loops run on pages
-# the fork left shared (a child's first Study II logistic replication
-# took 1.28 against 0.58 ms unforked, medians of 200), so a logistic
-# block needs 1.2 ms more: a block that only breaks even keeps to one
-# process.
-_FORK_FLOOR_MS = {"linear": 1.8, "logistic": 3.0}
+# this many milliseconds, by family.  ``tools/fork_floor.py`` (four runs,
+# medians of 31 each, BLAS on one thread, 2-core x86-64 VM), forked time
+# over serial time by estimated block work, on two Study II case A cells:
+# linear 1.08-1.14 at 1.78 ms (50 a cell), 1.00-1.07 at 2.14 ms (60),
+# 0.94-1.03 at 2.49 ms (70), 0.91 at 2.85 ms (80), 0.87-0.91 from 3.2 ms
+# up; logistic 1.10 at 1.71 ms (25), 1.01-1.02 at 2.05 ms (30), 0.93-0.98
+# at 2.39 ms (35), 0.87-0.93 at 2.74 ms (40); 0.53-0.78 from 4.8 ms up
+# (the stock grids, criterion 7's Study I run).  An empty 2-block fork
+# costs about 1.5 ms.  Both families break even near 2.1 ms, and a block
+# that only breaks even keeps to one process.
+_FORK_FLOOR_MS = {"linear": 2.3, "logistic": 2.3}
 
 REPORT_COLUMNS = (
     "case",
@@ -247,9 +248,14 @@ class StudyReport:
 # ---------------------------------------------------------------------------
 
 
-def _draw(config: StudyConfig, rep: int):
-    """Replication ``rep``'s design and response, from the stream ``substream(seed, *tags, rep)``."""
-    rng = substream(*config._keys, rep)
+def _draw(config: StudyConfig, rep: int, rng: np.random.Generator | None = None):
+    """Replication ``rep``'s design and response, from the stream ``substream(seed, *tags, rep)``.
+
+    ``rng`` is that stream, unread, when the caller has it (``_fit_stack``
+    re-keys one generator per cell of a stack); without it, it is built here.
+    """
+    if rng is None:
+        rng = substream(*config._keys, rep)
     n = config.n
     X = np.column_stack([np.ones(n), rng.standard_normal((n, config.beta_true.shape[0] - 1))])
     eta = X @ config.beta_true
@@ -316,10 +322,15 @@ def _fit_stack(designs, members, rows: list, failures: dict) -> None:
     lone replication (its draw, its fit, its schemes in order, then its
     oracle).
     """
+    cell_reps = {}
+    for _, config, rep in members:
+        cell_reps.setdefault(config, []).append(rep)
+    # each cell's streams, one re-keyed generator per cell (``rng._stack_streams``)
+    streams = {config: _stack_streams(config._keys, reps) for config, reps in cell_reps.items()}
     drawn, parts, oracles = [], [], []
     for position, config, rep in members:
         try:
-            X, y = _draw(config, rep)
+            X, y = _draw(config, rep, next(streams[config]))
             require_finite("design and response", X, y)
             parts.append(designs.reduce(X, y))
         except GlmavgError as exc:

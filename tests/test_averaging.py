@@ -453,7 +453,7 @@ class TestPredictionBand:
         def no_draw(*args):
             raise AssertionError("a subsample was drawn before the arguments were checked")
 
-        monkeypatch.setattr(averaging, "substream", no_draw)
+        monkeypatch.setattr(averaging, "_stack_streams", no_draw)
         X, y = self._pool()
         kwargs = dict(
             X_pool=X,
@@ -610,6 +610,14 @@ class TestBandStacks:
             return exc
         return mean, mean + rng.normal(0.0, sigma)
 
+    def test_a_row_of_50_builds_no_seed_sequence_per_replication(self, monkeypatch):
+        train, test = _prostate(3)
+        seed_sequences = []
+        seed_sequence = np.random.SeedSequence
+        monkeypatch.setattr(np.random, "SeedSequence", lambda *args: seed_sequences.append(args) or seed_sequence(*args))
+        prediction_band(train.design, train.response, test.design[0], self.MODELS, n_sub=50, sigma=0.7, seed=11)
+        assert seed_sequences == []
+
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("n_reps", [5, 50], ids=["lone-solves", "lockstep"])
     def test_each_mean_is_its_lone_predictors(self, monkeypatch, n_reps, workers):
@@ -634,10 +642,10 @@ class TestBandStacks:
     def test_prostate_designs_count_their_inverse_grams(self):
         designs = LinearAveragingPredictor._Designs(list(self.MODELS), 9)
         assert designs.kept(50) >= 256 * 81
-        # the count cap still binds a prostate stack
-        assert averaging._STACK_REPS * designs.kept(50) <= averaging._STACK_DOUBLES
+        # the doubles cap, not the count, binds a prostate stack: 75 sets of 27,929 doubles
+        assert averaging._STACK_DOUBLES // designs.kept(50) == 75 < averaging._STACK_REPS
 
-    def test_a_row_of_70_is_cut_into_two_stacks_of_35(self, monkeypatch):
+    def test_a_row_of_80_is_cut_into_two_stacks_of_40(self, monkeypatch):
         train, test = _prostate(4)
         sizes = []
         fit_average_stack = averaging._fit_average_stack
@@ -649,12 +657,12 @@ class TestBandStacks:
         monkeypatch.setattr(averaging, "_fit_average_stack", recorded)
         pairs = self._recorded_pairs(monkeypatch)
         prediction_band(
-            train.design, train.response, test.design[1], self.MODELS, n_sub=50, n_reps=70, sigma=0.7, seed=12
+            train.design, train.response, test.design[1], self.MODELS, n_sub=50, n_reps=80, sigma=0.7, seed=12
         )
-        assert sizes == [35, 35]
+        assert sizes == [40, 40]
         expected = [
             self._lone_outcome(train.design, train.response, test.design[1], self.MODELS, 50, 0.7, 12, rep)
-            for rep in range(70)
+            for rep in range(80)
         ]
         assert [(a.hex(), b.hex()) for a, b in pairs] == [(a.hex(), b.hex()) for a, b in expected]
 

@@ -88,10 +88,10 @@ def test_earliest_failure_wins(monkeypatch, deadline, fork_any_work, failing, fi
     model = CandidateModel((0, 1), 1)
     original = sim_harness._draw
 
-    def failing_draw(config, rep):
+    def failing_draw(config, rep, rng=None):
         if rep in failing:
             raise NonConvergenceError(f"separated at rep {rep}", model=model, iterations=rep)
-        return original(config, rep)
+        return original(config, rep, rng)
 
     monkeypatch.setattr(sim_harness, "_draw", failing_draw)
     forks = counted_forks(monkeypatch)
@@ -238,22 +238,23 @@ def _study(name, n_reps):
     [
         ("logistic", 6, 0),
         ("logistic", 25, 0),
-        ("logistic", 27, 0),
-        ("logistic", 28, 1),
+        ("logistic", 33, 0),
+        ("logistic", 34, 1),
         ("logistic", 40, 1),
         ("linear", 30, 0),
-        ("linear", 33, 0),
-        ("linear", 34, 1),
-        ("linear", 50, 1),
-        ("study1", 10, 0),
-        ("study1", 11, 1),
+        ("linear", 64, 0),
+        ("linear", 65, 1),
+        ("linear", 80, 1),
+        ("study1", 17, 0),
+        ("study1", 18, 1),
     ],
 )
 def test_a_study_forks_only_above_the_floor(monkeypatch, deadline, study, n_reps, forks):
-    # two cells of 25 logistic or of 50 linear replications estimate 2.7 ms a block,
-    # but only the linear study gains from a fork: a logistic floor holds its process
-    # cost.  Study I's cells of n = 100 and 1000 (0.099 and 0.234 ms a replication)
-    # are weighed on their mean.
+    # two cells of 25 logistic replications, the study2_logistic workload's call,
+    # estimate 1.71 ms a block and keep to one process; a linear replication costs
+    # about half a logistic one, so a linear study forks from about twice as many.
+    # Study I's cells of n = 100 and 1000 (0.067 and 0.201 ms a replication) are
+    # weighed on their mean.
     cells, run = _study(study, n_reps)
     # a 2-worker block holds n_reps replications, one of each cell per rep
     block_ms = n_reps * sum(map(sim_harness._rep_ms, cells)) / len(cells)

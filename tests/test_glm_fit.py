@@ -461,6 +461,57 @@ def test_golden_fits_replay_as_one_slice_of_a_stack(kind, position):
 
 
 @pytest.mark.filterwarnings("error")
+class TestBernoulliMerit:
+    """The line search's cheap merit is -loglik to a tenth of the step's slack; the fit's loglik stays exact."""
+
+    @staticmethod
+    def _assert_close(value, exact, where):
+        if np.isnan(exact):
+            assert np.isnan(value), where
+        elif np.isinf(exact):
+            assert value == exact, where
+        else:
+            assert abs(value - exact) <= 1e-13 * (1.0 + abs(exact)), where
+
+    def test_on_every_golden_iterate(self, monkeypatch):
+        seen = []
+        merit = glm_fit._bernoulli_merit
+
+        def recorded(eta, y):
+            value = merit(eta, y)
+            seen.append((eta.copy(), y, value))
+            return value
+
+        monkeypatch.setattr(glm_fit, "_bernoulli_merit", recorded)
+        for kind in ("mle", "pseudo"):
+            for row in LOGISTIC_GOLDEN[kind]:
+                X, y, _ = _golden_problem(row["seed"], row["hard"])
+                try:
+                    logistic_mle(X, y)
+                except NonConvergenceError:
+                    pass
+        assert len(seen) > 8000
+        for j, (eta, y, value) in enumerate(seen):
+            self._assert_close(value, -glm_fit._bernoulli_loglik(eta, y), j)
+
+    @pytest.mark.parametrize("y", [0.0, 1.0, 0.25])
+    def test_on_extreme_and_non_finite_eta(self, y):
+        etas = [np.inf, -np.inf, np.nan, 800.0, -800.0, 1e-300, -1e-300, 0.0]
+        with np.errstate(invalid="ignore"):
+            for eta in etas:
+                one = np.array([eta])
+                exact = -glm_fit._bernoulli_loglik(one, np.array([y]))
+                self._assert_close(glm_fit._bernoulli_merit(one, np.array([y])), exact, eta)
+            everything = np.array(etas)
+            assert np.isnan(glm_fit._bernoulli_merit(everything, np.full(len(etas), y)))
+
+    def test_the_returned_loglik_is_the_exact_form_on_the_final_eta(self):
+        X, y, _ = _golden_problem(3, False)
+        beta, loglik, _, failures = glm_fit._mle_fits(X, y)
+        assert not failures
+        assert loglik.tobytes() == glm_fit._bernoulli_loglik(np.matvec(X, beta), y).tobytes()
+
+
 class TestLapackSolve:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_equals_numpy_solve_bitwise(self, n):

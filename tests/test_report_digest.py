@@ -22,7 +22,10 @@ def report_digest(monkeypatch):
 
 @pytest.mark.parametrize(
     "name",
-    ["study1_B", "study2_linear_B", "study2_logistic_A", "study2_logistic_B", "thin_study2", "band_5", "cv_aic"],
+    [
+        "study1_B", "study2_linear_B", "study2_logistic_A", "study2_logistic_B", "thin_study2", "band_5",
+        "study2_wide_seed", "band_wide_seed", "cv_aic",
+    ],
 )
 def test_a_tiny_calls_digest_is_the_same_at_one_and_two_workers(report_digest, name):
     call = report_digest.CALLS[name]
@@ -71,7 +74,7 @@ def test_thin_study2_runs_both_families_at_two_replications(report_digest, monke
 
 def test_band_and_cv_calls_hash_their_rows(report_digest):
     # --n-reps does not apply to them: a band row is one band, a cv report its log and means
-    for name, reps in (("band_5", 5), ("band_50", 50)):
+    for name, reps in (("band_5", 5), ("band_50", 50), ("band_wide_seed", 20)):
         rows = report_digest.CALLS[name](1, 1).rows
         assert [sorted(row) for row in rows] == [["level", "lower", "point", "upper"]] * 3
         assert report_digest.digest(rows) == report_digest.call_digest(report_digest.CALLS[name], 7, 1), reps
@@ -87,3 +90,22 @@ def test_band_and_cv_calls_hash_their_rows(report_digest):
     # the rules choose on their own: the best subset's errors differ, the averages' do not
     assert cv_rows[0][-1]["avg_optimal"] == cv_rows[1][-1]["avg_optimal"]
     assert cv_rows[0][-1]["best_subset"] != cv_rows[1][-1]["best_subset"]
+
+
+def test_the_wide_seed_calls_key_their_streams_past_one_word(report_digest, monkeypatch):
+    import glmavg.rng as rng
+
+    prefixes = []
+    stack_streams = rng._stack_streams
+
+    def recorded(prefix, reps):
+        prefixes.append(prefix)
+        return stack_streams(prefix, reps)
+
+    for module in ("averaging", "sim_harness"):
+        monkeypatch.setattr(f"glmavg.{module}._stack_streams", recorded)
+    for name in ("study2_wide_seed", "band_wide_seed"):
+        prefixes.clear()
+        report_digest.CALLS[name](3, 1)
+        assert prefixes and all(prefix[0] >= 2**32 for prefix in prefixes), name
+    assert {prefix[0] for prefix in prefixes} == {2**32 + 5, 2**63 + 6, 2**64 + 7}

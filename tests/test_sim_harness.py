@@ -173,6 +173,7 @@ class TestStudyConfig:
             raise AssertionError("a replication stream was drawn before the schemes were checked")
 
         monkeypatch.setattr(sim_harness, "substream", no_draw)
+        monkeypatch.setattr(sim_harness, "_stack_streams", no_draw)
         with pytest.raises(DataError, match="schemes is empty"):
             run()
 
@@ -604,10 +605,10 @@ class TestOneRunPerStudy:
         model = CandidateModel((0,), 1)
         original = sim_harness._draw
 
-        def failing_draw(config, rep):
+        def failing_draw(config, rep, rng=None):
             if (config.tags[-1], rep) in failing:
                 raise NonConvergenceError(f"separated at rep {rep}", model=model, iterations=rep)
-            return original(config, rep)
+            return original(config, rep, rng)
 
         monkeypatch.setattr(sim_harness, "_draw", failing_draw)
         with pytest.raises(NonConvergenceError) as excinfo:
@@ -740,8 +741,8 @@ class TestStackedLinearFits:
         # check's margin, so that replication alone is guarded one model size at a time
         original = sim_harness._draw
 
-        def draw(config, rep):
-            X, y = original(config, rep)
+        def draw(config, rep, rng=None):
+            X, y = original(config, rep, rng)
             if rep == 3:
                 X = X.copy()
                 X[:, -1] = X[:, 1] + 1e-8 * X[:, -1]
@@ -760,8 +761,8 @@ class TestStackedLinearFits:
     def test_a_singular_design_raises_what_its_predictor_raises(self, monkeypatch, stack, workers):
         original = sim_harness._draw
 
-        def draw(config, rep):
-            X, y = original(config, rep)
+        def draw(config, rep, rng=None):
+            X, y = original(config, rep, rng)
             if rep in (4, 7):
                 X = X.copy()
                 X[:, -1] = X[:, 1]  # every candidate with the last optional column is singular
@@ -796,8 +797,8 @@ class TestStackedLinearFits:
         original_stack = _lockstep._solve_stack
         target = {}
 
-        def draw(config, rep):
-            X, y = original_draw(config, rep)
+        def draw(config, rep, rng=None):
+            X, y = original_draw(config, rep, rng)
             if (config.tags[-1], rep) == singular_at:
                 X = X.copy()
                 X[:, 3] = X[:, 2]  # only the full candidate is singular
@@ -926,8 +927,8 @@ class TestStackedLogisticFits:
         """
         original = sim_harness._draw
 
-        def draw(config, rep):
-            X, y = original(config, rep)
+        def draw(config, rep, rng=None):
+            X, y = original(config, rep, rng)
             defect = defects.get(rep)
             if defect == "constant":
                 y = np.ones_like(y)
@@ -1068,8 +1069,9 @@ class TestCrossCellStacks:
     @pytest.mark.parametrize("family", ["linear", "logistic"])
     @pytest.mark.parametrize("n_reps, sizes", [(65, [32, 33]), (70, [35, 35])])
     def test_a_group_over_one_stack_is_cut_into_equal_stacks(self, monkeypatch, family, n_reps, sizes):
-        # one cell of 65 or 70 replications: two near-equal stacks, not 64 and a remainder
-        # of 1 or 6, with the rows of one replication a stack
+        # one cell of 65 or 70 replications at a cap of 64: two near-equal stacks, not 64
+        # and a remainder of 1 or 6, with the rows of one replication a stack
+        monkeypatch.setattr(averaging, "_STACK_REPS", 64)
         cell = _study2_cells(family, n_reps, cases="A")[:1]
         stacks = []
         fit_stack = sim_harness._fit_stack
@@ -1089,13 +1091,14 @@ class TestCrossCellStacks:
 
     def test_the_count_cap_binds_every_stock_design(self):
         # a stack's doubles count its inverse Grams, but the stock studies' K <= 7 candidates hold
-        # few: their groups are cut by the count alone, 200 replications into 4 stacks of 50
+        # few: their groups are cut by the count alone, three caps' worth into three full stacks
+        cap = averaging._STACK_REPS
         designs = [("linear", models, n) for models in study1_model_sets().values() for n in (100, 1000, 3000)]
         designs += [(family, models, 100) for family in ("linear", "logistic") for models in study2_model_sets().values()]
         for family, models, n in designs:
             p = models.p_fixed + models.q
-            stacks = averaging._stacks(sim_harness._PREDICTORS[family]._Designs(models.models, p), n, list(range(200)))
-            assert [len(stack) for stack in stacks] == [50] * 4, (family, len(models), n)
+            stacks = averaging._stacks(sim_harness._PREDICTORS[family]._Designs(models.models, p), n, list(range(3 * cap)))
+            assert [len(stack) for stack in stacks] == [cap] * 3, (family, len(models), n)
 
     @pytest.fixture(scope="class", params=["linear", "logistic"])
     def cells_and_reference(self, request):
@@ -1145,8 +1148,8 @@ class TestCrossCellStacks:
         # workers=1: one replication fails its fit, one of the other cell its plug-in alone
         original = sim_harness._draw
 
-        def draw(config, rep):
-            X, y = original(config, rep)
+        def draw(config, rep, rng=None):
+            X, y = original(config, rep, rng)
             if (config.tags[-1], rep) == fit_at:
                 y = np.ones_like(y)  # no candidate has an MLE
             if (config.tags[-1], rep) == plug_in_at:
@@ -1219,8 +1222,8 @@ class TestLockstepSolve:
         # (logistic); the other replications of its stack are solved in lockstep
         original = sim_harness._draw
 
-        def draw(config, rep):
-            X, y = original(config, rep)
+        def draw(config, rep, rng=None):
+            X, y = original(config, rep, rng)
             if rep == 7:
                 if config.family == "linear":
                     X = X.copy()
@@ -1242,7 +1245,31 @@ class TestLockstepSolve:
 
 
 class TestStreamKeys:
-    """A cell's string tags are hashed once, when its config is built."""
+    """A cell's string tags are hashed once, when its config is built, and its streams keyed once per stack."""
+
+    def test_a_stack_of_50_builds_no_seed_sequence_per_replication(self, monkeypatch):
+        # the study2_logistic workload's call: 2 cells of 25 share one design, one stack of 50
+        seed_sequences, streams = [], []
+        seed_sequence = np.random.SeedSequence
+
+        def counted(*args, **kwargs):
+            seed_sequences.append(args)
+            return seed_sequence(*args, **kwargs)
+
+        original = sim_harness._draw
+
+        def draw(config, rep, rng=None):
+            streams.append(rng)
+            return original(config, rep, rng)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counted)
+        monkeypatch.setattr(sim_harness, "_draw", draw)
+        report = run_study2("logistic", beta3_grid=(0.05, 0.5), cases=("A",), n_reps=25, seed=0)
+        assert seed_sequences == []
+        assert len(streams) == 50 and len({id(rng) for rng in streams}) == 2  # one generator per cell
+        monkeypatch.setattr(sim_harness, "_draw", lambda config, rep, rng=None: original(config, rep))
+        assert run_study2("logistic", beta3_grid=(0.05, 0.5), cases=("A",), n_reps=25, seed=0).rows == report.rows
+        assert len(seed_sequences) == 50  # each lone draw builds its substream
 
     @pytest.mark.parametrize("cell", [0, 2, 4], ids=["study1-A", "study1-B", "study2-A"])
     def test_first_draws_are_the_tags_streams(self, cell):

@@ -18,8 +18,8 @@ and the fork.  The calls:
   fork's bare cost;
 * ``study2 <family> thin R``: ``run_study2`` of either family over two
   cells (case A, beta3 0.05 and 0.5, the shape of the
-  ``study2_logistic`` workload) at R = 20, 25, 30, 35, 40, 50, 100 and
-  200 replications a cell;
+  ``study2_logistic`` workload) at R = 20, 25, 30, 35, 40, 50, 60, 70,
+  100 and 200 replications a cell;
 * ``study2 <family> full R``: the stock grid (both cases, every beta3:
   12 cells) at R = 25, 50, 100 and 200;
 * ``criterion 7``: the Study I run of acceptance criterion 7 (n = 100
@@ -47,7 +47,7 @@ import time  # noqa: E402
 
 from glmavg import _forked, averaging, datasets, enumerate_all_subsets, run_study1, run_study2, sim_harness  # noqa: E402
 
-THIN_REPS = (20, 25, 30, 35, 40, 50, 100, 200)
+THIN_REPS = (20, 25, 30, 35, 40, 50, 60, 70, 100, 200)
 FULL_REPS = (25, 50, 100, 200)
 
 

@@ -25,6 +25,11 @@ rows, one line per row, each cell written exactly: a float as
   67-row ``synthetic_prostate()`` split over its 256 candidates, at 5
   replications a row (each solved alone) and at 50 (a lockstep solve
   per row); a row is one band: point, lower, upper and level;
+* ``study2_wide_seed`` and ``band_wide_seed``: ``study2_logistic_A`` at
+  seed 2^32 + 2, and ``band_50`` at 20 replications a row with seeds
+  2^32 + 5, 2^63 + 6 and 2^64 + 7, so that stream-key prefixes of two-
+  and three-word seeds go through the per-stack keys
+  (``rng._stack_streams``);
 * ``cv_cv`` and ``cv_aic``: ``cv_compare`` on ``synthetic_prostate()``
   at 2 repeats, its best subset chosen by ``select_by`` ``cv`` or
   ``aic``; the rows are the per-repeat log, then the mean errors.
@@ -34,7 +39,7 @@ reference calls and ``thin_study2`` (default 100); the band and ``cv``
 calls ignore it.  Each call runs at every ``--workers`` value
 (default 1 and 2).  Run it in two checkouts, each with its own
 ``PYTHONPATH``, and diff the outputs: equal lines mean equal reports, to
-the last bit.  The default run takes about 2 s on a 2-core x86-64 VM.
+the last bit.  The default run takes about 1 s on a 2-core x86-64 VM.
 """
 
 from __future__ import annotations
@@ -63,8 +68,8 @@ def _study1(case):
     )
 
 
-def _study2(family, case):
-    return lambda n_reps, workers: run_study2(family, cases=(case,), n_reps=n_reps, seed=2, workers=workers)
+def _study2(family, case, seed=2):
+    return lambda n_reps, workers: run_study2(family, cases=(case,), n_reps=n_reps, seed=seed, workers=workers)
 
 
 def _thin_study2(n_reps, workers):
@@ -72,12 +77,12 @@ def _thin_study2(n_reps, workers):
     return StudyReport(rows=rows[0] + rows[1])
 
 
-def _band(n_reps):
+def _band(n_reps, seeds=(5, 6, 7)):
     def call(_, workers):
         train, test = split(synthetic_prostate(), 67, seed=4)
         bands = _prediction_bands(
             train.design, train.response, test.design[:3], enumerate_all_subsets(1, 8), n_sub=50,
-            n_reps=n_reps, sigma=0.7, level=0.9, seeds=[5, 6, 7], scheme="optimal", workers=workers,
+            n_reps=n_reps, sigma=0.7, level=0.9, seeds=list(seeds), scheme="optimal", workers=workers,
         )
         return SimpleNamespace(rows=[dataclasses.asdict(band) for band in bands])
 
@@ -114,6 +119,8 @@ CALLS = {
     "thin_study2": _thin_study2,
     "band_5": _band(5),
     "band_50": _band(50),
+    "study2_wide_seed": _study2("logistic", "A", seed=2**32 + 2),
+    "band_wide_seed": _band(20, seeds=(2**32 + 5, 2**63 + 6, 2**64 + 7)),
     "cv_cv": _cv("cv"),
     "cv_aic": _cv("aic"),
 }
