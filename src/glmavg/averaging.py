@@ -230,7 +230,8 @@ class LogisticAveragingPredictor(_AveragingPredictor, LogisticQFactory):
     _kind = "logistic_point"
 
 
-# the predictor of each family, for the one-shot wrappers and the study harness
+# the predictor of each family, for the one-shot wrappers, the CLI and the study harness; its
+# keys are the one list of family names, and each predictor's _Designs its family's record
 _PREDICTORS = {"linear": LinearAveragingPredictor, "logistic": LogisticAveragingPredictor}
 
 

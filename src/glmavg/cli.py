@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     point_args = argparse.ArgumentParser(add_help=False)
-    point_args.add_argument("--family", choices=("linear", "logistic"), default="linear")
+    point_args.add_argument("--family", choices=tuple(_PREDICTORS), default="linear")
     point_args.add_argument(
         "--x-star", required=True, help="comma-separated covariate vector incl. intercept 1"
     )
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("study2", parents=[output_args, run_args],
                        help="optimal vs AIC weighting study")
-    p.add_argument("--family", choices=("linear", "logistic"), default="linear")
+    p.add_argument("--family", choices=tuple(_PREDICTORS), default="linear")
     p.add_argument("--cases", default="A,B")
     p.add_argument("--beta3", default=",".join(repr(b) for b in STUDY2_BETA3_GRID))
     p.add_argument("--schemes", default="optimal,aic")

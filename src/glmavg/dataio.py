@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .averaging import _PREDICTORS
 from .errors import DataError
 from .rng import substream
 
@@ -32,7 +33,7 @@ class Dataset:
     def __post_init__(self):
         response = np.array(self.response, dtype=float)
         design = np.array(self.design, dtype=float)
-        if self.family not in ("linear", "logistic"):
+        if self.family not in _PREDICTORS:
             raise DataError(f"unknown family {self.family!r}")
         if response.ndim != 1 or design.ndim != 2 or design.shape[0] != response.shape[0]:
             raise DataError("response must be (n,) and design (n, d) with matching n")

@@ -35,8 +35,12 @@ per-model functional estimates:
 
 Both are one assembly (``_Fits.q_parts``) with link h and slope h':
 the identity and 1 for linear targets, expit and p(1-p) for logistic
-ones.  Both factories defer the plug-in fit, and with it every matrix
-inverse, to the first ``q_form``.  Each family's fit and plug-in
+ones.  Each family's designs (``_LinearDesigns``, ``_LogisticDesigns``)
+are its one record: its link, its response law and its cost per
+replication, which the study harness reads, and the designs its fit
+factors, a study's oracle among them.  Both factories defer the plug-in
+fit, and with it every matrix inverse, to the first ``q_form``.  Each
+family's fit and plug-in
 (``_LinearFits``, ``_LogisticFits``, made by its designs' ``fit``) take
 one training set or many stacked along leading axes, one per slice, and
 so do the per-model values and the Qhat assembly: a factory runs them
@@ -242,26 +246,28 @@ class _CandidateFactory:
 
 
 class _Fits:
-    """What both families' fits share: the per-model values and Qhat's parts at x*, on every leading axis.
+    """What both families' fits share: per-model values, Qhat's parts and oracle values at x*, on every leading axis.
 
-    A subclass sets the link h and ``by_slope``, which scales row k of
-    G x* by the slope h'(v_k) (the identity's slope is 1, so the linear
-    rows stay as they are), and gives ``B``, the padded coefficients
-    (K x p per training set), and ``plug_in``: the full model's
-    coefficients beta_full, the padded inverse Grams G (K p x p) and a
-    p x p factor R.  Under both canonical links each candidate's plug-in
-    coefficients are B itself, so with v = h(B x*) the bias is
-    v - h(x*'beta_full) and the Gram factor R (G x*)' diag(h'(v)).
-    The same routines serve one training set (a factory) and a stack of
-    them (the study harness): every product works slice by slice, so a
-    stacked training set keeps the bits of its own factory.  A subclass
-    keeps each failed training set's first error, in the order a lone
-    fit meets them, in ``_errors`` and, once the plug-in is made, in
-    ``_plug_in_errors``, so a set with none is a dictionary miss.
+    A subclass keeps its ``designs``, the family's record, whose link h
+    and ``by_slope`` (which scales row k of G x* by the slope h'(v_k);
+    the identity's slope is 1, so the linear rows stay as they are) it
+    reads, and gives ``B``, the padded coefficients (K x p per training
+    set), ``plug_in``: the full model's coefficients beta_full, the
+    padded inverse Grams G (K p x p) and a p x p factor R, and
+    ``_oracle_fit``: the values of an oracle that is no candidate.
+    Under both canonical links each candidate's plug-in coefficients are
+    B itself, so with v = h(B x*) the bias is v - h(x*'beta_full) and
+    the Gram factor R (G x*)' diag(h'(v)).  The same routines serve one
+    training set (a factory) and a stack of them (the study harness):
+    every product works slice by slice, so a stacked training set keeps
+    the bits of its own factory.  A subclass keeps each failed training
+    set's first error, in the order a lone fit meets them, in
+    ``_errors`` and, once the plug-in is made, in ``_plug_in_errors``,
+    so a set with none is a dictionary miss.
     """
 
     def dims(self) -> np.ndarray:
-        return np.array([model.dim for model in self.models])
+        return self.designs.dims
 
     def fit_error(self, i=()):
         """Training set ``i``'s first fit failure, or None."""
@@ -274,7 +280,17 @@ class _Fits:
 
     def values(self, x_star: np.ndarray) -> np.ndarray:
         """h(B x*): every candidate's value at x*, for every training set."""
-        return self.link(self.B @ x_star)
+        return self.designs.link(self.B @ x_star)
+
+    def oracle_values(self, x_star: np.ndarray, values: np.ndarray):
+        """The designs' oracle's value at x* for every training set, and the failures of its own fit by set.
+
+        ``values`` is ``self.values(x_star)``.  An oracle that is a
+        candidate reads its values; any other is fitted once for the
+        whole stack (``_oracle_fit``), with each set's bits of a lone fit.
+        """
+        k = self.designs.oracle_k
+        return (values[..., k], {}) if k is not None else self._oracle_fit(x_star)
 
     def q_parts(self, x_star: np.ndarray, values: np.ndarray):
         """Qhat's bias and Gram factor at x* for every training set, with ``values`` = ``self.values(x_star)``.
@@ -286,8 +302,8 @@ class _Fits:
         """
         beta_full, G, R = self.plug_in()
         G_x = (G @ x_star).reshape(*values.shape, -1)
-        bias = values - self.link(np.vecdot(x_star, beta_full))[..., None]
-        return bias, R @ self.by_slope(G_x, values).mT
+        bias = values - self.designs.link(np.vecdot(x_star, beta_full))[..., None]
+        return bias, R @ self.designs.by_slope(G_x, values).mT
 
 
 def _design_errors(failed, models, message) -> dict:
@@ -311,62 +327,89 @@ def _full_index(cols, p: int) -> int | None:
 
 
 class _LinearDesigns:
-    """The designs a linear candidate fit factors, and each training set's n-row work on them.
+    """The linear family's record: its link and response law, and the designs its candidate fit factors.
 
-    ``models`` are the K candidates over p columns, ``cols`` their
-    columns and ``full`` the index of the candidate with all p of them,
-    or None.  ``sets`` are the column sets fitted from one factor: the
-    candidates' and, with no full candidate, the full design's when
-    their union is every column, as set K.  ``full`` is then the full
-    design's index among ``sets``, or None when some column is in no
-    candidate and the full design is one more design with its own factor.
+    The link h is the identity (slope 1), and a study's response is
+    eta plus one standard normal draw per row (``respond``); ``rep_ms``
+    is a stacked study replication's cost (``sim_harness._rep_ms``).
+    ``models`` are the K candidates over p columns, ``dims`` their
+    coefficient counts and ``full`` the index of the candidate with all
+    p columns, or None.  ``sets`` are the column sets fitted from one
+    factor: the candidates' and, with no full candidate, the full
+    design's when their union is every column, as set K.  ``full`` is
+    then the full design's index among ``sets``, or None when some
+    column is in no candidate and the full design is one more design
+    with its own factor.  ``oracle``, a study's oracle
+    model or None, is read from the candidates' fit when it is a
+    candidate (``oracle_k``) or the full design; otherwise its own
+    columns (``own``) get a factor of their own.
     """
 
-    def __init__(self, models, p: int):
-        self.models = models
+    link = staticmethod(lambda eta: eta)
+    by_slope = staticmethod(lambda G_x, mu: G_x)  # h' = 1
+    respond = staticmethod(lambda eta, rng: eta + rng.standard_normal(len(eta)))
+    rep_ms = (0.0074, 1.5e-5)
+
+    def __init__(self, models, p: int, oracle: CandidateModel | None = None):
+        self.models, self.dims = models, _dims(models)
         cols = [model.columns for model in models]
         full = _full_index(cols, p)
         self.K, self.p = len(cols), p
         self.sets, self.full, self.union = cols, full, _union(cols)
         if full is None and len(self.union) == p:
             self.sets, self.full = [*cols, range(p)], len(cols)
+        self.oracle, self.oracle_k = oracle, models.index(oracle) if oracle in models else None
+        own = oracle is not None and self.oracle_k is None and oracle.dim < p
+        self.own = oracle.column_indices() if own else None
 
     def reduce(self, X, y):
-        """What one training set (X, y) keeps for the fit: R_aug of [X_U | y], and of [X | y] when the full design has its own."""
+        """What one training set (X, y) keeps for the fit: R factors of [X_U | y], [X | y] and [X_o | y].
+
+        R_aug of [X_U | y]; of [X | y] when the full design has its own
+        factor, else None; and of the oracle's own columns [X_o | y], or
+        None.
+        """
         R_aug = _augmented_r(X, y, self.union) if self.sets else np.zeros((0, 1))
-        return R_aug, None if self.full is not None else _augmented_r(X, y, range(self.p))
+        R_full = None if self.full is not None else _augmented_r(X, y, range(self.p))
+        return R_aug, R_full, None if self.own is None else _augmented_r(X, y, self.own)
 
     def kept(self, n: int) -> int:
         """About how many doubles a fit holds per training set of n rows.
 
-        Its R factors of [X_U | y] and [X | y], each candidate's R_k and
-        the padded inverse Grams of the plug-in, (K + 1) p^2 of them.
+        Its R factors of [X_U | y], [X | y] and an oracle's own columns,
+        each candidate's R_k and the padded inverse Grams of the
+        plug-in, (K + 1) p^2 of them.
         """
         factors = sum(len(cols) ** 2 for cols in self.sets) + (self.K + 1) * self.p**2
-        return (len(self.union) + 1) ** 2 + (self.p + 1) ** 2 + factors
+        own = (len(self.own) + 1) ** 2 if self.own else 0
+        return (len(self.union) + 1) ** 2 + (self.p + 1) ** 2 + own + factors
 
-    def fit(self, R_aug, R_full, n: int):
+    def fit(self, R_aug, R_full, R_own, n: int):
         """``_LinearFits`` on what ``reduce`` kept of one training set, or of a stack of them."""
-        return _LinearFits(self, R_aug, R_full, n)
+        return _LinearFits(self, R_aug, R_full, R_own, n)
+
+
+def _dims(models) -> np.ndarray:
+    """The read-only coefficient counts of ``models``, made once per designs."""
+    dims = np.array([model.dim for model in models])
+    dims.flags.writeable = False
+    return dims
 
 
 class _LinearFits(_Fits):
     """Every linear candidate's OLS fit, from the R factors of one training set or of a stack of them.
 
-    ``R_aug`` and ``R_full`` are what ``designs.reduce`` returns for one
-    training set of n rows, or those factors of many such training sets
-    stacked along leading axes; every array here keeps those axes.  The
-    fit is ``glm_fit._least_squares_from_r``, once for ``designs.sets``
-    and once more for a full design with its own factor.  A training set
-    that failed (in one of the K candidates, or in the full design when
-    it is none of them) has no fit, and ``fit_error`` names its first
-    failing design.  The link is the identity.
+    ``R_aug``, ``R_full`` and ``R_own`` are what ``designs.reduce``
+    returns for one training set of n rows, or those factors of many
+    such training sets stacked along leading axes; every array here
+    keeps those axes.  The fit is ``glm_fit._least_squares_from_r``,
+    once for ``designs.sets`` and once more for a full design with its
+    own factor.  A training set that failed (in one of the K
+    candidates, or in the full design when it is none of them) has no
+    fit, and ``fit_error`` names its first failing design.
     """
 
-    link = staticmethod(lambda eta: eta)
-    by_slope = staticmethod(lambda G_x, mu: G_x)  # h' = 1
-
-    def __init__(self, designs: _LinearDesigns, R_aug, R_full, n: int):
+    def __init__(self, designs: _LinearDesigns, R_aug, R_full, R_own, n: int):
         K, p, f = designs.K, designs.p, designs.full
         B, rss, self.factors, failed = _least_squares_from_r(R_aug, n, p, designs.sets, designs.union)
         B_full, rss_full, self._factors_full = B, rss, self.factors
@@ -377,7 +420,7 @@ class _LinearFits(_Fits):
             failed, f = np.concatenate((failed, failed_full), axis=-1), 0
         elif len(designs.sets) == K:  # the full design is a candidate
             failed = np.concatenate((failed, np.zeros_like(failed[..., :1])), axis=-1)
-        self.models, self._f = designs.models, f
+        self.designs, self.models, self.n, self._f, self._R_own = designs, designs.models, n, f, R_own
         self._errors = _design_errors(
             failed, self.models, lambda k: _fit_failure(n, len(designs.sets[k]) if k < K else p)
         )
@@ -402,7 +445,7 @@ class _LinearFits(_Fits):
         lead = self.B.shape[:-2]
         K, p = self.B.shape[-2:]
         G = np.zeros((*lead, K + 1, p, p))  # row K: the full design when it is not a candidate
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):  # an overflowing G_k fails as a failed inverse does
             for idx, cols, R in self.factors:
                 R_inv = lapack_inv(R)
                 G[..., idx[:, None, None], cols[:, :, None], cols[:, None, :]] = R_inv @ np.swapaxes(R_inv, -1, -2)
@@ -413,6 +456,25 @@ class _LinearFits(_Fits):
         R = np.sqrt(self.sigma2)[..., None, None] * R_full
         self._plug_in = self.beta_full, G[..., :K, :, :].reshape(*lead, K * p, p), R
         return self._plug_in
+
+    def _oracle_fit(self, x_star):
+        """x_o*' beta_o of every training set, beta_o the full design's fit or the oracle's own columns' fit.
+
+        The own columns' factors are reduced once for the stack, as
+        ``ols_fit`` of the oracle's columns reduces its one, and each
+        set's value is its own dot product on a copy of its coefficients,
+        with a lone ``ols_fit``'s bits.
+        """
+        designs, n = self.designs, self.n
+        beta, errors = self.beta_full, {}
+        if designs.own is not None:
+            B, _, _, failed = _least_squares_from_r(self._R_own, n, designs.p, [designs.own], designs.own)
+            beta = B[..., 0, :]
+            errors = _design_errors(failed, [designs.oracle], lambda k: _fit_failure(n, len(designs.own)))
+        cols = designs.oracle.column_indices()
+        with np.errstate(all="ignore"):  # a set that failed its fit may hold anything
+            values = [x_star[cols] @ beta[i][cols] for i in np.ndindex(beta.shape[:-1])]
+        return np.reshape(values, beta.shape[:-1]), errors
 
 
 class LinearQFactory(_CandidateFactory):
@@ -462,17 +524,29 @@ class LinearQFactory(_CandidateFactory):
 
 
 class _LogisticDesigns:
-    """The designs of a logistic candidate fit: a training set keeps its whole (X, y).
+    """The logistic family's record: its link and response law, and the designs of its candidate fit.
 
-    ``models`` are the K candidates over p columns, ``cols`` their
-    columns and ``full`` the index of the candidate with all p of them,
-    or None.
+    The link h is ``expit`` (slope p(1 - p)), and a study's response at
+    row i is 1 when a uniform draw falls below expit(eta_i), else 0
+    (``respond``); ``rep_ms`` is a stacked study replication's cost
+    (``sim_harness._rep_ms``).  A training set keeps its whole (X, y).
+    ``models`` are the K candidates over p columns, ``dims`` their
+    coefficient counts, ``cols`` their columns and ``full`` the index of
+    the candidate with all p of them, or None.  ``oracle``, a study's
+    oracle model or None, is read from the candidates' fit when it is a
+    candidate (``oracle_k``), and is one more MLE otherwise.
     """
 
-    def __init__(self, models, p: int):
-        self.models, self.p = models, p
+    link = staticmethod(expit)
+    by_slope = staticmethod(lambda G_x, p: G_x * (p * (1.0 - p))[..., None])
+    respond = staticmethod(lambda eta, rng: (rng.random(len(eta)) < expit(eta)).astype(float))
+    rep_ms = (0.0061, 1.1e-4)
+
+    def __init__(self, models, p: int, oracle: CandidateModel | None = None):
+        self.models, self.p, self.dims = models, p, _dims(models)
         self.cols = [model.columns for model in models]
         self.full = _full_index(self.cols, p)
+        self.oracle, self.oracle_k = oracle, models.index(oracle) if oracle in models else None
 
     def reduce(self, X, y):
         """What one training set keeps for the fit: its X and y, once the responses are checked."""
@@ -503,16 +577,12 @@ class _LogisticFits(_Fits):
     whole stack: one damped Newton loop whose slices run in lockstep,
     each with the bits of its own lone fit.  A training set's
     ``fit_error`` is the first failure in candidate order, as a factory
-    fitting its candidates in list order raises it.  The link is
-    ``expit``, with slope p(1 - p).
+    fitting its candidates in list order raises it.
     """
-
-    link = staticmethod(expit)
-    by_slope = staticmethod(lambda G_x, p: G_x * (p * (1.0 - p))[..., None])
 
     def __init__(self, designs: _LogisticDesigns, X, y):
         self.models = designs.models
-        self._designs, self.X, self.y = designs, X, y
+        self.designs, self.X, self.y = designs, X, y
         lead, p = X.shape[:-2], X.shape[-1]
         K = len(designs.cols)
         self.B = np.zeros((*lead, K, p))
@@ -547,7 +617,7 @@ class _LogisticFits(_Fits):
         lead, (n, p) = X.shape[:-2], X.shape[-2:]
         K = len(self.models)
         self._plug_in_errors = errors = {}
-        full = self._designs.full
+        full = self.designs.full
         if full is None:
             beta_full, _, _, failures = _mle_fits(X, y)
             errors.update(failures)
@@ -556,20 +626,34 @@ class _LogisticFits(_Fits):
         else:
             beta_full = self.B[..., full, :]
         G = np.zeros((*lead, K, p, p))
-        candidates = zip(self.models, self._designs.cols, self._X_k, self._betas)
+        candidates = zip(self.models, self.designs.cols, self._X_k, self._betas)
         for k, (model, cols, X_k, beta) in enumerate(candidates):
             R_k, rejected = _weighted_r(X_k, beta)
-            with np.errstate(invalid="ignore"):
+            with np.errstate(invalid="ignore", over="ignore"):
                 R_inv = lapack_inv(R_k)
-            # the guard and a failed inverse word the same error
-            rejected |= ~np.isfinite(R_inv).all(axis=(-2, -1))
+                M_inv = R_inv @ np.swapaxes(R_inv, -1, -2)
+            # the guard, a failed inverse and an overflowing M_k^{-1} word the same error;
+            # a non-finite entry of R_inv reaches M_inv's diagonal
+            rejected |= ~np.isfinite(M_inv).all(axis=(-2, -1))
             _record(errors, rejected, lambda: SingularDesignError(_fit_failure(n, len(cols)), model=model))
             at = np.array(cols)
-            G[..., k, at[:, None], at] = R_inv @ np.swapaxes(R_inv, -1, -2)
+            G[..., k, at[:, None], at] = M_inv
             if k == full:
                 R_w = R_k
         self._plug_in = beta_full, G.reshape(*lead, K * p, p), R_w
         return self._plug_in
+
+    def _oracle_fit(self, x_star):
+        """expit(x_o*' beta_o) of every training set and the failures, beta_o the oracle's MLE.
+
+        One ``_mle_fits`` over the stack's ``X[..., cols]``, the layout of
+        the candidates' own fits, so each training set keeps the bits of
+        a lone ``logistic_mle`` of its ``X[:, cols]``.
+        """
+        oracle = self.designs.oracle
+        cols = oracle.column_indices()
+        beta, _, _, failures = _mle_fits(self.X[..., cols], self.y, model=oracle)
+        return expit(np.vecdot(x_star[cols], beta)), failures
 
 
 def _record(errors: dict, failed, error) -> None:

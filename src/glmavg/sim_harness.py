@@ -15,11 +15,17 @@ candidate set and schemes, the oracle model and the cell's stream tags.
 Both studies build and check every cell's config first, so a bad cell
 (a negative seed included) raises before the first replication; one
 private runner then simulates the cells and writes one summary row per
-estimate column.  The oracle column is the oracle model's own fit on
-each replication's draws, at x*: the candidates' fit when the oracle is
-a candidate or, in the linear family, the full design, else one
-``ols_fit`` of its columns (linear) or one more MLE of its columns for
-the whole stack (logistic), with the bits of a lone ``logistic_mle``.
+estimate column.  The harness never branches on the family: each
+family's designs (``_PREDICTORS[family]._Designs``) are its one record,
+with its link (``truth``), its response law (``_draw``), its cost per
+replication (``_rep_ms``) and its oracle fit.  The oracle column is the
+oracle model's own fit on each replication's draws, at x*, which the
+stack's fit gives (``_Fits.oracle_values``): the candidates' values
+when the oracle is a candidate, the linear fit's ``beta_full`` when it
+is the full design, else its own fit for the whole stack (linear: each
+replication's R factor of its columns, reduced once per stack;
+logistic: one more stacked MLE), with the bits of a lone ``ols_fit``
+or ``logistic_mle``.
 Replication r draws its design and response from the stream
 ``substream(seed, *tags, r)``, keyed once per cell, so reports are
 byte-identical across runs and across worker counts; a stack draws a
@@ -33,17 +39,18 @@ runs in the calling process and the others in forked worker processes
 run serially when ``workers`` is 1, when the process may use one CPU
 only, off Linux, while another Python thread is alive, or when a
 block's estimated work (``_rep_ms``) is below the study's floor of work
-per process (``_FORK_FLOOR_MS``, by family).  In
-a block (``_run_block``), the replications that share a design (the
-family, n, the candidates and x*) are stacked together, across cells, so the
-cells of a beta3 grid share their stacks; each group is cut into
+per process (``_FORK_FLOOR_MS``).  In a block (``_run_block``), the
+replications that share a design (the family, n, the candidates, the
+oracle and x*) are stacked together, across cells, so the cells of a
+beta3 grid share their stacks; each group is cut into
 stacks by ``averaging._stacks`` (the fewest of up to
 ``averaging._STACK_REPS``, whatever the family, their sizes differing by
 one at most) and run through one routine (``_fit_stack``).  Each
 replication draws its data and keeps what its family's fit needs: a
-linear one factors [X_U | y] on its n rows, a logistic one keeps its
-design and response.  The stack is then fitted at once
-(``averaging._fit_average_stack``, which ``band`` runs too), with one
+linear one factors [X_U | y] on its n rows (and an oracle's own
+columns), a logistic one keeps its design and response.  The stack is
+then fitted at once (``averaging._fit_average_stack``, which ``band``
+runs too), with one
 LAPACK call per model size (linear) or one damped Newton loop per
 candidate (logistic), and one inverse per model size or candidate for
 the plug-in.  One averaging pass
@@ -76,39 +83,26 @@ from .averaging import (
 from ._forked import run_replications
 from .errors import DataError, GlmavgError, _returned
 from .glm_fit import (
-    _mle_fits,
-    expit,
-    logistic_mle,  # no longer called here; perfbench/tracer.py looks it up here
+    # no longer called here; perfbench/tracer.py looks them up here
+    logistic_mle,
     ols_fit,
     require_finite,
 )
 from .model_space import CandidateModel, ModelSet, nested_sequence
 from .rng import _checked_keys, _stack_streams, substream
 
-# One stacked replication's milliseconds, per candidate and per design
-# entry (n x p), by family, for the floor of work per process below.
-# Fitted to the added cost of a replication in cells of 50 and 200, each
-# cell one stack (BLAS on one thread, 2-core x86-64 VM, two runs of
-# medians of 21): linear, Study I case A at n = 100 / 1000 / 3000 0.066
-# / 0.200 / 0.50 ms (model: 0.067 / 0.201 / 0.500), Study II case A at
-# n = 100 0.036 (0.035); logistic, Study II case A at n = 100 / 400 /
-# 1000 0.068 / 0.205 / 0.46 (0.068 / 0.200 / 0.464), the Study I ladder
-# with an oracle of its own at n = 200 / 1000 0.36 / 1.46 (0.257 /
-# 1.144), in stacks that ``_STACK_DOUBLES`` cuts.
-# ``tools/fork_floor.py`` prints the estimate beside each run.
-_REP_MS = {"linear": (0.0074, 1.5e-5), "logistic": (0.0061, 1.1e-4)}
-# A study forks a block only when its estimated work (``_REP_MS``) reaches
-# this many milliseconds, by family.  ``tools/fork_floor.py`` (four runs,
-# medians of 31 each, BLAS on one thread, 2-core x86-64 VM), forked time
-# over serial time by estimated block work, on two Study II case A cells:
-# linear 1.08-1.14 at 1.78 ms (50 a cell), 1.00-1.07 at 2.14 ms (60),
-# 0.94-1.03 at 2.49 ms (70), 0.91 at 2.85 ms (80), 0.87-0.91 from 3.2 ms
-# up; logistic 1.10 at 1.71 ms (25), 1.01-1.02 at 2.05 ms (30), 0.93-0.98
-# at 2.39 ms (35), 0.87-0.93 at 2.74 ms (40); 0.53-0.78 from 4.8 ms up
-# (the stock grids, criterion 7's Study I run).  An empty 2-block fork
-# costs about 1.5 ms.  Both families break even near 2.1 ms, and a block
-# that only breaks even keeps to one process.
-_FORK_FLOOR_MS = {"linear": 2.3, "logistic": 2.3}
+# A study forks a block only when its estimated work (``_rep_ms``) reaches
+# this many milliseconds.  ``tools/fork_floor.py`` (four runs, medians of
+# 31 each, BLAS on one thread, 2-core x86-64 VM), forked time over serial
+# time by estimated block work, on two Study II case A cells: linear
+# 1.08-1.14 at 1.78 ms (50 a cell), 1.00-1.07 at 2.14 ms (60), 0.94-1.03
+# at 2.49 ms (70), 0.91 at 2.85 ms (80), 0.87-0.91 from 3.2 ms up;
+# logistic 1.10 at 1.71 ms (25), 1.01-1.02 at 2.05 ms (30), 0.93-0.98 at
+# 2.39 ms (35), 0.87-0.93 at 2.74 ms (40); 0.53-0.78 from 4.8 ms up (the
+# stock grids, criterion 7's Study I run).  An empty 2-block fork costs
+# about 1.5 ms.  Both families break even near 2.1 ms, and a block that
+# only breaks even keeps to one process.
+_FORK_FLOOR_MS = 2.3
 
 REPORT_COLUMNS = (
     "case",
@@ -143,14 +137,18 @@ STUDY2_BETA3_GRID = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5)
 class StudyConfig:
     """One Monte Carlo cell: a data-generating process plus estimation settings.
 
-    ``oracle``, when given, adds an "oracle" estimate column: that
-    model's own fit on each replication's draws, read from the candidates'
-    fit when the oracle is a candidate or, in the linear family, the full
-    design (the fit's ``beta_full``), and otherwise fitted on the
-    oracle's columns alone, then evaluated at x* through the family's
-    link, as ``truth`` is.  ``tags`` key the cell's streams (replication r draws
-    from ``substream(seed, *tags, r)``; the keys are hashed once, here)
-    and name a failing replication.
+    ``family`` names one of ``averaging._PREDICTORS``, whose ``_Designs``
+    are the family's record: ``truth`` is the family's link at x*'beta,
+    and a replication's response follows its response law.  ``oracle``,
+    when given, adds an "oracle" estimate column: that model's own fit
+    on each replication's draws at x*, through the family's link, as
+    ``truth`` is.  The designs take the oracle and fit it with the
+    stack (``_Fits.oracle_values``): they read the candidates' fit when
+    the oracle is a candidate or, in the linear family, the full design
+    (the fit's ``beta_full``), and otherwise fit the oracle's columns
+    alone.  ``tags`` key the cell's streams (replication r draws from
+    ``substream(seed, *tags, r)``; the keys are hashed once, here) and
+    name a failing replication.
     The cell is checked here, so a bad one raises ``DataError`` before
     any draw: the oracle must share the candidate set's ``p_fixed`` and
     index only below its ``q``, and the seed and integer tags must be
@@ -174,8 +172,10 @@ class StudyConfig:
     tags: tuple = ()
 
     def __post_init__(self):
-        if self.family not in ("linear", "logistic"):
+        if self.family not in _PREDICTORS:
             raise DataError(f"unknown family {self.family!r}")
+        # the family's record: its link, response law and designs
+        object.__setattr__(self, "_family", _PREDICTORS[self.family]._Designs)
         beta = np.array(self.beta_true, dtype=float)
         x = np.array(self.x_star, dtype=float)
         total = self.candidate_set.p_fixed + self.candidate_set.q
@@ -204,11 +204,9 @@ class StudyConfig:
             )
         # the cell's stream keys, hashed once: replication r draws from substream(*keys, r)
         object.__setattr__(self, "_keys", _checked_keys(self.seed, *self.tags))
-        # the oracle's index among the candidates, or None
-        models = self.candidate_set.models
-        object.__setattr__(self, "_oracle_k", models.index(self.oracle) if self.oracle in models else None)
-        # what the replications of one stack share: the family, n, the candidates and x* (hence p)
-        object.__setattr__(self, "_design", (self.family, self.n, tuple(models), x.tobytes()))
+        # what the replications of one stack share: the family, n, the candidates, the oracle and x* (hence p)
+        models = tuple(self.candidate_set.models)
+        object.__setattr__(self, "_design", (self.family, self.n, models, self.oracle, x.tobytes()))
         beta.flags.writeable = False
         x.flags.writeable = False
         object.__setattr__(self, "beta_true", beta)
@@ -216,8 +214,7 @@ class StudyConfig:
 
     @property
     def truth(self) -> float:
-        eta = float(self.x_star @ self.beta_true)
-        return float(expit(eta)) if self.family == "logistic" else eta
+        return float(self._family.link(float(self.x_star @ self.beta_true)))
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -248,64 +245,28 @@ class StudyReport:
 # ---------------------------------------------------------------------------
 
 
-def _draw(config: StudyConfig, rep: int, rng: np.random.Generator | None = None):
-    """Replication ``rep``'s design and response, from the stream ``substream(seed, *tags, rep)``.
+def _draw(config: StudyConfig, rep: int, rng: np.random.Generator):
+    """Replication ``rep``'s design and response, from ``rng``: the stream ``substream(seed, *tags, rep)``, unread.
 
-    ``rng`` is that stream, unread, when the caller has it (``_fit_stack``
-    re-keys one generator per cell of a stack); without it, it is built here.
+    ``_fit_stack`` re-keys one generator per cell of a stack.  The
+    response follows the family's law (``_Designs.respond``) about
+    eta = X beta.
     """
-    if rng is None:
-        rng = substream(*config._keys, rep)
     n = config.n
     X = np.column_stack([np.ones(n), rng.standard_normal((n, config.beta_true.shape[0] - 1))])
-    eta = X @ config.beta_true
-    if config.family == "linear":
-        y = eta + rng.standard_normal(n)
-    else:
-        y = (rng.random(n) < expit(eta)).astype(float)
-    return X, y
-
-
-def _own_oracle(config: StudyConfig) -> bool:
-    """Whether the oracle needs a fit of its own: it is neither a candidate nor, in the linear family, the full design."""
-    oracle = config.oracle
-    if oracle is None or config._oracle_k is not None:
-        return False
-    return config.family == "logistic" or oracle.dim < config.x_star.shape[0]
-
-
-def _linear_oracle(config: StudyConfig, X: np.ndarray, y: np.ndarray):
-    """A linear oracle's value at x* from one ``ols_fit`` of its own columns on (X, y), or its error."""
-    cols = config.oracle.column_indices()
-    try:
-        # through this module's ols_fit: the name perfbench/tracer.py wraps
-        return float(config.x_star[cols] @ ols_fit(X[:, cols], y, model=config.oracle).beta)
-    except GlmavgError as exc:
-        return exc
-
-
-def _logistic_oracle(oracle: CandidateModel, X: np.ndarray, y: np.ndarray, x_star: np.ndarray):
-    """A logistic oracle's value at x* on every training set of the stack (X, y), and its failures.
-
-    One ``_mle_fits`` over the stack's ``X[..., cols]``, the layout of
-    the candidates' own fits, so each training set keeps the bits of a
-    lone ``logistic_mle`` of its ``X[:, cols]``.
-    """
-    cols = list(oracle.columns)
-    beta, _, _, failures = _mle_fits(X[..., cols], y, model=oracle)
-    return expit(np.vecdot(x_star[cols], beta)), failures
+    return X, config._family.respond(X @ config.beta_true, rng)
 
 
 def _fit_stack(designs, members, rows: list, failures: dict) -> None:
     """Fit and average a stack of replications that share a design; fill ``rows`` and ``failures``.
 
-    ``designs`` are the family designs (the predictor's ``_Designs``)
-    and ``members`` (position, config, rep) triples whose configs share
-    the family, n, the candidates and x*; they may come from several
-    cells.  Each replication draws its data and keeps what the fit needs
-    (``designs.reduce``: a linear replication its n-row QRs, a logistic
-    one its design and response), and a linear oracle of its own is
-    fitted while it has its draws (``_linear_oracle``).  Then one
+    ``designs`` are the family's designs (the predictor's ``_Designs``,
+    with the configs' oracle) and ``members`` (position, config, rep)
+    triples whose configs share the family, n, the candidates, the
+    oracle and x*; they may come from several cells.  Each replication
+    draws its data and keeps what the fit needs (``designs.reduce``: a
+    linear replication its n-row QRs, an oracle's of its own columns
+    among them, a logistic one its design and response).  Then one
     stacked fit and one averaging pass (``averaging._fit_average_stack``,
     the routine ``band`` runs too) make every candidate's fit for all of
     them at once (the linear QRs, guards and solves with one LAPACK call
@@ -313,13 +274,11 @@ def _fit_stack(designs, members, rows: list, failures: dict) -> None:
     candidate), the per-model values, Q-hat, the AIC weights and, from
     ``averaging._LOCKSTEP_MIN`` replications up, the weight solves; only
     the weighted sums and any lone solves run per replication.  The
-    oracle column reads the stack's values when the oracle is a
-    candidate, the stack's ``beta_full`` when it is the linear full
-    design, and one more stacked MLE when it is a logistic model of its
-    own (``_logistic_oracle``).  Every estimate keeps the bits of one
-    predictor fitted per replication.  A replication's ``GlmavgError``
-    goes to ``failures[position]``: the first raised in the order of a
-    lone replication (its draw, its fit, its schemes in order, then its
+    oracle column is the fit's ``oracle_values``, made once for the
+    stack.  Every estimate keeps the bits of one predictor fitted per
+    replication.  A replication's ``GlmavgError`` goes to
+    ``failures[position]``: the first raised in the order of a lone
+    replication (its draw, its fit, its schemes in order, then its
     oracle).
     """
     cell_reps = {}
@@ -327,7 +286,7 @@ def _fit_stack(designs, members, rows: list, failures: dict) -> None:
         cell_reps.setdefault(config, []).append(rep)
     # each cell's streams, one re-keyed generator per cell (``rng._stack_streams``)
     streams = {config: _stack_streams(config._keys, reps) for config, reps in cell_reps.items()}
-    drawn, parts, oracles = [], [], []
+    drawn, parts = [], []
     for position, config, rep in members:
         try:
             X, y = _draw(config, rep, next(streams[config]))
@@ -337,29 +296,17 @@ def _fit_stack(designs, members, rows: list, failures: dict) -> None:
             failures[position] = exc
             continue
         drawn.append((position, config))
-        oracles.append(_linear_oracle(config, X, y) if config.family == "linear" and _own_oracle(config) else None)
     if not drawn:
         return
     first = drawn[0][1]
     schemes = [config.schemes for _, config in drawn]
     fits, slices, values, results = _fit_average_stack(designs, parts, first.n, first.x_star, schemes)
-    own = {}  # a logistic oracle of its own -> its values and failures over the stack
-    for (position, config), i, result, oracle in zip(drawn, slices, results, oracles):
+    oracle, oracle_failures = (None, {}) if designs.oracle is None else fits.oracle_values(first.x_star, values)
+    for (position, _), i, result in zip(drawn, slices, results):
         try:
             estimates = [estimate for estimate, *_ in _returned(result)]
-            if config._oracle_k is not None:
-                # the oracle is a candidate, so the stack has fit it already
-                estimates.append(float(values[i][config._oracle_k]))
-            elif config.family == "linear" and _own_oracle(config):
-                estimates.append(_returned(oracle))
-            elif config.oracle is not None and config.family == "linear":
-                # the full design, which the linear fit has fit already
-                estimates.append(float(config.x_star[config.oracle.column_indices()] @ fits.beta_full[i]))
-            elif config.oracle is not None:
-                if config.oracle not in own:
-                    own[config.oracle] = _logistic_oracle(config.oracle, fits.X, fits.y, config.x_star)
-                oracle_values, oracle_failures = own[config.oracle]
-                estimates.append(float(_returned(oracle_failures.get(i, oracle_values[i]))))
+            if oracle is not None:
+                estimates.append(float(_returned(oracle_failures.get(i, oracle[i]))))
             rows[position] = estimates
         except GlmavgError as exc:
             failures[position] = exc
@@ -387,7 +334,7 @@ def _run_block(cells) -> list[list[float]]:
         groups.setdefault(config._design, []).append((position, config, rep))
     for members in groups.values():
         config = members[0][1]
-        designs = _PREDICTORS[config.family]._Designs(config.candidate_set.models, config.x_star.shape[0])
+        designs = config._family(config.candidate_set.models, config.x_star.shape[0], config.oracle)
         for stack in _stacks(designs, config.n, members):
             if failures and stack[0][0] > min(failures):
                 break  # an earlier replication has failed already
@@ -425,21 +372,32 @@ def _simulate(configs, workers: int) -> list[dict[str, np.ndarray]]:
 
 
 def _block_cap(configs) -> int:
-    """The most blocks a study of ``configs`` is split into: each must hold its floor of work.
+    """The most blocks a study of ``configs`` is split into: each must hold ``_FORK_FLOOR_MS`` of work.
 
     A block's estimated work is its length times the cells' mean
-    ``_rep_ms``, and the floor the largest ``_FORK_FLOOR_MS`` of their
-    families.
+    ``_rep_ms``.
     """
     n = len(configs) * configs[0].n_reps
     mean_ms = sum(map(_rep_ms, configs)) / len(configs)
-    floor = max(_FORK_FLOOR_MS[config.family] for config in configs)
-    return max(1, int(n * mean_ms / floor))
+    return max(1, int(n * mean_ms / _FORK_FLOOR_MS))
 
 
 def _rep_ms(config: StudyConfig) -> float:
-    """An estimate of one replication's milliseconds in a stack of ``config``'s cell."""
-    per_model, per_entry = _REP_MS[config.family]
+    """An estimate of one replication's milliseconds in a stack of ``config``'s cell.
+
+    Its family's ``rep_ms`` gives the milliseconds per candidate and per
+    design entry (n x p), fitted to the added cost of a replication in
+    cells of 50 and 200, each cell one stack (BLAS on one thread, 2-core
+    x86-64 VM, two runs of medians of 21): linear, Study I case A at
+    n = 100 / 1000 / 3000 0.066 / 0.200 / 0.50 ms (model: 0.067 / 0.201
+    / 0.500), Study II case A at n = 100 0.036 (0.035); logistic, Study
+    II case A at n = 100 / 400 / 1000 0.068 / 0.205 / 0.46 (0.068 /
+    0.200 / 0.464), the Study I ladder with an oracle of its own at
+    n = 200 / 1000 0.36 / 1.46 (0.257 / 1.144), in stacks that
+    ``_STACK_DOUBLES`` cuts.  ``tools/fork_floor.py`` prints the
+    estimate beside each run.
+    """
+    per_model, per_entry = config._family.rep_ms
     return per_model * len(config.candidate_set.models) + per_entry * config.n * config.x_star.shape[0]
 
 

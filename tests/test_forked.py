@@ -88,7 +88,7 @@ def test_earliest_failure_wins(monkeypatch, deadline, fork_any_work, failing, fi
     model = CandidateModel((0, 1), 1)
     original = sim_harness._draw
 
-    def failing_draw(config, rep, rng=None):
+    def failing_draw(config, rep, rng):
         if rep in failing:
             raise NonConvergenceError(f"separated at rep {rep}", model=model, iterations=rep)
         return original(config, rep, rng)
@@ -195,12 +195,12 @@ def test_blocks_below_the_floor_run_in_the_calling_process(monkeypatch, deadline
     cell = _study2_cell("linear", 6)
     # 6 replications on 2 workers: blocks of 3, a floor 0.1% over a block's estimate
     block_ms = 3 * sim_harness._rep_ms(cell)
-    monkeypatch.setattr(sim_harness, "_FORK_FLOOR_MS", {"linear": block_ms * 1.001})
+    monkeypatch.setattr(sim_harness, "_FORK_FLOOR_MS", block_ms * 1.001)
     monkeypatch.setattr(os, "fork", refuse_fork)
     serial = sim_harness.simulate_cell(cell, workers=2)
     monkeypatch.undo()
     # a floor 0.1% under a block's estimate: the block of 3 is forked
-    monkeypatch.setattr(sim_harness, "_FORK_FLOOR_MS", {"linear": block_ms * 0.999})
+    monkeypatch.setattr(sim_harness, "_FORK_FLOOR_MS", block_ms * 0.999)
     forks = counted_forks(monkeypatch)
     forked = sim_harness.simulate_cell(cell, workers=2)
     assert len(forks) == 1
@@ -258,7 +258,7 @@ def test_a_study_forks_only_above_the_floor(monkeypatch, deadline, study, n_reps
     cells, run = _study(study, n_reps)
     # a 2-worker block holds n_reps replications, one of each cell per rep
     block_ms = n_reps * sum(map(sim_harness._rep_ms, cells)) / len(cells)
-    assert (block_ms >= sim_harness._FORK_FLOOR_MS[cells[0].family]) == bool(forks)
+    assert (block_ms >= sim_harness._FORK_FLOOR_MS) == bool(forks)
     called = counted_forks(monkeypatch)
     forked = run(2)
     monkeypatch.undo()
@@ -342,7 +342,7 @@ from glmavg import run_study2
 serial = run_study2("logistic", beta3_grid=(0.05, 0.5), n_reps=4, workers=1).rows
 assert glmavg.cli.main(["study1", "--n-grid", "60", "--reps", "3", "--workers", "1"]) == 0
 print(_forked._blas_calls.cache_info().currsize)
-sim_harness._FORK_FLOOR_MS = dict.fromkeys(sim_harness._FORK_FLOOR_MS, 1e-9)
+sim_harness._FORK_FLOOR_MS = 1e-9
 forked = run_study2("logistic", beta3_grid=(0.05, 0.5), n_reps=4, workers=2).rows
 looked = _forked._blas_calls.cache_info().currsize == 1  # the forked path looks for OpenBLAS
 print(forked == serial, looked == (len(os.sched_getaffinity(0)) > 1), _forked._blas_calls())

@@ -353,6 +353,29 @@ def test_a_failed_inverse_gram_is_a_singular_design_error(factory, monkeypatch):
     assert excinfo.value.model == models[0]
 
 
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "factory, predictor_class",
+    [(LinearQFactory, LinearAveragingPredictor), (LogisticQFactory, LogisticAveragingPredictor)],
+    ids=["linear", "logistic"],
+)
+def test_an_overflowing_plug_in_is_a_singular_design_error(factory, predictor_class):
+    # At an overall scale of 1e-200 every candidate fits (a logistic score is below
+    # SCORE_TOL at beta = 0), and each inverse Gram R_k^{-1} R_k^{-T} overflows: a lone
+    # q_form and an optimal predict name the first candidate, with no warning, and aic
+    # still answers
+    X, y, _ = TestBuildQLogistic._instance(28)
+    X = X * 1e-200
+    models = list(enumerate_all_subsets(1, 3))
+    predictor = predictor_class(X, y, models)
+    for call in (lambda: factory(X, y, models).q_form(X[0]), lambda: predictor.predict(X[0], "optimal")):
+        with pytest.raises(SingularDesignError) as excinfo:
+            call()
+        assert str(excinfo.value) == glm_fit.RANK_DEFICIENT_MESSAGE
+        assert excinfo.value.model == models[0]
+    assert np.isfinite(predictor.predict(X[0], "aic").value)
+
 class TestBuildQLogistic:
     @staticmethod
     def _instance(seed, n=100, q=3):

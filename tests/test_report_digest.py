@@ -24,7 +24,7 @@ def report_digest(monkeypatch):
     "name",
     [
         "study1_B", "study2_linear_B", "study2_logistic_A", "study2_logistic_B", "thin_study2", "band_5",
-        "study2_wide_seed", "band_wide_seed", "cv_aic",
+        "study2_wide_seed", "band_wide_seed", "cv_aic", "oracle_paths",
     ],
 )
 def test_a_tiny_calls_digest_is_the_same_at_one_and_two_workers(report_digest, name):
@@ -109,3 +109,25 @@ def test_the_wide_seed_calls_key_their_streams_past_one_word(report_digest, monk
         report_digest.CALLS[name](3, 1)
         assert prefixes and all(prefix[0] >= 2**32 for prefix in prefixes), name
     assert {prefix[0] for prefix in prefixes} == {2**32 + 5, 2**63 + 6, 2**64 + 7}
+
+
+def test_oracle_paths_covers_every_oracle_source(report_digest):
+    sources = []
+    for config in report_digest.oracle_configs(2):
+        designs = config._family(config.candidate_set.models, 4, config.oracle)
+        if designs.oracle_k is not None:
+            sources.append("candidate")
+        elif config.family == "logistic":
+            assert config.oracle.dim < 4
+            sources.append("logistic")
+        elif designs.own is None:
+            sources.append("full, union factor" if designs.full is not None else "full, own factor")
+        else:
+            sources.append("own, inside union" if set(designs.own) <= set(designs.union) else "own, outside union")
+    assert sources == [
+        "candidate", "full, union factor", "full, own factor", "own, inside union", "own, outside union", "logistic",
+    ]
+    rows = report_digest.CALLS["oracle_paths"](3, 1).rows
+    assert [(row["cell"], row["column"], row["rep"]) for row in rows] == [
+        (cell, column, rep) for cell in range(6) for column in ("optimal", "aic", "oracle") for rep in range(3)
+    ]

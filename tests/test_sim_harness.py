@@ -359,19 +359,31 @@ class TestSimulateCell:
         # draw the same data, so the oracle column must agree.  Only the
         # logistic case B refits the oracle, once for the whole stack: a
         # linear fit has fit the full design already, for beta_full.
-        import glmavg.sim_harness as sim_harness
-
+        owner = sim_harness if family == "linear" else mse_weights
         calls = []
-        original = getattr(sim_harness, refit)
+        original = getattr(owner, refit)
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
+        def uncounted(method):
+            # the candidates' MLEs and the plug-in's full-model MLE are the fit's own, not the oracle's
+            def call(fits, *args):
+                monkeypatch.setattr(owner, refit, original)
+                try:
+                    return method(fits, *args)
+                finally:
+                    monkeypatch.setattr(owner, refit, counted)
+
+            return call
+
         def no_lone_fit(*args, **kwargs):
             raise AssertionError("a study oracle is fitted with its stack, not alone")
 
-        monkeypatch.setattr(sim_harness, refit, counted)
+        monkeypatch.setattr(owner, refit, counted)
+        for name in ("__init__", "plug_in"):
+            monkeypatch.setattr(mse_weights._LogisticFits, name, uncounted(getattr(mse_weights._LogisticFits, name)))
         monkeypatch.setattr(sim_harness, "logistic_mle", no_lone_fit)
         oracle = CandidateModel((0, 1, 2), 1)
         out = {}
@@ -391,6 +403,19 @@ class TestSimulateCell:
             out[case] = simulate_cell(config)["oracle"]
             assert len(calls) == (1 if (case, family) == ("B", "logistic") else 0)
         np.testing.assert_allclose(out["A"], out["B"], rtol=1e-12, atol=0)
+
+    def test_study1_case_b_calls_no_ols_fit(self, monkeypatch):
+        # case B's oracle is neither a candidate nor the full design: each replication
+        # factors its columns, and the stack reduces those factors at once
+        import glmavg.glm_fit as glm_fit
+
+        def no_ols_fit(*args, **kwargs):
+            raise AssertionError("ols_fit was called")
+
+        for module in (glm_fit, sim_harness):
+            monkeypatch.setattr(module, "ols_fit", no_ols_fit)
+        report = run_study1(n_grid=(60, 200), cases=("B",), n_reps=9, seed=7)
+        assert [row["scheme"] for row in report.rows] == ["optimal", "oracle"] * 2
 
     def test_linear_full_oracle_reads_the_predictors_full_fit(self, monkeypatch):
         # Study II case B's candidates span 3 of the 4 columns, so the
@@ -605,7 +630,7 @@ class TestOneRunPerStudy:
         model = CandidateModel((0,), 1)
         original = sim_harness._draw
 
-        def failing_draw(config, rep, rng=None):
+        def failing_draw(config, rep, rng):
             if (config.tags[-1], rep) in failing:
                 raise NonConvergenceError(f"separated at rep {rep}", model=model, iterations=rep)
             return original(config, rep, rng)
@@ -666,6 +691,11 @@ def _linear_cells(n_reps=20):
         for case in "AB"
     ]
     return study1 + study2
+
+
+def _stream(config, rep):
+    """Replication ``rep``'s stream, unread, for a draw outside a stack."""
+    return substream(*config._keys, rep)
 
 
 STACK_SIZES = pytest.mark.parametrize("stack", [1, 7, 10**6], ids=["stack-1", "stack-7", "one-stack"])
@@ -741,7 +771,7 @@ class TestStackedLinearFits:
         # check's margin, so that replication alone is guarded one model size at a time
         original = sim_harness._draw
 
-        def draw(config, rep, rng=None):
+        def draw(config, rep, rng):
             X, y = original(config, rep, rng)
             if rep == 3:
                 X = X.copy()
@@ -752,7 +782,9 @@ class TestStackedLinearFits:
         monkeypatch.setattr(averaging, "_STACK_REPS", stack)
         config = _linear_cells(n_reps=9)[2]  # Study I case B, n = 60
         got = simulate_cell(config)
-        expected = np.array([linear_estimates_reference(config, *draw(config, rep)) for rep in range(9)])
+        expected = np.array(
+            [linear_estimates_reference(config, *draw(config, rep, _stream(config, rep))) for rep in range(9)]
+        )
         for c, column in enumerate(config.columns):
             assert got[column].tobytes() == expected[:, c].tobytes()
 
@@ -761,7 +793,7 @@ class TestStackedLinearFits:
     def test_a_singular_design_raises_what_its_predictor_raises(self, monkeypatch, stack, workers):
         original = sim_harness._draw
 
-        def draw(config, rep, rng=None):
+        def draw(config, rep, rng):
             X, y = original(config, rep, rng)
             if rep in (4, 7):
                 X = X.copy()
@@ -772,7 +804,7 @@ class TestStackedLinearFits:
         monkeypatch.setattr(averaging, "_STACK_REPS", stack)
         config = _linear_cells(n_reps=9)[2]
         with pytest.raises(SingularDesignError) as direct:
-            LinearAveragingPredictor(*draw(config, 4), config.candidate_set)
+            LinearAveragingPredictor(*draw(config, 4, _stream(config, 4)), config.candidate_set)
         with pytest.raises(SingularDesignError) as excinfo:
             simulate_cell(config, workers=workers)
         assert str(excinfo.value) == f"{direct.value} in replication ('study1', 'B', 60, rep 4)"
@@ -797,7 +829,7 @@ class TestStackedLinearFits:
         original_stack = _lockstep._solve_stack
         target = {}
 
-        def draw(config, rep, rng=None):
+        def draw(config, rep, rng):
             X, y = original_draw(config, rep, rng)
             if (config.tags[-1], rep) == singular_at:
                 X = X.copy()
@@ -927,7 +959,7 @@ class TestStackedLogisticFits:
         """
         original = sim_harness._draw
 
-        def draw(config, rep, rng=None):
+        def draw(config, rep, rng):
             X, y = original(config, rep, rng)
             defect = defects.get(rep)
             if defect == "constant":
@@ -957,10 +989,10 @@ class TestStackedLogisticFits:
         lone = {}
         for rep in defects:
             with pytest.raises(NumericalError) as info:
-                logistic_estimates_reference(config, *draw(config, rep))
+                logistic_estimates_reference(config, *draw(config, rep, _stream(config, rep)))
             lone[defects[rep]] = info.value
             # the error a loop over the candidates' own MLEs meets first, in list order
-            X, y = draw(config, rep)
+            X, y = draw(config, rep, _stream(config, rep))
             with pytest.raises(NumericalError) as first:
                 for model in config.candidate_set.models:
                     logistic_mle(X[:, model.column_indices()], y, model=model)
@@ -987,7 +1019,7 @@ class TestStackedLogisticFits:
         config = _logistic_cells(n_reps=12)[2]  # case B: the plug-in fits the full design too
         predictor_class = sim_harness._PREDICTORS["logistic"]
         designs = predictor_class._Designs(config.candidate_set.models, 4)
-        draws = [draw(config, rep) for rep in range(12)]
+        draws = [draw(config, rep, _stream(config, rep)) for rep in range(12)]
         fits = designs.fit(np.stack([X for X, _ in draws]), np.stack([y for _, y in draws]), config.n)
         _, results = averaging._average_stack(fits, config.x_star, [config.schemes] * 12)
 
@@ -1148,7 +1180,7 @@ class TestCrossCellStacks:
         # workers=1: one replication fails its fit, one of the other cell its plug-in alone
         original = sim_harness._draw
 
-        def draw(config, rep, rng=None):
+        def draw(config, rep, rng):
             X, y = original(config, rep, rng)
             if (config.tags[-1], rep) == fit_at:
                 y = np.ones_like(y)  # no candidate has an MLE
@@ -1163,7 +1195,7 @@ class TestCrossCellStacks:
         for beta3, rep in (fit_at, plug_in_at):
             config = next(config for config in cells if config.tags[-1] == beta3)
             with pytest.raises(NumericalError) as info:
-                logistic_estimates_reference(config, *draw(config, rep))
+                logistic_estimates_reference(config, *draw(config, rep, _stream(config, rep)))
             lone[beta3, rep] = info.value
         assert "degenerate" in str(lone[fit_at]) and lone[fit_at].model is not None
         assert "singular Hessian" in str(lone[plug_in_at]) and lone[plug_in_at].model is None
@@ -1222,7 +1254,7 @@ class TestLockstepSolve:
         # (logistic); the other replications of its stack are solved in lockstep
         original = sim_harness._draw
 
-        def draw(config, rep, rng=None):
+        def draw(config, rep, rng):
             X, y = original(config, rep, rng)
             if rep == 7:
                 if config.family == "linear":
@@ -1258,7 +1290,7 @@ class TestStreamKeys:
 
         original = sim_harness._draw
 
-        def draw(config, rep, rng=None):
+        def draw(config, rep, rng):
             streams.append(rng)
             return original(config, rep, rng)
 
@@ -1267,7 +1299,7 @@ class TestStreamKeys:
         report = run_study2("logistic", beta3_grid=(0.05, 0.5), cases=("A",), n_reps=25, seed=0)
         assert seed_sequences == []
         assert len(streams) == 50 and len({id(rng) for rng in streams}) == 2  # one generator per cell
-        monkeypatch.setattr(sim_harness, "_draw", lambda config, rep, rng=None: original(config, rep))
+        monkeypatch.setattr(sim_harness, "_draw", lambda config, rep, rng: original(config, rep, _stream(config, rep)))
         assert run_study2("logistic", beta3_grid=(0.05, 0.5), cases=("A",), n_reps=25, seed=0).rows == report.rows
         assert len(seed_sequences) == 50  # each lone draw builds its substream
 
@@ -1278,7 +1310,8 @@ class TestStreamKeys:
             old = substream(config.seed, *config.tags, rep).standard_normal(4)
             new = substream(*config._keys, rep).standard_normal(4)
             assert old.tobytes() == new.tobytes()
-        assert sim_harness._draw(config, 5)[0].tobytes() == study_draw_reference(config, 5)[0].tobytes()
+        X, _ = sim_harness._draw(config, 5, _stream(config, 5))
+        assert X.tobytes() == study_draw_reference(config, 5)[0].tobytes()
 
     def test_no_tag_is_hashed_per_replication(self, monkeypatch):
         config = _linear_cells(n_reps=5)[4]

@@ -3,10 +3,10 @@
     PYTHONPATH=src python3 tools/fork_floor.py [--repeats N] [--seed S]
 
 A study caps its workers so that each forked block's estimated work
-reaches its families' floor (``sim_harness._block_cap``, from
-``_REP_MS`` and ``_FORK_FLOOR_MS``); ``band`` and ``cv`` fork whenever
-asked.  This tool times each call below twice, at ``workers=1`` and
-forked at ``workers=2`` with the floors set aside, alternating the two,
+reaches the floor (``sim_harness._block_cap``, from ``_rep_ms`` and
+``_FORK_FLOOR_MS``); ``band`` and ``cv`` fork whenever asked.  This
+tool times each call below twice, at ``workers=1`` and forked at
+``workers=2`` with the floor set aside, alternating the two,
 and prints the medians of ``--repeats`` runs (default 31), what the
 call does at ``workers=2`` and, for a study, the estimated work of the
 forked run's larger block and the floor at which the study forks it.
@@ -103,8 +103,7 @@ def study_plan(call):
     configs, blocks = seen[0]
     n = len(configs) * configs[0].n_reps
     mean_ms = sum(map(sim_harness._rep_ms, configs)) / len(configs)
-    floor = max(sim_harness._FORK_FLOOR_MS[config.family] for config in configs)
-    return (n - n // 2) * mean_ms, floor, blocks >= 2
+    return (n - n // 2) * mean_ms, sim_harness._FORK_FLOOR_MS, blocks >= 2
 
 
 def timed(call, workers: int) -> float:
@@ -118,7 +117,7 @@ def main(argv=None):
     parser.add_argument("--repeats", type=int, default=31, help="runs per side of each call (default 31)")
     parser.add_argument("--seed", type=int, default=32001)
     args = parser.parse_args(argv)
-    floors = sim_harness._FORK_FLOOR_MS
+    saved = sim_harness._FORK_FLOOR_MS
     print(
         f"{'call':28} {'block est ms':>12} {'forks at ms':>11} {'serial ms':>10} {'forked ms':>10} "
         f"{'forked/serial':>13} runner"
@@ -127,13 +126,13 @@ def main(argv=None):
     for name, call in calls(args.seed):
         plan = study_plan(call)
         serial, forked = [], []
-        sim_harness._FORK_FLOOR_MS = dict.fromkeys(floors, 1e-9)
+        sim_harness._FORK_FLOOR_MS = 1e-9
         try:
             for _ in range(args.repeats):
                 serial.append(timed(call, 1))
                 forked.append(timed(call, 2))
         finally:
-            sim_harness._FORK_FLOOR_MS = floors
+            sim_harness._FORK_FLOOR_MS = saved
         s, f = statistics.median(serial), statistics.median(forked)
         forks = plan is None or plan[2]
         if name != "empty" and forks != (f < s):

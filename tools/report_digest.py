@@ -32,7 +32,14 @@ rows, one line per row, each cell written exactly: a float as
   (``rng._stack_streams``);
 * ``cv_cv`` and ``cv_aic``: ``cv_compare`` on ``synthetic_prostate()``
   at 2 repeats, its best subset chosen by ``select_by`` ``cv`` or
-  ``aic``; the rows are the per-repeat log, then the mean errors.
+  ``aic``; the rows are the per-repeat log, then the mean errors;
+* ``oracle_paths``: every replication's estimates (``optimal``, ``aic``
+  and the oracle) of one study run over six Study II-shaped cells
+  (``ORACLE_CELLS``), one for each source of the oracle column: a
+  candidate; the linear full design joined to the candidates' union
+  factor, and with a factor of its own; a linear oracle of its own
+  columns inside the candidates' union, and outside it; and a
+  logistic oracle that is neither a candidate nor the full design.
 
 ``--n-reps`` sets the replications of every study call but the two
 reference calls and ``thin_study2`` (default 100); the band and ``cv``
@@ -49,8 +56,13 @@ import dataclasses
 import hashlib
 from types import SimpleNamespace
 
+import numpy as np
+
 from glmavg import (
+    CandidateModel,
     GlmavgError,
+    ModelSet,
+    StudyConfig,
     StudyReport,
     cv_compare,
     enumerate_all_subsets,
@@ -60,6 +72,7 @@ from glmavg import (
     synthetic_prostate,
 )
 from glmavg.averaging import _prediction_bands
+from glmavg.sim_harness import STUDY2_X_STAR, _simulate, study2_model_sets
 
 
 def _study1(case):
@@ -97,6 +110,48 @@ def _cv(select_by):
     return call
 
 
+# (family, candidates, oracle support) of each oracle source, over an intercept and 3 optional columns
+_SPREAD = ModelSet([CandidateModel((j,), 1) for j in range(3)], 3)  # no full candidate, every column in the union
+ORACLE_CELLS = (
+    ("linear", study2_model_sets()["A"], (0, 1)),  # a candidate
+    ("linear", _SPREAD, (0, 1, 2)),  # the full design, joined to the union factor
+    ("linear", study2_model_sets()["B"], (0, 1, 2)),  # the full design, with a factor of its own
+    ("linear", _SPREAD, (0, 1)),  # its own columns, inside the union
+    ("linear", study2_model_sets()["B"], (0, 2)),  # its own columns, outside the union
+    ("logistic", study2_model_sets()["B"], (0, 2)),  # neither a candidate nor the full design
+)
+
+
+def oracle_configs(n_reps):
+    """The ``oracle_paths`` cells: one ``StudyConfig`` of n = 60 per entry of ``ORACLE_CELLS``."""
+    return [
+        StudyConfig(
+            family=family,
+            n=60,
+            beta_true=np.array([0.3, 0.1, 0.3, 0.3]),
+            candidate_set=models,
+            x_star=np.asarray(STUDY2_X_STAR),
+            n_reps=n_reps,
+            seed=9,
+            schemes=("optimal", "aic"),
+            oracle=CandidateModel(oracle, 1),
+            tags=("oracle_paths", cell),
+        )
+        for cell, (family, models, oracle) in enumerate(ORACLE_CELLS)
+    ]
+
+
+def _oracle_paths(n_reps, workers):
+    configs = oracle_configs(n_reps)
+    rows = [
+        {"cell": cell, "column": column, "rep": rep, "estimate": float(value)}
+        for cell, estimates in enumerate(_simulate(configs, workers))
+        for column, values in estimates.items()
+        for rep, value in enumerate(values)
+    ]
+    return SimpleNamespace(rows=rows)
+
+
 CALLS = {
     "study1_A": _study1("A"),
     "study1_B": _study1("B"),
@@ -123,6 +178,7 @@ CALLS = {
     "band_wide_seed": _band(20, seeds=(2**32 + 5, 2**63 + 6, 2**64 + 7)),
     "cv_cv": _cv("cv"),
     "cv_aic": _cv("aic"),
+    "oracle_paths": _oracle_paths,
 }
 
 
