@@ -9,14 +9,18 @@ the test rows, and errors are averaged over repeats.
 predictors; the subset is chosen inside the training split only —
 either by 5-fold cross-validation (default) or by training AIC — then
 refit on the whole training split and scored once on the test split.
-Each repeat fits the training split once, in one
-``LinearAveragingPredictor`` (the split factory: a ``LinearQFactory``
-with ``predict``), and every method asks it directly: the full model's
-coefficients, the AIC rule's log-likelihoods, the chosen subset's
-coefficients and the averaged predictions.  Inner CV folds
-fit all 2^q candidates in one factory per fold.  Best-subset selection
-alone is ``cv_compare(dataset, methods=("best_subset",))``; its
-``mean_errors["best_subset"]`` is the mean test MSE.
+Each repeat fits its training split once per candidate set: the split
+factory (a ``LinearAveragingPredictor``, a ``LinearQFactory`` with
+``predict``) and, when ``best_subset`` is asked and the split factory
+holds another set, one ``LinearQFactory`` over all subsets.  The full
+model's coefficients and the averaged predictions come from the split
+factory; ``best_subset`` reads the all-subsets fit under both rules
+(the AIC rule's log-likelihoods and the chosen subset's coefficients),
+so its errors do not depend on the other methods asked.  Inner CV
+folds fit all 2^q candidates in one factory per fold.  Best-subset
+selection alone is ``cv_compare(dataset, methods=("best_subset",))``;
+its ``mean_errors["best_subset"]`` is the mean test MSE, the same as in
+a run with every method.
 """
 
 from __future__ import annotations
@@ -55,21 +59,13 @@ class CvReport:
     per_repeat: list[dict]
 
 
-def _check_select_by(select_by: str) -> None:
-    if select_by not in SELECTION_RULES:
-        raise DataError(f"unknown selection rule {select_by!r}; expected one of {SELECTION_RULES}")
+def _cv_choice(train: Dataset, candidates, seed, repeat) -> int:
+    """Index of the candidate with the least inner 5-fold CV error on ``train``; ties go to the earlier one.
 
-
-def _select(train: Dataset, candidates, select_by: str, factory, seed, repeat) -> int:
-    """Index of the candidate that the rule picks on ``train``; ties go to the earlier one.
-
-    The AIC rule reads ``factory``, which the caller fits on ``train``
-    over ``candidates``.  The CV rule ignores it: it fits one factory
-    per inner fold and scores every candidate at once with one product
-    of the held-out design and the padded coefficients.
+    It fits one factory per inner fold and scores every candidate at
+    once with one product of the held-out design and the padded
+    coefficients.
     """
-    if select_by == "aic":
-        return int(np.argmin(aic_values(factory.logliks(), factory.dims())))
     scores = np.zeros(len(candidates))
     for fold in np.array_split(substream(seed, "folds", repeat).permutation(train.n), _N_FOLDS):
         inner_train, held_out = train.take(np.setdiff1d(np.arange(train.n), fold)), train.take(fold)
@@ -95,13 +91,18 @@ def cv_compare(
     Averaging methods predict each test row with x* set to that row's
     covariates (weights re-solved per row for the optimal scheme; AIC
     weights depend on the training fit only).  Each repeat fits one
-    split factory on its training rows, and every method's test
-    predictions come from it.  It holds ``models`` (default: all
-    subsets) when an averaging method is requested; otherwise all
-    subsets when ``best_subset`` selects by AIC; otherwise the CV rule's
-    chosen subset, or no candidate for ``full_model`` alone.  It always
-    fits the full design.  Only the inner CV folds and a ``best_subset``
-    that needs subsets a custom ``models`` set lacks fit outside it.
+    split factory on its training rows: over ``models`` (default: all
+    subsets) when an averaging method is requested, else over all
+    subsets when ``best_subset`` is, else over no candidate.  It always
+    fits the full design, which ``full_model`` reads.  ``best_subset``
+    reads the all-subsets fit of the split under both rules: the split
+    factory when ``models`` is all subsets, else one factory of its own.
+    The AIC rule takes the least AIC of that fit; the CV rule fits the
+    inner folds first, and its chosen subset's coefficients come from
+    that fit too.  So ``best_subset``'s errors do not depend on the other
+    methods asked.  Under the CV rule with no averaging over all subsets,
+    the split fits all 2^q subsets to read one of them: under 1 ms a
+    repeat on prostate.
 
     Each repeat's split and fold seeds derive from (seed, repeat), so
     the report is bit for bit the same for every ``workers``: up to
@@ -124,7 +125,8 @@ def cv_compare(
         raise DataError(f"unknown methods {sorted(unknown)}; expected subset of {DEFAULT_METHODS}")
     if len(set(methods)) < len(methods):
         raise DataError(f"methods {list(methods)} name a method more than once")
-    _check_select_by(select_by)
+    if select_by not in SELECTION_RULES:
+        raise DataError(f"unknown selection rule {select_by!r}; expected one of {SELECTION_RULES}")
     _checked_keys(seed)
     if n_train is None:
         n_train = min(max(int(round(dataset.n * _TRAIN_FRACTION)), 1), dataset.n - 1)
@@ -134,31 +136,27 @@ def cv_compare(
     if fit_rows < dataset.d:
         raise DataError(f"n_train={n_train} leaves {fit_rows} rows to fit the design's {dataset.d} columns")
     averaging = [m for m in methods if m in _SCHEMES]
-    subsets = enumerate_all_subsets(1, dataset.d - 1) if "best_subset" in methods else []
-    if models is None and averaging:
-        models = enumerate_all_subsets(1, dataset.d - 1)
-    if models is not None and models.p_fixed + models.q != dataset.d:
-        raise DataError(
-            f"model set is over {models.p_fixed + models.q} coefficients, "
-            f"data has {dataset.d}"
-        )
+    subsets = []
+    if "best_subset" in methods or (models is None and averaging):
+        subsets = enumerate_all_subsets(1, dataset.d - 1)
+    if models is None:
+        models = subsets
+    elif models.p_fixed + models.q != dataset.d:
+        raise DataError(f"model set is over {models.p_fixed + models.q} coefficients, data has {dataset.d}")
+    split_models = models if averaging else subsets
+    own_subsets_fit = "best_subset" in methods and split_models != subsets
 
     def run_repeat(repeat):
         train, test = split(dataset, n_train, derive_seed(seed, "cv-split", repeat))
-        chosen = subsets[_select(train, subsets, "cv", None, seed, repeat)] if cv_best else None
-        needed = [chosen] if cv_best else list(subsets)  # the candidates best_subset reads
-        held = list(models) if averaging else needed  # the split factory holds only what is read
-        predictor = LinearAveragingPredictor(train.design, train.response, held)
+        chosen = _cv_choice(train, subsets, seed, repeat) if cv_best else None  # the folds fit first
+        predictor = LinearAveragingPredictor(train.design, train.response, split_models)
         preds = {"full_model": test.design @ predictor.beta_full}
         if "best_subset" in methods:
-            source = predictor
-            if held != needed and chosen not in held:  # a custom ``models`` set lacks them
-                source = LinearQFactory(train.design, train.response, needed)
-            if not cv_best:
-                chosen = subsets[_select(train, subsets, "aic", source, seed, repeat)]
-            cols = chosen.column_indices()
-            beta = source.padded_betas()[source.models.index(chosen)]
-            preds["best_subset"] = test.design[:, cols] @ beta[cols]
+            fit = LinearQFactory(train.design, train.response, subsets) if own_subsets_fit else predictor
+            if chosen is None:
+                chosen = int(np.argmin(aic_values(fit.logliks(), fit.dims())))
+            cols = subsets[chosen].column_indices()
+            preds["best_subset"] = test.design[:, cols] @ fit.padded_betas()[chosen][cols]
         for method in averaging:
             preds[method] = np.array([predictor.predict(x, _SCHEMES[method]).value for x in test.design])
         return [

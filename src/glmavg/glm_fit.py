@@ -73,6 +73,8 @@ MAX_ITER = 100
 BETA_BOUND = 30.0  # separation guard: |beta|_inf above this means a diverging fit
 _MAX_HALVINGS = 40
 RANK_DEFICIENT_MESSAGE = f"design is numerically rank deficient (condition number > {COND_LIMIT:g})"
+# an inverse Gram of a design that passed the guard, but whose entries overflowed or failed
+INVERSE_RANGE_MESSAGE = "inverse Gram (X_k'X_k)^{-1} left floating-point range"
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError, SingularDesignError, _returned
 from .glm_fit import (
-    RANK_DEFICIENT_MESSAGE,
+    INVERSE_RANGE_MESSAGE,
     _augmented_r,
     _fit_failure,
     _gaussian_profile_loglik,
@@ -438,7 +438,8 @@ class _LinearFits(_Fits):
         a set with a fit may read its slice.  The inverse Grams
         G_k = R_k^{-1} R_k^{-T} come from one ``lapack_inv`` per stack of
         kept factors; a failed inverse is NaN, which ``plug_in_error``
-        reports.
+        reports as an inverse that left floating-point range (the fit's
+        guard has passed every kept factor).
         """
         if self._plug_in is not None:
             return self._plug_in
@@ -450,7 +451,7 @@ class _LinearFits(_Fits):
                 R_inv = lapack_inv(R)
                 G[..., idx[:, None, None], cols[:, :, None], cols[:, None, :]] = R_inv @ np.swapaxes(R_inv, -1, -2)
         inverse_failed = ~np.isfinite(G).all(axis=(-2, -1))
-        self._plug_in_errors = _design_errors(inverse_failed, self.models, lambda k: RANK_DEFICIENT_MESSAGE)
+        self._plug_in_errors = _design_errors(inverse_failed, self.models, lambda k: INVERSE_RANGE_MESSAGE)
         f = self._f
         R_full = next(R[..., idx == f, :, :][..., 0, :, :] for idx, _, R in self._factors_full if f in idx)
         R = np.sqrt(self.sigma2)[..., None, None] * R_full
@@ -609,7 +610,9 @@ class _LogisticFits(_Fits):
         guard, and M_k^{-1} from ``glm_fit.lapack_inv`` on R_k, a failed
         inverse being NaN.  R_w is the full design's R_k.
         ``plug_in_error`` gives a training set's first failure in that
-        order.
+        order: a guard's rejection words why (``_fit_failure``), and a
+        non-finite M_k^{-1} that the guard passed left floating-point
+        range.
         """
         if self._plug_in is not None:
             return self._plug_in
@@ -632,10 +635,11 @@ class _LogisticFits(_Fits):
             with np.errstate(invalid="ignore", over="ignore"):
                 R_inv = lapack_inv(R_k)
                 M_inv = R_inv @ np.swapaxes(R_inv, -1, -2)
-            # the guard, a failed inverse and an overflowing M_k^{-1} word the same error;
-            # a non-finite entry of R_inv reaches M_inv's diagonal
-            rejected |= ~np.isfinite(M_inv).all(axis=(-2, -1))
             _record(errors, rejected, lambda: SingularDesignError(_fit_failure(n, len(cols)), model=model))
+            # a failed inverse or an overflowing M_k^{-1} that the guard passed; a
+            # non-finite entry of R_inv reaches M_inv's diagonal
+            out_of_range = ~np.isfinite(M_inv).all(axis=(-2, -1))
+            _record(errors, out_of_range, lambda: SingularDesignError(INVERSE_RANGE_MESSAGE, model=model))
             at = np.array(cols)
             G[..., k, at[:, None], at] = M_inv
             if k == full:

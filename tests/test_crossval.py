@@ -34,14 +34,17 @@ def _dataset(seed=0, n=60, q=3, beta=None, sigma=1.0):
 
 
 def _chosen(train, select_by, seed=0, repeat=0):
-    """The subset ``crossval._select`` picks among all subsets of ``train``'s optional columns.
+    """The subset that ``cv_compare``'s rule picks among all subsets of ``train``'s optional columns.
 
-    The AIC rule reads a factory fitted on ``train``, as ``cv_compare``'s
-    split factory is; the CV rule fits its own per inner fold.
+    The CV rule is ``crossval._cv_choice``, which fits its own factory per
+    inner fold; the AIC rule is the least AIC of a factory fitted on
+    ``train``, as ``cv_compare``'s all-subsets fit of the split is.
     """
     subsets = enumerate_all_subsets(1, train.d - 1)
-    factory = LinearQFactory(train.design, train.response, subsets) if select_by == "aic" else None
-    return subsets[crossval._select(train, subsets, select_by, factory, seed, repeat)]
+    if select_by == "cv":
+        return subsets[crossval._cv_choice(train, subsets, seed, repeat)]
+    factory = LinearQFactory(train.design, train.response, subsets)
+    return subsets[int(np.argmin(crossval.aic_values(factory.logliks(), factory.dims())))]
 
 
 class TestSelect:
@@ -82,6 +85,24 @@ class TestBestSubsetCv:
         report = cv_compare(ds, methods=("full_model", "best_subset"), n_repeats=3, seed=2)
         alone = cv_compare(ds, methods=("best_subset",), n_repeats=3, seed=2)
         assert alone.mean_errors["best_subset"] == report.mean_errors["best_subset"]
+
+    @pytest.mark.parametrize("select_by", ["cv", "aic"])
+    def test_errors_are_the_same_bits_whatever_else_is_asked(self, select_by):
+        # best_subset reads the split's all-subsets fit, whichever fits the other methods need
+        subsets = enumerate_all_subsets(1, 8)
+        lacking = ModelSet(list(subsets)[::3], 8)  # 86 of the 256 subsets
+        runs = [
+            (("best_subset",), None),
+            (("full_model", "best_subset"), None),
+            (crossval.DEFAULT_METHODS, None),
+            (("avg_aic", "best_subset"), lacking),
+        ]
+        errors = []
+        for methods, models in runs:
+            report = cv_compare(synthetic_prostate(), methods=methods, models=models, select_by=select_by)
+            errors.append([row["error"].hex() for row in report.per_repeat if row["method"] == "best_subset"])
+        assert len(errors[0]) == 5
+        assert errors[1:] == [errors[0]] * 3
 
     def test_single_predictor_runs(self):
         ds = _dataset(seed=3, q=1, beta=[1.0, 2.0], sigma=0.5)
@@ -274,9 +295,11 @@ class TestSplitFactory:
         folds = [(53, 256)] * 2 + [(54, 256)] * 3
         assert builds == (folds + [(self.N_TRAIN, 256)]) * 2
 
-    def test_best_subset_alone_fits_only_the_chosen_subset_on_the_split(self, builds):
-        cv_compare(synthetic_prostate(), methods=("best_subset",), n_repeats=2, select_by="cv")
-        assert [b for b in builds if b[0] == self.N_TRAIN] == [(self.N_TRAIN, 1)] * 2
+    @pytest.mark.parametrize("select_by", ["cv", "aic"])
+    @pytest.mark.parametrize("methods", [("best_subset",), crossval.DEFAULT_METHODS], ids=["alone", "default"])
+    def test_the_split_gets_one_all_subsets_fit_per_repeat(self, builds, methods, select_by):
+        cv_compare(synthetic_prostate(), methods=methods, n_repeats=2, select_by=select_by)
+        assert [b for b in builds if b[0] == self.N_TRAIN] == [(self.N_TRAIN, 256)] * 2
 
 
 @pytest.mark.slow

@@ -233,8 +233,9 @@ class TestLinearQFactory:
         ds = synthetic_prostate()
         train, test = split(ds, 67, seed=derive_seed(0, "prostate-split", 0))
         subsets = enumerate_all_subsets(1, 8)
-        crossval._select(train, subsets, "cv", None, 0, 0)
-        crossval._select(train, subsets, "aic", LinearQFactory(train.design, train.response, subsets), 0, 0)
+        crossval._cv_choice(train, subsets, 0, 0)
+        factory = LinearQFactory(train.design, train.response, subsets)
+        np.argmin(mse_weights.aic_values(factory.logliks(), factory.dims()))  # the AIC rule
         predictor = LinearAveragingPredictor(train.design, train.response, enumerate_all_subsets(1, 8))
         for scheme in ("aic", "equal"):
             predictor.predict(test.design[0], scheme)
@@ -372,7 +373,7 @@ def test_an_overflowing_plug_in_is_a_singular_design_error(factory, predictor_cl
     for call in (lambda: factory(X, y, models).q_form(X[0]), lambda: predictor.predict(X[0], "optimal")):
         with pytest.raises(SingularDesignError) as excinfo:
             call()
-        assert str(excinfo.value) == glm_fit.RANK_DEFICIENT_MESSAGE
+        assert str(excinfo.value) == glm_fit.INVERSE_RANGE_MESSAGE
         assert excinfo.value.model == models[0]
     assert np.isfinite(predictor.predict(X[0], "aic").value)
 

@@ -24,7 +24,8 @@ def report_digest(monkeypatch):
     "name",
     [
         "study1_B", "study2_linear_B", "study2_logistic_A", "study2_logistic_B", "thin_study2", "band_5",
-        "study2_wide_seed", "band_wide_seed", "cv_aic", "oracle_paths",
+        "study2_wide_seed", "band_wide_seed", "cv_aic", "cv_best_subset_cv", "cv_best_subset_aic",
+        "oracle_paths",
     ],
 )
 def test_a_tiny_calls_digest_is_the_same_at_one_and_two_workers(report_digest, name):

@@ -33,6 +33,8 @@ rows, one line per row, each cell written exactly: a float as
 * ``cv_cv`` and ``cv_aic``: ``cv_compare`` on ``synthetic_prostate()``
   at 2 repeats, its best subset chosen by ``select_by`` ``cv`` or
   ``aic``; the rows are the per-repeat log, then the mean errors;
+  ``cv_best_subset_cv`` and ``cv_best_subset_aic`` run ``best_subset``
+  alone;
 * ``oracle_paths``: every replication's estimates (``optimal``, ``aic``
   and the oracle) of one study run over six Study II-shaped cells
   (``ORACLE_CELLS``), one for each source of the oracle column: a
@@ -72,6 +74,7 @@ from glmavg import (
     synthetic_prostate,
 )
 from glmavg.averaging import _prediction_bands
+from glmavg.crossval import DEFAULT_METHODS
 from glmavg.sim_harness import STUDY2_X_STAR, _simulate, study2_model_sets
 
 
@@ -102,9 +105,9 @@ def _band(n_reps, seeds=(5, 6, 7)):
     return call
 
 
-def _cv(select_by):
+def _cv(select_by, methods=DEFAULT_METHODS):
     def call(_, workers):
-        report = cv_compare(synthetic_prostate(), n_repeats=2, seed=8, select_by=select_by, workers=workers)
+        report = cv_compare(synthetic_prostate(), methods, n_repeats=2, seed=8, select_by=select_by, workers=workers)
         return SimpleNamespace(rows=report.per_repeat + [report.mean_errors])
 
     return call
@@ -178,6 +181,8 @@ CALLS = {
     "band_wide_seed": _band(20, seeds=(2**32 + 5, 2**63 + 6, 2**64 + 7)),
     "cv_cv": _cv("cv"),
     "cv_aic": _cv("aic"),
+    "cv_best_subset_cv": _cv("cv", methods=("best_subset",)),
+    "cv_best_subset_aic": _cv("aic", methods=("best_subset",)),
     "oracle_paths": _oracle_paths,
 }
 
