@@ -214,8 +214,6 @@ class LinearAveragingPredictor(_AveragingPredictor, LinearQFactory):
     ``fit_and_average_linear`` is the one-shot convenience wrapper.
     """
 
-    _kind = "linear_point"
-
 
 class LogisticAveragingPredictor(_AveragingPredictor, LogisticQFactory):
     """``LogisticQFactory`` plus ``predict``: logistic MLEs of every candidate on one training set.
@@ -226,8 +224,6 @@ class LogisticAveragingPredictor(_AveragingPredictor, LogisticQFactory):
     not a candidate.
     ``fit_and_average_logistic`` is the one-shot convenience wrapper.
     """
-
-    _kind = "logistic_point"
 
 
 # the predictor of each family, for the one-shot wrappers, the CLI and the study harness; its
@@ -271,7 +267,7 @@ def _average_stack(fits, x_star: np.ndarray, schemes: list) -> tuple[np.ndarray,
         if "optimal" in asked:
             bias, gram_factor = fits.q_parts(x_star, values)
         if "aic" in asked:
-            dims = fits.dims()
+            dims = fits.designs.dims
             aic = _aic_weights(aic_values(fits.logliks, dims))
     solved = {}  # set -> its weights from the lockstep loop
     if "optimal" in asked and len(slices) >= _LOCKSTEP_MIN:  # fewer sets never fill a lockstep run
@@ -350,12 +346,11 @@ def _fit_average_stack(designs, parts: list, n: int, x_star: np.ndarray, schemes
 
 def _fit_and_average(family, X, y, models, functional, scheme) -> AveragedEstimate:
     """Check the functional and the scheme before any fit, then fit and predict once."""
-    predictor_class = _PREDICTORS[family]
-    if functional.kind != predictor_class._kind:
-        raise DataError(f"{family} averaging needs a {predictor_class._kind} functional")
+    if functional.kind != f"{family}_point":
+        raise DataError(f"{family} averaging needs a {family}_point functional")
     _check_scheme(scheme)
     X = np.asarray(X, dtype=float)
-    return predictor_class(X, y, models).predict(functional.resolve(_checked_width(X, models)), scheme)
+    return _PREDICTORS[family](X, y, models).predict(functional.resolve(_checked_width(X, models)), scheme)
 
 
 def fit_and_average_linear(

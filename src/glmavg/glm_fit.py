@@ -532,12 +532,11 @@ def _mle_fits(X, y, *, model=None):
 
     One ``_damped_newton`` loop on -loglik for the whole stack, its
     line search on the cheap ``_bernoulli_merit``, then one exact
-    ``_bernoulli_loglik`` on the final eta.  A slice
-    whose responses are all equal has no MLE and fails as degenerate, as
-    ``logistic_mle`` fails before its loop; in a stack it runs with the
-    others, but its results are not a fit.  ``failures`` maps each failed
-    slice's index (``()`` for a lone fit) to its error, which names
-    ``model``.
+    ``_bernoulli_loglik`` on the final eta.  A slice whose responses are
+    all equal has no MLE and fails as degenerate (its error reports 0
+    iterations); it runs with the others, but its results are not a fit.
+    ``failures`` maps each failed slice's index (``()`` for a lone fit)
+    to its error, which names ``model``.
     """
     beta, eta, _, iterations, failures = _damped_newton(
         X,
@@ -560,8 +559,9 @@ def logistic_mle(
 ) -> FitResult:
     """Logistic maximum likelihood via damped Newton iterations on -loglik.
 
-    Raises ``NonConvergenceError`` when ``MAX_ITER`` iterations do not
-    converge or a coefficient runs past the separation guard.
+    Raises ``NonConvergenceError`` when the responses are all equal,
+    ``MAX_ITER`` iterations do not converge or a coefficient runs past
+    the separation guard.
     """
     X_k = np.asarray(X_k, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -570,9 +570,6 @@ def logistic_mle(
     require_finite("design matrix", X_k)
     if not ((y == 0.0) | (y == 1.0)).all():
         raise DataError("logistic responses must be coded 0/1")
-    if (y == y[0]).all():
-        # constant response: the likelihood increases without bound
-        raise NonConvergenceError(_DEGENERATE_MESSAGE, model=model)
     beta, loglik, iterations, failures = _mle_fits(X_k, y, model=model)
     if failures:
         raise failures[()]

@@ -38,9 +38,13 @@ the identity and 1 for linear targets, expit and p(1-p) for logistic
 ones.  Each family's designs (``_LinearDesigns``, ``_LogisticDesigns``)
 are its one record: its link, its response law and its cost per
 replication, which the study harness reads, and the designs its fit
-factors, a study's oracle among them.  Both factories defer the plug-in
-fit, and with it every matrix inverse, to the first ``q_form``.  Each
-family's fit and plug-in
+factors, a study's oracle among them.  Both records read the same
+fields off their candidates (``_Designs``), both plug-ins write their
+padded inverse Grams through one routine (``_padded_inverses``), and
+the linear fit and both plug-ins name a training set's first failing
+design by one rule (``_design_errors``).  Both factories defer the
+plug-in fit, and with it every matrix inverse, to the first
+``q_form``.  Each family's fit and plug-in
 (``_LinearFits``, ``_LogisticFits``, made by its designs' ``fit``) take
 one training set or many stacked along leading axes, one per slice, and
 so do the per-model values and the Qhat assembly: a factory runs them
@@ -230,7 +234,7 @@ class _CandidateFactory:
         return self._logliks
 
     def dims(self) -> np.ndarray:
-        return self._fits.dims()
+        return self._fits.designs.dims
 
     def per_model_values(self, x_star: np.ndarray) -> np.ndarray:
         """h(x_k*' beta_k) for every candidate (the per-model functional estimates)."""
@@ -265,9 +269,6 @@ class _Fits:
     ``_errors`` and, once the plug-in is made, in ``_plug_in_errors``,
     so a set with none is a dictionary miss.
     """
-
-    def dims(self) -> np.ndarray:
-        return self.designs.dims
 
     def fit_error(self, i=()):
         """Training set ``i``'s first fit failure, or None."""
@@ -306,41 +307,73 @@ class _Fits:
         return bias, R @ self.designs.by_slope(G_x, values).mT
 
 
-def _design_errors(failed, models, message) -> dict:
+def _design_errors(failed, models, message, errors=None) -> dict:
     """The ``SingularDesignError`` of each training set's first design that ``failed`` marks, by set.
 
-    ``failed`` has K + 1 entries per training set: the K candidates,
-    then the full design when it is not one of them, which names no
-    model.  ``message(k)`` words design k's failure.
+    ``failed`` marks, on its last axis, the K candidates in order, then
+    possibly the full design when it is not one of them, which names no
+    model.  ``message(i, k)`` words design k's failure in set i.  A set
+    already in ``errors`` keeps its error; the others are added to it
+    (a new dict when None), which is returned.
     """
-    errors = {}
+    errors = {} if errors is None else errors
     for i in _slices(failed.any(axis=-1)):
-        k = int(failed[i].argmax())
-        errors[i] = SingularDesignError(message(k), model=models[k] if k < len(models) else None)
+        if i not in errors:
+            k = int(failed[i].argmax())
+            errors[i] = SingularDesignError(message(i, k), model=models[k] if k < len(models) else None)
     return errors
 
 
-def _full_index(cols, p: int) -> int | None:
-    """The index of the first candidate with all p columns, or None."""
-    # columns are strictly increasing and below p, so only the full design has p of them
-    return next((k for k, c in enumerate(cols) if len(c) == p), None)
+def _padded_inverses(G, stacks):
+    """Write each zero-padded (R'R)^{-1} into G, and return where G's p x p blocks are not finite.
+
+    ``stacks`` holds (indices, columns, R) triples: R stacks the
+    designs' R factors (``len(indices)`` of them, on every leading axis
+    of G), ``columns`` their columns (one row per design) and ``indices``
+    their blocks of G.  Each inverse is R^{-1} R^{-T}, with R^{-1} from
+    one ``glm_fit.lapack_inv`` per triple; a failed inverse is NaN, and
+    an overflowing one is not finite either.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        for idx, cols, R in stacks:
+            R_inv = lapack_inv(R)
+            G[..., idx[:, None, None], cols[:, :, None], cols[:, None, :]] = R_inv @ np.swapaxes(R_inv, -1, -2)
+    return ~np.isfinite(G).all(axis=(-2, -1))
 
 
-class _LinearDesigns:
+class _Designs:
+    """What both families' records read off their candidates, once per record.
+
+    ``models`` are the K candidates over p columns, ``cols`` their
+    columns, ``dims`` their read-only coefficient counts and ``full`` the
+    index of the candidate with all p columns, or None.  ``oracle`` is a
+    study's oracle model or None, and ``oracle_k`` its index among the
+    candidates, or None.
+    """
+
+    def __init__(self, models, p: int, oracle: CandidateModel | None = None):
+        self.models, self.p, self.oracle = models, p, oracle
+        self.cols = [model.columns for model in models]
+        self.dims = np.array([model.dim for model in models])
+        self.dims.flags.writeable = False
+        # columns are strictly increasing and below p, so only the full design has p of them
+        self.full = next((k for k, cols in enumerate(self.cols) if len(cols) == p), None)
+        self.oracle_k = models.index(oracle) if oracle in models else None
+
+
+class _LinearDesigns(_Designs):
     """The linear family's record: its link and response law, and the designs its candidate fit factors.
 
     The link h is the identity (slope 1), and a study's response is
     eta plus one standard normal draw per row (``respond``); ``rep_ms``
     is a stacked study replication's cost (``sim_harness._rep_ms``).
-    ``models`` are the K candidates over p columns, ``dims`` their
-    coefficient counts and ``full`` the index of the candidate with all
-    p columns, or None.  ``sets`` are the column sets fitted from one
-    factor: the candidates' and, with no full candidate, the full
-    design's when their union is every column, as set K.  ``full`` is
-    then the full design's index among ``sets``, or None when some
-    column is in no candidate and the full design is one more design
-    with its own factor.  ``oracle``, a study's oracle
-    model or None, is read from the candidates' fit when it is a
+    Beside what every record reads off its candidates (``_Designs``),
+    ``sets`` are the column sets fitted from one factor: the
+    candidates' and, with no full candidate, the full design's when
+    their union is every column, as set K.  ``full`` is then the full
+    design's index among ``sets``, or None when some column is in no
+    candidate and the full design is one more design with its own
+    factor.  ``oracle`` is read from the candidates' fit when it is a
     candidate (``oracle_k``) or the full design; otherwise its own
     columns (``own``) get a factor of their own.
     """
@@ -351,14 +384,10 @@ class _LinearDesigns:
     rep_ms = (0.0074, 1.5e-5)
 
     def __init__(self, models, p: int, oracle: CandidateModel | None = None):
-        self.models, self.dims = models, _dims(models)
-        cols = [model.columns for model in models]
-        full = _full_index(cols, p)
-        self.K, self.p = len(cols), p
-        self.sets, self.full, self.union = cols, full, _union(cols)
-        if full is None and len(self.union) == p:
-            self.sets, self.full = [*cols, range(p)], len(cols)
-        self.oracle, self.oracle_k = oracle, models.index(oracle) if oracle in models else None
+        super().__init__(models, p, oracle)
+        self.K, self.sets, self.union = len(self.cols), self.cols, _union(self.cols)
+        if self.full is None and len(self.union) == p:
+            self.sets, self.full = [*self.cols, range(p)], self.K
         own = oracle is not None and self.oracle_k is None and oracle.dim < p
         self.own = oracle.column_indices() if own else None
 
@@ -389,13 +418,6 @@ class _LinearDesigns:
         return _LinearFits(self, R_aug, R_full, R_own, n)
 
 
-def _dims(models) -> np.ndarray:
-    """The read-only coefficient counts of ``models``, made once per designs."""
-    dims = np.array([model.dim for model in models])
-    dims.flags.writeable = False
-    return dims
-
-
 class _LinearFits(_Fits):
     """Every linear candidate's OLS fit, from the R factors of one training set or of a stack of them.
 
@@ -422,7 +444,7 @@ class _LinearFits(_Fits):
             failed = np.concatenate((failed, np.zeros_like(failed[..., :1])), axis=-1)
         self.designs, self.models, self.n, self._f, self._R_own = designs, designs.models, n, f, R_own
         self._errors = _design_errors(
-            failed, self.models, lambda k: _fit_failure(n, len(designs.sets[k]) if k < K else p)
+            failed, self.models, lambda i, k: _fit_failure(n, len(designs.sets[k]) if k < K else p)
         )
         self._plug_in = None
         self.B = B[..., :K, :]
@@ -436,8 +458,9 @@ class _LinearFits(_Fits):
         Made on the first call for every training set of the stack and
         kept; a training set that failed its fit has no plug-in, so only
         a set with a fit may read its slice.  The inverse Grams
-        G_k = R_k^{-1} R_k^{-T} come from one ``lapack_inv`` per stack of
-        kept factors; a failed inverse is NaN, which ``plug_in_error``
+        G_k = R_k^{-1} R_k^{-T} are one ``_padded_inverses`` call on the
+        kept factors, one ``lapack_inv`` per model size; a failed or
+        overflowing inverse is not finite, which ``plug_in_error``
         reports as an inverse that left floating-point range (the fit's
         guard has passed every kept factor).
         """
@@ -446,12 +469,8 @@ class _LinearFits(_Fits):
         lead = self.B.shape[:-2]
         K, p = self.B.shape[-2:]
         G = np.zeros((*lead, K + 1, p, p))  # row K: the full design when it is not a candidate
-        with np.errstate(invalid="ignore", over="ignore"):  # an overflowing G_k fails as a failed inverse does
-            for idx, cols, R in self.factors:
-                R_inv = lapack_inv(R)
-                G[..., idx[:, None, None], cols[:, :, None], cols[:, None, :]] = R_inv @ np.swapaxes(R_inv, -1, -2)
-        inverse_failed = ~np.isfinite(G).all(axis=(-2, -1))
-        self._plug_in_errors = _design_errors(inverse_failed, self.models, lambda k: INVERSE_RANGE_MESSAGE)
+        out_of_range = _padded_inverses(G, self.factors)
+        self._plug_in_errors = _design_errors(out_of_range, self.models, lambda i, k: INVERSE_RANGE_MESSAGE)
         f = self._f
         R_full = next(R[..., idx == f, :, :][..., 0, :, :] for idx, _, R in self._factors_full if f in idx)
         R = np.sqrt(self.sigma2)[..., None, None] * R_full
@@ -471,7 +490,7 @@ class _LinearFits(_Fits):
         if designs.own is not None:
             B, _, _, failed = _least_squares_from_r(self._R_own, n, designs.p, [designs.own], designs.own)
             beta = B[..., 0, :]
-            errors = _design_errors(failed, [designs.oracle], lambda k: _fit_failure(n, len(designs.own)))
+            errors = _design_errors(failed, [designs.oracle], lambda i, k: _fit_failure(n, len(designs.own)))
         cols = designs.oracle.column_indices()
         with np.errstate(all="ignore"):  # a set that failed its fit may hold anything
             values = [x_star[cols] @ beta[i][cols] for i in np.ndindex(beta.shape[:-1])]
@@ -524,30 +543,22 @@ class LinearQFactory(_CandidateFactory):
         return [beta[model.column_indices()] for beta, model in zip(self._B, self.models)]
 
 
-class _LogisticDesigns:
+class _LogisticDesigns(_Designs):
     """The logistic family's record: its link and response law, and the designs of its candidate fit.
 
     The link h is ``expit`` (slope p(1 - p)), and a study's response at
     row i is 1 when a uniform draw falls below expit(eta_i), else 0
     (``respond``); ``rep_ms`` is a stacked study replication's cost
     (``sim_harness._rep_ms``).  A training set keeps its whole (X, y).
-    ``models`` are the K candidates over p columns, ``dims`` their
-    coefficient counts, ``cols`` their columns and ``full`` the index of
-    the candidate with all p of them, or None.  ``oracle``, a study's
-    oracle model or None, is read from the candidates' fit when it is a
-    candidate (``oracle_k``), and is one more MLE otherwise.
+    The candidates are what every record reads off them (``_Designs``);
+    ``oracle`` is read from the candidates' fit when it is a candidate
+    (``oracle_k``), and is one more MLE otherwise.
     """
 
     link = staticmethod(expit)
     by_slope = staticmethod(lambda G_x, p: G_x * (p * (1.0 - p))[..., None])
     respond = staticmethod(lambda eta, rng: (rng.random(len(eta)) < expit(eta)).astype(float))
     rep_ms = (0.0061, 1.1e-4)
-
-    def __init__(self, models, p: int, oracle: CandidateModel | None = None):
-        self.models, self.p, self.dims = models, p, _dims(models)
-        self.cols = [model.columns for model in models]
-        self.full = _full_index(self.cols, p)
-        self.oracle, self.oracle_k = oracle, models.index(oracle) if oracle in models else None
 
     def reduce(self, X, y):
         """What one training set keeps for the fit: its X and y, once the responses are checked."""
@@ -605,45 +616,40 @@ class _LogisticFits(_Fits):
 
         Made on the first call for every training set of the stack and
         kept: the full-model MLE when the full design is not a candidate
-        (its failures name no model), then for each candidate the R
-        factor R_k of sqrt(p_k(1-p_k)) X_k at its MLE with its condition
-        guard, and M_k^{-1} from ``glm_fit.lapack_inv`` on R_k, a failed
-        inverse being NaN.  R_w is the full design's R_k.
-        ``plug_in_error`` gives a training set's first failure in that
-        order: a guard's rejection words why (``_fit_failure``), and a
-        non-finite M_k^{-1} that the guard passed left floating-point
-        range.
+        (its failures name no model) and its R factor's condition guard,
+        then for each candidate the R factor R_k of sqrt(p_k(1-p_k)) X_k
+        at its MLE with its condition guard.  The inverses
+        M_k^{-1} = R_k^{-1} R_k^{-T} are one ``_padded_inverses`` call,
+        with indices [k] for each candidate's R_k.  R_w is the full
+        design's R factor.  ``plug_in_error`` gives a training set's
+        first failure in that order, and at one candidate a guard's
+        rejection (``_fit_failure`` words why) before a non-finite
+        M_k^{-1} that the guard passed, which left floating-point range.
         """
         if self._plug_in is not None:
             return self._plug_in
-        X, y = self.X, self.y
-        lead, (n, p) = X.shape[:-2], X.shape[-2:]
-        K = len(self.models)
+        X, y, cols, full = self.X, self.y, self.designs.cols, self.designs.full
+        lead, (n, p), K = X.shape[:-2], X.shape[-2:], len(cols)
         self._plug_in_errors = errors = {}
-        full = self.designs.full
         if full is None:
             beta_full, _, _, failures = _mle_fits(X, y)
             errors.update(failures)
-            R_w, rejected = _weighted_r(X, beta_full)
-            _record(errors, rejected, lambda: SingularDesignError(_fit_failure(n, p)))
-        else:
-            beta_full = self.B[..., full, :]
+            R_w, rejected_w = _weighted_r(X, beta_full)
+            _design_errors(rejected_w[..., None], [], lambda i, k: _fit_failure(n, p), errors)
+        rejected = np.zeros((*lead, K), dtype=bool)
+        stacks = []
+        for k, (X_k, beta) in enumerate(zip(self._X_k, self._betas)):
+            R_k, rejected[..., k] = _weighted_r(X_k, beta)
+            stacks.append((np.array([k]), np.array([cols[k]]), R_k[..., None, :, :]))
+        if full is not None:
+            beta_full, R_w = self.B[..., full, :], stacks[full][2][..., 0, :, :]  # the full candidate's R_k
         G = np.zeros((*lead, K, p, p))
-        candidates = zip(self.models, self.designs.cols, self._X_k, self._betas)
-        for k, (model, cols, X_k, beta) in enumerate(candidates):
-            R_k, rejected = _weighted_r(X_k, beta)
-            with np.errstate(invalid="ignore", over="ignore"):
-                R_inv = lapack_inv(R_k)
-                M_inv = R_inv @ np.swapaxes(R_inv, -1, -2)
-            _record(errors, rejected, lambda: SingularDesignError(_fit_failure(n, len(cols)), model=model))
-            # a failed inverse or an overflowing M_k^{-1} that the guard passed; a
-            # non-finite entry of R_inv reaches M_inv's diagonal
-            out_of_range = ~np.isfinite(M_inv).all(axis=(-2, -1))
-            _record(errors, out_of_range, lambda: SingularDesignError(INVERSE_RANGE_MESSAGE, model=model))
-            at = np.array(cols)
-            G[..., k, at[:, None], at] = M_inv
-            if k == full:
-                R_w = R_k
+        out_of_range = _padded_inverses(G, stacks)
+
+        def message(i, k):  # at one candidate, a guard's rejection comes before its inverse
+            return _fit_failure(n, len(cols[k])) if rejected[i][k] else INVERSE_RANGE_MESSAGE
+
+        _design_errors(rejected | out_of_range, self.models, message, errors)
         self._plug_in = beta_full, G.reshape(*lead, K * p, p), R_w
         return self._plug_in
 
@@ -658,12 +664,6 @@ class _LogisticFits(_Fits):
         cols = oracle.column_indices()
         beta, _, _, failures = _mle_fits(self.X[..., cols], self.y, model=oracle)
         return expit(np.vecdot(x_star[cols], beta)), failures
-
-
-def _record(errors: dict, failed, error) -> None:
-    """Give every training set that ``failed`` marks, and that has no error yet, a fresh ``error()``."""
-    for i in _slices(failed):
-        errors.setdefault(i, error())
 
 
 def _weighted_r(X, beta):

@@ -355,6 +355,28 @@ def test_a_failed_inverse_gram_is_a_singular_design_error(factory, monkeypatch):
 
 
 
+def test_each_set_names_its_first_marked_design_and_keeps_an_earlier_error():
+    # 3 training sets x (K + 1) designs: the K candidates, then the full design
+    models = list(enumerate_all_subsets(1, 2))
+    K = len(models)
+    failed = np.zeros((3, K + 1), dtype=bool)
+    failed[0, [2, 1, K]] = True
+    failed[1, K] = True  # only the full design, which is no candidate
+    failed[2, 0] = True
+    earlier = SingularDesignError("an earlier failure")
+    asked = []
+
+    def message(i, k):
+        asked.append((i, k))
+        return f"design {k} of set {i}"
+
+    errors = mse_weights._design_errors(failed, models, message, {(2,): earlier})
+    assert asked == [((0,), 1), ((1,), K)]
+    assert str(errors[(0,)]) == "design 1 of set (0,)" and errors[(0,)].model == models[1]
+    assert str(errors[(1,)]) == f"design {K} of set (1,)" and errors[(1,)].model is None
+    assert errors[(2,)] is earlier and len(errors) == 3
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "factory, predictor_class",

@@ -25,7 +25,7 @@ def report_digest(monkeypatch):
     [
         "study1_B", "study2_linear_B", "study2_logistic_A", "study2_logistic_B", "thin_study2", "band_5",
         "study2_wide_seed", "band_wide_seed", "cv_aic", "cv_best_subset_cv", "cv_best_subset_aic",
-        "oracle_paths",
+        "oracle_paths", "logistic_subsets",
     ],
 )
 def test_a_tiny_calls_digest_is_the_same_at_one_and_two_workers(report_digest, name):

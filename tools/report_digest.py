@@ -41,14 +41,19 @@ rows, one line per row, each cell written exactly: a float as
   candidate; the linear full design joined to the candidates' union
   factor, and with a factor of its own; a linear oracle of its own
   columns inside the candidates' union, and outside it; and a
-  logistic oracle that is neither a candidate nor the full design.
+  logistic oracle that is neither a candidate nor the full design;
+* ``logistic_subsets``: every replication's estimates, as in
+  ``oracle_paths``, of two Study II logistic cells (n = 100, beta3 =
+  0.05 and 0.5, ``optimal`` and ``aic``, oracle (0, 2)) over all 8
+  subsets of Study II's 3 optional columns (``subset_configs``), so
+  that a stack holds more than one candidate of a size.
 
 ``--n-reps`` sets the replications of every study call but the two
 reference calls and ``thin_study2`` (default 100); the band and ``cv``
 calls ignore it.  Each call runs at every ``--workers`` value
 (default 1 and 2).  Run it in two checkouts, each with its own
 ``PYTHONPATH``, and diff the outputs: equal lines mean equal reports, to
-the last bit.  The default run takes about 1 s on a 2-core x86-64 VM.
+the last bit.  The default run takes about 2.5 s on a 2-core x86-64 VM.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ from glmavg import (
 )
 from glmavg.averaging import _prediction_bands
 from glmavg.crossval import DEFAULT_METHODS
-from glmavg.sim_harness import STUDY2_X_STAR, _simulate, study2_model_sets
+from glmavg.sim_harness import STUDY2_BETA_BASE, STUDY2_X_STAR, _simulate, study2_model_sets
 
 
 def _study1(case):
@@ -144,15 +149,38 @@ def oracle_configs(n_reps):
     ]
 
 
-def _oracle_paths(n_reps, workers):
-    configs = oracle_configs(n_reps)
-    rows = [
-        {"cell": cell, "column": column, "rep": rep, "estimate": float(value)}
-        for cell, estimates in enumerate(_simulate(configs, workers))
-        for column, values in estimates.items()
-        for rep, value in enumerate(values)
+def subset_configs(n_reps):
+    """The ``logistic_subsets`` cells: one Study II logistic ``StudyConfig`` of n = 100 per beta3."""
+    return [
+        StudyConfig(
+            family="logistic",
+            n=100,
+            beta_true=np.asarray(STUDY2_BETA_BASE + (beta3,)),
+            candidate_set=enumerate_all_subsets(1, 3),
+            x_star=np.asarray(STUDY2_X_STAR),
+            n_reps=n_reps,
+            seed=10,
+            schemes=("optimal", "aic"),
+            oracle=CandidateModel((0, 2), 1),
+            tags=("logistic_subsets", cell),
+        )
+        for cell, beta3 in enumerate((0.05, 0.5))
     ]
-    return SimpleNamespace(rows=rows)
+
+
+def _estimates(configs):
+    """A call whose rows are every replication's estimates of one study run over ``configs(n_reps)``."""
+
+    def call(n_reps, workers):
+        rows = [
+            {"cell": cell, "column": column, "rep": rep, "estimate": float(value)}
+            for cell, estimates in enumerate(_simulate(configs(n_reps), workers))
+            for column, values in estimates.items()
+            for rep, value in enumerate(values)
+        ]
+        return SimpleNamespace(rows=rows)
+
+    return call
 
 
 CALLS = {
@@ -183,7 +211,8 @@ CALLS = {
     "cv_aic": _cv("aic"),
     "cv_best_subset_cv": _cv("cv", methods=("best_subset",)),
     "cv_best_subset_aic": _cv("aic", methods=("best_subset",)),
-    "oracle_paths": _oracle_paths,
+    "oracle_paths": _estimates(oracle_configs),
+    "logistic_subsets": _estimates(subset_configs),
 }
 
 
