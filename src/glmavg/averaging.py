@@ -329,16 +329,17 @@ def _fit_average_stack(designs, parts: list, n: int, x_star: np.ndarray, schemes
     """Fit training sets of one design as one stack, average them once, and weigh each set's values.
 
     ``parts[j]`` is what ``designs.reduce`` kept of training set j, of n
-    rows, and ``schemes[j]`` names its schemes.  The parts are stacked
-    on one leading axis, or a lone set is fitted with none; one
-    ``designs.fit`` and one ``_average_stack`` then serve every set.
+    rows, as many arrays for every set of one design, and ``schemes[j]``
+    names its schemes.  Each of those arrays is stacked on one leading
+    axis, or a lone set is fitted with none; one ``designs.fit`` and one
+    ``_average_stack`` then serve every set.
     Returns the fit, each set's index on it, and ``_average_stack``'s
     per-model values and per-set results.
     """
     if len(parts) == 1:
         stacked, slices = parts[0], [()]
     else:
-        stacked = [None if column[0] is None else np.stack(column) for column in zip(*parts)]
+        stacked = [np.stack(column) for column in zip(*parts)]
         slices = [(j,) for j in range(len(parts))]
     fits = designs.fit(*stacked, n)
     return fits, slices, *_average_stack(fits, x_star, schemes)

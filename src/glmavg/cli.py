@@ -32,7 +32,6 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -56,6 +55,8 @@ from .sim_harness import REPORT_COLUMNS, STUDY2_BETA3_GRID, run_study1, run_stud
 def _write_atomic(path: str, text: str) -> None:
     """Write ``text`` to ``path`` through a temp file in the same directory and a rename.
 
+    The temp file has a random name and is created with mode 0666, which
+    the kernel masks with the process umask: a shell redirect's mode.
     An ``OSError`` names ``path`` as given, never the temp file, and no
     temp file is left behind.  A directory at ``path`` is a ``DataError``
     raised before any file is made.
@@ -64,12 +65,10 @@ def _write_atomic(path: str, text: str) -> None:
         raise DataError(f"--out {path!r} is a directory")
     try:
         directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".glmavg-", suffix=".tmp")
+        tmp = os.path.join(directory, f".glmavg-{os.urandom(8).hex()}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as handle:
-                umask = os.umask(0)
-                os.umask(umask)
-                os.fchmod(handle.fileno(), 0o666 & ~umask)  # a shell redirect's mode, not mkstemp's 0600
                 handle.write(text)
             os.replace(tmp, path)
         except BaseException:

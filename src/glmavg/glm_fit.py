@@ -439,7 +439,7 @@ def _freeze(failures: dict, failed, active, error):
     return active & ~failed
 
 
-def _damped_newton(X, target, merit, *, model, label, separation=""):
+def _damped_newton(X, target, merit, *, model, label, separation="", frozen=False):
     """Solve the score equation X'(target - p(X beta)) = 0 from beta = 0, on every leading axis.
 
     ``X`` is one n x d design and ``target`` its n-vector, or such
@@ -453,8 +453,9 @@ def _damped_newton(X, target, merit, *, model, label, separation=""):
     fit has failed, is frozen while the rest carry on: its direction is
     zero, so its step gives back its beta (beta starts at +0 and is
     never -0) and everything computed from it to the bit, and no mask or
-    gather touches the others.  Every product, solve and reduction works
-    slice by slice, so each slice gets the bits of its own lone fit.
+    gather touches the others.  A slice that ``frozen`` marks starts
+    frozen and makes no iteration.  Every product, solve and reduction
+    works slice by slice, so each slice gets the bits of its own lone fit.
 
     Returns beta, X beta, the merit there and the iteration counts, each
     with the leading axes, and ``failures``, a dict from the index of
@@ -476,7 +477,7 @@ def _damped_newton(X, target, merit, *, model, label, separation=""):
     iterations = np.zeros(lead, dtype=int)
     failures = {}
     full_step = np.ones((*lead, 1))
-    active = ~(size <= SCORE_TOL)  # a NaN score runs on into an error
+    active = ~((size <= SCORE_TOL) | frozen)  # a NaN score runs on into an error
     passes = 0  # an active slice has made every pass: its iteration count
     while anything(active):
         if passes >= MAX_ITER:
@@ -533,11 +534,13 @@ def _mle_fits(X, y, *, model=None):
     One ``_damped_newton`` loop on -loglik for the whole stack, its
     line search on the cheap ``_bernoulli_merit``, then one exact
     ``_bernoulli_loglik`` on the final eta.  A slice whose responses are
-    all equal has no MLE and fails as degenerate (its error reports 0
-    iterations); it runs with the others, but its results are not a fit.
+    all equal has no MLE and fails as degenerate: it starts frozen, so
+    it makes no iteration, and its error reports 0 iterations; its
+    results are not a fit.
     ``failures`` maps each failed slice's index (``()`` for a lone fit)
     to its error, which names ``model``.
     """
+    degenerate = (y == y[..., :1]).all(axis=-1)
     beta, eta, _, iterations, failures = _damped_newton(
         X,
         y,
@@ -545,8 +548,9 @@ def _mle_fits(X, y, *, model=None):
         model=model,
         label="logistic fit",
         separation=" (possible separation)",
+        frozen=degenerate,
     )
-    for i in _slices((y == y[..., :1]).all(axis=-1)):
+    for i in _slices(degenerate):
         failures[i] = NonConvergenceError(_DEGENERATE_MESSAGE, model=model)
     return beta, _bernoulli_loglik(eta, y), iterations, failures
 

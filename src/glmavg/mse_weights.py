@@ -368,14 +368,14 @@ class _LinearDesigns(_Designs):
     eta plus one standard normal draw per row (``respond``); ``rep_ms``
     is a stacked study replication's cost (``sim_harness._rep_ms``).
     Beside what every record reads off its candidates (``_Designs``),
-    ``sets`` are the column sets fitted from one factor: the
-    candidates' and, with no full candidate, the full design's when
-    their union is every column, as set K.  ``full`` is then the full
-    design's index among ``sets``, or None when some column is in no
-    candidate and the full design is one more design with its own
-    factor.  ``oracle`` is read from the candidates' fit when it is a
-    candidate (``oracle_k``) or the full design; otherwise its own
-    columns (``own``) get a factor of their own.
+    ``sets`` are the column sets reduced from R_aug, the factor of the
+    candidates' union U: the candidates' and, with no full candidate,
+    the full design's when U is every column, as set K.  ``own`` lists,
+    in order, the designs fitted from an n-row factor of their own: the
+    full design when some column is in no candidate, then a study
+    oracle's columns when it is neither a candidate nor the full design.
+    Fit 0 reduces ``sets`` and fit j > 0 reduces ``own[j - 1]``;
+    ``full_at`` is the (fit, row) that holds the full design's fit.
     """
 
     link = staticmethod(lambda eta: eta)
@@ -386,69 +386,63 @@ class _LinearDesigns(_Designs):
     def __init__(self, models, p: int, oracle: CandidateModel | None = None):
         super().__init__(models, p, oracle)
         self.K, self.sets, self.union = len(self.cols), self.cols, _union(self.cols)
-        if self.full is None and len(self.union) == p:
-            self.sets, self.full = [*self.cols, range(p)], self.K
-        own = oracle is not None and self.oracle_k is None and oracle.dim < p
-        self.own = oracle.column_indices() if own else None
+        self.own, self.full_at = [], (0, self.full)
+        if self.full is None and len(self.union) < p:
+            self.own, self.full_at = [range(p)], (1, 0)
+        elif self.full is None:
+            self.sets, self.full_at = [*self.cols, range(p)], (0, self.K)
+        if oracle is not None and self.oracle_k is None and oracle.dim < p:
+            self.own.append(oracle.column_indices())
 
     def reduce(self, X, y):
-        """What one training set (X, y) keeps for the fit: R factors of [X_U | y], [X | y] and [X_o | y].
-
-        R_aug of [X_U | y]; of [X | y] when the full design has its own
-        factor, else None; and of the oracle's own columns [X_o | y], or
-        None.
-        """
+        """What one training set (X, y) keeps: R_aug of [X_U | y], then the R factor of [X_o | y] per X_o in ``own``."""
         R_aug = _augmented_r(X, y, self.union) if self.sets else np.zeros((0, 1))
-        R_full = None if self.full is not None else _augmented_r(X, y, range(self.p))
-        return R_aug, R_full, None if self.own is None else _augmented_r(X, y, self.own)
+        return R_aug, *(_augmented_r(X, y, cols) for cols in self.own)
 
     def kept(self, n: int) -> int:
         """About how many doubles a fit holds per training set of n rows.
 
-        Its R factors of [X_U | y], [X | y] and an oracle's own columns,
-        each candidate's R_k and the padded inverse Grams of the
-        plug-in, (K + 1) p^2 of them.
+        The n-row factors ``reduce`` keeps, each fitted design's R_k and
+        the padded inverse Grams of the plug-in, (K + 1) p^2 of them.
         """
-        factors = sum(len(cols) ** 2 for cols in self.sets) + (self.K + 1) * self.p**2
-        own = (len(self.own) + 1) ** 2 if self.own else 0
-        return (len(self.union) + 1) ** 2 + (self.p + 1) ** 2 + own + factors
+        factors = sum((len(cols) + 1) ** 2 for cols in [self.union, *self.own])
+        return factors + sum(len(cols) ** 2 for cols in [*self.sets, *self.own]) + (self.K + 1) * self.p**2
 
-    def fit(self, R_aug, R_full, R_own, n: int):
-        """``_LinearFits`` on what ``reduce`` kept of one training set, or of a stack of them."""
-        return _LinearFits(self, R_aug, R_full, R_own, n)
+    def fit(self, *parts):
+        """``_LinearFits`` on what ``reduce`` kept of one training set of n rows, or of a stack of them, then n."""
+        return _LinearFits(self, parts[:-1], parts[-1])
 
 
 class _LinearFits(_Fits):
     """Every linear candidate's OLS fit, from the R factors of one training set or of a stack of them.
 
-    ``R_aug``, ``R_full`` and ``R_own`` are what ``designs.reduce``
-    returns for one training set of n rows, or those factors of many
-    such training sets stacked along leading axes; every array here
-    keeps those axes.  The fit is ``glm_fit._least_squares_from_r``,
-    once for ``designs.sets`` and once more for a full design with its
-    own factor.  A training set that failed (in one of the K
-    candidates, or in the full design when it is none of them) has no
-    fit, and ``fit_error`` names its first failing design.
+    ``factors`` are what ``designs.reduce`` returns for one training set
+    of n rows, or those factors of many such training sets stacked along
+    leading axes; every array here keeps those axes.  Each factor is
+    reduced by one ``glm_fit._least_squares_from_r`` call, R_aug into
+    ``designs.sets`` and each other into its design of ``designs.own``,
+    and ``beta_full``, ``sigma2``, the plug-in's R_full and an oracle
+    that is no candidate read those fits.  A training set that failed
+    (in one of the K candidates, or in the full design when it is none
+    of them) has no fit, and ``fit_error`` names its first failing
+    design.
     """
 
-    def __init__(self, designs: _LinearDesigns, R_aug, R_full, R_own, n: int):
-        K, p, f = designs.K, designs.p, designs.full
-        B, rss, self.factors, failed = _least_squares_from_r(R_aug, n, p, designs.sets, designs.union)
-        B_full, rss_full, self._factors_full = B, rss, self.factors
-        if f is None:
-            B_full, rss_full, self._factors_full, failed_full = _least_squares_from_r(
-                R_full, n, p, [range(p)], range(p)
-            )
-            failed, f = np.concatenate((failed, failed_full), axis=-1), 0
-        elif len(designs.sets) == K:  # the full design is a candidate
-            failed = np.concatenate((failed, np.zeros_like(failed[..., :1])), axis=-1)
-        self.designs, self.models, self.n, self._f, self._R_own = designs, designs.models, n, f, R_own
+    def __init__(self, designs: _LinearDesigns, factors, n: int):
+        K, p, (j, f) = designs.K, designs.p, designs.full_at
+        R_aug, *R_own = factors
+        fits = [_least_squares_from_r(R_aug, n, p, designs.sets, designs.union)]
+        fits += [_least_squares_from_r(R, n, p, [cols], cols) for R, cols in zip(R_own, designs.own)]
+        B, rss, self.factors, _ = fits[0]
+        self.designs, self.models, self.n, self._fits = designs, designs.models, n, fits
+        failed = np.concatenate([fit[3] for fit in fits[: j + 1]], axis=-1)  # and an own full design's
         self._errors = _design_errors(
             failed, self.models, lambda i, k: _fit_failure(n, len(designs.sets[k]) if k < K else p)
         )
         self._plug_in = None
         self.B = B[..., :K, :]
         self.logliks = _gaussian_profile_loglik(rss[..., :K], n)
+        B_full, rss_full, _, _ = fits[j]
         self.beta_full = B_full[..., f, :]
         self.sigma2 = rss_full[..., f] / n
 
@@ -459,20 +453,20 @@ class _LinearFits(_Fits):
         kept; a training set that failed its fit has no plug-in, so only
         a set with a fit may read its slice.  The inverse Grams
         G_k = R_k^{-1} R_k^{-T} are one ``_padded_inverses`` call on the
-        kept factors, one ``lapack_inv`` per model size; a failed or
-        overflowing inverse is not finite, which ``plug_in_error``
-        reports as an inverse that left floating-point range (the fit's
-        guard has passed every kept factor).
+        factors reduced from R_aug, one ``lapack_inv`` per model size; a
+        failed or overflowing inverse is not finite, which
+        ``plug_in_error`` reports as an inverse that left floating-point
+        range (the fit's guard has passed every kept factor).
         """
         if self._plug_in is not None:
             return self._plug_in
         lead = self.B.shape[:-2]
         K, p = self.B.shape[-2:]
-        G = np.zeros((*lead, K + 1, p, p))  # row K: the full design when it is not a candidate
+        G = np.zeros((*lead, K + 1, p, p))  # row K: the full design when it is set K
         out_of_range = _padded_inverses(G, self.factors)
         self._plug_in_errors = _design_errors(out_of_range, self.models, lambda i, k: INVERSE_RANGE_MESSAGE)
-        f = self._f
-        R_full = next(R[..., idx == f, :, :][..., 0, :, :] for idx, _, R in self._factors_full if f in idx)
+        j, f = self.designs.full_at
+        R_full = next(R[..., idx == f, :, :][..., 0, :, :] for idx, _, R in self._fits[j][2] if f in idx)
         R = np.sqrt(self.sigma2)[..., None, None] * R_full
         self._plug_in = self.beta_full, G[..., :K, :, :].reshape(*lead, K * p, p), R
         return self._plug_in
@@ -480,18 +474,18 @@ class _LinearFits(_Fits):
     def _oracle_fit(self, x_star):
         """x_o*' beta_o of every training set, beta_o the full design's fit or the oracle's own columns' fit.
 
-        The own columns' factors are reduced once for the stack, as
-        ``ols_fit`` of the oracle's columns reduces its one, and each
-        set's value is its own dot product on a copy of its coefficients,
-        with a lone ``ols_fit``'s bits.
+        The own columns are the last design of ``designs.own``, reduced
+        once for the stack as ``ols_fit`` of the oracle's columns reduces
+        its one factor, and each set's value is its own dot product on a
+        copy of its coefficients, with a lone ``ols_fit``'s bits.  A set
+        whose full design failed has failed its fit already.
         """
-        designs, n = self.designs, self.n
-        beta, errors = self.beta_full, {}
-        if designs.own is not None:
-            B, _, _, failed = _least_squares_from_r(self._R_own, n, designs.p, [designs.own], designs.own)
-            beta = B[..., 0, :]
-            errors = _design_errors(failed, [designs.oracle], lambda i, k: _fit_failure(n, len(designs.own)))
-        cols = designs.oracle.column_indices()
+        designs, oracle = self.designs, self.designs.oracle
+        j, o = designs.full_at if oracle.dim == designs.p else (len(designs.own), 0)
+        B, _, _, failed = self._fits[j]
+        beta = B[..., o, :]
+        errors = _design_errors(failed[..., o : o + 1], [oracle], lambda i, k: _fit_failure(self.n, oracle.dim))
+        cols = oracle.column_indices()
         with np.errstate(all="ignore"):  # a set that failed its fit may hold anything
             values = [x_star[cols] @ beta[i][cols] for i in np.ndindex(beta.shape[:-1])]
         return np.reshape(values, beta.shape[:-1]), errors
@@ -511,13 +505,15 @@ class LinearQFactory(_CandidateFactory):
     dimension.  With no candidates there is
     no [X_U | y] to factor.  The full design joins that factor when U is
     every column, as it is when the full design is a candidate;
-    otherwise it is one more design with its own factor.  A
+    otherwise it is the one design with an n-row factor of its own
+    (``_LinearDesigns.own``), reduced by the same routine.  A
     one-model set reduces a factor that is already triangular, so its
     beta and RSS are ``ols_fit``'s to the last bit; inside a larger set a
     candidate's fit agrees with ``ols_fit`` to rounding (at most 1e-14
     relative in beta over the 256 prostate candidates).  ``beta_full``
     and ``sigma2``, the divisor-n residual variance, come from the full
-    design's R factor.  The R factors are kept; the first ``q_form``
+    design's fit, wherever it lives (``_LinearDesigns.full_at``).  The
+    R factors are kept; the first ``q_form``
     inverts them, one ``glm_fit.lapack_inv`` per stack, into the padded
     inverse Grams G_k = (X_k'X_k)^{-1}.  The link is the identity, the
     plug-in is the full OLS fit, and since X = Q_full R_full,

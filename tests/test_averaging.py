@@ -642,7 +642,7 @@ class TestBandStacks:
     def test_prostate_designs_count_their_inverse_grams(self):
         designs = LinearAveragingPredictor._Designs(list(self.MODELS), 9)
         assert designs.kept(50) >= 256 * 81
-        # the doubles cap, not the count, binds a prostate stack: 75 sets of 27,929 doubles
+        # the doubles cap, not the count, binds a prostate stack: 75 sets of 27,829 doubles
         assert averaging._STACK_DOUBLES // designs.kept(50) == 75 < averaging._STACK_REPS
 
     def test_a_row_of_80_is_cut_into_two_stacks_of_40(self, monkeypatch):

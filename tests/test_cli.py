@@ -283,6 +283,19 @@ class TestPredictCommand:
         assert rc == 0
         assert out.stat().st_mode & 0o777 == mode
 
+    def test_out_never_sets_the_umask(self, linear_csv, tmp_path, monkeypatch):
+        # setting the umask, even for a moment, would unmask files another thread creates
+        calls = []
+        monkeypatch.setattr(os, "umask", lambda mask: calls.append(mask) or 0o022)
+        out = tmp_path / "estimate.csv"
+        rc = main([
+            "predict", "--data", str(linear_csv), "--response", "y",
+            "--x-star", "1,0,0", "--out", str(out),
+        ])
+        assert rc == 0 and out.exists()
+        assert calls == []
+        assert [path.name for path in tmp_path.iterdir() if path.name.startswith(".glmavg-")] == []
+
     @pytest.mark.parametrize("out", ["missing-dir/o.csv", "outdir"], ids=["missing-dir", "directory"])
     def test_unwritable_out_names_the_path_as_given(self, linear_csv, tmp_path, out, monkeypatch, capsys):
         # the error names --out, not the temp file, and no file is made or left anywhere

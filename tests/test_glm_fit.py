@@ -267,6 +267,33 @@ class TestLogisticMle:
         with pytest.raises(DataError):
             logistic_mle(np.ones((3, 1)), np.array([0.0, 0.5, 1.0]))
 
+    def test_degenerate_response_fails_before_any_newton_step(self, monkeypatch):
+        # all outcomes equal: y alone shows that no MLE exists, so no Hessian is solved
+        solves = []
+        solve = glm_fit.lapack_solve
+        monkeypatch.setattr(glm_fit, "lapack_solve", lambda *args: solves.append(args) or solve(*args))
+        rng = np.random.default_rng(39)
+        X = np.column_stack([np.ones(100), rng.standard_normal((100, 3))])
+        model = CandidateModel((0, 1, 2), 1)
+        with pytest.raises(NonConvergenceError) as caught:
+            logistic_mle(X, np.ones(100), model=model)
+        assert str(caught.value) == glm_fit._DEGENERATE_MESSAGE
+        assert caught.value.model is model and caught.value.iterations == 0
+        assert solves == []
+
+    def test_a_degenerate_slice_leaves_the_others_their_lone_fits(self):
+        rng = np.random.default_rng(40)
+        X = np.concatenate([np.ones((5, 60, 1)), rng.standard_normal((5, 60, 2))], axis=-1)
+        Y = (rng.random((5, 60)) < expit(X @ np.array([0.2, 0.8, -0.5]))).astype(float)
+        Y[2] = 0.0
+        beta, loglik, iterations, failures = glm_fit._mle_fits(X, Y)
+        assert list(failures) == [(2,)] and iterations[2] == 0
+        assert str(failures[(2,)]) == glm_fit._DEGENERATE_MESSAGE and failures[(2,)].iterations == 0
+        for j in (0, 1, 3, 4):
+            lone = logistic_mle(X[j], Y[j])
+            assert beta[j].tobytes() == lone.beta.tobytes(), j
+            assert float(loglik[j]).hex() == lone.loglik.hex() and iterations[j] == lone.iterations, j
+
 
 class TestLogisticPseudoFit:
     def test_recovers_representable_target(self):

@@ -21,7 +21,7 @@ import glmavg.averaging as averaging
 import glmavg.crossval as crossval
 import glmavg.glm_fit as glm_fit
 import glmavg.mse_weights as mse_weights
-from glmavg.sim_harness import STUDY1_BETA, STUDY1_P_FIXED, STUDY1_Q, study1_model_sets
+from glmavg.sim_harness import STUDY1_BETA, STUDY1_P_FIXED, STUDY1_Q, run_study1, study1_model_sets
 from glmavg import (
     CandidateModel,
     DataError,
@@ -168,6 +168,22 @@ class TestLinearQFactory:
         LinearQFactory(X, y, models)
         assert rows.count(X.shape[0]) == expected
         assert all(r == X.shape[0] or r <= X.shape[1] + 1 for r in rows)
+
+    def test_a_study1_case_b_stack_factors_two_designs_per_replication(self, monkeypatch):
+        # case B's ladder holds the full design, and its oracle is no candidate:
+        # each replication factors [X_U | y] and the oracle's own [X_o | y] on
+        # its n rows, and the stack reduces both from those factors
+        rows = []
+        qr = glm_fit.lapack_qr_r
+
+        def counted(a):
+            rows.extend([np.shape(a)[-2]] * int(np.prod(np.shape(a)[:-2])))
+            return qr(a)
+
+        monkeypatch.setattr(glm_fit, "lapack_qr_r", counted)
+        run_study1(n_grid=(60,), cases=("B",), n_reps=9, seed=7)
+        assert rows.count(60) == 2 * 9
+        assert all(r == 60 or r <= STUDY1_P_FIXED + STUDY1_Q + 1 for r in rows)
 
     def test_padded_betas_place_each_fit_in_its_columns(self):
         ds = synthetic_prostate()

@@ -121,10 +121,13 @@ def test_oracle_paths_covers_every_oracle_source(report_digest):
         elif config.family == "logistic":
             assert config.oracle.dim < 4
             sources.append("logistic")
-        elif designs.own is None:
-            sources.append("full, union factor" if designs.full is not None else "full, own factor")
+        elif config.oracle.dim == 4:
+            assert designs.full_at[0] == len(designs.own)  # the full design's fit is the last one
+            sources.append("full, union factor" if designs.full_at[0] == 0 else "full, own factor")
         else:
-            sources.append("own, inside union" if set(designs.own) <= set(designs.union) else "own, outside union")
+            assert designs.own[-1] == config.oracle.column_indices()
+            inside = set(designs.own[-1]) <= set(designs.union)
+            sources.append("own, inside union" if inside else "own, outside union")
     assert sources == [
         "candidate", "full, union factor", "full, own factor", "own, inside union", "own, outside union", "logistic",
     ]
