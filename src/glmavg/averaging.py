@@ -48,7 +48,7 @@ from .mse_weights import (
     equal_weights,
     solve_simplex_qp,
 )
-from .glm_fit import logistic_mle, require_finite
+from .glm_fit import _checked_data, logistic_mle
 from .model_space import ModelSet
 from .rng import _checked_keys, _stack_streams
 
@@ -299,8 +299,8 @@ def _average_stack(fits, x_star: np.ndarray, schemes: list) -> tuple[np.ndarray,
                         weights = solution.weights
                 elif scheme == "aic":
                     weights = aic[i]
-                    if np.isnan(weights[0]):  # a set aic_weights treats apart, or refuses
-                        weights = aic_weights(fits.logliks[i], dims)
+                    if np.isnan(weights[0]):  # a set aic_weights refuses
+                        aic_weights(fits.logliks[i], dims)  # raises its error
                 else:
                     weights = equal_weights(len(fits.models))
                 entries.append((float(weights @ values[i]), weights, q_hat, solution))
@@ -361,7 +361,11 @@ def fit_and_average_linear(
     functional: Functional,
     scheme: str = "optimal",
 ) -> AveragedEstimate:
-    """Fit all candidates by OLS and combine x*'beta estimates under ``scheme``."""
+    """Fit all candidates by OLS and combine x*'beta estimates under ``scheme``.
+
+    A malformed (X, y) raises ``DataError`` before any fit
+    (``glm_fit._checked_data``), as every entry point's does.
+    """
     return _fit_and_average("linear", X, y, models, functional, scheme)
 
 
@@ -372,7 +376,11 @@ def fit_and_average_logistic(
     functional: Functional,
     scheme: str = "optimal",
 ) -> AveragedEstimate:
-    """Fit all candidates by logistic MLE and combine probability estimates at x*."""
+    """Fit all candidates by logistic MLE and combine probability estimates at x*.
+
+    A malformed (X, y), or a response not coded 0/1, raises ``DataError``
+    before any fit.
+    """
     return _fit_and_average("logistic", X, y, models, functional, scheme)
 
 
@@ -402,7 +410,9 @@ def prediction_band(
     every ``workers``: up to ``workers`` processes run contiguous blocks
     of replications (serially when ``workers`` is 1, on one usable CPU,
     off Linux, or while another Python thread is alive).  Every argument,
-    ``workers`` below 1 included, is checked before the first draw.
+    ``workers`` below 1 included, is checked before the first draw, the
+    pool as every entry point checks a design and its response
+    (``glm_fit._checked_data``).
     """
     return _prediction_bands(
         X_pool, y_pool, [test_point], models, n_sub=n_sub, n_reps=n_reps, sigma=sigma,
@@ -426,11 +436,10 @@ def _prediction_bands(
     one its own call gives, the earliest failing (row, replication)
     raises the error its lone predictor raises, as a call per row would
     raise it, and ``workers`` > 1 forks once for all rows.  Every
-    argument of every row, the pool's shape and finiteness included, is
-    checked before the first draw.
+    argument of every row is checked before the first draw, the pool
+    (``glm_fit._checked_data``) first.
     """
-    X_pool = np.asarray(X_pool, dtype=float)
-    y_pool = np.asarray(y_pool, dtype=float)
+    X_pool, y_pool = _checked_data(X_pool, y_pool)
     if not 0.0 < level < 1.0:
         raise DataError("level must be strictly between 0 and 1")
     if n_sub > X_pool.shape[0]:
@@ -447,9 +456,6 @@ def _prediction_bands(
     keys = [_checked_keys(seed, "band") for seed in seeds]
     width = _checked_width(X_pool, models)
     x_stars = [Functional.linear_point(point).resolve(width) for point in test_points]
-    if y_pool.ndim != 1 or y_pool.shape[0] != X_pool.shape[0]:
-        raise DataError("y must be a vector with one entry per design row")
-    require_finite("design and response", X_pool, y_pool)
     designs = LinearAveragingPredictor._Designs(list(models), width)
 
     def block_pairs(block):

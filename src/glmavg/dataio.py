@@ -15,6 +15,7 @@ import numpy as np
 
 from .averaging import _PREDICTORS
 from .errors import DataError
+from .glm_fit import _checked_data
 from .rng import substream
 
 INTERCEPT_NAME = "(intercept)"
@@ -22,7 +23,14 @@ INTERCEPT_NAME = "(intercept)"
 
 @dataclass(frozen=True)
 class Dataset:
-    """Numeric regression data with a leading intercept column."""
+    """Numeric regression data with a leading intercept column.
+
+    The design and response are read-only copies of the caller's arrays,
+    checked as every fit checks them (``glm_fit._checked_data``: a 2-d
+    design, one response per row, every entry finite); a malformed
+    input, an unknown family, a column-name count off the design's or a
+    first column that is not all ones raises ``DataError``.
+    """
 
     response: np.ndarray
     design: np.ndarray
@@ -31,16 +39,12 @@ class Dataset:
     response_name: str = "y"
 
     def __post_init__(self):
-        response = np.array(self.response, dtype=float)
-        design = np.array(self.design, dtype=float)
         if self.family not in _PREDICTORS:
             raise DataError(f"unknown family {self.family!r}")
-        if response.ndim != 1 or design.ndim != 2 or design.shape[0] != response.shape[0]:
-            raise DataError("response must be (n,) and design (n, d) with matching n")
+        # copies of their own, so that freezing them leaves the caller's arrays writeable
+        design, response = _checked_data(np.array(self.design, dtype=float), np.array(self.response, dtype=float))
         if len(self.column_names) != design.shape[1]:
             raise DataError("need one column name per design column")
-        if not (np.all(np.isfinite(response)) and np.all(np.isfinite(design))):
-            raise DataError("data must not contain missing or non-finite values")
         if design.shape[0] > 0 and not np.all(design[:, 0] == 1.0):
             raise DataError("the first design column must be an all-ones intercept")
         response.flags.writeable = False

@@ -50,6 +50,14 @@ The two public solves differ only in the target t and the merit:
   the logit link is canonical, so ``LogisticQFactory`` reads the MLEs
   and no longer calls it; the tests use it as the oracle for that
   identity.
+
+Every entry point that takes a design and its response (``ols_fit``,
+both logistic solves, the candidate factories, ``prediction_band`` and
+``Dataset``) checks them with one routine, ``_checked_data``: a 2-d
+design, one response per row and every entry finite.  ``logistic_mle``
+and the logistic factory check the 0/1 coding with one more,
+``_require_binary``.  So a malformed input is a ``DataError`` before
+any fit.
 """
 
 from __future__ import annotations
@@ -135,6 +143,29 @@ def require_finite(name: str, *arrays: np.ndarray) -> None:
     """Raise ``DataError`` unless every entry of every array is finite."""
     if not all(np.isfinite(arr).all() for arr in arrays):
         raise DataError(f"{name} must be finite")
+
+
+def _checked_data(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """A design X and its response y as float arrays: the one check of every entry point that takes them.
+
+    Raises ``DataError`` unless X is 2-d, y is a vector with one entry
+    per row of X, and every entry of both is finite, checked in that
+    order.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2:
+        raise DataError("design matrix must be 2-d")
+    if y.ndim != 1 or y.shape[0] != X.shape[0]:
+        raise DataError("y must be a vector with one entry per design row")
+    require_finite("design and response", X, y)
+    return X, y
+
+
+def _require_binary(y: np.ndarray) -> None:
+    """Raise ``DataError`` unless every logistic response is 0 or 1."""
+    if not ((y == 0.0) | (y == 1.0)).all():
+        raise DataError("logistic responses must be coded 0/1")
 
 
 @functools.lru_cache(maxsize=64)
@@ -311,8 +342,6 @@ def _least_squares_from_r(R_aug: np.ndarray, n: int, p: int, column_sets: list, 
     rss = np.zeros((*lead, len(column_sets)))
     failed = np.zeros((*lead, len(column_sets)), dtype=bool)
     factors = []
-    if not column_sets:
-        return B, rss, factors, failed
     u = len(union)
     where = np.zeros(p, dtype=int)
     where[union] = np.arange(u)
@@ -382,16 +411,11 @@ def ols_fit(
     on the one column set of ``X_k``: R_k, Q_k'y and the RSS come from
     the R factor of [X_k | y], so an exactly determined design (n = d)
     has RSS 0.  The log-likelihood is the Gaussian profile one at
-    sigma^2 = RSS/n (+inf for an exact fit).
+    sigma^2 = RSS/n (+inf for an exact fit).  A design and response that
+    fail ``_checked_data``, or a design with no columns, raise
+    ``DataError`` before the fit.
     """
-    X_k = np.asarray(X_k, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.shape[0] != X_k.shape[0]:
-        raise DataError("y must be a vector with one entry per design row")
-    require_finite("response", y)
-    if X_k.ndim != 2:
-        raise DataError("design matrix must be 2-d")
-    require_finite("design matrix", X_k)
+    X_k, y = _checked_data(X_k, y)
     n, d = X_k.shape
     if d == 0:
         raise DataError("design matrix has no columns")
@@ -563,17 +587,14 @@ def logistic_mle(
 ) -> FitResult:
     """Logistic maximum likelihood via damped Newton iterations on -loglik.
 
-    Raises ``NonConvergenceError`` when the responses are all equal,
+    Raises ``DataError`` before the fit when (X_k, y) fail
+    ``_checked_data`` or a response is not 0 or 1 (``_require_binary``),
+    and ``NonConvergenceError`` when the responses are all equal,
     ``MAX_ITER`` iterations do not converge or a coefficient runs past
     the separation guard.
     """
-    X_k = np.asarray(X_k, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.shape[0] != X_k.shape[0]:
-        raise DataError("y must be a vector with one entry per design row")
-    require_finite("design matrix", X_k)
-    if not ((y == 0.0) | (y == 1.0)).all():
-        raise DataError("logistic responses must be coded 0/1")
+    X_k, y = _checked_data(X_k, y)
+    _require_binary(y)
     beta, loglik, iterations, failures = _mle_fits(X_k, y, model=model)
     if failures:
         raise failures[()]
@@ -592,14 +613,12 @@ def logistic_pseudo_fit(
     probability vector: Newton steps
     ``beta += (X_k' diag(p(1-p)) X_k)^{-1} X_k'(p_target - p)``,
     halving the step whenever the score-residual norm fails to improve.
+    ``p_target`` must be a ``ProbVector`` or make one, and (X_k,
+    p_target) must pass ``_checked_data``, else ``DataError``.
     """
-    X_k = np.asarray(X_k, dtype=float)
-    require_finite("design matrix", X_k)
     if not isinstance(p_target, ProbVector):
-        p_target = ProbVector(np.asarray(p_target, dtype=float))
-    target = p_target.probs
-    if target.shape[0] != X_k.shape[0]:
-        raise DataError("p_target must have one entry per design row")
+        p_target = ProbVector(p_target)
+    X_k, target = _checked_data(X_k, p_target.probs)
     beta, eta, _, iterations, failures = _damped_newton(
         X_k,
         target,

@@ -42,7 +42,8 @@ factors, a study's oracle among them.  Both records read the same
 fields off their candidates (``_Designs``), both plug-ins write their
 padded inverse Grams through one routine (``_padded_inverses``), and
 the linear fit and both plug-ins name a training set's first failing
-design by one rule (``_design_errors``).  Both factories defer the
+design by one rule (``_design_errors``).  Both factories check their
+(X, y) with ``glm_fit._checked_data`` before any fit, and defer the
 plug-in fit, and with it every matrix inverse, to the first
 ``q_form``.  Each family's fit and plug-in
 (``_LinearFits``, ``_LogisticFits``, made by its designs' ``fit``) take
@@ -98,10 +99,12 @@ from .errors import DataError, NumericalError, SingularDesignError, _returned
 from .glm_fit import (
     INVERSE_RANGE_MESSAGE,
     _augmented_r,
+    _checked_data,
     _fit_failure,
     _gaussian_profile_loglik,
     _least_squares_from_r,
     _mle_fits,
+    _require_binary,
     _slices,
     _union,
     expit,
@@ -199,20 +202,17 @@ class _CandidateFactory:
     ``equal`` schemes never call ``q_form``, so they never pay for the
     plug-in.  A factory may hold no candidates (``cv_compare`` builds
     one only for ``beta_full``); its ``q_form`` raises ``DataError``
-    before any plug-in fit.  The averaging predictors subclass these
-    factories (``averaging.LinearAveragingPredictor``,
+    before any plug-in fit.  Before any fit, (X, y) go through
+    ``glm_fit._checked_data``, each model's columns are checked against
+    X's, and the logistic designs' ``reduce`` checks the 0/1 coding, so
+    a malformed input is a ``DataError``.  The averaging predictors
+    subclass these factories (``averaging.LinearAveragingPredictor``,
     ``LogisticAveragingPredictor``) and add only ``predict``.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, models: Sequence[CandidateModel]):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if X.ndim != 2:
-            raise DataError("design matrix must be 2-d")
+        X, y = _checked_data(X, y)
         n, p = X.shape
-        if y.ndim != 1 or y.shape[0] != n:
-            raise DataError("y must be a vector with one entry per design row")
-        require_finite("design and response", X, y)
         models = list(models)
         for model in models:
             if model.columns[-1] >= p:
@@ -558,8 +558,8 @@ class _LogisticDesigns(_Designs):
 
     def reduce(self, X, y):
         """What one training set keeps for the fit: its X and y, once the responses are checked."""
-        if self.models and not ((y == 0.0) | (y == 1.0)).all():
-            raise DataError("logistic responses must be coded 0/1")
+        if self.models:
+            _require_binary(y)
         return X, y
 
     def kept(self, n: int) -> int:
@@ -714,7 +714,7 @@ def build_q_logistic(
     pseudo-true fit against it.  Fit failures propagate with the
     offending model attached.
     """
-    X = np.asarray(X, dtype=float)
+    X, y = _checked_data(X, y)
     x_star = _checked_point(x_star, X.shape[1])
     return LogisticQFactory(X, y, models).q_form(x_star)
 
@@ -748,18 +748,15 @@ def aic_weights(logliks, dims) -> np.ndarray:
     and ``dims()`` give them.  The AICs are rescaled against the minimum
     so the weights are invariant under a common shift.  Infinitely good
     fits (exact linear interpolation gives loglik = +inf) share the
-    weight equally among themselves.
+    weight equally among themselves (``_aic_weights``).  A NaN
+    log-likelihood, or every fit infinitely bad, raises ``DataError``.
     """
     aic = aic_values(logliks, dims)
     if aic.ndim != 1:
         raise DataError("logliks and dims must be non-empty vectors of the same length")
     if np.any(np.isnan(aic)):
         raise DataError("log-likelihoods must not be NaN")
-    best = np.min(aic)
-    if best == -np.inf:
-        mask = np.isneginf(aic)
-        return mask.astype(float) / mask.sum()
-    if best == np.inf:
+    if np.min(aic) == np.inf:
         raise DataError("every model has an infinitely bad fit; AIC weights are undefined")
     return _aic_weights(aic)
 
@@ -767,12 +764,15 @@ def aic_weights(logliks, dims) -> np.ndarray:
 def _aic_weights(aic: np.ndarray) -> np.ndarray:
     """exp(-(AIC_k - min AIC) / 2), normalised, on the last axis of ``aic`` and every leading one.
 
-    A candidate set whose smallest AIC is not finite (a NaN, or a fit
-    infinitely good or every fit infinitely bad), which ``aic_weights``
-    treats apart, gives all NaN.
+    In a candidate set with an infinitely good fit (AIC -inf, as an
+    exact linear fit has), those fits share the weight equally: each of
+    them gets exp(0) and every other exp(-inf) = 0.  A set with a NaN
+    AIC, or whose every fit is infinitely bad, which ``aic_weights``
+    refuses, gives all NaN.
     """
     with np.errstate(invalid="ignore"):
-        w = np.exp(-0.5 * (aic - aic.min(axis=-1, keepdims=True)))
+        shift = aic - aic.min(axis=-1, keepdims=True)
+        w = np.exp(-0.5 * np.where(np.isneginf(aic), 0.0, shift))
         return w / w.sum(axis=-1, keepdims=True)
 
 

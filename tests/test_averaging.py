@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -358,6 +360,79 @@ class TestAicWeightsFromFactories:
         np.testing.assert_array_equal(got, aic_weights_reference(fits))
 
 
+class TestExactFitAicWeights:
+    """An exact fit (AIC -inf) takes the smoothed-AIC weight by the stacked rule, alone or in a stack.
+
+    ``aic_weights`` is patched to refuse every call, so each set's weights
+    must come from the one stacked rule (``mse_weights._aic_weights``);
+    they are checked against the lone rule, ``aic_weights`` itself.
+    """
+
+    @pytest.fixture
+    def lone_rule(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a set with an exact fit fell back to aic_weights")
+
+        monkeypatch.setattr(averaging, "aic_weights", refuse)
+        return mse_weights.aic_weights
+
+    def test_lone_predictor_on_p_rows(self, lone_rule):
+        X, y, _ = _linear_data(seed=5, n=4, q=3)
+        predictor = LinearAveragingPredictor(X, y, enumerate_all_subsets(1, 3))
+        estimate = predictor.predict(X[0], "aic")
+        expected = lone_rule(predictor.logliks(), predictor.dims())
+        assert predictor.logliks()[-1] == np.inf and expected.tolist() == [0.0] * 7 + [1.0]
+        assert estimate.weights.tobytes() == expected.tobytes()
+        assert estimate.value == float(expected @ estimate.per_model)
+
+    def test_a_refused_set_raises_the_lone_error(self):
+        # the stacked rule gives NaN to a set aic_weights refuses, which then raises its error
+        class Fits:
+            models = [None, None]
+            B = np.zeros((3, 2, 1))
+            logliks = np.array([[-1.0, -2.0], [np.nan, -1.0], [-np.inf, -np.inf]])
+            designs = SimpleNamespace(dims=np.array([1, 2]))
+
+            def values(self, x_star):
+                return np.ones((3, 2))
+
+            def fit_error(self, i):
+                return None
+
+        _, [fine, nan, every_bad] = averaging._average_stack(Fits(), None, [("aic",)] * 3)
+        [(_, weights, _, _)] = fine
+        assert weights.tobytes() == mse_weights.aic_weights(Fits.logliks[0], [1, 2]).tobytes()
+        assert (type(nan), str(nan)) == (DataError, "log-likelihoods must not be NaN")
+        assert str(every_bad) == "every model has an infinitely bad fit; AIC weights are undefined"
+
+    def test_band_with_n_sub_equal_to_p(self, lone_rule, monkeypatch):
+        stacks = []
+        average_stack = averaging._average_stack
+
+        def recorded(fits, x_star, schemes):
+            values, results = average_stack(fits, x_star, schemes)
+            stacks.append((fits, values, results))
+            return values, results
+
+        monkeypatch.setattr(averaging, "_average_stack", recorded)
+        X, y = TestPredictionBand()._pool()
+        band = prediction_band(
+            X, y, np.array([1.0, 0.3, -0.2]), nested_sequence(1, 2),
+            n_sub=3, n_reps=8, sigma=0.0, level=0.5, scheme="aic",
+        )
+        [(fits, values, results)] = stacks
+        full = fits.designs.full
+        assert np.isposinf(fits.logliks[:, full]).all()  # every full-model fit is exact
+        means = []
+        for i, result in enumerate(results):
+            [(mean, weights, _, _)] = result
+            expected = lone_rule(fits.logliks[i], fits.designs.dims)
+            assert weights.tobytes() == expected.tobytes() and np.flatnonzero(expected).tolist() == [full]
+            assert mean == float(expected @ values[i])
+            means.append(mean)
+        assert band.point == float(np.mean(means))
+
+
 class TestPredictionBand:
     def _pool(self, seed=14, n=120):
         rng = np.random.default_rng(seed)
@@ -420,6 +495,19 @@ class TestPredictionBand:
             prediction_band(
                 X, y, np.array([1.0, 0.0, 0.0]), nested_sequence(1, 2),
                 n_sub=20, n_reps=5, sigma=sigma, level=0.9, seed=0,
+            )
+
+    @pytest.mark.parametrize("n_reps", [0, -2])
+    def test_n_reps_below_one_is_rejected_before_any_draw(self, monkeypatch, n_reps):
+        def no_draw(*args):
+            raise AssertionError("a subsample was drawn before n_reps was checked")
+
+        monkeypatch.setattr(averaging, "_stack_streams", no_draw)
+        X, y = self._pool()
+        with pytest.raises(DataError, match="^n_reps must be at least 1$"):
+            prediction_band(
+                X, y, np.array([1.0, 0.0, 0.0]), nested_sequence(1, 2),
+                n_sub=20, n_reps=n_reps, sigma=1.0, level=0.9, seed=0,
             )
 
     @pytest.mark.parametrize("n_sub", [0, -3])

@@ -312,6 +312,43 @@ class TestPredictCommand:
         assert ".glmavg-" not in err
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_failed_write_leaves_no_temp_file(self, linear_csv, tmp_path, monkeypatch, capsys):
+        # the temp file is written, the rename fails: the temp file goes and the error names --out
+        def failing_replace(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        out = tmp_path / "estimate.csv"
+        rc = main([
+            "predict", "--data", str(linear_csv), "--response", "y",
+            "--x-star", "1,0,0", "--out", str(out),
+        ])
+        assert rc == 2
+        assert f"glmavg: [Errno 28] No space left on device: {str(out)!r}" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == [linear_csv.name]
+
+    def test_unparsable_x_star_entry_is_a_data_error(self, linear_csv, capsys):
+        rc = main([
+            "predict", "--data", str(linear_csv), "--response", "y", "--x-star", "1,one,0",
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "data error: cannot parse --x-star: could not convert string to float: 'one'" in captured.err
+
+    def test_too_many_predictors_is_an_error_with_exit_2(self, tmp_path, capsys):
+        # 21 predictors ask for 2**21 candidates: a CapacityError, which main reports as a plain error
+        path = tmp_path / "wide.csv"
+        rng = np.random.default_rng(21)
+        header = ",".join([f"x{j}" for j in range(21)] + ["y"])
+        rows = [",".join(repr(float(v)) for v in row) for row in rng.standard_normal((30, 22))]
+        path.write_text("\n".join([header, *rows]) + "\n")
+        rc = main(["predict", "--data", str(path), "--response", "y", "--x-star", ",".join(["1"] * 22)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "glmavg: error: 2**21 candidate models exceeds the enumeration guard (q <= 20)\n"
+
     def test_empty_x_star_entry_is_a_data_error(self, linear_csv, capsys):
         # "1,,0,0" must not be read as the 3-entry "1,0,0"
         rc = main([

@@ -629,6 +629,19 @@ class TestSolveSimplexQp:
         expected = [2.0 / 3.0, 1.0 / 3.0]
         np.testing.assert_allclose(solve_simplex_qp(DIAGONAL_1_2).weights, expected, atol=1e-12)
 
+    def test_negative_corral_sum_falls_back_to_the_qr_run(self, monkeypatch):
+        # a fast-path corral system whose solution sums below zero raises, and the QR run answers
+        P = np.column_stack([DIAGONAL_1_2.bias, DIAGONAL_1_2.gram_factor.T])
+        sq_norms = np.einsum("ij,ij->i", P, P)
+        lone = mse_weights._certified_solution(P, sq_norms, mse_weights._qr_corral_solve)
+        monkeypatch.setattr(mse_weights, "_gram_corral_solve", lambda S, c, ones: -ones)
+        with pytest.raises(NumericalError, match="corral system gave 1'u = -2"):
+            mse_weights._nearest_point(P, sq_norms, mse_weights._gram_corral_solve)
+        sol = solve_simplex_qp(DIAGONAL_1_2)
+        assert _hexed(sol.weights, sol.objective, sol.iterations, sol.kkt_residual) == _hexed(
+            lone.weights, lone.objective, lone.iterations, lone.kkt_residual
+        )
+
     @pytest.mark.filterwarnings("error")
     def test_both_runs_failing_raise(self, monkeypatch):
         # Every corral solve of both runs goes through lapack_solve.
@@ -946,6 +959,21 @@ class TestStackedSolve:
         assert np.flatnonzero(lone).tolist() == [5]
         for i in set(range(8)) - {5}:
             assert _hexed(weights[i], objective[i], iterations[i], residual[i]) == _lone_answer(bias[i], gram_factor[i])
+
+    def test_out_of_major_cycles_every_slice_is_solved_alone(self, monkeypatch):
+        # with the lockstep loop's cap at one major cycle, every slice that needs a
+        # second is flagged, solved again alone, and keeps its lone answer
+        rng = np.random.default_rng(33)
+        m = averaging._LOCKSTEP_MIN
+        bias, gram_factor = rng.standard_normal((m, 16)), rng.standard_normal((m, 5, 16))
+        answers = [_lone_answer(bias[i], gram_factor[i]) for i in range(m)]
+        assert min(answer[2] for answer in answers) >= 2
+        monkeypatch.setattr(_lockstep, "SOLVER_MAX_ITER", 1)
+        assert _lockstep._solve_stack(bias, gram_factor)[-1].all()
+        _, results = averaging._average_stack(_FormStack(bias, gram_factor), None, [("optimal",)] * m)
+        for answer, [(_, weights, _, solution)] in zip(answers, results):
+            assert solution is not None  # a lone solve's
+            assert _hexed(weights, solution.objective, solution.iterations, solution.kkt_residual) == answer
 
     def test_failing_slices_raise_their_lone_errors(self):
         X = np.column_stack([np.ones(7), SEPARATED_Z])

@@ -329,6 +329,19 @@ class TestSimulateCell:
         assert set(out) == {"optimal", "aic", "oracle"}
         assert all(v.shape == (8,) for v in out.values())
 
+    def test_a_stack_whose_every_draw_fails_fits_nothing(self, monkeypatch):
+        # no replication of the stack has data, so nothing is fitted and the first draw's error is raised
+        def failing_draw(config, rep, rng):
+            raise DataError(f"no data at rep {rep}")
+
+        def no_fit(*args):
+            raise AssertionError("a stack with no drawn replication was fitted")
+
+        monkeypatch.setattr(sim_harness, "_draw", failing_draw)
+        monkeypatch.setattr(sim_harness, "_fit_average_stack", no_fit)
+        with pytest.raises(DataError, match=r"^no data at rep 0 in replication \('t', rep 0\)$"):
+            simulate_cell(self._config(n_reps=4, tags=("t",)))
+
     def test_worker_count_does_not_change_results(self):
         config = self._config(n_reps=12, tags=("t",))
         serial = simulate_cell(config, workers=1)
