@@ -1,6 +1,7 @@
 """``tools/report_digest.py`` hashes study reports to the last bit."""
 
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,10 @@ import pytest
 from glmavg import NonConvergenceError
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
+DATA = Path(__file__).resolve().parent / "data"
+# tools/report_digest.py's lines at the replication count and worker counts of
+# tests/data/make_report_digest.py, which wrote them
+COMMITTED = (DATA / "report_digest.txt").read_text().splitlines()
 
 # the calls here run a few replications, below a study's floor of work per
 # process, so every test lets the studies fork them at 2 or more workers
@@ -18,6 +23,27 @@ pytestmark = pytest.mark.usefixtures("fork_any_work")
 def report_digest(monkeypatch):
     monkeypatch.syspath_prepend(str(TOOLS))
     return importlib.import_module("report_digest")
+
+
+@pytest.fixture
+def make_report_digest():
+    spec = importlib.util.spec_from_file_location("make_report_digest", DATA / "make_report_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_committed_digest_has_one_line_per_call_and_worker_count(report_digest, make_report_digest):
+    names = [line.split()[:2] for line in COMMITTED]
+    assert names == [[name, f"workers={w}"] for name in report_digest.CALLS for w in make_report_digest.WORKERS]
+
+
+@pytest.mark.parametrize("name", sorted({line.split()[0] for line in COMMITTED}))
+def test_every_call_keeps_its_committed_digest(report_digest, make_report_digest, name):
+    # the bit contract: regenerate the file only on purpose, and name each moved line in CHANGES.md
+    call, n_reps = report_digest.CALLS[name], make_report_digest.N_REPS
+    lines = [f"{name} workers={w} {report_digest.call_digest(call, n_reps, w)}" for w in make_report_digest.WORKERS]
+    assert lines == [line for line in COMMITTED if line.split()[0] == name]
 
 
 @pytest.mark.parametrize(
