@@ -30,8 +30,8 @@ per-model functional estimates:
   X_k'(p_full - p(X_k beta)) = X_k'(y - p(X_k beta)) for every beta; the
   two score equations are one (McCullagh & Nelder 1989).  The plug-in
   therefore reads the MLEs the factory already has, the logistic twin
-  of the linear B_pl = B; its only fit is the full-model MLE, when the
-  full design is not a candidate.
+  of the linear B_pl = B, and the full design's MLE, a candidate's or
+  the one fit of the full design in the designs' list.
 
 Both are one assembly (``_Fits.q_parts``) with link h and slope h':
 the identity and 1 for linear targets, expit and p(1-p) for logistic
@@ -39,7 +39,10 @@ ones.  Each family's designs (``_LinearDesigns``, ``_LogisticDesigns``)
 are its one record: its link, its response law and its cost per
 replication, which the study harness reads, and the designs its fit
 factors, a study's oracle among them.  Both records read the same
-fields off their candidates (``_Designs``), both plug-ins write their
+fields off their candidates and list the same designs beyond them, the
+full design and a study oracle's own columns, each fitted once per
+training set (``_Designs.own``), which the plug-in and the oracle both
+read (``_Fits.fitted``).  Both plug-ins write their
 padded inverse Grams through one routine (``_padded_inverses``), and
 the linear fit and both plug-ins name a training set's first failing
 design by one rule (``_design_errors``).  Both factories check their
@@ -88,6 +91,7 @@ the averaged estimate x*'beta_full + (M w)_0.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -258,9 +262,11 @@ class _Fits:
     reads, and gives ``B``, the padded coefficients (K x p per training
     set), ``plug_in``: the full model's coefficients beta_full, the
     padded inverse Grams G (K p x p) and a p x p factor R, and
-    ``_oracle_fit``: the values of an oracle that is no candidate.
-    Under both canonical links each candidate's plug-in coefficients are
-    B itself, so with v = h(B x*) the bias is v - h(x*'beta_full) and
+    ``fitted``: the fit of one design of the designs' list (fit 0, the
+    candidates', or one listed beyond them, ``_Designs.own``), which the
+    plug-in and ``oracle_values`` both read.  Under both canonical links
+    each candidate's plug-in coefficients are B itself, so with
+    v = h(B x*) the bias is v - h(x*'beta_full) and
     the Gram factor R (G x*)' diag(h'(v)).  The same routines serve one
     training set (a factory) and a stack of them (the study harness):
     every product works slice by slice, so a stacked training set keeps
@@ -284,14 +290,27 @@ class _Fits:
         return self.designs.link(self.B @ x_star)
 
     def oracle_values(self, x_star: np.ndarray, values: np.ndarray):
-        """The designs' oracle's value at x* for every training set, and the failures of its own fit by set.
+        """The designs' oracle's value at x* for every training set, and the failures of its fit by set.
 
         ``values`` is ``self.values(x_star)``.  An oracle that is a
-        candidate reads its values; any other is fitted once for the
-        whole stack (``_oracle_fit``), with each set's bits of a lone fit.
+        candidate reads its values.  Any other reads its one fit in the
+        designs' list (``fitted``): the full design's (``full_at``),
+        which the plug-in reads too, or its own columns', the last one.
+        Each set's value is h of its own dot product on a fresh copy of
+        its coefficients, with the bits of a lone ``ols_fit`` or
+        ``logistic_mle``, and its failures are copies that name the
+        oracle.
         """
-        k = self.designs.oracle_k
-        return (values[..., k], {}) if k is not None else self._oracle_fit(x_star)
+        designs, oracle = self.designs, self.designs.oracle
+        if designs.oracle_k is not None:
+            return values[..., designs.oracle_k], {}
+        beta, failures = self.fitted(*(designs.full_at if oracle.dim == designs.p else (len(designs.own), 0)))
+        with np.errstate(all="ignore"):  # a set that failed its fit may hold anything
+            dots = [x_star[oracle.column_indices()] @ beta[i].copy() for i in np.ndindex(beta.shape[:-1])]
+        failures = {i: copy.copy(error) for i, error in failures.items()}
+        for error in failures.values():
+            error.model = oracle
+        return designs.link(np.reshape(dots, beta.shape[:-1])), failures
 
     def q_parts(self, x_star: np.ndarray, values: np.ndarray):
         """Qhat's bias and Gram factor at x* for every training set, with ``values`` = ``self.values(x_star)``.
@@ -342,13 +361,18 @@ def _padded_inverses(G, stacks):
 
 
 class _Designs:
-    """What both families' records read off their candidates, once per record.
+    """What both families' records read off their candidates, and the one list of designs a training set fits.
 
     ``models`` are the K candidates over p columns, ``cols`` their
     columns, ``dims`` their read-only coefficient counts and ``full`` the
     index of the candidate with all p columns, or None.  ``oracle`` is a
     study's oracle model or None, and ``oracle_k`` its index among the
-    candidates, or None.
+    candidates, or None.  ``own`` lists, in order, the designs a training
+    set fits beyond its candidates, each once: the full design when no
+    candidate is it, then a study oracle's columns when the oracle is
+    neither a candidate nor the full design.  Fit 0 is the candidates'
+    and fit j > 0 is ``own[j - 1]``'s; ``full_at`` is the (fit, row) that
+    holds the full design's fit.
     """
 
     def __init__(self, models, p: int, oracle: CandidateModel | None = None):
@@ -359,6 +383,9 @@ class _Designs:
         # columns are strictly increasing and below p, so only the full design has p of them
         self.full = next((k for k, cols in enumerate(self.cols) if len(cols) == p), None)
         self.oracle_k = models.index(oracle) if oracle in models else None
+        self.own, self.full_at = ([], (0, self.full)) if self.full is not None else ([range(p)], (1, 0))
+        if oracle is not None and self.oracle_k is None and oracle.dim < p:
+            self.own.append(oracle.column_indices())
 
 
 class _LinearDesigns(_Designs):
@@ -370,12 +397,9 @@ class _LinearDesigns(_Designs):
     Beside what every record reads off its candidates (``_Designs``),
     ``sets`` are the column sets reduced from R_aug, the factor of the
     candidates' union U: the candidates' and, with no full candidate,
-    the full design's when U is every column, as set K.  ``own`` lists,
-    in order, the designs fitted from an n-row factor of their own: the
-    full design when some column is in no candidate, then a study
-    oracle's columns when it is neither a candidate nor the full design.
-    Fit 0 reduces ``sets`` and fit j > 0 reduces ``own[j - 1]``;
-    ``full_at`` is the (fit, row) that holds the full design's fit.
+    the full design's when U is every column, as set K, which then
+    leaves ``own``.  Fit 0 reduces ``sets`` and fit j > 0 reduces
+    ``own[j - 1]`` from an n-row factor of its own.
     """
 
     link = staticmethod(lambda eta: eta)
@@ -386,13 +410,9 @@ class _LinearDesigns(_Designs):
     def __init__(self, models, p: int, oracle: CandidateModel | None = None):
         super().__init__(models, p, oracle)
         self.K, self.sets, self.union = len(self.cols), self.cols, _union(self.cols)
-        self.own, self.full_at = [], (0, self.full)
-        if self.full is None and len(self.union) < p:
-            self.own, self.full_at = [range(p)], (1, 0)
-        elif self.full is None:
+        if self.full is None and len(self.union) == p:
+            del self.own[0]
             self.sets, self.full_at = [*self.cols, range(p)], (0, self.K)
-        if oracle is not None and self.oracle_k is None and oracle.dim < p:
-            self.own.append(oracle.column_indices())
 
     def reduce(self, X, y):
         """What one training set (X, y) keeps: R_aug of [X_U | y], then the R factor of [X_o | y] per X_o in ``own``."""
@@ -422,10 +442,10 @@ class _LinearFits(_Fits):
     reduced by one ``glm_fit._least_squares_from_r`` call, R_aug into
     ``designs.sets`` and each other into its design of ``designs.own``,
     and ``beta_full``, ``sigma2``, the plug-in's R_full and an oracle
-    that is no candidate read those fits.  A training set that failed
-    (in one of the K candidates, or in the full design when it is none
-    of them) has no fit, and ``fit_error`` names its first failing
-    design.
+    that is no candidate (``fitted``) read those fits.  A training set
+    that failed (in one of the K candidates, or in the full design when
+    it is none of them) has no fit, and ``fit_error`` names its first
+    failing design.
     """
 
     def __init__(self, designs: _LinearDesigns, factors, n: int):
@@ -471,24 +491,15 @@ class _LinearFits(_Fits):
         self._plug_in = self.beta_full, G[..., :K, :, :].reshape(*lead, K * p, p), R
         return self._plug_in
 
-    def _oracle_fit(self, x_star):
-        """x_o*' beta_o of every training set, beta_o the full design's fit or the oracle's own columns' fit.
+    def fitted(self, j, o):
+        """Row o of fit j: its coefficients on its own columns, and its failures by training set, naming no model.
 
-        The own columns are the last design of ``designs.own``, reduced
-        once for the stack as ``ols_fit`` of the oracle's columns reduces
-        its one factor, and each set's value is its own dot product on a
-        copy of its coefficients, with a lone ``ols_fit``'s bits.  A set
-        whose full design failed has failed its fit already.
+        Each listed design was reduced once for the stack, an own one as
+        ``ols_fit`` of its columns reduces its one factor.
         """
-        designs, oracle = self.designs, self.designs.oracle
-        j, o = designs.full_at if oracle.dim == designs.p else (len(designs.own), 0)
         B, _, _, failed = self._fits[j]
-        beta = B[..., o, :]
-        errors = _design_errors(failed[..., o : o + 1], [oracle], lambda i, k: _fit_failure(self.n, oracle.dim))
-        cols = oracle.column_indices()
-        with np.errstate(all="ignore"):  # a set that failed its fit may hold anything
-            values = [x_star[cols] @ beta[i][cols] for i in np.ndindex(beta.shape[:-1])]
-        return np.reshape(values, beta.shape[:-1]), errors
+        cols = (self.designs.sets if j == 0 else self.designs.own[j - 1 : j])[o]
+        return B[..., o, cols], _design_errors(failed[..., o : o + 1], [], lambda i, k: _fit_failure(self.n, len(cols)))
 
 
 class LinearQFactory(_CandidateFactory):
@@ -546,9 +557,10 @@ class _LogisticDesigns(_Designs):
     row i is 1 when a uniform draw falls below expit(eta_i), else 0
     (``respond``); ``rep_ms`` is a stacked study replication's cost
     (``sim_harness._rep_ms``).  A training set keeps its whole (X, y).
-    The candidates are what every record reads off them (``_Designs``);
-    ``oracle`` is read from the candidates' fit when it is a candidate
-    (``oracle_k``), and is one more MLE otherwise.
+    The candidates and the designs listed beyond them are what every
+    record reads (``_Designs``): each listed design, the full design or
+    an oracle's own columns, is one more MLE, made once for the stack
+    when the plug-in or the oracle first reads it.
     """
 
     link = staticmethod(expit)
@@ -590,7 +602,7 @@ class _LogisticFits(_Fits):
 
     def __init__(self, designs: _LogisticDesigns, X, y):
         self.models = designs.models
-        self.designs, self.X, self.y = designs, X, y
+        self.designs, self.X, self.y, self._own = designs, X, y, {}
         lead, p = X.shape[:-2], X.shape[-1]
         K = len(designs.cols)
         self.B = np.zeros((*lead, K, p))
@@ -611,10 +623,11 @@ class _LogisticFits(_Fits):
         """The full MLE, the padded inverse Grams at each candidate's MLE, and R_w.
 
         Made on the first call for every training set of the stack and
-        kept: the full-model MLE when the full design is not a candidate
-        (its failures name no model) and its R factor's condition guard,
-        then for each candidate the R factor R_k of sqrt(p_k(1-p_k)) X_k
-        at its MLE with its condition guard.  The inverses
+        kept: the full design's MLE (``fitted`` at ``designs.full_at``; a
+        full candidate's own, or the listed full design's, whose failures
+        name no model, with its R factor's condition guard), then for each
+        candidate the R factor R_k of sqrt(p_k(1-p_k)) X_k at its MLE with
+        its condition guard.  The inverses
         M_k^{-1} = R_k^{-1} R_k^{-T} are one ``_padded_inverses`` call,
         with indices [k] for each candidate's R_k.  R_w is the full
         design's R factor.  ``plug_in_error`` gives a training set's
@@ -624,21 +637,20 @@ class _LogisticFits(_Fits):
         """
         if self._plug_in is not None:
             return self._plug_in
-        X, y, cols, full = self.X, self.y, self.designs.cols, self.designs.full
+        X, cols, (j, f) = self.X, self.designs.cols, self.designs.full_at
         lead, (n, p), K = X.shape[:-2], X.shape[-2:], len(cols)
-        self._plug_in_errors = errors = {}
-        if full is None:
-            beta_full, _, _, failures = _mle_fits(X, y)
-            errors.update(failures)
-            R_w, rejected_w = _weighted_r(X, beta_full)
-            _design_errors(rejected_w[..., None], [], lambda i, k: _fit_failure(n, p), errors)
+        beta_full, failures = self.fitted(j, f)
+        self._plug_in_errors = errors = dict(failures)
         rejected = np.zeros((*lead, K), dtype=bool)
         stacks = []
         for k, (X_k, beta) in enumerate(zip(self._X_k, self._betas)):
             R_k, rejected[..., k] = _weighted_r(X_k, beta)
             stacks.append((np.array([k]), np.array([cols[k]]), R_k[..., None, :, :]))
-        if full is not None:
-            beta_full, R_w = self.B[..., full, :], stacks[full][2][..., 0, :, :]  # the full candidate's R_k
+        if j:  # an own full design's R_w, whose guard comes before the candidates'
+            R_w, rejected_w = _weighted_r(X, beta_full)
+            _design_errors(rejected_w[..., None], [], lambda i, k: _fit_failure(n, p), errors)
+        else:
+            R_w = stacks[f][2][..., 0, :, :]  # the full candidate's R_k
         G = np.zeros((*lead, K, p, p))
         out_of_range = _padded_inverses(G, stacks)
 
@@ -649,17 +661,24 @@ class _LogisticFits(_Fits):
         self._plug_in = beta_full, G.reshape(*lead, K * p, p), R_w
         return self._plug_in
 
-    def _oracle_fit(self, x_star):
-        """expit(x_o*' beta_o) of every training set and the failures, beta_o the oracle's MLE.
+    def fitted(self, j, o):
+        """Row o of fit j: its coefficients on its own columns, and its failures by training set.
 
-        One ``_mle_fits`` over the stack's ``X[..., cols]``, the layout of
-        the candidates' own fits, so each training set keeps the bits of
-        a lone ``logistic_mle`` of its ``X[:, cols]``.
+        Fit 0 is the candidates' MLEs, read here only for the full
+        candidate, whose failures are fit errors already.  Fit j > 0 is
+        the MLE of ``designs.own[j - 1]`` for the whole stack, made on the
+        first call and kept, with failures that name no model: on X
+        itself for the full design, as a lone ``logistic_mle(X, y)`` fits
+        it, and on the gathered ``X[..., cols]``, the layout of the
+        candidates' fits, for an oracle's own columns.
         """
-        oracle = self.designs.oracle
-        cols = oracle.column_indices()
-        beta, _, _, failures = _mle_fits(self.X[..., cols], self.y, model=oracle)
-        return expit(np.vecdot(x_star[cols], beta)), failures
+        if j == 0:
+            return self.B[..., o, :], self._errors
+        if j not in self._own:
+            cols = self.designs.own[j - 1]
+            beta, _, _, failures = _mle_fits(self.X if len(cols) == self.X.shape[-1] else self.X[..., cols], self.y)
+            self._own[j] = beta, failures
+        return self._own[j]
 
 
 def _weighted_r(X, beta):
@@ -684,8 +703,9 @@ class LogisticQFactory(_CandidateFactory):
     candidate's MLE, in list order, so a failure names the first failing
     candidate.  The link is ``expit``.  The first ``q_form`` builds the
     truth plug-in once: the full-model MLE (the candidate's own fit when
-    the full design is a candidate, else one more fit, which names no
-    model when it fails), the R factor R_k of each candidate's weighted
+    the full design is a candidate, else the one fit of the full design
+    that the designs list, which names no model when it fails), the R
+    factor R_k of each candidate's weighted
     design sqrt(p_k(1-p_k)) X_k, and R = R_w, the R factor of
     W_full^{1/2} X.  Each candidate's pseudo-true coefficients, its fit
     against the full model's fitted probabilities, are its MLE (the

@@ -21,9 +21,10 @@ with its link (``truth``), its response law (``_draw``), its cost per
 replication (``_rep_ms``) and its oracle fit.  The oracle column is the
 oracle model's own fit on each replication's draws, at x*, which the
 stack's fit gives (``_Fits.oracle_values``): the candidates' values
-when the oracle is a candidate, the linear fit's ``beta_full`` when it
-is the full design, else its own fit for the whole stack (linear: each
-replication's R factor of its columns, reduced once per stack;
+when the oracle is a candidate, else the one fit of its design in the
+designs' list, made once for the whole stack: the full design's, which
+the plug-in's ``beta_full`` reads too, or its own columns' (linear:
+each replication's R factor of its columns, reduced once per stack;
 logistic: one more stacked MLE), with the bits of a lone ``ols_fit``
 or ``logistic_mle``.
 Replication r draws its design and response from the stream
@@ -144,9 +145,9 @@ class StudyConfig:
     on each replication's draws at x*, through the family's link, as
     ``truth`` is.  The designs take the oracle and fit it with the
     stack (``_Fits.oracle_values``): they read the candidates' fit when
-    the oracle is a candidate or, in the linear family, the full design
-    (the fit's ``beta_full``), and otherwise fit the oracle's columns
-    alone.  ``tags`` key the cell's streams (replication r draws from
+    the oracle is a candidate, the full design's one fit, which the
+    plug-in reads too, when it is the full design, and otherwise the fit
+    of the oracle's columns alone.  ``tags`` key the cell's streams (replication r draws from
     ``substream(seed, *tags, r)``; the keys are hashed once, here) and
     name a failing replication.
     The cell is checked here, so a bad one raises ``DataError`` before

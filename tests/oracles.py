@@ -300,7 +300,9 @@ def logistic_estimates_reference(config, X, y):
     One ``LogisticAveragingPredictor`` per replication, asked for each
     scheme in turn through ``predict_reference``, then the oracle: the
     predictor's own value when the oracle is a candidate, else one
-    ``logistic_mle`` of the oracle's columns.
+    ``logistic_mle``: of the whole X when the oracle is the full design,
+    as the predictor's plug-in fits it, and of the oracle's columns
+    otherwise.
     """
     predictor = LogisticAveragingPredictor(X, y, config.candidate_set)
     values = [predict_reference(predictor, config.x_star, scheme).value for scheme in config.schemes]
@@ -309,6 +311,6 @@ def logistic_estimates_reference(config, X, y):
         values.append(float(predictor.per_model_values(config.x_star)[models.index(oracle)]))
     elif oracle is not None:
         cols = oracle.column_indices()
-        beta = logistic_mle(X[:, cols], y, model=oracle).beta
+        beta = logistic_mle(X if len(cols) == X.shape[1] else X[:, cols], y, model=oracle).beta
         values.append(float(glm_fit.expit(float(config.x_star[cols] @ beta))))
     return values

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -369,9 +370,9 @@ class TestSimulateCell:
     @pytest.mark.parametrize("family, refit", [("linear", "ols_fit"), ("logistic", "_mle_fits")])
     def test_oracle_candidate_is_not_refit(self, monkeypatch, family, refit):
         # Case A holds the oracle (full) model, case B does not.  Both cells
-        # draw the same data, so the oracle column must agree.  Only the
-        # logistic case B refits the oracle, once for the whole stack: a
-        # linear fit has fit the full design already, for beta_full.
+        # draw the same data, so the oracle column must agree.  Neither refits
+        # the oracle: in case B both families read the full design's one fit,
+        # which the plug-in's beta_full reads too.
         owner = sim_harness if family == "linear" else mse_weights
         calls = []
         original = getattr(owner, refit)
@@ -414,7 +415,7 @@ class TestSimulateCell:
             )
             calls.clear()
             out[case] = simulate_cell(config)["oracle"]
-            assert len(calls) == (1 if (case, family) == ("B", "logistic") else 0)
+            assert len(calls) == 0
         np.testing.assert_allclose(out["A"], out["B"], rtol=1e-12, atol=0)
 
     def test_study1_case_b_calls_no_ols_fit(self, monkeypatch):
@@ -887,8 +888,9 @@ class TestStackedLinearFits:
 def _logistic_cells(n_reps=70):
     """Study II logistic cases A and B at a weak and a strong beta3, with every scheme.
 
-    Case A's full oracle is a candidate; case B's is not, so each
-    replication fits it on its own and the plug-in fits the full design.
+    Case A's full oracle is a candidate; case B's is not, so the stack
+    fits the full design once, and both the plug-in and the oracle
+    column read that fit.
     """
     return [
         StudyConfig(
@@ -939,7 +941,58 @@ class TestStackedLogisticFits:
     def test_reports_keep_their_bits(self, workers):
         # the digest of the report of the per-replication fits that the stacks replace
         report = run_study2("logistic", cases=("A", "B"), n_reps=40, workers=workers)
-        assert _report_digest(report) == "6bb837ce172d5b09"
+        assert _report_digest(report) == "98bf91285ba5aeb3"
+
+    def test_a_case_b_stack_fits_its_full_design_once(self, monkeypatch):
+        # 3 candidates and the full design per stack: the plug-in's beta_full and R_w
+        # and the oracle column read the full design's one fit on X
+        calls, stacks = [], []
+        fit, fit_stack = mse_weights._mle_fits, sim_harness._fit_stack
+        monkeypatch.setattr(mse_weights, "_mle_fits", lambda X, y, **kw: calls.append(X.shape[-1]) or fit(X, y, **kw))
+        monkeypatch.setattr(sim_harness, "_fit_stack", lambda *args: stacks.append(1) or fit_stack(*args))
+        run_study2(family="logistic", cases=("B",), n_reps=200, workers=1)
+        assert len(stacks) == 5
+        assert calls == [1, 2, 3, 4] * 5
+
+    def test_an_aic_only_case_b_cell_fits_the_full_design_and_no_plug_in(self, monkeypatch):
+        config = _logistic_cells(n_reps=12)[2]
+        optimal = simulate_cell(config)
+        calls = []
+        fit = mse_weights._mle_fits
+        monkeypatch.setattr(mse_weights, "_mle_fits", lambda X, y, **kw: calls.append(X.shape[-1]) or fit(X, y, **kw))
+        monkeypatch.setattr(mse_weights._LogisticFits, "plug_in", lambda fits: pytest.fail("plug-in made"))
+        aic = simulate_cell(dataclasses.replace(config, schemes=("aic",)))
+        assert calls == [1, 2, 3, 4]
+        for column in ("aic", "oracle"):
+            assert aic[column].tobytes() == optimal[column].tobytes()
+
+    @pytest.mark.usefixtures("fork_any_work")
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_singular_full_design_names_the_oracle_only_in_its_column(self, monkeypatch, workers):
+        # reps 2 and 4 of a case-B cell have a singular full design: under ``optimal`` the
+        # plug-in raises it first, naming no model; in an aic-only cell the oracle column does,
+        # naming the oracle, as a lone logistic_mle of the oracle raises it
+        original = sim_harness._draw
+
+        def draw(config, rep, rng):
+            X, y = original(config, rep, rng)
+            if rep in (2, 4):
+                X = X.copy()
+                X[:, 3] = X[:, 2]
+            return X, y
+
+        monkeypatch.setattr(sim_harness, "_draw", draw)
+        config = _logistic_cells(n_reps=6)[2]
+        X, y = draw(config, 2, _stream(config, 2))
+        with pytest.raises(NumericalError) as lone:
+            logistic_mle(X, y, model=config.oracle)
+        suffix = " in replication ('study2', 'logistic', 'B', '0.05', rep 2)"
+        for schemes, model in ((("optimal", "aic"), None), (("aic",), config.oracle)):
+            with pytest.raises(NumericalError) as excinfo:
+                simulate_cell(dataclasses.replace(config, schemes=schemes), workers=workers)
+            assert type(excinfo.value) is type(lone.value)
+            assert str(excinfo.value) == f"{lone.value}{suffix}"
+            assert excinfo.value.model == model
 
     def test_a_large_design_caps_the_stack(self, monkeypatch):
         # a logistic stack holds its n-row designs: past _STACK_DOUBLES it holds fewer replications
