@@ -346,12 +346,13 @@ def _fit_average_stack(designs, parts: list, n: int, x_star: np.ndarray, schemes
 
 
 def _fit_and_average(family, X, y, models, functional, scheme) -> AveragedEstimate:
-    """Check the functional and the scheme before any fit, then fit and predict once."""
+    """Check the functional, the scheme, (X, y), X's width and x* before any fit, then fit and predict once."""
     if functional.kind != f"{family}_point":
         raise DataError(f"{family} averaging needs a {family}_point functional")
     _check_scheme(scheme)
-    X = np.asarray(X, dtype=float)
-    return _PREDICTORS[family](X, y, models).predict(functional.resolve(_checked_width(X, models)), scheme)
+    X, y = _checked_data(X, y)
+    x_star = functional.resolve(_checked_width(X, models))
+    return _PREDICTORS[family](X, y, models).predict(x_star, scheme)
 
 
 def fit_and_average_linear(

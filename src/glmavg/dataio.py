@@ -42,7 +42,7 @@ class Dataset:
         if self.family not in _PREDICTORS:
             raise DataError(f"unknown family {self.family!r}")
         # copies of their own, so that freezing them leaves the caller's arrays writeable
-        design, response = _checked_data(np.array(self.design, dtype=float), np.array(self.response, dtype=float))
+        design, response = (np.array(array) for array in _checked_data(self.design, self.response))
         if len(self.column_names) != design.shape[1]:
             raise DataError("need one column name per design column")
         if design.shape[0] > 0 and not np.all(design[:, 0] == 1.0):

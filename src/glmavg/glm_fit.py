@@ -113,7 +113,7 @@ class ProbVector:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.probs, dtype=float)
+        arr = np.array(_float_array(self.probs))
         if arr.ndim != 1:
             raise DataError("probs must be a 1-d vector")
         if not (np.all(arr > 0.0) and np.all(arr < 1.0)):
@@ -145,15 +145,22 @@ def require_finite(name: str, *arrays: np.ndarray) -> None:
         raise DataError(f"{name} must be finite")
 
 
+def _float_array(a) -> np.ndarray:
+    """``a`` as a float array, or ``DataError`` when it is a ragged nested list or holds an entry that is no number."""
+    try:
+        return np.asarray(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"expected an array of numbers: {exc}") from None
+
+
 def _checked_data(X, y) -> tuple[np.ndarray, np.ndarray]:
     """A design X and its response y as float arrays: the one check of every entry point that takes them.
 
-    Raises ``DataError`` unless X is 2-d, y is a vector with one entry
-    per row of X, and every entry of both is finite, checked in that
-    order.
+    Raises ``DataError`` unless X and y are arrays of numbers
+    (``_float_array``), X is 2-d, y is a vector with one entry per row
+    of X, and every entry of both is finite, checked in that order.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    X, y = _float_array(X), _float_array(y)
     if X.ndim != 2:
         raise DataError("design matrix must be 2-d")
     if y.ndim != 1 or y.shape[0] != X.shape[0]:

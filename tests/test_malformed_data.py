@@ -1,7 +1,8 @@
 """Every entry point that takes a design and its response refuses a malformed one with ``DataError``.
 
 Each entry point below takes (X, y): a 0-d, 1-d or 3-d design, a 2-d or
-short response, or a non-finite entry in either must raise ``DataError``
+short response, a ragged nested list for either, or a non-finite entry
+in either must raise ``DataError``
 before any fit or draw, whatever the family.  The fits and the band's
 draws are patched to fail loudly, so an input that reaches them fails
 the test with an ``AssertionError`` instead.
@@ -85,6 +86,8 @@ MALFORMED = {
     "short-response": lambda X, y: (X, y[:-1]),
     "nan-in-design": lambda X, y: (_with(X, (3, 1), np.nan), y),
     "inf-in-response": lambda X, y: (X, _with(y, 3, np.inf)),
+    "ragged-design": lambda X, y: ([*X[:-1].tolist(), X[-1, :-1].tolist()], y),  # numpy refuses it with ValueError
+    "ragged-response": lambda X, y: (X, [*y[:-1].tolist(), [y[-1], 0.0]]),
 }
 
 
@@ -133,6 +136,22 @@ def test_each_rule_words_its_failure_alike(name, family, call):
     for case, message in expected.items():
         with pytest.raises(DataError, match=message):
             call(*MALFORMED[case](X, y))
+
+
+@pytest.mark.parametrize("family", ["linear", "logistic"])
+@pytest.mark.parametrize(
+    "width, point, message",
+    [(4, 3, "design has 4 columns, model space needs 3"), (3, 4, "x_star has length 4, model space needs 3")],
+    ids=["wide-design", "long-x-star"],
+)
+@pytest.mark.usefixtures("no_fit_or_draw")
+def test_the_one_shot_wrappers_check_widths_before_any_fit(family, width, point, message):
+    X, y = _inputs(family)
+    X = np.column_stack([X, X[:, 1:]])[:, :width]
+    call = {"linear": fit_and_average_linear, "logistic": fit_and_average_logistic}[family]
+    functional = Functional(f"{family}_point", np.ones(point))
+    with pytest.raises(DataError, match=f"^{message}$"):
+        call(X, y, MODELS, functional)
 
 
 @pytest.mark.parametrize(
