@@ -305,8 +305,9 @@ class _Fits:
         if designs.oracle_k is not None:
             return values[..., designs.oracle_k], {}
         beta, failures = self.fitted(*(designs.full_at if oracle.dim == designs.p else (len(designs.own), 0)))
+        x_o = x_star[oracle.column_indices()]
         with np.errstate(all="ignore"):  # a set that failed its fit may hold anything
-            dots = [x_star[oracle.column_indices()] @ beta[i].copy() for i in np.ndindex(beta.shape[:-1])]
+            dots = [x_o @ beta[i].copy() for i in np.ndindex(beta.shape[:-1])]
         failures = {i: copy.copy(error) for i, error in failures.items()}
         for error in failures.values():
             error.model = oracle
