@@ -48,7 +48,7 @@ from .mse_weights import (
     equal_weights,
     solve_simplex_qp,
 )
-from .glm_fit import _checked_data, logistic_mle
+from .glm_fit import _checked_data, _frozen, logistic_mle, require_finite
 from .model_space import ModelSet
 from .rng import _checked_keys, _stack_streams
 
@@ -108,29 +108,27 @@ class Functional:
             raise DataError(f"unknown functional kind {self.kind!r}")
         if self.x_star is None:
             raise DataError(f"{self.kind} functional needs an x_star vector")
-        arr = np.array(self.x_star, dtype=float)
+        arr = _frozen(self.x_star)
         if arr.ndim != 1:
             raise DataError(f"x_star must be a 1-d vector, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise DataError("x_star must be finite")
-        arr.flags.writeable = False
+        require_finite("x_star", arr)
         object.__setattr__(self, "x_star", arr)
 
     @classmethod
     def linear_point(cls, x_star) -> "Functional":
-        return cls(kind="linear_point", x_star=np.asarray(x_star, dtype=float))
+        return cls(kind="linear_point", x_star=x_star)
 
     @classmethod
     def logistic_point(cls, x_star) -> "Functional":
-        return cls(kind="logistic_point", x_star=np.asarray(x_star, dtype=float))
+        return cls(kind="logistic_point", x_star=x_star)
 
     def resolve(self, total_dim: int) -> np.ndarray:
-        """The x* vector of length ``total_dim`` this functional evaluates against."""
+        """The read-only x* vector, of length ``total_dim``, this functional evaluates against."""
         if self.x_star.shape[0] != total_dim:
             raise DataError(
                 f"x_star has length {self.x_star.shape[0]}, model space needs {total_dim}"
             )
-        return np.asarray(self.x_star, dtype=float)
+        return self.x_star
 
 
 @dataclass(frozen=True)
@@ -151,10 +149,8 @@ class AveragedEstimate:
     solution: WeightSolution | None = None
 
     def __post_init__(self):
-        for name in ("weights", "per_model"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "weights", _frozen(self.weights))
+        object.__setattr__(self, "per_model", _frozen(self.per_model))
 
 
 @dataclass(frozen=True)

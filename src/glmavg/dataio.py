@@ -15,7 +15,7 @@ import numpy as np
 
 from .averaging import _PREDICTORS
 from .errors import DataError
-from .glm_fit import _checked_data
+from .glm_fit import _checked_data, _frozen
 from .rng import substream
 
 INTERCEPT_NAME = "(intercept)"
@@ -25,10 +25,10 @@ INTERCEPT_NAME = "(intercept)"
 class Dataset:
     """Numeric regression data with a leading intercept column.
 
-    The design and response are read-only copies of the caller's arrays,
-    checked as every fit checks them (``glm_fit._checked_data``: a 2-d
-    design, one response per row, every entry finite); a malformed
-    input, an unknown family, a column-name count off the design's or a
+    The design and response are read-only copies of the caller's arrays
+    (``glm_fit._frozen``), checked as every fit checks them
+    (``glm_fit._checked_data``: a 2-d design, one response per row,
+    every entry finite); a malformed input, an unknown family, a column-name count off the design's or a
     first column that is not all ones raises ``DataError``.
     """
 
@@ -41,14 +41,11 @@ class Dataset:
     def __post_init__(self):
         if self.family not in _PREDICTORS:
             raise DataError(f"unknown family {self.family!r}")
-        # copies of their own, so that freezing them leaves the caller's arrays writeable
-        design, response = (np.array(array) for array in _checked_data(self.design, self.response))
+        design, response = map(_frozen, _checked_data(self.design, self.response))
         if len(self.column_names) != design.shape[1]:
             raise DataError("need one column name per design column")
         if design.shape[0] > 0 and not np.all(design[:, 0] == 1.0):
             raise DataError("the first design column must be an all-ones intercept")
-        response.flags.writeable = False
-        design.flags.writeable = False
         object.__setattr__(self, "response", response)
         object.__setattr__(self, "design", design)
 
@@ -118,10 +115,9 @@ def load_csv(path, response_column: str, family: str = "linear") -> Dataset:
 
     if not rows:
         raise DataError(f"{path}: no data rows")
-    design = np.column_stack([np.ones(len(rows)), np.asarray(rows, dtype=float)])
     return Dataset(
-        response=np.asarray(response, dtype=float),
-        design=design,
+        response=response,
+        design=np.column_stack([np.ones(len(rows)), rows]),
         column_names=[INTERCEPT_NAME] + predictor_names,
         family=family,
         response_name=response_column,

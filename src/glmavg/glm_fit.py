@@ -51,25 +51,36 @@ The two public solves differ only in the target t and the merit:
   and no longer calls it; the tests use it as the oracle for that
   identity.
 
-Every entry point that takes a design and its response (``ols_fit``,
-both logistic solves, the candidate factories, ``prediction_band`` and
-``Dataset``) checks them with one routine, ``_checked_data``: a 2-d
-design, one response per row and every entry finite.  ``logistic_mle``
-and the logistic factory check the 0/1 coding with one more,
-``_require_binary``.  So a malformed input is a ``DataError`` before
-any fit.
+This module also takes in every array a caller passes to the package.
+``_float_array`` converts one to floats, and raises ``DataError`` on a
+ragged nested list or an entry that is no number; ``_frozen`` does the
+same and keeps a read-only copy, for an array that an object holds (x*,
+the data of a ``Dataset`` or a ``StudyConfig``, a fit's coefficients, a
+quadratic form, weights).  ``_integer`` takes a count or an index as
+``operator.index`` does (numpy integers pass), and raises ``DataError``
+on any other value.  Every entry point that takes a design and its
+response (``ols_fit``, both logistic solves, the candidate factories,
+``prediction_band`` and ``Dataset``) checks them with one routine,
+``_checked_data``: a 2-d design, one response per row and every entry
+finite.  ``logistic_mle`` and the logistic factory check the 0/1 coding
+with one more, ``_require_binary``.  So a malformed input is a
+``DataError`` before any fit.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import DataError, NonConvergenceError, SingularDesignError
-from .model_space import CandidateModel
+
+if TYPE_CHECKING:  # model_space imports this module
+    from .model_space import CandidateModel
 
 COND_LIMIT = 1e10
 # A union factor R_U within this bound certifies every column subset of X_U
@@ -89,21 +100,20 @@ INVERSE_RANGE_MESSAGE = "inverse Gram (X_k'X_k)^{-1} left floating-point range"
 class FitResult:
     """One model's fit on its own columns: coefficients, log-likelihood, dimension.
 
-    ``beta`` has one entry per column of the model's design.  The
-    zero-padded, full-length coefficients of a whole candidate set live in
-    ``LinearQFactory`` and ``LogisticQFactory``.
+    ``beta`` (a read-only copy) has one entry per column of the model's
+    design.  The zero-padded, full-length coefficients of a whole
+    candidate set live in ``LinearQFactory`` and ``LogisticQFactory``.
+    A fit that does not converge raises, so every ``FitResult`` is a
+    converged one.
     """
 
     beta: np.ndarray
     loglik: float
     dim: int
-    converged: bool = True
     iterations: int = 0
 
     def __post_init__(self):
-        arr = np.array(self.beta, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "beta", arr)
+        object.__setattr__(self, "beta", _frozen(self.beta))
 
 
 @dataclass(frozen=True)
@@ -113,12 +123,11 @@ class ProbVector:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(_float_array(self.probs))
+        arr = _frozen(self.probs)
         if arr.ndim != 1:
             raise DataError("probs must be a 1-d vector")
         if not (np.all(arr > 0.0) and np.all(arr < 1.0)):
             raise DataError("probabilities must lie strictly inside (0, 1)")
-        arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 
 
@@ -145,12 +154,33 @@ def require_finite(name: str, *arrays: np.ndarray) -> None:
         raise DataError(f"{name} must be finite")
 
 
-def _float_array(a) -> np.ndarray:
-    """``a`` as a float array, or ``DataError`` when it is a ragged nested list or holds an entry that is no number."""
+def _float_array(a, convert=np.asarray) -> np.ndarray:
+    """``convert(a, dtype=float)``: the one conversion of every float array a caller passes.
+
+    A ragged nested list, or an entry that is no number, raises
+    ``DataError``.  ``np.asarray`` gives back a float array itself, for
+    an array that is only read; ``_frozen`` passes ``np.array``, which
+    copies.
+    """
     try:
-        return np.asarray(a, dtype=float)
+        return convert(a, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DataError(f"expected an array of numbers: {exc}") from None
+
+
+def _frozen(a) -> np.ndarray:
+    """A read-only float copy of ``a`` (the caller's array stays writeable), or ``_float_array``'s ``DataError``."""
+    arr = _float_array(a, np.array)
+    arr.flags.writeable = False
+    return arr
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int, as ``operator.index`` takes it (numpy integers pass; 2.5 and "2" do not), else ``DataError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DataError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _checked_data(X, y) -> tuple[np.ndarray, np.ndarray]:

@@ -23,6 +23,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapacityError, DataError
+from .glm_fit import _float_array, _integer
 
 #: All-subsets enumeration is refused above this many optional coefficients.
 MAX_ENUMERABLE_Q = 20
@@ -35,14 +36,17 @@ class CandidateModel:
     ``columns``, built once, is the tuple of the model's column
     positions in a full [fixed | optional] layout; ``column_indices``
     returns it as a new list.  It is not a field, so ``==``, ``hash``
-    and ``repr`` read ``included`` and ``p_fixed`` alone.
+    and ``repr`` read ``included`` and ``p_fixed`` alone.  Both are
+    taken as ``operator.index`` takes an integer (numpy integers pass);
+    any other value, such as 1.9, raises ``DataError``.
     """
 
     included: tuple[int, ...]
     p_fixed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "included", tuple(int(i) for i in self.included))
+        object.__setattr__(self, "included", tuple(_integer(i, "an optional index") for i in self.included))
+        object.__setattr__(self, "p_fixed", _integer(self.p_fixed, "p_fixed"))
         if self.p_fixed < 0:
             raise DataError("p_fixed must be non-negative")
         if any(i < 0 for i in self.included):
@@ -70,7 +74,7 @@ class ModelSet:
         models = tuple(models)
         if not models:
             raise DataError("a model set must contain at least one model")
-        q = int(q)
+        q = _integer(q, "q")
         if q < 0:
             raise DataError("q must be non-negative")
         p_fixed = models[0].p_fixed
@@ -182,7 +186,7 @@ def nested_sequence(p_fixed: int, q: int) -> ModelSet:
 
 def subset_columns(full_design: np.ndarray, model: CandidateModel) -> np.ndarray:
     """Columns of ``full_design`` used by ``model``: fixed block, then its optional columns."""
-    full_design = np.asarray(full_design, dtype=float)
+    full_design = _float_array(full_design)
     if full_design.ndim != 2:
         raise DataError("full_design must be a 2-d matrix")
     cols = model.column_indices()
@@ -195,7 +199,7 @@ def subset_columns(full_design: np.ndarray, model: CandidateModel) -> np.ndarray
 
 def subset_point(x_star: np.ndarray, model: CandidateModel) -> np.ndarray:
     """``subset_columns`` for a single covariate vector."""
-    x_star = np.asarray(x_star, dtype=float)
+    x_star = _float_array(x_star)
     if x_star.ndim != 1:
         raise DataError("x_star must be a 1-d vector")
     cols = model.column_indices()

@@ -105,6 +105,8 @@ from .glm_fit import (
     _augmented_r,
     _checked_data,
     _fit_failure,
+    _float_array,
+    _frozen,
     _gaussian_profile_loglik,
     _least_squares_from_r,
     _mle_fits,
@@ -145,14 +147,11 @@ class QuadraticForm:
 
     @classmethod
     def from_parts(cls, bias: np.ndarray, gram_factor: np.ndarray) -> "QuadraticForm":
-        bias = np.array(bias, dtype=float)  # copies, so the caller's arrays stay writeable
-        gram_factor = np.array(gram_factor, dtype=float)
+        bias, gram_factor = _frozen(bias), _frozen(gram_factor)
         if bias.ndim != 1 or gram_factor.ndim != 2 or gram_factor.shape[1] != bias.shape[0]:
             raise DataError("bias must be (K,) and gram_factor (rows, K)")
         if bias.shape[0] == 0:
             raise DataError("a quadratic form needs at least one model")
-        for arr in (bias, gram_factor):
-            arr.flags.writeable = False
         return cls(bias=bias, gram_factor=gram_factor)
 
     @cached_property
@@ -173,9 +172,7 @@ class WeightSolution:
     kkt_residual: float
 
     def __post_init__(self):
-        arr = np.array(self.weights, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "weights", arr)
+        object.__setattr__(self, "weights", _frozen(self.weights))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +182,7 @@ class WeightSolution:
 
 def _checked_point(x_star: np.ndarray, p: int) -> np.ndarray:
     """x* as a float vector of length p with finite entries, else DataError."""
-    x_star = np.asarray(x_star, dtype=float)
+    x_star = _float_array(x_star)
     if x_star.shape != (p,):
         raise DataError(f"x_star must be a vector of length {p}, got shape {x_star.shape}")
     require_finite("x_star", x_star)
@@ -754,8 +751,7 @@ def equal_weights(K: int) -> np.ndarray:
 
 def aic_values(logliks, dims) -> np.ndarray:
     """AIC_k = -2 loglik_k + 2 dim_k for every candidate, on every leading axis of ``logliks``."""
-    logliks = np.asarray(logliks, dtype=float)
-    dims = np.asarray(dims, dtype=float)
+    logliks, dims = _float_array(logliks), _float_array(dims)
     if dims.ndim != 1 or logliks.shape[-1:] != dims.shape or dims.size == 0:
         raise DataError("logliks and dims must be non-empty vectors of the same length")
     return -2.0 * logliks + 2.0 * dims

@@ -84,6 +84,8 @@ from .averaging import (
 from ._forked import run_replications
 from .errors import DataError, GlmavgError, _returned
 from .glm_fit import (
+    _frozen,
+    _integer,
     # no longer called here; perfbench/tracer.py looks them up here
     logistic_mle,
     ols_fit,
@@ -151,9 +153,11 @@ class StudyConfig:
     ``substream(seed, *tags, r)``; the keys are hashed once, here) and
     name a failing replication.
     The cell is checked here, so a bad one raises ``DataError`` before
-    any draw: the oracle must share the candidate set's ``p_fixed`` and
-    index only below its ``q``, and the seed and integer tags must be
-    non-negative.
+    any draw: ``beta_true`` and ``x_star`` must be finite vectors of
+    length p_fixed + q (kept as read-only copies), ``n`` and ``n_reps``
+    integers (numpy integers pass), the oracle must share the candidate
+    set's ``p_fixed`` and index only below its ``q``, and the seed and
+    integer tags must be non-negative.
 
     A config compares and hashes by identity: two configs built apart
     from equal values are two cells, unequal, each usable as a dict key.
@@ -177,12 +181,13 @@ class StudyConfig:
             raise DataError(f"unknown family {self.family!r}")
         # the family's record: its link, response law and designs
         object.__setattr__(self, "_family", _PREDICTORS[self.family]._Designs)
-        beta = np.array(self.beta_true, dtype=float)
-        x = np.array(self.x_star, dtype=float)
+        beta, x = _frozen(self.beta_true), _frozen(self.x_star)
         total = self.candidate_set.p_fixed + self.candidate_set.q
         if beta.shape != (total,) or x.shape != (total,):
             raise DataError("beta_true and x_star must have length p_fixed + q")
         require_finite("beta_true and x_star", beta, x)
+        object.__setattr__(self, "n", _integer(self.n, "n"))
+        object.__setattr__(self, "n_reps", _integer(self.n_reps, "n_reps"))
         largest = max(m.dim for m in self.candidate_set)
         if self.n < largest + 1:
             raise DataError(f"n={self.n} too small for a {largest}-parameter candidate")
@@ -208,8 +213,6 @@ class StudyConfig:
         # what the replications of one stack share: the family, n, the candidates, the oracle and x* (hence p)
         models = tuple(self.candidate_set.models)
         object.__setattr__(self, "_design", (self.family, self.n, models, self.oracle, x.tobytes()))
-        beta.flags.writeable = False
-        x.flags.writeable = False
         object.__setattr__(self, "beta_true", beta)
         object.__setattr__(self, "x_star", x)
 
@@ -509,9 +512,8 @@ def run_study1(
     byte-identical for every value, and a value below 1 raises
     ``DataError`` before any replication runs.
     """
-    beta = np.asarray(STUDY1_BETA)
     x_star = np.concatenate(
-        [[1.0], substream(seed, "study1", "x_star").standard_normal(len(beta) - 1)]
+        [[1.0], substream(seed, "study1", "x_star").standard_normal(len(STUDY1_BETA) - 1)]
     )
     oracle = CandidateModel(STUDY1_ORACLE_SUPPORT, STUDY1_P_FIXED)
     model_sets = study1_model_sets()
@@ -526,7 +528,7 @@ def run_study1(
             StudyConfig(
                 family="linear",
                 n=int(n),
-                beta_true=beta,
+                beta_true=STUDY1_BETA,
                 candidate_set=model_sets[case],
                 x_star=x_star,
                 n_reps=n_reps,
@@ -591,7 +593,7 @@ def run_study2(
             StudyConfig(
                 family=family,
                 n=100,
-                beta_true=np.asarray(STUDY2_BETA_BASE + (float(beta3),)),
+                beta_true=STUDY2_BETA_BASE + (float(beta3),),
                 candidate_set=model_sets[case],
                 x_star=STUDY2_X_STAR,
                 n_reps=n_reps,

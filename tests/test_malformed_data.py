@@ -6,6 +6,11 @@ in either must raise ``DataError``
 before any fit or draw, whatever the family.  The fits and the band's
 draws are patched to fail loudly, so an input that reaches them fails
 the test with an ``AssertionError`` instead.
+
+Every other public call that takes a float array (x*, a quadratic
+form's parts, log-likelihoods, a fit's coefficients, a study cell's
+coefficients) refuses a ragged one with ``DataError`` too, and every
+call that takes a count or an index refuses one that is no integer.
 """
 
 import numpy as np
@@ -15,13 +20,19 @@ import glmavg.averaging as averaging
 import glmavg.glm_fit as glm_fit
 import glmavg.mse_weights as mse_weights
 from glmavg import (
+    CandidateModel,
     DataError,
     Dataset,
+    FitResult,
     Functional,
     LinearAveragingPredictor,
     LinearQFactory,
     LogisticAveragingPredictor,
     LogisticQFactory,
+    ModelSet,
+    QuadraticForm,
+    StudyConfig,
+    aic_weights,
     build_q_logistic,
     fit_and_average_linear,
     fit_and_average_logistic,
@@ -30,6 +41,9 @@ from glmavg import (
     nested_sequence,
     ols_fit,
     prediction_band,
+    study2_model_sets,
+    subset_columns,
+    subset_point,
 )
 
 MODELS = nested_sequence(1, 2)
@@ -168,3 +182,79 @@ def test_logistic_responses_must_be_coded_0_1(call):
     X, y01 = _inputs("logistic")
     with pytest.raises(DataError, match="logistic responses must be coded 0/1"):
         call(X, _with(y01, 0, 0.5))
+
+
+RAGGED = [1.0, [0.2, 0.3], -0.1]  # numpy refuses it with ValueError
+SUBSET = CandidateModel((0,), 1)
+
+
+def _study_config(**fields):
+    values = dict(
+        family="linear", n=20, beta_true=np.ones(4), candidate_set=study2_model_sets()["A"],
+        x_star=np.ones(4), n_reps=2, seed=0,
+    )
+    return StudyConfig(**{**values, **fields})
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    # built before no_fit_or_draw patches the fits (a module fixture is set up first)
+    X, y, y01, _ = _data()
+    return {"linear": LinearAveragingPredictor(X, y, MODELS), "logistic": LogisticAveragingPredictor(X, y01, MODELS)}
+
+
+# (name, call of the fitted predictors): each passes one ragged float array
+RAGGED_CALLS = [
+    ("Functional.linear_point", lambda fitted: Functional.linear_point(RAGGED)),
+    ("Functional.logistic_point", lambda fitted: Functional.logistic_point(RAGGED)),
+    *[
+        (f"{family}-{method}", lambda fitted, family=family, method=method: getattr(fitted[family], method)(RAGGED))
+        for family in ("linear", "logistic")
+        for method in ("predict", "q_form", "per_model_values")
+    ],
+    ("build_q_logistic", lambda fitted: build_q_logistic(*_inputs("logistic"), MODELS, RAGGED)),
+    ("QuadraticForm.from_parts-bias", lambda fitted: QuadraticForm.from_parts(RAGGED, np.ones((2, 3)))),
+    ("QuadraticForm.from_parts-gram", lambda fitted: QuadraticForm.from_parts(np.ones(2), [[1.0, 2.0], [3.0]])),
+    ("aic_weights-logliks", lambda fitted: aic_weights(RAGGED, [1, 2, 3])),
+    ("aic_weights-dims", lambda fitted: aic_weights([-1.0, -2.0, -3.0], RAGGED)),
+    ("subset_point", lambda fitted: subset_point(RAGGED, SUBSET)),
+    ("subset_columns", lambda fitted: subset_columns([[1.0, 2.0], [3.0]], SUBSET)),
+    ("StudyConfig-beta_true", lambda fitted: _study_config(beta_true=[*RAGGED, 1.0])),
+    ("StudyConfig-x_star", lambda fitted: _study_config(x_star=[*RAGGED, 1.0])),
+    ("FitResult", lambda fitted: FitResult(beta=RAGGED, loglik=0.0, dim=3)),
+    (
+        "prediction_band-test_point",
+        lambda fitted: prediction_band(*_inputs("linear"), RAGGED, MODELS, n_sub=10, n_reps=2, sigma=1.0),
+    ),
+]
+
+
+@pytest.mark.parametrize("call", [call for _, call in RAGGED_CALLS], ids=[name for name, _ in RAGGED_CALLS])
+@pytest.mark.usefixtures("no_fit_or_draw")
+def test_a_ragged_float_array_is_a_data_error_before_any_fit(fitted, call):
+    with pytest.raises(DataError, match="^expected an array of numbers: "):
+        call(fitted)
+
+
+# (name, call, message): each passes one count or index that is no integer
+NON_INTEGERS = [
+    ("CandidateModel-index", lambda: CandidateModel((1.9,), 1), "an optional index must be an integer, got 1.9"),
+    ("CandidateModel-p_fixed", lambda: CandidateModel((1,), 1.0), "p_fixed must be an integer, got 1.0"),
+    ("ModelSet-q", lambda: ModelSet([CandidateModel((0,), 1)], 2.7), "q must be an integer, got 2.7"),
+    ("StudyConfig-n", lambda: _study_config(n=100.5), "n must be an integer, got 100.5"),
+    ("StudyConfig-n_reps", lambda: _study_config(n_reps=2.5), "n_reps must be an integer, got 2.5"),
+]
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in NON_INTEGERS], ids=[case[0] for case in NON_INTEGERS])
+def test_a_count_or_index_that_is_no_integer_is_a_data_error(call, message):
+    with pytest.raises(DataError, match=f"^{message}$"):
+        call()
+
+
+def test_numpy_integers_are_integers():
+    model = CandidateModel((np.int64(1),), np.int32(1))
+    assert model == CandidateModel((1,), 1) and type(model.p_fixed) is int
+    assert ModelSet([model], np.int64(2)).q == 2
+    config = _study_config(n=np.int64(20), n_reps=np.uint8(2))
+    assert (config.n, config.n_reps) == (20, 2) and type(config.n) is int

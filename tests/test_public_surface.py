@@ -44,12 +44,14 @@ REMOVED_KEYWORDS = (
     (glmavg.simulate_cell, "oracle_support"),
     (glmavg.simulate_cell, "tags"),
 )
-# (class, attribute) pairs: each report writer gave way to the CLI's one writer, and
-# the study oracle's functional to one fit inside the replication
+# (class, attribute) pairs: each report writer gave way to the CLI's one writer, the
+# study oracle's functional to one fit inside the replication, and a fit's converged
+# flag, always True since every fit that does not converge raises, to nothing
 REMOVED_ATTRIBUTES = (
     (glmavg.StudyReport, "to_csv_text"),
     (glmavg.CvReport, "to_dict"),
     (glmavg.StudyConfig, "functional"),
+    (glmavg.FitResult, "converged"),
 )
 
 
