@@ -63,7 +63,7 @@ import signal
 import sys
 import threading
 
-from .errors import DataError
+from .glm_fit import _integer
 
 # (get, set) pairs of the thread-count calls an OpenBLAS build may export
 _OPENBLAS_CALLS = (
@@ -120,10 +120,10 @@ def run_replications(task, n: int, workers: int) -> list:
     message and attributes.  A child that exits without sending its rows
     raises ``ChildProcessError``.  Every child is reaped, and the calling
     process's BLAS thread count restored, before this returns or raises.
-    ``workers`` below 1 raises ``DataError`` before any replication.
+    A ``workers`` that is no integer, or below 1, raises ``DataError``
+    before any replication.
     """
-    if workers < 1:
-        raise DataError(f"workers must be at least 1, got {workers}")
+    workers = _integer(workers, "workers", 1)
     count = _block_count(n, workers)
     if count == 1:
         return task(range(n))

@@ -48,7 +48,7 @@ from .mse_weights import (
     equal_weights,
     solve_simplex_qp,
 )
-from .glm_fit import _checked_data, _frozen, logistic_mle, require_finite
+from .glm_fit import _checked_data, _frozen, _integer, logistic_mle, require_finite
 from .model_space import ModelSet
 from .rng import _checked_keys, _stack_streams
 
@@ -407,7 +407,8 @@ def prediction_band(
     every ``workers``: up to ``workers`` processes run contiguous blocks
     of replications (serially when ``workers`` is 1, on one usable CPU,
     off Linux, or while another Python thread is alive).  Every argument,
-    ``workers`` below 1 included, is checked before the first draw, the
+    each count (``n_sub``, ``n_reps``, ``workers``) as an integer of at
+    least 1 (``glm_fit._integer``), is checked before the first draw, the
     pool as every entry point checks a design and its response
     (``glm_fit._checked_data``).
     """
@@ -439,18 +440,16 @@ def _prediction_bands(
     X_pool, y_pool = _checked_data(X_pool, y_pool)
     if not 0.0 < level < 1.0:
         raise DataError("level must be strictly between 0 and 1")
+    n_reps, n_sub = _integer(n_reps, "n_reps", 1), _integer(n_sub, "n_sub", 1)
     if n_sub > X_pool.shape[0]:
         raise DataError(f"n_sub={n_sub} exceeds the pool size {X_pool.shape[0]}")
-    if n_reps < 1:
-        raise DataError("n_reps must be at least 1")
-    if n_sub < 1:
-        raise DataError(f"n_sub must be at least 1, got {n_sub}")
     if n_sub < X_pool.shape[1]:  # every draw fits the full model
         raise DataError(f"n_sub={n_sub} is below the design's {X_pool.shape[1]} columns")
     _check_scheme(scheme)
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise DataError(f"sigma must be finite and non-negative, got {sigma!r}")
     keys = [_checked_keys(seed, "band") for seed in seeds]
+    workers = _integer(workers, "workers", 1)
     width = _checked_width(X_pool, models)
     x_stars = [Functional.linear_point(point).resolve(width) for point in test_points]
     designs = LinearAveragingPredictor._Designs(list(models), width)

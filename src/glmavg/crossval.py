@@ -33,6 +33,7 @@ from ._forked import run_replications
 from .averaging import LinearAveragingPredictor
 from .dataio import Dataset, split
 from .errors import DataError
+from .glm_fit import _checked_names, _integer
 from .model_space import ModelSet, enumerate_all_subsets
 from .mse_weights import LinearQFactory, aic_values
 from .rng import _checked_keys, derive_seed, substream
@@ -109,27 +110,24 @@ def cv_compare(
     ``workers`` processes run contiguous blocks of repeats (serially when
     ``workers`` is 1, on one usable CPU, off Linux, or while another
     Python thread is alive), and the log is joined in repeat order.
-    An empty ``methods``, a method named twice, a training split too
-    small for the full design (or, under the CV rule, for its inner
-    folds), a negative ``seed``, or ``workers`` below 1 raises
+    An empty ``methods``, an unknown method or one named twice
+    (``glm_fit._checked_names``), an ``n_repeats``, ``n_train`` or
+    ``workers`` that is no integer (``glm_fit._integer``), an
+    ``n_repeats`` or ``workers`` below 1, a training split too small for
+    the full design (or, under the CV rule, for its inner folds), or a
+    ``seed`` that is negative or neither an int nor a str raises
     ``DataError`` before any split.
     """
     if dataset.family != "linear":
         raise DataError("cv_compare supports the linear family only")
-    if n_repeats < 1:
-        raise DataError("n_repeats must be at least 1")
-    if len(methods) == 0:
-        raise DataError("methods must name at least one method")
-    unknown = set(methods) - set(DEFAULT_METHODS)
-    if unknown:
-        raise DataError(f"unknown methods {sorted(unknown)}; expected subset of {DEFAULT_METHODS}")
-    if len(set(methods)) < len(methods):
-        raise DataError(f"methods {list(methods)} name a method more than once")
+    n_repeats = _integer(n_repeats, "n_repeats", 1)
+    _checked_names("methods", methods, DEFAULT_METHODS)
     if select_by not in SELECTION_RULES:
         raise DataError(f"unknown selection rule {select_by!r}; expected one of {SELECTION_RULES}")
     _checked_keys(seed)
     if n_train is None:
         n_train = min(max(int(round(dataset.n * _TRAIN_FRACTION)), 1), dataset.n - 1)
+    n_train = _integer(n_train, "n_train")
     cv_best = "best_subset" in methods and select_by == "cv"
     # the CV rule fits on n_train less its largest inner fold
     fit_rows = n_train - (n_train + _N_FOLDS - 1) // _N_FOLDS if cv_best else n_train

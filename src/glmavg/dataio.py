@@ -15,7 +15,7 @@ import numpy as np
 
 from .averaging import _PREDICTORS
 from .errors import DataError
-from .glm_fit import _checked_data, _frozen
+from .glm_fit import _checked_data, _frozen, _integer
 from .rng import substream
 
 INTERCEPT_NAME = "(intercept)"
@@ -58,8 +58,20 @@ class Dataset:
         return self.design.shape[1]
 
     def take(self, indices) -> "Dataset":
-        """Row subset as a new Dataset (indices kept in the given order)."""
-        idx = np.asarray(indices, dtype=int)
+        """Row subset as a new Dataset (indices kept in the given order).
+
+        ``indices`` must make an integer array (an empty list passes); a
+        float, a bool or a ragged list raises ``DataError``, so no index
+        is truncated or read as a mask.
+        """
+        try:
+            idx = np.asarray(indices)
+        except ValueError as exc:
+            raise DataError(f"expected an array of row indices: {exc}") from None
+        if idx.size == 0:
+            idx = idx.astype(int)
+        elif idx.dtype.kind not in "iu":
+            raise DataError(f"row indices must be integers, got {idx.dtype} entries")
         return Dataset(
             response=self.response[idx],
             design=self.design[idx],
@@ -155,7 +167,7 @@ def csv_text(columns, rows) -> str:
 
 def split(dataset: Dataset, n_train: int, seed: int) -> tuple[Dataset, Dataset]:
     """Uniform without-replacement split into (train, test), deterministic in seed."""
-    if not 0 < n_train < dataset.n:
+    if not 0 < _integer(n_train, "n_train") < dataset.n:
         raise DataError(f"n_train must be in (0, {dataset.n}), got {n_train}")
     perm = substream(seed, "split").permutation(dataset.n)
     train_idx = np.sort(perm[:n_train])

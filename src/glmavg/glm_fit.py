@@ -56,10 +56,16 @@ This module also takes in every array a caller passes to the package.
 ragged nested list or an entry that is no number; ``_frozen`` does the
 same and keeps a read-only copy, for an array that an object holds (x*,
 the data of a ``Dataset`` or a ``StudyConfig``, a fit's coefficients, a
-quadratic form, weights).  ``_integer`` takes a count or an index as
-``operator.index`` does (numpy integers pass), and raises ``DataError``
-on any other value.  Every entry point that takes a design and its
-response (``ols_fit``, both logistic solves, the candidate factories,
+quadratic form, weights).  ``_integer`` takes every count and index a
+caller passes (a candidate's ``p_fixed`` and optional indices, ``q``,
+``n_reps``, ``n_sub``, ``n_repeats``, ``n_train``, the K of equal
+weights and ``workers``) as ``operator.index`` does (numpy integers
+pass), and raises ``DataError`` on any other value or one below the
+count's least value.  ``_checked_names`` takes every selection a caller
+passes (``cv_compare``'s methods, a cell's weighting schemes, a study's
+cases and grids), and raises ``DataError`` on an empty one, an unknown
+name or a name given twice.  Every entry point that takes a design and
+its response (``ols_fit``, both logistic solves, the candidate factories,
 ``prediction_band`` and ``Dataset``) checks them with one routine,
 ``_checked_data``: a 2-d design, one response per row and every entry
 finite.  ``logistic_mle`` and the logistic factory check the 0/1 coding
@@ -175,12 +181,41 @@ def _frozen(a) -> np.ndarray:
     return arr
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int, as ``operator.index`` takes it (numpy integers pass; 2.5 and "2" do not), else ``DataError``."""
+def _integer(value, name: str, least: int | None = None) -> int:
+    """``value`` as an int, as ``operator.index`` takes it (numpy integers pass; 2.5 and "2" do not).
+
+    The one check of every count and index a caller passes: any other
+    value raises ``DataError``.  With ``least``, so does a value below
+    it, worded "must be non-negative" when ``least`` is 0 and "must be
+    at least {least}" otherwise, each naming the value.
+    """
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise DataError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise DataError(f"{name} must be {bound}, got {value}")
+    return value
+
+
+def _checked_names(what: str, names, allowed=None) -> None:
+    """Raise ``DataError`` unless ``names`` is not empty, has only ``allowed`` names (if given) and none twice.
+
+    The one check of every selection a caller passes: methods, weighting
+    schemes, study cases and grids.  The checks run in that order, and
+    each message starts from ``what``.
+    """
+    names = list(names)
+    if not names:
+        raise DataError(f"{what} is empty")
+    if allowed is not None:
+        unknown = [name for name in names if name not in allowed]
+        if unknown:
+            raise DataError(f"unknown {what} {unknown}; expected a subset of {allowed}")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise DataError(f"{what} names {name} more than once")
 
 
 def _checked_data(X, y) -> tuple[np.ndarray, np.ndarray]:

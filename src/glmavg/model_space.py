@@ -38,19 +38,16 @@ class CandidateModel:
     returns it as a new list.  It is not a field, so ``==``, ``hash``
     and ``repr`` read ``included`` and ``p_fixed`` alone.  Both are
     taken as ``operator.index`` takes an integer (numpy integers pass);
-    any other value, such as 1.9, raises ``DataError``.
+    any other value, such as 1.9, or a negative one raises ``DataError``
+    (``glm_fit._integer``).
     """
 
     included: tuple[int, ...]
     p_fixed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "included", tuple(_integer(i, "an optional index") for i in self.included))
-        object.__setattr__(self, "p_fixed", _integer(self.p_fixed, "p_fixed"))
-        if self.p_fixed < 0:
-            raise DataError("p_fixed must be non-negative")
-        if any(i < 0 for i in self.included):
-            raise DataError("optional indices must be non-negative")
+        object.__setattr__(self, "included", tuple(_integer(i, "an optional index", 0) for i in self.included))
+        object.__setattr__(self, "p_fixed", _integer(self.p_fixed, "p_fixed", 0))
         if any(b <= a for a, b in zip(self.included, self.included[1:])):
             raise DataError(f"optional indices must be strictly increasing, got {self.included}")
         if self.p_fixed + len(self.included) < 1:
@@ -74,9 +71,7 @@ class ModelSet:
         models = tuple(models)
         if not models:
             raise DataError("a model set must contain at least one model")
-        q = _integer(q, "q")
-        if q < 0:
-            raise DataError("q must be non-negative")
+        q = _integer(q, "q", 0)
         p_fixed = models[0].p_fixed
         seen = set()
         for m in models:
@@ -159,8 +154,7 @@ class ModelSet:
 
 def enumerate_all_subsets(p_fixed: int, q: int) -> ModelSet:
     """All 2**q candidate models, in binary-counting order (bit j <-> optional index j)."""
-    if q < 0:
-        raise DataError("q must be non-negative")
+    q = _integer(q, "q", 0)
     if q > MAX_ENUMERABLE_Q:
         raise CapacityError(
             f"2**{q} candidate models exceeds the enumeration guard (q <= {MAX_ENUMERABLE_Q})"
@@ -178,8 +172,7 @@ def nested_sequence(p_fixed: int, q: int) -> ModelSet:
     Model 0 keeps every optional index, model i keeps {i, ..., q-1},
     model q keeps none.
     """
-    if q < 0:
-        raise DataError("q must be non-negative")
+    q = _integer(q, "q", 0)
     models = [CandidateModel(tuple(range(i, q)), p_fixed) for i in range(q + 1)]
     return ModelSet(models, q)
 

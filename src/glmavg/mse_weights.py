@@ -108,6 +108,7 @@ from .glm_fit import (
     _float_array,
     _frozen,
     _gaussian_profile_loglik,
+    _integer,
     _least_squares_from_r,
     _mle_fits,
     _require_binary,
@@ -743,9 +744,8 @@ def build_q_logistic(
 
 
 def equal_weights(K: int) -> np.ndarray:
-    """Uniform baseline weights 1/K."""
-    if K < 1:
-        raise DataError("K must be at least 1")
+    """Uniform baseline weights 1/K; a K that is no integer, or below 1, raises ``DataError``."""
+    K = _integer(K, "K", 1)
     return np.full(K, 1.0 / K)
 
 

@@ -38,7 +38,7 @@ def _key_to_int(key) -> int:
     if isinstance(key, str):
         digest = hashlib.sha256(key.encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big")
-    raise TypeError(f"stream keys must be int or str, got {type(key).__name__}")
+    raise DataError(f"stream keys must be int or str, got {type(key).__name__}")
 
 
 def _checked_keys(seed, *keys) -> tuple[int, ...]:

@@ -84,6 +84,7 @@ from .averaging import (
 from ._forked import run_replications
 from .errors import DataError, GlmavgError, _returned
 from .glm_fit import (
+    _checked_names,
     _frozen,
     _integer,
     # no longer called here; perfbench/tracer.py looks them up here
@@ -155,9 +156,10 @@ class StudyConfig:
     The cell is checked here, so a bad one raises ``DataError`` before
     any draw: ``beta_true`` and ``x_star`` must be finite vectors of
     length p_fixed + q (kept as read-only copies), ``n`` and ``n_reps``
-    integers (numpy integers pass), the oracle must share the candidate
-    set's ``p_fixed`` and index only below its ``q``, and the seed and
-    integer tags must be non-negative.
+    integers (numpy integers pass), ``n_reps`` at least 1, ``schemes``
+    a non-empty selection of ``SCHEMES`` with no scheme twice, the
+    oracle must share the candidate set's ``p_fixed`` and index only
+    below its ``q``, and the seed and integer tags must be non-negative.
 
     A config compares and hashes by identity: two configs built apart
     from equal values are two cells, unequal, each usable as a dict key.
@@ -187,19 +189,11 @@ class StudyConfig:
             raise DataError("beta_true and x_star must have length p_fixed + q")
         require_finite("beta_true and x_star", beta, x)
         object.__setattr__(self, "n", _integer(self.n, "n"))
-        object.__setattr__(self, "n_reps", _integer(self.n_reps, "n_reps"))
+        object.__setattr__(self, "n_reps", _integer(self.n_reps, "n_reps", 1))
         largest = max(m.dim for m in self.candidate_set)
         if self.n < largest + 1:
             raise DataError(f"n={self.n} too small for a {largest}-parameter candidate")
-        if self.n_reps < 1:
-            raise DataError("n_reps must be at least 1")
-        if not self.schemes:
-            raise DataError("schemes is empty; a cell needs at least one weighting scheme")
-        unknown = [scheme for scheme in self.schemes if scheme not in SCHEMES]
-        if unknown:
-            raise DataError(f"unknown weighting schemes {unknown}; expected a subset of {SCHEMES}")
-        if len(set(self.schemes)) < len(self.schemes):
-            raise DataError(f"weighting schemes {list(self.schemes)} name a scheme more than once")
+        _checked_names("weighting schemes", self.schemes, SCHEMES)
         if self.oracle is not None and (
             self.oracle.p_fixed != self.candidate_set.p_fixed
             or any(j >= self.candidate_set.q for j in self.oracle.included)
@@ -370,8 +364,7 @@ def _simulate(configs, workers: int) -> list[dict[str, np.ndarray]]:
     def block_rows(block):
         return _run_block([(configs[i % count], i // count) for i in block])
 
-    # a workers below 1 passes through, for the runner to refuse
-    rows = run_replications(block_rows, count * n_reps, min(workers, _block_cap(configs)))
+    rows = run_replications(block_rows, count * n_reps, min(_integer(workers, "workers", 1), _block_cap(configs)))
     return [dict(zip(config.columns, np.asarray(rows[c::count], dtype=float).T)) for c, config in enumerate(configs)]
 
 
@@ -414,32 +407,14 @@ def simulate_cell(config: StudyConfig, *, workers: int = 1) -> dict[str, np.ndar
     replications (serially when ``workers`` is 1, on one usable CPU, off
     Linux, while another Python thread is alive, or below the study's
     floor of work per process), and the rows are joined in index order.
-    ``workers`` below 1 raises ``DataError`` before any replication.  A
-    ``GlmavgError`` raised in a replication is re-raised with that
-    replication's key, the config's tags and the rep index, appended to
-    its message, e.g.
+    A ``workers`` that is no integer, or below 1, raises ``DataError``
+    before any replication.  A ``GlmavgError`` raised in a replication
+    is re-raised with that replication's key, the config's tags and the
+    rep index, appended to its message, e.g.
     ``('study2', 'logistic', 'A', '0.05', rep 17)``; its class and
     attributes are kept, and the earliest failing replication wins.
     """
     return _simulate([config], workers)[0]
-
-
-def _check_grid(name: str, values) -> None:
-    """DataError unless a study grid has at least one value and no value twice."""
-    seen = set()
-    for value in values:
-        if value in seen:
-            raise DataError(f"{name} names {value} more than once")
-        seen.add(value)
-    if not seen:
-        raise DataError(f"{name} is empty")
-
-
-def _check_cases(cases, model_sets: dict[str, ModelSet]) -> None:
-    _check_grid("cases", cases)
-    unknown = [case for case in cases if case not in model_sets]
-    if unknown:
-        raise DataError(f"unknown cases {unknown}; expected a subset of {sorted(model_sets)}")
 
 
 def _run_cells(cells, workers: int) -> StudyReport:
@@ -503,22 +478,22 @@ def run_study1(
     """Bias/variance comparison of optimal-weight averaging vs the oracle fit.
 
     Every cell is checked before the first replication runs; an empty
-    ``cases`` or ``n_grid``, or one naming a value twice, raises
-    ``DataError``.
+    ``cases`` or ``n_grid``, one naming a value twice, or an unknown case
+    raises ``DataError``.
     ``workers`` splits the replications of all the cells, in one run,
     as ``simulate_cell`` splits a cell's (serially when ``workers`` is 1,
     on one usable CPU, off Linux, while another Python thread is alive,
     or below the study's floor of work per process); the report is
-    byte-identical for every value, and a value below 1 raises
-    ``DataError`` before any replication runs.
+    byte-identical for every value, and one that is no integer, or below
+    1, raises ``DataError`` before any replication runs.
     """
     x_star = np.concatenate(
         [[1.0], substream(seed, "study1", "x_star").standard_normal(len(STUDY1_BETA) - 1)]
     )
     oracle = CandidateModel(STUDY1_ORACLE_SUPPORT, STUDY1_P_FIXED)
     model_sets = study1_model_sets()
-    _check_cases(cases, model_sets)
-    _check_grid("n_grid", n_grid)
+    _checked_names("cases", cases, sorted(model_sets))
+    _checked_names("n_grid", n_grid)
     for n in n_grid:
         if not float(n).is_integer():
             raise DataError(f"sample size n must be an integer, got {float(n)!r}")
@@ -572,18 +547,18 @@ def run_study2(
     reports one row per scheme, then one for the oracle (the full
     4-coefficient model, fit on the same draws).  Every cell is checked
     before the first replication runs; an unknown ``family``, an empty
-    ``cases`` or ``beta3_grid``, or one naming a value twice, and empty
-    or repeated ``schemes`` raise ``DataError``.
+    ``cases`` or ``beta3_grid``, one naming a value twice, an unknown
+    case, and empty, unknown or repeated ``schemes`` raise ``DataError``.
     ``workers`` splits the replications of all the cells, in one run,
     as ``simulate_cell`` splits a cell's (serially when ``workers`` is 1,
     on one usable CPU, off Linux, while another Python thread is alive,
     or below the study's floor of work per process); the report is
-    byte-identical for every value, and a value below 1 raises
-    ``DataError`` before any replication runs.
+    byte-identical for every value, and one that is no integer, or below
+    1, raises ``DataError`` before any replication runs.
     """
     model_sets = study2_model_sets()
-    _check_cases(cases, model_sets)
-    _check_grid("beta3_grid", beta3_grid)
+    _checked_names("cases", cases, sorted(model_sets))
+    _checked_names("beta3_grid", beta3_grid)
     # every coefficient of the generating vector is nonzero, so the
     # oracle support is the full 4-coefficient model in both cases
     oracle = CandidateModel((0, 1, 2), 1)

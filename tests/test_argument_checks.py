@@ -33,8 +33,8 @@ CASES = {
         lambda: Dataset(Y, X, ["(intercept)", "a"], "linear"),
         "need one column name per design column",
     ),
-    "CandidateModel negative p_fixed": (lambda: CandidateModel((0,), -1), "p_fixed must be non-negative"),
-    "ModelSet negative q": (lambda: ModelSet([CandidateModel((), 1)], -1), "q must be non-negative"),
+    "CandidateModel negative p_fixed": (lambda: CandidateModel((0,), -1), "p_fixed must be non-negative, got -1"),
+    "ModelSet negative q": (lambda: ModelSet([CandidateModel((), 1)], -1), "q must be non-negative, got -1"),
     "JSONL inconsistent q": (
         lambda: ModelSet.from_jsonl(
             '{"p_fixed": 1, "q": 2, "included": [0]}\n{"p_fixed": 1, "q": 3, "included": [1]}\n'
@@ -42,8 +42,8 @@ CASES = {
         r"inconsistent q on line 2: 3 != 2",
     ),
     "JSONL empty": (lambda: ModelSet.from_jsonl("\n  \n"), "no model records found"),
-    "enumerate_all_subsets negative q": (lambda: enumerate_all_subsets(1, -1), "q must be non-negative"),
-    "nested_sequence negative q": (lambda: nested_sequence(1, -1), "q must be non-negative"),
+    "enumerate_all_subsets negative q": (lambda: enumerate_all_subsets(1, -1), "q must be non-negative, got -1"),
+    "nested_sequence negative q": (lambda: nested_sequence(1, -1), "q must be non-negative, got -1"),
     "subset_columns 1-d design": (
         lambda: subset_columns(np.ones(3), CandidateModel((0,), 1)),
         "full_design must be a 2-d matrix",
@@ -78,7 +78,7 @@ CASES = {
             n_reps=0,
             seed=0,
         ),
-        "n_reps must be at least 1",
+        "n_reps must be at least 1, got 0",
     ),
 }
 

@@ -504,7 +504,7 @@ class TestPredictionBand:
 
         monkeypatch.setattr(averaging, "_stack_streams", no_draw)
         X, y = self._pool()
-        with pytest.raises(DataError, match="^n_reps must be at least 1$"):
+        with pytest.raises(DataError, match=f"^n_reps must be at least 1, got {n_reps}$"):
             prediction_band(
                 X, y, np.array([1.0, 0.0, 0.0]), nested_sequence(1, 2),
                 n_sub=20, n_reps=n_reps, sigma=1.0, level=0.9, seed=0,

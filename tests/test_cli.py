@@ -466,7 +466,7 @@ class TestStudyCommands:
             (["study2", "--cases", "A,A", "--beta3", "0.1"], "cases names A more than once"),
             (
                 ["study2", "--schemes", "aic,aic", "--beta3", "0.1"],
-                "weighting schemes ['aic', 'aic'] name a scheme more than once",
+                "weighting schemes names aic more than once",
             ),
         ],
         ids=[
@@ -596,7 +596,7 @@ class TestCvCommand:
             (["--n-train", "8"], "n_train=8 leaves 6 rows to fit the design's 9 columns"),
             (["--n-train", "5", "--methods", "full_model"], "n_train=5 leaves 5 rows"),
             (["--n-train", "11", "--methods", "best_subset"], "n_train=11 leaves 8 rows"),
-            (["--methods", "full_model,full_model"], "name a method more than once"),
+            (["--methods", "full_model,full_model"], "methods names full_model more than once"),
             (["--methods", ""], "unknown methods ['']"),
             (["--workers", "0"], "workers must be at least 1, got 0"),
             (["--dump-q"], "unrecognized arguments: --dump-q"),

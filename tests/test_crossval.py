@@ -176,7 +176,7 @@ class TestCvCompare:
             cv_compare(_dataset(), methods=("ridge",), n_repeats=1)
 
     def test_rejects_repeated_method(self):
-        with pytest.raises(DataError, match="name a method more than once"):
+        with pytest.raises(DataError, match="methods names full_model more than once"):
             cv_compare(_dataset(), methods=("full_model", "full_model"), n_repeats=1)
 
     def test_rejects_empty_methods_before_any_split(self, monkeypatch):
@@ -184,7 +184,7 @@ class TestCvCompare:
             raise AssertionError("a split was drawn")
 
         monkeypatch.setattr(crossval, "split", no_split)
-        with pytest.raises(DataError, match="methods must name at least one method"):
+        with pytest.raises(DataError, match="methods is empty"):
             cv_compare(_dataset(), methods=(), n_repeats=2)
 
     @pytest.mark.parametrize(

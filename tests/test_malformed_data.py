@@ -11,14 +11,20 @@ Every other public call that takes a float array (x*, a quadratic
 form's parts, log-likelihoods, a fit's coefficients, a study cell's
 coefficients) refuses a ragged one with ``DataError`` too, and every
 call that takes a count or an index refuses one that is no integer.
+So does every call that takes a seed (a float one) or row indices (a
+float, bool or ragged list), before any fit, draw, split or replication.
 """
+
+import re
 
 import numpy as np
 import pytest
 
 import glmavg.averaging as averaging
+import glmavg.crossval as crossval
 import glmavg.glm_fit as glm_fit
 import glmavg.mse_weights as mse_weights
+import glmavg.sim_harness as sim_harness
 from glmavg import (
     CandidateModel,
     DataError,
@@ -34,6 +40,10 @@ from glmavg import (
     StudyConfig,
     aic_weights,
     build_q_logistic,
+    cv_compare,
+    derive_seed,
+    enumerate_all_subsets,
+    equal_weights,
     fit_and_average_linear,
     fit_and_average_logistic,
     logistic_mle,
@@ -41,9 +51,15 @@ from glmavg import (
     nested_sequence,
     ols_fit,
     prediction_band,
+    run_study1,
+    run_study2,
+    simulate_cell,
+    split,
     study2_model_sets,
     subset_columns,
     subset_point,
+    substream,
+    synthetic_prostate,
 )
 
 MODELS = nested_sequence(1, 2)
@@ -258,3 +274,77 @@ def test_numpy_integers_are_integers():
     assert ModelSet([model], np.int64(2)).q == 2
     config = _study_config(n=np.int64(20), n_reps=np.uint8(2))
     assert (config.n, config.n_reps) == (20, 2) and type(config.n) is int
+
+
+def _band(**arguments):
+    return prediction_band(*_inputs("linear"), X_STAR, MODELS, **{"n_sub": 10, "n_reps": 2, "sigma": 1.0, **arguments})
+
+
+def _cv(**arguments):
+    return cv_compare(synthetic_prostate(), **arguments)
+
+
+def _take(indices):
+    return synthetic_prostate().take(indices)
+
+
+STUDY2 = dict(beta3_grid=(0.1,), cases=("A",), n_reps=2)
+FLOAT_KEY = "stream keys must be int or str, got float"
+
+# (name, call, message): each passes one count, seed or list of row indices that is no integer
+NO_INTEGER_ARGUMENTS = [
+    ("prediction_band-n_sub", lambda: _band(n_sub=10.5), "n_sub must be an integer, got 10.5"),
+    ("prediction_band-n_reps", lambda: _band(n_reps=2.5), "n_reps must be an integer, got 2.5"),
+    ("prediction_band-workers", lambda: _band(workers=1.5), "workers must be an integer, got 1.5"),
+    ("prediction_band-seed", lambda: _band(seed=1.5), FLOAT_KEY),
+    ("cv_compare-n_repeats", lambda: _cv(n_repeats=2.5), "n_repeats must be an integer, got 2.5"),
+    ("cv_compare-n_train", lambda: _cv(n_train=67.5), "n_train must be an integer, got 67.5"),
+    ("cv_compare-workers", lambda: _cv(workers=1.5), "workers must be an integer, got 1.5"),
+    ("cv_compare-seed", lambda: _cv(seed=1.5), FLOAT_KEY),
+    ("enumerate_all_subsets-q", lambda: enumerate_all_subsets(1, 2.5), "q must be an integer, got 2.5"),
+    ("nested_sequence-q", lambda: nested_sequence(1, 2.5), "q must be an integer, got 2.5"),
+    ("split-n_train", lambda: split(synthetic_prostate(), 10.5, 0), "n_train must be an integer, got 10.5"),
+    ("equal_weights-K", lambda: equal_weights(2.5), "K must be an integer, got 2.5"),
+    (
+        "run_study1-workers",
+        lambda: run_study1(n_grid=(60,), cases=("A",), n_reps=2, workers=1.5),
+        "workers must be an integer, got 1.5",
+    ),
+    ("run_study2-workers", lambda: run_study2(**STUDY2, workers=1.5), "workers must be an integer, got 1.5"),
+    (
+        "simulate_cell-workers",
+        lambda: simulate_cell(_study_config(), workers=1.5),
+        "workers must be an integer, got 1.5",
+    ),
+    ("run_study2-seed", lambda: run_study2(**STUDY2, seed=1.5), FLOAT_KEY),
+    ("substream-seed", lambda: substream(1.5), FLOAT_KEY),
+    ("derive_seed-seed", lambda: derive_seed(1.5), FLOAT_KEY),
+    ("Dataset.take-float", lambda: _take([0.5, 1.7]), "row indices must be integers, got float64 entries"),
+    ("Dataset.take-bool", lambda: _take([True, False]), "row indices must be integers, got bool entries"),
+    ("Dataset.take-ragged", lambda: _take([[0, 1], [2]]), "expected an array of row indices: "),
+]
+
+
+@pytest.fixture
+def no_split_or_replication(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a split or a replication started before the arguments were checked")
+
+    monkeypatch.setattr(crossval, "split", refuse)
+    monkeypatch.setattr(sim_harness, "_run_block", refuse)
+
+
+@pytest.mark.parametrize(
+    "call, message", [case[1:] for case in NO_INTEGER_ARGUMENTS], ids=[case[0] for case in NO_INTEGER_ARGUMENTS]
+)
+@pytest.mark.usefixtures("no_fit_or_draw", "no_split_or_replication")
+def test_a_count_seed_or_row_index_that_is_no_integer_is_a_data_error_before_any_run(call, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}"):
+        call()
+
+
+def test_integer_row_indices_are_taken_in_order():
+    data = synthetic_prostate()
+    assert data.take([]).n == 0
+    picked = data.take(np.array([3, 1], dtype=np.uint8))
+    np.testing.assert_array_equal(picked.response, data.response[[3, 1]])

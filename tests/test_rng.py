@@ -25,7 +25,7 @@ class TestSubstream:
         np.testing.assert_array_equal(got, [599169232, 4054965945, 4019774257])
 
     def test_rejects_unhashable_key_types(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(DataError, match="^stream keys must be int or str, got float$"):
             substream(0, 1.5)
 
     def test_negative_seed_or_key_is_a_data_error(self):

@@ -216,7 +216,7 @@ class TestStudyConfig:
             ),
             (
                 lambda: run_study2(schemes=("aic", "aic"), n_reps=200),
-                r"weighting schemes \['aic', 'aic'\] name a scheme more than once",
+                "weighting schemes names aic more than once",
             ),
         ],
         ids=[
