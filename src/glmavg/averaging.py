@@ -265,6 +265,7 @@ def _average_stack(fits, x_star: np.ndarray, schemes: list) -> tuple[np.ndarray,
         if "aic" in asked:
             dims = fits.designs.dims
             aic = _aic_weights(aic_values(fits.logliks, dims))
+            refused = np.isnan(aic[..., 0]).reshape(-1).tolist()  # the sets aic_weights refuses
     solved = {}  # set -> its weights from the lockstep loop
     if "optimal" in asked and len(slices) >= _LOCKSTEP_MIN:  # fewer sets never fill a lockstep run
         ready = [
@@ -283,7 +284,7 @@ def _average_stack(fits, x_star: np.ndarray, schemes: list) -> tuple[np.ndarray,
     for j, (i, names) in enumerate(zip(slices, schemes)):
         try:
             _returned(fits.fit_error(i))
-            entries = []
+            entries, values_i = [], values[i]
             for scheme in names:
                 q_hat = solution = None
                 if scheme == "optimal":
@@ -295,11 +296,11 @@ def _average_stack(fits, x_star: np.ndarray, schemes: list) -> tuple[np.ndarray,
                         weights = solution.weights
                 elif scheme == "aic":
                     weights = aic[i]
-                    if np.isnan(weights[0]):  # a set aic_weights refuses
+                    if refused[j]:
                         aic_weights(fits.logliks[i], dims)  # raises its error
                 else:
                     weights = equal_weights(len(fits.models))
-                entries.append((float(weights @ values[i]), weights, q_hat, solution))
+                entries.append((float(weights @ values_i), weights, q_hat, solution))
             results.append(entries)
         except GlmavgError as exc:
             results.append(exc)
@@ -324,20 +325,19 @@ def _stacks(designs, n: int, members: list) -> list[list]:
 def _fit_average_stack(designs, parts: list, n: int, x_star: np.ndarray, schemes: list):
     """Fit training sets of one design as one stack, average them once, and weigh each set's values.
 
-    ``parts[j]`` is what ``designs.reduce`` kept of training set j, of n
-    rows, as many arrays for every set of one design, and ``schemes[j]``
-    names its schemes.  Each of those arrays is stacked on one leading
-    axis, or a lone set is fitted with none; one ``designs.fit`` and one
-    ``_average_stack`` then serve every set.
+    ``parts`` is what ``designs.reduce`` kept of the training sets, of n
+    rows each, stacked on one leading axis: set j is slice j of each
+    array, and ``schemes[j]`` names its schemes.  A lone set is fitted
+    with no leading axis; one ``designs.fit`` and one ``_average_stack``
+    then serve every set.
     Returns the fit, each set's index on it, and ``_average_stack``'s
     per-model values and per-set results.
     """
-    if len(parts) == 1:
-        stacked, slices = parts[0], [()]
+    if len(schemes) == 1:
+        parts, slices = [part[0] for part in parts], [()]
     else:
-        stacked = [np.stack(column) for column in zip(*parts)]
-        slices = [(j,) for j in range(len(parts))]
-    fits = designs.fit(*stacked, n)
+        slices = [(j,) for j in range(len(schemes))]
+    fits = designs.fit(*parts, n)
     return fits, slices, *_average_stack(fits, x_star, schemes)
 
 
@@ -463,7 +463,8 @@ def _prediction_bands(
                     idx = rng.choice(X_pool.shape[0], size=n_sub, replace=False)
                     noises.append(rng.normal(0.0, sigma))
                     parts.append(designs.reduce(X_pool[idx], y_pool[idx]))
-                results = _fit_average_stack(designs, parts, n_sub, x_stars[row], [(scheme,)] * len(parts))[3]
+                parts = [np.stack(column) for column in zip(*parts)]
+                results = _fit_average_stack(designs, parts, n_sub, x_stars[row], [(scheme,)] * len(noises))[3]
                 # the earliest failing replication raises its error
                 pairs += [(mean, mean + noise) for [(mean, *_)], noise in zip(map(_returned, results), noises)]
         return pairs

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._forked import run_replications
 from .averaging import LinearAveragingPredictor
-from .dataio import Dataset, split
+from .dataio import Dataset, _train_size, split
 from .errors import DataError
 from .glm_fit import _checked_names, _integer
 from .model_space import ModelSet, enumerate_all_subsets
@@ -113,8 +113,9 @@ def cv_compare(
     An empty ``methods``, an unknown method or one named twice
     (``glm_fit._checked_names``), an ``n_repeats``, ``n_train`` or
     ``workers`` that is no integer (``glm_fit._integer``), an
-    ``n_repeats`` or ``workers`` below 1, a training split too small for
-    the full design (or, under the CV rule, for its inner folds), or a
+    ``n_repeats`` or ``workers`` below 1, an ``n_train`` outside (0, n)
+    (``dataio.split``'s check), a training split too small for the full
+    design (or, under the CV rule, for its inner folds), or a
     ``seed`` that is negative or neither an int nor a str raises
     ``DataError`` before any split.
     """
@@ -127,7 +128,7 @@ def cv_compare(
     _checked_keys(seed)
     if n_train is None:
         n_train = min(max(int(round(dataset.n * _TRAIN_FRACTION)), 1), dataset.n - 1)
-    n_train = _integer(n_train, "n_train")
+    n_train = _train_size(dataset, n_train)
     cv_best = "best_subset" in methods and select_by == "cv"
     # the CV rule fits on n_train less its largest inner fold
     fit_rows = n_train - (n_train + _N_FOLDS - 1) // _N_FOLDS if cv_best else n_train

@@ -60,9 +60,10 @@ class Dataset:
     def take(self, indices) -> "Dataset":
         """Row subset as a new Dataset (indices kept in the given order).
 
-        ``indices`` must make an integer array (an empty list passes); a
-        float, a bool or a ragged list raises ``DataError``, so no index
-        is truncated or read as a mask.
+        ``indices`` must make an integer array (an empty list passes) of
+        rows in [0, n); a float, a bool, a ragged list or an index outside
+        that range raises ``DataError``, so no index is truncated, read as
+        a mask or counted from the end.
         """
         try:
             idx = np.asarray(indices)
@@ -72,6 +73,9 @@ class Dataset:
             idx = idx.astype(int)
         elif idx.dtype.kind not in "iu":
             raise DataError(f"row indices must be integers, got {idx.dtype} entries")
+        outside = idx[(idx < 0) | (idx >= self.n)]
+        if outside.size:
+            raise DataError(f"row indices must be in [0, {self.n}), got {int(outside[0])}")
         return Dataset(
             response=self.response[idx],
             design=self.design[idx],
@@ -165,10 +169,17 @@ def csv_text(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _train_size(dataset: Dataset, n_train) -> int:
+    """``n_train`` as an int in (0, n), a split's training rows; anything else raises ``DataError``."""
+    n_train = _integer(n_train, "n_train")
+    if not 0 < n_train < dataset.n:
+        raise DataError(f"n_train must be in (0, {dataset.n}), got {n_train}")
+    return n_train
+
+
 def split(dataset: Dataset, n_train: int, seed: int) -> tuple[Dataset, Dataset]:
     """Uniform without-replacement split into (train, test), deterministic in seed."""
-    if not 0 < _integer(n_train, "n_train") < dataset.n:
-        raise DataError(f"n_train must be in (0, {dataset.n}), got {n_train}")
+    n_train = _train_size(dataset, n_train)
     perm = substream(seed, "split").permutation(dataset.n)
     train_idx = np.sort(perm[:n_train])
     test_idx = np.sort(perm[n_train:])

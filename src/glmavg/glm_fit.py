@@ -182,14 +182,17 @@ def _frozen(a) -> np.ndarray:
 
 
 def _integer(value, name: str, least: int | None = None) -> int:
-    """``value`` as an int, as ``operator.index`` takes it (numpy integers pass; 2.5 and "2" do not).
+    """``value`` as an int, as ``operator.index`` takes it (numpy integers pass; 2.5, "2" and bools do not).
 
     The one check of every count and index a caller passes: any other
-    value raises ``DataError``.  With ``least``, so does a value below
-    it, worded "must be non-negative" when ``least`` is 0 and "must be
-    at least {least}" otherwise, each naming the value.
+    value raises ``DataError``, a Python bool too, which
+    ``operator.index`` would take as 0 or 1.  With ``least``, so does a
+    value below it, worded "must be non-negative" when ``least`` is 0
+    and "must be at least {least}" otherwise, each naming the value.
     """
     try:
+        if isinstance(value, bool):  # operator.index takes it as 0 or 1
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise DataError(f"{name} must be an integer, got {value!r}") from None
@@ -334,19 +337,22 @@ def _gaussian_profile_loglik(rss, n: int):
 def _augmented_r(X: np.ndarray, y: np.ndarray, union) -> np.ndarray:
     """R_aug, the R factor of [X_U | y] for the sorted columns ``union``: a fit's only n-row work.
 
-    It has min(n, |U| + 1) rows.  [X_U | y] is stored transposed, so that
-    the gather of X_U's columns (mode="clip": no bounds pass, which would
-    copy ``out`` first) is its only n-row copy, and ``lapack_qr_r``
-    factors it in place.  R_aug is returned as a copy of its own, so
-    that keeping it does not keep that n-row buffer.  A failed QR gives
-    NaN, which ``_least_squares_from_r`` rejects.
+    X (n x p) and y (n) are one training set, or many stacked along the
+    same leading axes, and R_aug has min(n, |U| + 1) rows per set.
+    [X_U | y] is stored transposed, with the columns as its first axis,
+    so that one gather of X_U's columns (mode="clip": no bounds pass,
+    which would copy ``out`` first) is its only n-row copy, and one
+    ``lapack_qr_r`` factors every set in place, each with the bits it
+    has alone.  R_aug is returned as a copy of its own, so that keeping
+    it does not keep that n-row buffer.  A failed QR gives NaN, which
+    ``_least_squares_from_r`` rejects.
     """
-    n = X.shape[0]
-    Xy_t = np.empty((len(union) + 1, n))
-    np.take(X.T, union, axis=0, out=Xy_t[:-1], mode="clip")
+    lead = tuple(range(y.ndim))  # the leading axes, then the rows
+    Xy_t = np.empty((len(union) + 1, *y.shape))
+    np.take(X.transpose(-1, *lead), union, axis=0, out=Xy_t[:-1], mode="clip")
     Xy_t[-1] = y
     with np.errstate(invalid="ignore"):
-        return lapack_qr_r(Xy_t.T).copy()
+        return lapack_qr_r(Xy_t.transpose(*lead[1:], y.ndim, 0)).copy()
 
 
 def _union(column_sets) -> list[int]:

@@ -193,9 +193,10 @@ def _checked_point(x_star: np.ndarray, p: int) -> np.ndarray:
 class _CandidateFactory:
     """Every candidate's fit on one (X, y), reusable across many x*.
 
-    A subclass names its family's designs (``_Designs``: what a training
-    set keeps for the fit, ``reduce``, and the fit of one such training
-    set or of a stack of them, ``fit``).  A factory is that fit on one
+    A subclass names its family's designs (``_Designs``: the responses
+    it takes, ``check``, what a training set keeps for the fit,
+    ``reduce``, and the fit of one such training set or of a stack of
+    them, ``fit``).  A factory is that fit on one
     training set, with no leading axis: it raises the fit's first error,
     and its per-model values and ``q_form`` are the fits' own
     (``_Fits.values`` and ``_Fits.q_parts``) on that one set, the
@@ -206,8 +207,9 @@ class _CandidateFactory:
     one only for ``beta_full``); its ``q_form`` raises ``DataError``
     before any plug-in fit.  Before any fit, (X, y) go through
     ``glm_fit._checked_data``, each model's columns are checked against
-    X's, and the logistic designs' ``reduce`` checks the 0/1 coding, so
-    a malformed input is a ``DataError``.  The averaging predictors
+    X's, and the designs' ``check`` takes the responses (the logistic
+    designs check the 0/1 coding), so a malformed input is a
+    ``DataError``.  The averaging predictors
     subclass these factories (``averaging.LinearAveragingPredictor``,
     ``LogisticAveragingPredictor``) and add only ``predict``.
     """
@@ -220,6 +222,7 @@ class _CandidateFactory:
             if model.columns[-1] >= p:
                 raise DataError(f"design has {p} columns, model needs column {model.columns[-1]}")
         designs = self._Designs(models, p)
+        designs.check(y)
         fits = designs.fit(*designs.reduce(X, y), n)
         _returned(fits.fit_error())
         self.models, self._fits = models, fits
@@ -372,6 +375,17 @@ class _Designs:
     neither a candidate nor the full design.  Fit 0 is the candidates'
     and fit j > 0 is ``own[j - 1]``'s; ``full_at`` is the (fit, row) that
     holds the full design's fit.
+
+    A family's record also holds its link h, h's slope (``by_slope``),
+    the cost of a study replication (``rep_ms``, read by
+    ``sim_harness._rep_ms``) and a study's response law, split in two:
+    ``noise(rng)`` is the stream call that draws a replication's noise
+    (a bound ``Generator`` method, called with ``out=`` one row of a
+    buffer), and ``respond(eta, noise)`` the arithmetic that makes the
+    responses from eta = X beta and that noise, elementwise, once for a
+    whole chunk of replications stacked on leading axes.  Each of
+    ``check``, ``reduce`` and ``fit`` takes one training set or a stack
+    of them on leading axes.
     """
 
     def __init__(self, models, p: int, oracle: CandidateModel | None = None):
@@ -386,13 +400,15 @@ class _Designs:
         if oracle is not None and self.oracle_k is None and oracle.dim < p:
             self.own.append(oracle.column_indices())
 
+    def check(self, y):
+        """Raise ``DataError`` unless the family takes every response of y (the linear family takes any finite one)."""
+
 
 class _LinearDesigns(_Designs):
     """The linear family's record: its link and response law, and the designs its candidate fit factors.
 
     The link h is the identity (slope 1), and a study's response is
-    eta plus one standard normal draw per row (``respond``); ``rep_ms``
-    is a stacked study replication's cost (``sim_harness._rep_ms``).
+    eta plus one standard normal draw per row (``noise``, ``respond``).
     Beside what every record reads off its candidates (``_Designs``),
     ``sets`` are the column sets reduced from R_aug, the factor of the
     candidates' union U: the candidates' and, with no full candidate,
@@ -403,7 +419,8 @@ class _LinearDesigns(_Designs):
 
     link = staticmethod(lambda eta: eta)
     by_slope = staticmethod(lambda G_x, mu: G_x)  # h' = 1
-    respond = staticmethod(lambda eta, rng: eta + rng.standard_normal(len(eta)))
+    noise = staticmethod(lambda rng: rng.standard_normal)
+    respond = staticmethod(lambda eta, noise: eta + noise)
     rep_ms = (0.0074, 1.5e-5)
 
     def __init__(self, models, p: int, oracle: CandidateModel | None = None):
@@ -414,8 +431,11 @@ class _LinearDesigns(_Designs):
             self.sets, self.full_at = [*self.cols, range(p)], (0, self.K)
 
     def reduce(self, X, y):
-        """What one training set (X, y) keeps: R_aug of [X_U | y], then the R factor of [X_o | y] per X_o in ``own``."""
-        R_aug = _augmented_r(X, y, self.union) if self.sets else np.zeros((0, 1))
+        """What each training set (X, y) keeps: R_aug of [X_U | y], then the R factor of [X_o | y] per X_o in ``own``.
+
+        With leading axes, each is one ``_augmented_r`` call for the whole stack.
+        """
+        R_aug = _augmented_r(X, y, self.union) if self.sets else np.zeros((*y.shape[:-1], 0, 1))
         return R_aug, *(_augmented_r(X, y, cols) for cols in self.own)
 
     def kept(self, n: int) -> int:
@@ -554,8 +574,8 @@ class _LogisticDesigns(_Designs):
 
     The link h is ``expit`` (slope p(1 - p)), and a study's response at
     row i is 1 when a uniform draw falls below expit(eta_i), else 0
-    (``respond``); ``rep_ms`` is a stacked study replication's cost
-    (``sim_harness._rep_ms``).  A training set keeps its whole (X, y).
+    (``noise``, ``respond``).  The responses must be coded 0/1
+    (``check``).  A training set keeps its whole (X, y).
     The candidates and the designs listed beyond them are what every
     record reads (``_Designs``): each listed design, the full design or
     an oracle's own columns, is one more MLE, made once for the stack
@@ -564,13 +584,17 @@ class _LogisticDesigns(_Designs):
 
     link = staticmethod(expit)
     by_slope = staticmethod(lambda G_x, p: G_x * (p * (1.0 - p))[..., None])
-    respond = staticmethod(lambda eta, rng: (rng.random(len(eta)) < expit(eta)).astype(float))
+    noise = staticmethod(lambda rng: rng.random)
+    respond = staticmethod(lambda eta, u: (u < expit(eta)).astype(float))
     rep_ms = (0.0061, 1.1e-4)
 
-    def reduce(self, X, y):
-        """What one training set keeps for the fit: its X and y, once the responses are checked."""
+    def check(self, y):
+        """Raise ``DataError`` unless every response is coded 0/1, when there are candidates to fit."""
         if self.models:
             _require_binary(y)
+
+    def reduce(self, X, y):
+        """What each training set keeps for the fit: its X and y."""
         return X, y
 
     def kept(self, n: int) -> int:

@@ -17,9 +17,11 @@ Both studies build and check every cell's config first, so a bad cell
 private runner then simulates the cells and writes one summary row per
 estimate column.  The harness never branches on the family: each
 family's designs (``_PREDICTORS[family]._Designs``) are its one record,
-with its link (``truth``), its response law (``_draw``), its cost per
-replication (``_rep_ms``) and its oracle fit.  The oracle column is the
-oracle model's own fit on each replication's draws, at x*, which the
+with its link (``truth``), its response law (``noise``, the stream call,
+and ``respond``, the arithmetic), the responses it takes (``check``),
+its cost per replication (``_rep_ms``) and its oracle fit.  The oracle
+column is the oracle model's own fit on each replication's draws, at
+x*, which the
 stack's fit gives (``_Fits.oracle_values``): the candidates' values
 when the oracle is a candidate, else the one fit of its design in the
 designs' list, made once for the whole stack: the full design's, which
@@ -29,8 +31,9 @@ logistic: one more stacked MLE), with the bits of a lone ``ols_fit``
 or ``logistic_mle``.
 Replication r draws its design and response from the stream
 ``substream(seed, *tags, r)``, keyed once per cell, so reports are
-byte-identical across runs and across worker counts; a stack draws a
-cell's replications from one generator re-keyed per replication
+byte-identical across runs and across worker counts; a stack derives
+the Philox keys of a cell's replications at once (``rng._stack_keys``)
+and draws them from one generator re-keyed per replication
 (``rng._stack_streams``), with ``substream``'s bits.  A study lays all
 its cells' replications out rep by rep (rep 0 of every cell, then rep
 1, ...) in one ``run_replications`` call, which hands each process one
@@ -46,12 +49,16 @@ oracle and x*) are stacked together, across cells, so the cells of a
 beta3 grid share their stacks; each group is cut into
 stacks by ``averaging._stacks`` (the fewest of up to
 ``averaging._STACK_REPS``, whatever the family, their sizes differing by
-one at most) and run through one routine (``_fit_stack``).  Each
-replication draws its data and keeps what its family's fit needs: a
-linear one factors [X_U | y] on its n rows (and an oracle's own
-columns), a logistic one keeps its design and response.  The stack is
-then fitted at once (``averaging._fit_average_stack``, which ``band``
-runs too), with one
+one at most) and run through one routine (``_fit_stack``).  A stack is
+drawn in chunks of at most ``_CHUNK_DOUBLES`` doubles (``_draw``): a
+replication's only Python work is its two stream calls, which fill its
+rows of the chunk's buffers, and the intercept column, eta = X beta,
+the response law, the checks and the reduction to what the family's
+fit needs run once per chunk on its leading axis (a linear chunk
+factors [X_U | y] on its n rows, and an oracle's own columns, with one
+LAPACK call for the chunk; a logistic one keeps its designs and
+responses).  The stack is then fitted at once
+(``averaging._fit_average_stack``, which ``band`` runs too), with one
 LAPACK call per model size (linear) or one damped Newton loop per
 candidate (logistic), and one inverse per model size or candidate for
 the plug-in.  One averaging pass
@@ -82,7 +89,7 @@ from .averaging import (
     fit_and_average_logistic,  # no longer called here; perfbench/tracer.py looks it up here
 )
 from ._forked import run_replications
-from .errors import DataError, GlmavgError, _returned
+from .errors import DataError, GlmavgError
 from .glm_fit import (
     _checked_names,
     _frozen,
@@ -243,93 +250,149 @@ class StudyReport:
 # ---------------------------------------------------------------------------
 
 
-def _draw(config: StudyConfig, rep: int, rng: np.random.Generator):
-    """Replication ``rep``'s design and response, from ``rng``: the stream ``substream(seed, *tags, rep)``, unread.
+def _draw(designs, chunk: list, streams, failures: dict):
+    """A chunk of a stack's replications, drawn: their designs X (m x n x p) and responses y (m x n).
 
-    ``_fit_stack`` re-keys one generator per cell of a stack.  The
-    response follows the family's law (``_Designs.respond``) about
-    eta = X beta.
+    ``chunk`` holds (position, config, rep) triples whose configs share a
+    design (``designs``, the family's record), and ``streams`` yields
+    each one's stream in turn, ``substream(seed, *tags, rep)``, unread.
+    A replication's only Python work is its two stream calls, which fill
+    its rows of the chunk's buffers: its covariates (``standard_normal``),
+    then its noise (``designs.noise``).  The rest runs once for the
+    chunk, on its leading axis: the intercept column, eta = X beta (one
+    stacked ``matvec``, each slice with the bits of its own ``X @ beta``),
+    the response law (``designs.respond``), and the checks that every
+    design and response is finite and that the family takes every
+    response (``designs.check``).  When a check refuses the chunk, each
+    replication is checked alone, and each one that fails gets its own
+    ``DataError`` in ``failures[position]``.
     """
-    n = config.n
-    X = np.column_stack([np.ones(n), rng.standard_normal((n, config.beta_true.shape[0] - 1))])
-    return X, config._family.respond(X @ config.beta_true, rng)
+    m, n, p = len(chunk), chunk[0][1].n, designs.p
+    covariates, noises = np.empty((m, n, p - 1)), np.empty((m, n))
+    for row, noise, rng in zip(covariates, noises, streams):
+        rng.standard_normal(out=row)
+        designs.noise(rng)(out=noise)
+    X = np.concatenate([np.ones((m, n, 1)), covariates], axis=-1)
+    y = designs.respond(np.matvec(X, np.array([config.beta_true for _, config, _ in chunk])), noises)
+    try:
+        _check_drawn(designs, X, y)
+    except DataError:
+        for (position, _, _), X_j, y_j in zip(chunk, X, y):
+            try:
+                _check_drawn(designs, X_j, y_j)
+            except DataError as exc:
+                failures[position] = exc
+    return X, y
+
+
+def _check_drawn(designs, X, y) -> None:
+    """Raise ``DataError`` unless every design and response is finite and the family takes every response."""
+    require_finite("design and response", X, y)
+    designs.check(y)
+
+
+# The most doubles that one chunk of a stack's draws holds (``_fit_stack``), at about
+# n (2p + 2) a replication: its covariates, its design, its noise and responses, and the
+# transposed [X_U | y] that a linear ``reduce`` factors.  So a Study I replication at
+# n = 1000 (22,000 doubles) is a chunk of its own, and a Study II stack of 50 at
+# n = 100 (1,000 doubles a replication) two chunks, of 32 and 18.  Against 2^15, with
+# the budgets alternating in one process (CPU time, medians of 150 study2_logistic and
+# 60 study1_n1000 calls, BLAS on one thread, shared 2-core x86-64 VM): study2_logistic
+# +5.1% at 2^13, +0.2% at 2^17, +2.0% at 2^20; study1_n1000 +2.0% at 2^13, -3.5% at
+# 2^17 (inside its quartiles, 17-25 ms) and +31.7% at 2^20.  Twenty study1_n1000 calls
+# peaked at 38.6 MB at 2^15 and 41.7 MB at 2^18 (38.4 MB drawn one replication at a time).
+_CHUNK_DOUBLES = 1 << 15
 
 
 def _fit_stack(designs, members, rows: list, failures: dict) -> None:
-    """Fit and average a stack of replications that share a design; fill ``rows`` and ``failures``.
+    """Draw, fit and average a stack of replications that share a design; fill ``rows`` and ``failures``.
 
     ``designs`` are the family's designs (the predictor's ``_Designs``,
     with the configs' oracle) and ``members`` (position, config, rep)
     triples whose configs share the family, n, the candidates, the
-    oracle and x*; they may come from several cells.  Each replication
-    draws its data and keeps what the fit needs (``designs.reduce``: a
-    linear replication its n-row QRs, an oracle's of its own columns
-    among them, a logistic one its design and response).  Then one
-    stacked fit and one averaging pass (``averaging._fit_average_stack``,
-    the routine ``band`` runs too) make every candidate's fit for all of
-    them at once (the linear QRs, guards and solves with one LAPACK call
-    per model size, the logistic MLEs with one damped Newton loop per
-    candidate), the per-model values, Q-hat, the AIC weights and, from
-    ``averaging._LOCKSTEP_MIN`` replications up, the weight solves; only
-    the weighted sums and any lone solves run per replication.  The
-    oracle column is the fit's ``oracle_values``, made once for the
-    stack.  Every estimate keeps the bits of one predictor fitted per
-    replication.  A replication's ``GlmavgError`` goes to
-    ``failures[position]``: the first raised in the order of a lone
-    replication (its draw, its fit, its schemes in order, then its
-    oracle).
+    oracle and x*; they may come from several cells.  The Philox keys of
+    a cell's streams are derived at once (``rng._stack_keys``), and one
+    generator per cell is re-keyed per replication.  The stack is drawn
+    in chunks of at most ``_CHUNK_DOUBLES`` doubles (``_draw``), whose
+    only per-replication work is the stream calls, and each chunk's
+    replications that pass their checks are reduced at once to what the
+    fit needs (``designs.reduce``: a linear
+    replication's n-row QRs, an oracle's of its own columns among them,
+    one LAPACK call per design for the chunk, copied out so that no
+    n-row buffer stays alive; a logistic one's design and response).
+    Then one stacked fit and one averaging pass
+    (``averaging._fit_average_stack``, the routine ``band`` runs too)
+    make every candidate's fit for all of them at once (the linear QRs,
+    guards and solves with one LAPACK call per model size, the logistic
+    MLEs with one damped Newton loop per candidate), the per-model
+    values, Q-hat, the AIC weights and, from ``averaging._LOCKSTEP_MIN``
+    replications up, the weight solves; only the weighted sums and any
+    lone solves run per replication.  The oracle column is the fit's
+    ``oracle_values``, made once for the stack.  Every estimate keeps
+    the bits of one predictor fitted per replication.  A replication's
+    ``GlmavgError`` goes to ``failures[position]``: the first raised in
+    the order of a lone replication (its draw, its fit, its schemes in
+    order, then its oracle).
     """
     cell_reps = {}
     for _, config, rep in members:
         cell_reps.setdefault(config, []).append(rep)
-    # each cell's streams, one re-keyed generator per cell (``rng._stack_streams``)
-    streams = {config: _stack_streams(config._keys, reps) for config, reps in cell_reps.items()}
+    # each cell's streams, keyed at once and drawn from one re-keyed generator (``rng._stack_streams``)
+    cells = {config: _stack_streams(config._keys, reps) for config, reps in cell_reps.items()}
+    streams = (next(cells[config]) for _, config, _ in members)
+    n = members[0][1].n
+    size = max(1, _CHUNK_DOUBLES // (n * (2 * designs.p + 2)))
     drawn, parts = [], []
-    for position, config, rep in members:
-        try:
-            X, y = _draw(config, rep, next(streams[config]))
-            require_finite("design and response", X, y)
+    for start in range(0, len(members), size):
+        chunk = members[start : start + size]
+        failed = len(failures)
+        X, y = _draw(designs, chunk, streams, failures)
+        if len(failures) > failed:  # keep the replications whose draws passed
+            kept = [j for j, (position, _, _) in enumerate(chunk) if position not in failures]
+            chunk, X, y = [chunk[j] for j in kept], X[kept], y[kept]
+        if chunk:
+            drawn += chunk
             parts.append(designs.reduce(X, y))
-        except GlmavgError as exc:
-            failures[position] = exc
-            continue
-        drawn.append((position, config))
     if not drawn:
         return
+    parts = parts[0] if len(parts) == 1 else [np.concatenate(column) for column in zip(*parts)]
     first = drawn[0][1]
-    schemes = [config.schemes for _, config in drawn]
-    fits, slices, values, results = _fit_average_stack(designs, parts, first.n, first.x_star, schemes)
-    oracle, oracle_failures = (None, {}) if designs.oracle is None else fits.oracle_values(first.x_star, values)
-    for (position, _), i, result in zip(drawn, slices, results):
-        try:
-            estimates = [estimate for estimate, *_ in _returned(result)]
-            if oracle is not None:
-                estimates.append(float(_returned(oracle_failures.get(i, oracle[i]))))
-            rows[position] = estimates
-        except GlmavgError as exc:
-            failures[position] = exc
+    schemes = [config.schemes for _, config, _ in drawn]
+    fits, slices, values, results = _fit_average_stack(designs, parts, n, first.x_star, schemes)
+    oracle, oracle_failures = ([], {}) if designs.oracle is None else fits.oracle_values(first.x_star, values)
+    oracle = np.ravel(oracle).tolist()  # set j's oracle value is oracle[j : j + 1]
+    for j, ((position, _, _), i, result) in enumerate(zip(drawn, slices, results)):
+        error = result if isinstance(result, GlmavgError) else oracle_failures.get(i)
+        if error is not None:
+            failures[position] = error
+        else:
+            rows[position] = [estimate for estimate, *_ in result] + oracle[j : j + 1]
 
 
 def _run_block(cells) -> list[list[float]]:
     """The estimates of each (config, rep) of ``cells``, one contiguous block of a study's layout.
 
-    The block's replications are grouped by design (``config._design``),
-    across cells: a study's cells that differ only in the generating
-    coefficients, as the stock beta3 grid's do, share their stacks.
+    The block's replications are grouped by design (``config._design``,
+    hashed once per config, not per replication), across cells: a
+    study's cells that differ only in the generating coefficients, as
+    the stock beta3 grid's do, share their stacks.
     Each group is cut by the one stack-cut policy
     (``averaging._stacks``: the fewest stacks of at most
     ``_STACK_REPS`` sets and ``_STACK_DOUBLES`` doubles, their sizes
     differing by one at most), whatever its family, and each stack is
-    fitted and averaged by ``_fit_stack``.  The failure at the
+    drawn, fitted and averaged by ``_fit_stack``.  The failure at the
     earliest position of ``cells`` is raised, whatever the stage it failed in,
     with the replication's key, the config's tags and the rep, appended
     to its message, e.g. ``('study2', 'logistic', 'A', '0.05', rep 17)``;
     its class and attributes are kept.
     """
     rows, failures = [None] * len(cells), {}
-    groups = {}
+    groups, group_of = {}, {}
     for position, (config, rep) in enumerate(cells):
-        groups.setdefault(config._design, []).append((position, config, rep))
+        group = group_of.get(config)
+        if group is None:
+            group = group_of[config] = groups.setdefault(config._design, [])
+        group.append((position, config, rep))
     for members in groups.values():
         config = members[0][1]
         designs = config._family(config.candidate_set.models, config.x_star.shape[0], config.oracle)

@@ -261,16 +261,24 @@ def predict_reference(factory, x_star, scheme):
     )
 
 
-def study_draw_reference(config, rep):
-    """A study replication's (X, y), drawn from ``substream(seed, *tags, rep)`` with the tags re-keyed."""
+def study_draw_reference(config, rep, change=None):
+    """A study replication's (X, y), drawn alone from ``substream(seed, *tags, rep)`` with the tags re-keyed.
+
+    ``change(config, rep, X, y)``, when given, then alters them in place,
+    as the ``change_draws`` fixture alters a study's draws.
+    """
     rng = substream(config.seed, *config.tags, rep)
     n = config.n
     X = np.column_stack([np.ones(n), rng.standard_normal((n, config.beta_true.shape[0] - 1))])
     eta = X @ config.beta_true
     if config.family == "linear":
-        return X, eta + rng.standard_normal(n)
-    # the library's expit, so that no rounding of scipy's can flip a draw
-    return X, (rng.random(n) < glm_fit.expit(eta)).astype(float)
+        y = eta + rng.standard_normal(n)
+    else:
+        # the library's expit, so that no rounding of scipy's can flip a draw
+        y = (rng.random(n) < glm_fit.expit(eta)).astype(float)
+    if change is not None:
+        change(config, rep, X, y)
+    return X, y
 
 
 def linear_estimates_reference(config, X, y):

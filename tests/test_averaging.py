@@ -739,7 +739,7 @@ class TestBandStacks:
         fit_average_stack = averaging._fit_average_stack
 
         def recorded(designs, parts, *args):
-            sizes.append(len(parts))
+            sizes.append(len(parts[0]))  # the stacked sets of each part
             return fit_average_stack(designs, parts, *args)
 
         monkeypatch.setattr(averaging, "_fit_average_stack", recorded)

@@ -82,18 +82,16 @@ def _config(family="linear", n_reps=40):
 
 
 @pytest.mark.parametrize("failing, first", [((17, 30), 17), ((30, 35), 30)], ids=["parent-and-child", "child"])
-def test_earliest_failure_wins(monkeypatch, deadline, fork_any_work, failing, first):
+def test_earliest_failure_wins(monkeypatch, deadline, fork_any_work, change_draws, failing, first):
     # 40 replications on 2 workers: the calling process runs reps 0-19, a child 20-39,
     # and a child's failure comes back pickled, with its class and attributes
     model = CandidateModel((0, 1), 1)
-    original = sim_harness._draw
 
-    def failing_draw(config, rep, rng):
+    def failing_draw(config, rep, X, y):
         if rep in failing:
             raise NonConvergenceError(f"separated at rep {rep}", model=model, iterations=rep)
-        return original(config, rep, rng)
 
-    monkeypatch.setattr(sim_harness, "_draw", failing_draw)
+    change_draws(failing_draw)
     forks = counted_forks(monkeypatch)
     with pytest.raises(NonConvergenceError) as excinfo:
         simulate_cell(_config(), workers=2)

@@ -322,6 +322,11 @@ NO_INTEGER_ARGUMENTS = [
     ("Dataset.take-float", lambda: _take([0.5, 1.7]), "row indices must be integers, got float64 entries"),
     ("Dataset.take-bool", lambda: _take([True, False]), "row indices must be integers, got bool entries"),
     ("Dataset.take-ragged", lambda: _take([[0, 1], [2]]), "expected an array of row indices: "),
+    # a bool is an int to operator.index: split(data, True, 0) would train on one row
+    ("split-n_train-bool", lambda: split(synthetic_prostate(), True, 0), "n_train must be an integer, got True"),
+    ("run_study2-n_reps-bool", lambda: run_study2(**{**STUDY2, "n_reps": True}), "n_reps must be an integer, got True"),
+    ("run_study2-workers-bool", lambda: run_study2(**STUDY2, workers=True), "workers must be an integer, got True"),
+    ("equal_weights-K-numpy-bool", lambda: equal_weights(np.True_), "K must be an integer, got np.True_"),
 ]
 
 
@@ -341,6 +346,23 @@ def no_split_or_replication(monkeypatch):
 def test_a_count_seed_or_row_index_that_is_no_integer_is_a_data_error_before_any_run(call, message):
     with pytest.raises(DataError, match=f"^{re.escape(message)}"):
         call()
+
+
+@pytest.mark.parametrize("index", [97, 1000, -1, -97])
+def test_a_row_index_outside_the_rows_is_a_data_error(index):
+    # numpy would raise IndexError past the end, and count a negative index from the end
+    with pytest.raises(DataError, match=rf"^row indices must be in \[0, 97\), got {index}$"):
+        _take([0, index, 1])
+
+
+def test_cv_refuses_a_training_split_of_every_row_before_any_repeat(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a repeat started before n_train was checked")
+
+    monkeypatch.setattr(crossval, "run_replications", refuse)
+    for n_train in (97, 98):
+        with pytest.raises(DataError, match=rf"^n_train must be in \(0, 97\), got {n_train}$"):
+            _cv(n_train=n_train, workers=2)
 
 
 def test_integer_row_indices_are_taken_in_order():

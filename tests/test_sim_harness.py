@@ -1,7 +1,10 @@
+import ast
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
+import textwrap
 
 import numpy as np
 import pytest
@@ -330,15 +333,15 @@ class TestSimulateCell:
         assert set(out) == {"optimal", "aic", "oracle"}
         assert all(v.shape == (8,) for v in out.values())
 
-    def test_a_stack_whose_every_draw_fails_fits_nothing(self, monkeypatch):
+    def test_a_stack_whose_every_draw_fails_fits_nothing(self, monkeypatch, change_draws):
         # no replication of the stack has data, so nothing is fitted and the first draw's error is raised
-        def failing_draw(config, rep, rng):
+        def failing_draw(config, rep, X, y):
             raise DataError(f"no data at rep {rep}")
 
         def no_fit(*args):
             raise AssertionError("a stack with no drawn replication was fitted")
 
-        monkeypatch.setattr(sim_harness, "_draw", failing_draw)
+        change_draws(failing_draw)
         monkeypatch.setattr(sim_harness, "_fit_average_stack", no_fit)
         with pytest.raises(DataError, match=r"^no data at rep 0 in replication \('t', rep 0\)$"):
             simulate_cell(self._config(n_reps=4, tags=("t",)))
@@ -636,20 +639,16 @@ class TestOneRunPerStudy:
         ],
         ids=["cell-1-alone", "same-rep-cell-0-wins", "earlier-rep-wins"],
     )
-    def test_earliest_failing_cell_is_named(self, monkeypatch, workers, failing, named):
+    def test_earliest_failing_cell_is_named(self, change_draws, workers, failing, named):
         # 2 cells of 6 reps laid out rep by rep: run index 2 * rep + cell, with
         # cell 0 (beta3 = 0.05) and cell 1 (0.5); the earliest index fails first
-        import glmavg.sim_harness as sim_harness
-
         model = CandidateModel((0,), 1)
-        original = sim_harness._draw
 
-        def failing_draw(config, rep, rng):
+        def failing_draw(config, rep, X, y):
             if (config.tags[-1], rep) in failing:
                 raise NonConvergenceError(f"separated at rep {rep}", model=model, iterations=rep)
-            return original(config, rep, rng)
 
-        monkeypatch.setattr(sim_harness, "_draw", failing_draw)
+        change_draws(failing_draw)
         with pytest.raises(NonConvergenceError) as excinfo:
             run_study2("linear", beta3_grid=(0.05, 0.5), cases=("A",), n_reps=6, workers=workers)
         beta3, rep = named
@@ -780,45 +779,35 @@ class TestStackedLinearFits:
         assert len(calls) == len(sizes) + len(lockstep) + 11 - sum(lockstep)
 
     @STACK_SIZES
-    def test_a_guarded_replication_in_a_stack_keeps_its_bits(self, monkeypatch, stack):
+    def test_a_guarded_replication_in_a_stack_keeps_its_bits(self, monkeypatch, change_draws, stack):
         # rep 3's last column nearly repeats column 1 (cond(R_U) about 1e8): past the union
         # check's margin, so that replication alone is guarded one model size at a time
-        original = sim_harness._draw
-
-        def draw(config, rep, rng):
-            X, y = original(config, rep, rng)
+        def draw(config, rep, X, y):
             if rep == 3:
-                X = X.copy()
                 X[:, -1] = X[:, 1] + 1e-8 * X[:, -1]
-            return X, y
 
-        monkeypatch.setattr(sim_harness, "_draw", draw)
+        change_draws(draw)
         monkeypatch.setattr(averaging, "_STACK_REPS", stack)
         config = _linear_cells(n_reps=9)[2]  # Study I case B, n = 60
         got = simulate_cell(config)
         expected = np.array(
-            [linear_estimates_reference(config, *draw(config, rep, _stream(config, rep))) for rep in range(9)]
+            [linear_estimates_reference(config, *study_draw_reference(config, rep, draw)) for rep in range(9)]
         )
         for c, column in enumerate(config.columns):
             assert got[column].tobytes() == expected[:, c].tobytes()
 
     @STACK_SIZES
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_a_singular_design_raises_what_its_predictor_raises(self, monkeypatch, stack, workers):
-        original = sim_harness._draw
-
-        def draw(config, rep, rng):
-            X, y = original(config, rep, rng)
+    def test_a_singular_design_raises_what_its_predictor_raises(self, monkeypatch, change_draws, stack, workers):
+        def draw(config, rep, X, y):
             if rep in (4, 7):
-                X = X.copy()
                 X[:, -1] = X[:, 1]  # every candidate with the last optional column is singular
-            return X, y
 
-        monkeypatch.setattr(sim_harness, "_draw", draw)
+        change_draws(draw)
         monkeypatch.setattr(averaging, "_STACK_REPS", stack)
         config = _linear_cells(n_reps=9)[2]
         with pytest.raises(SingularDesignError) as direct:
-            LinearAveragingPredictor(*draw(config, 4, _stream(config, 4)), config.candidate_set)
+            LinearAveragingPredictor(*study_draw_reference(config, 4, draw), config.candidate_set)
         with pytest.raises(SingularDesignError) as excinfo:
             simulate_cell(config, workers=workers)
         assert str(excinfo.value) == f"{direct.value} in replication ('study1', 'B', 60, rep 4)"
@@ -832,26 +821,22 @@ class TestStackedLinearFits:
         ids=["earlier-solve-wins", "earlier-fit-wins"],
     )
     def test_the_earlier_of_a_fit_and_a_solve_failure_wins(
-        self, monkeypatch, workers, singular_at, unsolved_at, first, lockstep
+        self, monkeypatch, change_draws, workers, singular_at, unsolved_at, first, lockstep
     ):
         # 2 cells of 6 reps laid out rep by rep (run index 2 * rep + cell): a singular design
         # fails one replication's fit, an injected solver failure another's solve.  At
         # workers=1 the 12 replications are one stack, solved in lockstep unless the
         # lockstep minimum is out of reach; the injected slice then fails the lockstep
         # run, as a slice that cannot be certified does, and is solved alone.
-        original_draw, original_solve = sim_harness._draw, averaging.solve_simplex_qp
-        original_stack = _lockstep._solve_stack
+        original_solve, original_stack = averaging.solve_simplex_qp, _lockstep._solve_stack
         target = {}
 
-        def draw(config, rep, rng):
-            X, y = original_draw(config, rep, rng)
+        def draw(config, rep, X, y):
             if (config.tags[-1], rep) == singular_at:
-                X = X.copy()
                 X[:, 3] = X[:, 2]  # only the full candidate is singular
             if (config.tags[-1], rep) == unsolved_at:
                 q_hat = LinearAveragingPredictor(X, y, config.candidate_set).q_form(config.x_star)
                 target["bias"] = q_hat.bias.tobytes()
-            return X, y
 
         def solve(q_hat):
             if q_hat.bias.tobytes() == target.get("bias"):
@@ -864,7 +849,7 @@ class TestStackedLinearFits:
             return (*answers, lone | [row.tobytes() == target.get("bias") for row in bias])
 
         stacked = []
-        monkeypatch.setattr(sim_harness, "_draw", draw)
+        change_draws(draw)
         monkeypatch.setattr(averaging, "solve_simplex_qp", solve)
         monkeypatch.setattr(_lockstep, "_solve_stack", solve_stack)
         if not lockstep:
@@ -968,22 +953,17 @@ class TestStackedLogisticFits:
 
     @pytest.mark.usefixtures("fork_any_work")
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_a_singular_full_design_names_the_oracle_only_in_its_column(self, monkeypatch, workers):
+    def test_a_singular_full_design_names_the_oracle_only_in_its_column(self, change_draws, workers):
         # reps 2 and 4 of a case-B cell have a singular full design: under ``optimal`` the
         # plug-in raises it first, naming no model; in an aic-only cell the oracle column does,
         # naming the oracle, as a lone logistic_mle of the oracle raises it
-        original = sim_harness._draw
-
-        def draw(config, rep, rng):
-            X, y = original(config, rep, rng)
+        def draw(config, rep, X, y):
             if rep in (2, 4):
-                X = X.copy()
                 X[:, 3] = X[:, 2]
-            return X, y
 
-        monkeypatch.setattr(sim_harness, "_draw", draw)
+        change_draws(draw)
         config = _logistic_cells(n_reps=6)[2]
-        X, y = draw(config, 2, _stream(config, 2))
+        X, y = study_draw_reference(config, 2, draw)
         with pytest.raises(NumericalError) as lone:
             logistic_mle(X, y, model=config.oracle)
         suffix = " in replication ('study2', 'logistic', 'B', '0.05', rep 2)"
@@ -1016,26 +996,22 @@ class TestStackedLogisticFits:
 
     @staticmethod
     def _defective_draw(defects):
-        """``_draw`` with the replications ``defects`` names made to fail their fits.
+        """A change of the draws (``change_draws``) that makes the replications ``defects`` names fail their fits.
 
         ``"constant"``: every response 1 (no MLE); ``"singular"``: the
         last column a copy of the one before, so the full candidate's
         Hessian is exactly singular; ``"separated"``: the response is
         the sign of column 1, so every candidate with it diverges.
         """
-        original = sim_harness._draw
 
-        def draw(config, rep, rng):
-            X, y = original(config, rep, rng)
+        def draw(config, rep, X, y):
             defect = defects.get(rep)
             if defect == "constant":
-                y = np.ones_like(y)
+                y[:] = 1.0
             elif defect == "singular":
-                X = X.copy()
                 X[:, 3] = X[:, 2]
             elif defect == "separated":
-                y = (X[:, 1] > 0).astype(float)
-            return X, y
+                y[:] = X[:, 1] > 0
 
         return draw
 
@@ -1046,19 +1022,19 @@ class TestStackedLogisticFits:
     )
     @pytest.mark.parametrize("stack", [1, 12], ids=["stack-1", "stack-12"])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_the_earliest_failing_replication_raises_its_lone_error(self, monkeypatch, order, stack, workers):
+    def test_the_earliest_failing_replication_raises_its_lone_error(self, monkeypatch, change_draws, order, stack, workers):
         defects = dict(zip((3, 5, 8), order))
         draw = self._defective_draw(defects)
-        monkeypatch.setattr(sim_harness, "_draw", draw)
+        change_draws(draw)
         monkeypatch.setattr(averaging, "_STACK_REPS", stack)
         config = _logistic_cells(n_reps=12)[0]
         lone = {}
         for rep in defects:
             with pytest.raises(NumericalError) as info:
-                logistic_estimates_reference(config, *draw(config, rep, _stream(config, rep)))
+                logistic_estimates_reference(config, *study_draw_reference(config, rep, draw))
             lone[defects[rep]] = info.value
             # the error a loop over the candidates' own MLEs meets first, in list order
-            X, y = draw(config, rep, _stream(config, rep))
+            X, y = study_draw_reference(config, rep, draw)
             with pytest.raises(NumericalError) as first:
                 for model in config.candidate_set.models:
                     logistic_mle(X[:, model.column_indices()], y, model=model)
@@ -1085,7 +1061,7 @@ class TestStackedLogisticFits:
         config = _logistic_cells(n_reps=12)[2]  # case B: the plug-in fits the full design too
         predictor_class = sim_harness._PREDICTORS["logistic"]
         designs = predictor_class._Designs(config.candidate_set.models, 4)
-        draws = [draw(config, rep, _stream(config, rep)) for rep in range(12)]
+        draws = [study_draw_reference(config, rep, draw) for rep in range(12)]
         fits = designs.fit(np.stack([X for X, _ in draws]), np.stack([y for _, y in draws]), config.n)
         _, results = averaging._average_stack(fits, config.x_star, [config.schemes] * 12)
 
@@ -1241,27 +1217,22 @@ class TestCrossCellStacks:
         [(("0.05", 1), ("0.5", 2), "fit"), (("0.05", 3), ("0.5", 1), "plug-in")],
         ids=["earlier-fit-wins", "earlier-plug-in-wins"],
     )
-    def test_the_earliest_of_a_fit_and_a_plug_in_failure_wins(self, monkeypatch, workers, fit_at, plug_in_at, first):
+    def test_the_earliest_of_a_fit_and_a_plug_in_failure_wins(self, change_draws, workers, fit_at, plug_in_at, first):
         # 2 case-B cells of 6 reps laid out rep by rep (run index 2 * rep + cell), one stack at
         # workers=1: one replication fails its fit, one of the other cell its plug-in alone
-        original = sim_harness._draw
-
-        def draw(config, rep, rng):
-            X, y = original(config, rep, rng)
+        def draw(config, rep, X, y):
             if (config.tags[-1], rep) == fit_at:
-                y = np.ones_like(y)  # no candidate has an MLE
+                y[:] = 1.0  # no candidate has an MLE
             if (config.tags[-1], rep) == plug_in_at:
-                X = X.copy()
                 X[:, 3] = X[:, 2]  # only the full design, the plug-in's own fit, is singular
-            return X, y
 
-        monkeypatch.setattr(sim_harness, "_draw", draw)
+        change_draws(draw)
         cells = _study2_cells("logistic", 6, cases="B", schemes=("optimal", "aic"))
         lone = {}
         for beta3, rep in (fit_at, plug_in_at):
             config = next(config for config in cells if config.tags[-1] == beta3)
             with pytest.raises(NumericalError) as info:
-                logistic_estimates_reference(config, *draw(config, rep, _stream(config, rep)))
+                logistic_estimates_reference(config, *study_draw_reference(config, rep, draw))
             lone[beta3, rep] = info.value
         assert "degenerate" in str(lone[fit_at]) and lone[fit_at].model is not None
         assert "singular Hessian" in str(lone[plug_in_at]) and lone[plug_in_at].model is None
@@ -1315,22 +1286,17 @@ class TestLockstepSolve:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("study", list(_lockstep_studies()))
-    def test_a_failing_replication_is_named_alike(self, monkeypatch, study, workers):
+    def test_a_failing_replication_is_named_alike(self, monkeypatch, change_draws, study, workers):
         # rep 7 of every cell fails its fit: a copied column (linear) or a constant response
         # (logistic); the other replications of its stack are solved in lockstep
-        original = sim_harness._draw
-
-        def draw(config, rep, rng):
-            X, y = original(config, rep, rng)
+        def draw(config, rep, X, y):
             if rep == 7:
                 if config.family == "linear":
-                    X = X.copy()
                     X[:, -1] = X[:, 1]
                 else:
-                    y = np.ones_like(y)
-            return X, y
+                    y[:] = 1.0
 
-        monkeypatch.setattr(sim_harness, "_draw", draw)
+        change_draws(draw)
         run = _lockstep_studies()[study]
         raised = []
         for minimum in (averaging._LOCKSTEP_MIN, 10**9):
@@ -1356,16 +1322,25 @@ class TestStreamKeys:
 
         original = sim_harness._draw
 
-        def draw(config, rep, rng):
-            streams.append(rng)
-            return original(config, rep, rng)
+        def recorded(stream):
+            for rng in stream:
+                streams.append(rng)
+                yield rng
+
+        def draw(designs, chunk, stream, failures):
+            return original(designs, chunk, recorded(stream), failures)
 
         monkeypatch.setattr(np.random, "SeedSequence", counted)
         monkeypatch.setattr(sim_harness, "_draw", draw)
         report = run_study2("logistic", beta3_grid=(0.05, 0.5), cases=("A",), n_reps=25, seed=0)
         assert seed_sequences == []
         assert len(streams) == 50 and len({id(rng) for rng in streams}) == 2  # one generator per cell
-        monkeypatch.setattr(sim_harness, "_draw", lambda config, rep, rng: original(config, rep, _stream(config, rep)))
+
+        def lone_draw(designs, chunk, stream, failures):
+            lone = (_stream(config, rep) for _, config, rep in chunk)
+            return original(designs, chunk, lone, failures)
+
+        monkeypatch.setattr(sim_harness, "_draw", lone_draw)
         assert run_study2("logistic", beta3_grid=(0.05, 0.5), cases=("A",), n_reps=25, seed=0).rows == report.rows
         assert len(seed_sequences) == 50  # each lone draw builds its substream
 
@@ -1376,8 +1351,9 @@ class TestStreamKeys:
             old = substream(config.seed, *config.tags, rep).standard_normal(4)
             new = substream(*config._keys, rep).standard_normal(4)
             assert old.tobytes() == new.tobytes()
-        X, _ = sim_harness._draw(config, 5, _stream(config, 5))
-        assert X.tobytes() == study_draw_reference(config, 5)[0].tobytes()
+        designs = sim_harness._PREDICTORS["linear"]._Designs(config.candidate_set.models, config.x_star.shape[0])
+        X, _ = sim_harness._draw(designs, [(0, config, 5)], iter([_stream(config, 5)]), {})
+        assert X[0].tobytes() == study_draw_reference(config, 5)[0].tobytes()
 
     def test_no_tag_is_hashed_per_replication(self, monkeypatch):
         config = _linear_cells(n_reps=5)[4]
@@ -1392,6 +1368,127 @@ class TestStreamKeys:
         monkeypatch.setattr(rng_module, "_key_to_int", counted)
         simulate_cell(config)
         assert hashed == []
+
+
+def _stack_members(family, n_reps):
+    """A stack's members, (position, config, rep) laid out rep by rep over two cells of one design, and its designs."""
+    cells = _study2_cells(family, n_reps, cases="B")
+    members = [(2 * rep + c, config, rep) for rep in range(n_reps) for c, config in enumerate(cells)]
+    config = cells[0]
+    return config._family(config.candidate_set.models, 4, config.oracle), members
+
+
+def _doubles_a_replication(designs, n):
+    """What a drawn replication counts against ``sim_harness._CHUNK_DOUBLES``."""
+    return n * (2 * designs.p + 2)
+
+
+class TestChunkedDraws:
+    """A stack is drawn in chunks whose only per-replication work is the stream calls, with every draw's bits."""
+
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    @pytest.mark.parametrize(
+        "budget, size",
+        [(lambda per: per, 1), (lambda per: 2 * per - 1, 1), (lambda per: 2 * per, 2), (lambda per: 3 * per - 1, 2),
+         (lambda per: 10**9, 14)],
+        ids=["chunks-of-1", "below-2", "chunks-of-2", "below-3", "whole-stack"],
+    )
+    def test_draws_equal_lone_draws_bit_for_bit(self, monkeypatch, family, budget, size):
+        designs, members = _stack_members(family, 7)
+        monkeypatch.setattr(sim_harness, "_CHUNK_DOUBLES", budget(_doubles_a_replication(designs, 100)))
+        drawn, chunks = [], []
+        original = sim_harness._draw
+
+        def recorded(designs, chunk, streams, failures):
+            X, y = original(designs, chunk, streams, failures)
+            chunks.append(len(chunk))
+            drawn.extend((config, rep, X_j.copy(), y_j.copy()) for (_, config, rep), X_j, y_j in zip(chunk, X, y))
+            return X, y
+
+        monkeypatch.setattr(sim_harness, "_draw", recorded)
+        rows, failures = [None] * 14, {}
+        sim_harness._fit_stack(designs, members, rows, failures)
+        assert failures == {} and None not in rows
+        assert chunks == [size] * (14 // size) + [14 % size] * (14 % size > 0)
+        assert [(config, rep) for config, rep, _, _ in drawn] == [(config, rep) for _, config, rep in members]
+        for config, rep, X, y in drawn:
+            X_ref, y_ref = study_draw_reference(config, rep)
+            assert X.tobytes() == X_ref.tobytes() and y.tobytes() == y_ref.tobytes(), (config.tags, rep)
+
+    @pytest.mark.parametrize(
+        "family, spoil, message",
+        [
+            ("linear", np.inf, "design and response must be finite"),
+            ("logistic", np.nan, "design and response must be finite"),
+            ("logistic", 0.5, "logistic responses must be coded 0/1"),
+        ],
+    )
+    def test_a_refused_replication_in_mid_chunk_fails_alone(self, monkeypatch, family, spoil, message):
+        # chunks of 4: the second chunk's second replication (position 5, rep 2 of the second cell)
+        # gets a response the checks refuse; it fails with its own error, and the stack's other
+        # replications keep their lone predictors' bits
+        designs, members = _stack_members(family, 5)
+        monkeypatch.setattr(sim_harness, "_CHUNK_DOUBLES", 4 * _doubles_a_replication(designs, 100))
+        respond, calls = designs.respond, []
+
+        def spoiled(eta, noise):
+            y = respond(eta, noise)
+            calls.append(len(y))
+            if len(calls) == 2:
+                y[1, 7] = spoil
+            return y
+
+        monkeypatch.setattr(type(designs), "respond", staticmethod(spoiled))
+        rows, failures = [None] * 10, {}
+        sim_harness._fit_stack(designs, members, rows, failures)
+        assert calls == [4, 4, 2]
+        assert list(failures) == [5] and type(failures[5]) is DataError and str(failures[5]) == message
+        reference = {"linear": linear_estimates_reference, "logistic": logistic_estimates_reference}[family]
+        for position, config, rep in members:
+            if position != 5:
+                expected = reference(config, *study_draw_reference(config, rep))
+                assert [float(v).hex() for v in rows[position]] == [v.hex() for v in expected], position
+
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    def test_checks_response_law_and_reduce_run_once_per_chunk(self, monkeypatch, family):
+        # the study2_logistic workload's stack of 50 (two cells of 25, one design) at n = 100:
+        # two chunks, each checked, answered and reduced once
+        designs_class = sim_harness._PREDICTORS[family]._Designs
+        cells = _study2_cells(family, 25, cases="A", schemes=("optimal", "aic"))  # checked before the count
+        calls = []
+
+        def counted(owner, name, wrap=lambda f: f):
+            original = getattr(owner, name)
+
+            def call(*args):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, wrap(call))
+
+        counted(sim_harness, "require_finite")
+        counted(mse_weights, "_require_binary")
+        counted(designs_class, "respond", staticmethod)
+        counted(designs_class, "reduce")
+        stacks = []
+        fit_stack = sim_harness._fit_stack
+        monkeypatch.setattr(sim_harness, "_fit_stack", lambda *args: stacks.append(len(args[1])) or fit_stack(*args))
+        sim_harness._simulate(cells, 1)
+        per_replication = _doubles_a_replication(designs_class(study2_model_sets()["A"].models, 4), 100)
+        chunks = -(-50 // (sim_harness._CHUNK_DOUBLES // per_replication))
+        assert stacks == [50] and chunks == 2
+        for name in ("require_finite", "respond", "reduce"):
+            assert calls.count(name) == chunks, name
+        assert calls.count("_require_binary") == (chunks if family == "logistic" else 0)
+
+    @pytest.mark.parametrize("function", ["_fit_stack", "_run_block", "_draw"])
+    def test_the_stack_code_names_no_family(self, function):
+        # the family's record answers every family question: no family name or field in the code
+        tree = ast.parse(textwrap.dedent(inspect.getsource(getattr(sim_harness, function))))
+        body = tree.body[0].body[1:]  # past the docstring
+        nodes = [node for statement in body for node in ast.walk(statement)]
+        assert not [node.value for node in nodes if isinstance(node, ast.Constant) and node.value in ("linear", "logistic")]
+        assert not [node.attr for node in nodes if isinstance(node, ast.Attribute) and node.attr == "family"]
 
 
 @pytest.mark.slow
