@@ -15,18 +15,16 @@ is salted per interpreter and must not be used here).
 
 A loop that draws one stream per replication, a study stack or a
 ``band`` row, does not build a ``SeedSequence`` and a ``Philox`` per
-replication: ``_stack_keys`` derives the keys ``SeedSequence`` would
-derive, for all the loop's replications at once, and ``_stack_streams``
-re-keys one generator with each in turn.  A Philox stream is fully set
-by its key and counter (Salmon et al. 2011, "Parallel random numbers:
-as easy as 1, 2, 3"), so every draw is ``substream``'s to the bit;
-``substream`` stays numpy's ``SeedSequence`` and is the reference the
-tests compare against.
+replication: ``_stack_streams`` re-keys one generator with the key
+``SeedSequence`` would derive.  A Philox stream is fully set by its key
+and counter (Salmon et al. 2011, "Parallel random numbers: as easy as
+1, 2, 3"), so every draw is ``substream``'s to the bit; ``substream``
+stays numpy's ``SeedSequence`` and is the reference the tests compare
+against.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 
 import numpy as np
@@ -80,11 +78,8 @@ def _words(value: int) -> list[int]:
 
 
 def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
-    """SeedSequence's ``hashmix`` of one word, an int or a uint64 array: the hashed word and the next hash constant.
-
-    The word is not changed in place, so an array passed in keeps its values.
-    """
-    value = value ^ hash_const
+    """SeedSequence's ``hashmix`` of one word: the hashed word and the next hash constant."""
+    value ^= hash_const
     hash_const = hash_const * _MULT_A & _MASK32
     value = value * hash_const & _MASK32
     return value ^ value >> 16, hash_const
@@ -127,61 +122,39 @@ def _philox_key(pool: list, hash_const: int) -> list[int]:
         pool, hash_const = _absorb(pool, hash_const, [0] * (_POOL_SIZE - len(pool)))
     state, hash_const = [], _INIT_B
     for word in pool:
-        word = word ^ hash_const
+        word ^= hash_const
         hash_const = hash_const * _MULT_B & _MASK32
         word = word * hash_const & _MASK32
         state.append(word ^ word >> 16)
     return [state[0] | state[1] << 32, state[2] | state[3] << 32]
 
 
-@functools.lru_cache(maxsize=256)
-def _mixed_prefix(prefix: tuple[int, ...]) -> tuple[tuple, int]:
-    """SeedSequence's pool and hash constant once the words of ``prefix`` are mixed, kept per prefix."""
-    pool, hash_const = _absorb([], _INIT_A, [word for key in prefix for word in _words(key)])
-    return tuple(pool), hash_const
-
-
-def _stack_keys(prefix: tuple[int, ...], reps) -> np.ndarray:
-    """The Philox key of ``substream(*prefix, rep)`` for each of ``reps``: a (len(reps), 2) uint64 array.
-
-    ``prefix`` is ``_checked_keys``'s output and ``reps`` ints from 0 to
-    2^64 - 1; a negative one raises ``DataError``.  These are
-    SeedSequence's keys, with its mixing run once for all the reps: the
-    prefix's words are mixed once (``_mixed_prefix``, which keeps them
-    for the prefix's next stack), as Python ints, and then each rep's
-    words as uint64 arrays, one entry per rep.  The hash constants
-    depend only on how many words have been mixed, not on their values,
-    so the same operations serve every rep.  A rep from 2^32 up has a
-    second word, so for those reps the key with it is taken instead.
-    """
-    reps = list(reps)
-    if reps and min(reps) < 0:
-        raise DataError(f"seed and integer stream keys must be non-negative, got {min(reps)}")
-    reps = np.asarray(reps, dtype=np.uint64)
-    low = _absorb(*_mixed_prefix(prefix), [reps & _MASK32])
-    keys = _philox_key(*low)
-    high = reps >> 32
-    if high.any():
-        keys = [np.where(high != 0, two, one) for one, two in zip(keys, _philox_key(*_absorb(*low, [high])))]
-    return np.stack(keys, axis=-1)
-
-
 def _stack_streams(prefix: tuple[int, ...], reps):
     """Yield the stream ``substream(*prefix, rep)`` of each rep in turn, as one re-keyed generator.
 
-    The keys are ``_stack_keys``', made at the first draw for every rep.
-    A Philox stream is its key and its counter, so re-keying one
+    ``prefix`` is ``_checked_keys``'s output and ``reps`` non-negative
+    ints.  A Philox stream is its key and its counter, so re-keying one
     ``Generator`` (counter 0, an empty buffer) gives each rep the bits of
     a fresh ``substream``, without its ``SeedSequence`` and ``Philox``.
-    The generator belongs to this call: draw from it before taking the
-    next.
+    The keys are SeedSequence's: the prefix's words are mixed once, and
+    only each rep's words (two from 2^32 up) are mixed per rep, from the
+    first loop when the prefix has fewer than 4 words.  The generator
+    belongs to this call: draw from it before taking the next.
     """
+    base = _absorb([], _INIT_A, [word for key in prefix for word in _words(key)])
     bit_generator = np.random.Philox(key=0)
     generator = np.random.Generator(bit_generator)
-    state = bit_generator.state  # a fresh stream's: counter 0, nothing buffered; only its key is set
-    for key in _stack_keys(prefix, reps).tolist():
-        state["state"]["key"] = key
-        bit_generator.state = state
+    for rep in reps:
+        if rep < 0:
+            raise DataError(f"seed and integer stream keys must be non-negative, got {rep}")
+        bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": _philox_key(*_absorb(*base, _words(rep)))},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         yield generator
 
 

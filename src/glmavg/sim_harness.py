@@ -31,9 +31,8 @@ logistic: one more stacked MLE), with the bits of a lone ``ols_fit``
 or ``logistic_mle``.
 Replication r draws its design and response from the stream
 ``substream(seed, *tags, r)``, keyed once per cell, so reports are
-byte-identical across runs and across worker counts; a stack derives
-the Philox keys of a cell's replications at once (``rng._stack_keys``)
-and draws them from one generator re-keyed per replication
+byte-identical across runs and across worker counts; a stack draws a
+cell's replications from one generator re-keyed per replication
 (``rng._stack_streams``), with ``substream``'s bits.  A study lays all
 its cells' replications out rep by rep (rep 0 of every cell, then rep
 1, ...) in one ``run_replications`` call, which hands each process one
@@ -310,9 +309,8 @@ def _fit_stack(designs, members, rows: list, failures: dict) -> None:
     ``designs`` are the family's designs (the predictor's ``_Designs``,
     with the configs' oracle) and ``members`` (position, config, rep)
     triples whose configs share the family, n, the candidates, the
-    oracle and x*; they may come from several cells.  The Philox keys of
-    a cell's streams are derived at once (``rng._stack_keys``), and one
-    generator per cell is re-keyed per replication.  The stack is drawn
+    oracle and x*; they may come from several cells.  One generator per
+    cell is re-keyed per replication (``rng._stack_streams``).  The stack is drawn
     in chunks of at most ``_CHUNK_DOUBLES`` doubles (``_draw``), whose
     only per-replication work is the stream calls, and each chunk's
     replications that pass their checks are reduced at once to what the
@@ -337,7 +335,7 @@ def _fit_stack(designs, members, rows: list, failures: dict) -> None:
     cell_reps = {}
     for _, config, rep in members:
         cell_reps.setdefault(config, []).append(rep)
-    # each cell's streams, keyed at once and drawn from one re-keyed generator (``rng._stack_streams``)
+    # each cell's streams, one re-keyed generator per cell (``rng._stack_streams``)
     cells = {config: _stack_streams(config._keys, reps) for config, reps in cell_reps.items()}
     streams = (next(cells[config]) for _, config, _ in members)
     n = members[0][1].n

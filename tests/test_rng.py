@@ -86,23 +86,6 @@ class TestStackStreams:
             assert state["state"]["key"].tolist() == expected.tolist(), rep
             assert state["state"]["counter"].tolist() == [0, 0, 0, 0]
 
-    @pytest.mark.parametrize("prefix", PREFIXES, ids=[f"{count}-words" for count in range(1, 9)])
-    @pytest.mark.parametrize(
-        "reps",
-        [REPS, [0, 1, 2, 3, 4], [2**32 - 2, 2**32 - 1], [2**32, 2**32 + 1, 2**63, 2**64 - 1], [7]],
-        ids=["mixed", "one-word", "below-2^32", "from-2^32", "one-rep"],
-    )
-    def test_vectorised_keys_are_seed_sequences(self, prefix, reps):
-        # every rep's key in one pass, on both sides of 2^32, where a rep takes a second word
-        keys = rng._checked_keys(*prefix)
-        got = rng._stack_keys(keys, reps)
-        assert got.dtype == np.uint64 and got.shape == (len(reps), 2)
-        for rep, key in zip(reps, got.tolist(), strict=True):
-            assert key == np.random.SeedSequence((*keys, rep)).generate_state(2, np.uint64).tolist(), rep
-
-    def test_no_reps_no_keys(self):
-        assert rng._stack_keys(rng._checked_keys(0, "band"), []).shape == (0, 2)
-
     def test_word_counts_cover_one_to_eight(self):
         counts = [sum(len(rng._words(key)) for key in rng._checked_keys(*prefix)) for prefix in PREFIXES]
         assert counts == list(range(1, 9))
