@@ -23,9 +23,23 @@ a shell redirect gives (0666 less the umask).  An ``--out`` that cannot
 be written (a missing directory, a directory, no permission) exits 2
 with an error that names the ``--out`` path as given, and leaves no
 file behind.
+
+The parser and the ``weights``, ``predict`` and ``band`` handlers load
+no ``sim_harness``, ``crossval`` or ``datasets`` code: a study handler
+imports ``sim_harness`` and ``cv`` imports ``crossval`` when it runs.
+Run as ``python -m glmavg.cli``, the module keeps the cyclic garbage
+collector off while it imports, then freezes what the imports made
+(``gc.freeze``) and turns it back on for ``main``.  After ``main`` it
+freezes again, so the interpreter's exit-time collections scan nothing.
+``main`` itself never touches the collector.
 """
 
 from __future__ import annotations
+
+import gc
+
+if __name__ == "__main__":
+    gc.disable()  # the imports make almost no garbage; the foot of the module re-enables it
 
 import argparse
 import dataclasses
@@ -43,13 +57,11 @@ from .averaging import (
     # tracer's cli.prediction_band hook, which looks the name up here, records no span
     prediction_band,
 )
-from .crossval import DEFAULT_METHODS, SELECTION_RULES, cv_compare
 from .dataio import csv_text, load_csv
 from .errors import DataError, GlmavgError, NumericalError
 from .glm_fit import require_finite
 from .model_space import ModelSet, enumerate_all_subsets
 from .mse_weights import LinearQFactory
-from .sim_harness import REPORT_COLUMNS, STUDY2_BETA3_GRID, run_study1, run_study2
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -116,9 +128,15 @@ def _load_models(args, q: int) -> ModelSet:
     return enumerate_all_subsets(1, q)
 
 
-def _reps(args, keyword: str) -> dict:
-    """``{keyword: --reps}`` when ``--reps`` is given, else nothing: the library default stands."""
-    return {} if args.reps is None else {keyword: args.reps}
+def _given(value, keyword: str, convert=None) -> dict:
+    """``{keyword: value}``, through ``convert``, when the flag was given, else nothing.
+
+    A flag left out passes no keyword, so the library default stands and
+    the parser need not import the module that defines it.
+    """
+    if value is None:
+        return {}
+    return {keyword: value if convert is None else convert(value)}
 
 
 def _dataset_and_x_star(args):
@@ -181,40 +199,46 @@ def _cmd_point(args) -> None:
 
 
 def _cmd_study1(args) -> None:
+    from .sim_harness import REPORT_COLUMNS, run_study1
+
     report = run_study1(
         n_grid=list(_parse_floats(args.n_grid, "--n-grid")),
         cases=args.cases.split(","),
         seed=args.seed,
         workers=args.workers,
-        **_reps(args, "n_reps"),
+        **_given(args.reps, "n_reps"),
     )
     _emit(args, REPORT_COLUMNS, report.rows, {"columns": list(REPORT_COLUMNS), "rows": report.rows})
 
 
 def _cmd_study2(args) -> None:
+    from .sim_harness import REPORT_COLUMNS, run_study2
+
     report = run_study2(
         family=args.family,
-        beta3_grid=[float(v) for v in _parse_floats(args.beta3, "--beta3")],
         cases=args.cases.split(","),
         schemes=tuple(args.schemes.split(",")),
         seed=args.seed,
         workers=args.workers,
-        **_reps(args, "n_reps"),
+        **_given(args.beta3, "beta3_grid", lambda text: [float(v) for v in _parse_floats(text, "--beta3")]),
+        **_given(args.reps, "n_reps"),
     )
     _emit(args, REPORT_COLUMNS, report.rows, {"columns": list(REPORT_COLUMNS), "rows": report.rows})
 
 
 def _cmd_cv(args) -> None:
+    from .crossval import cv_compare
+
     dataset = load_csv(args.data, args.response, family="linear")
     report = cv_compare(
         dataset,
-        methods=tuple(args.methods.split(",")),
         seed=args.seed,
         n_train=args.n_train,
         models=_load_models(args, dataset.d - 1) if args.models else None,
         select_by=args.select_by,
         workers=args.workers,
-        **_reps(args, "n_repeats"),
+        **_given(args.methods, "methods", lambda text: tuple(text.split(","))),
+        **_given(args.reps, "n_repeats"),
     )
     rows = [{"method": method, "mean_error": err} for method, err in report.mean_errors.items()]
     _emit(args, ("method", "mean_error"), rows, dataclasses.asdict(report))
@@ -242,7 +266,7 @@ def _cmd_band(args) -> None:
         seeds=[args.seed + i for i in range(test.n)],
         scheme=args.scheme,
         workers=args.workers,
-        **_reps(args, "n_reps"),
+        **_given(args.reps, "n_reps"),
     )
     columns = ("index", "actual", "predicted", "lower", "upper")
     rows = [
@@ -312,15 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="optimal vs AIC weighting study")
     p.add_argument("--family", choices=tuple(_PREDICTORS), default="linear")
     p.add_argument("--cases", default="A,B")
-    p.add_argument("--beta3", default=",".join(repr(b) for b in STUDY2_BETA3_GRID))
+    p.add_argument("--beta3", default=None)
     p.add_argument("--schemes", default="optimal,aic")
     p.set_defaults(handler=_cmd_study2)
 
     p = sub.add_parser("cv", parents=[output_args, run_args, data_args],
                        help="repeated train/test method comparison")
-    p.add_argument("--methods", default=",".join(DEFAULT_METHODS))
+    p.add_argument("--methods", default=None)
     p.add_argument("--n-train", type=int, default=None)
-    p.add_argument("--select-by", choices=SELECTION_RULES, default="cv")
+    p.add_argument("--select-by", default="cv", help="best-subset rule: cv or aic")
     p.set_defaults(handler=_cmd_cv)
 
     p = sub.add_parser("band", parents=[output_args, run_args, data_args],
@@ -357,4 +381,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    gc.freeze()  # the imports' objects: a later collection need not scan them
+    gc.enable()  # a long study still collects
+    code = main()
+    gc.freeze()  # so the exit-time collections scan nothing
+    sys.exit(code)

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import pathlib
@@ -28,15 +29,22 @@ def _exit_code(argv):
 
 IMPORT_GUARD = """
 import sys
-import glmavg.cli
+import glmavg
 
 def loaded(*names):
     return sorted(m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in names))
 
+print(sorted(m for m in sys.modules if m.startswith("glmavg.")))
+import glmavg.cli
+
 print(loaded("scipy", "multiprocessing", "concurrent.futures"))
-code = glmavg.cli.main(["band", "--data", sys.argv[1], "--response", "lpsa", "--test-data",
-                        sys.argv[2], "--reps", "5", "--out", sys.argv[3]])
-print(code, loaded("numpy.ma"))
+UNRUN = ("glmavg.sim_harness", "glmavg.crossval", "glmavg.datasets")
+data = ["--data", sys.argv[1], "--response", "lpsa"]
+code = glmavg.cli.main(["band", *data, "--test-data", sys.argv[2], "--reps", "5", "--out", sys.argv[3]])
+print(code, loaded("numpy.ma", *UNRUN))
+for command in ("predict", "weights"):
+    code = glmavg.cli.main([command, *data, "--x-star", sys.argv[4], "--out", sys.argv[3]])
+    print(command, code, loaded(*UNRUN))
 """
 
 
@@ -44,18 +52,85 @@ def test_cli_import_loads_no_scipy(tmp_path):
     # Every CLI call pays for its imports; the package needs numpy only.
     # multiprocessing and concurrent.futures would cost a cold call about
     # 20 ms, and np.quantile's numpy.ma over 10 ms of every band run.
+    # A bare `import glmavg` loads no submodule, and band, predict and
+    # weights compile none of the study, cv or dataset code they never run.
     train, test = tmp_path / "train.csv", tmp_path / "test.csv"
     prostate = synthetic_prostate()
     save_csv(prostate.take(range(67)), train)
     save_csv(prostate.take([70, 80]), test)
+    x_star = ",".join(repr(float(v)) for v in prostate.take([70]).design[0])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_GUARD, str(train), str(test), str(tmp_path / "band.csv")],
+        [sys.executable, "-c", IMPORT_GUARD, str(train), str(test), str(tmp_path / "out.csv"), x_star],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.splitlines() == ["[]", "0 []"]
+    assert proc.stdout.splitlines() == ["[]", "[]", "0 []", "predict 0 []", "weights 0 []"]
+
+
+# Runs `python -m glmavg.cli study1 ...` through runpy in this process, and counts the
+# collections that start while the CLI module runs: before it has defined `main` (its
+# imports) and after (main and the exit path).  At SystemExit everything is frozen, so
+# the collector tracks only the few objects made since (a dozen, against over a
+# thousand without the freeze after main and 23,000 with no freeze at all).
+MAIN_COLLECTS = """
+import gc
+import json
+import runpy
+import sys
+
+counts = {"imports": 0, "main": 0}
+
+def count(phase, info):
+    module = sys.modules["__main__"]
+    spec = getattr(module, "__spec__", None)
+    if phase == "start" and spec is not None and spec.name == "glmavg.cli":
+        counts["main" if "main" in vars(module) else "imports"] += 1
+
+gc.callbacks.append(count)
+sys.argv = ["glmavg", "study1", "--n-grid", "60", "--reps", "3", "--out", sys.argv[1]]
+try:
+    runpy.run_module("glmavg.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(json.dumps({
+        "code": exc.code,
+        "import_collections": counts["imports"],
+        "main_collected": counts["main"] > 0,
+        "enabled": gc.isenabled(),
+        "all_frozen": len(gc.get_objects()) < 100,
+    }))
+"""
+
+
+def test_a_module_run_collects_during_main_and_not_during_its_imports(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", MAIN_COLLECTS, str(tmp_path / "study1.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == {
+        "code": 0, "import_collections": 0, "main_collected": True, "enabled": True, "all_frozen": True,
+    }
+    assert (tmp_path / "study1.csv").read_text().startswith("case,")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("command", ["predict", "study1"])
+def test_main_leaves_the_collector_as_it_found_it(command, enabled, linear_csv, capsys):
+    argv = {
+        "predict": ["predict", "--data", str(linear_csv), "--response", "y", "--x-star", "1,0.5,-0.2"],
+        "study1": ["study1", "--n-grid", "60", "--reps", "3"],
+    }[command]
+    was, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(argv) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 @pytest.mark.parametrize("args", sorted(CLI_GOLDEN))
@@ -605,10 +680,11 @@ class TestCvCommand:
                 ["--seed", "-3", "--select-by", "aic"],
                 "seed and integer stream keys must be non-negative, got -3",
             ),
+            (["--select-by", "bic"], "unknown selection rule 'bic'; expected one of ('cv', 'aic')"),
         ],
         ids=[
             "n-train-8", "n-train-5", "inner-fold-8", "repeated-method", "empty-methods", "zero-workers",
-            "dump-q", "negative-seed", "negative-seed-aic",
+            "dump-q", "negative-seed", "negative-seed-aic", "unknown-select-by",
         ],
     )
     def test_bad_split_or_methods_are_data_errors(self, extra, message, monkeypatch, capsys):

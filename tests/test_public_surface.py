@@ -3,6 +3,7 @@
 Names and keywords that were removed stay removed.
 """
 
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -72,6 +73,29 @@ def test_every_exported_name_resolves():
     assert len(glmavg.__all__) == len(set(glmavg.__all__))
     for name in glmavg.__all__:
         assert getattr(glmavg, name) is not None, name
+
+
+def test_every_exported_name_is_its_home_modules_object():
+    # the package resolves its names lazily; each must be the very object its module defines
+    for name in glmavg.__all__:
+        value = getattr(glmavg, name)
+        assert value.__module__.startswith("glmavg."), name
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+        assert getattr(glmavg, name) is value, name
+
+
+def test_star_import_and_dir_list_every_exported_name():
+    namespace = {}
+    exec("from glmavg import *", namespace)
+    assert {name: namespace[name] for name in glmavg.__all__} == {
+        name: getattr(glmavg, name) for name in glmavg.__all__
+    }
+    assert set(glmavg.__all__) <= set(dir(glmavg))
+
+
+def test_an_unknown_name_is_an_attribute_error_that_names_it():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        glmavg.no_such_name  # noqa: B018
 
 
 def test_readme_entry_points_are_exported():

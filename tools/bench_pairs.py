@@ -25,10 +25,15 @@ report gives each side's median and quartiles, the change's relative move
 in the median, the pairs in which the change did better (by the metric's
 ``better``), and the median gap over the parent's interquartile range.
 Then the failed operations and the ``correct: true`` runs of each
-side.  Progress lines go to standard error, the report to standard output.
+side.  Last come the paired figures of each end-to-end metric: the
+median and quartiles, over the pairs, of change/parent - 1.  Pair i has
+seed S+i on both sides, so its ratio cancels that seed's own work (the
+Newton iterations of its draws) as well as drift slower than a pair.
+Progress lines go to standard error, the report to standard output.
 ``--json PATH`` also writes the pairs to PATH (a ``BENCH_<n>.json``
 file): each side's runs with their seeds, op counts and metrics, and per
-end-to-end metric the figures the report prints.
+end-to-end metric the figures the report prints, the paired ones under
+``paired``.
 """
 
 from __future__ import annotations
@@ -109,7 +114,9 @@ def compare(results: dict[str, list[dict]], metrics: list[dict]) -> dict[str, di
 
     ``move`` is the change's median over the parent's, minus one, and
     ``gap_over_iqr`` the medians' distance over the parent's interquartile
-    range; each is None where its divisor is zero.
+    range; each is None where its divisor is zero.  ``paired`` holds the
+    median and quartiles of change/parent - 1 over the pairs, or None
+    when a parent value is zero.
     """
     pairs = len(results["parent"])
     summary = {}
@@ -117,6 +124,10 @@ def compare(results: dict[str, list[dict]], metrics: list[dict]) -> dict[str, di
         name, lower = metric["name"], metric["better"] == "lower"
         values = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
         (p1, p2, p3), (c1, c2, c3) = (quartiles(values[side]) for side in SIDES)
+        paired = None
+        if all(values["parent"]):
+            r1, r2, r3 = quartiles([c / p - 1 for p, c in zip(values["parent"], values["change"])])
+            paired = {"median": r2, "quartiles": [r1, r3]}
         summary[name] = {
             "better": metric["better"],
             "parent": {"median": p2, "quartiles": [p1, p3]},
@@ -125,6 +136,7 @@ def compare(results: dict[str, list[dict]], metrics: list[dict]) -> dict[str, di
             "change_better": sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"])),
             "pairs": pairs,
             "gap_over_iqr": abs(c2 - p2) / (p3 - p1) if p3 > p1 else None,
+            "paired": paired,
         }
     return summary
 
@@ -140,9 +152,10 @@ def totals(runs: list[dict]) -> dict[str, int]:
 
 
 def summarise(results: dict[str, list[dict]], metrics: list[dict]) -> list[str]:
-    """The report's lines: one per end-to-end metric, then the failure and correctness totals."""
+    """The report's lines: one per end-to-end metric, the failure and correctness totals, then the paired figures."""
     lines = []
-    for name, m in compare(results, metrics).items():
+    summary = compare(results, metrics)
+    for name, m in summary.items():
         (p1, p3), (c1, c3) = m["parent"]["quartiles"], m["change"]["quartiles"]
         move = "n/a" if m["move"] is None else f"{m['move']:+.1%}"
         spread = "n/a" if m["gap_over_iqr"] is None else f"{m['gap_over_iqr']:.2f}"
@@ -157,6 +170,10 @@ def summarise(results: dict[str, list[dict]], metrics: list[dict]) -> list[str]:
             f"{side:<16} failed {t['failed']} of {t['attempted']} ops; "
             f"correct: true in {t['correct_runs']} of {t['runs']} runs"
         )
+    for name, m in summary.items():
+        paired = m["paired"]
+        figures = "n/a" if paired is None else "{:+.1%} [{:+.1%}, {:+.1%}]".format(paired["median"], *paired["quartiles"])
+        lines.append(f"{name:<16} paired change/parent - 1 over {m['pairs']} pairs: {figures}")
     return lines
 
 
