@@ -27,11 +27,13 @@ file behind.
 The parser and the ``weights``, ``predict`` and ``band`` handlers load
 no ``sim_harness``, ``crossval`` or ``datasets`` code: a study handler
 imports ``sim_harness`` and ``cv`` imports ``crossval`` when it runs.
-Run as ``python -m glmavg.cli``, the module keeps the cyclic garbage
-collector off while it imports, then freezes what the imports made
-(``gc.freeze``) and turns it back on for ``main``.  After ``main`` it
-freezes again, so the interpreter's exit-time collections scan nothing.
-``main`` itself never touches the collector.
+Both process entry points, ``python -m glmavg.cli`` and the installed
+``glmavg`` script, call ``run``: it freezes what the imports made
+(``gc.freeze``) and turns the cyclic garbage collector on for ``main``,
+then freezes again, so the interpreter's exit-time collections scan
+nothing.  Run as ``python -m``, the module also keeps the collector off
+while it imports; the script's wrapper imports the module before
+``run`` starts, so there it is on.  ``main`` never touches the collector.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 import gc
 
 if __name__ == "__main__":
-    gc.disable()  # the imports make almost no garbage; the foot of the module re-enables it
+    gc.disable()  # the imports make almost no garbage; run() re-enables it
 
 import argparse
 import dataclasses
@@ -344,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="repeated train/test method comparison")
     p.add_argument("--methods", default=None)
     p.add_argument("--n-train", type=int, default=None)
-    p.add_argument("--select-by", default="cv", help="best-subset rule: cv or aic")
+    p.add_argument("--select-by", default="cv", help="best-subset rule; cv_compare checks it")
     p.set_defaults(handler=_cmd_cv)
 
     p = sub.add_parser("band", parents=[output_args, run_args, data_args],
@@ -380,9 +382,14 @@ def main(argv=None) -> int:
     return 0
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The process entry point: ``main`` on ``sys.argv``, then exit with its code."""
     gc.freeze()  # the imports' objects: a later collection need not scan them
     gc.enable()  # a long study still collects
     code = main()
     gc.freeze()  # so the exit-time collections scan nothing
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    run()

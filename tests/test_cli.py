@@ -117,6 +117,44 @@ def test_a_module_run_collects_during_main_and_not_during_its_imports(tmp_path):
     assert (tmp_path / "study1.csv").read_text().startswith("case,")
 
 
+# The installed `glmavg` script's wrapper, as pip writes it for `glmavg.cli:run`, with a
+# hook that counts the collections that start once the import is done.
+SCRIPT_COLLECTS = """
+import gc
+import json
+import sys
+from glmavg.cli import run
+
+counts = {"main": 0}
+gc.callbacks.append(lambda phase, info: phase == "start" and counts.update(main=counts["main"] + 1))
+sys.argv = ["glmavg", "study1", "--n-grid", "60", "--reps", "3", "--out", sys.argv[1]]
+try:
+    sys.exit(run())
+except SystemExit as exc:
+    print(json.dumps({
+        "code": exc.code,
+        "main_collected": counts["main"] > 0,
+        "enabled": gc.isenabled(),
+        "all_frozen": len(gc.get_objects()) < 100,
+    }))
+"""
+
+
+def test_the_installed_script_runs_main_through_run(tmp_path):
+    # The script and `python -m` share run(), so both skip the exit-time collections.
+    scripts = (SRC.parent / "pyproject.toml").read_text().split("[project.scripts]\n")[1]
+    assert scripts.startswith('glmavg = "glmavg.cli:run"\n')
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT_COLLECTS, str(tmp_path / "study1.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == {"code": 0, "main_collected": True, "enabled": True, "all_frozen": True}
+    assert (tmp_path / "study1.csv").read_text().startswith("case,")
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 @pytest.mark.parametrize("command", ["predict", "study1"])
 def test_main_leaves_the_collector_as_it_found_it(command, enabled, linear_csv, capsys):
