@@ -4,9 +4,13 @@ A study stack solves the ``optimal`` weights of all its replications
 here at once (``averaging._average_stack``), each replication with the
 bits that ``mse_weights.solve_simplex_qp`` gives it alone; every lone
 solve, and each form of a stack too small to gain, stays on
-``mse_weights._nearest_point``.  A run without bytecode caches, as
-every cold CLI call is, compiles each module it imports, so the loop
-lives apart and is imported on the first lockstep solve: in
+``mse_weights._nearest_point``.  Both paths build the solver's points
+with ``mse_weights._points`` and certify an answer with
+``mse_weights._certificate``, on any leading axes, so the set-up and
+the KKT certificate, with its tolerance, are written once.  A run
+without bytecode caches, as every cold CLI call is, compiles each
+module it imports, so the loop lives apart and is imported on the
+first lockstep solve: in
 ``mse_weights.py``, the largest module, it raised the peak RSS of
 ``import glmavg`` by about 0.3 MB, and compiling it takes about 0.9 ms
 that a CLI call, a ``predict`` or ``cv`` never needs.
@@ -19,7 +23,7 @@ import math
 import numpy as np
 
 from .glm_fit import lapack_solve
-from .mse_weights import _DROP_TOL, _GAP_TOL, _KKT_TOL, SOLVER_MAX_ITER
+from .mse_weights import _DROP_TOL, _GAP_TOL, SOLVER_MAX_ITER, _certificate, _points
 
 
 def _by_size(sizes: np.ndarray):
@@ -143,19 +147,18 @@ def _nearest_points(P: np.ndarray, sq_norms: np.ndarray):
 def _solve_stack(bias: np.ndarray, gram_factor: np.ndarray):
     """``mse_weights.solve_simplex_qp`` of every form of a stack (bias (m, K), gram_factor (m, rows, K)) at once.
 
-    The set-up and the KKT certificate run once for the stack, and the
-    fast run of Wolfe's algorithm is one lockstep loop over its slices
-    (``_nearest_points``).  A slice's weights, objective, cycle count and
-    KKT residual are its lone solve's to the last bit: the objective is
-    a per-slice ``vecdot``, as the lone ``x @ x`` is one ``ddot``.
+    The lone solve's set-up (``mse_weights._points``) and KKT
+    certificate (``mse_weights._certificate``) run once for the stack,
+    on its leading axis, and the fast run of Wolfe's algorithm is one
+    lockstep loop over its slices (``_nearest_points``).  A slice's
+    weights, objective, cycle count and KKT residual are its lone
+    solve's to the last bit.
     Returns those four arrays and ``lone`` (m,): the slices with
     non-finite entries, a failed fast run or no certificate, whose
     answer, from the Gram run, then the QR run, or whose error only
     ``solve_simplex_qp`` on that slice alone gives.
     """
-    P = np.concatenate((bias[..., None], gram_factor.mT), axis=-1)  # row k of slice i is column k of M_i
-    sq_norms = np.einsum("...ij,...ij->...i", P, P)
-    lone = ~np.isfinite(P).all(axis=(-2, -1))
+    P, sq_norms, lone = _points(bias, gram_factor)
     m, K = bias.shape
     if K == 1:
         return np.ones((m, 1)), sq_norms[:, 0], np.zeros(m, dtype=np.intp), np.zeros(m), lone
@@ -164,11 +167,7 @@ def _solve_stack(bias: np.ndarray, gram_factor: np.ndarray):
     if finite.size < m:
         P, sq_norms = P[finite], sq_norms[finite]
     weights[finite], cycles[finite], failed = _nearest_points(P, sq_norms)
-    x = (weights[finite, None, :] @ P)[:, 0]
-    grad = 2.0 * (P @ x[..., None])[..., 0]
-    residual = np.full(m, math.nan)
-    residual[finite] = (weights[finite] * (grad - grad.min(axis=-1, keepdims=True))).max(axis=-1)
-    objective = np.full(m, math.nan)
-    objective[finite] = np.vecdot(x, x)
-    lone[finite] = failed | (residual[finite] > _KKT_TOL * sq_norms.max(axis=-1))
+    objective, residual = np.full(m, math.nan), np.full(m, math.nan)
+    objective[finite], residual[finite], bound = _certificate(P, weights[finite], sq_norms)
+    lone[finite] = failed | (residual[finite] > bound)
     return weights, objective, cycles, residual, lone

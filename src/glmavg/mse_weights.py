@@ -77,16 +77,19 @@ at most p + 2 square and about ten per prostate prediction, go to LAPACK
 bits as ``np.linalg.solve`` without its per-call wrapper, which cost
 about 6 of 8 us per call and a third of the solve.  Every weight vector
 returned is certified: its KKT residual, recomputed from M, is at most
-2e-12 max_k Q_kk.  When that fast run raises or its answer fails the
-certificate, which a corral system singular to roundoff can cause, the
-algorithm runs once more with each corral system solved through the QR
-factor of the corral's points instead of their Gram matrix, and only
-when that answer fails too is ``NumericalError`` raised.  A study stack
-makes its fast runs in one lockstep loop (``_lockstep``), with each
-form's bits.  The
-weights need not be unique, since faces of the hull can be affinely
-dependent; M w is, and with it the objective and, for linear targets,
-the averaged estimate x*'beta_full + (M w)_0.
+2e-12 max_k Q_kk.  One routine takes a form's b and A to the solver's
+points and their squared norms (``_points``), and one certificate
+(``_certificate``) reads ``_KKT_TOL``; the lone solve and the lockstep
+one run both, on any leading axes.  When that fast run raises or its
+answer fails the certificate, which a corral system singular to
+roundoff can cause, the algorithm runs once more with each corral
+system solved through the QR factor of the corral's points instead of
+their Gram matrix, and only when that answer fails too is
+``NumericalError`` raised.  A study stack makes its fast runs in one
+lockstep loop (``_lockstep``), with each form's bits.  The weights need
+not be unique, since faces of the hull can be affinely dependent; M w
+is, and with it the objective and, for linear targets, the averaged
+estimate x*'beta_full + (M w)_0.
 """
 
 from __future__ import annotations
@@ -139,20 +142,29 @@ class QuadraticForm:
 
     A is (rows, K).  Both factories give it p rows, the full design's
     column count; any factor with the same A'A gives the same form.  The
-    solver reads only b and A; the dense K x K ``matrix`` is built from
-    them on first access and kept.
+    constructor keeps read-only copies of b and A, so a caller who
+    changes its arrays afterwards changes neither the form nor its
+    solve, and raises ``DataError`` for an entry that is no number, for
+    shapes other than (K,) and (rows, K), or for K = 0.  The solver
+    reads only b and A; the dense K x K ``matrix`` is built from them on
+    first access and kept.
     """
 
     bias: np.ndarray
     gram_factor: np.ndarray
 
-    @classmethod
-    def from_parts(cls, bias: np.ndarray, gram_factor: np.ndarray) -> "QuadraticForm":
-        bias, gram_factor = _frozen(bias), _frozen(gram_factor)
+    def __post_init__(self):
+        bias, gram_factor = _frozen(self.bias), _frozen(self.gram_factor)
         if bias.ndim != 1 or gram_factor.ndim != 2 or gram_factor.shape[1] != bias.shape[0]:
             raise DataError("bias must be (K,) and gram_factor (rows, K)")
         if bias.shape[0] == 0:
             raise DataError("a quadratic form needs at least one model")
+        object.__setattr__(self, "bias", bias)
+        object.__setattr__(self, "gram_factor", gram_factor)
+
+    @classmethod
+    def from_parts(cls, bias: np.ndarray, gram_factor: np.ndarray) -> "QuadraticForm":
+        """``QuadraticForm(bias=bias, gram_factor=gram_factor)``."""
         return cls(bias=bias, gram_factor=gram_factor)
 
     @cached_property
@@ -934,16 +946,42 @@ def _nearest_point(P: np.ndarray, sq_norms: np.ndarray, corral_solve=_gram_corra
     raise NumericalError(f"weight solve did not converge in {SOLVER_MAX_ITER} major cycles")
 
 
+def _points(bias: np.ndarray, gram_factor: np.ndarray):
+    """The solver's points P = M', their squared norms Q_kk and whether P has a non-finite entry, on any leading axes.
+
+    Row k of P is column k of M = [b'; A], so P is (..., K, rows + 1).
+    A lone form's P is F-ordered unless A has one row (then C-ordered):
+    the BLAS paths of the solve, and so its pinned bits, depend on that
+    layout.
+    """
+    P = np.concatenate((bias[..., None], gram_factor.mT), axis=-1)
+    return P, np.einsum("...ij,...ij->...i", P, P), ~np.isfinite(P).all(axis=(-2, -1))
+
+
+def _certificate(P: np.ndarray, w: np.ndarray, sq_norms: np.ndarray):
+    """The objective x'x, the KKT residual and its bound of weights w on the points P, on any leading axes.
+
+    x = w P is the point the weights give, g = 2 P x the gradient of
+    w'Qw, and the residual max_k w_k (g_k - min g), which is 0 exactly
+    at a minimiser over the simplex.  The bound is ``_KKT_TOL`` times the
+    largest Q_kk = |p_k|^2.  The lone solve (``_certified_solution``)
+    and the lockstep one (``_lockstep._solve_stack``) both certify here,
+    and the gufuncs ``vecmat``, ``matvec`` and ``vecdot`` work slice by
+    slice, so a slice of a stack gets its lone solve's bits.
+    """
+    x = np.vecmat(w, P)
+    grad = 2.0 * np.matvec(P, x)
+    residual = (w * (grad - grad.min(axis=-1, keepdims=True))).max(axis=-1)
+    return np.vecdot(x, x), residual, _KKT_TOL * sq_norms.max(axis=-1)
+
+
 def _certified_solution(P: np.ndarray, sq_norms: np.ndarray, corral_solve) -> WeightSolution:
     """One run of ``_nearest_point`` whose answer passes the KKT certificate, else ``NumericalError``."""
     w, cycles = _nearest_point(P, sq_norms, corral_solve)
-    x = w @ P
-    grad = 2.0 * (P @ x)
-    residual = float((w * (grad - grad.min())).max())
-    bound = _KKT_TOL * float(sq_norms.max())
+    objective, residual, bound = map(float, _certificate(P, w, sq_norms))
     if residual > bound:
         raise NumericalError(f"weight solve not certified: KKT residual {residual:.3g} > {bound:.3g}")
-    return WeightSolution(weights=w, objective=float(x @ x), iterations=cycles, kkt_residual=residual)
+    return WeightSolution(weights=w, objective=objective, iterations=cycles, kkt_residual=residual)
 
 
 def solve_simplex_qp(q: QuadraticForm) -> WeightSolution:
@@ -953,9 +991,12 @@ def solve_simplex_qp(q: QuadraticForm) -> WeightSolution:
     conv{columns of M} nearest the origin, which Wolfe's algorithm finds
     exactly in finitely many steps from the form's b and A; its dense
     matrix is never built.  Anything but a ``QuadraticForm`` raises
-    ``DataError``: build one with ``QuadraticForm.from_parts``.  The KKT
-    residual max_k w_k (g_k - min g), g = 2 Q w, is recomputed from M at
-    the end.  The minimiser need not be unique; the objective and Q w are.
+    ``DataError``: build one from b and A, whose constructor (or
+    ``QuadraticForm.from_parts``, the same call) checks them and keeps
+    read-only copies.  The KKT residual max_k w_k (g_k - min g),
+    g = 2 Q w, is recomputed from M at the end (``_certificate``, which
+    the lockstep solve runs too).  The minimiser need not be unique; the
+    objective and Q w are.
 
     The fast path solves each corral system on its Gram matrix.  When
     that run raises ``NumericalError`` (a corral system singular to
@@ -978,10 +1019,9 @@ def solve_simplex_qp(q: QuadraticForm) -> WeightSolution:
             f"solve_simplex_qp takes a QuadraticForm, not {type(q).__name__}; "
             "build one from b and A with QuadraticForm.from_parts"
         )
-    P = np.column_stack([q.bias, q.gram_factor.T])  # row k is column k of M
-    if not np.isfinite(P).all():
+    P, sq_norms, broken = _points(q.bias, q.gram_factor)
+    if broken:
         raise NumericalError("non-finite entries in the quadratic form")
-    sq_norms = np.einsum("ij,ij->i", P, P)
     if P.shape[0] == 1:
         return WeightSolution(np.ones(1), float(sq_norms[0]), 0, 0.0)
     try:

@@ -13,6 +13,8 @@ coefficients) refuses a ragged one with ``DataError`` too, and every
 call that takes a count or an index refuses one that is no integer.
 So does every call that takes a seed (a float one) or row indices (a
 float, bool or ragged list), before any fit, draw, split or replication.
+A ``QuadraticForm`` built directly refuses its parts as
+``QuadraticForm.from_parts`` does, and both keep read-only copies.
 """
 
 import re
@@ -54,6 +56,7 @@ from glmavg import (
     run_study1,
     run_study2,
     simulate_cell,
+    solve_simplex_qp,
     split,
     study2_model_sets,
     subset_columns,
@@ -231,6 +234,8 @@ RAGGED_CALLS = [
     ("build_q_logistic", lambda fitted: build_q_logistic(*_inputs("logistic"), MODELS, RAGGED)),
     ("QuadraticForm.from_parts-bias", lambda fitted: QuadraticForm.from_parts(RAGGED, np.ones((2, 3)))),
     ("QuadraticForm.from_parts-gram", lambda fitted: QuadraticForm.from_parts(np.ones(2), [[1.0, 2.0], [3.0]])),
+    ("QuadraticForm-bias", lambda fitted: QuadraticForm(bias=RAGGED, gram_factor=np.ones((2, 3)))),
+    ("QuadraticForm-gram", lambda fitted: QuadraticForm(bias=np.ones(2), gram_factor=[[1.0, 2.0], [3.0]])),
     ("aic_weights-logliks", lambda fitted: aic_weights(RAGGED, [1, 2, 3])),
     ("aic_weights-dims", lambda fitted: aic_weights([-1.0, -2.0, -3.0], RAGGED)),
     ("subset_point", lambda fitted: subset_point(RAGGED, SUBSET)),
@@ -250,6 +255,51 @@ RAGGED_CALLS = [
 def test_a_ragged_float_array_is_a_data_error_before_any_fit(fitted, call):
     with pytest.raises(DataError, match="^expected an array of numbers: "):
         call(fitted)
+
+
+# the two ways to build a quadratic form; both run its one check (``QuadraticForm.__post_init__``)
+FORM_CONSTRUCTORS = {
+    "QuadraticForm": lambda bias, gram_factor: QuadraticForm(bias=bias, gram_factor=gram_factor),
+    "from_parts": QuadraticForm.from_parts,
+}
+SHAPES = r"^bias must be \(K,\) and gram_factor \(rows, K\)$"
+# (name, bias, gram_factor, message): parts of numbers that make no quadratic form (RAGGED_CALLS has ragged ones)
+BAD_FORM_PARTS = [
+    ("bias-3-factor-2x4", np.ones(3), np.ones((2, 4)), SHAPES),
+    ("2-d-bias", np.ones((1, 2)), np.ones((2, 2)), SHAPES),
+    ("no-models", np.zeros(0), np.zeros((3, 0)), "^a quadratic form needs at least one model$"),
+]
+
+
+@pytest.mark.parametrize("build", FORM_CONSTRUCTORS.values(), ids=FORM_CONSTRUCTORS)
+@pytest.mark.parametrize(
+    "bias, gram_factor, message", [case[1:] for case in BAD_FORM_PARTS], ids=[case[0] for case in BAD_FORM_PARTS]
+)
+def test_both_quadratic_form_constructors_refuse_bad_parts_alike(build, bias, gram_factor, message):
+    with pytest.raises(DataError, match=message):
+        build(bias, gram_factor)
+
+
+def _bits(solution):
+    return solution.weights.tobytes(), solution.objective, solution.iterations, solution.kkt_residual
+
+
+@pytest.mark.parametrize("build", FORM_CONSTRUCTORS.values(), ids=FORM_CONSTRUCTORS)
+def test_a_quadratic_form_keeps_read_only_copies_of_its_parts(build):
+    bias, gram_factor = np.array([1.0, 2.0]), np.array([[1.0, 0.5]])
+    form = build(bias, gram_factor)
+    solution = solve_simplex_qp(form)
+    assert solution.weights.tolist() == [1.0, 0.0]
+    bias[0], gram_factor[0, 1] = -5.0, 3.0  # the caller changes its arrays afterwards
+    assert form.bias.tolist() == [1.0, 2.0] and form.gram_factor.tolist() == [[1.0, 0.5]]
+    assert not form.bias.flags.writeable and not form.gram_factor.flags.writeable
+    assert _bits(solve_simplex_qp(form)) == _bits(solution)
+
+
+@pytest.mark.parametrize("build", FORM_CONSTRUCTORS.values(), ids=FORM_CONSTRUCTORS)
+def test_a_quadratic_form_takes_nested_lists(build):
+    expected = solve_simplex_qp(QuadraticForm.from_parts(np.array([1.0, 2.0]), np.array([[1.0, 0.5]])))
+    assert _bits(solve_simplex_qp(build([1.0, 2.0], [[1.0, 0.5]]))) == _bits(expected)
 
 
 # (name, call, message): each passes one count or index that is no integer
