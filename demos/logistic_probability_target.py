@@ -11,9 +11,7 @@ as the two printed coefficient rows show, and the form reads the MLEs.
 import numpy as np
 
 from glmavg import (
-    Functional,
-    build_q_logistic,
-    fit_and_average_logistic,
+    LogisticAveragingPredictor,
     logistic_mle,
     logistic_pseudo_fit,
     study2_model_sets,
@@ -43,13 +41,13 @@ print("sub-model", sub.included)
 print("  pseudo-fit coefficients:", np.round(pseudo.beta, 4), f"({pseudo.iterations} IRLS steps)")
 print("  data MLE coefficients:  ", np.round(data_fit.beta, 4))
 
-q_hat = build_q_logistic(X, y, list(models), x_star)
+predictor = LogisticAveragingPredictor(X, y, models)  # every candidate's MLE, once
+q_hat = predictor.q_form(x_star)
 print("\nestimated bias entries (MLE minus full, at x*):", np.round(q_hat.bias, 4))
 
 print(f"\ntrue success probability at x*: {truth:.4f}")
-functional = Functional.logistic_point(x_star)
 for scheme in ("optimal", "aic", "equal"):
-    est = fit_and_average_logistic(X, y, models, functional, scheme)
+    est = predictor.predict(x_star, scheme)
     print(
         f"  {scheme:<8} estimate {est.value:.4f}   weights {np.round(est.weights, 3)}"
     )

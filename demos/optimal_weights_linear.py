@@ -7,13 +7,7 @@ and compares the resulting weights and estimates across schemes.
 
 import numpy as np
 
-from glmavg import (
-    Functional,
-    LinearQFactory,
-    enumerate_all_subsets,
-    fit_and_average_linear,
-    solve_simplex_qp,
-)
+from glmavg import LinearAveragingPredictor, enumerate_all_subsets, solve_simplex_qp
 
 rng = np.random.default_rng(42)
 n = 100
@@ -28,7 +22,8 @@ models = enumerate_all_subsets(p_fixed=1, q=3)
 # The estimated MSE of the averaged estimator is the quadratic form
 #   Qhat(w) = (bias' w)^2 + |A w|^2
 # whose diagonal already tells the per-model bias/variance story.
-q_hat = LinearQFactory(X, y, models).q_form(x_star)
+predictor = LinearAveragingPredictor(X, y, models)  # every candidate's OLS fit, once
+q_hat = predictor.q_form(x_star)
 variance_part = np.sum(q_hat.gram_factor**2, axis=0)
 print(f"truth x*'beta = {truth:+.4f}\n")
 print("model   included      est.bias   est.var    Qhat diag")
@@ -43,10 +38,9 @@ print(f"\noptimal weights: {np.round(solution.weights, 3)}")
 print(f"objective (estimated MSE): {solution.objective:.5f}")
 print(f"KKT residual: {solution.kkt_residual:.2e}")
 
-functional = Functional.linear_point(x_star)
 print("\nscheme comparison at x*:")
 for scheme in ("optimal", "aic", "equal"):
-    est = fit_and_average_linear(X, y, models, functional, scheme)
+    est = predictor.predict(x_star, scheme)
     print(f"  {scheme:<8} estimate {est.value:+.4f}   error {abs(est.value - truth):.4f}")
 print(f"  {'full':<8} estimate {est.per_model[-1]:+.4f}   "
       f"error {abs(est.per_model[-1] - truth):.4f}")

@@ -49,7 +49,7 @@ from .mse_weights import (
     solve_simplex_qp,
 )
 from .glm_fit import _checked_data, _frozen, _integer, logistic_mle, require_finite
-from .model_space import ModelSet
+from .model_space import CandidateModel, ModelSet, _checked_candidates
 from .rng import _checked_keys, _stack_streams
 
 SCHEMES = ("optimal", "aic", "equal")
@@ -123,12 +123,12 @@ class Functional:
         return cls(kind="logistic_point", x_star=x_star)
 
     def resolve(self, total_dim: int) -> np.ndarray:
-        """The read-only x* vector, of length ``total_dim``, this functional evaluates against."""
-        if self.x_star.shape[0] != total_dim:
-            raise DataError(
-                f"x_star has length {self.x_star.shape[0]}, model space needs {total_dim}"
-            )
-        return self.x_star
+        """The read-only x* vector this functional evaluates against, checked as every x* is.
+
+        ``mse_weights._checked_point`` raises ``DataError`` unless x* has
+        length ``total_dim``.
+        """
+        return _checked_point(self.x_star, total_dim)
 
 
 @dataclass(frozen=True)
@@ -166,14 +166,6 @@ class PredictionBand:
 def _check_scheme(scheme: str):
     if scheme not in SCHEMES:
         raise DataError(f"unknown weighting scheme {scheme!r}; expected one of {SCHEMES}")
-
-
-def _checked_width(X: np.ndarray, models: ModelSet) -> int:
-    """p_fixed + q of ``models``; ``DataError`` unless the design ``X`` has that many columns."""
-    total = models.p_fixed + models.q
-    if X.shape[1] != total:
-        raise DataError(f"design has {X.shape[1]} columns, model space needs {total}")
-    return total
 
 
 class _AveragingPredictor:
@@ -225,6 +217,13 @@ class LogisticAveragingPredictor(_AveragingPredictor, LogisticQFactory):
 # the predictor of each family, for the one-shot wrappers, the CLI and the study harness; its
 # keys are the one list of family names, and each predictor's _Designs its family's record
 _PREDICTORS = {"linear": LinearAveragingPredictor, "logistic": LogisticAveragingPredictor}
+
+
+def _checked_family(family) -> type:
+    """The averaging predictor of ``family``, one of ``_PREDICTORS``' names; any other value raises ``DataError``."""
+    if not isinstance(family, str) or family not in _PREDICTORS:
+        raise DataError(f"unknown family {family!r}")
+    return _PREDICTORS[family]
 
 
 def _average_stack(fits, x_star: np.ndarray, schemes: list) -> tuple[np.ndarray, list]:
@@ -342,26 +341,30 @@ def _fit_average_stack(designs, parts: list, n: int, x_star: np.ndarray, schemes
 
 
 def _fit_and_average(family, X, y, models, functional, scheme) -> AveragedEstimate:
-    """Check the functional, the scheme, (X, y), X's width and x* before any fit, then fit and predict once."""
+    """Check the functional, the scheme, (X, y), the candidates and x* before any fit, then fit and predict once."""
     if functional.kind != f"{family}_point":
         raise DataError(f"{family} averaging needs a {family}_point functional")
     _check_scheme(scheme)
     X, y = _checked_data(X, y)
-    x_star = functional.resolve(_checked_width(X, models))
+    _checked_candidates(models, X.shape[1])
+    x_star = functional.resolve(X.shape[1])
     return _PREDICTORS[family](X, y, models).predict(x_star, scheme)
 
 
 def fit_and_average_linear(
     X: np.ndarray,
     y: np.ndarray,
-    models: ModelSet,
+    models: ModelSet | list[CandidateModel],
     functional: Functional,
     scheme: str = "optimal",
 ) -> AveragedEstimate:
     """Fit all candidates by OLS and combine x*'beta estimates under ``scheme``.
 
-    A malformed (X, y) raises ``DataError`` before any fit
-    (``glm_fit._checked_data``), as every entry point's does.
+    ``models`` is a ``ModelSet`` over X's columns, or a list or tuple of
+    ``CandidateModel``s, which gives the same answer as that set in a
+    ``ModelSet``.  A malformed (X, y) (``glm_fit._checked_data``), other
+    candidates (``model_space._checked_candidates``) or an x* of another
+    length raises ``DataError`` before any fit, as at every entry point.
     """
     return _fit_and_average("linear", X, y, models, functional, scheme)
 
@@ -369,14 +372,15 @@ def fit_and_average_linear(
 def fit_and_average_logistic(
     X: np.ndarray,
     y: np.ndarray,
-    models: ModelSet,
+    models: ModelSet | list[CandidateModel],
     functional: Functional,
     scheme: str = "optimal",
 ) -> AveragedEstimate:
     """Fit all candidates by logistic MLE and combine probability estimates at x*.
 
-    A malformed (X, y), or a response not coded 0/1, raises ``DataError``
-    before any fit.
+    ``models`` is taken as ``fit_and_average_linear`` takes it.  A
+    malformed (X, y), a response not coded 0/1, other candidates or an
+    x* of another length raises ``DataError`` before any fit.
     """
     return _fit_and_average("logistic", X, y, models, functional, scheme)
 
@@ -385,7 +389,7 @@ def prediction_band(
     X_pool: np.ndarray,
     y_pool: np.ndarray,
     test_point: np.ndarray,
-    models: ModelSet,
+    models: ModelSet | list[CandidateModel],
     *,
     n_sub: int = 50,
     n_reps: int = _BAND_REPS,
@@ -410,7 +414,12 @@ def prediction_band(
     each count (``n_sub``, ``n_reps``, ``workers``) as an integer of at
     least 1 (``glm_fit._integer``), is checked before the first draw, the
     pool as every entry point checks a design and its response
-    (``glm_fit._checked_data``).
+    (``glm_fit._checked_data``), the candidates as every entry point
+    checks them (``model_space._checked_candidates``: a ``ModelSet`` over
+    the pool's columns, or a non-empty list or tuple of
+    ``CandidateModel``s, which gives the same band as that set in a
+    ``ModelSet``) and ``test_point`` as every x*
+    (``mse_weights._checked_point``).
     """
     return _prediction_bands(
         X_pool, y_pool, [test_point], models, n_sub=n_sub, n_reps=n_reps, sigma=sigma,
@@ -435,7 +444,8 @@ def _prediction_bands(
     raises the error its lone predictor raises, as a call per row would
     raise it, and ``workers`` > 1 forks once for all rows.  Every
     argument of every row is checked before the first draw, the pool
-    (``glm_fit._checked_data``) first.
+    (``glm_fit._checked_data``) first, and each row as every x*
+    (``mse_weights._checked_point``).
     """
     X_pool, y_pool = _checked_data(X_pool, y_pool)
     if not 0.0 < level < 1.0:
@@ -450,8 +460,11 @@ def _prediction_bands(
         raise DataError(f"sigma must be finite and non-negative, got {sigma!r}")
     keys = [_checked_keys(seed, "band") for seed in seeds]
     workers = _integer(workers, "workers", 1)
-    width = _checked_width(X_pool, models)
-    x_stars = [Functional.linear_point(point).resolve(width) for point in test_points]
+    width = X_pool.shape[1]
+    models = _checked_candidates(models, width)
+    if not models:
+        raise DataError("a prediction band needs at least one candidate model")
+    x_stars = [_checked_point(point, width) for point in test_points]
     designs = LinearAveragingPredictor._Designs(list(models), width)
 
     def block_pairs(block):

@@ -62,7 +62,7 @@ from .averaging import (
 from .dataio import csv_text, load_csv
 from .errors import DataError, GlmavgError, NumericalError
 from .glm_fit import require_finite
-from .model_space import ModelSet, enumerate_all_subsets
+from .model_space import ModelSet, _checked_candidates, enumerate_all_subsets
 from .mse_weights import LinearQFactory
 
 
@@ -117,17 +117,12 @@ def _parse_floats(text: str, what: str) -> np.ndarray:
         raise DataError(f"cannot parse {what}: {exc}") from None
 
 
-def _load_models(args, q: int) -> ModelSet:
+def _load_models(args, p: int) -> ModelSet:
+    """The ``--models`` file's candidates, checked against a design of p columns, or all p - 1 predictors' subsets."""
     if args.models:
         with open(args.models) as handle:
-            models = ModelSet.from_jsonl(handle.read())
-        if models.p_fixed + models.q != q + 1:
-            raise DataError(
-                f"model set is over {models.p_fixed + models.q} coefficients, "
-                f"data has {q + 1}"
-            )
-        return models
-    return enumerate_all_subsets(1, q)
+            return _checked_candidates(ModelSet.from_jsonl(handle.read()), p)
+    return enumerate_all_subsets(1, p - 1)
 
 
 def _given(value, keyword: str, convert=None) -> dict:
@@ -162,7 +157,7 @@ def _cmd_point(args) -> None:
     if args.dump_q and args.format != "json":
         raise DataError("--dump-q needs --format json")
     dataset, x_star = _dataset_and_x_star(args)
-    models = _load_models(args, dataset.d - 1)
+    models = _load_models(args, dataset.d)
     require_finite("x_star", x_star)  # before any candidate is fit
     predictor = _PREDICTORS[args.family](dataset.design, dataset.response, models)
     estimate = predictor.predict(x_star, args.scheme)
@@ -236,7 +231,7 @@ def _cmd_cv(args) -> None:
         dataset,
         seed=args.seed,
         n_train=args.n_train,
-        models=_load_models(args, dataset.d - 1) if args.models else None,
+        models=_load_models(args, dataset.d) if args.models else None,
         select_by=args.select_by,
         workers=args.workers,
         **_given(args.methods, "methods", lambda text: tuple(text.split(","))),
@@ -251,7 +246,7 @@ def _cmd_band(args) -> None:
     test = load_csv(args.test_data, args.response, family="linear")
     if test.column_names != train.column_names:
         raise DataError("training and test files must have the same columns")
-    models = _load_models(args, train.d - 1)
+    models = _load_models(args, train.d)
     sigma = args.sigma
     if sigma is None:
         # the full design's divisor-n residual sd, from its R factor: a factory with no candidates

@@ -34,7 +34,7 @@ from .averaging import LinearAveragingPredictor
 from .dataio import Dataset, _train_size, split
 from .errors import DataError
 from .glm_fit import _checked_names, _integer
-from .model_space import ModelSet, enumerate_all_subsets
+from .model_space import CandidateModel, ModelSet, _checked_candidates, enumerate_all_subsets
 from .mse_weights import LinearQFactory, aic_values
 from .rng import _checked_keys, derive_seed, substream
 
@@ -83,7 +83,7 @@ def cv_compare(
     seed: int = 0,
     *,
     n_train: int | None = None,
-    models: ModelSet | None = None,
+    models: ModelSet | list[CandidateModel] | None = None,
     select_by: str = "cv",
     workers: int = 1,
 ) -> CvReport:
@@ -94,7 +94,12 @@ def cv_compare(
     weights depend on the training fit only).  Each repeat fits one
     split factory on its training rows: over ``models`` (default: all
     subsets) when an averaging method is requested, else over all
-    subsets when ``best_subset`` is, else over no candidate.  It always
+    subsets when ``best_subset`` is, else over no candidate.  ``models``
+    is checked as every entry point checks a candidate set
+    (``model_space._checked_candidates``): a ``ModelSet`` over the
+    dataset's columns, or a list or tuple of ``CandidateModel``s, which
+    gives the same report as that set in a ``ModelSet``; averaging needs
+    at least one candidate.  It always
     fits the full design, which ``full_model`` reads.  ``best_subset``
     reads the all-subsets fit of the split under both rules: the split
     factory when ``models`` is all subsets, else one factory of its own.
@@ -115,9 +120,9 @@ def cv_compare(
     ``workers`` that is no integer (``glm_fit._integer``), an
     ``n_repeats`` or ``workers`` below 1, an ``n_train`` outside (0, n)
     (``dataio.split``'s check), a training split too small for the full
-    design (or, under the CV rule, for its inner folds), or a
-    ``seed`` that is negative or neither an int nor a str raises
-    ``DataError`` before any split.
+    design (or, under the CV rule, for its inner folds), candidates that
+    fail that check, or a ``seed`` that is negative or neither an int
+    nor a str raises ``DataError`` before any split.
     """
     if dataset.family != "linear":
         raise DataError("cv_compare supports the linear family only")
@@ -138,12 +143,12 @@ def cv_compare(
     subsets = []
     if "best_subset" in methods or (models is None and averaging):
         subsets = enumerate_all_subsets(1, dataset.d - 1)
-    if models is None:
-        models = subsets
-    elif models.p_fixed + models.q != dataset.d:
-        raise DataError(f"model set is over {models.p_fixed + models.q} coefficients, data has {dataset.d}")
+    models = subsets if models is None else _checked_candidates(models, dataset.d)
+    if averaging and not models:
+        raise DataError("averaging needs at least one candidate model")
     split_models = models if averaging else subsets
-    own_subsets_fit = "best_subset" in methods and split_models != subsets
+    # compare the candidates, not their containers: a plain list of all subsets shares the split fit
+    own_subsets_fit = "best_subset" in methods and list(split_models) != list(subsets)
 
     def run_repeat(repeat):
         train, test = split(dataset, n_train, derive_seed(seed, "cv-split", repeat))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import _PREDICTORS
+from .averaging import _checked_family
 from .errors import DataError
 from .glm_fit import _checked_data, _frozen, _integer
 from .rng import substream
@@ -39,8 +39,7 @@ class Dataset:
     response_name: str = "y"
 
     def __post_init__(self):
-        if self.family not in _PREDICTORS:
-            raise DataError(f"unknown family {self.family!r}")
+        _checked_family(self.family)
         design, response = map(_frozen, _checked_data(self.design, self.response))
         if len(self.column_names) != design.shape[1]:
             raise DataError("need one column name per design column")

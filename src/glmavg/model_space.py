@@ -152,6 +152,27 @@ class ModelSet:
         return cls(models, q)
 
 
+def _checked_candidates(models, p: int) -> ModelSet | list[CandidateModel]:
+    """``models`` checked as candidates for a design of p columns: every entry point's one check of them.
+
+    A ``ModelSet``, whose constructor bounds each index by its q, must be
+    laid out over the p columns (p_fixed + q = p), and is returned as it
+    is.  A list or tuple, an empty one too, must hold only
+    ``CandidateModel``s whose columns are all below p, and is returned as
+    a list.  Anything else raises ``DataError``.
+    """
+    if isinstance(models, ModelSet):
+        if models.p_fixed + models.q != p:
+            raise DataError(f"design has {p} columns, model space needs {models.p_fixed + models.q}")
+        return models
+    if not isinstance(models, (list, tuple)) or not all(isinstance(m, CandidateModel) for m in models):
+        raise DataError("candidates must be a ModelSet, or a list or tuple of CandidateModel")
+    for model in models:
+        if model.columns[-1] >= p:
+            raise DataError(f"design has {p} columns, model needs column {model.columns[-1]}")
+    return list(models)
+
+
 def enumerate_all_subsets(p_fixed: int, q: int) -> ModelSet:
     """All 2**q candidate models, in binary-counting order (bit j <-> optional index j)."""
     q = _integer(q, "q", 0)

@@ -127,7 +127,7 @@ from .glm_fit import (
     logistic_pseudo_fit,
     require_finite,
 )
-from .model_space import CandidateModel
+from .model_space import CandidateModel, _checked_candidates
 
 SOLVER_MAX_ITER = 10_000  # major cycles of the weight solver
 _GAP_TOL = 1e-12  # stop at a Frank-Wolfe gap <= _GAP_TOL * max_k Q_kk
@@ -218,10 +218,13 @@ class _CandidateFactory:
     plug-in.  A factory may hold no candidates (``cv_compare`` builds
     one only for ``beta_full``); its ``q_form`` raises ``DataError``
     before any plug-in fit.  Before any fit, (X, y) go through
-    ``glm_fit._checked_data``, each model's columns are checked against
-    X's, and the designs' ``check`` takes the responses (the logistic
-    designs check the 0/1 coding), so a malformed input is a
-    ``DataError``.  The averaging predictors
+    ``glm_fit._checked_data``, the candidates through
+    ``model_space._checked_candidates`` against X's width (a ``ModelSet``
+    laid out over X's columns, or a list or tuple of ``CandidateModel``s
+    whose columns are all below X's width, an empty one too), and the
+    designs' ``check`` takes the responses (the logistic designs check
+    the 0/1 coding), so a malformed input is a ``DataError``.  The
+    averaging predictors
     subclass these factories (``averaging.LinearAveragingPredictor``,
     ``LogisticAveragingPredictor``) and add only ``predict``.
     """
@@ -229,10 +232,7 @@ class _CandidateFactory:
     def __init__(self, X: np.ndarray, y: np.ndarray, models: Sequence[CandidateModel]):
         X, y = _checked_data(X, y)
         n, p = X.shape
-        models = list(models)
-        for model in models:
-            if model.columns[-1] >= p:
-                raise DataError(f"design has {p} columns, model needs column {model.columns[-1]}")
+        models = list(_checked_candidates(models, p))
         designs = self._Designs(models, p)
         designs.check(y)
         fits = designs.fit(*designs.reduce(X, y), n)

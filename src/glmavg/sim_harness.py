@@ -81,8 +81,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .averaging import (
-    _PREDICTORS,
     SCHEMES,
+    _checked_family,
     _stacks,
     _fit_average_stack,
     fit_and_average_logistic,  # no longer called here; perfbench/tracer.py looks it up here
@@ -98,7 +98,7 @@ from .glm_fit import (
     ols_fit,
     require_finite,
 )
-from .model_space import CandidateModel, ModelSet, nested_sequence
+from .model_space import CandidateModel, ModelSet, _checked_candidates, nested_sequence
 from .rng import _checked_keys, _stack_streams, substream
 
 # A study forks a block only when its estimated work (``_rep_ms``) reaches
@@ -147,8 +147,10 @@ STUDY2_BETA3_GRID = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5)
 class StudyConfig:
     """One Monte Carlo cell: a data-generating process plus estimation settings.
 
-    ``family`` names one of ``averaging._PREDICTORS``, whose ``_Designs``
-    are the family's record: ``truth`` is the family's link at x*'beta,
+    ``family`` names one of ``averaging._PREDICTORS`` (checked by
+    ``averaging._checked_family``: any other value, a name that is no
+    string too, is a ``DataError``), whose ``_Designs`` are the family's
+    record: ``truth`` is the family's link at x*'beta,
     and a replication's response follows its response law.  ``oracle``,
     when given, adds an "oracle" estimate column: that model's own fit
     on each replication's draws at x*, through the family's link, as
@@ -160,8 +162,10 @@ class StudyConfig:
     ``substream(seed, *tags, r)``; the keys are hashed once, here) and
     name a failing replication.
     The cell is checked here, so a bad one raises ``DataError`` before
-    any draw: ``beta_true`` and ``x_star`` must be finite vectors of
-    length p_fixed + q (kept as read-only copies), ``n`` and ``n_reps``
+    any draw: ``candidate_set`` must be a ``ModelSet`` laid out over the
+    cell's design (p_fixed + q columns, one per entry of ``beta_true``;
+    ``model_space._checked_candidates``), ``beta_true`` and ``x_star``
+    finite vectors of that length (kept as read-only copies), ``n`` and ``n_reps``
     integers (numpy integers pass), ``n_reps`` at least 1, ``schemes``
     a non-empty selection of ``SCHEMES`` with no scheme twice, the
     oracle must share the candidate set's ``p_fixed`` and index only
@@ -185,14 +189,14 @@ class StudyConfig:
     tags: tuple = ()
 
     def __post_init__(self):
-        if self.family not in _PREDICTORS:
-            raise DataError(f"unknown family {self.family!r}")
         # the family's record: its link, response law and designs
-        object.__setattr__(self, "_family", _PREDICTORS[self.family]._Designs)
+        object.__setattr__(self, "_family", _checked_family(self.family)._Designs)
         beta, x = _frozen(self.beta_true), _frozen(self.x_star)
-        total = self.candidate_set.p_fixed + self.candidate_set.q
-        if beta.shape != (total,) or x.shape != (total,):
-            raise DataError("beta_true and x_star must have length p_fixed + q")
+        if beta.ndim != 1 or x.shape != beta.shape:
+            raise DataError("beta_true and x_star must be vectors of one length")
+        # the cell's design has one column per entry of beta_true; the oracle's check reads q
+        if not isinstance(_checked_candidates(self.candidate_set, beta.shape[0]), ModelSet):
+            raise DataError("candidate_set must be a ModelSet")
         require_finite("beta_true and x_star", beta, x)
         object.__setattr__(self, "n", _integer(self.n, "n"))
         object.__setattr__(self, "n_reps", _integer(self.n_reps, "n_reps", 1))

@@ -3,7 +3,9 @@
 Everything here recomputes a quantity along a different code path than
 the library (explicit inverses, literal double sums, brute-force
 enumeration, exhaustive grids, plain full-step Newton), so agreement is
-evidence of correctness rather than self-confirmation.
+evidence of correctness rather than self-confirmation.  The problems of
+``tests/data/logistic_golden.json`` (``logistic_golden_problem``) are
+drawn here too, for the tests and for the script that writes the file.
 """
 
 from dataclasses import dataclass
@@ -29,6 +31,27 @@ from glmavg import (
     substream,
 )
 from glmavg import glm_fit
+
+
+def logistic_golden_problem(seed, hard):
+    """The design, 0/1 response and target probabilities of one ``logistic_golden`` entry.
+
+    ``hard`` problems have Cauchy covariates and large coefficients, so
+    that some fits halve the Newton step, hit the iteration cap or run
+    past the divergence guard.
+    """
+    rng = np.random.default_rng([2018, seed])
+    n = int(rng.integers(20, 201))
+    d = int(rng.integers(1, 6))
+    columns = rng.standard_t(1.0, (n, d - 1)) if hard else rng.standard_normal((n, d - 1))
+    X = np.column_stack([np.ones(n), columns])
+    scale = rng.uniform(3.0, 8.0) if hard else rng.uniform(0.5, 3.0)
+    eta = X @ (scale * rng.standard_normal(d))
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-np.clip(eta, -30.0, 30.0)))).astype(float)
+    eta_t = np.clip(eta + rng.standard_normal(n), -30.0, 30.0)
+    floor = 1e-8 if hard else 1e-3
+    target = np.clip(1.0 / (1.0 + np.exp(-eta_t)), floor, 1.0 - floor)
+    return X, y, target
 
 
 @dataclass(frozen=True)

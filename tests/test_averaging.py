@@ -525,7 +525,7 @@ class TestPredictionBand:
             ({"n_sub": 2}, "n_sub"),
             ({"scheme": "bogus"}, "scheme"),
             ({"workers": 0}, "workers"),
-            ({"test_point": np.array([1.0, 0.0])}, "x_star has length 2, model space needs 3"),
+            ({"test_point": np.array([1.0, 0.0])}, r"x_star must be a vector of length 3, got shape \(2,\)"),
             ({"models": nested_sequence(1, 1)}, "design has 3 columns, model space needs 2"),
             ({"y_pool": np.ones(119)}, "y must be a vector with one entry per design row"),
             ({"y_pool": np.ones((120, 1))}, "y must be a vector with one entry per design row"),

@@ -667,7 +667,7 @@ class TestCvCommand:
             "--models", str(models_path),
         ])
         assert rc == 2
-        assert "model set is over 4 coefficients, data has 9" in capsys.readouterr().err
+        assert "design has 9 columns, model space needs 4" in capsys.readouterr().err
 
     def test_zero_reps_is_data_error(self, linear_csv, capsys):
         rc = main([

@@ -243,7 +243,7 @@ class TestCvCompare:
     @pytest.mark.parametrize("methods", [("avg_optimal",), ("best_subset",)])
     def test_rejects_model_set_of_another_dimension(self, methods):
         models = ModelSet([CandidateModel((0, 1, 2), 1)], q=3)  # 4 coefficients
-        with pytest.raises(DataError, match="over 4 coefficients, data has 9"):
+        with pytest.raises(DataError, match="design has 9 columns, model space needs 4"):
             cv_compare(synthetic_prostate(), methods=methods, n_repeats=1, models=models)
 
     def test_deterministic(self):

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import pathlib
 
@@ -7,6 +8,7 @@ from scipy.special import expit
 
 from oracles import (
     full_linear_fit,
+    logistic_golden_problem,
     newton_logistic_oracle,
     pseudo_true_linear,
     reduced_guard_rejects,
@@ -373,30 +375,9 @@ def test_divergence_guard_raises(fit, target, message):
     assert info.value.iterations == int(message.rsplit(" ", 2)[1])
 
 
-LOGISTIC_GOLDEN = json.loads(
-    (pathlib.Path(__file__).resolve().parent / "data" / "logistic_golden.json").read_text()
-)
-
-
-def _golden_problem(seed, hard):
-    """The design, 0/1 response and target probabilities of one ``logistic_golden`` entry.
-
-    ``hard`` problems have Cauchy covariates and large coefficients, so
-    that some fits halve the Newton step, hit the iteration cap or run
-    past the divergence guard.
-    """
-    rng = np.random.default_rng([2018, seed])
-    n = int(rng.integers(20, 201))
-    d = int(rng.integers(1, 6))
-    columns = rng.standard_t(1.0, (n, d - 1)) if hard else rng.standard_normal((n, d - 1))
-    X = np.column_stack([np.ones(n), columns])
-    scale = rng.uniform(3.0, 8.0) if hard else rng.uniform(0.5, 3.0)
-    eta = X @ (scale * rng.standard_normal(d))
-    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-np.clip(eta, -30.0, 30.0)))).astype(float)
-    eta_t = np.clip(eta + rng.standard_normal(n), -30.0, 30.0)
-    floor = 1e-8 if hard else 1e-3
-    target = np.clip(1.0 / (1.0 + np.exp(-eta_t)), floor, 1.0 - floor)
-    return X, y, target
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "data"
+# written by tests/data/make_logistic_golden.py
+LOGISTIC_GOLDEN = json.loads((GOLDEN_DIR / "logistic_golden.json").read_text())
 
 
 @pytest.mark.parametrize("kind", ["mle", "pseudo"])
@@ -408,12 +389,13 @@ def test_fits_replay_logistic_golden(kind):
     hard ones whose line search halved the step (``halvings`` > 0) or
     that raised.  Each entry holds ``beta`` (``float.hex``), ``loglik``
     and ``iterations``, or the error's class, message and iterations.
+    ``tests/data/make_logistic_golden.py`` writes it again, byte for byte.
     """
     fit = logistic_mle if kind == "mle" else logistic_pseudo_fit
     rows = LOGISTIC_GOLDEN[kind]
     assert sum(row.get("halvings", 0) > 0 for row in rows) >= 10
     for row in rows:
-        X, y, target = _golden_problem(row["seed"], row["hard"])
+        X, y, target = logistic_golden_problem(row["seed"], row["hard"])
         where = (kind, row["seed"], row["hard"])
         if "error" in row:
             with pytest.raises(NonConvergenceError) as info:
@@ -426,6 +408,14 @@ def test_fits_replay_logistic_golden(kind):
         assert [float(b).hex() for b in result.beta] == row["beta"], where
         assert float(result.loglik).hex() == row["loglik"], where
         assert result.iterations == row["iterations"], where
+
+
+def test_the_logistic_golden_script_writes_the_committed_file(tmp_path):
+    spec = importlib.util.spec_from_file_location("make_logistic_golden", GOLDEN_DIR / "make_logistic_golden.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.main(tmp_path / "logistic_golden.json")
+    assert (tmp_path / "logistic_golden.json").read_bytes() == (GOLDEN_DIR / "logistic_golden.json").read_bytes()
 
 
 def _stack_around(problem, at, size, seed, kind):
@@ -457,7 +447,7 @@ def test_golden_fits_replay_as_one_slice_of_a_stack(kind, position):
     at = 0 if position == "first" else 2
     lone_fit = logistic_mle if kind == "mle" else logistic_pseudo_fit
     for row in LOGISTIC_GOLDEN[kind]:
-        X, y, target = _golden_problem(row["seed"], row["hard"])
+        X, y, target = logistic_golden_problem(row["seed"], row["hard"])
         Xs, vs = _stack_around((X, y if kind == "mle" else target), at, 5, row["seed"] + 1000 * row["hard"], kind)
         where = (kind, row["seed"], row["hard"], position)
         if kind == "mle":
@@ -511,7 +501,7 @@ class TestBernoulliMerit:
         monkeypatch.setattr(glm_fit, "_bernoulli_merit", recorded)
         for kind in ("mle", "pseudo"):
             for row in LOGISTIC_GOLDEN[kind]:
-                X, y, _ = _golden_problem(row["seed"], row["hard"])
+                X, y, _ = logistic_golden_problem(row["seed"], row["hard"])
                 try:
                     logistic_mle(X, y)
                 except NonConvergenceError:
@@ -532,7 +522,7 @@ class TestBernoulliMerit:
             assert np.isnan(glm_fit._bernoulli_merit(everything, np.full(len(etas), y)))
 
     def test_the_returned_loglik_is_the_exact_form_on_the_final_eta(self):
-        X, y, _ = _golden_problem(3, False)
+        X, y, _ = logistic_golden_problem(3, False)
         beta, loglik, _, failures = glm_fit._mle_fits(X, y)
         assert not failures
         assert loglik.tobytes() == glm_fit._bernoulli_loglik(np.matvec(X, beta), y).tobytes()
@@ -733,7 +723,7 @@ class TestUnionGuard:
         for kind in ("mle", "pseudo"):
             for row in LOGISTIC_GOLDEN[kind]:
                 if row["hard"]:
-                    X, y, _ = _golden_problem(row["seed"], True)
+                    X, y, _ = logistic_golden_problem(row["seed"], True)
                     outcomes.add(self._check_against_each_candidate_alone(X, y, monkeypatch))
         assert (True, False) in outcomes
 

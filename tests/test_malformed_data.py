@@ -15,6 +15,12 @@ So does every call that takes a seed (a float one) or row indices (a
 float, bool or ragged list), before any fit, draw, split or replication.
 A ``QuadraticForm`` built directly refuses its parts as
 ``QuadraticForm.from_parts`` does, and both keep read-only copies.
+Every entry point that takes a candidate set refuses one that is neither
+a ``ModelSet`` over the design's columns nor a list or tuple of
+``CandidateModel``s within them, and takes a plain list with the
+``ModelSet``'s answer, bit for bit; ``Dataset`` and ``StudyConfig``
+refuse a family that is not one of the names, a name that is no string
+too.
 """
 
 import re
@@ -174,7 +180,10 @@ def test_each_rule_words_its_failure_alike(name, family, call):
 @pytest.mark.parametrize("family", ["linear", "logistic"])
 @pytest.mark.parametrize(
     "width, point, message",
-    [(4, 3, "design has 4 columns, model space needs 3"), (3, 4, "x_star has length 4, model space needs 3")],
+    [
+        (4, 3, "design has 4 columns, model space needs 3"),
+        (3, 4, r"x_star must be a vector of length 3, got shape \(4,\)"),
+    ],
     ids=["wide-design", "long-x-star"],
 )
 @pytest.mark.usefixtures("no_fit_or_draw")
@@ -420,3 +429,106 @@ def test_integer_row_indices_are_taken_in_order():
     assert data.take([]).n == 0
     picked = data.take(np.array([3, 1], dtype=np.uint8))
     np.testing.assert_array_equal(picked.response, data.response[[3, 1]])
+
+
+PAIR = [MODELS[0], MODELS[1]]  # two candidates over X_STAR's three columns, as a plain list
+NOT_CANDIDATES = "candidates must be a ModelSet, or a list or tuple of CandidateModel"
+
+# (name, call, message): a candidate set or a family name that no entry point takes
+REFUSED_INTAKE = [
+    ("LinearQFactory-tuples", lambda: LinearQFactory(*_inputs("linear"), [(0, 1)]), NOT_CANDIDATES),
+    ("LinearQFactory-None", lambda: LinearQFactory(*_inputs("linear"), None), NOT_CANDIDATES),
+    (
+        "LinearQFactory-narrow-ModelSet",
+        lambda: LinearQFactory(*_inputs("linear"), enumerate_all_subsets(1, 1)),
+        "design has 3 columns, model space needs 2",
+    ),
+    (
+        "LogisticAveragingPredictor-tuples",
+        lambda: LogisticAveragingPredictor(*_inputs("logistic"), [(0, 1)]),
+        NOT_CANDIDATES,
+    ),
+    (
+        "fit_and_average_linear-None",
+        lambda: fit_and_average_linear(*_inputs("linear"), None, Functional.linear_point(X_STAR)),
+        NOT_CANDIDATES,
+    ),
+    (
+        "prediction_band-empty",
+        lambda: prediction_band(*_inputs("linear"), X_STAR, [], n_sub=10, n_reps=2, sigma=1.0),
+        "a prediction band needs at least one candidate model",
+    ),
+    ("cv_compare-empty", lambda: _cv(models=[]), "averaging needs at least one candidate model"),
+    ("cv_compare-tuples", lambda: _cv(models=[(0, 1)]), NOT_CANDIDATES),
+    (
+        "StudyConfig-list",
+        lambda: _study_config(candidate_set=list(study2_model_sets()["A"])),
+        "candidate_set must be a ModelSet",
+    ),
+    (
+        "Dataset-family-list",
+        lambda: Dataset(_inputs("linear")[1], _inputs("linear")[0], ["(intercept)", "a", "b"], ["linear"]),
+        "unknown family ['linear']",
+    ),
+    (
+        "Dataset-family-set",
+        lambda: Dataset(_inputs("linear")[1], _inputs("linear")[0], ["(intercept)", "a", "b"], {"linear"}),
+        "unknown family {'linear'}",
+    ),
+    ("StudyConfig-family-list", lambda: _study_config(family=["linear"]), "unknown family ['linear']"),
+]
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in REFUSED_INTAKE], ids=[case[0] for case in REFUSED_INTAKE])
+@pytest.mark.usefixtures("no_fit_or_draw", "no_split_or_replication")
+def test_a_bad_candidate_set_or_family_is_a_data_error_before_any_run(call, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def _estimate_bits(estimate):
+    return float(estimate.value).hex(), estimate.weights.tobytes(), estimate.per_model.tobytes()
+
+
+PROSTATE_PAIR = ModelSet(list(nested_sequence(1, 8))[:2], 8)  # over the prostate design's nine columns
+
+# (name, model set, call of a candidate set): the answer's bits
+PLAIN_LIST_CALLS = [
+    *[
+        (
+            f"fit_and_average_linear-{scheme}",
+            ModelSet(PAIR, 2),
+            lambda models, scheme=scheme: _estimate_bits(
+                fit_and_average_linear(*_inputs("linear"), models, Functional.linear_point(X_STAR), scheme)
+            ),
+        )
+        for scheme in averaging.SCHEMES
+    ],
+    (
+        "fit_and_average_logistic",
+        ModelSet(PAIR, 2),
+        lambda models: _estimate_bits(
+            fit_and_average_logistic(*_inputs("logistic"), models, Functional.logistic_point(X_STAR))
+        ),
+    ),
+    (
+        "prediction_band",
+        ModelSet(PAIR, 2),
+        lambda models: [
+            float(v).hex()
+            for v in vars(prediction_band(*_inputs("linear"), X_STAR, models, n_sub=10, n_reps=8, sigma=1.0)).values()
+        ],
+    ),
+    (
+        "cv_compare",
+        PROSTATE_PAIR,
+        lambda models: [float(row["error"]).hex() for row in _cv(models=models, n_repeats=2, select_by="aic").per_repeat],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "model_set, call", [case[1:] for case in PLAIN_LIST_CALLS], ids=[case[0] for case in PLAIN_LIST_CALLS]
+)
+def test_a_plain_list_of_candidates_gives_the_model_set_answer_bit_for_bit(model_set, call):
+    assert call(list(model_set)) == call(model_set)

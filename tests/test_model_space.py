@@ -66,6 +66,9 @@ class TestModelSet:
         with pytest.raises(DataError):
             ModelSet([], 2)
 
+    def test_repr_names_its_size_and_layout(self):
+        assert repr(enumerate_all_subsets(2, 3)) == "ModelSet(8 models, p_fixed=2, q=3)"
+
     def test_jsonl_round_trip(self):
         ms = enumerate_all_subsets(2, 3)
         assert ModelSet.from_jsonl(ms.to_jsonl()) == ms

@@ -93,6 +93,12 @@ def test_star_import_and_dir_list_every_exported_name():
     assert set(glmavg.__all__) <= set(dir(glmavg))
 
 
+def test_a_home_module_resolves_to_itself():
+    # called directly: once a submodule is imported, the package attribute bypasses __getattr__
+    for module in glmavg._HOMES:
+        assert glmavg.__getattr__(module) is importlib.import_module(f"glmavg.{module}"), module
+
+
 def test_an_unknown_name_is_an_attribute_error_that_names_it():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         glmavg.no_such_name  # noqa: B018

@@ -977,7 +977,7 @@ class TestStackedLogisticFits:
     def test_a_large_design_caps_the_stack(self, monkeypatch):
         # a logistic stack holds its n-row designs: past _STACK_DOUBLES it holds fewer replications
         config = _logistic_cells(n_reps=10)[2]
-        designs = sim_harness._PREDICTORS["logistic"]._Designs(config.candidate_set.models, 4)
+        designs = averaging._PREDICTORS["logistic"]._Designs(config.candidate_set.models, 4)
         assert averaging._STACK_REPS * designs.kept(config.n) <= averaging._STACK_DOUBLES
         expected = simulate_cell(config)
         sizes = []
@@ -1059,7 +1059,7 @@ class TestStackedLogisticFits:
         defects = {3: "separated", 5: "singular", 8: "constant"}
         draw = self._defective_draw(defects)
         config = _logistic_cells(n_reps=12)[2]  # case B: the plug-in fits the full design too
-        predictor_class = sim_harness._PREDICTORS["logistic"]
+        predictor_class = averaging._PREDICTORS["logistic"]
         designs = predictor_class._Designs(config.candidate_set.models, 4)
         draws = [study_draw_reference(config, rep, draw) for rep in range(12)]
         fits = designs.fit(np.stack([X for X, _ in draws]), np.stack([y for _, y in draws]), config.n)
@@ -1171,7 +1171,7 @@ class TestCrossCellStacks:
         designs += [(family, models, 100) for family in ("linear", "logistic") for models in study2_model_sets().values()]
         for family, models, n in designs:
             p = models.p_fixed + models.q
-            stacks = averaging._stacks(sim_harness._PREDICTORS[family]._Designs(models.models, p), n, list(range(3 * cap)))
+            stacks = averaging._stacks(averaging._PREDICTORS[family]._Designs(models.models, p), n, list(range(3 * cap)))
             assert [len(stack) for stack in stacks] == [cap] * 3, (family, len(models), n)
 
     @pytest.fixture(scope="class", params=["linear", "logistic"])
@@ -1351,7 +1351,7 @@ class TestStreamKeys:
             old = substream(config.seed, *config.tags, rep).standard_normal(4)
             new = substream(*config._keys, rep).standard_normal(4)
             assert old.tobytes() == new.tobytes()
-        designs = sim_harness._PREDICTORS["linear"]._Designs(config.candidate_set.models, config.x_star.shape[0])
+        designs = averaging._PREDICTORS["linear"]._Designs(config.candidate_set.models, config.x_star.shape[0])
         X, _ = sim_harness._draw(designs, [(0, config, 5)], iter([_stream(config, 5)]), {})
         assert X[0].tobytes() == study_draw_reference(config, 5)[0].tobytes()
 
@@ -1453,7 +1453,7 @@ class TestChunkedDraws:
     def test_checks_response_law_and_reduce_run_once_per_chunk(self, monkeypatch, family):
         # the study2_logistic workload's stack of 50 (two cells of 25, one design) at n = 100:
         # two chunks, each checked, answered and reduced once
-        designs_class = sim_harness._PREDICTORS[family]._Designs
+        designs_class = averaging._PREDICTORS[family]._Designs
         cells = _study2_cells(family, 25, cases="A", schemes=("optimal", "aic"))  # checked before the count
         calls = []
 

@@ -40,7 +40,13 @@ moved by up to 4.4e-13 where Q-hat is nearly singular).
 - Logistic y -> 1 - y: each fitted probability p maps to 1 - p, so b
   maps to -b, A (built from p(1 - p)) and the log-likelihoods stay, and
   the estimate maps to 1 - estimate with the weights kept.
-- Permuting the logistic candidates, as the linear ones above.
+- Permuting the candidates, linear and logistic, as the linear ones
+  above (linear on stacks only: the lone case is the test above).
+- Scaling the target, x* -> 2^k x*, k in {-1, 1, 2} (linear, stacks):
+  as on a lone predictor, every weight keeps its bits and every
+  estimate and per-model estimate scales by 2^k, bit for bit, the
+  lockstep solve included.  Measured on ``_case("linear", 0..99,
+  STACK)``, all three schemes: no bit moved.
 
 Worst cases, with the draws of these tests, over ``_case(family, 0..399,
 1)`` (lone) and ``_case(family, 0..99, STACK)`` (stacks), all three
@@ -54,6 +60,7 @@ never moved):
 | linear y -> a + s y | 7.3e-15 | 6.0e-14 |
 | logistic y -> 1 - y | 5.5e-15 | 2.5e-14 |
 | logistic candidates | 5.4e-16 | 2.3e-16 |
+| linear candidates (stacks) | 4.2e-16 | 2.3e-16 |
 
 The tests run ``_case(family, 0..39, 1)`` and ``_case(family, 0..9,
 STACK)`` and allow ten times the measured worst case.
@@ -125,6 +132,8 @@ ROWS_WORST = {"linear": (8.2e-15, 3.7e-15), "logistic": (3.6e-15, 3.1e-14)}
 AFFINE_WORST = (7.3e-15, 6.0e-14)
 FLIP_WORST = (5.5e-15, 2.5e-14)
 CANDIDATES_WORST = (5.4e-16, 2.3e-16)
+LINEAR_CANDIDATES_WORST = (4.2e-16, 2.3e-16)  # over _case("linear", 0..99, STACK)
+STACKS = [pytest.param(STACK, seed, id=f"stack-{seed}") for seed in range(10)]
 
 
 def _case(family, seed, count):
@@ -209,12 +218,29 @@ def _flip(count, seed):
     return _deviations(*(_answers("logistic", t, models, x_star) for t in (sets, moved)), lambda e: 1.0 - e)
 
 
-def _candidates(count, seed):
-    sets, models, x_star, rng = _case("logistic", seed, count)
+def _candidates(family, count, seed):
+    sets, models, x_star, rng = _case(family, seed, count)
     order = rng.permutation(len(models))
-    base = _answers("logistic", sets, models, x_star)
-    moved = _answers("logistic", sets, ModelSet([models[k] for k in order], models.q), x_star)
+    base = _answers(family, sets, models, x_star)
+    moved = _answers(family, sets, ModelSet([models[k] for k in order], models.q), x_star)
     return _deviations(base, moved, lambda e: e, order)
+
+
+def _scaled_target_moves_a_bit(count, seed):
+    """Whether x* -> 2^k x*, k in {-1, 1, 2}, moves any weight, or any estimate off 2^k times its own, by a bit."""
+    sets, models, x_star, _ = _case("linear", seed, count)
+    base = _answers("linear", sets, models, x_star)
+    for k in (-1, 1, 2):
+        moved = _answers("linear", sets, models, 2.0**k * x_star)
+        for entries, scaled in zip(base, moved):
+            for (e, w, per_model), (f, v, scaled_per_model) in zip(entries, scaled):
+                if (
+                    f != 2.0**k * e
+                    or v.tobytes() != w.tobytes()
+                    or scaled_per_model.tobytes() != (2.0**k * per_model).tobytes()
+                ):
+                    return True
+    return False
 
 
 def _within(deviations, worst):
@@ -239,4 +265,14 @@ def test_flipping_a_logistic_response_flips_the_estimate(count, seed):
 
 @pytest.mark.parametrize("count, seed", CASES)
 def test_permuting_the_logistic_candidates_keeps_the_estimate(count, seed):
-    assert _within(_candidates(count, seed), CANDIDATES_WORST)
+    assert _within(_candidates("logistic", count, seed), CANDIDATES_WORST)
+
+
+@pytest.mark.parametrize("count, seed", STACKS)
+def test_permuting_the_linear_candidates_of_a_stack_keeps_the_estimate(count, seed):
+    assert _within(_candidates("linear", count, seed), LINEAR_CANDIDATES_WORST)
+
+
+@pytest.mark.parametrize("count, seed", STACKS)
+def test_scaling_the_target_of_a_stack_by_a_power_of_two_is_bitwise(count, seed):
+    assert not _scaled_target_moves_a_bit(count, seed)
